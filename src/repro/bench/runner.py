@@ -24,6 +24,7 @@ bit-identical per-cell results — is enforced by
 
 from __future__ import annotations
 
+import gc
 import os
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -245,6 +246,12 @@ def run_cell(spec: CellSpec) -> CellResult:
         return _execute_cell(spec)
     except Exception:
         return CellResult(spec=spec, error=traceback.format_exc())
+    finally:
+        # A finished Runtime is one big reference cycle holding the whole
+        # trace, and Engine.run pauses the interpreter's cyclic collector,
+        # so nothing else frees it before the next cell of a serial sweep
+        # builds on top of it.
+        gc.collect()
 
 
 @dataclass

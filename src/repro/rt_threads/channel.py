@@ -88,30 +88,34 @@ class ThreadChannel:
                 raise SimulationError(
                     f"channel {self.name!r}: duplicate timestamp {item.ts}"
                 )
+            # The trace must know the item before any consumer can see
+            # it: a woken getter records its get under ``_rec_lock``, so
+            # the alloc goes first, inside the critical section that
+            # publishes. Lock order ``_lock`` -> ``_rec_lock`` is safe:
+            # no ``_rec_lock`` section ever takes ``_lock``.
+            with self._rec_lock:
+                self.recorder.on_alloc(
+                    item_id=item.item_id,
+                    channel=self.name,
+                    node=self.node,
+                    ts=item.ts,
+                    size=item.size,
+                    producer=item.producer,
+                    parents=item.parents,
+                    t=t,
+                )
+                for c in self.in_conns:
+                    if c.last_got >= item.ts:  # dead on arrival
+                        c.skips += 1
+                        self.total_skips += 1
+                        self.recorder.on_skip(
+                            item.item_id, c.conn_id, c.thread, t)
             self._items[item.ts] = item
             insort(self._order, item.ts)
             self.total_puts += 1
             conn.puts += 1
-            dead_on_arrival = [
-                c for c in self.in_conns if c.last_got >= item.ts
-            ]
             summary = self.aru.summary() if self.aru is not None else None
             self._cond.notify_all()
-        with self._rec_lock:
-            self.recorder.on_alloc(
-                item_id=item.item_id,
-                channel=self.name,
-                node=self.node,
-                ts=item.ts,
-                size=item.size,
-                producer=item.producer,
-                parents=item.parents,
-                t=t,
-            )
-            for c in dead_on_arrival:
-                c.skips += 1
-                self.total_skips += 1
-                self.recorder.on_skip(item.item_id, c.conn_id, c.thread, t)
         self._collect()
         return summary
 

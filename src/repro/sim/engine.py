@@ -58,6 +58,7 @@ Example
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Dict, Generator, Iterable, List, Optional
@@ -289,6 +290,12 @@ class Engine:
         resume_cls = _Resume
         now = self._now
         ec = 0  # local events_processed accumulator
+        # The dispatch path builds no reference cycles (pinned by
+        # tests/sim/test_gc_pause.py), so the interpreter's cyclic
+        # collector would only re-walk a heap the trace keeps growing:
+        # pause it for the loop, restore the caller's setting after.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             while True:
                 # --- select the next entry (cohort order) ---------------
@@ -361,7 +368,9 @@ class Engine:
                         break
                     except ProcessKilled as exc:
                         proc.defused = True
-                        proc.fail(exc)
+                        # No traceback: it would pin the dead frames in
+                        # a cycle through the stored exception.
+                        proc.fail(exc.with_traceback(None))
                         break
                     except BaseException as exc:
                         proc.fail(exc)
@@ -413,6 +422,8 @@ class Engine:
             if limit is not None:
                 self._now = limit
         finally:
+            if gc_was_enabled:
+                gc.enable()
             self._running = False
             self.events_processed += ec
             if self._staged is not None:

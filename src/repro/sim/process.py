@@ -132,8 +132,12 @@ class Process(Event):
         except ProcessKilled as exc:
             # A killed process that lets the exception propagate terminates
             # "successfully dead": nobody should see this as a model error.
+            # It is stored without its traceback, which would otherwise
+            # close a reference cycle (this process -> exception ->
+            # traceback -> this very frame's ``self``) that also pins the
+            # dead generator's frames and everything their locals reach.
             self.defused = True
-            self.fail(exc)
+            self.fail(exc.with_traceback(None))
             return
         except BaseException as exc:
             self.fail(exc)
@@ -148,7 +152,7 @@ class Process(Event):
             return
         except ProcessKilled as killed:
             self.defused = True
-            self.fail(killed)
+            self.fail(killed.with_traceback(None))
             return
         except BaseException as err:
             self.fail(err)

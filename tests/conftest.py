@@ -8,6 +8,8 @@ fixture below snapshots both registries before each test and restores
 them afterwards, so registry mutations cannot escape a test.
 """
 
+import gc
+
 import pytest
 
 from repro import backends as _backends
@@ -32,3 +34,28 @@ def _isolated_policy_registries():
     _placement._PLACEMENTS.update(placements)
     _backends._REGISTRY.clear()
     _backends._REGISTRY.update(backends)
+
+
+@pytest.fixture
+def unreachable_after():
+    """``unreachable_after(fn) -> (count, result)``: how many objects
+    only the interpreter's cyclic collector can free after ``fn()``.
+
+    Collection is off around the call, so nothing is reclaimed early,
+    and ``fn``'s result is alive while the count is taken, so a finished
+    runtime (one big cycle by design) is not what gets counted. Callers
+    warm ``fn`` up once first: lazy imports build class cycles.
+    """
+    def measure(fn):
+        while gc.collect():  # finalizers can defer garbage one pass
+            pass
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = fn()
+            return gc.collect(), result
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return measure

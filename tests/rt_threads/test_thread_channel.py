@@ -162,3 +162,70 @@ class TestAru:
         assert put(ch, prod, 0) is None
         ch.get(cons, LATEST, consumer_summary=0.3)
         assert put(ch, prod, 1) == 0.3
+
+
+class _GatedLock:
+    """A recorder lock one chosen thread can take only once ``gate`` is
+    set: it parks that thread exactly between "decided to record" and
+    "recording", stretching whatever window ``put`` leaves there."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.gated_thread = None
+        self.waiting = threading.Event()
+        self.gate = threading.Event()
+
+    def __enter__(self):
+        if threading.current_thread() is self.gated_thread:
+            self.waiting.set()
+            assert self.gate.wait(5.0)
+        self._lock.acquire()
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+class TestAllocRecordedBeforePublish:
+    def test_waiting_consumer_cannot_see_an_unrecorded_item(self):
+        # Regression: ``put`` used to publish the item (notify_all under
+        # the channel lock) and only then record its allocation under the
+        # recorder lock, so a woken consumer could record a get first —
+        # ``TraceError: unknown item``. The gate sits on the recorder lock
+        # rather than inside ``on_alloc`` because ``on_alloc`` already runs
+        # under that lock: a consumer racing it just queues behind it.
+        from repro.vt import WallClock
+
+        lock = _GatedLock()
+        rec = TraceRecorder()
+        ch = ThreadChannel("ch", rec, WallClock(), recorder_lock=lock)
+        prod = ch.register_producer("p")
+        cons = ch.register_consumer("c")
+        item = Item(ts=0, size=10, producer="p")
+        result = {}
+
+        def getter():
+            try:
+                result["view"] = ch.get(cons, LATEST, timeout=0.005)
+            except BaseException as exc:  # surfaced by the asserts below
+                result["error"] = exc
+
+        consumer = threading.Thread(target=getter)
+        producer = threading.Thread(target=ch.put, args=(prod, item))
+        lock.gated_thread = producer
+        consumer.start()
+        producer.start()
+        try:
+            assert lock.waiting.wait(2.0)
+            # The producer is parked just short of ``on_alloc``. The
+            # consumer polls every 5 ms; it must keep waiting.
+            consumer.join(timeout=0.2)
+            assert consumer.is_alive(), f"consumer got ahead of on_alloc: {result}"
+            assert item.item_id not in rec.items
+        finally:
+            lock.gate.set()
+            producer.join(timeout=2.0)
+            consumer.join(timeout=2.0)
+        assert not producer.is_alive() and not consumer.is_alive()
+        assert "error" not in result
+        assert result["view"].ts == 0
+        assert [t.consumer for t in rec.items[item.item_id].gets] == ["c"]
