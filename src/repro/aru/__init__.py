@@ -23,7 +23,6 @@ from repro.aru.config import (
     aru_null,
     aru_pid,
 )
-from repro.aru.controller import throttle_sleep
 from repro.aru.filters import (
     EwmaFilter,
     MedianFilter,
@@ -45,6 +44,7 @@ from repro.aru.operators import (
 )
 from repro.aru.stp import StpMeter
 from repro.aru.summary import BackwardStpVector, BufferAruState, ThreadAruState
+from repro.control.actuator import throttle_sleep
 
 __all__ = [
     "AruConfig",

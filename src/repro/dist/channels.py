@@ -7,7 +7,9 @@ state. The other side is a :class:`RemoteChannelClient` proxy that
 speaks the same driver-facing surface (``register_producer`` /
 ``register_consumer`` / ``get`` / ``try_get`` / ``put`` / ``release`` /
 ``check_dead``) over one dedicated TCP connection per (thread, channel)
-role.
+role. The server side drives the channel through that same public
+surface plus ``evict_consumer`` and ``receive_feedback``; it never
+touches the state behind the channel's lock.
 
 Feedback interleaves with data on that connection, in-band (the
 punctuation-paper model): every GET/TRY_GET request carries the
@@ -21,9 +23,12 @@ backward-propagation slot) is per-connection state.
 Failure semantics: a dropped connection surfaces as
 :class:`~repro.dist.wire.ConnectionClosed`; the proxy reconnects under
 the spec's :class:`~repro.runtime.retry.RetryPolicy`, re-OPENs with its
-last consumed timestamp so the cursor resumes, and re-sends the request.
-A re-sent PUT that already landed is recognized by the server's
-duplicate-timestamp rejection and treated as acknowledged
+last consumed timestamp so the cursor resumes (the OPEN unregisters the
+old connection's cursor *and* its backward-propagation slot), and
+re-sends the request. A re-sent PUT that already landed is recognized
+by the class of the server's rejection,
+:class:`~repro.errors.DuplicateTimestamp` — ERROR frames name the
+exception class beside its message — and treated as acknowledged
 (at-least-once put, exactly-once channel state).
 """
 
@@ -36,7 +41,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dist.framing import FrameKind
 from repro.dist.wire import ConnectionClosed, FramedConnection, connect
-from repro.errors import DistError, ReproError, SimulationError
+from repro.errors import (
+    DistError,
+    DuplicateTimestamp,
+    ReproError,
+    SimulationError,
+)
 from repro.runtime.item import Item, ItemView
 from repro.runtime.retry import RetryPolicy
 from repro.vt.timestamp import EARLIEST, LATEST
@@ -107,6 +117,11 @@ class RemoteConn:
 
 class _ServerError(DistError):
     """The channel server reported an application-level error."""
+
+    def __init__(self, message: str, error: str) -> None:
+        super().__init__(message)
+        #: Class name of the exception the server caught.
+        self.error = error
 
 
 class _ShutdownDrop(DistError):
@@ -200,7 +215,7 @@ class RemoteChannelClient:
 
     def _check_reply(self, kind, reply, expected: FrameKind) -> None:
         if kind == FrameKind.ERROR:
-            raise _ServerError(reply["message"])
+            raise _ServerError(reply["message"], reply["error"])
         if kind != expected:
             raise DistError(
                 f"channel {self.name!r}: expected {expected.name}, "
@@ -227,7 +242,7 @@ class RemoteChannelClient:
                 return reply
             except _ServerError as exc:
                 if (kind == FrameKind.PUT and attempt > 0
-                        and "duplicate timestamp" in str(exc)):
+                        and exc.error == DuplicateTimestamp.__name__):
                     # The pre-drop PUT landed; the retry was the duplicate.
                     return {"summary": None}
                 raise
@@ -413,7 +428,8 @@ class ChannelServer:
                 try:
                     reply_kind, reply = session.handle(kind, payload)
                 except ReproError as exc:
-                    conn.send(FrameKind.ERROR, {"message": str(exc)})
+                    conn.send(FrameKind.ERROR, {
+                        "message": str(exc), "error": type(exc).__name__})
                     continue
                 conn.send(reply_kind, reply)
         except ConnectionClosed:
@@ -497,10 +513,8 @@ class _Session:
                 {"dead": self.channel.check_dead(payload["ts"])},
             )
         if kind == FrameKind.FEEDBACK:
-            if self.channel.aru is not None and payload["summary"] is not None:
-                self.channel.aru.update_backward(
-                    self.cursor.conn_id, payload["summary"]
-                )
+            if payload["summary"] is not None:
+                self.channel.receive_feedback(self.cursor, payload["summary"])
             return (FrameKind.FEEDBACK_OK, None)
         raise DistError(f"unexpected frame {FrameKind(kind).name} on data plane")
 

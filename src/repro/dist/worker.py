@@ -61,14 +61,13 @@ class WorkerRuntime(ThreadedRuntime):
     def __init__(self, graph, *, aru, seed, compute_mode, node: str,
                  plan: DistPlan, epoch: Optional[float] = None,
                  retry: Optional[RetryPolicy] = None) -> None:
-        self._node = node
+        self.node_name = node
         self._plan = plan
         self._epoch = epoch
         self._retry = retry or RetryPolicy()
         self._peers: Optional[Dict[str, Tuple[str, int]]] = None
         self.proxies: Dict[Tuple[str, str, str], RemoteChannelClient] = {}
         super().__init__(graph, aru=aru, seed=seed, compute_mode=compute_mode)
-        self.node_name = node
 
     # -- hook overrides ------------------------------------------------
     def _make_clock(self):
@@ -80,15 +79,10 @@ class WorkerRuntime(ThreadedRuntime):
     def _local_threads(self):
         if self._peers is None:
             return ()
-        return self._plan.threads_on(self._node)
+        return self._plan.threads_on(self.node_name)
 
     def _local_buffers(self):
-        return self._plan.buffers_on(self._node)
-
-    def _make_channel(self, name: str):
-        channel = super()._make_channel(name)
-        channel.node = self._node
-        return channel
+        return self._plan.buffers_on(self.node_name)
 
     def _channel_for(self, name: str, thread: str, role: str):
         if name in self.channels:
@@ -106,7 +100,7 @@ class WorkerRuntime(ThreadedRuntime):
     def connect_peers(self, peers: Dict[str, Tuple[str, int]]) -> None:
         """Accept the peer address map and build this node's drivers."""
         self._peers = dict(peers)
-        for name in self._plan.threads_on(self._node):
+        for name in self._plan.threads_on(self.node_name):
             self.drivers[name] = self._build_driver(name)
 
     def close_proxies(self) -> None:

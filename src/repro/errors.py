@@ -24,6 +24,12 @@ class SimulationError(ReproError):
     """The discrete-event engine reached an inconsistent state."""
 
 
+class DuplicateTimestamp(SimulationError):
+    """A put carried a timestamp the channel already stores. The wire
+    client matches on this class to recognise a re-sent PUT that had
+    already landed."""
+
+
 class ProcessKilled(ReproError):
     """Raised *inside* a simulated process when it is forcibly interrupted."""
 

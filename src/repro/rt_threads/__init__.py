@@ -1,31 +1,13 @@
 """Real-threads executor: the same task graphs on ``threading``.
 
-Since the backend registry landed, the supported entry point is
+The supported entry point is
 ``repro.run_experiment(ExperimentSpec(backend="threads"))`` (or
-``resolve_backend("threads")``); constructing the executor directly
-skips the spec validation and result packaging the registry provides.
-``from repro.rt_threads import ThreadedRuntime`` therefore emits a
-:class:`DeprecationWarning`. Internal plumbing (``repro.dist`` subclasses
-the executor) imports from the submodules, which stay warning-free.
+``resolve_backend("threads")``), which adds spec validation and result
+packaging. The executor itself is
+:class:`repro.rt_threads.executor.ThreadedRuntime` (``repro.dist``
+subclasses it); this package exports the thread-safe channel.
 """
-
-import warnings
 
 from repro.rt_threads.channel import ThreadChannel
 
-__all__ = ["ThreadedRuntime", "ThreadChannel"]
-
-
-def __getattr__(name: str):
-    if name == "ThreadedRuntime":
-        warnings.warn(
-            "importing ThreadedRuntime from repro.rt_threads is deprecated; "
-            "run specs through the backend registry instead: "
-            "repro.run_experiment(ExperimentSpec(backend='threads')) "
-            "(or repro.resolve_backend('threads'))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.rt_threads.executor import ThreadedRuntime
-        return ThreadedRuntime
-    raise AttributeError(f"module 'repro.rt_threads' has no attribute {name!r}")
+__all__ = ["ThreadChannel"]

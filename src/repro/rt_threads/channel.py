@@ -1,25 +1,47 @@
 """Thread-safe Stampede channel for the real-threads executor.
 
-Same semantics as the simulated :class:`repro.runtime.channel.Channel`
-(get-latest with skipping, per-consumer cursors, dead-timestamp
-collection, ARU piggybacking) over ``threading`` primitives instead of DES
-events. The dead-timestamp GC is built in — the paper's experiments always
-run on DGC, and a live executor without collection would leak unboundedly.
+One lock and one condition variable around a
+:class:`repro.runtime.channel.Channel`: matching, skip-marking, cursors,
+reference counts, dooming, freeing, feedback and trace emission are that
+class's, run here with a :class:`~repro.gc.dgc.DeadTimestampGC` (the
+paper's experiments always run on DGC, and a live executor without
+collection would leak unboundedly). This shell adds only what real
+threads need: mutual exclusion, wall-clock reads, and a blocking get
+that honors a stop event so the runtime can shut down promptly.
 
-Blocking gets honor a stop event so the runtime can shut down promptly.
+Lock order is channel lock, then recorder lock, never the reverse. The
+recorder lock (shared by every channel and driver of a runtime) is held
+for the whole transition, nested inside the channel lock, so the trace
+learns of a put, get, skip or free before any other thread can act on
+it — a consumer woken by a put cannot record its get ahead of the alloc.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, bisect_right, insort
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.aru.summary import BufferAruState
-from repro.errors import ItemDropped, SimulationError
+from repro.control.propagation import FeedbackEndpoint
+from repro.errors import SimulationError
+from repro.gc.dgc import DeadTimestampGC
+from repro.runtime.channel import Channel
 from repro.runtime.connection import InputConnection, OutputConnection
 from repro.runtime.item import Item, ItemView
-from repro.vt.timestamp import EARLIEST, LATEST
+from repro.vt.timestamp import LATEST
+
+
+class _ByteLedger:
+    """Stands in for the cluster node: a name and a count of bytes held."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.in_use = 0
+
+    def alloc(self, nbytes: int) -> None:
+        self.in_use += nbytes
+
+    def free(self, nbytes: int) -> None:
+        self.in_use -= nbytes
 
 
 class ThreadChannel:
@@ -32,109 +54,64 @@ class ThreadChannel:
         name: str,
         recorder,
         clock,
-        aru_state: Optional[BufferAruState] = None,
+        feedback: Optional[FeedbackEndpoint] = None,
         recorder_lock: Optional[threading.Lock] = None,
         node: str = "local",
     ) -> None:
         self.name = name
-        self.recorder = recorder
         self.clock = clock
-        self.node = node
-        self.aru = aru_state
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._rec_lock = recorder_lock or threading.Lock()
-        self._items: Dict[int, Item] = {}
-        self._order: List[int] = []
-        self.in_conns: List[InputConnection] = []
-        self.out_conns: List[OutputConnection] = []
-        self.total_puts = 0
-        self.total_gets = 0
-        self.total_skips = 0
-        self.total_frees = 0
+        self._ledger = _ByteLedger(node)
+        self._state = Channel(
+            None, name, self._ledger, recorder, DeadTimestampGC(),
+            feedback=feedback,
+        )
 
     # -- registration ------------------------------------------------------
     def register_producer(self, thread: str) -> OutputConnection:
-        conn = OutputConnection(thread=thread, buffer=self.name)
-        self.out_conns.append(conn)
-        return conn
+        with self._lock:
+            return self._state.register_producer(thread)
 
     def register_consumer(self, thread: str) -> InputConnection:
-        conn = InputConnection(buffer=self.name, thread=thread)
-        self.in_conns.append(conn)
-        return conn
+        with self._lock:
+            return self._state.register_consumer(thread)
 
     def evict_consumer(self, thread: str) -> None:
-        """Drop ``thread``'s consumer cursors (a reconnecting remote peer
-        re-registers; its dead cursor must not freeze the DGC threshold)."""
+        """Unregister ``thread``'s consumer connections (a reconnecting
+        remote peer re-registers; its dead cursor must not freeze the DGC
+        threshold, nor its backwardSTP slot keep steering the source)."""
         with self._lock:
-            self.in_conns = [c for c in self.in_conns if c.thread != thread]
+            for conn in [c for c in self._state.in_conns if c.thread == thread]:
+                self._state.unregister_consumer(conn)
+
+    # -- introspection -------------------------------------------------------
+    total_puts = property(lambda self: self._state.total_puts)
+    total_gets = property(lambda self: self._state.total_gets)
+    total_skips = property(lambda self: self._state.total_skips)
+    total_frees = property(lambda self: self._state.total_frees)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._items)
+            return len(self._state)
 
     @property
     def bytes_held(self) -> int:
-        with self._lock:
-            return sum(i.size for i in self._items.values())
+        return self._ledger.in_use
 
-    # -- put ---------------------------------------------------------------
+    def check_dead(self, ts: int) -> bool:
+        """True when every consumer's cursor has passed ``ts``."""
+        with self._lock:
+            return self._state.check_dead(ts)
+
+    # -- transitions -------------------------------------------------------
     def put(self, conn: OutputConnection, item: Item) -> Optional[float]:
         """Insert an item; returns the channel summary-STP (ARU feedback)."""
-        t = self.clock.now()
-        with self._lock:
-            if item.ts in self._items:
-                raise SimulationError(
-                    f"channel {self.name!r}: duplicate timestamp {item.ts}"
-                )
-            # The trace must know the item before any consumer can see
-            # it: a woken getter records its get under ``_rec_lock``, so
-            # the alloc goes first, inside the critical section that
-            # publishes. Lock order ``_lock`` -> ``_rec_lock`` is safe:
-            # no ``_rec_lock`` section ever takes ``_lock``.
-            with self._rec_lock:
-                self.recorder.on_alloc(
-                    item_id=item.item_id,
-                    channel=self.name,
-                    node=self.node,
-                    ts=item.ts,
-                    size=item.size,
-                    producer=item.producer,
-                    parents=item.parents,
-                    t=t,
-                )
-                for c in self.in_conns:
-                    if c.last_got >= item.ts:  # dead on arrival
-                        c.skips += 1
-                        self.total_skips += 1
-                        self.recorder.on_skip(
-                            item.item_id, c.conn_id, c.thread, t)
-            self._items[item.ts] = item
-            insort(self._order, item.ts)
-            self.total_puts += 1
-            conn.puts += 1
-            summary = self.aru.summary() if self.aru is not None else None
+        with self._lock, self._rec_lock:
+            summary = self._state.commit_put(conn, item, self.clock.now())
             self._cond.notify_all()
-        self._collect()
         return summary
-
-    # -- get ---------------------------------------------------------------
-    def _match_locked(self, conn: InputConnection, request) -> Optional[Item]:
-        if not self._order:
-            return None
-        if request is LATEST:
-            ts = self._order[-1]
-            return self._items[ts] if ts > conn.last_got else None
-        if request is EARLIEST:
-            idx = bisect_right(self._order, conn.last_got)
-            return self._items[self._order[idx]] if idx < len(self._order) else None
-        ts = int(request)
-        if ts <= conn.last_got:
-            raise ItemDropped(
-                f"{conn.thread!r} re-requested ts {ts} on {self.name!r}"
-            )
-        return self._items.get(ts)
 
     def get(
         self,
@@ -147,93 +124,45 @@ class ThreadChannel:
     ) -> Optional[ItemView]:
         """Blocking get; returns None if ``stop`` fires or ``max_wait``
         (the timed-get deadline, seconds) expires while waiting."""
+        state = self._state
         deadline = None if max_wait is None else self.clock.now() + max_wait
         with self._cond:
             while True:
-                item = self._match_locked(conn, request)
-                if item is not None:
+                # Re-checked after every wait: an eviction can land while
+                # this thread sleeps, and a get through the dead cursor
+                # would resurrect the feedback slot the eviction removed.
+                if conn not in state.in_conns:
+                    raise SimulationError(
+                        f"unregistered consumer on {self.name!r}")
+                if state.try_match(conn, request):
                     break
                 if stop is not None and stop.is_set():
                     return None
-                if deadline is not None and self.clock.now() >= deadline:
-                    return None
                 wait_for = timeout
                 if deadline is not None:
-                    wait_for = min(wait_for, max(0.0, deadline - self.clock.now()))
+                    remaining = deadline - self.clock.now()
+                    if remaining <= 0:
+                        return None
+                    wait_for = min(wait_for, remaining)
                 self._cond.wait(timeout=wait_for)
-            # skip marking
-            lo = bisect_right(self._order, conn.last_got)
-            hi = bisect_left(self._order, item.ts)
-            skipped = [self._items[ts] for ts in self._order[lo:hi]]
-            conn.last_got = item.ts
-            conn.gets += 1
-            self.total_gets += 1
-            self.total_skips += len(skipped)
-            conn.skips += len(skipped)
-            item.acquire()
-            if self.aru is not None and consumer_summary is not None:
-                self.aru.update_backward(conn.conn_id, consumer_summary)
-        t = self.clock.now()
-        with self._rec_lock:
-            for s in skipped:
-                self.recorder.on_skip(s.item_id, conn.conn_id, conn.thread, t)
-            self.recorder.on_get(item.item_id, conn.conn_id, conn.thread, t)
-        self._collect()
-        return ItemView(item, self.name)
+            with self._rec_lock:
+                return state.commit_get(
+                    conn, request, self.clock.now(), consumer_summary)
 
     def try_get(self, conn: InputConnection, request=LATEST,
                 consumer_summary: Optional[float] = None) -> Optional[ItemView]:
         """Non-blocking variant; None when nothing matches."""
-        with self._lock:
-            if self._match_locked(conn, request) is None:
-                return None
-        return self.get(conn, request, consumer_summary)
+        return self.get(conn, request, consumer_summary, max_wait=0.0)
 
-    def check_dead(self, ts: int) -> bool:
-        """True when every consumer's cursor has passed ``ts``."""
+    def receive_feedback(self, conn: InputConnection, summary: float) -> None:
+        """A consumer summary that arrives without a get (a remote peer
+        re-advertising after a reconnect)."""
         with self._lock:
-            if not self.in_conns:
-                return False
-            return all(c.last_got >= int(ts) for c in self.in_conns)
+            feedback = self._state.feedback
+            if feedback is not None and conn in self._state.in_conns:
+                feedback.receive(conn.conn_id, summary)
 
     def release(self, item: Item) -> None:
         """Consumer done with the item (end of iteration)."""
-        freed = False
-        with self._lock:
-            item.release()
-            if item.doomed and item.refcount == 0 and not item.freed:
-                self._free_locked(item)
-                freed = True
-        if freed:
-            self._record_free(item)
-
-    # -- dead-timestamp collection ---------------------------------------------
-    def _collect(self) -> None:
-        """DGC: free items every consumer's cursor has passed."""
-        freed: List[Item] = []
-        with self._lock:
-            if not self.in_conns:
-                return
-            threshold = min(c.last_got for c in self.in_conns)
-            if threshold < 0:
-                return
-            idx = bisect_right(self._order, threshold)
-            for ts in list(self._order[:idx]):
-                item = self._items[ts]
-                if item.refcount == 0:
-                    self._free_locked(item)
-                    freed.append(item)
-                else:
-                    item.doomed = True
-        for item in freed:
-            self._record_free(item)
-
-    def _free_locked(self, item: Item) -> None:
-        del self._items[item.ts]
-        self._order.remove(item.ts)
-        item.freed = True
-        self.total_frees += 1
-
-    def _record_free(self, item: Item) -> None:
-        with self._rec_lock:
-            self.recorder.on_free(item.item_id, self.clock.now())
+        with self._lock, self._rec_lock:
+            self._state.release(item, self.clock.now())

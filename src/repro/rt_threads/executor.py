@@ -272,6 +272,10 @@ class ThreadedRuntime:
         or ``"noop"``.
     """
 
+    #: The node every channel and stat is attributed to (a distributed
+    #: worker sets its plan node before construction).
+    node_name = "local"
+
     def __init__(
         self,
         graph: TaskGraph,
@@ -289,7 +293,6 @@ class ThreadedRuntime:
         self.graph = graph
         self.aru_config = aru or aru_disabled()
         self.compute_mode = compute_mode
-        self.node_name = "local"
         self.clock = self._make_clock()
         self.recorder = TraceRecorder()
         self.recorder_lock = threading.Lock()
@@ -321,11 +324,12 @@ class ThreadedRuntime:
 
     def _make_channel(self, name: str) -> ThreadChannel:
         """Build the local channel backing buffer ``name``."""
-        aru_state = self.feedback_bus.buffer_state(
+        feedback = self.feedback_bus.endpoint_for(
             name, self.graph.attrs(name).get("compress_op")
         )
         return ThreadChannel(
-            name, self.recorder, self.clock, aru_state, self.recorder_lock
+            name, self.recorder, self.clock, feedback, self.recorder_lock,
+            node=self.node_name,
         )
 
     def _channel_for(self, name: str, thread: str, role: str):

@@ -203,40 +203,3 @@ class StampedeApp:
             telemetry=telemetry,
         )
         return run_experiment(spec).trace
-
-    def run_threads(
-        self,
-        duration: float,
-        *,
-        aru: Optional[AruConfig] = None,
-        seed: int = 0,
-        compute_mode: str = "sleep",
-    ) -> TraceRecorder:
-        """Run on real OS threads for ``duration`` wall seconds.
-
-        .. deprecated::
-            Use ``repro.run_experiment(ExperimentSpec(app=app,
-            backend="threads"))`` — backends are picked by name through
-            the registry now, and the facade returns the full
-            :class:`~repro.experiment.RunResult`.
-        """
-        import warnings
-
-        warnings.warn(
-            "StampedeApp.run_threads() is deprecated; use "
-            "repro.run_experiment(ExperimentSpec(app=app, "
-            "backend='threads')) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.experiment import ExperimentSpec, run_experiment
-
-        spec = ExperimentSpec(
-            app=self.graph,
-            policy=aru or aru_disabled(),
-            seed=seed,
-            horizon=duration,
-            backend="threads",
-            backend_options={"compute_mode": compute_mode},
-        )
-        return run_experiment(spec).trace

@@ -14,9 +14,13 @@ Semantics (paper §1):
   :class:`~repro.control.propagation.FeedbackEndpoint` (§3.3.2) — the
   channel transports them without knowing what they mean.
 
-The channel is executor-agnostic state plus event-based blocking: drivers
-call ``request_get``/``wait_for_room`` to obtain events and
-``commit_get``/``commit_put`` to apply side effects once unblocked.
+This is the one implementation of those rules; both executors run it.
+The transitions (``commit_put``/``commit_get``/``release``/
+``maybe_collect``) never wait, read a clock or lock — the caller passes
+the time in. The simulated driver blocks on the events
+``request_get``/``wait_for_room`` hand out; the real-threads shell
+(:class:`~repro.rt_threads.channel.ThreadChannel`) waits on a condition
+variable around ``try_match`` instead and passes ``engine=None``.
 """
 
 from __future__ import annotations
@@ -24,15 +28,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from typing import TYPE_CHECKING, List, Optional, Union
 
-from repro.aru.summary import BufferAruState
 from repro.control.propagation import FeedbackEndpoint
-from repro.errors import ItemDropped, SimulationError
+from repro.errors import DuplicateTimestamp, ItemDropped, SimulationError
 from repro.obs.hub import NULL_HUB
+from repro.runtime.buffer import Buffer
 from repro.runtime.connection import InputConnection, OutputConnection
 from repro.runtime.item import Item, ItemView
 from repro.sim.engine import Engine
 from repro.sim.events import Event
-from repro.sim.resources import WaitQueue
 from repro.vt.timestamp import EARLIEST, LATEST, Timestamp, _Sentinel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,99 +46,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Request = Union[_Sentinel, int, Timestamp]
 
 
-class Channel:
+class Channel(Buffer):
     """One named channel placed on a cluster node."""
 
     kind = "channel"
 
     def __init__(
         self,
-        engine: Engine,
+        engine: Optional[Engine],
         name: str,
         node: "Node",
         recorder: "TraceRecorder",
         gc: "GarbageCollector",
-        aru_state: Optional[BufferAruState] = None,
         capacity: Optional[int] = None,
         feedback: Optional[FeedbackEndpoint] = None,
         obs=NULL_HUB,
     ) -> None:
-        self.engine = engine
-        self.name = name
-        self.node = node
-        self.recorder = recorder
+        super().__init__(engine, name, node, recorder, gc.name, capacity,
+                         feedback, obs)
         self.gc = gc
-        self.obs = obs
-        # Fixed-slot telemetry handles, resolved once here instead of a
-        # (name, labels) registry lookup per operation (ISSUE 7). With
-        # telemetry or metrics off these are shared no-ops.
-        self._put_h = obs.put_handle(name, self.kind)
-        self._free_h = obs.free_handle(name, self.kind, gc.name)
-        # ``aru_state`` is the pre-control-plane spelling: wrap it into
-        # an endpoint so hand-built harnesses keep working.
-        if feedback is None and aru_state is not None:
-            feedback = FeedbackEndpoint(aru_state)
-        self.feedback = feedback
-        self.capacity = capacity
         self._items: dict[int, Item] = {}
         self._order: List[int] = []  # sorted timestamps present
-        self.in_conns: List[InputConnection] = []
-        self.out_conns: List[OutputConnection] = []
-        self._getters = WaitQueue(engine, name=f"{name}.get")
-        self._putters = WaitQueue(engine, name=f"{name}.room")
-        # statistics
-        self.total_puts = 0
-        self.total_gets = 0
         self.total_skips = 0
-        self.total_frees = 0
-
-    # -- registration ------------------------------------------------------
-    def register_producer(self, thread: str) -> OutputConnection:
-        conn = OutputConnection(thread=thread, buffer=self.name)
-        self.out_conns.append(conn)
-        return conn
-
-    def register_consumer(self, thread: str) -> InputConnection:
-        conn = InputConnection(buffer=self.name, thread=thread)
-        obs = self.obs
-        if obs.enabled:
-            conn.get_h = obs.get_handle(self.name, self.kind, thread)
-            conn.skip_h = obs.skip_handle(self.name, thread)
-        self.in_conns.append(conn)
-        return conn
-
-    def unregister_producer(self, conn: OutputConnection) -> None:
-        """Detach a producer connection (thread restart/teardown)."""
-        try:
-            self.out_conns.remove(conn)
-        except ValueError:
-            raise SimulationError(
-                f"producer {conn.thread!r} not registered on {self.name!r}"
-            ) from None
-
-    def unregister_consumer(self, conn: InputConnection) -> None:
-        """Detach a consumer connection (thread restart/teardown).
-
-        Evicts the connection's backwardSTP slot immediately — a removed
-        consumer must stop influencing throttling right away — and drops
-        its cursor from the DGC threshold, unfreezing garbage collection
-        for items only the dead consumer was behind on.
-        """
-        try:
-            self.in_conns.remove(conn)
-        except ValueError:
-            raise SimulationError(
-                f"consumer {conn.thread!r} not registered on {self.name!r}"
-            ) from None
-        if self.feedback is not None:
-            self.feedback.detach(conn.conn_id)
 
     # -- introspection ------------------------------------------------------
-    @property
-    def aru(self) -> Optional[BufferAruState]:
-        """The buffer's ARU state, when feedback propagation is wired."""
-        return self.feedback.state if self.feedback is not None else None
-
     def __len__(self) -> int:
         return len(self._items)
 
@@ -162,13 +96,6 @@ class Channel:
         return [self._items[ts] for ts in self._order[:idx]]
 
     # -- put side ----------------------------------------------------------
-    def has_room(self) -> bool:
-        return self.capacity is None or len(self._items) < self.capacity
-
-    def wait_for_room(self) -> Event:
-        """Event firing when the capacity bound admits another item."""
-        return self._putters.wait(lambda: self.has_room() or None)
-
     def commit_put(self, conn: OutputConnection, item: Item, t: float) -> Optional[float]:
         """Insert ``item``; returns the channel's summary-STP (ARU feedback).
 
@@ -179,29 +106,12 @@ class Channel:
         if not self.has_room():
             raise SimulationError(f"commit_put on full channel {self.name!r}")
         if item.ts in self._items:
-            raise SimulationError(
+            raise DuplicateTimestamp(
                 f"channel {self.name!r}: duplicate timestamp {item.ts}"
             )
         self._items[item.ts] = item
         insort(self._order, item.ts)
-        self.total_puts += 1
-        conn.puts += 1
-        self.node.alloc(item.size)
-        self.recorder.on_alloc(
-            item_id=item.item_id,
-            channel=self.name,
-            node=self.node.name,
-            ts=item.ts,
-            size=item.size,
-            producer=item.producer,
-            parents=item.parents,
-            t=t,
-        )
-        obs = self.obs
-        if obs.enabled:
-            self._put_h.add(1.0, item.size)
-            if obs.spans_on:
-                obs.span_put(self.name, item, t)
+        self._account_put(conn, item, t)
         # Dead on arrival for consumers whose cursor already passed this ts.
         for in_conn in self.in_conns:
             if in_conn.last_got >= item.ts:
@@ -244,10 +154,6 @@ class Channel:
     def try_match(self, conn: InputConnection, request: Request = LATEST) -> bool:
         """Non-blocking availability test."""
         return self._match(conn, request) is not None
-
-    def cancel_get(self, event: Event) -> None:
-        """Withdraw a pending get request (timed-get expiry)."""
-        self._getters.cancel(event)
 
     def commit_get(
         self,
@@ -346,15 +252,7 @@ class Channel:
             )
         idx = bisect_left(self._order, item.ts)
         del self._order[idx]
-        item.freed = True
-        self.total_frees += 1
-        self.node.free(item.size)
-        self.recorder.on_free(item.item_id, t)
-        obs = self.obs
-        if obs.enabled:
-            self._free_h.add(1.0, item.size)
-            if obs.spans_on:
-                obs.span_free(item, t)
+        self._account_free(item, t)
         if self.capacity is not None:
             self._putters.notify_all()
 

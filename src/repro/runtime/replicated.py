@@ -40,7 +40,7 @@ from typing import Deque, Dict, Optional
 from repro.errors import ItemDropped, SimulationError
 from repro.runtime.channel import Channel
 from repro.runtime.connection import InputConnection, OutputConnection
-from repro.runtime.item import Item, ItemView
+from repro.runtime.item import Item
 from repro.runtime.squeue import SQueue
 from repro.sim.events import Event
 from repro.vt.timestamp import EARLIEST, LATEST
@@ -183,9 +183,6 @@ class PartitionQueue(SQueue):
         return dict(self._inflight)
 
     # -- put side ----------------------------------------------------------
-    def has_room(self) -> bool:
-        return self.capacity is None or len(self) < self.capacity
-
     def _assign(self, item: Item) -> None:
         if not self.in_conns:
             self._orphans.append(item)
@@ -198,24 +195,7 @@ class PartitionQueue(SQueue):
         if not self.has_room():
             raise SimulationError(f"commit_put on full queue {self.name!r}")
         self._assign(item)
-        self.total_puts += 1
-        conn.puts += 1
-        self.node.alloc(item.size)
-        self.recorder.on_alloc(
-            item_id=item.item_id,
-            channel=self.name,
-            node=self.node.name,
-            ts=item.ts,
-            size=item.size,
-            producer=item.producer,
-            parents=item.parents,
-            t=t,
-        )
-        obs = self.obs
-        if obs.enabled:
-            self._put_h.add(1.0, item.size)
-            if obs.spans_on:
-                obs.span_put(self.name, item, t)
+        self._account_put(conn, item, t)
         if self._merge is not None:
             self._merge.expect(item.ts)
         self._getters.notify_all()
@@ -231,13 +211,7 @@ class PartitionQueue(SQueue):
     def try_match(self, conn: InputConnection, request: object = None) -> bool:
         return bool(self._pending.get(conn.conn_id))
 
-    def commit_get(
-        self,
-        conn: InputConnection,
-        request: object,
-        t: float,
-        consumer_summary: Optional[float] = None,
-    ) -> ItemView:
+    def _pop(self, conn: InputConnection) -> Item:
         """Pop the head of this slot's FIFO and mark its ts in flight."""
         pending = self._pending.get(conn.conn_id)
         if not pending:
@@ -246,22 +220,8 @@ class PartitionQueue(SQueue):
                 f"(worker {conn.thread!r})"
             )
         item = pending.popleft()
-        conn.last_got = max(conn.last_got, item.ts)
-        conn.gets += 1
-        self.total_gets += 1
-        item.acquire()
         self._inflight[item.ts] = conn.conn_id
-        self.recorder.on_get(item.item_id, conn.conn_id, conn.thread, t)
-        obs = self.obs
-        if obs.enabled:
-            conn.get_h.inc()
-            if obs.spans_on:
-                obs.span_get(item, conn.thread, t)
-        if self.feedback is not None and consumer_summary is not None:
-            self.feedback.receive(conn.conn_id, consumer_summary)
-        if self.capacity is not None:
-            self._putters.notify_all()
-        return ItemView(item, self.name)
+        return item
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -15,24 +15,23 @@ queue's compressed summary to the producer.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, List, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
-from repro.aru.summary import BufferAruState
 from repro.control.propagation import FeedbackEndpoint
 from repro.errors import SimulationError
 from repro.obs.hub import NULL_HUB
+from repro.runtime.buffer import Buffer
 from repro.runtime.connection import InputConnection, OutputConnection
 from repro.runtime.item import Item, ItemView
 from repro.sim.engine import Engine
 from repro.sim.events import Event
-from repro.sim.resources import WaitQueue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.node import Node
     from repro.metrics.recorder import TraceRecorder
 
 
-class SQueue:
+class SQueue(Buffer):
     """One named FIFO queue placed on a cluster node."""
 
     kind = "queue"
@@ -43,78 +42,16 @@ class SQueue:
         name: str,
         node: "Node",
         recorder: "TraceRecorder",
-        aru_state: Optional[BufferAruState] = None,
         capacity: Optional[int] = None,
         feedback: Optional[FeedbackEndpoint] = None,
         obs=NULL_HUB,
     ) -> None:
-        self.engine = engine
-        self.name = name
-        self.node = node
-        self.recorder = recorder
-        self.obs = obs
-        # Fixed-slot telemetry handles, resolved once here instead of a
-        # (name, labels) registry lookup per operation (ISSUE 7). With
-        # telemetry or metrics off these are shared no-ops. Queues
-        # self-manage storage, hence the fixed "queue" collector label.
-        self._put_h = obs.put_handle(name, self.kind)
-        self._free_h = obs.free_handle(name, self.kind, "queue")
-        # ``aru_state`` is the pre-control-plane spelling: wrap it into
-        # an endpoint so hand-built harnesses keep working.
-        if feedback is None and aru_state is not None:
-            feedback = FeedbackEndpoint(aru_state)
-        self.feedback = feedback
-        self.capacity = capacity
+        # Queues self-manage storage, hence the fixed "queue" collector label.
+        super().__init__(engine, name, node, recorder, "queue", capacity,
+                         feedback, obs)
         self._fifo: Deque[Item] = deque()
-        self.in_conns: List[InputConnection] = []
-        self.out_conns: List[OutputConnection] = []
-        self._getters = WaitQueue(engine, name=f"{name}.get")
-        self._putters = WaitQueue(engine, name=f"{name}.room")
-        self.total_puts = 0
-        self.total_gets = 0
-        self.total_frees = 0
-
-    # -- registration ------------------------------------------------------
-    def register_producer(self, thread: str) -> OutputConnection:
-        conn = OutputConnection(thread=thread, buffer=self.name)
-        self.out_conns.append(conn)
-        return conn
-
-    def register_consumer(self, thread: str) -> InputConnection:
-        conn = InputConnection(buffer=self.name, thread=thread)
-        obs = self.obs
-        if obs.enabled:
-            conn.get_h = obs.get_handle(self.name, self.kind, thread)
-            conn.skip_h = obs.skip_handle(self.name, thread)
-        self.in_conns.append(conn)
-        return conn
-
-    def unregister_producer(self, conn: OutputConnection) -> None:
-        """Detach a producer connection (thread restart/teardown)."""
-        try:
-            self.out_conns.remove(conn)
-        except ValueError:
-            raise SimulationError(
-                f"producer {conn.thread!r} not registered on {self.name!r}"
-            ) from None
-
-    def unregister_consumer(self, conn: InputConnection) -> None:
-        """Detach a consumer connection, evicting its backwardSTP slot."""
-        try:
-            self.in_conns.remove(conn)
-        except ValueError:
-            raise SimulationError(
-                f"consumer {conn.thread!r} not registered on {self.name!r}"
-            ) from None
-        if self.feedback is not None:
-            self.feedback.detach(conn.conn_id)
 
     # -- introspection ------------------------------------------------------
-    @property
-    def aru(self) -> Optional[BufferAruState]:
-        """The queue's ARU state, when feedback propagation is wired."""
-        return self.feedback.state if self.feedback is not None else None
-
     def __len__(self) -> int:
         return len(self._fifo)
 
@@ -123,35 +60,12 @@ class SQueue:
         return sum(item.size for item in self._fifo)
 
     # -- put side ----------------------------------------------------------
-    def has_room(self) -> bool:
-        return self.capacity is None or len(self._fifo) < self.capacity
-
-    def wait_for_room(self) -> Event:
-        return self._putters.wait(lambda: self.has_room() or None)
-
     def commit_put(self, conn: OutputConnection, item: Item, t: float) -> Optional[float]:
         """Append ``item``; returns the queue's summary-STP (ARU feedback)."""
         if not self.has_room():
             raise SimulationError(f"commit_put on full queue {self.name!r}")
         self._fifo.append(item)
-        self.total_puts += 1
-        conn.puts += 1
-        self.node.alloc(item.size)
-        self.recorder.on_alloc(
-            item_id=item.item_id,
-            channel=self.name,
-            node=self.node.name,
-            ts=item.ts,
-            size=item.size,
-            producer=item.producer,
-            parents=item.parents,
-            t=t,
-        )
-        obs = self.obs
-        if obs.enabled:
-            self._put_h.add(1.0, item.size)
-            if obs.spans_on:
-                obs.span_put(self.name, item, t)
+        self._account_put(conn, item, t)
         self._getters.notify_all()
         return self.feedback.advertise() if self.feedback is not None else None
 
@@ -166,9 +80,11 @@ class SQueue:
     def try_match(self, conn: InputConnection, request: object = None) -> bool:
         return bool(self._fifo)
 
-    def cancel_get(self, event: Event) -> None:
-        """Withdraw a pending get request (timed-get expiry)."""
-        self._getters.cancel(event)
+    def _pop(self, conn: InputConnection) -> Item:
+        """Remove and return the item ``conn``'s get delivers."""
+        if not self._fifo:
+            raise SimulationError(f"commit_get on empty queue {self.name!r}")
+        return self._fifo.popleft()
 
     def commit_get(
         self,
@@ -178,9 +94,7 @@ class SQueue:
         consumer_summary: Optional[float] = None,
     ) -> ItemView:
         """Pop the head item (removed from the queue, freed at release)."""
-        if not self._fifo:
-            raise SimulationError(f"commit_get on empty queue {self.name!r}")
-        item = self._fifo.popleft()
+        item = self._pop(conn)
         conn.last_got = max(conn.last_got, item.ts)
         conn.gets += 1
         self.total_gets += 1
@@ -201,15 +115,7 @@ class SQueue:
         """Consumer finished with a popped item — storage is reclaimed."""
         item.release()
         if item.refcount == 0 and not item.freed:
-            item.freed = True
-            self.total_frees += 1
-            self.node.free(item.size)
-            self.recorder.on_free(item.item_id, t)
-            obs = self.obs
-            if obs.enabled:
-                self._free_h.add(1.0, item.size)
-                if obs.spans_on:
-                    obs.span_free(item, t)
+            self._account_free(item, t)
 
     def maybe_collect(self, t: float) -> int:
         """Queues self-manage storage; nothing for a GC to do."""
@@ -227,16 +133,8 @@ class SQueue:
             item = self._fifo.popleft()
             if item.freed:  # pragma: no cover - defensive
                 continue
-            item.freed = True
-            self.total_frees += 1
+            self._account_free(item, t)
             freed += 1
-            self.node.free(item.size)
-            self.recorder.on_free(item.item_id, t)
-            obs = self.obs
-            if obs.enabled:
-                self._free_h.add(1.0, item.size)
-                if obs.spans_on:
-                    obs.span_free(item, t)
         if self.capacity is not None:
             self._putters.notify_all()
         return freed

@@ -247,18 +247,10 @@ class ThreadDriver:
             return None
         if isinstance(syscall, CheckDead):
             buffer, _conn = self._out_conn(syscall.channel)
-            return self._is_dead_on_arrival(buffer, int(syscall.ts))
+            return buffer.check_dead(int(syscall.ts))
         raise SimulationError(
             f"thread {self.name!r} yielded {syscall!r}; expected a syscall"
         )
-
-    @staticmethod
-    def _is_dead_on_arrival(buffer, ts: int) -> bool:
-        """Would an item with ``ts`` be skipped by every consumer?"""
-        conns = getattr(buffer, "in_conns", None)
-        if not conns:
-            return False
-        return all(conn.last_got >= ts for conn in conns)
 
     def _remote_transfer(self, src: str, dst: str, nbytes: int) -> Generator:
         """Ship bytes over the network, retrying transport errors.

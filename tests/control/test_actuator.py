@@ -36,11 +36,6 @@ class TestThrottleSleep:
         with pytest.raises(ValueError):
             throttle_sleep(1.0, 0.0, headroom=0.0)
 
-    def test_importable_from_old_home(self):
-        from repro.aru.controller import throttle_sleep as legacy
-
-        assert legacy is throttle_sleep
-
 
 class TestSleepThrottle:
     def test_plan_uses_iteration_elapsed(self):

@@ -99,19 +99,7 @@ class TestDispatch:
 
 
 class TestDeprecations:
-    def test_importing_threaded_runtime_from_package_warns(self):
-        import repro.rt_threads as pkg
-
-        with pytest.warns(DeprecationWarning, match="backend registry"):
-            pkg.ThreadedRuntime  # noqa: B018 - attribute access triggers it
-
     def test_executor_submodule_path_stays_quiet(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             from repro.rt_threads.executor import ThreadedRuntime  # noqa: F401
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.rt_threads as pkg
-
-        with pytest.raises(AttributeError):
-            pkg.NoSuchThing

@@ -31,7 +31,7 @@ def make_channel(gc):
     eng = Engine()
     node = Node(eng, NodeSpec(name="n0"), RngRegistry(0))
     rec = TraceRecorder()
-    ch = Channel(eng, "ch", node, recorder=rec, gc=gc, aru_state=None)
+    ch = Channel(eng, "ch", node, recorder=rec, gc=gc)
     return ch, rec
 
 

@@ -1,20 +1,26 @@
 """Cross-executor consistency: the DES and the real-threads runtime must
-tell the same qualitative story for the same task graph.
+tell the same story for the same task graph.
 
 Absolute timing differs (simulated vs wall clock under a GIL), but the
 *mechanism-level* outcomes — who skips, who throttles, how much is wasted
-— must agree in direction on both executors.
+— must agree in direction on both executors, and, since both shells wrap
+one channel state machine, a fixed interleaving of channel operations
+must leave the identical trace event sequence behind on both.
 """
 
 import pytest
 
 from repro.aru import aru_disabled, aru_min
-from repro.cluster import ClusterSpec, NodeSpec
-from repro.metrics import PostmortemAnalyzer
+from repro.cluster import ClusterSpec, Node, NodeSpec
+from repro.gc import make_gc
+from repro.metrics import PostmortemAnalyzer, TraceRecorder
+from repro.rt_threads import ThreadChannel
 from repro.rt_threads.executor import ThreadedRuntime
 from repro.runtime import (
+    Channel,
     Compute,
     Get,
+    Item,
     PeriodicitySync,
     Put,
     Runtime,
@@ -22,6 +28,8 @@ from repro.runtime import (
     Sleep,
     TaskGraph,
 )
+from repro.sim import Engine, RngRegistry
+from repro.vt import EARLIEST, LATEST, ManualClock
 
 PROD_PERIOD = 0.004
 CONS_COMPUTE = 0.03
@@ -95,3 +103,129 @@ def test_waste_reduction_factor_agrees():
         factors[name] = waste["no-aru"] / max(waste["aru-min"], 1e-6)
     assert factors["sim"] > 3.0
     assert factors["threads"] > 3.0
+
+
+# -- scripted differential: Channel vs ThreadChannel ------------------------
+
+class EventLog(TraceRecorder):
+    """A recorder that also keeps the order its hooks fired in, as
+    ``(kind, item ts, connection thread)`` — item ids and times differ
+    between two runs, those three do not."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def on_alloc(self, item_id, **fields):
+        super().on_alloc(item_id=item_id, **fields)
+        self.events.append(("alloc", fields["ts"], fields["producer"]))
+
+    def on_get(self, item_id, conn_id, consumer, t):
+        super().on_get(item_id, conn_id, consumer, t)
+        self.events.append(("get", self.items[item_id].ts, consumer))
+
+    def on_skip(self, item_id, conn_id, consumer, t):
+        super().on_skip(item_id, conn_id, consumer, t)
+        self.events.append(("skip", self.items[item_id].ts, consumer))
+
+    def on_free(self, item_id, t):
+        super().on_free(item_id, t)
+        self.events.append(("free", self.items[item_id].ts, None))
+
+
+#: puts; LATEST, EARLIEST and exact-ts gets; releases (oldest held view of
+#: the named consumer); one eviction. Covers skip-marking on a cursor
+#: jump, dooming a referenced dead item and freeing it at release, a
+#: dead-on-arrival put, and the GC threshold unfreezing at the eviction.
+SCRIPT = (
+    ("put", 0), ("put", 1), ("put", 2),
+    ("get", "a", LATEST),
+    ("get", "b", EARLIEST),
+    ("put", 3), ("put", 5),
+    ("get", "b", 3),
+    ("release", "a"),
+    ("get", "a", EARLIEST),
+    ("release", "b"), ("release", "b"),
+    ("evict", "b"),
+    ("put", 4), ("put", 6),
+    ("get", "a", LATEST),
+    ("put", 7),
+    ("release", "a"), ("release", "a"),
+    ("get", "a", LATEST),
+    ("put", 6),  # freed above, so not a duplicate; dead on arrival
+    ("release", "a"),
+)
+
+
+class SimulatedShell:
+    def __init__(self, recorder):
+        engine = Engine()
+        node = Node(engine, NodeSpec(name="n0"), RngRegistry(0))
+        self.channel = Channel(engine, "ch", node, recorder=recorder,
+                               gc=make_gc("dgc"))
+        self.t = 0.0
+
+    def _now(self):
+        self.t += 1.0
+        return self.t
+
+    def put(self, conn, item):
+        self.channel.commit_put(conn, item, self._now())
+
+    def get(self, conn, request):
+        return self.channel.commit_get(conn, request, self._now())
+
+    def release(self, view):
+        self.channel.release(view._item, self._now())
+
+    def evict(self, conn):
+        self.channel.unregister_consumer(conn)
+
+
+class ThreadedShell:
+    def __init__(self, recorder):
+        self.channel = ThreadChannel("ch", recorder, ManualClock())
+
+    def put(self, conn, item):
+        self.channel.put(conn, item)
+
+    def get(self, conn, request):
+        return self.channel.try_get(conn, request)
+
+    def release(self, view):
+        self.channel.release(view._item)
+
+    def evict(self, conn):
+        self.channel.evict_consumer(conn.thread)
+
+
+def run_script(shell_cls):
+    recorder = EventLog()
+    shell = shell_cls(recorder)
+    channel = shell.channel
+    producer = channel.register_producer("p")
+    conns = {name: channel.register_consumer(name) for name in ("a", "b")}
+    held = {name: [] for name in conns}
+    for op, *args in SCRIPT:
+        if op == "put":
+            shell.put(producer, Item(ts=args[0], size=100, producer="p"))
+        elif op == "get":
+            held[args[0]].append(shell.get(conns[args[0]], args[1]))
+        elif op == "release":
+            shell.release(held[args[0]].pop(0))
+        else:
+            shell.evict(conns[args[0]])
+    totals = (channel.total_puts, channel.total_gets, channel.total_skips,
+              channel.total_frees, len(channel), channel.bytes_held)
+    return recorder.events, totals
+
+
+def test_scripted_interleaving_yields_the_same_trace():
+    sim_events, sim_totals = run_script(SimulatedShell)
+    thr_events, thr_totals = run_script(ThreadedShell)
+    assert thr_events == sim_events
+    assert thr_totals == sim_totals
+    # The script exercised what it says it does.
+    kinds = [kind for kind, _ts, _who in sim_events]
+    assert {"alloc", "get", "skip", "free"} <= set(kinds)
+    assert sim_totals[2] >= 4 and sim_totals[3] >= 6

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.aru import BufferAruState
+from repro.control import FeedbackEndpoint
 from repro.errors import ItemDropped, SimulationError
 from repro.metrics import TraceRecorder
 from repro.rt_threads import ThreadChannel
@@ -16,7 +17,8 @@ from repro.vt import EARLIEST, LATEST, ManualClock
 def make_channel(aru=None):
     rec = TraceRecorder()
     clock = ManualClock()
-    ch = ThreadChannel("ch", rec, clock, aru_state=aru)
+    feedback = FeedbackEndpoint(aru) if aru is not None else None
+    ch = ThreadChannel("ch", rec, clock, feedback=feedback)
     return ch, rec, clock
 
 
@@ -162,6 +164,39 @@ class TestAru:
         assert put(ch, prod, 0) is None
         ch.get(cons, LATEST, consumer_summary=0.3)
         assert put(ch, prod, 1) == 0.3
+
+
+class TestEviction:
+    def test_evicted_consumer_leaves_no_feedback_slot(self):
+        # Regression: ``evict_consumer`` dropped the cursor but left the
+        # connection's backwardSTP slot behind, so after a reconnect the
+        # channel kept advertising the dead connection's 10 ms under
+        # ``min`` although its only consumer now ran at 50 ms.
+        aru = BufferAruState("ch", op="min")
+        ch, _, _ = make_channel(aru=aru)
+        prod = ch.register_producer("p")
+        old = ch.register_consumer("c")
+        put(ch, prod, 0)
+        ch.get(old, LATEST, consumer_summary=0.010)
+        assert put(ch, prod, 1) == 0.010
+        ch.evict_consumer("c")
+        new = ch.register_consumer("c")
+        ch.get(new, LATEST, consumer_summary=0.050)
+        assert put(ch, prod, 2) == 0.050
+        assert aru.backward.snapshot() == {new.conn_id: 0.050}
+
+    def test_get_through_an_evicted_cursor_is_rejected(self):
+        # A server session still blocked in a poll for the old connection
+        # must not re-create the slot the eviction removed.
+        aru = BufferAruState("ch", op="min")
+        ch, _, _ = make_channel(aru=aru)
+        prod = ch.register_producer("p")
+        old = ch.register_consumer("c")
+        ch.evict_consumer("c")
+        put(ch, prod, 0)
+        with pytest.raises(SimulationError, match="unregistered"):
+            ch.get(old, LATEST, consumer_summary=0.010)
+        assert aru.backward.snapshot() == {}
 
 
 class _GatedLock:

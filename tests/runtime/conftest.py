@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Node, NodeSpec
+from repro.control import FeedbackEndpoint
 from repro.gc import make_gc
 from repro.metrics import TraceRecorder
 from repro.runtime import Channel, SQueue
@@ -31,7 +32,7 @@ class Harness:
             self.node,
             recorder=self.recorder,
             gc=self.gc,
-            aru_state=aru,
+            feedback=FeedbackEndpoint(aru) if aru is not None else None,
             capacity=capacity,
         )
 
@@ -41,7 +42,7 @@ class Harness:
             name,
             self.node,
             recorder=self.recorder,
-            aru_state=aru,
+            feedback=FeedbackEndpoint(aru) if aru is not None else None,
             capacity=capacity,
         )
 

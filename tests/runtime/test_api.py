@@ -88,11 +88,6 @@ class TestStampedeApp:
         trace = build_app().run_simulated(until=2.0)
         assert trace.sink_iterations()
 
-    def test_run_threads(self):
-        with pytest.warns(DeprecationWarning, match="backend='threads'"):
-            trace = build_app().run_threads(duration=0.4, aru=aru_min())
-        assert trace.iterations_of("src")
-
     def test_queue_alloc(self):
         app = StampedeApp()
 

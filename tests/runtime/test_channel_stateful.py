@@ -1,8 +1,11 @@
 """Stateful property-based testing of Channel invariants.
 
 A hypothesis state machine drives a channel through random interleavings
-of puts, gets (all request kinds), releases, and GC passes, and checks
-the structural invariants after every step:
+of puts, gets (all request kinds), releases, and GC passes — once through
+the simulated shell (``commit_put``/``commit_get`` with explicit times)
+and once through the threaded shell (``ThreadChannel.put``/``try_get``/
+``release`` under a ``ManualClock``) — and checks the structural
+invariants of the one state machine behind both after every step:
 
 * stored timestamps are unique and sorted;
 * ``bytes_held`` equals the sum of stored item sizes, and matches the
@@ -27,49 +30,42 @@ from hypothesis.stateful import (
 from repro.cluster import Node, NodeSpec
 from repro.gc import make_gc
 from repro.metrics import TraceRecorder
+from repro.rt_threads import ThreadChannel
 from repro.runtime import Channel, Item
 from repro.sim import Engine, RngRegistry
-from repro.vt import EARLIEST, LATEST
+from repro.vt import EARLIEST, LATEST, ManualClock
 
 
 class ChannelMachine(RuleBasedStateMachine):
-    @initialize(gc=st.sampled_from(["null", "ref", "dgc"]),
-                n_consumers=st.integers(1, 3))
-    def setup(self, gc, n_consumers):
-        self.engine = Engine()
-        self.node = Node(self.engine, NodeSpec(name="n0"), RngRegistry(0))
-        self.recorder = TraceRecorder()
-        self.channel = Channel(
-            self.engine, "ch", self.node,
-            recorder=self.recorder, gc=make_gc(gc),
-        )
-        self.producer = self.channel.register_producer("p")
+    """The rules and invariants; a subclass supplies one shell.
+
+    ``setup`` binds ``self.shell`` (what the rules drive), ``self.channel``
+    (the :class:`Channel` holding the state) and ``self.recorder``, then
+    calls :meth:`_start`; ``_put``/``_get``/``_release``/``_collect`` and
+    ``_ledger_bytes`` speak that shell's surface.
+    """
+
+    def _start(self, n_consumers):
+        self.producer = self.shell.register_producer("p")
         self.consumers = [
-            self.channel.register_consumer(f"c{i}") for i in range(n_consumers)
+            self.shell.register_consumer(f"c{i}") for i in range(n_consumers)
         ]
         self.next_ts = 0
-        self.clock = 0.0
         self.held = []  # (conn, view)
         self.prev_cursors = {c.conn_id: c.last_got for c in self.consumers}
-
-    def _tick(self) -> float:
-        self.clock += 1.0
-        return self.clock
 
     # -- actions ----------------------------------------------------------
     @rule(gap=st.integers(0, 3), size=st.integers(0, 1000))
     def put(self, gap, size):
         ts = self.next_ts + gap
         self.next_ts = ts + 1
-        item = Item(ts=ts, size=size, producer="p")
-        self.channel.commit_put(self.producer, item, t=self._tick())
+        self._put(Item(ts=ts, size=size, producer="p"))
 
     @rule(which=st.integers(0, 2), kind=st.sampled_from(["latest", "earliest"]))
     def get(self, which, kind):
         conn = self.consumers[which % len(self.consumers)]
-        request = LATEST if kind == "latest" else EARLIEST
-        if self.channel.try_match(conn, request):
-            view = self.channel.commit_get(conn, request, t=self._tick())
+        view = self._get(conn, LATEST if kind == "latest" else EARLIEST)
+        if view is not None:
             assert view.ts > self.prev_cursors[conn.conn_id]
             self.held.append((conn, view))
 
@@ -77,11 +73,11 @@ class ChannelMachine(RuleBasedStateMachine):
     @rule()
     def release_oldest(self):
         conn, view = self.held.pop(0)
-        self.channel.release(view._item, t=self._tick())
+        self._release(view)
 
     @rule()
     def collect(self):
-        self.channel.maybe_collect(self._tick())
+        self._collect()
 
     # -- invariants ---------------------------------------------------------
     @invariant()
@@ -95,7 +91,7 @@ class ChannelMachine(RuleBasedStateMachine):
     def byte_accounting_consistent(self):
         stored = sum(i.size for i in self.channel._items.values())
         assert self.channel.bytes_held == stored
-        assert self.node.mem_in_use == stored
+        assert self._ledger_bytes() == stored
 
     @invariant()
     def cursors_monotone(self):
@@ -124,7 +120,71 @@ class ChannelMachine(RuleBasedStateMachine):
                 assert trace.item_id not in present_ids
 
 
-TestChannelStateful = ChannelMachine.TestCase
-TestChannelStateful.settings = settings(
-    max_examples=60, stateful_step_count=40, deadline=None
-)
+class SimulatedShell(ChannelMachine):
+    @initialize(gc=st.sampled_from(["null", "ref", "dgc"]),
+                n_consumers=st.integers(1, 3))
+    def setup(self, gc, n_consumers):
+        engine = Engine()
+        self.node = Node(engine, NodeSpec(name="n0"), RngRegistry(0))
+        self.recorder = TraceRecorder()
+        self.shell = self.channel = Channel(
+            engine, "ch", self.node, recorder=self.recorder, gc=make_gc(gc),
+        )
+        self.clock = 0.0
+        self._start(n_consumers)
+
+    def _tick(self) -> float:
+        self.clock += 1.0
+        return self.clock
+
+    def _put(self, item):
+        self.channel.commit_put(self.producer, item, t=self._tick())
+
+    def _get(self, conn, request):
+        if not self.channel.try_match(conn, request):
+            return None
+        return self.channel.commit_get(conn, request, t=self._tick())
+
+    def _release(self, view):
+        self.channel.release(view._item, t=self._tick())
+
+    def _collect(self):
+        self.channel.maybe_collect(self._tick())
+
+    def _ledger_bytes(self):
+        return self.node.mem_in_use
+
+
+class ThreadedShell(ChannelMachine):
+    @initialize(n_consumers=st.integers(1, 3))
+    def setup(self, n_consumers):
+        self.recorder = TraceRecorder()
+        self.clock = ManualClock()
+        self.shell = ThreadChannel("ch", self.recorder, self.clock)
+        self.channel = self.shell._state
+        self._start(n_consumers)
+
+    def _put(self, item):
+        self.clock.advance(1.0)
+        self.shell.put(self.producer, item)
+
+    def _get(self, conn, request):
+        self.clock.advance(1.0)
+        return self.shell.try_get(conn, request)
+
+    def _release(self, view):
+        self.clock.advance(1.0)
+        self.shell.release(view._item)
+
+    def _collect(self):
+        """No separate entry point: DGC rides on every put and get."""
+
+    def _ledger_bytes(self):
+        return self.shell.bytes_held
+
+
+_SETTINGS = settings(max_examples=60, stateful_step_count=40, deadline=None)
+TestChannelStateful = SimulatedShell.TestCase
+TestChannelStateful.settings = _SETTINGS
+TestThreadChannelStateful = ThreadedShell.TestCase
+TestThreadChannelStateful.settings = _SETTINGS

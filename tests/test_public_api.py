@@ -75,6 +75,16 @@ def test_top_level_api_snapshot():
     assert set(repro.__all__) == TOP_LEVEL_API
 
 
+def test_rt_threads_exports_only_the_channel():
+    # The package-level ``ThreadedRuntime`` deprecation path is gone: the
+    # executor is imported from ``repro.rt_threads.executor`` or, better,
+    # reached through the backend registry.
+    import repro.rt_threads as pkg
+
+    assert pkg.__all__ == ["ThreadChannel"]
+    assert not hasattr(pkg, "ThreadedRuntime")
+
+
 def test_facade_and_obs_reexports_are_the_real_objects():
     from repro.experiment import ExperimentSpec, RunResult, run_experiment
     from repro.obs import NULL_HUB, TelemetryConfig, TelemetryHub
