@@ -336,7 +336,8 @@ class RemoteChannelClient:
             return None
         return reply["summary"]
 
-    def release(self, item: Item) -> None:
+    def release(self, item: Item, t: Optional[float] = None) -> None:
+        # ``t`` (a driver's clock read) is the hosting channel's to stamp.
         try:
             self._request(
                 FrameKind.RELEASE,

@@ -25,13 +25,13 @@ Design constraints (ISSUE 5, tightened by ISSUE 7):
   (:attr:`TelemetryConfig.span_sample`), and the span store is bounded
   with an explicit dropped counter.
 
-The hub exposes two API tiers. The *semantic* hooks (``on_put``,
-``on_sync``, ``on_fault``, ...) remain for cold sites and back-compat —
-they now route through cached handles themselves, so even hook-based
-instrumentation resolves labels once. Hot sites should instead request
-a handle at wiring time and pair it with the matching ``span_*`` helper
-behind the hub's precomputed ``metrics_on``/``spans_on`` flags. The
-registry and tracer stay reachable for ad-hoc instruments
+The hub exposes two API tiers. Hot sites (buffer put/get/skip/free,
+link transfer, iteration close) request a handle at wiring time and
+pair it with the matching ``span_*`` helper behind the hub's
+precomputed ``metrics_on``/``spans_on`` flags. The *semantic* hooks
+(``on_fault``, ``on_scale``, ``on_tenant``, ``on_arbiter``,
+``on_finalize``) serve the cold sites and route through cached handles
+themselves. The registry and tracer stay reachable for ad-hoc instruments
 (``hub.metrics.counter(...)``) and for the exporters in
 :mod:`repro.obs.export`.
 """
@@ -170,12 +170,6 @@ class NullTelemetryHub:
     def bind(self, time_fn=None, run=None) -> "NullTelemetryHub":
         return self
 
-    def on_put(self, *a, **k) -> None: ...
-    def on_get(self, *a, **k) -> None: ...
-    def on_skip(self, *a, **k) -> None: ...
-    def on_free(self, *a, **k) -> None: ...
-    def on_transfer(self, *a, **k) -> None: ...
-    def on_sync(self, *a, **k) -> None: ...
     def on_fault(self, *a, **k) -> None: ...
     def on_scale(self, *a, **k) -> None: ...
     def on_tenant(self, *a, **k) -> None: ...
@@ -408,8 +402,8 @@ class TelemetryHub:
         return handle
 
     # -- span helpers -------------------------------------------------------
-    # The span side of each semantic hook, callable directly by hot sites
-    # behind ``if obs.spans_on:`` so metrics-only runs skip the frames.
+    # The span side of each hot site, called behind ``if obs.spans_on:``
+    # so metrics-only runs skip the frames.
 
     def span_put(self, buffer: str, item, t: float) -> None:
         tracer = self.tracer
@@ -469,63 +463,6 @@ class TelemetryHub:
             args["source"] = source
         self.tracer.instant(f"{phase}:{kind}", cat="fault",
                             track="faults", t=t, args=args)
-
-    # -- buffer path --------------------------------------------------------
-    def on_put(self, buffer: str, kind: str, item, t: float) -> None:
-        """An item landed in a channel/queue (called from ``commit_put``)."""
-        if self.metrics_on:
-            self.put_handle(buffer, kind).add(1.0, item.size)
-        if self.spans_on:
-            self.span_put(buffer, item, t)
-
-    def on_get(self, buffer: str, kind: str, item, consumer: str,
-               t: float) -> None:
-        """A consumer committed a get (channel skip-read or queue pop)."""
-        if self.metrics_on:
-            self.get_handle(buffer, kind, consumer).inc()
-        if self.spans_on:
-            self.span_get(item, consumer, t)
-
-    def on_skip(self, buffer: str, item_id: int, consumer: str,
-                t: float) -> None:
-        """A stored item was skipped over unread — the paper's waste."""
-        if self.metrics_on:
-            self.skip_handle(buffer, consumer).inc()
-
-    def on_free(self, buffer: str, kind: str, item, t: float,
-                collector: str) -> None:
-        """Storage reclaimed (GC identification or queue pop-release)."""
-        if self.metrics_on:
-            self.free_handle(buffer, kind, collector).add(1.0, item.size)
-        if self.spans_on:
-            self.span_free(item, t)
-
-    # -- network path -------------------------------------------------------
-    def on_transfer(self, link: str, nbytes: int, duration: float,
-                    t: float) -> None:
-        """A link transfer completed (``t`` is the completion time)."""
-        if self.metrics_on:
-            self.transfer_handle(link).update(nbytes, duration)
-        if self.spans_on:
-            self.span_transfer(link, nbytes, duration, t)
-
-    # -- control path -------------------------------------------------------
-    def on_sync(self, thread: str, t_start: float, t_end: float,
-                compute: float, blocked: float, slept: float,
-                stp: Optional[float], summary: Optional[float],
-                target: Optional[float]) -> None:
-        """One iteration closed at ``periodicity_sync()``.
-
-        Records the §3.3 loop signals: observed current-STP, advertised
-        summary-STP, throttle target, and realized throttle sleep.
-        """
-        if self.metrics_on:
-            self.sync_handle(thread).update(
-                t_start, t_end, compute, blocked, slept, stp, summary, target
-            )
-        if self.spans_on:
-            self.span_sync(thread, t_start, t_end, compute, blocked, slept,
-                           stp, summary)
 
     # -- fault path ---------------------------------------------------------
     def on_fault(self, phase: str, kind: str, target: str, t: float,

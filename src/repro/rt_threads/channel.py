@@ -162,7 +162,8 @@ class ThreadChannel:
             if feedback is not None and conn in self._state.in_conns:
                 feedback.receive(conn.conn_id, summary)
 
-    def release(self, item: Item) -> None:
-        """Consumer done with the item (end of iteration)."""
+    def release(self, item: Item, t: Optional[float] = None) -> None:
+        """Consumer done with the item (end of iteration). A driver's
+        ``t`` is ignored: the free is stamped under the lock."""
         with self._lock, self._rec_lock:
             self._state.release(item, self.clock.now())

@@ -2,17 +2,19 @@
 
 The DES reproduces the paper's numbers; this executor demonstrates the
 library as an actually-running streaming runtime. The same task bodies
-(generators of syscalls) execute unchanged; only the interpretation
-differs:
+(generators of syscalls) execute unchanged, interpreted by the same
+:class:`~repro.runtime.thread.ThreadDriver`; only the *waits* differ
+(:class:`WallDriver`), and one OS thread per task resumes the driver:
 
 * ``Compute(d)`` — by default ``time.sleep(d)`` (models occupancy without
   fighting the GIL; the repro band notes the GIL makes genuine parallel
   compute in Python unfaithful). ``compute_mode="busy"`` spins instead;
   ``compute_mode="noop"`` skips it (use when the task body does real numpy
   work on payloads and should pace itself).
-* ``Get``/``Put`` — thread-safe channels with identical skipping, DGC, and
-  ARU-piggyback semantics.
-* ``PeriodicitySync`` — wall-clock STP metering and source throttling.
+* ``Get``/``Put`` — the blocking surface of the thread-safe channels
+  (local :class:`ThreadChannel` or a TCP proxy), same skipping, DGC and
+  ARU piggy-back as the simulator because it is the same channel core.
+* ``Sleep`` and the source throttle — ``time.sleep``.
 
 Timing fidelity here is subject to OS scheduling; use the DES for
 measurements and this executor for live demos and smoke tests.
@@ -22,239 +24,122 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional
+from types import SimpleNamespace
+from typing import Dict, List, Optional
 
 from repro.aru.config import AruConfig, aru_disabled
-from repro.aru.filters import resolve_factory
-from repro.aru.stp import StpMeter
-from repro.control.controller import ThreadController
-from repro.control.factory import build_thread_controller
 from repro.control.propagation import FeedbackBus
 from repro.errors import ConfigError, SimulationError
 from repro.metrics.recorder import TraceRecorder
+from repro.obs.hub import NULL_HUB
 from repro.rt_threads.channel import ThreadChannel
 from repro.runtime.graph import TaskGraph
-from repro.runtime.item import Item
-from repro.runtime.syscalls import (
-    CheckDead,
-    Compute,
-    Get,
-    Now,
-    PeriodicitySync,
-    Put,
-    Release,
-    Sleep,
-    TryGet,
-)
-from repro.runtime.thread import TaskContext
+from repro.runtime.syscalls import Compute, Get, Put, TryGet
+from repro.runtime.thread import ThreadDriver
 from repro.sim.rng import RngRegistry
 from repro.vt.clock import WallClock
 
 _COMPUTE_MODES = ("sleep", "busy", "noop")
 
 
-class _ThreadDriver(threading.Thread):
-    """One real thread interpreting a task body."""
+class WallDriver(ThreadDriver):
+    """:class:`ThreadDriver` with its waits on the wall clock.
 
-    def __init__(self, executor: "ThreadedRuntime", name: str, fn, ctx: TaskContext,
-                 controller: ThreadController) -> None:
-        super().__init__(name=f"stampede-{name}", daemon=True)
-        self.executor = executor
-        self.task_name = name
-        self.fn = fn
-        self.ctx = ctx
-        self.controller = controller
-        self.meter = controller.meter
-        self.throttled = controller.throttled
-        self.in_conns: Dict[str, tuple] = {}
-        self.out_conns: Dict[str, tuple] = {}
-        self._held = []
-        self._retained = {}
-        self._iter_inputs = []
-        self._iter_outputs = []
-        self._iter_compute = 0.0
-        self._prev_blocked = 0.0
-        self._iter_start = 0.0
-        self.iterations = 0
-        self.total_compute = 0.0
-        self.error: Optional[BaseException] = None
+    Dispatch, bookkeeping and the iteration close are inherited; what is
+    here is how a real thread waits. Each wait has happened by the time
+    its handler returns, so the handlers are generators that finish
+    without yielding (``yield from`` still gets their value).
+    """
 
-    # ------------------------------------------------------------------
-    @property
-    def aru(self):
-        """Compat accessor: the policy's ThreadAruState, when it has one."""
-        return getattr(self.controller.policy, "state", None)
+    #: Measured ``Compute`` seconds over the thread's life (stats).
+    total_compute = 0.0
 
-    def my_summary(self) -> Optional[float]:
-        return self.controller.outbound_summary()
-
-    def run(self) -> None:  # pragma: no cover - exercised via integration tests
-        try:
-            self._run()
-        except BaseException as exc:  # surface in join()
-            self.error = exc
-
-    def _run(self) -> None:
-        stop = self.executor.stop_event
-        self._iter_start = self.executor.clock.now()
-        gen = self.fn(self.ctx)
-        if not hasattr(gen, "send"):
-            raise SimulationError(f"task body of {self.task_name!r} must be a generator")
-        to_send = None
-        while not stop.is_set():
-            try:
-                syscall = gen.send(to_send)
-            except StopIteration:
-                break
-            to_send = self._execute(syscall)
-            if to_send is _STOPPED:
-                break
-        self._release_held()
-        self._release_retained()
-
-    # ------------------------------------------------------------------
     def _execute(self, syscall):
-        ex = self.executor
-        if isinstance(syscall, Compute):
-            return self._do_compute(syscall.seconds)
-        if isinstance(syscall, Get):
-            channel, conn = self._conn(self.in_conns, syscall.channel)
-            self.meter.block_started()
-            try:
-                view = channel.get(
-                    conn, syscall.request,
-                    consumer_summary=self.my_summary(),
-                    stop=ex.stop_event,
-                    max_wait=syscall.timeout,
-                )
-            finally:
-                self.meter.block_ended()
-            if view is None:
-                # distinguish shutdown from a timed-get expiry
-                if syscall.timeout is not None and not ex.stop_event.is_set():
-                    return None
-                return _STOPPED
-            if syscall.hold:
-                self._retained[view.item_id] = (channel, view)
-            else:
-                self._held.append((channel, view))
-            self._iter_inputs.append(view.item_id)
-            return view
-        if isinstance(syscall, TryGet):
-            channel, conn = self._conn(self.in_conns, syscall.channel)
-            view = channel.try_get(conn, syscall.request,
-                                   consumer_summary=self.my_summary())
-            if view is not None:
-                self._held.append((channel, view))
-                self._iter_inputs.append(view.item_id)
-            return view
-        if isinstance(syscall, Put):
-            channel, conn = self._conn(self.out_conns, syscall.channel)
-            item = Item(
-                ts=int(syscall.ts),
-                size=syscall.size,
-                payload=syscall.payload,
-                producer=self.task_name,
-                parents=tuple(self._iter_inputs),
-                created_at=ex.clock.now(),
-            )
-            feedback = channel.put(conn, item)
-            self.controller.on_feedback(conn.conn_id, feedback)
-            self._iter_outputs.append(item.item_id)
-            return item.item_id
-        if isinstance(syscall, Sleep):
-            if syscall.seconds > 0:
-                time.sleep(syscall.seconds)
-            return None
-        if isinstance(syscall, Release):
-            entry = self._retained.pop(getattr(syscall.view, "item_id", None), None)
-            if entry is None:
-                raise SimulationError(
-                    f"thread {self.task_name!r} released an item it does not hold"
-                )
-            channel, view = entry
-            channel.release(view._item)
-            return None
-        if isinstance(syscall, PeriodicitySync):
-            return self._do_sync()
-        if isinstance(syscall, Now):
-            return ex.clock.now()
-        if isinstance(syscall, CheckDead):
-            channel, _conn = self._conn(self.out_conns, syscall.channel)
-            return channel.check_dead(int(syscall.ts))
-        raise SimulationError(
-            f"thread {self.task_name!r} yielded {syscall!r}; expected a syscall"
-        )
+        result = yield from super()._execute(syscall)
+        if self.runtime.stop_event.is_set():
+            # Stop lands at a syscall boundary: the runner closes the
+            # generator at this yield. A get that came back empty because
+            # the runtime is stopping ends here, never as a ``None``.
+            yield
+        return result
 
-    def _conn(self, table, channel_name):
-        try:
-            return table[channel_name]
-        except KeyError:
-            raise SimulationError(
-                f"thread {self.task_name!r} has no connection to {channel_name!r}"
-            ) from None
-
-    def _do_compute(self, seconds: float) -> float:
-        mode = self.executor.compute_mode
-        t0 = self.executor.clock.now()
-        if mode == "sleep" and seconds > 0:
-            time.sleep(seconds)
+    def _do_compute(self, sc: Compute):
+        mode = self.runtime.compute_mode
+        t0 = self.now()
+        if mode == "sleep" and sc.seconds > 0:
+            time.sleep(sc.seconds)
         elif mode == "busy":
-            deadline = time.monotonic() + seconds
+            deadline = time.monotonic() + sc.seconds
             while time.monotonic() < deadline:
                 pass
-        actual = self.executor.clock.now() - t0
+        actual = self.now() - t0
         self._iter_compute += actual
         self.total_compute += actual
         return actual
+        yield  # pragma: no cover - unreachable; makes this a generator
 
-    def _do_sync(self):
-        ex = self.executor
-        slept = 0.0
-        target, sleep_t = self.controller.plan_throttle()
-        if sleep_t > 0:
-            self.meter.sleep_started()
-            time.sleep(sleep_t)
-            self.meter.sleep_ended()
-            slept = sleep_t
-        stp = self.meter.sync()
-        t_end = ex.clock.now()
-        blocked = self.meter.total_blocked - self._prev_blocked
-        self._prev_blocked = self.meter.total_blocked
-        with ex.recorder_lock:
-            ex.recorder.on_iteration(
-                thread=self.task_name,
-                t_start=self._iter_start,
-                t_end=t_end,
-                compute=self._iter_compute,
-                blocked=blocked,
-                slept=slept,
-                inputs=tuple(self._iter_inputs),
-                outputs=tuple(self._iter_outputs),
-                is_sink=self.ctx.is_sink,
+    def _do_get(self, sc: Get):
+        channel, conn = self._in_conn(sc.channel)
+        self.meter.block_started()
+        try:
+            view = channel.get(
+                conn, sc.request,
+                consumer_summary=self.my_summary(),
+                stop=self.runtime.stop_event,
+                max_wait=sc.timeout,
             )
-            ex.recorder.on_stp(self.task_name, t_end, stp, self.my_summary(),
-                               target, slept)
-        self.iterations += 1
-        self._release_held()
-        self._iter_inputs = []
-        self._iter_outputs = []
-        self._iter_compute = 0.0
-        self._iter_start = t_end
-        return stp
+        finally:
+            self.meter.block_ended()
+        return view and self._own(channel, view, sc.hold)
+        yield  # pragma: no cover - unreachable
 
-    def _release_held(self) -> None:
-        for channel, view in self._held:
-            channel.release(view._item)
-        self._held.clear()
+    def _do_try_get(self, sc: TryGet):
+        channel, conn = self._in_conn(sc.channel)
+        view = channel.try_get(conn, sc.request,
+                               consumer_summary=self.my_summary())
+        return view and self._own(channel, view, False)
+        yield  # pragma: no cover - unreachable
 
-    def _release_retained(self) -> None:
-        for channel, view in self._retained.values():
-            channel.release(view._item)
-        self._retained.clear()
+    def _do_put(self, sc: Put):
+        channel, conn = self._out_conn(sc.channel)
+        item = self._new_item(sc, self.now())
+        self._put_done(conn, item, channel.put(conn, item))
+        return item.item_id
+        yield  # pragma: no cover - unreachable
+
+    def _publish(self, *closed) -> None:
+        # Lock order channel -> recorder: the releases that follow the
+        # close take channel locks, so only the record is under this one.
+        with self.runtime.recorder_lock:
+            super()._publish(*closed)
 
 
-_STOPPED = object()
+class _TaskThread(threading.Thread):
+    """One OS thread resuming one driver's ``run()`` generator.
+
+    Whatever the driver yields is a wait that has already happened, so
+    it is resumed at once; the stop event is checked between resumes.
+    Stopping closes the generator at its current yield — the driver's
+    ``finally`` releases what the thread holds, exactly as a simulated
+    kill does.
+    """
+
+    def __init__(self, driver: WallDriver, stopping: threading.Event) -> None:
+        super().__init__(name=f"stampede-{driver.name}", daemon=True)
+        self._driver = driver
+        self._stopping = stopping
+        self.error: Optional[BaseException] = None
+
+    def run(self) -> None:
+        gen = self._driver.run()
+        try:
+            while not self._stopping.is_set():
+                next(gen)
+            gen.close()
+        except StopIteration:
+            pass
+        except BaseException as exc:  # surface in join()
+            self.error = exc
 
 
 class ThreadedRuntime:
@@ -275,6 +160,12 @@ class ThreadedRuntime:
     #: The node every channel and stat is attributed to (a distributed
     #: worker sets its plan node before construction).
     node_name = "local"
+    #: What a driver reads off its runtime besides clock and recorder.
+    #: It asks the engine for timeouts to yield: on the wall clock that
+    #: is a sleep, over by the time there is anything to yield.
+    engine = SimpleNamespace(timeout=time.sleep)
+    #: Telemetry is off on the live backends (ROADMAP item 4).
+    obs = NULL_HUB
 
     def __init__(
         self,
@@ -304,9 +195,10 @@ class ThreadedRuntime:
         for name in self._local_buffers():
             self.channels[name] = self._make_channel(name)
 
-        self.drivers: Dict[str, _ThreadDriver] = {}
+        self.drivers: Dict[str, WallDriver] = {}
         for name in self._local_threads():
             self.drivers[name] = self._build_driver(name)
+        self._threads: List[_TaskThread] = []
         self._ran = False
 
     # -- overridable hooks (the distributed worker subclasses these) -------
@@ -341,36 +233,18 @@ class ThreadedRuntime:
         """
         return self.channels[name]
 
-    def _build_driver(self, name: str) -> _ThreadDriver:
-        attrs = self.graph.attrs(name)
-        cfg = self.aru_config
-        meter = StpMeter(self.clock, stp_filter=resolve_factory(cfg.stp_filter)())
-        is_source = self.graph.is_source(name)
-        is_sink = self.graph.is_sink(name)
-        controller = build_thread_controller(
-            cfg,
-            name,
-            meter,
-            self.clock.now,
-            is_source,
-            compress_op=attrs.get("compress_op"),
-        )
-        ctx = TaskContext(
-            name=name,
-            params=attrs.get("params", {}),
-            rng=self.rngs.stream(f"task.{name}"),
-            clock=self.clock,
-            is_source=is_source,
-            is_sink=is_sink,
-        )
-        driver = _ThreadDriver(self, name, attrs["fn"], ctx, controller)
+    def _build_driver(self, name: str) -> WallDriver:
+        in_conns, out_conns = {}, {}
         for buf in self.graph.inputs_of(name):
             channel = self._channel_for(buf, name, "consumer")
-            driver.in_conns[buf] = (channel, channel.register_consumer(name))
+            in_conns[buf] = (channel, channel.register_consumer(name))
         for buf in self.graph.outputs_of(name):
             channel = self._channel_for(buf, name, "producer")
-            driver.out_conns[buf] = (channel, channel.register_producer(name))
-        return driver
+            out_conns[buf] = (channel, channel.register_producer(name))
+        return WallDriver.assemble(
+            self, name, None, in_conns, out_conns,
+            aru=self.aru_config, rng=self.rngs.stream(f"task.{name}"),
+        )
 
     # -- lifecycle ---------------------------------------------------------
     # run() = start(); sleep; stop(); join() — split out so the
@@ -380,8 +254,10 @@ class ThreadedRuntime:
         if self._ran:
             raise SimulationError("ThreadedRuntime.run() may only be called once")
         self._ran = True
-        for driver in self.drivers.values():
-            driver.start()
+        self._threads = [_TaskThread(driver, self.stop_event)
+                         for driver in self.drivers.values()]
+        for thread in self._threads:
+            thread.start()
 
     def stop(self) -> None:
         """Ask every task thread to wind down."""
@@ -390,9 +266,9 @@ class ThreadedRuntime:
     def join(self, timeout: float = 5.0) -> TraceRecorder:
         """Wait for task threads, re-raise the first task error,
         finalize and return the trace."""
-        for driver in self.drivers.values():
-            driver.join(timeout=timeout)
-        errors = [d.error for d in self.drivers.values() if d.error is not None]
+        for thread in self._threads:
+            thread.join(timeout=timeout)
+        errors = [t.error for t in self._threads if t.error is not None]
         if errors:
             raise errors[0]
         self.recorder.finalize(self.clock.now())
@@ -469,7 +345,6 @@ def run_threaded_experiment(spec) -> "object":
     :class:`~repro.experiment.RunResult` shape the simulator returns.
     """
     from repro.experiment import RunResult
-    from repro.obs import NULL_HUB
 
     opts = dict(spec.backend_options)
     compute_mode = opts.pop("compute_mode", "sleep")

@@ -14,13 +14,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from repro.aru.config import AruConfig, aru_disabled
-from repro.aru.filters import resolve_factory
-from repro.aru.stp import StpMeter
 from repro.cluster.load import LoadSpec, spawn_load
 from repro.cluster.network import Network
 from repro.cluster.node import Node
 from repro.cluster.spec import ClusterSpec, config1_spec
-from repro.control.factory import build_thread_controller
 from repro.control.propagation import FeedbackBus
 from repro.control.scale import ScaleConfig, StageScaleController
 from repro.errors import ConfigError, SimulationError
@@ -32,7 +29,7 @@ from repro.runtime.graph import CHANNEL, QUEUE, TaskGraph
 from repro.runtime.replicated import MergeChannel, PartitionQueue
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.squeue import SQueue
-from repro.runtime.thread import TaskContext, ThreadDriver
+from repro.runtime.thread import ThreadDriver
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.vt.clock import SimClock
@@ -154,7 +151,8 @@ class Runtime:
         return buffer
 
     def _delivery_handle(self, thread: str):
-        """Per-tenant delivery counter for a sink thread, or None."""
+        """Per-tenant delivery counter for a sink thread, or None (asked
+        only when telemetry is on)."""
         return None
 
     def _scale_config_for(self, stage: str) -> Optional[ScaleConfig]:
@@ -257,10 +255,7 @@ class Runtime:
         raise SimulationError(f"unknown buffer kind {kind!r}")  # pragma: no cover
 
     def _build_driver(self, name: str) -> ThreadDriver:
-        attrs = self.graph.attrs(name)
         node = self.nodes[self._thread_placement[name]]
-        aru = self._aru_for(name)
-
         in_conns = {
             self._conn_key(name, buf):
                 (self.buffers[buf], self.buffers[buf].register_consumer(name))
@@ -271,35 +266,9 @@ class Runtime:
                 (self.buffers[buf], self.buffers[buf].register_producer(name))
             for buf in self.graph.outputs_of(name)
         }
-
-        meter = StpMeter(self.clock, stp_filter=resolve_factory(aru.stp_filter)())
-        is_source = self.graph.is_source(name)
-        is_sink = self.graph.is_sink(name)
-        controller = build_thread_controller(
-            aru,
-            name,
-            meter,
-            self.clock.now,
-            is_source,
-            compress_op=attrs.get("compress_op"),
-        )
-        ctx = TaskContext(
-            name=name,
-            params=attrs.get("params", {}),
-            rng=self._task_rng(name),
-            clock=self.clock,
-            is_source=is_source,
-            is_sink=is_sink,
-        )
-        return ThreadDriver(
-            runtime=self,
-            name=name,
-            fn=attrs["fn"],
-            node=node,
-            in_conns=in_conns,
-            out_conns=out_conns,
-            ctx=ctx,
-            controller=controller,
+        return ThreadDriver.assemble(
+            self, name, node, in_conns, out_conns,
+            aru=self._aru_for(name), rng=self._task_rng(name),
         )
 
     # -- execution ---------------------------------------------------------

@@ -1,9 +1,11 @@
 """Task syscalls: the instruction set of task bodies.
 
-A task body is a generator that ``yield``\\ s these objects; the executor
-(DES driver or real-threads driver) interprets them. Keeping the task
-language executor-agnostic is what lets one task definition run both under
-simulated time and on real threads.
+A task body is a generator that ``yield``\\ s these objects; one
+interpreter, :class:`repro.runtime.thread.ThreadDriver`, reads them on
+every backend — an executor supplies only how a wait is carried out
+(engine events under simulated time, blocking calls on real threads).
+That is what lets one task definition run on both, with the same errors
+for the same misuse.
 
 The ``yield`` expression evaluates to the syscall's result:
 

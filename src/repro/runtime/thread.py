@@ -1,9 +1,16 @@
-"""The thread driver: executes task bodies against the simulated cluster.
+"""The thread driver: the one interpreter of task bodies, on every backend.
 
 A task body is a generator of syscalls (:mod:`repro.runtime.syscalls`).
-The driver is the *interpreter*: it runs as one DES process, dispatching
-each syscall onto channels, CPU pools, and network links, while doing the
-bookkeeping the paper's mechanisms require —
+:class:`ThreadDriver` is the *interpreter*: dispatch, connection lookup,
+reference bookkeeping and the whole iteration close are written here and
+nowhere else. As written it waits on the simulated cluster — it runs as
+one DES process and yields engine events for channels, CPU pools and
+network links. A wall-clock shell
+(:class:`repro.rt_threads.executor.WallDriver`) overrides only *how to
+wait* — the sleep, ``_do_compute``, ``_do_get``, ``_do_try_get`` and
+``_do_put`` — and inherits everything else; what it yields is a wait
+that has already happened, so its thread resumes it at once. Either way
+the driver does the bookkeeping the paper's mechanisms require —
 
 * STP metering with blocking/throttle exclusion (§3.3.1);
 * feedback piggybacking on every put/get and source throttling at
@@ -21,7 +28,10 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.aru.filters import resolve_factory
+from repro.aru.stp import StpMeter
 from repro.control.controller import ThreadController
+from repro.control.factory import build_thread_controller
 from repro.errors import LinkDown, MessageDropped, SimulationError
 from repro.runtime.connection import InputConnection, OutputConnection
 from repro.runtime.item import Item, ItemView
@@ -75,7 +85,44 @@ class TaskContext:
 
 
 class ThreadDriver:
-    """Runs one task body as a simulated Stampede thread."""
+    """Runs one task body as a Stampede thread (simulated, as written)."""
+
+    @classmethod
+    def assemble(cls, runtime, name: str, node, in_conns, out_conns,
+                 aru, rng) -> "ThreadDriver":
+        """Build thread ``name``'s STP meter, control stack and task
+        context from ``runtime.graph`` / ``runtime.clock``, and the
+        driver around them — the one assembly every executor uses."""
+        graph, clock = runtime.graph, runtime.clock
+        attrs = graph.attrs(name)
+        is_source = graph.is_source(name)
+        meter = StpMeter(clock, stp_filter=resolve_factory(aru.stp_filter)())
+        controller = build_thread_controller(
+            aru,
+            name,
+            meter,
+            clock.now,
+            is_source,
+            compress_op=attrs.get("compress_op"),
+        )
+        ctx = TaskContext(
+            name=name,
+            params=attrs.get("params", {}),
+            rng=rng,
+            clock=clock,
+            is_source=is_source,
+            is_sink=graph.is_sink(name),
+        )
+        return cls(
+            runtime=runtime,
+            name=name,
+            fn=attrs["fn"],
+            node=node,
+            in_conns=in_conns,
+            out_conns=out_conns,
+            ctx=ctx,
+            controller=controller,
+        )
 
     def __init__(
         self,
@@ -92,6 +139,11 @@ class ThreadDriver:
         # ``AruConfig.headroom`` (the actuator's single source of truth).
         self.runtime = runtime
         self.engine = runtime.engine
+        #: Wait ``d`` seconds — what Sleep, stall and the source throttle
+        #: yield. Bound once: the simulated engine's timeout event here;
+        #: a wall-clock runtime's engine sleeps and returns when ``d``
+        #: has passed, so what is yielded has already happened.
+        self._timeout = self.engine.timeout
         self.name = name
         self.fn = fn
         self.node = node
@@ -104,12 +156,13 @@ class ThreadDriver:
         # Fixed-slot telemetry handle for the per-iteration sync close,
         # resolved once per thread instead of eight registry lookups per
         # iteration (ISSUE 7). No-op when telemetry/metrics are off.
-        self._sync_h = runtime.obs.sync_handle(name)
+        obs = runtime.obs
+        self._sync_h = obs.sync_handle(name)
         # Per-tenant delivery counter: non-None only for sink threads of
         # a multi-tenant runtime with telemetry on (see repro.tenancy).
-        self._deliver_h = runtime._delivery_handle(name)
-        # per-iteration accumulators
-        self._iter_start = runtime.clock.now()
+        self._deliver_h = runtime._delivery_handle(name) if obs.enabled else None
+        # per-iteration accumulators (``run`` stamps the first start)
+        self._iter_start = 0.0
         self._iter_inputs: List[int] = []
         self._iter_outputs: List[int] = []
         self._iter_compute = 0.0
@@ -181,11 +234,22 @@ class ThreadDriver:
             if remaining <= 0:
                 self._stalled = False
                 return
-            yield self.engine.timeout(remaining)
+            yield self._timeout(remaining)
 
     # -- main loop -----------------------------------------------------------
     def run(self) -> Generator:
-        """The DES process body: interpret syscalls until the task returns."""
+        """Interpret syscalls until the task returns.
+
+        The body of one DES process, or of one OS thread that resumes
+        it after every yielded (already finished) wait. Closing or
+        killing the generator at a yield unwinds through the ``finally``
+        — which is how a wall-clock stop and a simulated kill both end a
+        thread without leaving references behind.
+        """
+        # The first iteration starts when the thread starts *running* (a
+        # distributed worker builds drivers seconds before it starts
+        # them); on the simulator that is the construction instant.
+        self._iter_start = self.now()
         gen = self.fn(self.ctx)
         if not hasattr(gen, "send"):
             raise SimulationError(
@@ -220,6 +284,9 @@ class ThreadDriver:
         if isinstance(syscall, Compute):
             return (yield from self._do_compute(syscall))
         if isinstance(syscall, Get):
+            if syscall.timeout is not None and syscall.timeout < 0:
+                raise SimulationError(
+                    f"negative get timeout: {syscall.timeout}")
             return (yield from self._do_get(syscall))
         if isinstance(syscall, Put):
             return (yield from self._do_put(syscall))
@@ -229,7 +296,7 @@ class ThreadDriver:
             return (yield from self._do_try_get(syscall))
         if isinstance(syscall, Sleep):
             if syscall.seconds > 0:
-                yield self.engine.timeout(syscall.seconds)
+                yield self._timeout(syscall.seconds)
             return None
         if isinstance(syscall, Now):
             return self.now()
@@ -283,7 +350,7 @@ class ThreadDriver:
                 delay = policy.backoff(attempt)
                 if delay > 0:
                     self.meter.block_started()
-                    yield self.engine.timeout(delay)
+                    yield self._timeout(delay)
                     self.meter.block_ended()
 
     def _do_compute(self, sc: Compute) -> Generator:
@@ -311,8 +378,6 @@ class ThreadDriver:
         buffer, conn = self._in_conn(sc.channel)
         deadline = None
         if sc.timeout is not None:
-            if sc.timeout < 0:
-                raise SimulationError(f"negative get timeout: {sc.timeout}")
             deadline = self.now() + sc.timeout
         while True:
             ev = buffer.request_get(conn, sc.request)
@@ -353,21 +418,29 @@ class ThreadDriver:
 
     def _finish_get(self, buffer, conn, request, hold: bool = False) -> Generator:
         view = buffer.commit_get(
-            conn, request, t=self.now(), consumer_summary=self.my_summary()
+            conn, request, t=self.now(),
+            consumer_summary=self.controller.outbound_summary(),
         )
-        # Register ownership before any yield: commit_get took a reference,
-        # and a kill landing mid-transfer must still find it in the held
-        # set or the item stays pinned in the channel forever.
-        if hold:
-            self._retained[view.item_id] = (buffer, view)
-        else:
-            self._held.append((buffer, view))
+        # Own the reference before any yield: commit_get took it, and a
+        # kill landing mid-transfer must still find it in the held set
+        # or the item stays pinned in the channel forever.
+        self._own(buffer, view, hold)
         # Remote get: ship the item's bytes to the consumer's node. This is
         # production-path time, *included* in the STP.
         if buffer.node.name != self.node.name and view.size > 0:
             yield from self._remote_transfer(
                 buffer.node.name, self.node.name, view.size
             )
+        return view
+
+    def _own(self, buffer, view: ItemView, hold: bool) -> ItemView:
+        """Book the reference a committed get just took: released at the
+        next sync, or — ``hold=True`` — only by an explicit ``Release``
+        (or when the thread ends); either way an input of this iteration."""
+        if hold:
+            self._retained[view.item_id] = (buffer, view)
+        else:
+            self._held.append((buffer, view))
         self._iter_inputs.append(view.item_id)
         return view
 
@@ -388,20 +461,31 @@ class ThreadDriver:
                 self.meter.block_ended()
             else:
                 yield ev
-        item = Item(
+        t = self.now()
+        item = self._new_item(sc, t)
+        self._put_done(conn, item, buffer.commit_put(conn, item, t=t))
+        if not self.in_conns:
+            self._next_src_ts = max(self._next_src_ts, item.ts + 1)
+        return item.item_id
+
+    def _new_item(self, sc: Put, t: float) -> Item:
+        """The item a ``Put`` creates: its lineage parents are the items
+        this iteration has consumed so far."""
+        return Item(
             ts=int(sc.ts),
             size=sc.size,
             payload=sc.payload,
             producer=self.name,
             parents=tuple(self._iter_inputs),
-            created_at=self.now(),
+            created_at=t,
         )
-        feedback = buffer.commit_put(conn, item, t=self.now())
+
+    def _put_done(self, conn, item: Item, feedback: Optional[float]) -> None:
+        """The piggy-back: a committed put hands back the channel's
+        summary-STP for the control stack, and is an output of this
+        iteration."""
         self.controller.on_feedback(conn.conn_id, feedback)
         self._iter_outputs.append(item.item_id)
-        if not self.in_conns:
-            self._next_src_ts = max(self._next_src_ts, item.ts + 1)
-        return item.item_id
 
     def _do_sync(self) -> Generator:
         # 1. Source throttling (the actuation) — the policy turns the
@@ -411,7 +495,7 @@ class ThreadDriver:
         target, sleep_t = self.controller.plan_throttle()
         if sleep_t > 0:
             self.meter.sleep_started()
-            yield self.engine.timeout(sleep_t)
+            yield self._timeout(sleep_t)
             self.meter.sleep_ended()
             slept = sleep_t
         # 2. Close the iteration: current-STP per fig. 2.
@@ -419,7 +503,23 @@ class ThreadDriver:
         t_end = self.now()
         blocked = self.meter.total_blocked - self._prev_blocked
         self._prev_blocked = self.meter.total_blocked
-        summary = self.my_summary()
+        self._publish(t_end, blocked, slept, stp, target)
+        # 3. Release this iteration's item references.
+        self._release_held()
+        self._iter_inputs = []
+        self._iter_outputs = []
+        self._iter_compute = 0.0
+        self._iter_start = t_end
+        self.iterations += 1
+        return stp
+
+    def _publish(self, t_end: float, blocked: float, slept: float,
+                 stp, target) -> None:
+        """Hand the closed iteration to the recorder and the telemetry
+        hub. Its own method so that a shell whose threads are real can
+        run exactly this — and not the releases after it — under the
+        recorder lock its channels share."""
+        summary = self.controller.outbound_summary()
         recorder = self.runtime.recorder
         recorder.on_iteration(
             thread=self.name,
@@ -453,15 +553,6 @@ class ThreadDriver:
                     self.name, self._iter_start, t_end, self._iter_compute,
                     blocked, slept, stp, summary,
                 )
-        # 3. Release this iteration's item references.
-        self._release_held()
-        self._iter_inputs = []
-        self._iter_outputs = []
-        self._iter_compute = 0.0
-        self._iter_start = t_end
-        self.iterations += 1
-        return stp
-        yield  # pragma: no cover - unreachable; keeps this a generator path
 
     def _release_held(self) -> None:
         t = self.now()

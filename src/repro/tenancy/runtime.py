@@ -105,8 +105,6 @@ class TenantRuntime(Runtime):
         return tenant.local_name(buffer) if tenant is not None else buffer
 
     def _delivery_handle(self, thread: str):
-        if not self.obs.enabled:
-            return None
         tenant = self._owner_of(thread)
         if tenant is None or not self.graph.is_sink(thread):
             return None

@@ -16,17 +16,22 @@ from repro.gc import make_gc
 from repro.metrics import PostmortemAnalyzer, TraceRecorder
 from repro.rt_threads import ThreadChannel
 from repro.rt_threads.executor import ThreadedRuntime
+from repro.errors import SimulationError
 from repro.runtime import (
     Channel,
+    CheckDead,
     Compute,
     Get,
     Item,
+    Now,
     PeriodicitySync,
     Put,
+    Release,
     Runtime,
     RuntimeConfig,
     Sleep,
     TaskGraph,
+    TryGet,
 )
 from repro.sim import Engine, RngRegistry
 from repro.vt import EARLIEST, LATEST, ManualClock
@@ -229,3 +234,156 @@ def test_scripted_interleaving_yields_the_same_trace():
     kinds = [kind for kind, _ts, _who in sim_events]
     assert {"alloc", "get", "skip", "free"} <= set(kinds)
     assert sim_totals[2] >= 4 and sim_totals[3] >= 6
+
+
+# -- one interpreter: the same requests, the same answers ---------------------
+
+def drive_sim(graph):
+    runtime = Runtime(graph, RuntimeConfig(seed=0))
+    return runtime, lambda: runtime.run(until=5.0)
+
+
+def drive_threads(graph):
+    # join() without stop(): bounded task bodies end on their own, so the
+    # outcome does not depend on how long the wall clock is given.
+    runtime = ThreadedRuntime(graph, seed=0, compute_mode="noop")
+    runtime.start()
+    return runtime, lambda: runtime.join(timeout=30.0)
+
+
+DRIVES = pytest.mark.parametrize("drive", [drive_sim, drive_threads],
+                                 ids=["simulated", "threads"])
+
+
+def one_consumer(body):
+    def producer(ctx):
+        yield Put("c", ts=0, size=10)
+
+    g = TaskGraph("misuse")
+    g.add_thread("prod", producer)
+    g.add_thread("cons", body, sink=True)
+    g.add_channel("c").connect("prod", "c").connect("c", "cons")
+    return g
+
+
+@DRIVES
+class TestMisuseIsTheSameErrorEverywhere:
+    def test_negative_get_timeout(self, drive):
+        def body(ctx):
+            yield Get("c", timeout=-1.0)
+
+        _runtime, finish = drive(one_consumer(body))
+        with pytest.raises(SimulationError, match="negative get timeout: -1.0"):
+            finish()
+
+    def test_release_of_a_view_not_held(self, drive):
+        def body(ctx):
+            view = yield Get("c")  # no hold=True: the sync releases it
+            yield Release(view)
+
+        _runtime, finish = drive(one_consumer(body))
+        with pytest.raises(SimulationError, match="which it does not hold"):
+            finish()
+
+
+N_ITEMS = 6
+
+
+def reduce_result(result):
+    """A syscall's answer with everything run-specific (item ids, times)
+    taken out: an item's timestamp, ``None``, a bool, or ``"number"``."""
+    if result is None or isinstance(result, bool):
+        return result
+    if isinstance(result, (int, float)):
+        return "number"
+    return ("ts", result.ts)
+
+
+def scripted_graph(log):
+    """A bounded producer and a consumer whose every request has one
+    possible answer whatever the interleaving: it first waits on ``done``
+    (put after the last item), so ``c`` holds exactly ts 0..N_ITEMS-1 and
+    nothing changes under it."""
+    def asked(thread, syscall, result):
+        log.append((thread, type(syscall).__name__, reduce_result(result)))
+        return result
+
+    def producer(ctx):
+        for ts in range(N_ITEMS):
+            for syscall in (CheckDead("c", ts), Put("c", ts=ts, size=100),
+                            PeriodicitySync()):
+                asked("prod", syscall, (yield syscall))
+        syscall = Put("done", ts=0, size=1)
+        asked("prod", syscall, (yield syscall))
+
+    def consumer(ctx):
+        answers = {}
+        for key, make in (
+            ("done", lambda: Get("done")),
+            ("first", lambda: Get("c", EARLIEST, hold=True)),
+            ("hit", lambda: TryGet("c", EARLIEST)),
+            ("latest", lambda: Get("c")),          # skips what lies between
+            ("miss", lambda: TryGet("c")),         # exhausted
+            ("expired", lambda: Get("c", timeout=0.05)),
+            ("now", Now),
+            ("release", lambda: Release(answers["first"])),
+            ("sync", PeriodicitySync),
+            ("again", lambda: Release(answers["first"])),  # must raise
+        ):
+            syscall = make()
+            answers[key] = asked("cons", syscall, (yield syscall))
+
+    g = TaskGraph("scripted")
+    g.add_thread("prod", producer)
+    g.add_thread("cons", consumer, sink=True)
+    g.add_channel("c").connect("prod", "c").connect("c", "cons")
+    g.add_channel("done").connect("prod", "done").connect("done", "cons")
+    return g
+
+
+def run_scripted(drive):
+    log = []
+    runtime, finish = drive(scripted_graph(log))
+    with pytest.raises(SimulationError) as raised:
+        finish()
+    log.append(("cons", "Release", type(raised.value)))
+    recorder = runtime.recorder
+    buffers = getattr(runtime, "buffers", None) or runtime.channels
+    lineage = {
+        thread: [([recorder.items[i].ts for i in it.inputs],
+                  [recorder.items[i].ts for i in it.outputs])
+                 for it in recorder.iterations_of(thread)]
+        for thread in ("prod", "cons")
+    }
+    totals = {name: (b.total_puts, b.total_gets, b.total_skips, b.total_frees)
+              for name, b in buffers.items()}
+    by_thread = {thread: [entry[1:] for entry in log if entry[0] == thread]
+                 for thread in ("prod", "cons")}
+    return by_thread, lineage, totals
+
+
+def test_both_executors_answer_a_scripted_task_identically():
+    """ROADMAP item 2's "same core transitions given the same
+    interleaving", at the driver: what each task body observed, the
+    lineage each iteration recorded and the channel counters agree."""
+    sim = run_scripted(drive_sim)
+    threads = run_scripted(drive_threads)
+    assert threads == sim
+    observed, lineage, totals = sim
+    assert observed["cons"] == [
+        ("Get", ("ts", 0)),
+        ("Get", ("ts", 0)),
+        ("TryGet", ("ts", 1)),
+        ("Get", ("ts", N_ITEMS - 1)),
+        ("TryGet", None),
+        ("Get", None),
+        ("Now", "number"),
+        ("Release", None),
+        ("PeriodicitySync", "number"),
+        ("Release", SimulationError),
+    ]
+    assert observed["prod"][:3] == [
+        ("CheckDead", False), ("Put", "number"), ("PeriodicitySync", "number")]
+    assert lineage["cons"] == [([0, 0, 1, N_ITEMS - 1], [])]
+    assert lineage["prod"] == [([], [ts]) for ts in range(N_ITEMS)]
+    assert totals["c"][:3] == (N_ITEMS, 3, N_ITEMS - 3)

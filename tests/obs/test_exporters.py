@@ -156,17 +156,25 @@ class TestJsonl:
             assert read_jsonl(fh)[0]["rec"] == "meta"
 
 
+def hub_after_one_iteration() -> TelemetryHub:
+    """One iteration close of thread ``gui``, reported the way
+    ``ThreadDriver._publish`` does: sync handle, then the span."""
+    hub = TelemetryHub()
+    closed = (0.0, 0.3, 0.1, 0.0, 0.0, 0.02, 0.02)
+    hub.sync_handle("gui").update(*closed, None)
+    hub.span_sync("gui", *closed)
+    return hub
+
+
 class TestSummary:
     def test_summary_table_mentions_threads_and_buffers(self):
-        hub = TelemetryHub()
-        hub.on_sync("gui", 0.0, 0.3, 0.1, 0.0, 0.0, 0.02, 0.02, None)
+        hub = hub_after_one_iteration()
         text = summary_table(hub)
         assert "gui" in text
         assert "threads" in text
 
     def test_summary_from_records_matches_live_summary(self, tmp_path):
-        hub = TelemetryHub()
-        hub.on_sync("gui", 0.0, 0.3, 0.1, 0.0, 0.0, 0.02, 0.02, None)
+        hub = hub_after_one_iteration()
         path = tmp_path / "run.jsonl"
         write_jsonl(hub, str(path))
         assert summary_from_records(read_jsonl(str(path))) == \

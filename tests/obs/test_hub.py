@@ -25,6 +25,44 @@ class FakeItem:
         self.parents = tuple(parents)
 
 
+# The hot sites drive the hub through a wiring-time handle plus a
+# ``span_*`` helper behind ``spans_on``; these spell out, call for call,
+# what ``Buffer._account_put`` / ``_account_get`` / ``_account_free``,
+# ``Link.transfer`` and ``ThreadDriver._publish`` do.
+
+def put(hub, buffer, kind, item, t):
+    hub.put_handle(buffer, kind).add(1.0, item.size)
+    if hub.spans_on:
+        hub.span_put(buffer, item, t)
+
+
+def get(hub, buffer, kind, item, consumer, t):
+    hub.get_handle(buffer, kind, consumer).inc()
+    if hub.spans_on:
+        hub.span_get(item, consumer, t)
+
+
+def free(hub, buffer, kind, item, t, collector):
+    hub.free_handle(buffer, kind, collector).add(1.0, item.size)
+    if hub.spans_on:
+        hub.span_free(item, t)
+
+
+def transfer(hub, link, nbytes, duration, t):
+    hub.transfer_handle(link).update(nbytes, duration)
+    if hub.spans_on:
+        hub.span_transfer(link, nbytes, duration, t)
+
+
+def sync(hub, thread, t_start, t_end, compute, blocked, slept, stp,
+         summary, target):
+    hub.sync_handle(thread).update(
+        t_start, t_end, compute, blocked, slept, stp, summary, target)
+    if hub.spans_on:
+        hub.span_sync(thread, t_start, t_end, compute, blocked, slept,
+                      stp, summary)
+
+
 class TestNullHub:
     def test_disabled_and_falsy(self):
         assert NULL_HUB.enabled is False
@@ -35,8 +73,8 @@ class TestNullHub:
         assert resolve_hub(False) is NULL_HUB
 
     def test_hooks_are_noops(self):
-        NULL_HUB.on_put("C1", "channel", FakeItem(1), 0.0)
-        NULL_HUB.on_sync("t", 0, 1, 0.5, 0.1, 0.0, None, None, None)
+        put(NULL_HUB, "C1", "channel", FakeItem(1), 0.0)
+        sync(NULL_HUB, "t", 0, 1, 0.5, 0.1, 0.0, None, None, None)
         NULL_HUB.on_fault("injected", "thread_crash", "x", 1.0)
         NULL_HUB.on_finalize({}, 1.0)
         assert NULL_HUB.bind(time_fn=lambda: 0.0) is NULL_HUB
@@ -93,9 +131,9 @@ class TestHooks:
     def test_put_get_free_roundtrip(self):
         hub = TelemetryHub()
         item = FakeItem(1, ts=5, size=200)
-        hub.on_put("C1", "channel", item, t=1.0)
-        hub.on_get("C1", "channel", item, consumer="gui", t=2.0)
-        hub.on_free("C1", "channel", item, t=3.0, collector="dgc")
+        put(hub, "C1", "channel", item, t=1.0)
+        get(hub, "C1", "channel", item, consumer="gui", t=2.0)
+        free(hub, "C1", "channel", item, t=3.0, collector="dgc")
         m = hub.metrics
         assert m.value("repro_buffer_puts_total",
                        {"buffer": "C1", "kind": "channel"}) == 1
@@ -113,15 +151,15 @@ class TestHooks:
     def test_put_parents_link_spans(self):
         hub = TelemetryHub()
         parent = FakeItem(1)
-        hub.on_put("C1", "channel", parent, t=0.0)
+        put(hub, "C1", "channel", parent, t=0.0)
         child = FakeItem(2, parents=(1,))
-        hub.on_put("C2", "channel", child, t=1.0)
+        put(hub, "C2", "channel", child, t=1.0)
         chain = hub.tracer.ancestry(2)
         assert [s.track for s in chain] == ["buffer/C2", "buffer/C1"]
 
     def test_sampling_skips_item_spans_but_not_counters(self):
         hub = TelemetryHub(TelemetryConfig(span_sample=2))
-        hub.on_put("C1", "channel", FakeItem(3), t=0.0)  # 3 % 2 != 0
+        put(hub, "C1", "channel", FakeItem(3), t=0.0)  # 3 % 2 != 0
         assert 3 not in hub.tracer.item_span
         assert hub.metrics.value(
             "repro_buffer_puts_total",
@@ -129,9 +167,8 @@ class TestHooks:
 
     def test_on_sync_records_control_signals(self):
         hub = TelemetryHub()
-        hub.on_sync("digitizer", t_start=0.0, t_end=0.2, compute=0.1,
-                    blocked=0.05, slept=0.04, stp=0.1, summary=0.2,
-                    target=0.2)
+        sync(hub, "digitizer", t_start=0.0, t_end=0.2, compute=0.1,
+             blocked=0.05, slept=0.04, stp=0.1, summary=0.2, target=0.2)
         m = hub.metrics
         labels = {"thread": "digitizer"}
         assert m.value("repro_iterations_total", labels) == 1
@@ -143,7 +180,7 @@ class TestHooks:
 
     def test_on_transfer_span_covers_the_wire_time(self):
         hub = TelemetryHub()
-        hub.on_transfer("node0->node1", nbytes=1000, duration=0.5, t=2.0)
+        transfer(hub, "node0->node1", nbytes=1000, duration=0.5, t=2.0)
         (span,) = hub.tracer.spans
         assert span.t_start == 1.5 and span.t_end == 2.0
         assert hub.metrics.value("repro_link_transfer_bytes_total",
@@ -161,20 +198,20 @@ class TestHooks:
 
     def test_metrics_only_mode(self):
         hub = TelemetryHub(TelemetryConfig(spans=False))
-        hub.on_put("C1", "channel", FakeItem(2), t=0.0)
+        put(hub, "C1", "channel", FakeItem(2), t=0.0)
         hub.on_fault("injected", "x", "y", t=1.0)
         assert hub.tracer.recorded == 0
         assert len(hub.metrics) > 0
 
     def test_spans_only_mode(self):
         hub = TelemetryHub(TelemetryConfig(metrics=False))
-        hub.on_put("C1", "channel", FakeItem(2), t=0.0)
+        put(hub, "C1", "channel", FakeItem(2), t=0.0)
         assert len(hub.metrics) == 0
         assert hub.tracer.recorded > 0
 
     def test_finalize_flushes_and_stamps(self):
         hub = TelemetryHub()
-        hub.on_put("C1", "channel", FakeItem(2), t=0.0)
+        put(hub, "C1", "channel", FakeItem(2), t=0.0)
         hub.on_finalize({"engine": {"events_processed": 10, "now": 9.0}}, 9.0)
         assert hub.t_end == 9.0
         assert all(s.t_end is not None for s in hub.tracer.spans)
@@ -189,7 +226,7 @@ class TestHooks:
 
     def test_snapshot_is_plain_data(self):
         hub = TelemetryHub()
-        hub.on_put("C1", "channel", FakeItem(2), t=0.0)
+        put(hub, "C1", "channel", FakeItem(2), t=0.0)
         snap = hub.snapshot()
         assert snap["enabled"] is True
         assert isinstance(snap["metrics"], list)

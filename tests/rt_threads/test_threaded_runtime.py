@@ -19,6 +19,7 @@ from repro.runtime import (
     TaskGraph,
     TryGet,
 )
+from repro.vt import EARLIEST
 
 
 def small_pipeline(prod_period=0.005, cons_compute=0.02):
@@ -95,6 +96,54 @@ class TestBasics:
         ex = ThreadedRuntime(g)
         with pytest.raises(RuntimeError, match="exploded"):
             ex.run(duration=0.3)
+
+    def test_task_error_after_get_leaves_no_reference(self):
+        """A body that raises while holding a get must not pin the item:
+        the driver's ``finally`` releases it, as a simulated kill does
+        (``test_killed_thread_releases_held_items``). An unreleased
+        ``(ts 0, refcount 1)`` would freeze the DGC threshold for every
+        other consumer of the channel."""
+        def producer(ctx):
+            yield Put("c", ts=0, size=10)
+            yield Put("c", ts=1, size=10)
+
+        def consumer(ctx):
+            yield Get("c", EARLIEST)
+            raise RuntimeError("task exploded")
+
+        g = TaskGraph()
+        g.add_thread("prod", producer)
+        g.add_thread("cons", consumer, sink=True)
+        g.add_channel("c").connect("prod", "c").connect("c", "cons")
+        ex = ThreadedRuntime(g)
+        ex.start()
+        with pytest.raises(RuntimeError, match="exploded"):
+            ex.join(timeout=10.0)
+        left = [(item.ts, item.refcount)
+                for item in ex.channels["c"]._state.items_snapshot()]
+        assert left == [(1, 0)]
+
+    def test_stop_during_get_ends_the_thread_quietly(self):
+        """A get blocked at shutdown is not a timed get expiring: the
+        task never sees a ``None``, and nothing it held stays pinned."""
+        seen = []
+
+        def producer(ctx):
+            yield Put("c", ts=0, size=10)
+
+        def consumer(ctx):
+            seen.append((yield Get("c", hold=True)))
+            seen.append((yield Get("c")))
+
+        g = TaskGraph()
+        g.add_thread("prod", producer)
+        g.add_thread("cons", consumer, sink=True)
+        g.add_channel("c").connect("prod", "c").connect("c", "cons")
+        ex = ThreadedRuntime(g)
+        ex.run(duration=0.3)
+        assert [view.ts for view in seen] == [0]
+        assert all(item.refcount == 0
+                   for item in ex.channels["c"]._state.items_snapshot())
 
 
 class TestSemantics:
