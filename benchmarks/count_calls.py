@@ -1,0 +1,189 @@
+#!/usr/bin/env python3
+"""Deterministic call counter: what one repetition of a workload executes.
+
+Wall-clock rates drift with the host (``benchmarks/e2e/README.md``,
+"Noise"); the number of Python calls the simulator makes does not. This
+script runs one repetition of a simulated e2e workload under
+``sys.setprofile`` and prints::
+
+    python benchmarks/count_calls.py --workload fleet_10 [--seed S]
+                                     [--out FILE] [--top N]
+    python benchmarks/count_calls.py --compare a.json b.json [--top N]
+
+* ``python_calls`` — frames entered (a generator resume enters one);
+* ``c_calls`` — calls into builtins and extension functions;
+* ``generator_starts`` — first entries into generator bodies;
+* ``events`` — engine events, from the workload's ``Runtime.run`` stamps;
+* ``calls_per_event`` — ``python_calls / events``, the machine-stable
+  ratio ``tests/bench/test_call_budget.py`` gates.
+
+Outside ``importlib`` (whether a tree's bytecode is on disk) the counts
+repeat exactly from run to run, so ``--compare`` of a parent and a
+change is evidence where a timing on the sandbox is not. The workloads
+are the frozen ones of ``benchmarks/e2e/workloads.py``, imported
+unchanged; the live ones run on the wall clock and are not countable.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dis
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+from typing import Any, Callable, Dict, Tuple
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+_CO_GENERATOR = 0x20
+
+
+def _first_resume(code) -> int:
+    """Offset ``f_lasti`` has when a generator body is first entered
+    (``-1`` before 3.11, where bodies carry no ``RESUME``)."""
+    for ins in dis.get_instructions(code):
+        if ins.opname == "RESUME":
+            return ins.offset
+    return -1
+
+
+def count_calls(fn: Callable[[], Any]) -> Tuple[Dict[str, Any], Any]:
+    """Run ``fn()`` under ``sys.setprofile``; returns ``(counts, result)``.
+
+    ``counts`` holds ``python_calls``, ``c_calls``, ``generator_starts``
+    and ``by_function`` (``"path:line:qualname" -> python calls``).
+    """
+    by_code: Counter = Counter()
+    first_offset: Dict[Any, int] = {}
+    c_calls = generator_starts = 0
+
+    def profile(frame, event, arg):
+        nonlocal c_calls, generator_starts
+        if event == "call":
+            code = frame.f_code
+            by_code[code] += 1
+            if code.co_flags & _CO_GENERATOR:
+                first = first_offset.get(code)
+                if first is None:
+                    first = first_offset[code] = _first_resume(code)
+                if frame.f_lasti <= first:
+                    generator_starts += 1
+        elif event == "c_call":
+            c_calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    by_function: Counter = Counter()
+    for code, n in by_code.items():
+        path = Path(code.co_filename)
+        try:
+            path = path.resolve().relative_to(ROOT)
+        except ValueError:
+            pass
+        name = getattr(code, "co_qualname", code.co_name)
+        by_function[f"{path}:{code.co_firstlineno}:{name}"] += n
+    return {
+        "python_calls": sum(by_code.values()),
+        "c_calls": c_calls,
+        "generator_starts": generator_starts,
+        "by_function": dict(by_function),
+    }, result
+
+
+def count_workload(name: str, seed: int) -> Dict[str, Any]:
+    """One counted repetition of the e2e workload ``name``."""
+    for path in (ROOT / "src", HERE / "e2e"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    from layers import Patches, RunStamps
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS.get(name)
+    if workload is None or workload.kind != "sim":
+        sim = sorted(n for n, w in WORKLOADS.items() if w.kind == "sim")
+        raise SystemExit(f"--workload must be one of {sim}, got {name!r}")
+    patches, stamps = Patches(), RunStamps()
+    stamps.install(patches)
+    try:
+        counts, (_calls, failures, _check) = count_calls(
+            lambda: workload.run(seed))
+    finally:
+        patches.restore()
+    if failures:
+        raise SystemExit(f"{name}: failed ops: {failures}")
+    events = sum(run["events"] for run in stamps.runs)
+    counts.update(workload=name, seed=seed, events=events,
+                  calls_per_event=counts["python_calls"] / events)
+    return counts
+
+
+_SCALARS = ("python_calls", "c_calls", "generator_starts", "events",
+            "calls_per_event")
+
+
+def _print_counts(counts: Dict[str, Any], top: int) -> None:
+    name = counts["workload"]
+    for key in _SCALARS:
+        value = counts[key]
+        shown = f"{value:.2f}" if isinstance(value, float) else f"{value}"
+        print(f"{name} {key} {shown}")
+    ranked = sorted(counts["by_function"].items(), key=lambda kv: -kv[1])
+    for func, n in ranked[:top]:
+        print(f"{name} calls {n:>10}  {func}")
+
+
+def _by_name(by_function: Dict[str, int]) -> Counter:
+    """``by_function`` without the line numbers: a function that only
+    moved inside its file is the same function."""
+    out: Counter = Counter()
+    for key, n in by_function.items():
+        path, _line, name = key.split(":", 2)
+        out[f"{path}:{name}"] += n
+    return out
+
+
+def compare(a: Dict[str, Any], b: Dict[str, Any], top: int) -> None:
+    """Print B against A: the scalar rows, then the top-N functions by
+    absolute change in Python calls."""
+    for key in _SCALARS:
+        va, vb = a[key], b[key]
+        change = 100.0 * (vb - va) / va if va else 0.0
+        fmt = "{:.2f}" if isinstance(va, float) else "{}"
+        print(f"{key:>17}  {fmt.format(va):>12} -> {fmt.format(vb):>12}  "
+              f"{change:+.2f} %")
+    fa, fb = _by_name(a["by_function"]), _by_name(b["by_function"])
+    deltas = {k: fb[k] - fa[k] for k in set(fa) | set(fb)}
+    ranked = sorted(deltas.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
+    for func, delta in ranked[:top]:
+        if delta:
+            print(f"{delta:>+12}  {func}  ({fa[func]} -> {fb[func]})")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", help="a simulated e2e workload")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", help="write the counts as JSON")
+    parser.add_argument("--top", type=int, default=15,
+                        help="functions listed (default 15)")
+    parser.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(Path(p).read_text()) for p in args.compare)
+        compare(a, b, args.top)
+        return 0
+    if not args.workload:
+        parser.error("one of --workload or --compare is required")
+    counts = count_workload(args.workload, args.seed)
+    _print_counts(counts, args.top)
+    if args.out:
+        Path(args.out).write_text(json.dumps(counts, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

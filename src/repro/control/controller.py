@@ -55,7 +55,10 @@ class ThreadController:
         return self.sensor.meter
 
     def outbound_summary(self) -> Optional[float]:
-        """The summary value to piggyback upstream right now."""
+        """The summary value to piggyback upstream right now (``None``,
+        the sensor unread, when ``policy.propagates`` is false)."""
+        if not self.policy.propagates:
+            return None
         return self.policy.advertise(self.sensor.read())
 
     def on_feedback(self, conn_id: object, value: Optional[float]) -> None:

@@ -39,7 +39,9 @@ class RatePolicy:
 
     #: Whether this policy participates in feedback transport. False
     #: disables the piggyback bus entirely (no buffer-side state, no
-    #: values on put/get) — the No-ARU baseline.
+    #: values on put/get) — the No-ARU baseline. A policy that transports
+    #: nothing advertises nothing: the controller answers ``None`` for it
+    #: without calling :meth:`advertise` or reading the sensor.
     propagates: bool = True
     #: Short human-readable kind tag (diagnostics and reports).
     kind: str = "rate-policy"

@@ -21,7 +21,8 @@ class Sensor:
 
     ``read()`` returns one :class:`Signals` snapshot; implementations
     must be side-effect free (a read must never advance meter state —
-    the thread driver owns block/sleep/sync bookkeeping).
+    the thread driver owns block/sleep/sync bookkeeping). Not read for
+    a policy that does not propagate: nothing depends on the answer.
     """
 
     def read(self) -> Signals:

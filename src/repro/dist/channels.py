@@ -8,8 +8,9 @@ speaks the same driver-facing surface (``register_producer`` /
 ``register_consumer`` / ``get`` / ``try_get`` / ``put`` / ``release`` /
 ``check_dead``) over one dedicated TCP connection per (thread, channel)
 role. The server side drives the channel through that same public
-surface plus ``evict_consumer`` and ``receive_feedback``; it never
-touches the state behind the channel's lock.
+surface plus ``evict_consumer``, ``resume_consumer`` and
+``receive_feedback``; it never touches the state behind the channel's
+lock — a reconnecting consumer's cursor included.
 
 Feedback interleaves with data on that connection, in-band (the
 punctuation-paper model): every GET/TRY_GET request carries the
@@ -527,11 +528,10 @@ class _Session:
         role = payload["role"]
         if role == "consumer":
             channel.evict_consumer(payload["thread"])
-            cursor = channel.register_consumer(payload["thread"])
-            if payload.get("last_got", -1) > cursor.last_got:
-                # Reconnect: resume the consumer's cursor so items it
-                # already consumed are not re-delivered.
-                cursor.last_got = payload["last_got"]
+            # Reconnect: resume the consumer's cursor so items it
+            # already consumed are not re-delivered.
+            cursor = channel.resume_consumer(
+                payload["thread"], payload.get("last_got", -1))
         elif role == "producer":
             cursor = channel.register_producer(payload["thread"])
         else:

@@ -17,11 +17,12 @@ Four live policies ship with the library (plus the postmortem IGC bound in
 ==========  =================================================================
 
 Collectors are notified on puts/gets and asked for the currently-dead
-items; the channel frees unreferenced dead items immediately and dooms the
-rest (freed at release). A collector must never report an item some
-consumer could still get — i.e. anything with ``ts > conn.last_got`` for
-any consumer connection is off limits. The channel asserts this invariant
-in tests.
+items (unless, like DGC, they cleared the channel's ``_gc_due`` flag until
+an event can change the answer); the channel frees unreferenced dead
+items immediately and dooms the rest (freed at release). A collector must
+never report an item some consumer could still get — i.e. anything with
+``ts > conn.last_got`` for any consumer connection is off limits. The
+channel asserts this invariant in tests.
 """
 
 from __future__ import annotations

@@ -12,8 +12,15 @@ consumer's cursor has passed it:
 
 This identifies both consumed-and-passed items and *skipped* items as
 garbage — the latter being precisely what reachability GC can never
-reclaim. Identification is O(dead items) per get, driven entirely by the
-cursor updates piggybacked on normal channel traffic.
+reclaim. Identification is O(dead items) per pass, driven entirely by the
+cursor updates piggybacked on normal channel traffic, and a pass runs
+only on an event that can change its answer. The buffer remembers the
+last pass's threshold; while no pass is due, **every stored item at or
+below it is referenced and doomed** (``release`` frees it). A pass
+becomes due when a put lands at or below the threshold (dead on
+arrival), a get moves the cursor that was the minimum, or a consumer
+(un)registers or resumes — so a cursor may move only in ``commit_get``
+and ``Buffer.resume_consumer``, under a shell's lock.
 """
 
 from __future__ import annotations
@@ -46,24 +53,31 @@ class DeadTimestampGC(GarbageCollector):
         self.interval = float(interval)
         self._last_pass: Dict[str, float] = {}
 
+    def on_put(self, channel, item) -> None:
+        if item.ts <= channel._gc_threshold:  # dead on arrival
+            channel._gc_due = True
+
+    def on_get(self, channel, conn, item) -> None:
+        if channel._cursor_from <= channel._gc_threshold:  # the minimum moved
+            channel._gc_due = True
+
     def dead_items(self, channel) -> Iterable[object]:
-        if not channel.in_conns:
-            # No consumer => no guarantee ever arrives; nothing is provably
-            # dead. (A consumerless channel is pure waste by construction
-            # and shows up as such in the resource metrics.)
-            return ()
-        threshold = min(conn.last_got for conn in channel.in_conns)
-        if threshold < 0:
-            return ()
+        # No consumer => no guarantee ever arrives; nothing is provably
+        # dead. (A consumerless channel is pure waste by construction
+        # and shows up as such in the resource metrics.)
+        threshold = min([conn.last_got for conn in channel.in_conns],
+                        default=-1)
         dead = channel.items_upto(threshold)
-        if not dead:
-            return ()
-        if self.interval > 0.0:
+        if dead and self.interval > 0.0:
             # Lazy mode: a *reclaiming* pass runs at most once per interval
-            # per channel (identifying an empty dead set is cheap and free).
+            # per channel (identifying an empty dead set is cheap and free),
+            # and stays due: one over what it only doomed takes a slot too.
             now = channel.engine.now
             last = self._last_pass.get(channel.name)
             if last is not None and now - last < self.interval:
                 return ()
             self._last_pass[channel.name] = now
+            return dead
+        channel._gc_threshold = threshold
+        channel._gc_due = False
         return dead

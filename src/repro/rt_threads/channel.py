@@ -78,6 +78,11 @@ class ThreadChannel:
         with self._lock:
             return self._state.register_consumer(thread)
 
+    def resume_consumer(self, thread: str, last_got: int) -> InputConnection:
+        """:meth:`Buffer.resume_consumer` in one locked step."""
+        with self._lock:
+            return self._state.resume_consumer(thread, last_got)
+
     def evict_consumer(self, thread: str) -> None:
         """Unregister ``thread``'s consumer connections (a reconnecting
         remote peer re-registers; its dead cursor must not freeze the DGC

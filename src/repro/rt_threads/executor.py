@@ -47,21 +47,28 @@ class WallDriver(ThreadDriver):
 
     Dispatch, bookkeeping and the iteration close are inherited; what is
     here is how a real thread waits. Each wait has happened by the time
-    its handler returns, so the handlers are generators that finish
-    without yielding (``yield from`` still gets their value).
+    its handler returns, so the handlers are plain functions.
     """
 
     #: Measured ``Compute`` seconds over the thread's life (stats).
     total_compute = 0.0
 
-    def _execute(self, syscall):
-        result = yield from super()._execute(syscall)
-        if self.runtime.stop_event.is_set():
-            # Stop lands at a syscall boundary: the runner closes the
-            # generator at this yield. A get that came back empty because
-            # the runtime is stopping ends here, never as a ``None``.
-            yield
-        return result
+    @classmethod
+    def _dispatch_table(cls):
+        """Every entry wrapped so that stop lands at a syscall boundary:
+        the runner closes the generator at the ``yield``, and a get the
+        stop cut short never reaches the task as a ``None``."""
+        def at_boundary(handler, waits):
+            def bounded(self, syscall):
+                result = handler(self, syscall)
+                if waits:
+                    result = yield from result
+                if self.runtime.stop_event.is_set():
+                    yield
+                return result
+            return bounded
+        return {sc: (at_boundary(handler, waits), True)
+                for sc, (handler, waits) in super()._dispatch_table().items()}
 
     def _do_compute(self, sc: Compute):
         mode = self.runtime.compute_mode
@@ -76,36 +83,34 @@ class WallDriver(ThreadDriver):
         self._iter_compute += actual
         self.total_compute += actual
         return actual
-        yield  # pragma: no cover - unreachable; makes this a generator
 
     def _do_get(self, sc: Get):
         channel, conn = self._in_conn(sc.channel)
+        if sc.timeout is not None and sc.timeout < 0:
+            raise SimulationError(f"negative get timeout: {sc.timeout}")
         self.meter.block_started()
         try:
             view = channel.get(
                 conn, sc.request,
-                consumer_summary=self.my_summary(),
+                consumer_summary=self.controller.outbound_summary(),
                 stop=self.runtime.stop_event,
                 max_wait=sc.timeout,
             )
         finally:
             self.meter.block_ended()
         return view and self._own(channel, view, sc.hold)
-        yield  # pragma: no cover - unreachable
 
     def _do_try_get(self, sc: TryGet):
         channel, conn = self._in_conn(sc.channel)
         view = channel.try_get(conn, sc.request,
-                               consumer_summary=self.my_summary())
+                               consumer_summary=self.controller.outbound_summary())
         return view and self._own(channel, view, False)
-        yield  # pragma: no cover - unreachable
 
     def _do_put(self, sc: Put):
         channel, conn = self._out_conn(sc.channel)
         item = self._new_item(sc, self.now())
         self._put_done(conn, item, channel.put(conn, item))
         return item.item_id
-        yield  # pragma: no cover - unreachable
 
     def _publish(self, *closed) -> None:
         # Lock order channel -> recorder: the releases that follow the

@@ -67,6 +67,10 @@ class Buffer:
         self.total_puts = 0
         self.total_gets = 0
         self.total_frees = 0
+        # Collector state (:mod:`repro.gc.dgc`): pass due, last threshold, last move.
+        self._gc_due = True
+        self._gc_threshold = -1
+        self._cursor_from = -1
 
     # -- registration ------------------------------------------------------
     def register_producer(self, thread: str) -> OutputConnection:
@@ -81,6 +85,14 @@ class Buffer:
             conn.get_h = obs.get_handle(self.name, self.kind, thread)
             conn.skip_h = obs.skip_handle(self.name, thread)
         self.in_conns.append(conn)
+        self._gc_due = True
+        return conn
+
+    def resume_consumer(self, thread: str, last_got: int) -> InputConnection:
+        """Register a reconnecting consumer, its cursor already at
+        ``last_got`` — with ``commit_get`` the only way a cursor moves."""
+        conn = self.register_consumer(thread)
+        conn.last_got = max(conn.last_got, last_got)
         return conn
 
     def unregister_producer(self, conn: OutputConnection) -> None:
@@ -106,6 +118,7 @@ class Buffer:
             raise SimulationError(
                 f"consumer {conn.thread!r} not registered on {self.name!r}"
             ) from None
+        self._gc_due = True
         if self.feedback is not None:
             self.feedback.detach(conn.conn_id)
 

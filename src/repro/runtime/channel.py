@@ -120,7 +120,8 @@ class Channel(Buffer):
                 self.recorder.on_skip(item.item_id, in_conn.conn_id, in_conn.thread, t)
                 in_conn.skip_h.inc()
         self.gc.on_put(self, item)
-        self.maybe_collect(t)
+        if self._gc_due:
+            self.maybe_collect(t)
         self._getters.notify_all()
         return self.feedback.advertise() if self.feedback is not None else None
 
@@ -167,7 +168,7 @@ class Channel(Buffer):
         Marks every stored item between the old cursor and the returned
         timestamp as skipped for this connection, advances the cursor,
         takes a reference, feeds the consumer's summary-STP into the
-        channel's backwardSTP vector, and lets the GC run.
+        channel's backwardSTP vector, and lets the GC run if a pass is due.
         """
         item = self._match(conn, request)
         if item is None:
@@ -185,6 +186,7 @@ class Channel(Buffer):
             self.total_skips += 1
             self.recorder.on_skip(skipped.item_id, conn.conn_id, conn.thread, t)
             conn.skip_h.inc()
+        self._cursor_from = conn.last_got
         conn.last_got = item.ts
         conn.gets += 1
         self.total_gets += 1
@@ -197,7 +199,8 @@ class Channel(Buffer):
         if self.feedback is not None and consumer_summary is not None:
             self.feedback.receive(conn.conn_id, consumer_summary)
         self.gc.on_get(self, conn, item)
-        self.maybe_collect(t)
+        if self._gc_due:
+            self.maybe_collect(t)
         return ItemView(item, self.name)
 
     def release(self, item: Item, t: float) -> None:

@@ -24,6 +24,7 @@ the driver does the bookkeeping the paper's mechanisms require —
 
 from __future__ import annotations
 
+from inspect import isgeneratorfunction
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -139,6 +140,7 @@ class ThreadDriver:
         # ``AruConfig.headroom`` (the actuator's single source of truth).
         self.runtime = runtime
         self.engine = runtime.engine
+        self.now = runtime.clock.now  # the clock's own: one frame per read
         #: Wait ``d`` seconds — what Sleep, stall and the source throttle
         #: yield. Bound once: the simulated engine's timeout event here;
         #: a wall-clock runtime's engine sleeps and returns when ``d``
@@ -186,9 +188,6 @@ class ThreadDriver:
         self.transport_death = None
 
     # ------------------------------------------------------------------
-    def now(self) -> float:
-        return self.runtime.clock.now()
-
     @property
     def virtual_time(self) -> int:
         """This thread's VT for transparent GC: one past the oldest input
@@ -209,10 +208,6 @@ class ThreadDriver:
         """The thread's backwardSTP state, when its policy keeps one
         (compatibility accessor; None for null/disabled stacks)."""
         return getattr(self.controller.policy, "state", None)
-
-    def my_summary(self) -> Optional[float]:
-        """The summary value this thread currently advertises upstream."""
-        return self.controller.outbound_summary()
 
     # -- fault injection ---------------------------------------------------
     def stall(self, duration: float) -> None:
@@ -255,6 +250,7 @@ class ThreadDriver:
             raise SimulationError(
                 f"task body of {self.name!r} must be a generator function"
             )
+        table = self._dispatch
         to_send = None
         try:
             while True:
@@ -265,7 +261,16 @@ class ThreadDriver:
                 if self._stalled:
                     yield from self._stall_wait()
                 try:
-                    to_send = yield from self._execute(syscall)
+                    handler, waits = table[syscall.__class__]
+                except KeyError:
+                    raise SimulationError(
+                        f"thread {self.name!r} yielded {syscall!r}; "
+                        "expected a syscall") from None
+                try:
+                    if waits:
+                        to_send = yield from handler(self, syscall)
+                    else:
+                        to_send = handler(self, syscall)
                 except (LinkDown, MessageDropped) as exc:
                     # Transport retries exhausted (finite RetryPolicy): the
                     # thread dies cleanly — the simulation continues and
@@ -280,44 +285,47 @@ class ThreadDriver:
             self._release_retained()
 
     # -- dispatch ----------------------------------------------------------
-    def _execute(self, syscall) -> Generator:
-        if isinstance(syscall, Compute):
-            return (yield from self._do_compute(syscall))
-        if isinstance(syscall, Get):
-            if syscall.timeout is not None and syscall.timeout < 0:
-                raise SimulationError(
-                    f"negative get timeout: {syscall.timeout}")
-            return (yield from self._do_get(syscall))
-        if isinstance(syscall, Put):
-            return (yield from self._do_put(syscall))
-        if isinstance(syscall, PeriodicitySync):
-            return (yield from self._do_sync())
-        if isinstance(syscall, TryGet):
-            return (yield from self._do_try_get(syscall))
-        if isinstance(syscall, Sleep):
-            if syscall.seconds > 0:
-                yield self._timeout(syscall.seconds)
-            return None
-        if isinstance(syscall, Now):
-            return self.now()
-        if isinstance(syscall, Release):
-            view = syscall.view
-            item_id = getattr(view, "item_id", None)
-            entry = self._retained.pop(item_id, None)
-            if entry is None:
-                raise SimulationError(
-                    f"thread {self.name!r} released {view!r}, which it does "
-                    "not hold (double release, or missing hold=True?)"
-                )
-            buffer, held_view = entry
-            buffer.release(held_view._item, self.now())
-            return None
-        if isinstance(syscall, CheckDead):
-            buffer, _conn = self._out_conn(syscall.channel)
-            return buffer.check_dead(int(syscall.ts))
-        raise SimulationError(
-            f"thread {self.name!r} yielded {syscall!r}; expected a syscall"
-        )
+    #: Syscall class -> handler name. ``run`` delegates to a handler that
+    #: waits (a generator function) and plainly calls one that does not.
+    _SYSCALLS = {
+        Compute: "_do_compute", Get: "_do_get", Put: "_do_put",
+        PeriodicitySync: "_do_sync", TryGet: "_do_try_get",
+        Sleep: "_do_sleep", Now: "_do_now", Release: "_do_release",
+        CheckDead: "_do_check_dead",
+    }
+
+    @classmethod
+    def _dispatch_table(cls) -> Dict[type, Tuple[Any, bool]]:
+        """``syscall class -> (handler, waits)`` with a shell's overrides.
+        Per class, not per driver: bound methods would tie each driver
+        into a cycle; dispatch must stay cycle-free (DESIGN.md §5c)."""
+        return {sc: (fn := getattr(cls, name), isgeneratorfunction(fn))
+                for sc, name in cls._SYSCALLS.items()}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._dispatch = cls._dispatch_table()
+
+    def _do_sleep(self, sc: Sleep) -> Generator:
+        if sc.seconds > 0:
+            yield self._timeout(sc.seconds)
+
+    def _do_now(self, sc: Now) -> float:
+        return self.now()
+
+    def _do_release(self, sc: Release) -> None:
+        view = sc.view
+        entry = self._retained.pop(getattr(view, "item_id", None), None)
+        if entry is None:
+            raise SimulationError(
+                f"thread {self.name!r} released {view!r}, which it does "
+                "not hold (double release, or missing hold=True?)")
+        buffer, held_view = entry
+        buffer.release(held_view._item, self.now())
+
+    def _do_check_dead(self, sc: CheckDead) -> bool:
+        buffer, _conn = self._out_conn(sc.channel)
+        return buffer.check_dead(int(sc.ts))
 
     def _remote_transfer(self, src: str, dst: str, nbytes: int) -> Generator:
         """Ship bytes over the network, retrying transport errors.
@@ -378,6 +386,8 @@ class ThreadDriver:
         buffer, conn = self._in_conn(sc.channel)
         deadline = None
         if sc.timeout is not None:
+            if sc.timeout < 0:
+                raise SimulationError(f"negative get timeout: {sc.timeout}")
             deadline = self.now() + sc.timeout
         while True:
             ev = buffer.request_get(conn, sc.request)
@@ -487,7 +497,7 @@ class ThreadDriver:
         self.controller.on_feedback(conn.conn_id, feedback)
         self._iter_outputs.append(item.item_id)
 
-    def _do_sync(self) -> Generator:
+    def _do_sync(self, sc: PeriodicitySync) -> Generator:
         # 1. Source throttling (the actuation) — the policy turns the
         #    propagated feedback into a target period, the actuator into
         #    a sleep that stretches the iteration to it.
@@ -566,3 +576,6 @@ class ThreadDriver:
         for buffer, view in self._retained.values():
             buffer.release(view._item, t)
         self._retained.clear()
+
+
+ThreadDriver._dispatch = ThreadDriver._dispatch_table()

@@ -144,6 +144,56 @@ class TestBuildThreadController:
         assert controller.actuator.headroom == pytest.approx(1.2)
 
 
+class SpySensor(StpSensor):
+    """Counts reads."""
+
+    reads = 0
+
+    def read(self):
+        self.reads += 1
+        return super().read()
+
+
+class TestSilentWhenItDecidesNothing:
+    """``RatePolicy.propagates`` is a contract the controller acts on: a
+    policy that transports nothing advertises nothing, so its stack does
+    no measurement work per get or per sync."""
+
+    def spied(self, cfg) -> ThreadController:
+        clock = FakeClock()
+        controller = build_thread_controller(
+            cfg, "t", make_meter(clock), clock.now, is_source=True)
+        controller.sensor = SpySensor(controller.meter, clock.now)
+        return controller
+
+    @pytest.mark.parametrize("cfg", [aru_disabled(), aru_null()],
+                             ids=["disabled", "null"])
+    def test_null_stack_never_reads_its_sensor(self, cfg):
+        controller = self.spied(cfg)
+        for _ in range(3):
+            assert controller.outbound_summary() is None
+            assert controller.plan_throttle() == (None, 0.0)
+        assert controller.sensor.reads == 0
+
+    def test_propagating_stack_reads_once_per_call(self):
+        controller = self.spied(aru_min())
+        controller.outbound_summary()
+        assert controller.sensor.reads == 1
+        controller.plan_throttle()
+        assert controller.sensor.reads == 2
+
+    def test_a_silent_policy_is_not_asked_to_advertise(self):
+        class Loud(NullPolicy):
+            def advertise(self, signals):
+                raise AssertionError("advertise() on a non-propagating policy")
+
+        clock = FakeClock()
+        controller = ThreadController(
+            sensor=SpySensor(make_meter(clock), clock.now), policy=Loud(),
+            actuator=SleepThrottle(), throttled=False)
+        assert controller.outbound_summary() is None
+
+
 class TestSensors:
     def test_stp_sensor_snapshot(self):
         clock = FakeClock()

@@ -2,7 +2,9 @@
 front of a ``ThreadChannel``, ``RemoteChannelClient`` proxies on the
 other side, and the reconnect paths between them."""
 
+import itertools
 import socket
+import sys
 import threading
 
 import pytest
@@ -25,9 +27,9 @@ FAST_RETRY = RetryPolicy(backoff_base=0.01, backoff_max=0.02, max_attempts=5)
 class Served:
     """A served channel plus the clients opened against it."""
 
-    def __init__(self):
+    def __init__(self, channel_cls=ThreadChannel):
         self.endpoint = FeedbackEndpoint(BufferAruState("ch", op="min"))
-        self.channel = ThreadChannel(
+        self.channel = channel_cls(
             "ch", TraceRecorder(), WallClock(), feedback=self.endpoint)
         self.stop = threading.Event()
         self.server = ChannelServer({"ch": self.channel}, self.stop)
@@ -130,6 +132,110 @@ def test_reconnect_replaces_the_feedback_slot(served):
     consumer.release(view._item)
     assert producer.put(pconn, item(2)) == 0.050
     assert list(served.endpoint.backward.snapshot().values()) == [0.050]
+
+
+class _PutOnRegistration(ThreadChannel):
+    """Lands a put at the first instant another thread could take the
+    channel lock after a consumer (re)registers."""
+
+    on_registered = staticmethod(lambda: None)
+
+    def register_consumer(self, thread):
+        conn = super().register_consumer(thread)
+        self.on_registered()
+        return conn
+
+    def resume_consumer(self, thread, last_got):
+        conn = super().resume_consumer(thread, last_got)
+        self.on_registered()
+        return conn
+
+
+def _drain(consumer, cconn, newest):
+    """Get-latest and release until ``newest`` came; the timestamps got."""
+    got = []
+    while not got or got[-1] < newest:
+        view = consumer.get(cconn, max_wait=2.0)
+        assert view is not None, f"nothing after {got} (newest is {newest})"
+        got.append(view.ts)
+        consumer.release(view._item)
+    return got
+
+
+def test_reconnect_resumes_the_cursor_before_any_put_can_collect():
+    # Regression: OPEN registered the cursor at -1 and moved it to
+    # ``last_got`` after the channel lock was released — the one cursor
+    # write outside ``commit_get``. A put landing in between collected
+    # against -1; with the DGC threshold remembered, no later put or get
+    # marked a pass due again and every item from then on stayed stored.
+    served = Served(_PutOnRegistration)
+    try:
+        producer, consumer = served.client(), served.client()
+        pconn = producer.register_producer("p")
+        cconn = consumer.register_consumer("c")
+        ts = itertools.count()
+        n = 5
+        for _ in range(n + 1):
+            producer.put(pconn, item(next(ts)))
+        assert _drain(consumer, cconn, newest=n) == [n]
+        assert len(served.channel) == 0
+
+        local = served.channel.register_producer("p-local")
+        served.channel.on_registered = (
+            lambda: served.channel.put(local, item(next(ts))))
+        consumer.close()  # the next request reconnects with last_got = n
+        for _ in range(4):
+            producer.put(pconn, item(next(ts)))
+        newest = next(ts)
+        producer.put(pconn, item(newest))
+        got = _drain(consumer, cconn, newest)
+        assert min(got) > n  # nothing at or below the resumed cursor again
+        assert got == sorted(set(got))
+        assert len(served.channel) == 0  # back to the steady bound
+    finally:
+        served.close()
+
+
+def test_reconnects_under_a_running_producer_leak_nothing(served):
+    # The same property with real concurrency: a producer thread never
+    # stops putting while the consumer drops its connection again and
+    # again. Time-bounded; the switch interval is shortened so handler
+    # threads interleave inside the OPEN, not only around it.
+    producer, consumer = served.client(), served.client()
+    pconn = producer.register_producer("p")
+    cconn = consumer.register_consumer("c")
+    done = threading.Event()
+    put = []
+
+    def keep_putting():
+        for ts in itertools.count():
+            if done.is_set():
+                return
+            producer.put(pconn, item(ts))
+            put.append(ts)
+
+    thread = threading.Thread(target=keep_putting, daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        thread.start()
+        got = []
+        for _ in range(25):
+            view = consumer.get(cconn, max_wait=2.0)
+            assert view is not None
+            got.append(view.ts)
+            consumer.release(view._item)
+            consumer.close()
+        done.set()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    if got[-1] < put[-1]:
+        got += _drain(consumer, cconn, newest=put[-1])
+    assert got == sorted(set(got))  # no timestamp twice, none backwards
+    assert len(served.channel) == 0
 
 
 def test_retried_put_that_already_landed_is_acknowledged(served, lossy):

@@ -125,6 +125,76 @@ class TestDeadTimestampGC:
         assert len(ch) == 3
 
 
+class CountingDGC(DeadTimestampGC):
+    passes = 0
+
+    def dead_items(self, channel):
+        self.passes += 1
+        return super().dead_items(channel)
+
+
+class TestDgcRunsOnTheEventThatChangesTheAnswer:
+    """Which puts and gets cost a pass (the stateful machine in
+    ``tests/runtime`` checks that skipping the others frees the same)."""
+
+    def setup_method(self):
+        self.gc = CountingDGC()
+        self.ch, _ = make_channel(self.gc)
+        self.prod = self.ch.register_producer("p")
+        self.fast = self.ch.register_consumer("fast")
+        self.slow = self.ch.register_consumer("slow")
+        fill(self.ch, self.prod, 3)  # the first put finds nothing to do
+        self.gc.passes = 0
+
+    def get(self, conn, t=9.0):
+        view = self.ch.commit_get(conn, LATEST, t=t)
+        self.ch.release(view._item, t=t)
+        return view
+
+    def test_a_put_above_the_threshold_costs_nothing(self):
+        self.ch.commit_put(self.prod, Item(ts=3, size=1), t=3.0)
+        assert self.gc.passes == 0
+
+    def test_only_the_minimum_cursor_moving_costs_a_pass(self):
+        self.get(self.fast)
+        assert self.gc.passes == 1  # both cursors sat at the minimum, -1
+        self.ch.commit_put(self.prod, Item(ts=3, size=1), t=3.0)
+        self.get(self.fast)  # fast is ahead of slow: the minimum stays
+        assert self.gc.passes == 1 and len(self.ch) == 4
+        self.get(self.slow)
+        assert self.gc.passes == 2 and len(self.ch) == 0
+
+    def test_a_put_dead_on_arrival_costs_a_pass_and_is_freed(self):
+        self.ch.commit_put(self.prod, Item(ts=7, size=1), t=3.0)
+        self.get(self.fast)
+        self.get(self.slow)
+        assert len(self.ch) == 0
+        passes = self.gc.passes
+        self.ch.commit_put(self.prod, Item(ts=5, size=1), t=4.0)
+        assert self.gc.passes == passes + 1 and len(self.ch) == 0
+
+    def test_a_consumer_leaving_or_resuming_costs_a_pass(self):
+        self.get(self.fast)
+        passes = self.gc.passes
+        self.ch.unregister_consumer(self.slow)
+        self.ch.commit_put(self.prod, Item(ts=3, size=1), t=3.0)
+        assert self.gc.passes == passes + 1
+        assert [i.ts for i in self.ch.items_snapshot()] == [3]
+        self.ch.resume_consumer("back", 3)  # fast, at 2, is still behind
+        self.ch.commit_put(self.prod, Item(ts=4, size=1), t=4.0)
+        assert self.gc.passes == passes + 2
+        assert [i.ts for i in self.ch.items_snapshot()] == [3, 4]
+
+    @pytest.mark.parametrize("name", ["null", "ref", "tgc"])
+    def test_the_other_collectors_are_asked_every_time(self, name):
+        ch, _ = make_channel(make_gc(name))
+        prod = ch.register_producer("p")
+        cons = ch.register_consumer("c")
+        fill(ch, prod, 3)
+        ch.commit_get(cons, LATEST, t=3.0)
+        assert ch._gc_due
+
+
 class TestRefCountGC:
     def test_fully_consumed_item_freed(self):
         ch, _ = make_channel(RefCountGC())

@@ -106,3 +106,37 @@ def test_interval_state_is_per_channel():
     # both channels got their own first (free) pass
     assert ch_a.total_frees > 0
     assert ch_b.total_frees > 0
+
+
+def test_suppressed_pass_stays_due_and_the_next_one_takes_the_backlog():
+    """A lazy pass that found a backlog stays due: inside the interval
+    it keeps asking, and the first eligible put or get — whichever it
+    is — reclaims it."""
+    eng, ch = make_channel(DeadTimestampGC(interval=5.0))
+    prod = ch.register_producer("p")
+    cons = ch.register_consumer("c")
+
+    def put(*stamps):
+        for ts in stamps:
+            ch.commit_put(prod, Item(ts=ts, size=1), t=eng.now)
+
+    def get_and_release():
+        view = ch.commit_get(cons, LATEST, t=eng.now)
+        ch.release(view._item, t=eng.now)
+
+    put(0, 1, 2)
+    get_and_release()  # a channel's first reclaiming pass is free
+    assert len(ch) == 0
+
+    eng.run(until=1.0)
+    put(3, 4)
+    get_and_release()  # the minimum moved: due, but inside the interval
+    assert len(ch) == 2 and ch.total_frees == 3
+    assert ch._gc_due
+    put(5)  # not dead on arrival; the suppressed pass is what still asks
+    assert len(ch) == 3 and ch._gc_due
+
+    eng.run(until=6.5)
+    put(6)  # no cursor moved since: an eager collector would not look
+    assert [item.ts for item in ch.items_snapshot()] == [5, 6]
+    assert ch.total_frees == 5

@@ -285,6 +285,19 @@ class TestMisuseIsTheSameErrorEverywhere:
         with pytest.raises(SimulationError, match="which it does not hold"):
             finish()
 
+    @pytest.mark.parametrize("not_a_syscall", [None, "Get", 3.5, Get],
+                             ids=repr)
+    def test_yielded_a_non_syscall(self, drive, not_a_syscall):
+        # The dispatch table's miss path (the class ``Get`` itself is
+        # hashable and is *not* an instance of any syscall).
+        def body(ctx):
+            yield not_a_syscall
+
+        _runtime, finish = drive(one_consumer(body))
+        with pytest.raises(SimulationError,
+                           match="'cons' yielded .*expected a syscall"):
+            finish()
+
 
 N_ITEMS = 6
 

@@ -1,8 +1,8 @@
 """Stateful property-based testing of Channel invariants.
 
 A hypothesis state machine drives a channel through random interleavings
-of puts, gets (all request kinds), releases, and GC passes — once through
-the simulated shell (``commit_put``/``commit_get`` with explicit times)
+of puts, gets (all request kinds), releases, GC passes and consumers
+attaching, resuming and detaching — once through the simulated shell (``commit_put``/``commit_get`` with explicit times)
 and once through the threaded shell (``ThreadChannel.put``/``try_get``/
 ``release`` under a ``ManualClock``) — and checks the structural
 invariants of the one state machine behind both after every step:
@@ -11,10 +11,19 @@ invariants of the one state machine behind both after every step:
 * ``bytes_held`` equals the sum of stored item sizes, and matches the
   node's memory accounting;
 * consumer cursors are monotone non-decreasing;
-* no GC ever frees an item whose timestamp any consumer's cursor has not
-  passed (the GC safety contract);
+* no GC ever dooms or frees an item whose timestamp any consumer's cursor
+  has not passed (the GC safety contract);
+* eager DGC is *prompt*: once a put or get has run, nothing at or below
+  every cursor is stored unreferenced, and what is referenced is doomed;
 * freed items are really gone; doomed items are freed at release;
 * recorder alloc/free pairing is consistent.
+
+The DGC remembers its threshold between passes and runs one only when a
+put, a get or a change of the consumer set can have changed the answer.
+The rule it replaced — recompute ``min(last_got)`` and slice on every put
+and get — lives on here as :class:`StatelessDGC`, the oracle: a second
+channel collected by it is driven through the same operations, and the
+two must free the same items at the same steps on every sequence.
 """
 
 from hypothesis import settings
@@ -28,7 +37,7 @@ from hypothesis.stateful import (
 )
 
 from repro.cluster import Node, NodeSpec
-from repro.gc import make_gc
+from repro.gc import GarbageCollector, make_gc
 from repro.metrics import TraceRecorder
 from repro.rt_threads import ThreadChannel
 from repro.runtime import Channel, Item
@@ -36,48 +45,143 @@ from repro.sim import Engine, RngRegistry
 from repro.vt import EARLIEST, LATEST, ManualClock
 
 
+class StatelessDGC(GarbageCollector):
+    """The oracle: dead-timestamp identification with no memory. Every
+    pass recomputes the threshold and slices; it never clears the
+    buffer's due flag, so the channel asks it on every put and get."""
+
+    name = "dgc"
+
+    def dead_items(self, channel):
+        if not channel.in_conns:
+            return ()
+        threshold = min(conn.last_got for conn in channel.in_conns)
+        if threshold < 0:
+            return ()
+        return channel.items_upto(threshold)
+
+
+class FreeLog(TraceRecorder):
+    """A recorder that also keeps ``(ts, t)`` of every free, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.frees = []
+
+    def on_free(self, item_id, t):
+        self.frees.append((self.items[item_id].ts, t))
+        super().on_free(item_id, t)
+
+
+MAX_CONSUMERS = 4
+
+
 class ChannelMachine(RuleBasedStateMachine):
     """The rules and invariants; a subclass supplies one shell.
 
     ``setup`` binds ``self.shell`` (what the rules drive), ``self.channel``
-    (the :class:`Channel` holding the state) and ``self.recorder``, then
-    calls :meth:`_start`; ``_put``/``_get``/``_release``/``_collect`` and
-    ``_ledger_bytes`` speak that shell's surface.
+    (the :class:`Channel` holding the state), ``self.recorder`` (a
+    :class:`FreeLog`) and ``self.eager_dgc``, then calls :meth:`_start`;
+    ``_tick``/``_put``/``_get``/``_release``/``_collect``/``_attach``/
+    ``_detach`` and ``_ledger_bytes`` speak that shell's surface.
     """
 
     def _start(self, n_consumers):
+        # The oracle's channel: same operations, same times, old rule.
+        engine = Engine()
+        self.oracle = Channel(
+            engine, "ch", Node(engine, NodeSpec(name="n0"), RngRegistry(0)),
+            recorder=FreeLog(), gc=StatelessDGC(),
+        ) if self.eager_dgc else None
         self.producer = self.shell.register_producer("p")
-        self.consumers = [
-            self.shell.register_consumer(f"c{i}") for i in range(n_consumers)
-        ]
+        if self.oracle is not None:
+            self.oracle_producer = self.oracle.register_producer("p")
+        self.consumers = []  # (conn, the oracle's conn or None)
+        self.n_attached = 0
+        self.prev_cursors = {}
+        for _ in range(n_consumers):
+            self.attach_consumer(resume_at=None)
         self.next_ts = 0
-        self.held = []  # (conn, view)
-        self.prev_cursors = {c.conn_id: c.last_got for c in self.consumers}
+        self.items = []  # every Item put into the shell's channel
+        self.condemned = set()  # timestamps seen doomed or freed
+        self.held = []  # (view, the oracle's view or None)
+        #: Whether a put or get has run since the consumer set changed
+        #: (detaching marks a pass due; the next put or get runs it).
+        self.settled = True
 
     # -- actions ----------------------------------------------------------
     @rule(gap=st.integers(0, 3), size=st.integers(0, 1000))
     def put(self, gap, size):
         ts = self.next_ts + gap
         self.next_ts = ts + 1
-        self._put(Item(ts=ts, size=size, producer="p"))
+        t = self._tick()
+        item = Item(ts=ts, size=size, producer="p")
+        self.items.append(item)
+        self._put(item, t)
+        if self.oracle is not None:
+            self.oracle.commit_put(
+                self.oracle_producer, Item(ts=ts, size=size, producer="p"), t)
+        self.settled = True
 
-    @rule(which=st.integers(0, 2), kind=st.sampled_from(["latest", "earliest"]))
+    @precondition(lambda self: self.consumers)
+    @rule(which=st.integers(0, MAX_CONSUMERS - 1),
+          kind=st.sampled_from(["latest", "earliest"]))
     def get(self, which, kind):
-        conn = self.consumers[which % len(self.consumers)]
-        view = self._get(conn, LATEST if kind == "latest" else EARLIEST)
+        conn, oracle_conn = self.consumers[which % len(self.consumers)]
+        request = LATEST if kind == "latest" else EARLIEST
+        t = self._tick()
+        view = self._get(conn, request, t)
+        oracle_view = None
+        if self.oracle is not None and self.oracle.try_match(oracle_conn,
+                                                             request):
+            oracle_view = self.oracle.commit_get(oracle_conn, request, t)
+            assert view is not None and view.ts == oracle_view.ts
         if view is not None:
             assert view.ts > self.prev_cursors[conn.conn_id]
-            self.held.append((conn, view))
+            assert self.oracle is None or oracle_view is not None
+            self.held.append((view, oracle_view))
+            self.settled = True
 
     @precondition(lambda self: self.held)
     @rule()
     def release_oldest(self):
-        conn, view = self.held.pop(0)
-        self._release(view)
+        view, oracle_view = self.held.pop(0)
+        t = self._tick()
+        self._release(view, t)
+        if oracle_view is not None:
+            self.oracle.release(oracle_view._item, t)
 
     @rule()
     def collect(self):
-        self._collect()
+        t = self._tick()
+        if self._collect(t) and self.oracle is not None:
+            self.oracle.maybe_collect(t)
+
+    @precondition(lambda self: len(self.consumers) < MAX_CONSUMERS)
+    @rule(resume_at=st.one_of(st.none(), st.integers(0, 12)))
+    def attach_consumer(self, resume_at):
+        """A consumer joins — cold, or resuming a cursor (a reconnect)."""
+        thread = f"c{self.n_attached}"
+        self.n_attached += 1
+        conn = self._attach(thread, resume_at)
+        oracle_conn = None
+        if self.oracle is not None:
+            oracle_conn = (self.oracle.register_consumer(thread)
+                           if resume_at is None else
+                           self.oracle.resume_consumer(thread, resume_at))
+        self.consumers.append((conn, oracle_conn))
+        self.prev_cursors[conn.conn_id] = conn.last_got
+        self.settled = False
+
+    @precondition(lambda self: self.consumers)
+    @rule(which=st.integers(0, MAX_CONSUMERS - 1))
+    def detach_consumer(self, which):
+        conn, oracle_conn = self.consumers.pop(which % len(self.consumers))
+        del self.prev_cursors[conn.conn_id]
+        self._detach(conn)
+        if oracle_conn is not None:
+            self.oracle.unregister_consumer(oracle_conn)
+        self.settled = False
 
     # -- invariants ---------------------------------------------------------
     @invariant()
@@ -95,17 +199,39 @@ class ChannelMachine(RuleBasedStateMachine):
 
     @invariant()
     def cursors_monotone(self):
-        for conn in self.consumers:
+        for conn, _oracle_conn in self.consumers:
             assert conn.last_got >= self.prev_cursors[conn.conn_id]
             self.prev_cursors[conn.conn_id] = conn.last_got
 
+    def _min_cursor(self):
+        """The lowest cursor, or None when nobody consumes."""
+        return min((c.last_got for c, _o in self.consumers), default=None)
+
     @invariant()
     def gc_safety(self):
-        """Every freed item's ts is at or below every cursor."""
-        min_cursor = min(c.last_got for c in self.consumers)
-        for trace in self.recorder.items.values():
-            if trace.t_free is not None:
-                assert trace.ts <= min_cursor
+        """An item is doomed or freed only at or below every cursor of
+        the step that condemned it (consumers may come and go later)."""
+        min_cursor = self._min_cursor()
+        for item in self.items:
+            if (item.doomed or item.freed) and item.ts not in self.condemned:
+                assert min_cursor is not None and item.ts <= min_cursor
+                self.condemned.add(item.ts)
+
+    @invariant()
+    def eager_dgc_is_prompt(self):
+        if not (self.eager_dgc and self.settled):
+            return
+        min_cursor = self._min_cursor()
+        if min_cursor is None:
+            return
+        for item in self.channel.items_upto(min_cursor):
+            assert item.refcount > 0 and item.doomed, item
+
+    @invariant()
+    def frees_what_the_stateless_rule_frees(self):
+        """Same timestamps, same order, same instants as the oracle."""
+        if self.oracle is not None:
+            assert self.recorder.frees == self.oracle.recorder.frees
 
     @invariant()
     def stored_items_not_freed(self):
@@ -126,10 +252,11 @@ class SimulatedShell(ChannelMachine):
     def setup(self, gc, n_consumers):
         engine = Engine()
         self.node = Node(engine, NodeSpec(name="n0"), RngRegistry(0))
-        self.recorder = TraceRecorder()
+        self.recorder = FreeLog()
         self.shell = self.channel = Channel(
             engine, "ch", self.node, recorder=self.recorder, gc=make_gc(gc),
         )
+        self.eager_dgc = gc == "dgc"
         self.clock = 0.0
         self._start(n_consumers)
 
@@ -137,19 +264,28 @@ class SimulatedShell(ChannelMachine):
         self.clock += 1.0
         return self.clock
 
-    def _put(self, item):
-        self.channel.commit_put(self.producer, item, t=self._tick())
+    def _put(self, item, t):
+        self.channel.commit_put(self.producer, item, t=t)
 
-    def _get(self, conn, request):
+    def _get(self, conn, request, t):
         if not self.channel.try_match(conn, request):
             return None
-        return self.channel.commit_get(conn, request, t=self._tick())
+        return self.channel.commit_get(conn, request, t=t)
 
-    def _release(self, view):
-        self.channel.release(view._item, t=self._tick())
+    def _release(self, view, t):
+        self.channel.release(view._item, t=t)
 
-    def _collect(self):
-        self.channel.maybe_collect(self._tick())
+    def _collect(self, t):
+        self.channel.maybe_collect(t)
+        return True
+
+    def _attach(self, thread, resume_at):
+        if resume_at is None:
+            return self.channel.register_consumer(thread)
+        return self.channel.resume_consumer(thread, resume_at)
+
+    def _detach(self, conn):
+        self.channel.unregister_consumer(conn)
 
     def _ledger_bytes(self):
         return self.node.mem_in_use
@@ -158,26 +294,38 @@ class SimulatedShell(ChannelMachine):
 class ThreadedShell(ChannelMachine):
     @initialize(n_consumers=st.integers(1, 3))
     def setup(self, n_consumers):
-        self.recorder = TraceRecorder()
+        self.recorder = FreeLog()
         self.clock = ManualClock()
         self.shell = ThreadChannel("ch", self.recorder, self.clock)
         self.channel = self.shell._state
+        self.eager_dgc = True
         self._start(n_consumers)
 
-    def _put(self, item):
+    def _tick(self) -> float:
+        """The shell stamps its transitions from the clock it was given."""
         self.clock.advance(1.0)
+        return self.clock.now()
+
+    def _put(self, item, t):
         self.shell.put(self.producer, item)
 
-    def _get(self, conn, request):
-        self.clock.advance(1.0)
+    def _get(self, conn, request, t):
         return self.shell.try_get(conn, request)
 
-    def _release(self, view):
-        self.clock.advance(1.0)
+    def _release(self, view, t):
         self.shell.release(view._item)
 
-    def _collect(self):
-        """No separate entry point: DGC rides on every put and get."""
+    def _collect(self, t):
+        """No separate entry point: DGC rides on puts and gets."""
+        return False
+
+    def _attach(self, thread, resume_at):
+        if resume_at is None:
+            return self.shell.register_consumer(thread)
+        return self.shell.resume_consumer(thread, resume_at)
+
+    def _detach(self, conn):
+        self.shell.evict_consumer(conn.thread)
 
     def _ledger_bytes(self):
         return self.shell.bytes_held
