@@ -13,6 +13,9 @@ script runs one repetition of a simulated e2e workload under
 * ``python_calls`` — frames entered (a generator resume enters one);
 * ``c_calls`` — calls into builtins and extension functions;
 * ``generator_starts`` — first entries into generator bodies;
+* ``setup_python_calls`` / ``setup_c_calls`` — the share of the first two
+  made before the first ``Runtime.run`` is entered (imports, graph
+  building and validation, placement, driver assembly);
 * ``events`` — engine events, from the workload's ``Runtime.run`` stamps;
 * ``calls_per_event`` — ``python_calls / events``, the machine-stable
   ratio ``tests/bench/test_call_budget.py`` gates.
@@ -48,20 +51,43 @@ def _first_resume(code) -> int:
     return -1
 
 
-def count_calls(fn: Callable[[], Any]) -> Tuple[Dict[str, Any], Any]:
+def _by_function(by_code: Counter) -> Dict[str, int]:
+    by_function: Counter = Counter()
+    for code, n in by_code.items():
+        path = Path(code.co_filename)
+        try:
+            path = path.resolve().relative_to(ROOT)
+        except ValueError:
+            pass
+        name = getattr(code, "co_qualname", code.co_name)
+        by_function[f"{path}:{code.co_firstlineno}:{name}"] += n
+    return dict(by_function)
+
+
+def count_calls(fn: Callable[[], Any], setup_ends=None
+                ) -> Tuple[Dict[str, Any], Any]:
     """Run ``fn()`` under ``sys.setprofile``; returns ``(counts, result)``.
 
     ``counts`` holds ``python_calls``, ``c_calls``, ``generator_starts``
-    and ``by_function`` (``"path:line:qualname" -> python calls``).
+    and ``by_function`` (``"path:line:qualname" -> python calls``). With
+    ``setup_ends`` (a code object), also ``setup_python_calls``,
+    ``setup_c_calls`` and ``setup_by_function``: the same counts as they
+    stood when a frame of that code was first entered.
     """
     by_code: Counter = Counter()
     first_offset: Dict[Any, int] = {}
     c_calls = generator_starts = 0
+    setup: Dict[str, Any] = {}
 
     def profile(frame, event, arg):
         nonlocal c_calls, generator_starts
         if event == "call":
             code = frame.f_code
+            if code is setup_ends and not setup:
+                setup.update(
+                    setup_python_calls=sum(by_code.values()),
+                    setup_c_calls=c_calls,
+                    setup_by_function=_by_function(by_code))
             by_code[code] += 1
             if code.co_flags & _CO_GENERATOR:
                 first = first_offset.get(code)
@@ -77,20 +103,12 @@ def count_calls(fn: Callable[[], Any]) -> Tuple[Dict[str, Any], Any]:
         result = fn()
     finally:
         sys.setprofile(None)
-    by_function: Counter = Counter()
-    for code, n in by_code.items():
-        path = Path(code.co_filename)
-        try:
-            path = path.resolve().relative_to(ROOT)
-        except ValueError:
-            pass
-        name = getattr(code, "co_qualname", code.co_name)
-        by_function[f"{path}:{code.co_firstlineno}:{name}"] += n
     return {
         "python_calls": sum(by_code.values()),
         "c_calls": c_calls,
         "generator_starts": generator_starts,
-        "by_function": dict(by_function),
+        "by_function": _by_function(by_code),
+        **setup,
     }, result
 
 
@@ -102,15 +120,18 @@ def count_workload(name: str, seed: int) -> Dict[str, Any]:
     from layers import Patches, RunStamps
     from workloads import WORKLOADS
 
+    from repro.runtime.runtime import Runtime
+
     workload = WORKLOADS.get(name)
     if workload is None or workload.kind != "sim":
         sim = sorted(n for n, w in WORKLOADS.items() if w.kind == "sim")
         raise SystemExit(f"--workload must be one of {sim}, got {name!r}")
     patches, stamps = Patches(), RunStamps()
+    first_run = vars(Runtime)["run"].__code__  # under RunStamps' wrapper
     stamps.install(patches)
     try:
         counts, (_calls, failures, _check) = count_calls(
-            lambda: workload.run(seed))
+            lambda: workload.run(seed), setup_ends=first_run)
     finally:
         patches.restore()
     if failures:
@@ -122,7 +143,7 @@ def count_workload(name: str, seed: int) -> Dict[str, Any]:
 
 
 _SCALARS = ("python_calls", "c_calls", "generator_starts", "events",
-            "calls_per_event")
+            "calls_per_event", "setup_python_calls", "setup_c_calls")
 
 
 def _print_counts(counts: Dict[str, Any], top: int) -> None:
@@ -146,21 +167,31 @@ def _by_name(by_function: Dict[str, int]) -> Counter:
     return out
 
 
-def compare(a: Dict[str, Any], b: Dict[str, Any], top: int) -> None:
-    """Print B against A: the scalar rows, then the top-N functions by
-    absolute change in Python calls."""
-    for key in _SCALARS:
-        va, vb = a[key], b[key]
-        change = 100.0 * (vb - va) / va if va else 0.0
-        fmt = "{:.2f}" if isinstance(va, float) else "{}"
-        print(f"{key:>17}  {fmt.format(va):>12} -> {fmt.format(vb):>12}  "
-              f"{change:+.2f} %")
-    fa, fb = _by_name(a["by_function"]), _by_name(b["by_function"])
+def _print_deltas(a: Dict[str, int], b: Dict[str, int], top: int) -> None:
+    fa, fb = _by_name(a), _by_name(b)
     deltas = {k: fb[k] - fa[k] for k in set(fa) | set(fb)}
     ranked = sorted(deltas.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
     for func, delta in ranked[:top]:
         if delta:
             print(f"{delta:>+12}  {func}  ({fa[func]} -> {fb[func]})")
+
+
+def compare(a: Dict[str, Any], b: Dict[str, Any], top: int) -> None:
+    """Print B against A: the scalar rows, then the top-N functions by
+    absolute change in Python calls — over the whole repetition, then
+    (when both files carry it) over set-up alone."""
+    for key in _SCALARS:
+        if key not in a or key not in b:
+            continue  # counts written before the set-up lines existed
+        va, vb = a[key], b[key]
+        change = 100.0 * (vb - va) / va if va else 0.0
+        fmt = "{:.2f}" if isinstance(va, float) else "{}"
+        print(f"{key:>18}  {fmt.format(va):>12} -> {fmt.format(vb):>12}  "
+              f"{change:+.2f} %")
+    _print_deltas(a["by_function"], b["by_function"], top)
+    if "setup_by_function" in a and "setup_by_function" in b:
+        print("set-up (before the first Runtime.run):")
+        _print_deltas(a["setup_by_function"], b["setup_by_function"], top)
 
 
 def main(argv=None) -> int:

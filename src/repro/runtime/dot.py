@@ -51,7 +51,7 @@ def graph_to_dot(graph: TaskGraph, rankdir: str = "LR") -> str:
         lines.append(
             f'  "{_escape(buffer)}" [shape={shape}, label="{_escape(label)}"];'
         )
-    for src, dst in graph.nx_graph.edges():
+    for src, dst in graph.edges():
         lines.append(f'  "{_escape(src)}" -> "{_escape(dst)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

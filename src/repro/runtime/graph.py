@@ -6,13 +6,23 @@ that structure — a bipartite DAG of *threads* and *buffers* (channels or
 queues), built through an API mirroring Stampede's
 ``spd_chan_alloc()``-style calls, including the paper's added optional
 per-channel dependency operator parameter.
+
+The graph is three insertion-ordered dicts (attributes, successors,
+predecessors). **Ordering contract** — ``merge``, thread start order, DOT
+output and every placement are deterministic because: nodes (so
+``threads()`` / ``buffers()``) iterate in the order added; a node's
+successors (``consumers_of`` / ``outputs_of``) and predecessors
+(``producers_of`` / ``inputs_of``) in the order their edges were
+connected; ``edges()`` by source in node order, then successor order;
+``merge`` adds the other graph's nodes in its node order and its edges in
+its ``edges()`` order (so a merged node's predecessors follow the
+source's *node* order, not its connect order); removing a node moves
+nothing else.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
-
-import networkx as nx
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import GraphError
 
@@ -37,7 +47,11 @@ class TaskGraph:
 
     def __init__(self, name: str = "app") -> None:
         self.name = name
-        self._g = nx.DiGraph()
+        #: node -> attributes; node -> successors / predecessors, kept as
+        #: insertion-ordered sets (dicts whose values are unused).
+        self._nodes: Dict[str, Dict[str, Any]] = {}
+        self._succ: Dict[str, Dict[str, None]] = {}
+        self._pred: Dict[str, Dict[str, None]] = {}
         #: stage name -> replication spec (see :meth:`add_replicated_stage`).
         self._replicated: Dict[str, Dict[str, Any]] = {}
         #: Whether any thread is explicitly marked ``sink`` (cached so
@@ -48,8 +62,13 @@ class TaskGraph:
     def _check_new_name(self, name: str) -> None:
         if not name or not isinstance(name, str):
             raise GraphError(f"invalid node name: {name!r}")
-        if name in self._g:
+        if name in self._nodes:
             raise GraphError(f"duplicate node name: {name!r}")
+
+    def _add_node(self, name: str, attrs: Dict[str, Any]) -> None:
+        self._nodes[name] = attrs
+        self._succ[name] = {}
+        self._pred[name] = {}
 
     def add_thread(
         self,
@@ -63,15 +82,9 @@ class TaskGraph:
     ) -> "TaskGraph":
         """Declare a task thread. ``fn(ctx)`` must return a task generator."""
         self._check_new_name(name)
-        self._g.add_node(
-            name,
-            kind=THREAD,
-            fn=fn,
-            node=node,
-            sink=bool(sink),
-            params=dict(params or {}),
-            compress_op=compress_op,
-        )
+        self._add_node(name, dict(
+            kind=THREAD, fn=fn, node=node, sink=bool(sink),
+            params=dict(params or {}), compress_op=compress_op))
         if sink:
             self._has_marked_sink = True
         return self
@@ -102,17 +115,17 @@ class TaskGraph:
         self._check_new_name(name)
         if capacity is not None and capacity < 1:
             raise GraphError(f"buffer {name!r}: capacity must be >= 1")
-        self._g.add_node(
-            name, kind=kind, node=node, compress_op=compress_op, capacity=capacity
-        )
+        self._add_node(name, dict(kind=kind, node=node,
+                                  compress_op=compress_op, capacity=capacity))
         return self
 
     def connect(self, src: str, dst: str) -> "TaskGraph":
         """Add an edge. Must join a thread to a buffer or a buffer to a thread."""
+        nodes = self._nodes
         for endpoint in (src, dst):
-            if endpoint not in self._g:
+            if endpoint not in nodes:
                 raise GraphError(f"unknown node {endpoint!r}")
-        kinds = (self.kind(src), self.kind(dst))
+        kinds = (nodes[src]["kind"], nodes[dst]["kind"])
         if not (
             (kinds[0] == THREAD and kinds[1] in _BUFFER_KINDS)
             or (kinds[0] in _BUFFER_KINDS and kinds[1] == THREAD)
@@ -121,9 +134,10 @@ class TaskGraph:
                 f"illegal edge {src!r}({kinds[0]}) -> {dst!r}({kinds[1]}): "
                 "edges must alternate thread <-> buffer"
             )
-        if self._g.has_edge(src, dst):
+        if dst in self._succ[src]:
             raise GraphError(f"duplicate edge {src!r} -> {dst!r}")
-        self._g.add_edge(src, dst)
+        self._succ[src][dst] = None
+        self._pred[dst][src] = None
         return self
 
     # -- replicated stages -------------------------------------------------
@@ -181,10 +195,10 @@ class TaskGraph:
             )
         self.add_queue(input, node=node, compress_op=compress_op,
                        capacity=input_capacity)
-        self._g.nodes[input]["partition_of"] = stage
-        self._g.nodes[input]["partition"] = partition
+        self._nodes[input]["partition_of"] = stage
+        self._nodes[input]["partition"] = partition
         self.add_channel(output, node=output_node)
-        self._g.nodes[output]["merge_of"] = stage
+        self._nodes[output]["merge_of"] = stage
         self._replicated[stage] = {
             "fn": fn,
             "input": input,
@@ -196,6 +210,7 @@ class TaskGraph:
             "params": dict(params or {}),
             "compress_op": compress_op,
             "next_index": 0,
+            "members": {},  # replica index -> live worker, in index order
         }
         for _ in range(replicas):
             self.add_replica(stage)
@@ -214,13 +229,7 @@ class TaskGraph:
 
     def replicas_of(self, stage: str) -> List[str]:
         """Current worker threads of ``stage``, ordered by replica index."""
-        self.stage_spec(stage)
-        members = [
-            (d["replica_index"], n)
-            for n, d in self._g.nodes(data=True)
-            if d.get("replica_of") == stage
-        ]
-        return [n for _, n in sorted(members)]
+        return list(self.stage_spec(stage)["members"].values())
 
     def add_replica(self, stage: str) -> str:
         """Add one worker thread to ``stage``; returns its name.
@@ -239,22 +248,29 @@ class TaskGraph:
             params=dict(spec["params"]),
             compress_op=spec["compress_op"],
         )
-        self._g.nodes[name]["replica_of"] = stage
-        self._g.nodes[name]["replica_index"] = idx
+        self._nodes[name]["replica_of"] = stage
+        self._nodes[name]["replica_index"] = idx
+        spec["members"][idx] = name
         self.connect(spec["input"], name)
         self.connect(name, spec["output"])
         return name
 
     def remove_replica(self, stage: str, name: str) -> None:
         """Remove a retired worker thread (and its edges) from the graph."""
-        self.stage_spec(stage)
-        if name not in self._g or self._g.nodes[name].get("replica_of") != stage:
+        members = self.stage_spec(stage)["members"]
+        attrs = self._nodes.get(name)
+        if attrs is None or attrs.get("replica_of") != stage:
             raise GraphError(f"{name!r} is not a replica of stage {stage!r}")
-        if len(self.replicas_of(stage)) <= 1:
+        if len(members) <= 1:
             raise GraphError(
                 f"stage {stage!r}: cannot remove the last replica {name!r}"
             )
-        self._g.remove_node(name)
+        del members[attrs["replica_index"]]
+        for succ in self._succ.pop(name):
+            del self._pred[succ][name]
+        for pred in self._pred.pop(name):
+            del self._succ[pred][name]
+        del self._nodes[name]
 
     # -- composition --------------------------------------------------------
     def merge(self, other: "TaskGraph", prefix: str = "") -> Dict[str, str]:
@@ -273,9 +289,9 @@ class TaskGraph:
         """
         if other is self:
             raise GraphError("cannot merge a graph into itself")
-        mapping = {n: f"{prefix}{n}" for n in other._g.nodes}
+        mapping = {n: f"{prefix}{n}" for n in other._nodes}
         for new in mapping.values():
-            if new in self._g:
+            if new in self._nodes:
                 raise GraphError(
                     f"merge collision: {new!r} already exists in "
                     f"{self.name!r}"
@@ -287,62 +303,70 @@ class TaskGraph:
                     f"{prefix}{stage!r} already exists in {self.name!r}"
                 )
         for old, new in mapping.items():
-            data = dict(other._g.nodes[old])
+            data = dict(other._nodes[old])
+            if "params" in data:  # task bodies keep counters there
+                data["params"] = dict(data["params"])
             for key in ("partition_of", "merge_of", "replica_of"):
                 if data.get(key) is not None:
                     data[key] = f"{prefix}{data[key]}"
-            self._g.add_node(new, **data)
+            self._add_node(new, data)
             if data.get("sink"):
                 self._has_marked_sink = True
-        for u, v in other._g.edges:
-            self._g.add_edge(mapping[u], mapping[v])
+        for u, v in other.edges():
+            self._succ[mapping[u]][mapping[v]] = None
+            self._pred[mapping[v]][mapping[u]] = None
         for stage, spec in other._replicated.items():
             spec = dict(spec)
             spec["params"] = dict(spec["params"])
             spec["input"] = f"{prefix}{spec['input']}"
             spec["output"] = f"{prefix}{spec['output']}"
+            spec["members"] = {i: mapping[n] for i, n in spec["members"].items()}
             self._replicated[f"{prefix}{stage}"] = spec
         return mapping
 
     # -- inspection ---------------------------------------------------------
     def kind(self, name: str) -> str:
         try:
-            return self._g.nodes[name]["kind"]
+            return self._nodes[name]["kind"]
         except KeyError:
             raise GraphError(f"unknown node {name!r}") from None
 
     def attrs(self, name: str) -> Dict[str, Any]:
-        if name not in self._g:
+        if name not in self._nodes:
             raise GraphError(f"unknown node {name!r}")
-        return self._g.nodes[name]
+        return self._nodes[name]
 
     def threads(self) -> List[str]:
-        return [n for n, d in self._g.nodes(data=True) if d["kind"] == THREAD]
+        return [n for n, d in self._nodes.items() if d["kind"] == THREAD]
 
     def buffers(self) -> List[str]:
-        return [n for n, d in self._g.nodes(data=True) if d["kind"] in _BUFFER_KINDS]
+        return [n for n, d in self._nodes.items() if d["kind"] in _BUFFER_KINDS]
 
     def channels(self) -> List[str]:
-        return [n for n, d in self._g.nodes(data=True) if d["kind"] == CHANNEL]
+        return [n for n, d in self._nodes.items() if d["kind"] == CHANNEL]
 
     def queues(self) -> List[str]:
-        return [n for n, d in self._g.nodes(data=True) if d["kind"] == QUEUE]
+        return [n for n, d in self._nodes.items() if d["kind"] == QUEUE]
+
+    def edges(self) -> List[Tuple[str, str]]:
+        """``(src, dst)`` pairs: by source in node order, then successor order."""
+        return [(u, v) for u, succ in self._succ.items() for v in succ]
 
     def producers_of(self, buffer: str) -> List[str]:
         """Threads putting into ``buffer``."""
-        return list(self._g.predecessors(buffer))
+        return list(self._pred[buffer])
 
     def consumers_of(self, buffer: str) -> List[str]:
         """Threads getting from ``buffer``."""
-        return list(self._g.successors(buffer))
+        return list(self._succ[buffer])
 
     def inputs_of(self, thread: str) -> List[str]:
         """Buffers ``thread`` consumes from."""
-        return list(self._g.predecessors(thread))
+        return list(self._pred[thread])
 
     def outputs_of(self, thread: str) -> List[str]:
         """Buffers ``thread`` produces into."""
-        return list(self._g.successors(thread))
+        return list(self._succ[thread])
 
     def sources(self) -> List[str]:
         """Threads with no input buffers — the paper's throttle targets."""
@@ -350,7 +374,7 @@ class TaskGraph:
 
     def sinks(self) -> List[str]:
         """Threads explicitly marked ``sink``, else threads with no outputs."""
-        marked = [t for t in self.threads() if self._g.nodes[t].get("sink")]
+        marked = [t for t in self.threads() if self._nodes[t].get("sink")]
         if marked:
             return marked
         return [t for t in self.threads() if not self.outputs_of(t)]
@@ -364,13 +388,8 @@ class TaskGraph:
         if self.kind(thread) != THREAD:
             return False
         if self._has_marked_sink:
-            return bool(self._g.nodes[thread].get("sink"))
+            return bool(self._nodes[thread].get("sink"))
         return not self.outputs_of(thread)
-
-    @property
-    def nx_graph(self) -> nx.DiGraph:
-        """The underlying networkx graph (read-only by convention)."""
-        return self._g
 
     # -- validation -------------------------------------------------------
     def validate(self) -> None:
@@ -381,25 +400,50 @@ class TaskGraph:
         A buffer with no consumer is legal (its items are pure waste) but
         unusual, so it is allowed — the resource metrics will expose it.
         """
-        if not self.threads():
+        threads = self.threads()
+        if not threads:
             raise GraphError(f"graph {self.name!r} has no threads")
         for buffer in self.buffers():
-            if not self.producers_of(buffer):
+            if not self._pred[buffer]:
                 raise GraphError(f"buffer {buffer!r} has no producer")
-        for thread in self.threads():
-            if self._g.nodes[thread]["fn"] is None:
+        for thread in threads:
+            if self._nodes[thread]["fn"] is None:
                 raise GraphError(f"thread {thread!r} has no body (fn=None)")
-        try:
-            cycle = nx.find_cycle(self._g)
-        except nx.NetworkXNoCycle:
-            cycle = None
+        cycle = self._find_cycle()
         if cycle:
             raise GraphError(f"graph {self.name!r} has a cycle: {cycle}")
         if not self.sources():
             raise GraphError(f"graph {self.name!r} has no source thread")
 
+    def _find_cycle(self) -> Optional[List[Tuple[str, str]]]:
+        """The edges of one directed cycle, or None. Iterative three-colour
+        DFS: a node is unvisited, on the current path, or finished; an edge
+        back into the path closes a cycle."""
+        succ = self._succ
+        on_path: Dict[str, bool] = {}  # absent: unvisited; False: finished
+        for root in succ:
+            if root in on_path:
+                continue
+            path, pending = [root], [iter(succ[root])]
+            on_path[root] = True
+            while pending:
+                for child in pending[-1]:
+                    child_on_path = on_path.get(child)
+                    if child_on_path:
+                        walk = path[path.index(child):] + [child]
+                        return list(zip(walk, walk[1:]))
+                    if child_on_path is None:
+                        path.append(child)
+                        pending.append(iter(succ[child]))
+                        on_path[child] = True
+                        break
+                else:
+                    pending.pop()
+                    on_path[path.pop()] = False
+        return None
+
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<TaskGraph {self.name!r}: {len(self.threads())} threads, "
-            f"{len(self.buffers())} buffers, {self._g.number_of_edges()} edges>"
+            f"{len(self.buffers())} buffers, {len(self.edges())} edges>"
         )

@@ -46,10 +46,17 @@ class ReservationLedger:
 
     def __init__(self, cluster: ClusterSpec) -> None:
         self.cluster = cluster
-        self._specs = {n.name: n for n in cluster.nodes}
+        #: node -> full capacity vector (cpu, mem_bytes, bandwidth_bps).
+        self.capacities: Dict[str, Tuple[float, float, float]] = {
+            n.name: n.capacity_vector for n in cluster.nodes
+        }
         #: node -> [cpu, mem_bytes, bandwidth_bps] currently reserved.
         self.committed: Dict[str, List[float]] = {
             n.name: [0.0, 0.0, 0.0] for n in cluster.nodes
+        }
+        #: node -> ``capacity - committed``, re-derived on every axis written.
+        self.free: Dict[str, List[float]] = {
+            n: [float(axis) for axis in cap] for n, cap in self.capacities.items()
         }
         #: tenant -> [cpu, mem_bytes, bandwidth_bps] across all nodes
         #: (base reservations plus granted headroom draws).
@@ -76,16 +83,15 @@ class ReservationLedger:
 
     # -- capacity queries --------------------------------------------------
     def capacity(self, name: str) -> Tuple[float, float, float]:
-        spec = self._specs.get(name)
-        if spec is None:
-            raise ConfigError(f"no node named {name!r}")
-        return spec.capacity_vector
+        try:
+            return self.capacities[name]
+        except KeyError:
+            raise ConfigError(f"no node named {name!r}") from None
 
     def available(self, name: str) -> Tuple[float, float, float]:
         """Uncommitted capacity of one node (ignores failure state)."""
-        cap = self.capacity(name)
-        committed = self.committed[name]
-        return tuple(cap[i] - committed[i] for i in range(3))
+        self.capacity(name)  # validates the node exists
+        return tuple(self.free[name])
 
     def utilization(self) -> Dict[str, Dict[str, float]]:
         """Per-node committed fraction on every axis (diagnostics).
@@ -95,21 +101,13 @@ class ReservationLedger:
         and the fairness report should say so.
         """
         out: Dict[str, Dict[str, float]] = {}
-        for name in self.committed:
-            cap = self.capacity(name)
-            committed = self.committed[name]
+        for name, committed in self.committed.items():
+            cap = self.capacities[name]
             out[name] = {
                 axis: (committed[i] / cap[i] if cap[i] else 0.0)
                 for i, axis in enumerate(AXES)
             }
         return out
-
-    def free_cpu(self, exclude=()) -> float:
-        """Aggregate uncommitted CPU across nodes (minus ``exclude``)."""
-        return sum(
-            self.available(name)[0] for name in self.committed
-            if name not in exclude
-        )
 
     # -- commit / release --------------------------------------------------
     def _tenant_vector(self, tenant: str) -> List[float]:
@@ -125,7 +123,8 @@ class ReservationLedger:
         for thread, node in placement.items():
             vector = demands[thread].as_vector()
             committed = self.committed[node]
-            cap = self.capacity(node)
+            cap = self.capacities[node]
+            free = self.free[node]
             for i in range(3):
                 if committed[i] + vector[i] > cap[i] + _EPS:
                     raise SimulationError(
@@ -134,6 +133,7 @@ class ReservationLedger:
                         f"{committed[i] + vector[i]:.3f} > {cap[i]:.3f}"
                     )
                 committed[i] += vector[i]
+                free[i] = cap[i] - committed[i]
             if tenant is not None:
                 owned = self._tenant_vector(tenant)
                 for i in range(3):
@@ -148,6 +148,8 @@ class ReservationLedger:
         for thread, node in placement.items():
             vector = demands[thread].as_vector()
             committed = self.committed[node]
+            cap = self.capacities[node]
+            free = self.free[node]
             for i in range(3):
                 if committed[i] - vector[i] < -_EPS:
                     raise SimulationError(
@@ -155,12 +157,17 @@ class ReservationLedger:
                         f"for {thread!r}"
                     )
                 committed[i] = max(0.0, committed[i] - vector[i])
+                free[i] = cap[i] - committed[i]
             if tenant is not None and tenant in self.tenant_committed:
                 owned = self.tenant_committed[tenant]
                 for i in range(3):
                     owned[i] = max(0.0, owned[i] - vector[i])
             if self._nodes is not None:
                 self._nodes[node].uncommit(vector[0], vector[1], vector[2])
+
+    def _set_committed_cpu(self, node: str, cpu: float) -> None:
+        self.committed[node][0] = cpu
+        self.free[node][0] = self.capacities[node][0] - cpu
 
     # -- elastic budgets (the arbiter's grant surface) ---------------------
     def budget(self, tenant: str) -> float:
@@ -198,11 +205,11 @@ class ReservationLedger:
             raise ConfigError(f"headroom request must be >= 0, got {cpu}")
         used = self.budget_used.get(tenant, 0.0)
         fits_budget = used + cpu <= self.budgets.get(tenant, 0.0) + _EPS
-        fits_node = self.available(node)[0] + _EPS >= cpu
+        fits_node = self.free[node][0] + _EPS >= cpu
         if not (fits_budget and fits_node):
             self.denials[tenant] = self.denials.get(tenant, 0) + 1
             return False
-        self.committed[node][0] += cpu
+        self._set_committed_cpu(node, self.committed[node][0] + cpu)
         self._tenant_vector(tenant)[0] += cpu
         self.budget_used[tenant] = used + cpu
         self.grants[tenant] = self.grants.get(tenant, 0) + 1
@@ -219,7 +226,7 @@ class ReservationLedger:
                 f"only {used} drawn"
             )
         self.budget_used[tenant] = max(0.0, used - cpu)
-        self.committed[node][0] = max(0.0, self.committed[node][0] - cpu)
+        self._set_committed_cpu(node, max(0.0, self.committed[node][0] - cpu))
         if tenant in self.tenant_committed:
             vec = self.tenant_committed[tenant]
             vec[0] = max(0.0, vec[0] - cpu)
@@ -246,5 +253,5 @@ class ReservationLedger:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         used = sum(c[0] for c in self.committed.values())
-        total = sum(self.capacity(n)[0] for n in self.committed)
+        total = sum(cap[0] for cap in self.capacities.values())
         return f"<ReservationLedger cpu {used:.1f}/{total:.1f}>"

@@ -51,16 +51,24 @@ class PlacementView:
     #: Candidate node names, in cluster declaration order (failed nodes
     #: are excluded by the scheduler before the view is built).
     nodes: Tuple[str, ...]
-    #: node -> full capacity vector (cpu, mem_bytes, bandwidth_bps).
+    #: node -> capacity (cpu, mem_bytes, bandwidth_bps); may cover more than ``nodes``.
     capacity: Dict[str, Tuple[float, float, float]]
     #: node -> remaining capacity vector, consumed during placement.
     available: Dict[str, List[float]]
     #: thread -> graph-neighbor threads (shared buffer), for colocation.
     neighbors: Mapping[str, frozenset] = field(default_factory=dict)
 
+    def rows(self) -> List[tuple]:
+        """``(index, node, capacity, available)`` per candidate, built once
+        per attempt; ``available`` is the live vector :meth:`take` consumes."""
+        capacity, available = self.capacity, self.available
+        return [(index, node, capacity[node], available[node])
+                for index, node in enumerate(self.nodes)]
+
     def fits(self, node: str, demand: Tuple[float, float, float]) -> bool:
         avail = self.available[node]
-        return all(avail[i] + _EPS >= demand[i] for i in range(3))
+        return (avail[0] + _EPS >= demand[0] and avail[1] + _EPS >= demand[1]
+                and avail[2] + _EPS >= demand[2])
 
     def take(self, node: str, demand: Tuple[float, float, float]) -> None:
         avail = self.available[node]
@@ -84,16 +92,18 @@ class RoundRobinPlacement:
 
     def place(self, tenant: str, threads, demands, view: PlacementView
               ) -> Optional[Dict[str, str]]:
-        if not view.nodes:
+        rows = view.rows()
+        if not rows:
             return None
-        n = len(view.nodes)
+        n = len(rows)
         assignment: Dict[str, str] = {}
         for thread in threads:
-            vector = demands[thread].as_vector()
+            cpu, mem, bandwidth = vector = demands[thread].as_vector()
             chosen = None
             for k in range(n):
-                node = view.nodes[(self._cursor + k) % n]
-                if view.fits(node, vector):
+                _, node, _, (a0, a1, a2) = rows[(self._cursor + k) % n]
+                if (a0 + _EPS >= cpu and a1 + _EPS >= mem
+                        and a2 + _EPS >= bandwidth):
                     chosen = node
                     self._cursor = (self._cursor + k + 1) % n
                     break
@@ -120,9 +130,10 @@ class RStormPlacement:
 
     def place(self, tenant: str, threads, demands, view: PlacementView
               ) -> Optional[Dict[str, str]]:
+        rows = view.rows()
         assignment: Dict[str, str] = {}
         for thread in threads:
-            vector = demands[thread].as_vector()
+            cpu, mem, bandwidth = vector = demands[thread].as_vector()
             neighbor_nodes = {
                 assignment[other]
                 for other in view.neighbors.get(thread, ())
@@ -130,18 +141,17 @@ class RStormPlacement:
             }
             best = None
             best_key = None
-            for index, node in enumerate(view.nodes):
-                if not view.fits(node, vector):
+            for index, node, (c0, c1, c2), (a0, a1, a2) in rows:
+                if not (a0 + _EPS >= cpu and a1 + _EPS >= mem
+                        and a2 + _EPS >= bandwidth):
                     continue
-                capacity = view.capacity[node]
-                avail = view.available[node]
-                distance = 0.0
-                for i in range(3):
-                    if capacity[i] > 0:
-                        remainder = (avail[i] - vector[i]) / capacity[i]
-                        distance += remainder * remainder
+                # Remainders as fractions of capacity; an axis the node
+                # does not have contributes nothing.
+                r0 = (a0 - cpu) / c0 if c0 > 0 else 0.0
+                r1 = (a1 - mem) / c1 if c1 > 0 else 0.0
+                r2 = (a2 - bandwidth) / c2 if c2 > 0 else 0.0
                 key = (0 if node in neighbor_nodes else 1,
-                       math.sqrt(distance), index)
+                       math.sqrt(r0 * r0 + r1 * r1 + r2 * r2), index)
                 if best_key is None or key < best_key:
                     best, best_key = node, key
             if best is None:
@@ -163,20 +173,20 @@ class SpreadPlacement:
 
     def place(self, tenant: str, threads, demands, view: PlacementView
               ) -> Optional[Dict[str, str]]:
+        rows = view.rows()
         assignment: Dict[str, str] = {}
         for thread in threads:
-            vector = demands[thread].as_vector()
+            cpu, mem, bandwidth = vector = demands[thread].as_vector()
             best = None
             best_key = None
-            for index, node in enumerate(view.nodes):
-                if not view.fits(node, vector):
+            for index, node, (c0, c1, c2), (a0, a1, a2) in rows:
+                if not (a0 + _EPS >= cpu and a1 + _EPS >= mem
+                        and a2 + _EPS >= bandwidth):
                     continue
-                capacity = view.capacity[node]
-                avail = view.available[node]
-                headroom = min(
-                    (avail[i] - vector[i]) / capacity[i]
-                    for i in range(3) if capacity[i] > 0
-                )
+                # Smallest remaining fraction over the axes the node has.
+                headroom = min((a0 - cpu) / c0 if c0 > 0 else math.inf,
+                               (a1 - mem) / c1 if c1 > 0 else math.inf,
+                               (a2 - bandwidth) / c2 if c2 > 0 else math.inf)
                 key = (-headroom, index)
                 if best_key is None or key < best_key:
                     best, best_key = node, key

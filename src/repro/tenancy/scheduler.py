@@ -107,13 +107,12 @@ class Scheduler:
     def _view(self, neighbors: Optional[Mapping] = None,
               exclude=()) -> PlacementView:
         dead = self.failed.union(exclude)
-        nodes = tuple(
-            n.name for n in self.cluster.nodes if n.name not in dead
-        )
+        ledger = self.ledger
+        nodes = tuple([n for n in ledger.capacities if n not in dead])
         return PlacementView(
             nodes=nodes,
-            capacity={n: self.capacity(n) for n in nodes},
-            available={n: list(self.available(n)) for n in nodes},
+            capacity=ledger.capacities,  # the whole table: shared, read-only
+            available={n: ledger.free[n][:] for n in nodes},
             neighbors=neighbors or {},
         )
 

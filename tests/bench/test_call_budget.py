@@ -10,8 +10,12 @@ doing real work), each as the difference of two horizons so that only
 the steady state counts. Deterministic, so not behind the ``perf`` marker. A
 change that makes the per-syscall path dearer trips this on any machine;
 one that makes it cheaper should lower the budget in the same PR.
+
+Set-up has the same kind of gate: Python calls per admitted light tenant,
+as the difference of admitting 40 and 20 of them with no engine run.
 """
 
+import gc
 import importlib.util
 from pathlib import Path
 
@@ -20,12 +24,14 @@ import pytest
 from repro.cluster.spec import uniform_spec
 from repro.experiment import ExperimentSpec, run_experiment
 from repro.tenancy import (
+    Scheduler,
     TenancySpec,
+    TenantRuntime,
     TenantSpec,
     run_tenants,
     scaled_tracker_config,
 )
-from repro.tenancy.tenant import ResourceDemand
+from repro.tenancy.tenant import ResourceDemand, Tenant
 
 
 def _load_counter():
@@ -63,6 +69,23 @@ def test_the_counter_counts_frames_c_calls_and_generator_starts():
     assert by_name == {"work": 1, "relay": 3, "numbers": 3}
 
 
+def test_the_counter_snapshots_set_up_at_the_first_marker_frame():
+    def prepare():
+        return len([])
+
+    def run():
+        return prepare()
+
+    def work():
+        prepare(), prepare(), run(), run()
+
+    counts, _ = count_calls(work, setup_ends=run.__code__)
+    assert counts["python_calls"] == 7
+    assert counts["setup_python_calls"] == 3  # work, prepare, prepare
+    assert counts["setup_c_calls"] == 2
+    assert sum(counts["setup_by_function"].values()) == 3
+
+
 def test_compare_ranks_functions_by_change(capsys):
     def counts(**by_function):
         return {"python_calls": sum(by_function.values()), "c_calls": 5,
@@ -80,16 +103,19 @@ def test_compare_ranks_functions_by_change(capsys):
     assert ranked == ["src/m.py:gone", "src/m.py:shrunk"]  # moved lines match
 
 
-def light_fleet(horizon: float):
-    """``benchmarks/e2e/workloads.py::_light_fleet`` with two tenants."""
+def light_fleet_spec(tenants: int, horizon: float) -> TenancySpec:
+    """``benchmarks/e2e/workloads.py::_light_fleet``."""
     cfg = scaled_tracker_config(0.02, frame_period=0.25, cv=0.0)
     demand = ResourceDemand(cpu=0.05, mem_bytes=2**20, bandwidth_bps=1_000_000)
-    spec = TenancySpec(
+    return TenancySpec(
         tenants=tuple(TenantSpec(f"t{i}", app_config=cfg, demand=demand)
-                      for i in range(2)),
+                      for i in range(tenants)),
         cluster=uniform_spec(32, ncpus=16, bandwidth_bps=10**9),
         seed=0, horizon=horizon)
-    return run_tenants(spec)
+
+
+def light_fleet(horizon: float):
+    return run_tenants(light_fleet_spec(2, horizon))
 
 
 def tracker_cell(horizon: float):
@@ -99,8 +125,9 @@ def tracker_cell(horizon: float):
 
 def marginal_calls_per_event(recipe, short: float, long: float) -> float:
     """Python calls per engine event of the steady state: the difference
-    of two horizons, so set-up (graph validation, placement) and
-    teardown — and with them the networkx version — cancel out."""
+    of two horizons, so set-up (graph building, validation, placement,
+    driver assembly) and teardown cancel out; set-up has its own budget
+    below."""
     recipe(0.5)  # lazy imports and first-use caches land here, uncounted
     calls, events = [], []
     for horizon in (short, long):
@@ -125,3 +152,37 @@ def test_python_calls_per_engine_event(recipe, short, long, budget):
     assert per_event <= budget, (
         f"{per_event:.2f} Python calls per engine event, budget {budget}; "
         f"benchmarks/count_calls.py --compare shows which functions grew")
+
+
+def admit_light_fleet(tenants: int) -> TenantRuntime:
+    """What ``run_tenants`` does before its engine runs, and no more."""
+    spec = light_fleet_spec(tenants, horizon=1.0)
+    config = spec.runtime_config()
+    runtime = TenantRuntime(config, Scheduler(config.cluster))
+    for tenant in spec.tenants:
+        assert runtime.arrive(Tenant(tenant)) == "admitted"
+    return runtime
+
+
+#: Python calls to admit one light tenant (build and validate its graph,
+#: place it, merge it, assemble its buffers and drivers). Measured 764
+#: when set (ISSUE 18; 3 226 before).
+SETUP_BUDGET = 802
+
+
+def test_python_calls_per_admitted_tenant():
+    # Lazy imports and first-use caches land in the warm-up. Every
+    # runtime stays referenced and older garbage goes first: destroying
+    # a runtime closes its unstarted thread generators, a frame each.
+    kept = [admit_light_fleet(2)]
+    gc.collect()
+    calls = []
+    for tenants in (20, 40):
+        counts, runtime = count_calls(lambda: admit_light_fleet(tenants))
+        calls.append(counts["python_calls"])
+        kept.append(runtime)
+    per_tenant = (calls[1] - calls[0]) / 20
+    assert per_tenant <= SETUP_BUDGET, (
+        f"{per_tenant:.0f} Python calls per admitted tenant, budget "
+        f"{SETUP_BUDGET}; benchmarks/count_calls.py --compare lists set-up "
+        f"by function")

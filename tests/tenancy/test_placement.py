@@ -1,5 +1,7 @@
 """Property tests for placement strategies and the registry."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -195,3 +197,200 @@ def test_view_fits_epsilon():
     # float-noise demand at the boundary still fits
     assert view.fits("n", (1.0, 1.0, 1.0))
     assert not view.fits("n", (1.0 + 1e-6, 1.0, 1.0))
+
+
+# -- differentials: the strategies as they were, as the reference -------------
+# ISSUE 18 unrolled the strategies' inner loops and made the scheduler's
+# view a copy of a table the ledger maintains. The formulations they
+# replaced live on here, and only here, as the oracles.
+
+_EPS = 1e-9
+
+
+def ref_fits(view, node, demand):
+    avail = view.available[node]
+    return all(avail[i] + _EPS >= demand[i] for i in range(3))
+
+
+def ref_round_robin(cursor, threads, demands, view):
+    """Returns ``(assignment, cursor)``; the cursor outlives the call."""
+    if not view.nodes:
+        return None, cursor
+    n = len(view.nodes)
+    assignment = {}
+    for thread in threads:
+        vector = demands[thread].as_vector()
+        chosen = None
+        for k in range(n):
+            node = view.nodes[(cursor + k) % n]
+            if ref_fits(view, node, vector):
+                chosen = node
+                cursor = (cursor + k + 1) % n
+                break
+        if chosen is None:
+            return None, cursor
+        view.take(chosen, vector)
+        assignment[thread] = chosen
+    return assignment, cursor
+
+
+def _ref_best_node(threads, demands, view, key_of):
+    assignment = {}
+    for thread in threads:
+        vector = demands[thread].as_vector()
+        best = best_key = None
+        for index, node in enumerate(view.nodes):
+            if not ref_fits(view, node, vector):
+                continue
+            key = key_of(thread, vector, index, node, assignment)
+            if best_key is None or key < best_key:
+                best, best_key = node, key
+        if best is None:
+            return None
+        view.take(best, vector)
+        assignment[thread] = best
+    return assignment
+
+
+def ref_rstorm(threads, demands, view):
+    def key_of(thread, vector, index, node, assignment):
+        neighbor_nodes = {assignment[other]
+                          for other in view.neighbors.get(thread, ())
+                          if other in assignment}
+        capacity, avail = view.capacity[node], view.available[node]
+        distance = 0.0
+        for i in range(3):
+            if capacity[i] > 0:
+                remainder = (avail[i] - vector[i]) / capacity[i]
+                distance += remainder * remainder
+        return (0 if node in neighbor_nodes else 1, math.sqrt(distance),
+                index)
+
+    return _ref_best_node(threads, demands, view, key_of)
+
+
+def ref_spread(threads, demands, view):
+    def key_of(thread, vector, index, node, assignment):
+        capacity, avail = view.capacity[node], view.available[node]
+        headroom = min((avail[i] - vector[i]) / capacity[i]
+                       for i in range(3) if capacity[i] > 0)
+        return (-headroom, index)
+
+    return _ref_best_node(threads, demands, view, key_of)
+
+
+#: Few distinct values, so ties, exact fits and zero axes all happen;
+#: demands mostly small against capacities, so most problems are feasible.
+capacities = st.tuples(*[st.sampled_from([0.0] + [2.0, 4.0, 8.0] * 3)] * 3)
+unused = st.sampled_from([1.0] * 4 + [0.75, 0.5, 0.25, 0.0])
+vectors = st.tuples(*[st.sampled_from([0.0] * 3 + [0.25, 0.5, 0.5, 1.0, 3.0])] * 3)
+
+
+@st.composite
+def placement_problems(draw):
+    """``(view_args, threads, demands)`` over a small arbitrary cluster:
+    zero-capacity axes, part-used nodes, candidate nodes a subset of the
+    capacity table (failed / excluded ones), demands that may not fit."""
+    names = [f"n{i}" for i in range(draw(st.integers(0, 5)))]
+    # spread takes a min over the axes a node has: one must be > 0.
+    capacity = {n: draw(capacities.filter(any)) for n in names}
+    available = {
+        n: [axis * draw(unused) for axis in cap]
+        for n, cap in capacity.items()
+    }
+    nodes = tuple(n for n in names if draw(st.booleans()) or len(names) < 3)
+    threads = [f"t{i}" for i in range(draw(st.integers(1, 6)))]
+    demands = {
+        t: ResourceDemand(*(draw(vectors))) for t in threads
+    }
+    neighbors = {
+        t: frozenset(draw(st.lists(st.sampled_from(threads), max_size=3)))
+        for t in threads if draw(st.booleans())
+    }
+    view_args = dict(nodes=nodes, capacity=capacity, available=available,
+                     neighbors=neighbors)
+    return view_args, threads, demands
+
+
+def _fresh_view(view_args):
+    return PlacementView(**{
+        **view_args,
+        "available": {n: list(v) for n, v in view_args["available"].items()},
+    })
+
+
+@settings(max_examples=120, deadline=None)
+@given(problem=placement_problems(),
+       strategy=st.sampled_from(("rstorm", "spread")))
+def test_strategy_equals_its_reference(problem, strategy):
+    view_args, threads, demands = problem
+    reference = {"rstorm": ref_rstorm, "spread": ref_spread}[strategy]
+    shipped_view, ref_view = _fresh_view(view_args), _fresh_view(view_args)
+    shipped = resolve_placement(strategy).place("t", threads, demands,
+                                                shipped_view)
+    assert shipped == reference(threads, demands, ref_view)
+    assert shipped_view.available == ref_view.available
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems=st.lists(placement_problems(), min_size=1, max_size=3))
+def test_round_robin_equals_its_reference_cursor_included(problems):
+    strategy, cursor = resolve_placement("round-robin"), 0
+    for view_args, threads, demands in problems:
+        shipped_view, ref_view = _fresh_view(view_args), _fresh_view(view_args)
+        expected, cursor = ref_round_robin(cursor, threads, demands, ref_view)
+        assert strategy.place("t", threads, demands, shipped_view) == expected
+        assert shipped_view.available == ref_view.available
+
+
+LEDGER_OPS = ("admit", "release", "fail", "recover", "draw", "undraw")
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(st.tuples(st.sampled_from(LEDGER_OPS),
+                              st.integers(0, 7), vectors), max_size=20),
+       exclude=st.sets(st.integers(0, 3)))
+def test_scheduler_view_equals_capacity_minus_committed(ops, exclude):
+    """After any commit/release/mark_failed/headroom sequence the view
+    the scheduler hands a strategy is what it used to recompute."""
+    cluster = heterogeneous_spec(n_big=2, n_small=2, big_ncpus=4,
+                                 small_ncpus=2)
+    names = [n.name for n in cluster.nodes]
+    scheduler = Scheduler(cluster, placement="spread")
+    scheduler.set_budget("elastic", 3.0)
+    admitted, draws = [], []
+    for count, (op, pick, vector) in enumerate(ops):
+        node = names[pick % len(names)]
+        if op == "admit":
+            demands = {"a": ResourceDemand(*vector),
+                       "b": ResourceDemand(cpu=vector[0])}
+            placement = scheduler.admit(f"t{count}", ["a", "b"], demands)
+            if placement is not None:
+                admitted.append((f"t{count}", placement, demands))
+        elif op == "release" and admitted:
+            tenant, placement, demands = admitted.pop(pick % len(admitted))
+            scheduler.release(placement, demands, tenant=tenant)
+        elif op == "fail":
+            scheduler.mark_failed(node)
+        elif op == "recover":
+            scheduler.mark_recovered(node)
+        elif op == "draw":
+            if scheduler.request_headroom("elastic", vector[0], node):
+                draws.append((vector[0], node))
+        elif op == "undraw" and draws:
+            scheduler.release_headroom("elastic", *draws.pop())
+
+        excluded = {names[i] for i in exclude}
+        dead = scheduler.failed | excluded
+        was = {}
+        for n in names:
+            cap, committed = scheduler.capacity(n), scheduler.committed[n]
+            was[n] = tuple(cap[i] - committed[i] for i in range(3))
+            assert scheduler.available(n) == was[n]
+        view = scheduler._view(exclude=excluded)
+        assert view.nodes == tuple(n for n in names if n not in dead)
+        for n in view.nodes:
+            assert view.capacity[n] == scheduler.capacity(n)
+            assert view.available[n] == list(was[n])
+            view.take(n, (1.0, 1.0, 1.0))  # a copy: the ledger keeps its own
+            assert scheduler.available(n) == was[n]

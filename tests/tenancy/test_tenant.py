@@ -115,3 +115,25 @@ class TestJain:
         assert report.jain == pytest.approx(1.0)
         assert report.shares == {"a": 0.5, "b": 0.5}
         assert "jain=1.000" in report.format()
+
+
+def test_tenants_stamped_from_one_graph_count_independently():
+    """Task bodies keep counters in their thread's ``params`` (stereo's
+    ``paired``): two tenants handed the *same* graph object must each end
+    the run with their own count, not with one shared total."""
+    from repro.apps.stereo import build_stereo
+    from repro.tenancy import TenancySpec, run_tenants
+
+    graph = build_stereo()
+    result = run_tenants(TenancySpec(
+        tenants=(TenantSpec(name="a", app=graph),
+                 TenantSpec(name="b", app=graph, arrival=1.5)),
+        cluster=2, seed=0, horizon=3.0))
+    shared = result.runtime.graph
+    for tenant in ("a", "b"):
+        paired = shared.attrs(f"{tenant}/stereo")["params"]["paired"]
+        puts = result.stats["buffers"][f"{tenant}/C_depth"]["puts"]
+        assert puts >= 2
+        # the count follows the Put, so the horizon may fall between them
+        assert puts - 1 <= paired <= puts
+    assert "paired" not in graph.attrs("stereo")["params"]

@@ -128,3 +128,20 @@ def test_key_classes_documented():
     for cls in (AruConfig, StpMeter, TraceRecorder, PostmortemAnalyzer,
                 Channel, Runtime, TaskGraph):
         assert cls.__doc__ and len(cls.__doc__.strip()) > 20
+
+
+def test_importing_repro_does_not_import_networkx():
+    """The task graph is plain dicts (ISSUE 18): nothing a workload boots
+    through may pull the graph library back in."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    code = ("import sys; "
+            "import repro.bench, repro.tenancy, repro.dist.launcher; "
+            "sys.exit('networkx' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
