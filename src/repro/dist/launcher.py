@@ -109,7 +109,9 @@ def _validate(spec) -> dict:
             "use backend='sim'"
         )
     from repro.obs import TelemetryHub
+    from repro.rt_threads.executor import check_live_gc
 
+    check_live_gc(spec.gc)  # before any worker is launched
     if isinstance(spec.telemetry, TelemetryHub):
         raise ConfigError(
             "a pre-built TelemetryHub cannot cross process boundaries; "

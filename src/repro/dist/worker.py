@@ -30,7 +30,7 @@ import socket
 import sys
 import time
 import traceback
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dist.channels import ChannelServer, RemoteChannelClient
 from repro.dist.framing import FrameKind
@@ -58,7 +58,7 @@ class WorkerRuntime(ThreadedRuntime):
     peer address map.
     """
 
-    def __init__(self, graph, *, aru, seed, compute_mode, node: str,
+    def __init__(self, graph, *, aru, seed, compute_mode, gc, node: str,
                  plan: DistPlan, epoch: Optional[float] = None,
                  retry: Optional[RetryPolicy] = None) -> None:
         self.node_name = node
@@ -66,8 +66,10 @@ class WorkerRuntime(ThreadedRuntime):
         self._epoch = epoch
         self._retry = retry or RetryPolicy()
         self._peers: Optional[Dict[str, Tuple[str, int]]] = None
-        self.proxies: Dict[Tuple[str, str, str], RemoteChannelClient] = {}
-        super().__init__(graph, aru=aru, seed=seed, compute_mode=compute_mode)
+        #: One TCP proxy per connection of a local thread to a remote buffer.
+        self.proxies: List[RemoteChannelClient] = []
+        super().__init__(graph, aru=aru, seed=seed, compute_mode=compute_mode,
+                         gc=gc)
 
     # -- hook overrides ------------------------------------------------
     def _make_clock(self):
@@ -84,7 +86,7 @@ class WorkerRuntime(ThreadedRuntime):
     def _local_buffers(self):
         return self._plan.buffers_on(self.node_name)
 
-    def _channel_for(self, name: str, thread: str, role: str):
+    def _channel_for(self, name: str):
         if name in self.channels:
             return self.channels[name]
         proxy = RemoteChannelClient(
@@ -93,7 +95,7 @@ class WorkerRuntime(ThreadedRuntime):
             retry=self._retry,
             stop=self.stop_event,
         )
-        self.proxies[(name, thread, role)] = proxy
+        self.proxies.append(proxy)
         return proxy
 
     # -- distributed lifecycle ----------------------------------------
@@ -104,14 +106,11 @@ class WorkerRuntime(ThreadedRuntime):
             self.drivers[name] = self._build_driver(name)
 
     def close_proxies(self) -> None:
-        for proxy in self.proxies.values():
+        for proxy in self.proxies:
             proxy.close()
 
     def proxy_bytes(self) -> int:
-        total = 0
-        for proxy in self.proxies.values():
-            total += proxy.bytes_sent + proxy.bytes_received
-        return total
+        return sum(p.bytes_sent + p.bytes_received for p in self.proxies)
 
 
 def _build_worker_hub(spec, runtime, stats):
@@ -166,6 +165,7 @@ def _session(ctl: FramedConnection, worker_index: int) -> None:
         aru=spec.resolve_policy(),
         seed=spec.seed,
         compute_mode=opts.get("compute_mode", "sleep"),
+        gc=spec.gc,
         node=node,
         plan=plan,
         epoch=config["t0"],

@@ -3,9 +3,10 @@
 One lock and one condition variable around a
 :class:`repro.runtime.channel.Channel`: matching, skip-marking, cursors,
 reference counts, dooming, freeing, feedback and trace emission are that
-class's, run here with a :class:`~repro.gc.dgc.DeadTimestampGC` (the
-paper's experiments always run on DGC, and a live executor without
-collection would leak unboundedly). This shell adds only what real
+class's, run here with the per-channel collector the runtime hands in
+(DGC unless the spec says otherwise: the paper's experiments always run
+on it, and a live executor without collection leaks without bound).
+This shell adds only what real
 threads need: mutual exclusion, wall-clock reads, and a blocking get
 that honors a stop event so the runtime can shut down promptly.
 
@@ -23,7 +24,7 @@ from typing import Optional
 
 from repro.control.propagation import FeedbackEndpoint
 from repro.errors import SimulationError
-from repro.gc.dgc import DeadTimestampGC
+from repro.gc import make_gc
 from repro.runtime.channel import Channel
 from repro.runtime.connection import InputConnection, OutputConnection
 from repro.runtime.item import Item, ItemView
@@ -57,6 +58,7 @@ class ThreadChannel:
         feedback: Optional[FeedbackEndpoint] = None,
         recorder_lock: Optional[threading.Lock] = None,
         node: str = "local",
+        gc=None,
     ) -> None:
         self.name = name
         self.clock = clock
@@ -65,7 +67,7 @@ class ThreadChannel:
         self._rec_lock = recorder_lock or threading.Lock()
         self._ledger = _ByteLedger(node)
         self._state = Channel(
-            None, name, self._ledger, recorder, DeadTimestampGC(),
+            None, name, self._ledger, recorder, make_gc(gc),
             feedback=feedback,
         )
 

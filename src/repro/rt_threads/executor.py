@@ -30,16 +30,28 @@ from typing import Dict, List, Optional
 from repro.aru.config import AruConfig, aru_disabled
 from repro.control.propagation import FeedbackBus
 from repro.errors import ConfigError, SimulationError
+from repro.gc import make_gc
 from repro.metrics.recorder import TraceRecorder
 from repro.obs.hub import NULL_HUB
 from repro.rt_threads.channel import ThreadChannel
 from repro.runtime.graph import TaskGraph
+from repro.runtime.runtime import Scope, buffer_stats
 from repro.runtime.syscalls import Compute, Get, Put, TryGet
 from repro.runtime.thread import ThreadDriver
 from repro.sim.rng import RngRegistry
 from repro.vt.clock import WallClock
 
 _COMPUTE_MODES = ("sleep", "busy", "noop")
+
+
+def check_live_gc(gc) -> None:
+    """Reject the one ``ExperimentSpec.gc`` the live backends cannot run."""
+    if make_gc(gc).name == "tgc":
+        raise ConfigError(
+            "gc='tgc' frees below a global virtual time: every thread's "
+            "cursor at one instant, which unsynchronised threads and worker "
+            "processes do not have — use backend='sim' (or null/ref/dgc)"
+        )
 
 
 class WallDriver(ThreadDriver):
@@ -160,6 +172,10 @@ class ThreadedRuntime:
     compute_mode:
         How ``Compute(d)`` is realized: ``"sleep"`` (default), ``"busy"``,
         or ``"noop"``.
+    gc:
+        ``ExperimentSpec.gc``: ``dgc`` (default), ``ref`` or ``null``,
+        one collector per channel, run under its lock; ``tgc`` is
+        rejected (:func:`check_live_gc`).
     """
 
     #: The node every channel and stat is attributed to (a distributed
@@ -178,23 +194,28 @@ class ThreadedRuntime:
         aru: Optional[AruConfig] = None,
         seed: int = 0,
         compute_mode: str = "sleep",
+        gc="dgc",
     ) -> None:
         if compute_mode not in _COMPUTE_MODES:
             raise ConfigError(
                 f"compute_mode must be one of {_COMPUTE_MODES}, got {compute_mode!r}"
             )
+        check_live_gc(gc)
         graph.validate()
         if graph.queues():
             raise ConfigError("ThreadedRuntime supports channels only")
         self.graph = graph
         self.aru_config = aru or aru_disabled()
         self.compute_mode = compute_mode
+        self.gc = gc
         self.clock = self._make_clock()
         self.recorder = TraceRecorder()
         self.recorder_lock = threading.Lock()
         self.stop_event = threading.Event()
         self.rngs = RngRegistry(seed=seed)
         self.feedback_bus = FeedbackBus(self.aru_config, time_fn=self.clock.now)
+        self.scope = Scope(None, "", self.aru_config, None, self.rngs,
+                           self.feedback_bus)
 
         self.channels: Dict[str, ThreadChannel] = {}
         for name in self._local_buffers():
@@ -226,30 +247,18 @@ class ThreadedRuntime:
         )
         return ThreadChannel(
             name, self.recorder, self.clock, feedback, self.recorder_lock,
-            node=self.node_name,
+            node=self.node_name, gc=self.gc,
         )
 
-    def _channel_for(self, name: str, thread: str, role: str):
-        """The channel object a driver talks to for buffer ``name``.
-
-        ``role`` is ``"consumer"`` or ``"producer"``; the distributed
-        worker returns a TCP proxy here when the buffer lives on another
-        node.
-        """
+    def _channel_for(self, name: str):
+        """The channel object a driver talks to for buffer ``name`` (the
+        distributed worker returns a TCP proxy here when the buffer
+        lives on another node)."""
         return self.channels[name]
 
     def _build_driver(self, name: str) -> WallDriver:
-        in_conns, out_conns = {}, {}
-        for buf in self.graph.inputs_of(name):
-            channel = self._channel_for(buf, name, "consumer")
-            in_conns[buf] = (channel, channel.register_consumer(name))
-        for buf in self.graph.outputs_of(name):
-            channel = self._channel_for(buf, name, "producer")
-            out_conns[buf] = (channel, channel.register_producer(name))
-        return WallDriver.assemble(
-            self, name, None, in_conns, out_conns,
-            aru=self.aru_config, rng=self.rngs.stream(f"task.{name}"),
-        )
+        return WallDriver.assemble(self, name, None, self.scope,
+                                   self._channel_for)
 
     # -- lifecycle ---------------------------------------------------------
     # run() = start(); sleep; stop(); join() — split out so the
@@ -318,18 +327,7 @@ class ThreadedRuntime:
                 }
             },
             "network": {"total_bytes": 0},
-            "buffers": {
-                name: {
-                    "kind": buf.kind,
-                    "depth": len(buf),
-                    "bytes_held": buf.bytes_held,
-                    "puts": buf.total_puts,
-                    "gets": buf.total_gets,
-                    "skips": buf.total_skips,
-                    "frees": buf.total_frees,
-                }
-                for name, buf in self.channels.items()
-            },
+            "buffers": buffer_stats(self.channels),
             "threads": {
                 name: {
                     "iterations": driver.iterations,
@@ -389,6 +387,7 @@ def run_threaded_experiment(spec) -> "object":
         aru=spec.resolve_policy(),
         seed=spec.seed,
         compute_mode=compute_mode,
+        gc=spec.gc,
     )
     trace = runtime.run(duration=spec.horizon)
     return RunResult(

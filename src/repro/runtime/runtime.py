@@ -11,7 +11,7 @@ policy — then runs the event engine for a simulated horizon. After
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, NamedTuple, Optional, Union
 
 from repro.aru.config import AruConfig, aru_disabled
 from repro.cluster.load import LoadSpec, spawn_load
@@ -61,6 +61,35 @@ class RuntimeConfig:
     telemetry: object = False
 
 
+class Scope(NamedTuple):
+    """Whom a thread or buffer is wired for — the run itself, or a tenant
+    (a built :class:`~repro.tenancy.tenant.Tenant` has these attributes):
+    an argument of the wiring, kept by what was wired."""
+
+    name: Optional[str]  #: the owning tenant; None for the run itself
+    prefix: str  #: namespace before the names the task bodies declared
+    aru: AruConfig
+    scale: Optional[ScaleConfig]
+    rngs: RngRegistry
+    bus: FeedbackBus
+
+
+def buffer_stats(buffers) -> Dict[str, dict]:
+    """The ``"buffers"`` block of every executor's ``stats()``."""
+    return {
+        name: {
+            "kind": buf.kind,
+            "depth": len(buf),
+            "bytes_held": buf.bytes_held,
+            "puts": buf.total_puts,
+            "gets": buf.total_gets,
+            "skips": getattr(buf, "total_skips", 0),
+            "frees": buf.total_frees,
+        }
+        for name, buf in buffers.items()
+    }
+
+
 class Runtime:
     """A fully-wired simulated Stampede application."""
 
@@ -88,22 +117,18 @@ class Runtime:
         self.network = Network(self.engine, self.config.cluster, obs=self.obs)
         self.feedback_bus = FeedbackBus(self.config.aru, time_fn=self.clock.now)
 
+        self.scope = Scope(None, "", self.config.aru, self.config.scale,
+                           self.rngs, self.feedback_bus)
         self._thread_placement = {
             t: self._resolve_thread_node(t) for t in graph.threads()
         }
         self.buffers: Dict[str, object] = {}
-        for name in graph.buffers():
-            self.buffers[name] = self._build_buffer(name)
         self.drivers: Dict[str, ThreadDriver] = {}
-        for name in graph.threads():
-            self.drivers[name] = self._build_driver(name)
-        for stage in graph.replicated_stages():
-            spec = graph.stage_spec(stage)
-            self.buffers[spec["input"]].bind_merge(self.buffers[spec["output"]])
-        self._processes = {
-            name: self.engine.process(driver.run(), name=name)
-            for name, driver in self.drivers.items()
-        }
+        self._processes: Dict[str, object] = {}
+        #: Replicated stage -> the scope it was wired for.
+        self._stage_scope: Dict[str, Scope] = {}
+        self._wire(graph.buffers(), graph.threads(),
+                   graph.replicated_stages(), self.scope)
         for load in self.config.loads:
             if not isinstance(load, LoadSpec):
                 raise ConfigError(f"loads must be LoadSpec instances, got {load!r}")
@@ -115,56 +140,22 @@ class Runtime:
         #: zero-added-events-when-off contract as the fault injector).
         self.scalers: Dict[str, StageScaleController] = {}
         self._scaler_processes: Dict[str, object] = {}
-        self._install_scale_controllers(graph.replicated_stages())
+        self._install_scale_controllers(graph.replicated_stages(),
+                                        self.config.scale)
         self._ran = False
         #: Failure-detection callback ``(symptom, target, source)``;
         #: installed by a FaultInjector, None in fault-free runs.
         self.fault_hook = None
 
-    # -- per-thread/buffer resolution hooks ---------------------------------
-    # Single-tenant wiring delegates straight to the run-level config; the
-    # multi-tenant runtime (repro.tenancy) overrides these so each tenant
-    # gets its own control plane, RNG streams, and namespaced buffers
-    # without the base construction path paying anything for it.
     def _validate_graph(self) -> None:
         self.graph.validate()
 
-    def _aru_for(self, thread: str) -> AruConfig:
-        """The ARU config that builds ``thread``'s control stack."""
-        return self.config.aru
-
-    def _feedback_endpoint_for(self, buffer: str, compress_op):
-        """The feedback endpoint wired into ``buffer`` (may be None)."""
-        return self.feedback_bus.endpoint_for(buffer, compress_op)
-
-    def _task_rng(self, thread: str):
-        """The RNG stream driving ``thread``'s task body."""
-        return self.rngs.stream(f"task.{thread}")
-
-    def _conn_key(self, thread: str, buffer: str) -> str:
-        """The name ``thread``'s task body uses for ``buffer``.
-
-        Task bodies yield ``Get``/``Put`` with the channel names their
-        graph declared; a namespacing runtime maps the (renamed) global
-        buffer back to that local name here.
-        """
-        return buffer
-
-    def _delivery_handle(self, thread: str):
-        """Per-tenant delivery counter for a sink thread, or None (asked
-        only when telemetry is on)."""
-        return None
-
-    def _scale_config_for(self, stage: str) -> Optional[ScaleConfig]:
-        """The elastic-scaling config governing ``stage`` (None = off)."""
-        return self.config.scale
-
-    def _install_scale_controllers(self, stages) -> None:
-        """Spawn scale-controller processes for ``stages`` where configured."""
+    def _install_scale_controllers(self, stages, scale) -> None:
+        """Spawn scale-controller processes for ``stages`` under ``scale``
+        (None, disabled or null = none)."""
+        if scale is None or not scale.enabled or scale.policy == "null":
+            return
         for stage in stages:
-            scale = self._scale_config_for(stage)
-            if scale is None or not scale.enabled or scale.policy == "null":
-                continue
             ctl = StageScaleController(self, stage, scale)
             self.scalers[stage] = ctl
             self._scaler_processes[stage] = self.engine.process(
@@ -203,73 +194,63 @@ class Runtime:
         return name
 
     # -- construction ----------------------------------------------------
-    def _build_buffer(self, name: str):
+    def _build_buffer(self, name: str, scope: Scope):
         kind = self.graph.kind(name)
         attrs = self.graph.attrs(name)
-        node = self.nodes[self._resolve_buffer_node(name)]
-        capacity = attrs.get("capacity")
-        feedback = self._feedback_endpoint_for(name, attrs.get("compress_op"))
+        args = (self.engine, name, self.nodes[self._resolve_buffer_node(name)])
+        common = dict(
+            recorder=self.recorder,
+            feedback=scope.bus.endpoint_for(name, attrs.get("compress_op")),
+            capacity=attrs.get("capacity"),
+            obs=self.obs,
+        )
         if attrs.get("partition_of") is not None:
             return PartitionQueue(
-                self.engine,
-                name,
-                node,
-                recorder=self.recorder,
-                feedback=feedback,
-                capacity=capacity,
-                obs=self.obs,
-                partition=attrs.get("partition", "round-robin"),
-            )
+                *args, partition=attrs.get("partition", "round-robin"), **common)
         if attrs.get("merge_of") is not None:
-            return MergeChannel(
-                self.engine,
-                name,
-                node,
-                recorder=self.recorder,
-                gc=self.gc,
-                feedback=feedback,
-                capacity=capacity,
-                obs=self.obs,
-            )
+            return MergeChannel(*args, gc=self.gc, **common)
         if kind == CHANNEL:
-            return Channel(
-                self.engine,
-                name,
-                node,
-                recorder=self.recorder,
-                gc=self.gc,
-                feedback=feedback,
-                capacity=capacity,
-                obs=self.obs,
-            )
+            return Channel(*args, gc=self.gc, **common)
         if kind == QUEUE:
-            return SQueue(
-                self.engine,
-                name,
-                node,
-                recorder=self.recorder,
-                feedback=feedback,
-                capacity=capacity,
-                obs=self.obs,
-            )
+            return SQueue(*args, **common)
         raise SimulationError(f"unknown buffer kind {kind!r}")  # pragma: no cover
 
-    def _build_driver(self, name: str) -> ThreadDriver:
-        node = self.nodes[self._thread_placement[name]]
-        in_conns = {
-            self._conn_key(name, buf):
-                (self.buffers[buf], self.buffers[buf].register_consumer(name))
-            for buf in self.graph.inputs_of(name)
-        }
-        out_conns = {
-            self._conn_key(name, buf):
-                (self.buffers[buf], self.buffers[buf].register_producer(name))
-            for buf in self.graph.outputs_of(name)
-        }
-        return ThreadDriver.assemble(
-            self, name, node, in_conns, out_conns,
-            aru=self._aru_for(name), rng=self._task_rng(name),
+    def _wire(self, buffers, threads, stages, scope: Scope) -> None:
+        """Build and start part of the graph for ``scope``: buffers
+        before the drivers that register on them, merges bound after."""
+        for name in buffers:
+            self.buffers[name] = self._build_buffer(name, scope)
+        for name in threads:
+            self._spawn(name, scope)
+        for stage in stages:
+            spec = self.graph.stage_spec(stage)
+            self.buffers[spec["input"]].bind_merge(self.buffers[spec["output"]])
+            self._stage_scope[stage] = scope
+
+    def _spawn(self, name: str, scope: Scope) -> None:
+        """Start a fresh incarnation of thread ``name``: new connections,
+        cold meter and control stack, a new engine process."""
+        driver = ThreadDriver.assemble(
+            self, name, self.nodes[self._thread_placement[name]], scope,
+            self.buffers.__getitem__,
         )
+        self.drivers[name] = driver
+        self._processes[name] = self.engine.process(driver.run(), name=name)
+
+    def _disconnect(self, name: str, collect: bool = True) -> ThreadDriver:
+        """Unregister every connection of thread ``name``'s (killed)
+        driver — evicting its backwardSTP slots, releasing its DGC
+        cursors — and return it. ``collect`` frees what those cursors
+        held; a whole-tenant teardown drains the buffers next instead."""
+        driver = self.drivers[name]
+        now = self.engine.now
+        for buffer, conn in driver.in_conns.values():
+            buffer.unregister_consumer(conn)
+            if collect:
+                buffer.maybe_collect(now)
+        for buffer, conn in driver.out_conns.values():
+            buffer.unregister_producer(conn)
+        return driver
 
     # -- execution ---------------------------------------------------------
     def run(self, until: float) -> TraceRecorder:
@@ -373,23 +354,12 @@ class Runtime:
         restarted thread re-propagates its summary-STP from scratch on
         its first gets, exactly like a cold-started pipeline stage.
         """
-        old = self.drivers.get(name)
-        if old is None:
+        process = self._processes.get(name)
+        if process is None:
             raise ConfigError(f"no thread named {name!r}")
-        process = self._processes[name]
         if process.is_alive:
             process.kill("restart")
-        now = self.engine.now
-        for buffer, conn in old.in_conns.values():
-            buffer.unregister_consumer(conn)
-            collect = getattr(buffer, "maybe_collect", None)
-            if collect is not None:
-                collect(now)
-        for buffer, conn in old.out_conns.values():
-            buffer.unregister_producer(conn)
-        driver = self._build_driver(name)
-        self.drivers[name] = driver
-        self._processes[name] = self.engine.process(driver.run(), name=name)
+        self._spawn(name, self._disconnect(name).scope)
 
     # -- elastic parallelism ------------------------------------------------
     def replica_count(self, stage: str, alive_only: bool = True) -> int:
@@ -447,10 +417,8 @@ class Runtime:
         if not self._admit_replica(stage, node_name):
             return None
         name = self.graph.add_replica(stage)
-        self._thread_placement[name] = self._resolve_thread_node(name)
-        driver = self._build_driver(name)
-        self.drivers[name] = driver
-        self._processes[name] = self.engine.process(driver.run(), name=name)
+        self._thread_placement[name] = node_name  # where it was admitted
+        self._spawn(name, self._stage_scope[stage])
         self._on_replica_spawned(stage, name, node_name)
         if self.obs.enabled:
             self.obs.on_scale(stage, "out", before, before + 1,
@@ -488,23 +456,15 @@ class Runtime:
             raise ConfigError(f"no thread named {name!r}")
         if process.is_alive:
             process.kill(reason)
-        old = self.drivers[name]
-        now = self.engine.now
-        for buffer, conn in old.in_conns.values():
-            buffer.unregister_consumer(conn)
-            collect = getattr(buffer, "maybe_collect", None)
-            if collect is not None:
-                collect(now)
-        for buffer, conn in old.out_conns.values():
-            buffer.unregister_producer(conn)
+        self._disconnect(name)
         del self.drivers[name]
         del self._processes[name]
         del self._thread_placement[name]
         self.graph.remove_replica(stage, name)
         self._on_replica_retired(stage, name)
         if self.obs.enabled:
-            self.obs.on_scale(stage, "in", before,
-                              self.replica_count(stage), now, reason, name)
+            self.obs.on_scale(stage, "in", before, self.replica_count(stage),
+                              self.engine.now, reason, name)
 
     def reap_dead_replicas(self, stage: str) -> int:
         """Clean up crashed replicas of ``stage``; returns replicas handled.
@@ -581,18 +541,7 @@ class Runtime:
                 for name, node in self.nodes.items()
             },
             "network": {"total_bytes": self.network.total_bytes},
-            "buffers": {
-                name: {
-                    "kind": buf.kind,
-                    "depth": len(buf),
-                    "bytes_held": buf.bytes_held,
-                    "puts": buf.total_puts,
-                    "gets": buf.total_gets,
-                    "skips": getattr(buf, "total_skips", 0),
-                    "frees": buf.total_frees,
-                }
-                for name, buf in self.buffers.items()
-            },
+            "buffers": buffer_stats(self.buffers),
             "threads": {
                 name: {
                     "iterations": driver.iterations,

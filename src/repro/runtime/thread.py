@@ -89,14 +89,25 @@ class ThreadDriver:
     """Runs one task body as a Stampede thread (simulated, as written)."""
 
     @classmethod
-    def assemble(cls, runtime, name: str, node, in_conns, out_conns,
-                 aru, rng) -> "ThreadDriver":
-        """Build thread ``name``'s STP meter, control stack and task
-        context from ``runtime.graph`` / ``runtime.clock``, and the
-        driver around them — the one assembly every executor uses."""
+    def assemble(cls, runtime, name: str, node, scope,
+                 buffer_for) -> "ThreadDriver":
+        """Connect thread ``name`` to its buffers (``buffer_for(buffer
+        name)`` is how this executor reaches one) and build its STP
+        meter, control stack and task context for ``scope`` — the one
+        assembly every executor uses. Connection keys and the RNG
+        stream drop the scope's prefix: the names the task declared."""
         graph, clock = runtime.graph, runtime.clock
         attrs = graph.attrs(name)
-        is_source = graph.is_source(name)
+        strip = len(scope.prefix)
+        is_source, is_sink = graph.is_source(name), graph.is_sink(name)
+        in_conns, out_conns = {}, {}
+        for buf in graph.inputs_of(name):
+            buffer = buffer_for(buf)
+            in_conns[buf[strip:]] = (buffer, buffer.register_consumer(name))
+        for buf in graph.outputs_of(name):
+            buffer = buffer_for(buf)
+            out_conns[buf[strip:]] = (buffer, buffer.register_producer(name))
+        aru = scope.aru
         meter = StpMeter(clock, stp_filter=resolve_factory(aru.stp_filter)())
         controller = build_thread_controller(
             aru,
@@ -109,12 +120,12 @@ class ThreadDriver:
         ctx = TaskContext(
             name=name,
             params=attrs.get("params", {}),
-            rng=rng,
+            rng=scope.rngs.stream(f"task.{name[strip:]}"),
             clock=clock,
             is_source=is_source,
-            is_sink=graph.is_sink(name),
+            is_sink=is_sink,
         )
-        return cls(
+        driver = cls(
             runtime=runtime,
             name=name,
             fn=attrs["fn"],
@@ -124,6 +135,10 @@ class ThreadDriver:
             ctx=ctx,
             controller=controller,
         )
+        driver.scope = scope
+        if is_sink and scope.name is not None and runtime.obs.enabled:
+            driver._deliver_h = runtime.obs.tenant_handle(scope.name)
+        return driver
 
     def __init__(
         self,
@@ -154,15 +169,14 @@ class ThreadDriver:
         self.ctx = ctx
         self.controller = controller
         self.meter = controller.meter
-        self.throttled = controller.throttled
         # Fixed-slot telemetry handle for the per-iteration sync close,
         # resolved once per thread instead of eight registry lookups per
         # iteration (ISSUE 7). No-op when telemetry/metrics are off.
-        obs = runtime.obs
-        self._sync_h = obs.sync_handle(name)
-        # Per-tenant delivery counter: non-None only for sink threads of
-        # a multi-tenant runtime with telemetry on (see repro.tenancy).
-        self._deliver_h = runtime._delivery_handle(name) if obs.enabled else None
+        self._sync_h = runtime.obs.sync_handle(name)
+        #: Assigned by :meth:`assemble`: whom this thread is wired for, and
+        #: (a tenant's sink thread, telemetry on) its delivery counter.
+        self.scope = None
+        self._deliver_h = None
         # per-iteration accumulators (``run`` stamps the first start)
         self._iter_start = 0.0
         self._iter_inputs: List[int] = []

@@ -3,8 +3,12 @@
 :class:`TenantRuntime` extends :class:`~repro.runtime.Runtime` with the
 tenancy lifecycle: tenants admit into (and depart from) one *shared*
 task graph mid-run, every tenant's threads contending for the same
-simulated nodes and links. The base runtime's per-thread resolution
-hooks are overridden so each tenant gets:
+simulated nodes and links. A built :class:`~repro.tenancy.tenant.Tenant`
+is the :class:`~repro.runtime.runtime.Scope` its part of the graph is
+wired for — handed to ``_wire`` at admission, kept by every driver
+(``driver.scope``) and replicated stage, and read back from there by
+restart, re-placement and scale-out; a node's name is never parsed. Each
+tenant thereby gets:
 
 * a **private control plane** — its own
   :class:`~repro.control.propagation.FeedbackBus` built from its own
@@ -13,15 +17,16 @@ hooks are overridden so each tenant gets:
   :class:`~repro.sim.rng.RngRegistry` keyed by *local* thread names, so
   equal-seeded tenants of one app draw identical workloads regardless
   of admission order;
-* **namespaced wiring** — graph nodes merge in as
-  ``<tenant>/<local>``, while ``_conn_key`` maps buffers back to the
+* **namespaced wiring** — graph nodes merge in under the tenant's
+  ``prefix`` (``<tenant>/`` unless the spec names another ``namespace``
+  ending in ``/``, or the empty one), while connection keys stay the
   local names the task bodies hard-code.
 
 Zero-cost-abstraction contract: a run with one static tenant under the
 empty namespace adds *no* engine processes and *no* RNG draws over the
 equivalent single-tenant :class:`~repro.runtime.Runtime`, so its
 metrics fingerprint is bit-identical (asserted by
-``tests/tenancy/test_equivalence.py``).
+``tests/tenancy/test_zero_cost.py``).
 """
 
 from __future__ import annotations
@@ -69,50 +74,10 @@ class TenantRuntime(Runtime):
         super().__init__(TaskGraph(name="tenancy"), config)
         scheduler.bind(self.nodes)
 
-    # -- hook overrides ------------------------------------------------------
     def _validate_graph(self) -> None:
         # The shared graph starts empty (tenants may all arrive late);
         # each tenant's private graph is validated at admission instead.
         pass
-
-    def _owner_of(self, name: str) -> Optional[Tenant]:
-        """The tenant owning a namespaced graph node (None if unowned)."""
-        namespace, sep, _ = name.partition("/")
-        if sep and namespace in self.tenants:
-            return self.tenants[namespace]
-        if self._blank_tenant is not None:
-            return self.tenants[self._blank_tenant]
-        return None
-
-    def _aru_for(self, thread: str):
-        tenant = self._owner_of(thread)
-        return tenant.aru if tenant is not None else self.config.aru
-
-    def _feedback_endpoint_for(self, buffer: str, compress_op):
-        tenant = self._owner_of(buffer)
-        if tenant is None:
-            return super()._feedback_endpoint_for(buffer, compress_op)
-        return tenant.bus(self.clock.now).endpoint_for(buffer, compress_op)
-
-    def _task_rng(self, thread: str):
-        tenant = self._owner_of(thread)
-        if tenant is None:
-            return super()._task_rng(thread)
-        return tenant.rngs.stream(f"task.{tenant.local_name(thread)}")
-
-    def _conn_key(self, thread: str, buffer: str) -> str:
-        tenant = self._owner_of(thread)
-        return tenant.local_name(buffer) if tenant is not None else buffer
-
-    def _delivery_handle(self, thread: str):
-        tenant = self._owner_of(thread)
-        if tenant is None or not self.graph.is_sink(thread):
-            return None
-        return self.obs.tenant_handle(tenant.name)
-
-    def _scale_config_for(self, stage: str):
-        tenant = self._owner_of(stage)
-        return tenant.scale if tenant is not None else self.config.scale
 
     # -- scale-plane budget gate ---------------------------------------------
     def _admit_replica(self, stage: str, node_name: str) -> bool:
@@ -130,20 +95,15 @@ class TenantRuntime(Runtime):
             return False
         if self.arbiter is None:
             return True
-        tenant = self._owner_of(stage)
-        if tenant is None:
-            return True
+        tenant = self._stage_scope[stage]
         cpu = tenant.demand_for(tenant.local_name(stage)).cpu
-        if not self.scheduler.request_headroom(tenant.name, cpu, node_name):
-            if self.obs.enabled:
-                self.obs.on_arbiter("deny", tenant.name, self.engine.now,
-                                    detail=f"{stage} on {node_name}")
-            return False
+        granted = self.scheduler.request_headroom(tenant.name, cpu, node_name)
         if self.obs.enabled:
-            self.obs.on_arbiter("grant", tenant.name, self.engine.now,
-                                detail=f"{stage} on {node_name}")
-        self._pending_grant = (tenant.name, stage, cpu, node_name)
-        return True
+            self.obs.on_arbiter("grant" if granted else "deny", tenant.name,
+                                self.engine.now, detail=f"{stage} on {node_name}")
+        if granted:
+            self._pending_grant = (tenant.name, stage, cpu, node_name)
+        return granted
 
     def _on_replica_spawned(self, stage: str, name: str,
                             node_name: str) -> None:
@@ -189,7 +149,7 @@ class TenantRuntime(Runtime):
         now = self.engine.now
         if tenant.name in self.tenants and tenant.state == RUNNING:
             raise ConfigError(f"tenant {tenant.name!r} is already running")
-        tenant.build(self.config.seed)
+        tenant.build(self.config.seed, self.clock.now)
         if tenant.prefix == "" and self._blank_tenant not in (None, tenant.name):
             raise ConfigError(
                 f"tenant {tenant.name!r}: only one blank-namespace tenant "
@@ -202,8 +162,8 @@ class TenantRuntime(Runtime):
         if placement_local is None:
             return False
 
-        readmission = bool(tenant.mapping)
-        if not readmission:
+        first = not tenant.mapping
+        if first:
             mapping = self.graph.merge(tenant.graph, prefix=tenant.prefix)
             tenant.mapping = mapping
             tenant.threads = tuple(mapping[t] for t in tenant.graph.threads())
@@ -211,38 +171,15 @@ class TenantRuntime(Runtime):
             tenant.stages = tuple(
                 f"{tenant.prefix}{s}" for s in tenant.graph.replicated_stages()
             )
-        tenant.placement_local = dict(placement_local)
-        tenant.placement = {
-            tenant.mapping[t]: node for t, node in placement_local.items()
-        }
-        # Register the owner before wiring: every hook below resolves
-        # through it (control plane, RNG, conn keys, delivery handles).
         self.tenants[tenant.name] = tenant
         if tenant.prefix == "":
             self._blank_tenant = tenant.name
-        self.config.placement.update(tenant.placement)
-        for stage in tenant.stages:
-            spec = self.graph.stage_spec(stage)
-            first = self.graph.replicas_of(stage)
-            if first:
-                self.config.placement[stage] = tenant.placement.get(
-                    first[0], spec["node"]
-                )
-        self._thread_placement.update(tenant.placement)
-        if not readmission:
-            for name in tenant.buffers:
-                self.buffers[name] = self._build_buffer(name)
-        for name in tenant.threads:
-            driver = self._build_driver(name)
-            self.drivers[name] = driver
-            self._processes[name] = self.engine.process(driver.run(), name=name)
-        if not readmission:
-            for stage in tenant.stages:
-                spec = self.graph.stage_spec(stage)
-                self.buffers[spec["input"]].bind_merge(
-                    self.buffers[spec["output"]]
-                )
-        self._install_scale_controllers(tenant.stages)
+        self._place(tenant, placement_local)
+        # A readmitted tenant restarts cold on the buffers (drained at
+        # its revocation) and merges it was first wired with.
+        self._wire(tenant.buffers if first else (), tenant.threads,
+                   tenant.stages if first else (), tenant)
+        self._install_scale_controllers(tenant.stages, tenant.scale)
         tenant.state = RUNNING
         tenant.admitted_at = now
         tenant.departed_at = None
@@ -257,15 +194,14 @@ class TenantRuntime(Runtime):
         if self.admit_tenant(tenant):
             return "admitted"
         now = self.engine.now
+        self.tenants.setdefault(tenant.name, tenant)
         if self.scheduler.admission == "queue":
             tenant.state = QUEUED
             tenant.queued_at = now
-            self.tenants.setdefault(tenant.name, tenant)
             self.queued.append(tenant)
             decision = "queued"
         else:
             tenant.state = REJECTED
-            self.tenants.setdefault(tenant.name, tenant)
             decision = "rejected"
         self.admission_log.append((now, tenant.name, decision, ""))
         if self.obs.enabled:
@@ -323,13 +259,10 @@ class TenantRuntime(Runtime):
             if process is not None and process.is_alive:
                 process.kill(reason)
         for name in tenant.threads:
-            old = self.drivers.pop(name, None)
-            if old is None:
+            if name not in self.drivers:
                 continue
-            for buffer, conn in old.in_conns.values():
-                buffer.unregister_consumer(conn)
-            for buffer, conn in old.out_conns.values():
-                buffer.unregister_producer(conn)
+            self._disconnect(name, collect=False)  # drained below
+            del self.drivers[name]
             self._processes.pop(name, None)
             self._thread_placement.pop(name, None)
             self.config.placement.pop(name, None)
@@ -389,7 +322,6 @@ class TenantRuntime(Runtime):
             )
         if any(g[0] == tenant.name for g in self._replica_grants.values()):
             return False  # elastic replicas pin the current packing
-        now = self.engine.now
         self.scheduler.release(tenant.placement_local, tenant.demands,
                                tenant=tenant.name)
         new_local = self.scheduler.admit(
@@ -403,7 +335,20 @@ class TenantRuntime(Runtime):
             self.scheduler.commit(tenant.placement_local, tenant.demands,
                                   tenant=tenant.name)
             return False
-        for local, node in new_local.items():
+        detail = self._move_tenant(tenant, new_local)
+        tenant.migrations += 1
+        tenant.detail = f"migrated: {detail}"
+        now = self.engine.now
+        self.admission_log.append((now, tenant.name, "migrated", detail))
+        if self.obs.enabled:
+            self.obs.on_tenant("migrated", tenant.name, now, detail=detail)
+        return True
+
+    def _place(self, tenant: Tenant, placement_local: Dict[str, str]) -> None:
+        """Record where the scheduler put (some of) ``tenant``'s threads
+        in the four placement tables; a stage's next replicas follow
+        its first one."""
+        for local, node in placement_local.items():
             shared = tenant.mapping[local]
             tenant.placement_local[local] = node
             tenant.placement[shared] = node
@@ -415,19 +360,24 @@ class TenantRuntime(Runtime):
                 self.config.placement[stage] = tenant.placement.get(
                     first[0], self.config.placement.get(stage)
                 )
+
+    def _move_tenant(self, tenant: Tenant, new_local: Dict[str, str]) -> str:
+        """Apply a re-placement of (some of) a running tenant's threads;
+        returns the ``local->node`` detail string for the logs."""
+        now = self.engine.now
+        self._place(tenant, new_local)
+        # The tenant restarts cold *as a unit*, like a supervisor
+        # restarting a job: fresh generators reset timestamp counters,
+        # so earlier items must not survive (a restarted producer
+        # would collide with its own old timestamps) and threads that
+        # were not moved must not keep cursors pointing past
+        # everything the new incarnation will produce (a get-LATEST
+        # consumer would wedge until the counter caught up).
         for name in tenant.buffers:
             self.buffers[name].drain(now)
         for name in tenant.threads:
             self.restart_thread(name)
-        tenant.migrations += 1
-        detail = ",".join(
-            f"{l}->{n}" for l, n in sorted(new_local.items())
-        )
-        tenant.detail = f"migrated: {detail}"
-        self.admission_log.append((now, tenant.name, "migrated", detail))
-        if self.obs.enabled:
-            self.obs.on_tenant("migrated", tenant.name, now, detail=detail)
-        return True
+        return ",".join(f"{l}->{n}" for l, n in sorted(new_local.items()))
 
     # -- fault surface --------------------------------------------------------
     def crash_node(self, name: str, reason: str = "node crash") -> None:
@@ -442,19 +392,18 @@ class TenantRuntime(Runtime):
         resident = list(self.threads_on(name))
         super().crash_node(name, reason)
         self.scheduler.mark_failed(name)
-        by_tenant: Dict[str, List[str]] = {}
+        by_tenant: Dict[Tenant, List[str]] = {}
         for thread in resident:
-            tenant = self._owner_of(thread)
-            if tenant is not None and tenant.state == RUNNING:
-                by_tenant.setdefault(tenant.name, []).append(thread)
-        for tenant_name, threads in by_tenant.items():
-            self._replace_tenant_threads(
-                self.tenants[tenant_name], threads, crashed=name,
-                reason=reason,
-            )
+            tenant = self.drivers[thread].scope
+            # An elastic replica holds no reservation to move: it died
+            # with the node and is its stage's to reap.
+            if tenant.state == RUNNING and thread in tenant.placement:
+                by_tenant.setdefault(tenant, []).append(thread)
+        for tenant, threads in by_tenant.items():
+            self._replace_tenant_threads(tenant, threads, crashed=name)
 
     def _replace_tenant_threads(self, tenant: Tenant, threads: List[str],
-                                crashed: str, reason: str) -> None:
+                                crashed: str) -> None:
         now = self.engine.now
         locals_ = [tenant.local_name(t) for t in threads]
         moved = {l: tenant.placement_local[l] for l in locals_}
@@ -480,26 +429,7 @@ class TenantRuntime(Runtime):
             )
             tenant.detail = f"no feasible re-placement after {crashed}"
             return
-        for local, node in new_local.items():
-            shared = tenant.mapping[local]
-            tenant.placement_local[local] = node
-            tenant.placement[shared] = node
-            self._thread_placement[shared] = node
-            self.config.placement[shared] = node
-        # The tenant restarts cold *as a unit*, like a supervisor
-        # restarting a job: fresh generators reset timestamp counters,
-        # so pre-crash items must not survive (a restarted producer
-        # would collide with its own old timestamps) and threads that
-        # escaped the crash must not keep cursors pointing past
-        # everything the new incarnation will produce (a get-LATEST
-        # consumer would wedge until the counter caught up).
-        for name in tenant.buffers:
-            self.buffers[name].drain(now)
-        for name in tenant.threads:
-            self.restart_thread(name)
-        detail = ",".join(
-            f"{l}->{n}" for l, n in sorted(new_local.items())
-        )
+        detail = self._move_tenant(tenant, new_local)
         tenant.detail = f"re-placed off {crashed}: {detail}"
         self.admission_log.append((now, tenant.name, "replaced", detail))
         if self.fault_hook is not None:

@@ -9,7 +9,8 @@ simulation clock. The :class:`Tenant` runtime object tracks the spec
 through the admission state machine.
 
 Tenants are namespaced: every graph node of tenant ``t`` appears in the
-shared runtime graph as ``t/<local-name>``, so any number of tenants —
+shared runtime graph as ``t/<local-name>`` (or under the ``namespace``
+its spec names), so any number of tenants —
 including many instances of the *same* app — coexist in one engine run,
 contending for the same nodes and links.
 """
@@ -219,7 +220,12 @@ class TenantSpec:
 
 
 class Tenant:
-    """Live admission-state for one :class:`TenantSpec`."""
+    """Live admission-state for one :class:`TenantSpec`.
+
+    Once built it is also the :class:`~repro.runtime.runtime.Scope` its
+    threads and buffers are wired for (``name``, ``prefix``, ``aru``,
+    ``scale``, ``rngs``, ``bus``).
+    """
 
     def __init__(self, spec: TenantSpec) -> None:
         self.spec = spec
@@ -231,7 +237,8 @@ class Tenant:
         self.aru = None
         self.scale = None
         self.rngs = None
-        self._bus = None
+        #: The tenant's private feedback plane.
+        self.bus = None
         #: local graph name -> namespaced shared-graph name (post-merge).
         self.mapping: Dict[str, str] = {}
         self.threads: Tuple[str, ...] = ()
@@ -267,10 +274,12 @@ class Tenant:
     def weight(self) -> float:
         return self.spec.weight
 
-    def build(self, root_seed: int) -> None:
-        """Resolve graph/policies/RNG once (idempotent)."""
+    def build(self, root_seed: int, time_fn=None) -> None:
+        """Resolve graph/policies/RNG/feedback plane once (idempotent);
+        ``time_fn`` is the admitting runtime's clock."""
         if self.graph is not None:
             return
+        from repro.control.propagation import FeedbackBus
         from repro.sim.rng import RngRegistry
 
         graph = self.spec.resolve_graph()
@@ -280,6 +289,7 @@ class Tenant:
         self.aru = self.spec.resolve_policy()
         self.scale = self.spec.resolve_scale_policy()
         self.rngs = RngRegistry(seed=self.spec.derive_seed(root_seed))
+        self.bus = FeedbackBus(self.aru, time_fn=time_fn)
         self.demands = {
             t: self.demand_for(t) for t in graph.threads()
         }
@@ -287,14 +297,6 @@ class Tenant:
     def demand_for(self, local_thread: str) -> ResourceDemand:
         """The declared demand of one thread (per-thread override wins)."""
         return self.spec.thread_demands.get(local_thread, self.spec.demand)
-
-    def bus(self, time_fn):
-        """The tenant's private feedback plane (created on first use)."""
-        if self._bus is None:
-            from repro.control.propagation import FeedbackBus
-
-            self._bus = FeedbackBus(self.aru, time_fn=time_fn)
-        return self._bus
 
     def neighbors(self) -> Dict[str, FrozenSet[str]]:
         """Thread adjacency (shared buffer = neighbor) for colocation."""

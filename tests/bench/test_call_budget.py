@@ -165,9 +165,10 @@ def admit_light_fleet(tenants: int) -> TenantRuntime:
 
 
 #: Python calls to admit one light tenant (build and validate its graph,
-#: place it, merge it, assemble its buffers and drivers). Measured 764
-#: when set (ISSUE 18; 3 226 before).
-SETUP_BUDGET = 802
+#: place it, merge it, assemble its buffers and drivers). Measured 639
+#: when set (ISSUE 22: the tenant is an argument of the wiring, not
+#: looked up by name per thread; 764 before, 3 226 before ISSUE 18).
+SETUP_BUDGET = 671
 
 
 def test_python_calls_per_admitted_tenant():

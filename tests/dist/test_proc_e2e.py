@@ -56,6 +56,11 @@ class TestProcValidation:
         with pytest.raises(ConfigError, match="elastic scaling"):
             run_experiment(spec)
 
+    def test_transparent_gc_rejected_before_any_worker_starts(self):
+        spec = ExperimentSpec(backend="proc", horizon=1.0, gc="tgc")
+        with pytest.raises(ConfigError, match="tgc.*backend='sim'"):
+            run_experiment(spec)
+
     def test_unknown_backend_option_rejected(self):
         spec = ExperimentSpec(backend="proc", horizon=1.0,
                               backend_options={"compte_mode": "noop"})

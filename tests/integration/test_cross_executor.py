@@ -372,7 +372,15 @@ def run_scripted(drive):
               for name, b in buffers.items()}
     by_thread = {thread: [entry[1:] for entry in log if entry[0] == thread]
                  for thread in ("prod", "cons")}
-    return by_thread, lineage, totals
+    # What ``ThreadDriver.assemble`` handed each task: the names it gets
+    # and puts by, and which of the runtime's RNG streams it draws from.
+    wiring = {
+        thread: (list(driver.in_conns), list(driver.out_conns),
+                 [name for name, stream in runtime.rngs._streams.items()
+                  if stream is driver.ctx.rng])
+        for thread, driver in runtime.drivers.items()
+    }
+    return by_thread, lineage, totals, wiring
 
 
 def test_both_executors_answer_a_scripted_task_identically():
@@ -382,7 +390,9 @@ def test_both_executors_answer_a_scripted_task_identically():
     sim = run_scripted(drive_sim)
     threads = run_scripted(drive_threads)
     assert threads == sim
-    observed, lineage, totals = sim
+    observed, lineage, totals, wiring = sim
+    assert wiring == {"prod": ([], ["c", "done"], ["task.prod"]),
+                      "cons": (["c", "done"], [], ["task.cons"])}
     assert observed["cons"] == [
         ("Get", ("ts", 0)),
         ("Get", ("ts", 0)),

@@ -8,6 +8,7 @@ import pytest
 
 from repro.aru import aru_disabled, aru_min
 from repro.errors import ConfigError
+from repro.experiment import ExperimentSpec, run_experiment
 from repro.metrics import PostmortemAnalyzer
 from repro.rt_threads.executor import ThreadedRuntime
 from repro.runtime import (
@@ -231,3 +232,44 @@ class TestSemantics:
         assert stps
         # consumer blocks ~75 ms/iter but its STP must stay near 5 ms
         assert sum(stps) / len(stps) < 0.05
+
+
+class TestCollectorIsTheSpecs:
+    """``ExperimentSpec.gc`` reaches the live channels (it used to be
+    dropped: every ``ThreadChannel`` built its own DGC)."""
+
+    @staticmethod
+    def run_with(gc):
+        result = run_experiment(ExperimentSpec(
+            app=small_pipeline(prod_period=0.001, cons_compute=0.02),
+            backend="threads", gc=gc, horizon=0.6))
+        return result.stats["buffers"]["c"], result.runtime.channels["c"]
+
+    def test_null_frees_nothing(self):
+        stats, channel = self.run_with("null")
+        assert stats["puts"] > 20 and stats["skips"] > 0
+        assert stats["frees"] == 0
+        assert stats["depth"] == stats["puts"]
+        assert channel._state.gc.name == "null"
+
+    def test_ref_frees_only_what_was_consumed(self):
+        stats, channel = self.run_with("ref")
+        assert channel._state.gc.name == "ref"
+        assert 0 < stats["frees"] <= stats["gets"]
+        assert stats["depth"] >= stats["skips"]  # skipped items leak
+
+    def test_default_is_still_dgc(self):
+        ex = ThreadedRuntime(small_pipeline())
+        assert ex.channels["c"]._state.gc.name == "dgc"
+
+    def test_each_channel_has_its_own_collector(self):
+        g = small_pipeline()
+        g.add_channel("d").connect("prod", "d").connect("d", "cons")
+        ex = ThreadedRuntime(g, gc="ref")
+        assert ex.channels["c"]._state.gc is not ex.channels["d"]._state.gc
+
+    def test_tgc_is_rejected_by_name_of_the_backend_that_runs_it(self):
+        with pytest.raises(ConfigError, match="tgc.*backend='sim'"):
+            run_experiment(ExperimentSpec(
+                app=small_pipeline(), backend="threads", gc="tgc",
+                horizon=0.2))

@@ -4,17 +4,21 @@ import os
 
 import pytest
 
+from repro.apps import elastic_pipeline
+from repro.aru.operators import resolve as resolve_operator
 from repro.cluster.spec import uniform_spec
 from repro.errors import ConfigError
 from repro.tenancy import (
+    Scheduler,
     TenancySpec,
+    TenantRuntime,
     TenantSpec,
     churn,
     poisson_arrivals,
     run_tenants,
     scaled_tracker_config,
 )
-from repro.tenancy.tenant import ResourceDemand
+from repro.tenancy.tenant import RUNNING, ResourceDemand, Tenant
 
 CHEAP = scaled_tracker_config(0.1, frame_period=0.2, cv=0.0)
 
@@ -54,7 +58,7 @@ class TestCoexistence:
         throttled = runtime.tenants["throttled"]
         free = runtime.tenants["free"]
         assert throttled.aru.enabled and not free.aru.enabled
-        assert throttled.bus(None) is not free.bus(None)
+        assert throttled.bus is not free.bus
 
     def test_jain_fairness_medium_fleet(self):
         # The acceptance bar scaled to tier-1 budget: a few dozen
@@ -69,6 +73,179 @@ class TestCoexistence:
         ))
         assert len(result.admitted) == n
         assert result.fairness.jain >= 0.9
+
+
+def assert_wired_for_owner(runtime):
+    """Every live driver and buffer is wired for the tenant that owns it:
+    the driver kept that tenant as its scope, its task body sees the
+    local names its graph declared, it draws from the tenant's stream
+    and runs the tenant's policy; the tenant's buffers report to the
+    tenant's bus and to no other."""
+    live = [t for t in runtime.tenants.values() if t.state == RUNNING]
+    assert {d.scope.name for d in runtime.drivers.values()} \
+        == {t.name for t in live}
+    for name, driver in runtime.drivers.items():
+        tenant = driver.scope
+        assert tenant is runtime.tenants[tenant.name]
+        local = name[len(tenant.prefix):]
+        assert tenant.prefix + local == name
+        for conns, wired in ((driver.in_conns, runtime.graph.inputs_of(name)),
+                             (driver.out_conns, runtime.graph.outputs_of(name))):
+            assert [tenant.prefix + key for key in conns] == wired
+            assert all(buffer.name in tenant.buffers
+                       for buffer, _conn in conns.values())
+        assert driver.ctx.rng is tenant.rngs.stream(f"task.{local}")
+        state = driver.aru
+        assert (state is not None) == tenant.aru.enabled
+        if state is not None:
+            assert state.backward.op is resolve_operator(tenant.aru.thread_op)
+    for tenant in live:
+        assert set(tenant.threads) <= set(runtime.drivers)
+        for name in tenant.buffers:
+            endpoint = runtime.buffers[name].feedback
+            assert (endpoint is not None) == tenant.aru.enabled
+            assert tenant.bus.endpoints.get(name) is endpoint
+            assert name not in runtime.feedback_bus.endpoints
+            assert not any(name in other.bus.endpoints
+                           for other in runtime.tenants.values()
+                           if other is not tenant)
+
+
+def sink_deliveries(runtime, tenant):
+    return sum(len(runtime.recorder.iterations_of(t)) for t in tenant.threads
+               if runtime.graph.is_sink(t))
+
+
+def tracker_and_pool(nodes, tracker: TenantSpec, pool: TenantSpec):
+    """A bare ``TenantRuntime`` with both tenants admitted, to be driven
+    step by step."""
+    cluster = uniform_spec(nodes, ncpus=16)
+    runtime = TenantRuntime(TenancySpec(cluster=cluster).runtime_config(),
+                            Scheduler(cluster))
+    tenants = Tenant(tracker), Tenant(pool)
+    for tenant in tenants:
+        assert runtime.arrive(tenant) == "admitted"
+    return (runtime, *tenants)
+
+
+class TestNamespace:
+    """A namespace is any prefix ending in ``/`` (or the empty one), not
+    only ``<name>/``: ownership is recorded when a tenant is wired and
+    read back from there, never parsed out of a node's name."""
+
+    def test_custom_namespace_tenant_runs_under_its_own_policy(self):
+        result = run_tenants(TenancySpec(
+            tenants=(TenantSpec("a", app_config=CHEAP, namespace="ns1/",
+                                policy="aru-min"),),
+            cluster=2, horizon=4.0))
+        runtime = result.runtime
+        assert result.records["a"].deliveries > 0
+        assert list(runtime.drivers["ns1/change_detection"].in_conns) == ["C1"]
+        assert runtime.drivers["ns1/digitizer"].controller.throttled
+        assert_wired_for_owner(runtime)
+
+    def test_custom_and_blank_namespace_keep_private_planes(self):
+        result = run_tenants(TenancySpec(
+            tenants=(TenantSpec("a", app_config=CHEAP, namespace="x/",
+                                policy="aru-max"),
+                     TenantSpec("b", app_config=CHEAP, namespace="",
+                                policy="aru-min")),
+            cluster=2, horizon=4.0))
+        runtime = result.runtime
+        a, b = runtime.tenants["a"], runtime.tenants["b"]
+        assert a.bus is not b.bus
+        assert set(a.bus.endpoints) == set(a.buffers)
+        assert set(b.bus.endpoints) == set(b.buffers)
+        assert all(r.deliveries > 0 for r in result.records.values())
+        assert_wired_for_owner(runtime)
+
+    def test_by_name_entry_points_rewire_for_the_same_tenant(self):
+        runtime, tracker, pool = tracker_and_pool(
+            3,
+            TenantSpec("a", app_config=CHEAP, namespace="ns1/",
+                       policy="aru-min"),
+            TenantSpec("p", app=elastic_pipeline(replicas=1, max_replicas=4),
+                       namespace="pool/", policy="aru-max"))
+        runtime.advance(1.0)
+
+        old = runtime.drivers["ns1/digitizer"]
+        runtime.restart_thread("ns1/digitizer")
+        assert runtime.drivers["ns1/digitizer"] is not old
+        assert_wired_for_owner(runtime)
+
+        replica = runtime.scale_out(pool.stages[0])
+        assert replica.startswith("pool/workers")
+        assert runtime.drivers[replica].scope is pool
+        assert_wired_for_owner(runtime)
+
+        # Both tenants were packed onto one node. Crashing it re-places
+        # each as a unit; the elastic replica held no reservation to
+        # move, so it stays dead until its stage reaps it, and the next
+        # scale-out lands where the stage's first replica went.
+        node = tracker.placement["ns1/digitizer"]
+        assert pool.placement["pool/source"] == node
+        runtime.crash_node(node)
+        assert tracker.state == pool.state == RUNNING
+        assert node not in {*tracker.placement.values(),
+                            *pool.placement.values()}
+        runtime.advance(0.1)  # the engine delivers the kill
+        assert not runtime.thread_alive(replica)
+        assert runtime.reap_dead_replicas(pool.stages[0]) == 1
+        assert_wired_for_owner(runtime)
+        replica = runtime.scale_out(pool.stages[0])
+        assert runtime.drivers[replica].scope is pool
+        assert runtime.drivers[replica].node.name \
+            == pool.placement["pool/workers[0]"]
+
+        before = sink_deliveries(runtime, tracker), sink_deliveries(runtime, pool)
+        runtime.advance(2.0)
+        assert sink_deliveries(runtime, tracker) > before[0]
+        assert sink_deliveries(runtime, pool) > before[1]
+        assert runtime.thread_alive(replica)
+        assert_wired_for_owner(runtime)
+
+
+class TestOwnershipSurvivesTheLifecycle:
+    def test_admit_revoke_readmit_migrate_crash_scale_depart(self):
+        runtime, tracker, pool = tracker_and_pool(
+            4,
+            TenantSpec("t", app_config=CHEAP, policy="aru-max"),
+            TenantSpec("p", app=elastic_pipeline(replicas=2, max_replicas=4),
+                       namespace="pool/", policy="aru-min"))
+
+        def step(dt=0.5):
+            assert_wired_for_owner(runtime)
+            runtime.advance(dt)
+            assert_wired_for_owner(runtime)
+
+        step(1.0)
+
+        runtime.revoke_tenant(tracker)
+        assert not set(tracker.threads) & set(runtime.drivers)
+        step()
+        assert runtime.retry_queued() == 1 and tracker.state == RUNNING
+        step()
+
+        was_on = set(tracker.placement.values())
+        assert runtime.migrate_tenant(tracker, exclude=tuple(was_on))
+        assert not was_on & set(tracker.placement.values())
+        step()
+
+        runtime.crash_node(pool.placement["pool/source"])
+        assert pool.state == RUNNING and "replaced" in {
+            entry[2] for entry in runtime.admission_log if entry[1] == "p"}
+        step()
+
+        replica = runtime.scale_out(pool.stages[0])
+        assert runtime.drivers[replica].scope is pool
+        step(1.0)
+
+        delivered = sink_deliveries(runtime, pool)
+        runtime.depart_tenant(tracker)
+        assert not set(tracker.threads) & set(runtime.drivers)
+        step(1.0)
+        assert sink_deliveries(runtime, pool) > delivered
+        assert sink_deliveries(runtime, tracker) > 0
 
 
 class TestDynamics:
