@@ -18,7 +18,14 @@ script runs one repetition of a simulated e2e workload under
   building and validation, placement, driver assembly);
 * ``events`` — engine events, from the workload's ``Runtime.run`` stamps;
 * ``calls_per_event`` — ``python_calls / events``, the machine-stable
-  ratio ``tests/bench/test_call_budget.py`` gates.
+  ratio ``tests/bench/test_call_budget.py`` gates;
+* ``tracked_objects_per_event`` / ``trace_bytes_per_event`` (the light
+  fleets only, whose horizon is a parameter) — what one more engine
+  event leaves behind once the run is over: gc-tracked objects
+  (``len(gc.get_objects())``) and bytes of trace storage (every column
+  buffer of the ``TraceRecorder``, and its id -> row map), each as the
+  difference of two unprofiled runs at a quarter and a half of the
+  workload's horizon over the difference in their engine events.
 
 Outside ``importlib`` (whether a tree's bytecode is on disk) the counts
 repeat exactly from run to run, so ``--compare`` of a parent and a
@@ -31,8 +38,10 @@ from __future__ import annotations
 
 import argparse
 import dis
+import gc
 import json
 import sys
+from array import array
 from collections import Counter
 from pathlib import Path
 from typing import Any, Callable, Dict, Tuple
@@ -112,6 +121,64 @@ def count_calls(fn: Callable[[], Any], setup_ends=None
     }, result
 
 
+def trace_bytes(recorder) -> int:
+    """Bytes of a recorder's storage: the allocation of every column
+    (typed array or list of shared strings) and of every map it keeps,
+    the id -> row map's int objects included."""
+    sizeof = sys.getsizeof
+    total = 0
+    for value in vars(recorder).values():
+        if isinstance(value, (array, list)):
+            total += sizeof(value)
+        elif isinstance(value, dict):
+            total += sizeof(value) + sum(
+                sizeof(k) + sizeof(v) for k, v in value.items())
+    return total
+
+
+def growth_per_event(recipe: Callable[[float], Any], short: float,
+                     long: float) -> Dict[str, float]:
+    """What an engine event leaves behind after the run, per event.
+
+    ``recipe(horizon)`` runs to ``horizon`` and returns a result with
+    ``.trace`` and ``.stats``; the two horizons' difference cancels the
+    set-up (drivers, buffers, the graph), so only what grows with the
+    run counts: gc-tracked objects alive while the result is held, and
+    bytes of trace storage.
+    """
+    recipe(min(short, 0.5))  # lazy imports and first-use caches
+    objects, stored, events = [], [], []
+    for horizon in (short, long):
+        gc.collect()
+        before = len(gc.get_objects())
+        result = recipe(horizon)
+        gc.collect()
+        objects.append(len(gc.get_objects()) - before)
+        stored.append(trace_bytes(result.trace))
+        events.append(result.stats["engine"]["events_processed"])
+        del result
+    more = events[1] - events[0]
+    return {
+        "tracked_objects_per_event": (objects[1] - objects[0]) / more,
+        "trace_bytes_per_event": (stored[1] - stored[0]) / more,
+    }
+
+
+def _fleet_recipes(seed: int) -> Dict[str, Tuple[Callable[[float], Any],
+                                                 float]]:
+    """Workloads whose horizon can be varied: (recipe, frozen horizon)."""
+    import workloads
+
+    from repro.tenancy import run_tenants
+
+    def fleet(tenants: int):
+        return lambda horizon: run_tenants(
+            workloads._light_fleet(tenants, horizon, seed))
+
+    return {"fleet_10": (fleet(10), workloads.FLEET_10_HORIZON),
+            "fleet_1000": (fleet(1000), workloads.FLEET_1000_HORIZON)}
+
+
 def count_workload(name: str, seed: int) -> Dict[str, Any]:
     """One counted repetition of the e2e workload ``name``."""
     for path in (ROOT / "src", HERE / "e2e"):
@@ -139,16 +206,23 @@ def count_workload(name: str, seed: int) -> Dict[str, Any]:
     events = sum(run["events"] for run in stamps.runs)
     counts.update(workload=name, seed=seed, events=events,
                   calls_per_event=counts["python_calls"] / events)
+    recipe = _fleet_recipes(seed).get(name)
+    if recipe is not None:
+        run, horizon = recipe
+        counts.update(growth_per_event(run, horizon / 4, horizon / 2))
     return counts
 
 
 _SCALARS = ("python_calls", "c_calls", "generator_starts", "events",
-            "calls_per_event", "setup_python_calls", "setup_c_calls")
+            "calls_per_event", "setup_python_calls", "setup_c_calls",
+            "tracked_objects_per_event", "trace_bytes_per_event")
 
 
 def _print_counts(counts: Dict[str, Any], top: int) -> None:
     name = counts["workload"]
     for key in _SCALARS:
+        if key not in counts:
+            continue  # the growth lines exist for the light fleets only
         value = counts[key]
         shown = f"{value:.2f}" if isinstance(value, float) else f"{value}"
         print(f"{name} {key} {shown}")

@@ -102,8 +102,8 @@ def metrics_from_trace(
         jitter=jitter(recorder),
         footprint=footprint,
         igc_footprint=igc,
-        frames_produced=len(recorder.iterations_of("digitizer")),
-        frames_delivered=len(recorder.sink_iterations()),
+        frames_produced=recorder.iteration_count("digitizer"),
+        frames_delivered=len(recorder.sink_rows()),
     )
 
 

@@ -79,18 +79,19 @@ def throttle_phases(
     result carries ``target:<label>`` (seconds) and ``fps:<label>``.
     """
     from repro.metrics.control import control_series
+    from repro.metrics.performance import output_times
 
     series = control_series(recorder, thread)
+    outputs = np.array(output_times(recorder))
     out: Dict[str, float] = {}
     for label, lo, hi in phases:
         mask = (series.times >= lo) & (series.times < hi)
         mask &= ~np.isnan(series.throttle_target)
         target = float(np.mean(series.throttle_target[mask])) if mask.any() \
             else float("nan")
-        delivered = [it for it in recorder.sink_iterations()
-                     if lo <= it.t_end < hi]
+        delivered = int(((outputs >= lo) & (outputs < hi)).sum())
         out[f"target:{label}"] = target
-        out[f"fps:{label}"] = len(delivered) / (hi - lo)
+        out[f"fps:{label}"] = delivered / (hi - lo)
     return out
 
 
@@ -111,20 +112,16 @@ def latency_phases(
     in-cell evidence that a latency difference came from the pool
     actually resizing.
     """
-    from repro.metrics.performance import _oldest_source_anchor
+    from repro.metrics.performance import sink_latencies
 
-    anchors = _oldest_source_anchor(recorder)
+    rows, latencies = sink_latencies(recorder)
+    t_ends = recorder.iter_t_end
     out: Dict[str, float] = {}
     for label, lo, hi in phases:
-        samples = []
-        delivered = 0
-        for it in recorder.sink_iterations():
-            if lo <= it.t_end < hi:
-                delivered += 1
-                for item_id in it.inputs:
-                    anchor = anchors.get(item_id)
-                    if anchor is not None:
-                        samples.append(it.t_end - anchor)
+        samples = [latency for row, latency in zip(rows, latencies)
+                   if lo <= t_ends[row] < hi]
+        delivered = sum(1 for row in recorder.sink_rows()
+                        if lo <= t_ends[row] < hi)
         if samples:
             arr = np.asarray(samples)
             out[f"p50:{label}"] = float(np.percentile(arr, 50))

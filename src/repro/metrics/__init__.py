@@ -17,7 +17,7 @@ from repro.metrics.faultlog import (
     SymptomEvent,
 )
 from repro.metrics.gantt import activity_buckets, gantt
-from repro.metrics.footprint import Timeline, build_timeline, byte_seconds
+from repro.metrics.footprint import Timeline
 from repro.metrics.performance import (
     jitter,
     latency_percentiles,
@@ -48,8 +48,6 @@ __all__ = [
     "FaultRecord",
     "SymptomEvent",
     "Timeline",
-    "build_timeline",
-    "byte_seconds",
     "PostmortemAnalyzer",
     "latency_samples",
     "latency_stats",

@@ -40,27 +40,18 @@ class ControlSeries:
 
 def control_series(recorder: TraceRecorder, thread: str) -> ControlSeries:
     """The feedback signals sampled at each of ``thread``'s sync points."""
-    samples = [s for s in recorder.stp_samples if s.thread == thread]
-    if not samples:
+    rows = [row for row, name in enumerate(recorder.stp_thread)
+            if name == thread]
+    if not rows:
         raise TraceError(
             f"no STP samples for thread {thread!r} "
             "(was the run recorded with record_stp=True?)"
         )
-
-    def col(getter) -> np.ndarray:
-        return np.array(
-            [v if (v := getter(s)) is not None else np.nan for s in samples],
-            dtype=float,
-        )
-
-    return ControlSeries(
-        thread=thread,
-        times=np.array([s.t for s in samples]),
-        current_stp=col(lambda s: s.current_stp),
-        summary=col(lambda s: s.summary),
-        throttle_target=col(lambda s: s.throttle_target),
-        slept=np.array([s.slept for s in samples]),
-    )
+    # The recorder stores a ``None`` summary / target as NaN already.
+    return ControlSeries(thread, *(
+        np.array(column)[rows] for column in (
+            recorder.stp_t, recorder.stp_current, recorder.stp_summary,
+            recorder.stp_target, recorder.stp_slept)))
 
 
 def settling_time(

@@ -19,9 +19,9 @@ These two are sufficient to derive every metric in the paper's evaluation
 (memory footprint mean/σ, wasted memory %, wasted computation %, latency,
 throughput, jitter, and the IGC bound).
 
-The record classes are slotted: a run keeps one to two of them alive per
-engine event, so the per-instance ``__dict__`` was a visible share of
-peak RSS.
+These classes are value types, not storage: the recorder keeps the trace
+as typed columns (:mod:`repro.metrics.recorder`) and builds a record when
+a view is indexed or iterated, as a snapshot of its row at that moment.
 """
 
 from __future__ import annotations

@@ -5,17 +5,15 @@ Std deviation:   ``MU_sigma = sqrt(sum((MU_mu - MU_(t_i+1))^2 * dt) / (t_N - t_0
 
 i.e. the time-weighted mean and deviation of the step function formed by
 total channel-held bytes over time. :class:`Timeline` materializes that
-step function from item traces (alloc/free intervals) and computes the
-statistics exactly (no sampling error).
+step function from alloc/free intervals (:func:`timeline_from_intervals`)
+and computes the statistics exactly (no sampling error).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-
-from repro.metrics.events import ItemTrace
 
 
 class Timeline:
@@ -91,50 +89,6 @@ class Timeline:
         return ts, vals
 
 
-def build_timeline(
-    items: Iterable[ItemTrace],
-    t0: float,
-    t1: float,
-    predicate: Optional[Callable[[ItemTrace], bool]] = None,
-    end_override: Optional[Callable[[ItemTrace], Optional[float]]] = None,
-) -> Timeline:
-    """Step function of total bytes held by ``items`` over ``[t0, t1]``.
-
-    Parameters
-    ----------
-    predicate:
-        Keep only items for which it returns True (e.g. one channel, or
-        only successful items for the IGC bound).
-    end_override:
-        Map an item to a custom lifetime end (e.g. last-get time for IGC);
-        ``None`` falls back to ``t_free`` (or the horizon ``t1``).
-    """
-    if predicate is not None:
-        items = [item for item in items if predicate(item)]
-    elif not isinstance(items, (list, tuple)):
-        items = list(items)
-    if not items:
-        if t1 < t0:
-            raise ValueError(f"horizon t1={t1} before t0={t0}")
-        return Timeline(np.array([t0, t1]), np.array([0.0]))
-    starts = np.asarray([item.t_alloc for item in items], dtype=float)
-    if end_override is not None:
-        ends_list = []
-        for item in items:
-            end = end_override(item)
-            if end is None:
-                end = item.t_free if item.t_free is not None else t1
-            ends_list.append(end)
-        ends = np.asarray(ends_list, dtype=float)
-    else:
-        ends = np.asarray(
-            [t1 if item.t_free is None else item.t_free for item in items],
-            dtype=float,
-        )
-    sizes = np.asarray([item.size for item in items], dtype=float)
-    return timeline_from_intervals(starts, ends, sizes, t0, t1)
-
-
 def timeline_from_intervals(
     starts: np.ndarray,
     ends: np.ndarray,
@@ -144,10 +98,8 @@ def timeline_from_intervals(
 ) -> Timeline:
     """Step function of total bytes held by raw ``[start, end)`` intervals.
 
-    The array-level core of :func:`build_timeline`, exposed so callers
-    that already hold the interval arrays (the postmortem analyzer caches
-    them per trace) skip re-extracting item attributes. Input arrays are
-    not modified.
+    The postmortem analyzer calls it with array copies of the
+    recorder's item columns. Input arrays are not modified.
 
     Sweep-line over (time, ±size) deltas, vectorized. ``np.cumsum``
     accumulates left-to-right exactly like the reference Python loop
@@ -200,19 +152,3 @@ def timeline_from_intervals(
         out_times = np.concatenate(((t0,), bp_times, (t1,)))
         out_values = np.concatenate(((head_level,), bp_levels))
     return Timeline(out_times, out_values)
-
-
-def byte_seconds(items: Iterable[ItemTrace], horizon: float,
-                 predicate: Optional[Callable[[ItemTrace], bool]] = None) -> float:
-    """Total ``size * lifetime`` over the selected items."""
-    total = 0.0
-    for item in items:
-        if predicate is not None and not predicate(item):
-            continue
-        end = item.t_free
-        if end is None:
-            end = horizon
-        dt = end - item.t_alloc
-        if dt > 0.0:
-            total += item.size * dt
-    return total

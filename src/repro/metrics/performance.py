@@ -16,76 +16,69 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.metrics.recorder import TraceRecorder
-
-#: Marks "anchor not resolvable in the forward pass" during the sweep.
-_PENDING = object()
-
+from repro.metrics.recorder import TraceRecorder, ragged
 
 def _oldest_source_anchor(recorder: TraceRecorder) -> Dict[int, float]:
     """For every item, the creation time of its *oldest* source ancestor.
 
     A *source* item has no lineage parents (it was produced by a source
     thread from outside data — e.g. a camera frame). Lineage follows time,
-    so in a live recorder the items dict (allocation order) already lists
+    so in a live recorder the item table (allocation order) already lists
     every parent before its children and one forward pass resolves all
     anchors; items whose parents appear later (possible in reloaded
-    traces with reordered tables) fall back to an explicit memoized stack.
-    Cycles are impossible.
+    traces with reordered tables) wait for the next pass. A parent that
+    is in no table anchors nothing (``None``).
     """
     anchors: Dict[int, float] = {}
-    items = recorder.items
-    deferred: List[int] = []
-    for item_id, trace in items.items():
-        parents = trace.parents
-        if not parents:
-            anchors[item_id] = trace.t_alloc
-            continue
-        best = None
-        for p in parents:
-            if p in anchors:
-                a = anchors[p]
-                if a is not None and (best is None or a < best):
-                    best = a
-            elif p in items:
-                deferred.append(item_id)
-                best = _PENDING
-                break
+    rows = recorder.item_row
+    ids, t_alloc = recorder.item_id, recorder.item_t_alloc
+    flat, ends = recorder.item_parents, recorder.item_parents_end
+    pending: Sequence[int] = range(len(ids))
+    while pending:
+        deferred: List[int] = []
+        for row in pending:
+            best = None
+            for p in flat[ends[row - 1] if row else 0:ends[row]]:  # ragged()
+                if p in anchors:
+                    a = anchors[p]
+                    if a is not None and (best is None or a < best):
+                        best = a
+                elif p in rows:
+                    deferred.append(row)
+                    break
+                else:
+                    anchors[p] = None  # type: ignore[assignment]
             else:
-                anchors[p] = None  # type: ignore[assignment]
-        if best is not _PENDING:
-            anchors[item_id] = best if best is not None else trace.t_alloc
-    for item_id in deferred:
-        if item_id in anchors:
-            continue
-        stack = [item_id]
-        while stack:
-            top = stack[-1]
-            if top in anchors:
-                stack.pop()
-                continue
-            trace = items.get(top)
-            if trace is None:
-                anchors[top] = None  # type: ignore[assignment]
-                stack.pop()
-                continue
-            parents = trace.parents
-            if not parents:
-                anchors[top] = trace.t_alloc
-                stack.pop()
-                continue
-            missing = [p for p in parents if p not in anchors]
-            if missing:
-                stack.extend(missing)
-                continue
-            valid = [anchors[p] for p in parents if anchors[p] is not None]
-            anchors[top] = min(valid) if valid else trace.t_alloc
-            stack.pop()
+                anchors[ids[row]] = best if best is not None else t_alloc[row]
+        if len(deferred) == len(pending):
+            break  # a lineage cycle: no trace has one; leave it unanchored
+        pending = deferred
     return anchors
+
+
+def sink_latencies(recorder: TraceRecorder, warmup: float = 0.0):
+    """``(rows, latencies)``: one entry per item consumed by a sink
+    iteration ending at or after ``warmup``, in delivery order — the
+    iteration's row number and the item's latency."""
+    anchors = _oldest_source_anchor(recorder)
+    t_ends = recorder.iter_t_end
+    flat, ends = recorder.iter_inputs, recorder.iter_inputs_end
+    rows: List[int] = []
+    latencies: List[float] = []
+    for row in recorder.sink_rows():
+        t_end = t_ends[row]
+        if t_end < warmup:
+            continue
+        for item_id in ragged(flat, ends, row):
+            anchor = anchors.get(item_id)
+            if anchor is not None:
+                rows.append(row)
+                latencies.append(t_end - anchor)
+    return rows, latencies
 
 
 def latency_samples(recorder: TraceRecorder, warmup: float = 0.0) -> List[float]:
@@ -95,16 +88,7 @@ def latency_samples(recorder: TraceRecorder, warmup: float = 0.0) -> List[float]
     to exclude the feedback loop's cold start (before the first
     summary-STP has propagated, producers run unthrottled).
     """
-    anchors = _oldest_source_anchor(recorder)
-    samples: List[float] = []
-    for it in recorder.sink_iterations():
-        if it.t_end < warmup:
-            continue
-        for item_id in it.inputs:
-            anchor = anchors.get(item_id)
-            if anchor is not None:
-                samples.append(it.t_end - anchor)
-    return samples
+    return sink_latencies(recorder, warmup)[1]
 
 
 def latency_samples_by_thread(
@@ -113,18 +97,13 @@ def latency_samples_by_thread(
     """Latency samples grouped by the sink thread that delivered them.
 
     Multi-tenant runs have one sink per tenant (namespaced thread names),
-    so grouping by ``it.thread`` yields per-tenant latency distributions
-    from a single shared trace.
+    so grouping by the iteration's thread yields per-tenant latency
+    distributions from a single shared trace.
     """
-    anchors = _oldest_source_anchor(recorder)
+    threads = recorder.iter_thread
     grouped: Dict[str, List[float]] = {}
-    for it in recorder.sink_iterations():
-        if it.t_end < warmup:
-            continue
-        for item_id in it.inputs:
-            anchor = anchors.get(item_id)
-            if anchor is not None:
-                grouped.setdefault(it.thread, []).append(it.t_end - anchor)
+    for row, sample in zip(*sink_latencies(recorder, warmup)):
+        grouped.setdefault(threads[row], []).append(sample)
     return grouped
 
 
@@ -155,14 +134,14 @@ def throughput_fps(recorder: TraceRecorder, warmup: float = 0.0) -> float:
     duration = recorder.duration - warmup
     if duration <= 0:
         return 0.0
-    count = sum(1 for it in recorder.sink_iterations() if it.t_end >= warmup)
-    return count / duration
+    return len(output_times(recorder, warmup)) / duration
 
 
 def output_times(recorder: TraceRecorder, warmup: float = 0.0) -> List[float]:
     """Completion times of sink iterations (the output-frame instants)."""
+    t_ends = recorder.iter_t_end
     return sorted(
-        it.t_end for it in recorder.sink_iterations() if it.t_end >= warmup
+        t_ends[row] for row in recorder.sink_rows() if t_ends[row] >= warmup
     )
 
 

@@ -23,28 +23,25 @@ From the marking:
   memory usage". Not realizable (requires future knowledge); computed here
   from the trace.
 
-Every pass below is O(items + iterations): the per-channel breakdowns go
-through the recorder's channel index instead of rescanning (and
-re-filtering) the full item table per channel, and the byte-second sums
-run as single inlined loops. Accumulation *order* is everywhere identical
-to the naive implementation, so derived metrics are bit-for-bit stable
+Every pass below is O(items + iterations) and reads the recorder's
+columns in place (no trace record is built): the per-channel breakdowns
+go through the recorder's channel index instead of rescanning the item
+table per channel, and the byte-second sums run over array copies of
+the columns. Accumulation *order* is everywhere identical to the naive
+implementation over records, so derived metrics are bit-for-bit stable
 across the optimization (the sweep cache keys rely on this).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.metrics.footprint import (
-    Timeline,
-    build_timeline,
-    timeline_from_intervals,
-)
-from repro.metrics.recorder import TraceRecorder
+from repro.metrics.footprint import Timeline, timeline_from_intervals
+from repro.metrics.recorder import TraceRecorder, ragged
 
 
 class PostmortemAnalyzer:
@@ -60,22 +57,24 @@ class PostmortemAnalyzer:
     @cached_property
     def delivered_ids(self) -> FrozenSet[int]:
         """Items consumed directly by sink iterations."""
+        rec = self.recorder
         out: Set[int] = set()
-        for it in self.recorder.sink_iterations():
-            out.update(it.inputs)
+        for row in rec.sink_rows():
+            out.update(ragged(rec.iter_inputs, rec.iter_inputs_end, row))
         return frozenset(out)
 
     @cached_property
     def successful_ids(self) -> FrozenSet[int]:
         """Delivered items plus their full lineage-ancestor closure."""
-        items = self.recorder.items
+        rows = self.recorder.item_row
+        flat, ends = self.recorder.item_parents, self.recorder.item_parents_end
         success: Set[int] = set(self.delivered_ids)
         stack = list(success)
         while stack:
-            trace = items.get(stack.pop())
-            if trace is None:
+            row = rows.get(stack.pop())
+            if row is None:
                 continue
-            for parent in trace.parents:
+            for parent in flat[ends[row - 1] if row else 0:ends[row]]:  # ragged()
                 if parent not in success:
                     success.add(parent)
                     stack.append(parent)
@@ -87,51 +86,40 @@ class PostmortemAnalyzer:
     # -- cached per-item interval arrays ------------------------------------
     @cached_property
     def _item_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(t_alloc, t_free-or-horizon, size) arrays in allocation order.
-
-        Extracted once per analyzer; every whole-trace footprint and
-        byte-second aggregate below reads these instead of re-walking the
-        item table.
-        """
-        items = list(self.recorder.items.values())
-        horizon = self.horizon
-        starts = np.asarray([item.t_alloc for item in items], dtype=float)
-        ends = np.asarray(
-            [horizon if item.t_free is None else item.t_free for item in items],
-            dtype=float,
-        )
-        sizes = np.asarray([item.size for item in items], dtype=float)
+        """(t_alloc, t_free-or-horizon, size) arrays in allocation order,
+        copied out of the columns once per analyzer (a buffer export
+        would pin a column against the run's next append); every
+        footprint and byte-second aggregate below reads these."""
+        rec = self.recorder
+        starts = np.array(rec.item_t_alloc)
+        ends = np.array(rec.item_t_free)
+        ends[np.isnan(ends)] = self.horizon
+        sizes = np.array(rec.item_size, dtype=float)
         return starts, ends, sizes
 
     @cached_property
     def _success_mask(self) -> np.ndarray:
         """Row-aligned with :attr:`_item_arrays`: True iff item successful."""
         success = self.successful_ids
-        return np.asarray(
-            [item_id in success for item_id in self.recorder.items],
-            dtype=bool,
-        )
+        return np.array([i in success for i in self.recorder.item_id], bool)
 
     # -- wasted memory ----------------------------------------------------
-    @cached_property
-    def total_byte_seconds(self) -> float:
+    def _byte_seconds(self, keep: np.ndarray | bool = True) -> float:
+        """``size * lifetime`` summed over the item rows ``keep`` selects."""
         starts, ends, sizes = self._item_arrays
-        if len(starts) == 0:
-            return 0.0
         dts = ends - starts
         # cumsum (not np.sum, which pairs) keeps the accumulation order of
         # the reference ``total += size * dt`` loop — bit-for-bit stable.
-        terms = (sizes * dts)[dts > 0.0]
+        terms = (sizes * dts)[(dts > 0.0) & keep]
         return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
     @cached_property
+    def total_byte_seconds(self) -> float:
+        return self._byte_seconds()
+
+    @cached_property
     def wasted_byte_seconds(self) -> float:
-        starts, ends, sizes = self._item_arrays
-        if len(starts) == 0:
-            return 0.0
-        dts = ends - starts
-        terms = (sizes * dts)[(dts > 0.0) & ~self._success_mask]
-        return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+        return self._byte_seconds(~self._success_mask)
 
     @property
     def wasted_memory_fraction(self) -> float:
@@ -144,22 +132,33 @@ class PostmortemAnalyzer:
     # -- wasted computation -------------------------------------------------
     @cached_property
     def total_compute(self) -> float:
-        return sum(it.compute for it in self.recorder.iterations)
+        return sum(self.recorder.iter_compute)
 
     @cached_property
-    def wasted_compute(self) -> float:
+    def _wasted_rows(self) -> List[int]:
+        """Iteration rows whose compute was wasted: not a sink's (display
+        is always useful work), with outputs none of which is successful."""
+        rec = self.recorder
         success = self.successful_ids
-        wasted = 0.0
-        for it in self.recorder.iterations:
-            if it.is_sink:
-                continue  # displaying results is always useful work
-            outputs = it.outputs
-            if outputs:
-                for o in outputs:
+        is_sink, flat = rec.iter_sink, rec.iter_outputs
+        rows = []
+        lo = 0
+        for row, hi in enumerate(rec.iter_outputs_end):
+            if lo < hi and not is_sink[row]:
+                for o in flat[lo:hi]:
                     if o in success:
                         break
                 else:
-                    wasted += it.compute
+                    rows.append(row)
+            lo = hi
+        return rows
+
+    @cached_property
+    def wasted_compute(self) -> float:
+        compute = self.recorder.iter_compute
+        wasted = 0.0
+        for row in self._wasted_rows:
+            wasted += compute[row]
         return wasted
 
     @property
@@ -172,19 +171,17 @@ class PostmortemAnalyzer:
 
     # -- footprints -------------------------------------------------------
     def footprint(self, channel: str | None = None) -> Timeline:
-        """Measured memory footprint (step function) of the run.
-
-        Channel-restricted footprints read the recorder's channel index
-        instead of filtering the full item table, so per-channel sweeps
-        stay linear in the trace size overall.
-        """
-        if channel is None:
-            starts, ends, sizes = self._item_arrays
-            return timeline_from_intervals(
-                starts, ends, sizes, self.recorder.t_start, self.horizon
-            )
-        items = self.recorder.items_of_channel(channel)
-        return build_timeline(items, self.recorder.t_start, self.horizon)
+        """Measured memory footprint (step function) of the run, or of one
+        channel — through the recorder's channel index, so per-channel
+        sweeps stay linear in the trace size overall."""
+        rows: slice | np.ndarray = slice(None)
+        if channel is not None:
+            rows = np.array(self.recorder.channel_rows(channel), dtype=np.intp)
+        starts, ends, sizes = self._item_arrays
+        return timeline_from_intervals(
+            starts[rows], ends[rows], sizes[rows],
+            self.recorder.t_start, self.horizon,
+        )
 
     @cached_property
     def _last_use_end(self) -> Dict[int, float]:
@@ -195,12 +192,18 @@ class PostmortemAnalyzer:
         iteration ends (the paper counts "items in various stages of
         processing").
         """
+        rec = self.recorder
+        t_ends, flat = rec.iter_t_end, rec.iter_inputs
         out: Dict[int, float] = {}
-        for it in self.recorder.iterations:
-            for item_id in it.inputs:
-                prev = out.get(item_id)
-                if prev is None or it.t_end > prev:
-                    out[item_id] = it.t_end
+        lo = 0
+        for row, hi in enumerate(rec.iter_inputs_end):
+            if lo < hi:
+                t_end = t_ends[row]
+                for item_id in flat[lo:hi]:
+                    prev = out.get(item_id)
+                    if prev is None or t_end > prev:
+                        out[item_id] = t_end
+                lo = hi
         return out
 
     def ideal_footprint(self) -> Timeline:
@@ -211,24 +214,21 @@ class PostmortemAnalyzer:
         nothing — IGC "eliminates all unnecessary computations and
         associated memory usage").
         """
-        success = self.successful_ids
+        rec = self.recorder
+        starts, _, sizes = self._item_arrays
+        # Per item row, the time of its final get (-inf: never gotten).
+        last_get = np.full(len(starts), -np.inf)
+        gets = np.array(rec.touch_skip) == 0
+        np.maximum.at(last_get, np.array(rec.touch_item, dtype=np.intp)[gets],
+                      np.array(rec.touch_t)[gets])
+        eligible = np.flatnonzero(self._success_mask & (last_get > -np.inf))
         last_use = self._last_use_end
-
-        def end_at_last_use(item) -> float | None:
-            end = last_use.get(item.item_id)
-            if end is not None:
-                return end
-            return item.last_get_time()
-
-        eligible = [
-            item for item in self.recorder.items.values()
-            if item.item_id in success and item.gets
-        ]
-        return build_timeline(
-            eligible,
-            self.recorder.t_start,
-            self.horizon,
-            end_override=end_at_last_use,
+        item_id = rec.item_id
+        ends = np.array([last_use.get(item_id[row], fallback) for row, fallback
+                         in zip(eligible.tolist(), last_get[eligible].tolist())])
+        return timeline_from_intervals(
+            starts[eligible], ends, sizes[eligible],
+            rec.t_start, self.horizon,
         )
 
     # -- per-thread waste attribution ---------------------------------------
@@ -240,27 +240,21 @@ class PostmortemAnalyzer:
         always useful; an iteration with outputs is wasted iff none of
         its outputs reached the pipeline end (transitively).
         """
-        success = self.successful_ids
+        wasted = set(self._wasted_rows)
         out: Dict[str, dict] = {}
-        for it in self.recorder.iterations:
-            entry = out.get(it.thread)
+        for row, (thread, compute) in enumerate(zip(
+                self.recorder.iter_thread, self.recorder.iter_compute)):
+            entry = out.get(thread)
             if entry is None:
-                entry = out[it.thread] = {
+                entry = out[thread] = {
                     "compute": 0.0, "wasted": 0.0, "iterations": 0,
                     "wasted_iterations": 0,
                 }
-            entry["compute"] += it.compute
+            entry["compute"] += compute
             entry["iterations"] += 1
-            if it.is_sink:
-                continue
-            outputs = it.outputs
-            if outputs:
-                for o in outputs:
-                    if o in success:
-                        break
-                else:
-                    entry["wasted"] += it.compute
-                    entry["wasted_iterations"] += 1
+            if row in wasted:
+                entry["wasted"] += compute
+                entry["wasted_iterations"] += 1
         for entry in out.values():
             entry["wasted_fraction"] = (
                 entry["wasted"] / entry["compute"] if entry["compute"] else 0.0
@@ -270,17 +264,15 @@ class PostmortemAnalyzer:
     # -- per-channel breakdown ---------------------------------------------
     def channel_report(self) -> Dict[str, dict]:
         """Per-channel puts/gets/skips/footprint summary (diagnostics)."""
-        success = self.successful_ids
+        wasted = ~self._success_mask
         out: Dict[str, dict] = {}
         for channel in self.recorder.channels():
-            items = self.recorder.items_of_channel(channel)
+            rows = np.array(self.recorder.channel_rows(channel), dtype=np.intp)
             timeline = self.footprint(channel)
             out[channel] = {
-                "items": len(items),
+                "items": len(rows),
                 "bytes_mean": timeline.mean(),
                 "bytes_peak": timeline.peak(),
-                "wasted_items": sum(
-                    1 for item in items if item.item_id not in success
-                ),
+                "wasted_items": int(wasted[rows].sum()),
             }
         return out

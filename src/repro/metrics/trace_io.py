@@ -15,72 +15,69 @@ precision (``repr`` round-trip), so analysis results match exactly.
 from __future__ import annotations
 
 import json
+from array import array
+from operator import itemgetter
 from pathlib import Path
 from typing import Union
 
 from repro.errors import TraceError
-from repro.metrics.events import ItemTrace, IterationTrace, StpSample, Touch
 from repro.metrics.recorder import TraceRecorder
 
 #: Bump on any incompatible schema change.
 SCHEMA_VERSION = 1
+
+#: The file's keys for a row, in the order the recorder's hook takes them.
+_ITEM_KEYS = ("id", "channel", "node", "ts", "size", "producer", "parents",
+              "t_alloc")
+_ITERATION_KEYS = ("thread", "t_start", "t_end", "compute", "blocked",
+                   "slept", "inputs", "outputs", "is_sink")
+_STP_KEYS = ("thread", "t", "current_stp", "summary", "throttle_target",
+             "slept")
 
 
 def trace_to_dict(recorder: TraceRecorder) -> dict:
     """Serialize a finalized recorder to plain Python data."""
     if recorder.t_end is None:
         raise TraceError("finalize the recorder before saving")
+    # Per item row, its (gets, skips) in recording order.
+    touches = [([], []) for _ in recorder.item_id]
+    for row, conn_id, consumer, t, skip in zip(
+            recorder.touch_item, recorder.touch_conn, recorder.touch_consumer,
+            recorder.touch_t, recorder.touch_skip):
+        touches[row][skip].append([conn_id, consumer, t])
+    items = []
+    for row, (gets, skips) in enumerate(touches):
+        entry = dict(zip(_ITEM_KEYS, recorder.alloc_args(row)))
+        t_free = recorder.item_t_free[row]
+        entry.update(parents=list(entry["parents"]),
+                     t_free=None if t_free != t_free else t_free,
+                     gets=gets, skips=skips)
+        items.append(entry)
+    iterations = []
+    counters: dict = {}
+    for row in range(len(recorder.iter_thread)):
+        thread, *rest = recorder.iteration_args(row)
+        index = counters[thread] = counters.get(thread, -1) + 1
+        entry = {"thread": thread, "index": index,
+                 **dict(zip(_ITERATION_KEYS[1:], rest))}
+        entry.update(inputs=list(entry["inputs"]),
+                     outputs=list(entry["outputs"]))
+        iterations.append(entry)
     return {
         "schema": SCHEMA_VERSION,
         "t_start": recorder.t_start,
         "t_end": recorder.t_end,
-        "items": [
-            {
-                "id": it.item_id,
-                "channel": it.channel,
-                "node": it.node,
-                "ts": it.ts,
-                "size": it.size,
-                "producer": it.producer,
-                "parents": list(it.parents),
-                "t_alloc": it.t_alloc,
-                "t_free": it.t_free,
-                "gets": [[t.conn_id, t.consumer, t.t] for t in it.gets],
-                "skips": [[t.conn_id, t.consumer, t.t] for t in it.skips],
-            }
-            for it in recorder.items.values()
-        ],
-        "iterations": [
-            {
-                "thread": it.thread,
-                "index": it.index,
-                "t_start": it.t_start,
-                "t_end": it.t_end,
-                "compute": it.compute,
-                "blocked": it.blocked,
-                "slept": it.slept,
-                "inputs": list(it.inputs),
-                "outputs": list(it.outputs),
-                "is_sink": it.is_sink,
-            }
-            for it in recorder.iterations
-        ],
-        "stp_samples": [
-            {
-                "thread": s.thread,
-                "t": s.t,
-                "current_stp": s.current_stp,
-                "summary": s.summary,
-                "throttle_target": s.throttle_target,
-                "slept": s.slept,
-            }
-            for s in recorder.stp_samples
-        ],
+        "items": items,
+        "iterations": iterations,
+        "stp_samples": [dict(zip(_STP_KEYS, recorder.stp_args(row)))
+                        for row in range(len(recorder.stp_thread))],
     }
 
 
 def trace_from_dict(data: dict) -> TraceRecorder:
-    """Rebuild a recorder from :func:`trace_to_dict` output."""
+    """Rebuild a recorder from :func:`trace_to_dict` output, through the
+    recorder's own hooks in file order. An iteration's ``index`` is its
+    rank among its thread's iterations, as :func:`trace_to_dict` wrote."""
     schema = data.get("schema")
     if schema != SCHEMA_VERSION:
         raise TraceError(
@@ -89,48 +86,20 @@ def trace_from_dict(data: dict) -> TraceRecorder:
     recorder = TraceRecorder()
     recorder.t_start = float(data["t_start"])
     for entry in data["items"]:
-        trace = ItemTrace(
-            item_id=entry["id"],
-            channel=entry["channel"],
-            node=entry["node"],
-            ts=entry["ts"],
-            size=entry["size"],
-            producer=entry["producer"],
-            parents=tuple(entry["parents"]),
-            t_alloc=entry["t_alloc"],
-            t_free=entry["t_free"],
-            gets=[Touch(*t) for t in entry["gets"]],
-            skips=[Touch(*t) for t in entry["skips"]],
-        )
-        if trace.item_id in recorder.items:
-            raise TraceError(f"duplicate item id {trace.item_id} in trace")
-        recorder.items[trace.item_id] = trace
+        item_id = entry["id"]
+        if item_id in recorder.item_row:
+            raise TraceError(f"duplicate item id {item_id} in trace")
+        recorder.on_alloc(*[entry[key] for key in _ITEM_KEYS])
+        if entry["t_free"] is not None:
+            recorder.item_t_free[-1] = entry["t_free"]
+        for touch in entry["gets"]:
+            recorder.on_get(item_id, *touch)
+        for touch in entry["skips"]:
+            recorder.on_skip(item_id, *touch)
     for entry in data["iterations"]:
-        recorder.iterations.append(
-            IterationTrace(
-                thread=entry["thread"],
-                index=entry["index"],
-                t_start=entry["t_start"],
-                t_end=entry["t_end"],
-                compute=entry["compute"],
-                blocked=entry["blocked"],
-                slept=entry["slept"],
-                inputs=tuple(entry["inputs"]),
-                outputs=tuple(entry["outputs"]),
-                is_sink=entry["is_sink"],
-            )
-        )
+        recorder.on_iteration(*[entry[key] for key in _ITERATION_KEYS])
     for entry in data.get("stp_samples", []):
-        recorder.stp_samples.append(
-            StpSample(
-                thread=entry["thread"],
-                t=entry["t"],
-                current_stp=entry["current_stp"],
-                summary=entry["summary"],
-                throttle_target=entry["throttle_target"],
-                slept=entry["slept"],
-            )
-        )
+        recorder.on_stp(*[entry[key] for key in _STP_KEYS])
     recorder.finalize(float(data["t_end"]))
     return recorder
 
@@ -152,19 +121,10 @@ def rebase_trace(recorder: TraceRecorder, t_start: float = 0.0) -> TraceRecorder
         return recorder
     recorder.t_start += delta
     recorder.t_end += delta
-    for item in recorder.items.values():
-        item.t_alloc += delta
-        if item.t_free is not None:
-            item.t_free += delta
-        for touch in item.gets:
-            touch.t += delta
-        for touch in item.skips:
-            touch.t += delta
-    for it in recorder.iterations:
-        it.t_start += delta
-        it.t_end += delta
-    for s in recorder.stp_samples:
-        s.t += delta
+    for name in ("item_t_alloc", "item_t_free", "touch_t",
+                 "iter_t_start", "iter_t_end", "stp_t"):
+        column = getattr(recorder, name)
+        column[:] = array("d", [t + delta for t in column])
     return recorder
 
 
@@ -175,37 +135,43 @@ def merge_traces(recorders) -> TraceRecorder:
     process; item ids are disjoint by construction (each worker seeds
     its id counter in a private range) and all workers share the
     launcher's epoch, so merging is a union: items keyed by id,
-    iterations and STP samples re-sorted into completion order,
-    ``t_end`` the latest worker's. Per-thread iteration indexes are
-    renumbered in that order.
+    iterations and STP samples re-sorted into completion order (per-thread
+    iteration indexes follow it), ``t_end`` the latest worker's. Rows are
+    replayed from the workers' columns through the merged recorder's
+    hooks: it owns its rows, the inputs stay as they were.
     """
     recorders = list(recorders)
     if not recorders:
         raise TraceError("merge_traces needs at least one trace")
+    if any(rec.t_end is None for rec in recorders):
+        raise TraceError("finalize every worker trace before merging")
     merged = TraceRecorder()
-    merged.t_start = min(r.t_start for r in recorders)
-    t_end = None
-    iterations: list = []
+    merged.t_start = min(rec.t_start for rec in recorders)
+    iterations, samples = [], []  # of (sort key, source recorder, row)
     for rec in recorders:
-        if rec.t_end is None:
-            raise TraceError("finalize every worker trace before merging")
-        t_end = rec.t_end if t_end is None else max(t_end, rec.t_end)
-        for item_id, item in rec.items.items():
-            if item_id in merged.items:
+        base = len(merged.item_id)
+        for row, item_id in enumerate(rec.item_id):
+            if item_id in merged.item_row:
                 raise TraceError(
-                    f"duplicate item id {item_id} across worker traces"
-                )
-            merged.items[item_id] = item
-        iterations.extend(rec.iterations)
-        merged.stp_samples.extend(rec.stp_samples)
-    iterations.sort(key=lambda it: (it.t_end, it.thread, it.index))
-    counters: dict = {}
-    for it in iterations:
-        it.index = counters.get(it.thread, 0)
-        counters[it.thread] = it.index + 1
-    merged.iterations.extend(iterations)
-    merged.stp_samples.sort(key=lambda s: (s.t, s.thread))
-    merged.finalize(t_end)
+                    f"duplicate item id {item_id} across worker traces")
+            merged.on_alloc(*rec.alloc_args(row))
+        merged.item_t_free[base:] = rec.item_t_free
+        for row, conn_id, consumer, t, skip in zip(
+                rec.touch_item, rec.touch_conn, rec.touch_consumer,
+                rec.touch_t, rec.touch_skip):
+            touch = merged.on_skip if skip else merged.on_get
+            touch(rec.item_id[row], conn_id, consumer, t)
+        counters: dict = {}
+        for row, thread in enumerate(rec.iter_thread):
+            index = counters[thread] = counters.get(thread, -1) + 1
+            iterations.append(((rec.iter_t_end[row], thread, index), rec, row))
+        samples += [((rec.stp_t[row], thread), rec, row)
+                    for row, thread in enumerate(rec.stp_thread)]
+    for _, rec, row in sorted(iterations, key=itemgetter(0)):
+        merged.on_iteration(*rec.iteration_args(row))
+    for _, rec, row in sorted(samples, key=itemgetter(0)):
+        merged.on_stp(*rec.stp_args(row))
+    merged.finalize(max(rec.t_end for rec in recorders))
     return merged
 
 

@@ -420,7 +420,7 @@ def run_tenants(spec: Union[TenancySpec, None] = None,
         if tenant.graph is not None and tenant.mapping:
             sinks = [tenant.mapping[s] for s in tenant.graph.sinks()]
             for sink in sinks:
-                deliveries += len(trace.iterations_of(sink))
+                deliveries += trace.iteration_count(sink)
                 samples.extend(by_thread.get(sink, ()))
             for name in tenant.buffers:
                 buf = runtime.buffers.get(name)

@@ -13,10 +13,18 @@ one that makes it cheaper should lower the budget in the same PR.
 
 Set-up has the same kind of gate: Python calls per admitted light tenant,
 as the difference of admitting 40 and 20 of them with no engine run.
+
+What an event leaves behind is gated the same way on the light fleet:
+gc-tracked objects and bytes of trace storage per engine event, again as
+the difference of two horizons. These are the deterministic companions
+of the benchmark's ``peak_rss_mb``: the trace is typed columns, so an
+event adds rows to arrays and no object for the collector to walk.
 """
 
 import gc
 import importlib.util
+import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -139,10 +147,12 @@ def marginal_calls_per_event(recipe, short: float, long: float) -> float:
 
 
 #: (recipe, short and long horizon in simulated s, budget). Measured
-#: 28.71 and 34.91 when set (ISSUE 16; 38.14 and 41.28 before).
+#: 27.31 and 33.40 when set (ISSUE 23: recording appends to columns, no
+#: record ``__init__``; 28.71 and 34.91 before, 38.14 and 41.28 before
+#: ISSUE 16).
 BUDGETS = [
-    pytest.param(light_fleet, 5.0, 20.0, 30.1, id="light-fleet"),
-    pytest.param(tracker_cell, 10.0, 60.0, 36.6, id="tracker-aru-min"),
+    pytest.param(light_fleet, 5.0, 20.0, 28.7, id="light-fleet"),
+    pytest.param(tracker_cell, 10.0, 60.0, 35.1, id="tracker-aru-min"),
 ]
 
 
@@ -152,6 +162,39 @@ def test_python_calls_per_engine_event(recipe, short, long, budget):
     assert per_event <= budget, (
         f"{per_event:.2f} Python calls per engine event, budget {budget}; "
         f"benchmarks/count_calls.py --compare shows which functions grew")
+
+
+#: What one more engine event of the light fleet leaves behind. Measured
+#: 0.000 gc-tracked objects (one stray object in 4 200 events at most)
+#: and 83.1 B of trace storage when set (ISSUE 23); the recorder that
+#: kept a record object per interaction measured 1.40 objects and
+#: about 224 B.
+TRACKED_OBJECTS_BUDGET = 0.01
+TRACE_BYTES_BUDGET = 87.3
+
+
+def test_what_an_engine_event_leaves_behind():
+    growth = counter.growth_per_event(light_fleet, 5.0, 20.0)
+    assert growth["tracked_objects_per_event"] <= TRACKED_OBJECTS_BUDGET, (
+        f"{growth['tracked_objects_per_event']:.3f} gc-tracked objects "
+        f"outlive each engine event, budget {TRACKED_OBJECTS_BUDGET}: "
+        f"something keeps an object per interaction again")
+    assert growth["trace_bytes_per_event"] <= TRACE_BYTES_BUDGET, (
+        f"{growth['trace_bytes_per_event']:.1f} B of trace storage per "
+        f"engine event, budget {TRACE_BYTES_BUDGET}")
+
+
+def test_trace_bytes_counts_columns_and_the_id_map():
+    class Storage:
+        def __init__(self):
+            self.ids = array("q", range(1000))
+            self.names = ["n"] * 10
+            self.rows = {10**6: 10**5}
+            self.flag = True  # neither a column nor a map
+
+    assert counter.trace_bytes(Storage()) == (
+        sys.getsizeof(array("q", range(1000))) + sys.getsizeof(["n"] * 10)
+        + sys.getsizeof({1: 1}) + sys.getsizeof(10**6) + sys.getsizeof(10**5))
 
 
 def admit_light_fleet(tenants: int) -> TenantRuntime:

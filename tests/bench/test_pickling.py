@@ -64,6 +64,30 @@ def test_result_roundtrips():
     assert pickle.dumps(clone) == pickle.dumps(result)
 
 
+def test_finalized_recorder_roundtrips():
+    """A trace travels by pickle too (tenancy results, worker reports):
+    the typed columns, the id -> row map and the views' row indexes all
+    survive, and the copy analyses to the same numbers."""
+    from repro.experiment import ExperimentSpec, run_experiment
+    from repro.metrics import PostmortemAnalyzer, latency_samples, trace_to_dict
+
+    trace = run_experiment(ExperimentSpec(
+        config="config1", policy="aru-min", seed=0, horizon=6.0)).trace
+    assert trace.items[next(iter(trace.items))].gets  # the indexes are built
+    assert len(trace.sink_iterations()) > 0
+    clone = pickle.loads(pickle.dumps(trace))
+    assert trace_to_dict(clone) == trace_to_dict(trace)
+    assert pickle.dumps(clone) == pickle.dumps(trace)
+    assert list(clone.items.values()) == list(trace.items.values())
+    assert clone.iterations == trace.iterations
+    assert latency_samples(clone) == latency_samples(trace)
+    pm_a, pm_b = PostmortemAnalyzer(trace), PostmortemAnalyzer(clone)
+    assert pm_a.wasted_memory_fraction == pm_b.wasted_memory_fraction
+    assert pm_a.ideal_footprint().mean() == pm_b.ideal_footprint().mean()
+    with pytest.raises(Exception, match="twice"):
+        clone.finalize(7.0)
+
+
 def test_failed_result_roundtrips():
     result = run_cell(CellSpec(config="configX"))
     assert not result.ok

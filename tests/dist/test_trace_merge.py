@@ -89,3 +89,23 @@ class TestMerge:
                                _mini_trace(10.5, 2, "dst")])
         again = trace_from_dict(trace_to_dict(merged))
         assert trace_to_dict(again) == trace_to_dict(merged)
+
+    def test_merge_then_rebase_leaves_the_inputs_alone(self):
+        """The merged trace owns its rows. It used to share the workers'
+        record objects, so rebasing it shifted a worker's items and
+        iterations under a ``t_start`` that stayed put, and the merge
+        renumbered iteration indexes on the workers' own traces."""
+        a = _mini_trace(10.0, 1, "src")
+        a.t_end = None  # one more iteration, completing *before* the first
+        a.on_iteration("src", t_start=10.0, t_end=10.1, compute=0.05,
+                       blocked=0.0, slept=0.0, inputs=(), outputs=())
+        a.finalize(11.0)
+        b = _mini_trace(10.2, 2, "dst")
+        before = [trace_to_dict(a), trace_to_dict(b)]
+        merged = rebase_trace(merge_traces([a, b]))
+        assert merged.t_start == 0.0
+        assert merged.items[1].t_alloc == pytest.approx(0.1)
+        assert [(it.index, it.t_end) for it in merged.iterations_of("src")] \
+            == [(0, pytest.approx(0.1)), (1, pytest.approx(0.5))]
+        assert [trace_to_dict(a), trace_to_dict(b)] == before
+        assert a.items[1].t_alloc == pytest.approx(10.1)

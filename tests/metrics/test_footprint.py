@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import TraceRecorder, Timeline, build_timeline, byte_seconds
+from record_analyses import build_timeline, byte_seconds
+
+from repro.metrics import Timeline, TraceRecorder
 from repro.metrics.footprint import timeline_from_intervals
 
 

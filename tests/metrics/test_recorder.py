@@ -167,17 +167,76 @@ class TestViewIndexes:
         assert rec.channels() == ["a"]
         assert [it.thread for it in rec.iterations_of("t")] == ["t"]
 
-    def test_direct_dict_insertion_resyncs(self):
-        """trace_io rebuilds recorders by writing ``items`` directly; the
-        channel index must notice and regroup instead of serving a stale
-        (or empty) view."""
+    def test_views_are_read_only(self):
+        """Rows come from the hooks and nowhere else: ``items`` is a
+        ``Mapping`` and the record lists are ``Sequence``s, without
+        item assignment, ``append`` or ``sort``."""
         rec = TraceRecorder()
         alloc(rec, 1, channel="a")
-        assert rec.channels() == ["a"]
         trace = rec.items[1]
-        rec.items[2] = type(trace)(
-            item_id=2, channel="b", node="n0", ts=1, size=10,
-            producer="p", parents=(), t_alloc=1.0,
-        )
-        assert rec.channels() == ["a", "b"]
-        assert [i.item_id for i in rec.items_of_channel("b")] == [2]
+        with pytest.raises(TypeError):
+            rec.items[2] = trace
+        with pytest.raises(AttributeError):
+            rec.iterations.append(None)
+        with pytest.raises(AttributeError):
+            rec.stp_samples.sort()
+        with pytest.raises(AttributeError):
+            rec.items = {}
+        assert list(rec.items) == [1] and rec.channels() == ["a"]
+
+
+class TestViewsShowLiveState:
+    """A record is a snapshot of its row; a view is the rows as they are."""
+
+    def test_a_view_taken_before_a_free_sees_it(self):
+        rec = TraceRecorder()
+        alloc(rec, 1, t=1.0)
+        items = rec.items
+        before = items[1]
+        rec.on_get(1, conn_id=3, consumer="c", t=1.5)
+        rec.on_free(1, t=2.0)
+        assert before.t_free is None and before.gets == []
+        assert items[1].t_free == 2.0
+        assert [(g.conn_id, g.consumer, g.t) for g in items[1].gets] == [
+            (3, "c", 1.5)]
+
+    def test_views_grow_with_the_run(self):
+        rec = TraceRecorder()
+        iterations, samples, values = (
+            rec.iterations, rec.stp_samples, rec.items.values())
+        assert len(iterations) == len(samples) == len(values) == 0
+        alloc(rec, 7)
+        rec.on_iteration("a", 0.0, 1.0, 0.5, 0.0, 0.0, (), (7,))
+        rec.on_stp("a", 1.0, 0.5, None, float("nan"), 0.0)
+        assert len(iterations) == len(samples) == len(values) == 1
+        assert iterations[0].outputs == (7,) and iterations[-1].index == 0
+        assert samples[0].summary is None
+        assert samples[0].throttle_target != samples[0].throttle_target  # NaN
+
+    def test_sequence_protocol(self):
+        rec = TraceRecorder()
+        for k in range(5):
+            rec.on_iteration("a" if k % 2 else "b", k, k + 1, 0.1, 0, 0, (), ())
+        its = rec.iterations
+        assert [it.t_start for it in its[1:4]] == [1, 2, 3]
+        assert [it.t_start for it in its[::-1]] == [4, 3, 2, 1, 0]
+        assert its[-1].thread == "b" and its[-1].index == 2
+        assert [it.index for it in rec.iterations_of("a")[1:]] == [1]
+        assert its == list(its) and its[:2] == its[:2] and its != its[:2]
+        with pytest.raises(IndexError):
+            its[5]
+        with pytest.raises(KeyError):
+            rec.items[99]
+        assert rec.items.get(99) is None and 99 not in rec.items
+
+    def test_the_recorder_holds_no_view(self):
+        rec = TraceRecorder()
+        alloc(rec, 1)
+        rec.on_get(1, 1, "c", 0.5)
+        rec.on_iteration("a", 0, 1, 0.1, 0, 0, (1,), (), is_sink=True)
+        views = [rec.items, rec.items.values(), rec.iterations,
+                 rec.sink_iterations(), rec.items_of_channel("ch")]
+        assert all(len(v) == 1 for v in views) and rec.items[1].gets
+        view_types = tuple({type(v) for v in views})
+        assert not any(isinstance(value, view_types)
+                       for value in vars(rec).values())

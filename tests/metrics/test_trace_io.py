@@ -89,6 +89,30 @@ class TestRoundTrip:
         assert data["items"] and data["iterations"]
 
 
+def test_saved_bytes_match_the_file_written_before_the_columns(tmp_path):
+    """``data/tracker_config1_aru_min_seed0_h4.json`` was written by
+    ``save_trace`` at the last commit whose recorder kept one object per
+    interaction; the same seeded run saves to the same bytes today."""
+    from pathlib import Path
+
+    from repro.experiment import ExperimentSpec, run_experiment
+    from repro.runtime import reset_item_ids
+    from repro.runtime.connection import reset_conn_ids
+
+    reset_item_ids()
+    reset_conn_ids()
+    result = run_experiment(ExperimentSpec(
+        config="config1", policy="aru-min", seed=0, horizon=4.0))
+    path = tmp_path / "trace.json"
+    save_trace(result.trace, path)
+    committed = (Path(__file__).parent / "data"
+                 / "tracker_config1_aru_min_seed0_h4.json")
+    assert path.read_bytes() == committed.read_bytes()
+    # ... and a load/save cycle of the committed file changes nothing.
+    save_trace(load_trace(committed), path)
+    assert path.read_bytes() == committed.read_bytes()
+
+
 class TestValidation:
     def test_unfinalized_rejected(self):
         with pytest.raises(TraceError):
