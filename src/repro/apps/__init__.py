@@ -1,5 +1,10 @@
 """Applications: the people tracker, gesture/stereo pipelines, and
-generic workload generators."""
+generic workload generators.
+
+The builtin apps a spec can name (``ExperimentSpec(app=...)``, spec
+files, ``repro dot``) are registered in :data:`APPS` as
+``(build, config class)`` pairs; ``build(None)`` uses the defaults.
+"""
 
 from repro.apps.gesture import GestureConfig, build_gesture
 from repro.apps.stereo import StereoConfig, build_stereo
@@ -39,8 +44,18 @@ from repro.apps.workloads import (
     make_worker,
     work_queue_pool,
 )
+from repro.registry import Registry
+
+APPS = Registry("app")
+APPS.register("tracker", (build_tracker, TrackerConfig),
+              help="the color-based people tracker the paper evaluates (§5)")
+APPS.register("gesture", (build_gesture, GestureConfig),
+              help="sliding-window recognizer pinning a window of features")
+APPS.register("stereo", (build_stereo, StereoConfig),
+              help="two cameras matched by corresponding timestamps")
 
 __all__ = [
+    "APPS",
     "TrackerConfig",
     "build_tracker",
     "GestureConfig",

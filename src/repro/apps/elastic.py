@@ -22,9 +22,10 @@ policies resolve through the registry.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.errors import ConfigError
+from repro.registry import Registry
 from repro.runtime.graph import TaskGraph
 from repro.runtime.syscalls import (
     Compute,
@@ -152,17 +153,12 @@ def elastic_pipeline(
 
 
 #: Workloads resolvable by name from sweep cells (picklable strings).
-WORKLOADS: Dict[str, Callable[..., TaskGraph]] = {
-    "elastic": elastic_pipeline,
-}
+WORKLOADS: Registry[Callable[..., TaskGraph]] = Registry("workload")
+WORKLOADS.register(
+    "elastic", elastic_pipeline,
+    help="source -> replicated worker stage -> sink, with a rate swing")
 
 
 def build_workload(name: str, **args) -> TaskGraph:
     """Resolve a registered workload builder by name and build it."""
-    builder = WORKLOADS.get(name)
-    if builder is None:
-        raise ConfigError(
-            f"unknown workload {name!r} "
-            f"(available: {', '.join(sorted(WORKLOADS))})"
-        )
-    return builder(**args)
+    return WORKLOADS.get(name)(**args)

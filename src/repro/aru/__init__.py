@@ -24,6 +24,7 @@ from repro.aru.config import (
     aru_pid,
 )
 from repro.aru.filters import (
+    FILTERS,
     EwmaFilter,
     MedianFilter,
     NoFilter,
@@ -68,6 +69,7 @@ __all__ = [
     "MAX_OPERATOR",
     "resolve",
     "operator_name",
+    "FILTERS",
     "NoFilter",
     "EwmaFilter",
     "MedianFilter",

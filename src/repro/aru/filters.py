@@ -17,6 +17,7 @@ from collections import deque
 from typing import Callable, Deque, Optional, Union
 
 from repro.errors import ConfigError
+from repro.registry import Registry
 
 #: A filter maps each raw sample to a smoothed value, statefully.
 Filter = Callable[[float], float]
@@ -93,12 +94,18 @@ class SlewRateFilter:
         return self._state
 
 
-_NAMED: dict = {
-    "none": NoFilter,
-    "ewma": EwmaFilter,
-    "median": MedianFilter,
-    "slew": SlewRateFilter,
-}
+FILTERS: Registry[Callable[..., Filter]] = Registry("filter")
+FILTERS.register("none", NoFilter, help="identity — the paper's behaviour")
+FILTERS.register(
+    "ewma", EwmaFilter,
+    help="exponentially-weighted moving average (ewma:<alpha>, default 0.3)")
+FILTERS.register(
+    "median", MedianFilter,
+    help="sliding-window median (median:<window>, default 5)")
+FILTERS.register(
+    "slew", SlewRateFilter,
+    help="relative slew-rate limit per sample (slew:<max_step>, default "
+         "0.25)")
 
 
 class ParametrizedFilterFactory:
@@ -130,22 +137,24 @@ class ParametrizedFilterFactory:
 def resolve_factory(spec: Union[str, FilterFactory, None]) -> FilterFactory:
     """Turn a config value into a filter factory.
 
-    Accepts ``None``/``"none"`` (identity), a name (``"ewma"``,
-    ``"median"``, ``"slew"``, optionally with a parameter like
-    ``"ewma:0.2"`` / ``"median:7"``), or any zero-arg callable returning a
-    filter.
+    Accepts ``None``/``"none"`` (identity), a name registered in
+    :data:`FILTERS` (optionally with a parameter like ``"ewma:0.2"`` /
+    ``"median:7"``), or any zero-arg callable returning a filter.
     """
     if spec is None:
         return NoFilter
-    if isinstance(spec, str):
-        name, _, arg = spec.partition(":")
-        cls = _NAMED.get(name.lower())
-        if cls is None:
-            raise ConfigError(f"unknown filter {spec!r}; expected {sorted(_NAMED)}")
-        if arg:
-            value: Union[int, float] = float(arg) if "." in arg else int(arg)
-            return ParametrizedFilterFactory(cls, value)
-        return cls
     if callable(spec):
         return spec
-    raise ConfigError(f"filter must be a name or factory, got {type(spec).__name__}")
+    if not isinstance(spec, str):
+        raise ConfigError(
+            f"filter must be a name or factory, got {type(spec).__name__}")
+    name, _, arg = spec.partition(":")
+    cls = FILTERS.get(name.lower())
+    if not arg:
+        return cls
+    try:
+        value: Union[int, float] = float(arg) if "." in arg else int(arg)
+    except ValueError:
+        raise ConfigError(
+            f"filter {spec!r}: parameter {arg!r} is not a number") from None
+    return ParametrizedFilterFactory(cls, value)

@@ -143,7 +143,11 @@ def resolve(op: Union[str, Operator, None]) -> Operator:
         if key in _NAMED:
             return _NAMED[key]
         if key.startswith("kth:"):
-            return kth_op(int(key.split(":", 1)[1]))
+            try:
+                return kth_op(int(key[4:]))
+            except ValueError:
+                raise ConfigError(
+                    f"operator {op!r}: k must be an integer") from None
         raise ConfigError(
             f"unknown operator {op!r}; expected one of {sorted(_NAMED)} or 'kth:<k>'"
         )

@@ -4,12 +4,12 @@ An experiment backend is *how* an :class:`~repro.experiment.ExperimentSpec`
 turns into a :class:`~repro.experiment.RunResult` — the same declarative
 spec can run on the deterministic discrete-event simulator, on real OS
 threads inside one process, or on a fleet of worker processes wired
-together over TCP (:mod:`repro.dist`). The registry mirrors the policy /
-scale-policy / placement / arbiter registries: names resolve through one
-path shared by ``ExperimentSpec(backend=...)``, spec files, sweep cells,
-and the CLI ``--backend`` flag, and unknown names raise
-:class:`~repro.errors.ConfigError` with did-you-mean suggestions —
-a typo must never silently fall back to the simulator.
+together over TCP (:mod:`repro.dist`). :data:`BACKENDS` is a
+:class:`~repro.registry.Registry` like every other named choice: names
+resolve through one path shared by ``ExperimentSpec(backend=...)``, spec
+files, sweep cells, and the CLI ``--backend`` flag, and unknown names
+raise :class:`~repro.errors.ConfigError` with did-you-mean suggestions
+— a typo must never silently fall back to the simulator.
 
 Built-ins:
 
@@ -39,9 +39,9 @@ Extensions register their own::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
-from repro.errors import ConfigError, unknown_name_error
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiment import ExperimentSpec, RunResult
@@ -49,52 +49,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: A backend runner: the full spec in, the full result out.
 BackendRunner = Callable[["ExperimentSpec"], "RunResult"]
 
+BACKENDS: Registry[BackendRunner] = Registry("backend")
 
-class BackendEntry(NamedTuple):
-    """One registered experiment backend."""
-
-    runner: BackendRunner
-    help: str
-
-
-_REGISTRY: Dict[str, BackendEntry] = {}
-
-
-def register_backend(name: str, runner: BackendRunner, help: str = "") -> None:
-    """Register (or replace) a named experiment backend."""
-    if not name:
-        raise ConfigError("backend name must be non-empty")
-    _REGISTRY[name] = BackendEntry(runner=runner, help=help)
-
-
-def available_backends() -> List[str]:
-    """Registered backend names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def resolve_backend(name: str) -> BackendRunner:
-    """A backend name -> its runner callable.
-
-    Raises :class:`ConfigError` with did-you-mean suggestions for
-    unknown names.
-    """
-    if not isinstance(name, str):
-        raise ConfigError(
-            f"backend must be a registered name, got {name!r}"
-        )
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        raise unknown_name_error("backend", name, _REGISTRY)
-    return entry.runner
-
-
-def backends_help_text() -> str:
-    """One-line-per-backend catalog (the CLI's ``--list-backends``)."""
-    width = max(len(name) for name in _REGISTRY)
-    lines = ["registered backends:"]
-    for name in available_backends():
-        lines.append(f"  {name:<{width}}  {_REGISTRY[name].help}")
-    return "\n".join(lines)
+register_backend = BACKENDS.register
+available_backends = BACKENDS.names
+resolve_backend = BACKENDS.get
 
 
 # -- built-in backends -------------------------------------------------------

@@ -10,7 +10,8 @@ runner attaches to the cell result as ``extras``.
 
 Probes are addressed *by name* in cell specs (strings pickle; functions
 defined in benchmark modules may not exist in a freshly spawned worker),
-so every probe must be registered here, in an importable module.
+so every probe must be registered in :data:`PROBES`, from an importable
+module.
 """
 
 from __future__ import annotations
@@ -19,31 +20,23 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.registry import Registry
 
 #: probe(graph, recorder, **args) -> flat dict of scalars.
 Probe = Callable[..., Dict[str, float]]
 
-PROBES: Dict[str, Probe] = {}
+PROBES: Registry[Probe] = Registry("probe")
 
 
 def probe(name: str) -> Callable[[Probe], Probe]:
-    """Register a probe under ``name`` (the value cell specs reference)."""
+    """Register a probe under ``name`` (the value cell specs reference);
+    the first line of its docstring is its catalog entry."""
 
     def register(fn: Probe) -> Probe:
-        PROBES[name] = fn
+        PROBES.register(name, fn, help=(fn.__doc__ or "").split("\n")[0])
         return fn
 
     return register
-
-
-def resolve_probe(name: str) -> Probe:
-    try:
-        return PROBES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown probe {name!r}; registered: {sorted(PROBES)}"
-        ) from None
 
 
 #: The tracker's upstream stages — the ones computation elimination [6]

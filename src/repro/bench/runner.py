@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.aru.config import AruConfig, aru_disabled
 from repro.bench.cache import ResultCache
-from repro.bench.probes import resolve_probe
+from repro.bench.probes import PROBES
 from repro.cluster.load import LoadSpec
 from repro.errors import ConfigError
 
@@ -227,7 +227,7 @@ def _execute_cell(spec: CellSpec) -> CellResult:
             raise ConfigError(
                 f"probe {spec.probe!r} inspects runtime internals and "
                 f"requires backend='sim', not {spec.backend!r}")
-        extras = resolve_probe(spec.probe)(
+        extras = PROBES.get(spec.probe)(
             result.runtime.graph, recorder, **dict(spec.probe_args)
         )
     telemetry = result.telemetry.snapshot() if spec.telemetry else None

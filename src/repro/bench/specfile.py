@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.apps.gesture import GestureConfig, build_gesture
-from repro.apps.stereo import StereoConfig, build_stereo
-from repro.apps.tracker import TrackerConfig, build_tracker, tracker_placement
-from repro.aru.config import AruConfig, aru_disabled
+from repro.apps import APPS
+from repro.apps.tracker import tracker_placement
+from repro.aru.config import AruConfig
 from repro.cluster.load import LoadSpec
 from repro.cluster.spec import config1_spec, config2_spec
 from repro.control.registry import resolve_policy
@@ -36,8 +35,10 @@ from repro.errors import ConfigError
 from repro.metrics.recorder import TraceRecorder
 from repro.runtime.runtime import RuntimeConfig
 
+#: Besides these, a spec may carry one config object per registered app,
+#: keyed by the app's name.
 _TOP_KEYS = {"app", "config", "aru", "gc", "seed", "horizon", "loads",
-             "tracker", "gesture", "stereo", "placement"}
+             "placement"}
 
 
 def _check_keys(d: Dict[str, Any], allowed, where: str) -> None:
@@ -53,9 +54,7 @@ def aru_from_dict(spec: Any) -> AruConfig:
     extensions registered via :func:`repro.control.register_policy` are
     usable from spec files too.
     """
-    if spec is None:
-        return aru_disabled()
-    if isinstance(spec, str):
+    if spec is None or isinstance(spec, str):
         return resolve_policy(spec)
     if not isinstance(spec, dict):
         raise ConfigError(f"aru spec must be a name or object, got {spec!r}")
@@ -78,21 +77,12 @@ def experiment_from_dict(spec: Dict[str, Any]):
     """Build ``(graph, RuntimeConfig, horizon)`` from a plain dict."""
     if not isinstance(spec, dict):
         raise ConfigError("experiment spec must be a dict")
-    _check_keys(spec, _TOP_KEYS, "experiment spec")
+    _check_keys(spec, _TOP_KEYS.union(APPS.names()), "experiment spec")
 
     app = spec.get("app", "tracker")
     placement: Dict[str, str] = dict(spec.get("placement") or {})
-    if app == "tracker":
-        graph = build_tracker(_app_config(TrackerConfig, spec.get("tracker"),
-                                          "tracker"))
-    elif app == "gesture":
-        graph = build_gesture(_app_config(GestureConfig, spec.get("gesture"),
-                                          "gesture"))
-    elif app == "stereo":
-        graph = build_stereo(_app_config(StereoConfig, spec.get("stereo"),
-                                         "stereo"))
-    else:
-        raise ConfigError(f"unknown app {app!r}; expected tracker/gesture/stereo")
+    build, config_cls = APPS.get(app)
+    graph = build(_app_config(config_cls, spec.get(app), app))
 
     config_name = spec.get("config", "config1")
     if config_name == "config1":

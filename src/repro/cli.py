@@ -19,11 +19,14 @@ Usage (also available as ``python -m repro``):
     repro-aru chaos --list-faults
     repro-aru obs telemetry/run.jsonl
 
-``--policy`` accepts any name registered with
-:func:`repro.control.register_policy`; ``--list-policies`` prints the
-catalog. ``--telemetry DIR`` records :mod:`repro.obs` metrics + spans
-during the run and exports them as a Chrome/Perfetto trace, a JSONL
-dump, and Prometheus text (see docs/observability.md).
+Every flag that names a registered choice (``--policy``,
+``--scale-policy``, ``--backend``, ``--gc``, ``--placement``,
+``--arbiter``, the app of ``dot``) accepts any name in its
+:class:`~repro.registry.Registry` — extensions included — and comes with
+a ``--list-*`` flag that prints the catalog. ``--telemetry DIR``
+records :mod:`repro.obs` metrics + spans during the run and exports
+them as a Chrome/Perfetto trace, a JSONL dump, and Prometheus text (see
+docs/observability.md).
     repro-aru analyze run.json
     repro-aru compare a.json b.json
     repro-aru timeline run.json [--channel C3] [--width 72]
@@ -36,7 +39,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.aru.config import AruConfig
+from repro.apps import APPS
+from repro.backends import BACKENDS
 from repro.bench import (
     ascii_timeline,
     fig6_memory_table,
@@ -47,13 +51,10 @@ from repro.bench import (
     run_tracker_once,
     shape_checks,
 )
-from repro.control.registry import (
-    policies_help_text,
-    resolve_policy,
-    resolve_scale_policy,
-    scale_policies_help_text,
-)
+from repro.control.registry import POLICIES, SCALE_POLICIES, resolve_policy
 from repro.errors import ConfigError
+from repro.faults.spec import list_faults_text
+from repro.gc import COLLECTORS
 from repro.metrics import (
     PostmortemAnalyzer,
     jitter,
@@ -61,61 +62,35 @@ from repro.metrics import (
     load_trace,
     throughput_fps,
 )
+from repro.registry import Registry
+from repro.tenancy import ARBITERS, PLACEMENTS
 
 
-def _policy(name: str) -> AruConfig:
-    """Resolve a policy name through the control-plane registry.
+def _add_registry_args(parser, flag: str, registry: Registry,
+                       default: Optional[str] = None,
+                       help: Optional[str] = None) -> None:
+    """``flag NAME`` for a name in ``registry`` — a typo exits with the
+    registry's did-you-mean error — plus ``--list-<plural>``, which
+    makes :func:`main` print the catalog instead of running the command.
+    A positional ``flag`` is optional so the listing works without it."""
+    listing = "--list-" + registry.plural.replace(" ", "-")
 
-    Unknown names exit with the registry's did-you-mean message instead
-    of a traceback.
-    """
-    try:
-        return resolve_policy(name)
-    except ConfigError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    def checked(name: str) -> str:
+        try:
+            registry.get(name)
+        except ConfigError as exc:
+            raise SystemExit(f"error: {exc}") from None
+        return name
 
-
-def _maybe_list_policies(args) -> bool:
-    if getattr(args, "list_policies", False):
-        print(policies_help_text())
-        return True
-    if getattr(args, "list_scale_policies", False):
-        print(scale_policies_help_text())
-        return True
-    if getattr(args, "list_backends", False):
-        from repro.backends import backends_help_text
-
-        print(backends_help_text())
-        return True
-    return False
-
-
-def _check_backend(name: str) -> str:
-    """Validate a backend name eagerly (did-you-mean instead of a
-    traceback mid-run)."""
-    from repro.backends import resolve_backend
-
-    try:
-        resolve_backend(name)
-    except ConfigError as exc:
-        raise SystemExit(f"error: {exc}") from None
-    return name
-
-
-def _add_backend_args(parser, default: str = "sim") -> None:
-    parser.add_argument("--backend", default=default, metavar="NAME",
-                        help=f"execution backend (default {default}; "
-                             f"see --list-backends)")
-    parser.add_argument("--list-backends", action="store_true",
-                        help="print the backend catalog and exit")
-
-
-def _scale_policy(name):
-    """Resolve a scale-policy name through the scale registry."""
-    try:
-        return resolve_scale_policy(name)
-    except ConfigError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    if help is None:
+        help = f"registered {registry.kind}" + (
+            "" if default is None else f" (default {default})")
+    parser.add_argument(flag, type=checked, default=default, metavar="NAME",
+                        help=f"{help}; see {listing}",
+                        **({} if flag.startswith("-") else {"nargs": "?"}))
+    parser.add_argument(listing, action="store_const", dest="catalog",
+                        const=registry.help_text,
+                        help=f"print the {registry.kind} catalog and exit")
 
 
 def _workers_arg(value: str) -> int:
@@ -173,23 +148,21 @@ def _print_run_summary(run) -> None:
 
 
 def cmd_run_tracker(args) -> int:
-    if _maybe_list_policies(args):
-        return 0
     config = f"config{args.config}"
-    backend = _check_backend(args.backend)
-    if args.telemetry or backend != "sim":
+    policy = resolve_policy(args.policy)
+    if args.telemetry or args.backend != "sim":
         from repro.bench.experiments import metrics_from_trace
         from repro.experiment import ExperimentSpec, run_experiment
 
         try:
             result = run_experiment(ExperimentSpec(
-                config=config, policy=_policy(args.policy), gc=args.gc,
+                config=config, policy=policy, gc=args.gc,
                 seed=args.seed, horizon=args.horizon,
-                telemetry=bool(args.telemetry), backend=backend,
+                telemetry=bool(args.telemetry), backend=args.backend,
             ))
         except ConfigError as exc:
             raise SystemExit(f"error: {exc}") from None
-        run = metrics_from_trace(config, _policy(args.policy).name,
+        run = metrics_from_trace(config, policy.name,
                                  args.seed, args.horizon, result.trace)
         _print_run_summary(run)
         if args.telemetry:
@@ -203,7 +176,7 @@ def cmd_run_tracker(args) -> int:
         return 0
     run = run_tracker_once(
         config,
-        _policy(args.policy),
+        policy,
         seed=args.seed,
         horizon=args.horizon,
         gc=args.gc,
@@ -222,7 +195,7 @@ def cmd_run_tracker(args) -> int:
             RuntimeConfig(
                 cluster=cluster_for(config),
                 gc=args.gc,
-                aru=_policy(args.policy),
+                aru=policy,
                 seed=args.seed,
                 placement=placement_for(config),
             ),
@@ -263,12 +236,9 @@ def cmd_sweep(args) -> int:
 
     from repro.bench import ResultCache, SweepRunner
 
-    if _maybe_list_policies(args):
-        return 0
-    backend = _check_backend(args.backend)
     policies = None
     if args.policy is not None:
-        cfg = _policy(args.policy)
+        cfg = resolve_policy(args.policy)
         policies = {cfg.name: (lambda c=cfg: c)}
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     progress = None
@@ -295,7 +265,7 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     grid = run_grid(seeds=seeds, horizon=args.horizon, runner=runner,
                     policies=policies, telemetry=bool(args.telemetry),
-                    backend=backend)
+                    backend=args.backend)
     wall = time.perf_counter() - t0
     if args.telemetry:
         print(f"per-cell telemetry snapshots in {args.telemetry}/\n")
@@ -313,15 +283,13 @@ def cmd_run_config(args) -> int:
     from repro.bench import run_experiment, summarize_trace
     from repro.metrics import save_trace
 
-    if _maybe_list_policies(args):
-        return 0
     if args.spec is None:
         raise SystemExit(
             "run-config: a spec file is required (or use --list-backends)")
     spec = json.loads(Path(args.spec).read_text())
     if args.backend is not None:
         # CLI flag wins over the spec file's own "backend" key.
-        spec["backend"] = _check_backend(args.backend)
+        spec["backend"] = args.backend
     try:
         recorder = run_experiment(spec)
     except ConfigError as exc:
@@ -341,20 +309,10 @@ def cmd_run_config(args) -> int:
 def cmd_chaos(args) -> int:
     """Run an experiment under a scripted fault schedule, report resilience."""
     from repro.bench.specfile import experiment_from_dict
-    from repro.faults import (
-        FaultInjector,
-        list_faults_text,
-        load_chaos_file,
-        resilience_report,
-    )
+    from repro.faults import FaultInjector, load_chaos_file, resilience_report
     from repro.metrics import gantt, save_trace
     from repro.runtime import Runtime
 
-    if _maybe_list_policies(args):
-        return 0
-    if args.list_faults:
-        print(list_faults_text())
-        return 0
     if not args.schedule:
         raise SystemExit(
             "chaos: a schedule file is required (or use --list-faults)")
@@ -363,7 +321,8 @@ def cmd_chaos(args) -> int:
     from dataclasses import replace
 
     if args.policy is not None:
-        runtime_config = replace(runtime_config, aru=_policy(args.policy))
+        runtime_config = replace(runtime_config,
+                                 aru=resolve_policy(args.policy))
     if args.horizon is not None:
         horizon = args.horizon
     hub = None
@@ -402,9 +361,6 @@ def cmd_elastic(args) -> int:
     from repro.experiment import ExperimentSpec, run_experiment
     from repro.metrics.performance import latency_percentiles, throughput_fps
 
-    if _maybe_list_policies(args):
-        return 0
-    backend = _check_backend(args.backend)
     swing = (args.swing_start, args.swing_end, args.swing_factor)
     graph = elastic_pipeline(
         replicas=args.replicas,
@@ -417,12 +373,12 @@ def cmd_elastic(args) -> int:
         result = run_experiment(ExperimentSpec(
             app=graph,
             config=f"config{args.config}",
-            policy=_policy(args.policy),
-            scale_policy=_scale_policy(args.scale_policy),
+            policy=args.policy,
+            scale_policy=args.scale_policy,
             seed=args.seed,
             horizon=args.horizon,
             telemetry=bool(args.telemetry),
-            backend=backend,
+            backend=args.backend,
         ))
     except ConfigError as exc:
         raise SystemExit(f"error: {exc}") from None
@@ -461,21 +417,11 @@ def cmd_tenants(args) -> int:
     from repro.tenancy import (
         TenancySpec,
         TenantSpec,
-        arbiters_help_text,
-        placements_help_text,
         run_tenants,
         scaled_tracker_config,
         tenancy_from_dict,
     )
 
-    if args.list_placements:
-        print(placements_help_text())
-        return 0
-    if args.list_arbiters:
-        print(arbiters_help_text())
-        return 0
-    if _maybe_list_policies(args):
-        return 0
     try:
         if args.spec is not None:
             raw = json.loads(Path(args.spec).read_text())
@@ -489,10 +435,10 @@ def cmd_tenants(args) -> int:
         else:
             # Synthetic fleet: N equal scaled-down trackers.
             cfg = scaled_tracker_config(0.1, frame_period=0.2, cv=0.0)
-            policy = _policy(args.policy) if args.policy else None
             spec = TenancySpec(
                 tenants=tuple(
-                    TenantSpec(f"tenant{i}", app_config=cfg, policy=policy)
+                    TenantSpec(f"tenant{i}", app_config=cfg,
+                               policy=args.policy)
                     for i in range(args.tenants)
                 ),
                 cluster=args.nodes,
@@ -557,21 +503,10 @@ def cmd_compare(args) -> int:
 def cmd_dot(args) -> int:
     from repro.runtime import graph_to_dot
 
-    if args.app == "tracker":
-        from repro.apps import build_tracker
-
-        graph = build_tracker()
-    elif args.app == "gesture":
-        from repro.apps import build_gesture
-
-        graph = build_gesture()
-    elif args.app == "stereo":
-        from repro.apps import build_stereo
-
-        graph = build_stereo()
-    else:  # pragma: no cover - argparse choices prevent it
-        raise SystemExit(f"unknown app {args.app!r}")
-    print(graph_to_dot(graph), end="")
+    if args.app is None:
+        raise SystemExit("dot: an app name is required (or use --list-apps)")
+    build, _ = APPS.get(args.app)
+    print(graph_to_dot(build()), end="")
     return 0
 
 
@@ -610,7 +545,7 @@ def cmd_profile(args) -> int:
     import pstats
 
     config = f"config{args.config}"
-    policy = _policy(args.policy)
+    policy = resolve_policy(args.policy)
     profiler = cProfile.Profile()
     profiler.enable()
     run = run_tracker_once(
@@ -660,24 +595,20 @@ def build_parser() -> argparse.ArgumentParser:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    parser.set_defaults(catalog=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run-tracker", help="one tracker simulation")
     p_run.add_argument("--config", type=int, choices=(1, 2), default=1)
-    p_run.add_argument("--policy", default="aru-min", metavar="NAME",
-                       help="registered policy name (default aru-min; "
-                            "see --list-policies)")
-    p_run.add_argument("--list-policies", action="store_true",
-                       help="print the policy catalog and exit")
+    _add_registry_args(p_run, "--policy", POLICIES, "aru-min")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--horizon", type=float, default=120.0)
-    p_run.add_argument("--gc", default="dgc",
-                       choices=("null", "ref", "tgc", "dgc"))
+    _add_registry_args(p_run, "--gc", COLLECTORS, "dgc")
     p_run.add_argument("--save-trace", metavar="PATH", default=None)
     p_run.add_argument("--telemetry", metavar="DIR", default=None,
                        help="record repro.obs telemetry and export it "
                             "(Chrome trace + JSONL + Prometheus text) to DIR")
-    _add_backend_args(p_run)
+    _add_registry_args(p_run, "--backend", BACKENDS, "sim")
     p_run.set_defaults(func=cmd_run_tracker)
 
     p_tables = sub.add_parser("paper-tables",
@@ -703,26 +634,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--cache-dir", metavar="PATH", default=".bench_cache",
                          help="result cache directory (default .bench_cache)")
     p_sweep.add_argument("--save-csv", metavar="PATH", default=None)
-    p_sweep.add_argument("--policy", default=None, metavar="NAME",
-                         help="sweep a single registered policy instead of "
-                              "the paper's three")
-    p_sweep.add_argument("--list-policies", action="store_true",
-                         help="print the policy catalog and exit")
+    _add_registry_args(p_sweep, "--policy", POLICIES,
+                       help="sweep a single registered policy instead of "
+                            "the paper's three")
     p_sweep.add_argument("--telemetry", metavar="DIR", default=None,
                          help="record telemetry per cell and write "
                               "snapshot JSONs into DIR")
-    _add_backend_args(p_sweep)
+    _add_registry_args(p_sweep, "--backend", BACKENDS, "sim")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_rc = sub.add_parser("run-config",
                           help="run an experiment described by a JSON spec")
     p_rc.add_argument("spec", nargs="?", default=None)
     p_rc.add_argument("--save-trace", metavar="PATH", default=None)
-    p_rc.add_argument("--backend", default=None, metavar="NAME",
-                      help="override the spec file's backend "
-                           "(see --list-backends)")
-    p_rc.add_argument("--list-backends", action="store_true",
-                      help="print the backend catalog and exit")
+    _add_registry_args(p_rc, "--backend", BACKENDS,
+                       help="override the spec file's backend")
     p_rc.set_defaults(func=cmd_run_config)
 
     p_chaos = sub.add_parser(
@@ -730,17 +656,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an experiment under a fault schedule, report resilience")
     p_chaos.add_argument("schedule", nargs="?", default=None,
                          help="YAML/JSON chaos file (experiment + faults)")
-    p_chaos.add_argument("--list-faults", action="store_true",
+    p_chaos.add_argument("--list-faults", action="store_const",
+                         dest="catalog", const=list_faults_text,
                          help="print the fault-kind catalog and exit")
     p_chaos.add_argument("--horizon", type=float, default=None,
                          help="override the experiment's horizon")
     p_chaos.add_argument("--width", type=int, default=72,
                          help="gantt chart width (default 72)")
-    p_chaos.add_argument("--policy", default=None, metavar="NAME",
-                         help="override the experiment's ARU policy with a "
-                              "registered one")
-    p_chaos.add_argument("--list-policies", action="store_true",
-                         help="print the policy catalog and exit")
+    _add_registry_args(p_chaos, "--policy", POLICIES,
+                       help="override the experiment's ARU policy with a "
+                            "registered one")
     p_chaos.add_argument("--save-trace", metavar="PATH", default=None)
     p_chaos.add_argument("--telemetry", metavar="DIR", default=None,
                          help="record repro.obs telemetry (incl. fault "
@@ -752,15 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the elastic replicated-stage workload under a scale "
              "policy")
     p_el.add_argument("--config", type=int, choices=(1, 2), default=1)
-    p_el.add_argument("--policy", default="no-aru", metavar="NAME",
-                      help="ARU rate policy (default no-aru)")
-    p_el.add_argument("--scale-policy", default="erlang", metavar="NAME",
-                      help="registered scale policy (default erlang; "
-                           "see --list-scale-policies)")
-    p_el.add_argument("--list-scale-policies", action="store_true",
-                      help="print the scale-policy catalog and exit")
-    p_el.add_argument("--list-policies", action="store_true",
-                      help="print the rate-policy catalog and exit")
+    _add_registry_args(p_el, "--policy", POLICIES, "no-aru")
+    _add_registry_args(p_el, "--scale-policy", SCALE_POLICIES, "erlang")
     p_el.add_argument("--replicas", type=int, default=1,
                       help="initial worker replicas (default 1)")
     p_el.add_argument("--max-replicas", type=int, default=6,
@@ -779,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_el.add_argument("--telemetry", metavar="DIR", default=None,
                       help="record repro.obs telemetry (incl. scale "
                            "events) and export it to DIR")
-    _add_backend_args(p_el)
+    _add_registry_args(p_el, "--backend", BACKENDS, "sim")
     p_el.set_defaults(func=cmd_elastic)
 
     p_ten = sub.add_parser(
@@ -794,24 +712,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_ten.add_argument("--nodes", type=int, default=4,
                        help="uniform cluster size for the synthetic fleet "
                             "(default 4)")
-    p_ten.add_argument("--placement", default=None, metavar="NAME",
-                       help="placement strategy (default rstorm; see "
-                            "--list-placements)")
-    p_ten.add_argument("--list-placements", action="store_true",
-                       help="print the placement-strategy catalog and exit")
+    _add_registry_args(p_ten, "--placement", PLACEMENTS,
+                       help="placement strategy (default rstorm)")
     p_ten.add_argument("--admission", default="queue", metavar="MODE",
                        help="over-capacity behaviour: queue or reject "
                             "(default queue)")
-    p_ten.add_argument("--arbiter", default=None, metavar="NAME",
-                       help="cross-tenant arbiter (default none; see "
-                            "--list-arbiters)")
-    p_ten.add_argument("--list-arbiters", action="store_true",
-                       help="print the arbiter catalog and exit")
-    p_ten.add_argument("--policy", default=None, metavar="NAME",
+    _add_registry_args(p_ten, "--arbiter", ARBITERS,
+                       help="cross-tenant arbiter (default none)")
+    _add_registry_args(p_ten, "--policy", POLICIES,
                        help="per-tenant ARU policy for the synthetic fleet "
                             "(default none)")
-    p_ten.add_argument("--list-policies", action="store_true",
-                       help="print the policy catalog and exit")
     p_ten.add_argument("--seed", type=int, default=0)
     p_ten.add_argument("--horizon", type=float, default=None,
                        help="override the spec's horizon (synthetic default "
@@ -826,19 +736,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_dot = sub.add_parser("dot", help="emit a Graphviz DOT task graph")
-    p_dot.add_argument("app", choices=("tracker", "gesture", "stereo"))
+    _add_registry_args(p_dot, "app", APPS)
     p_dot.set_defaults(func=cmd_dot)
 
     p_prof = sub.add_parser(
         "profile",
         help="cProfile one tracker cell (simulation + full postmortem)")
     p_prof.add_argument("--config", type=int, choices=(1, 2), default=1)
-    p_prof.add_argument("--policy", default="aru-min", metavar="NAME",
-                        help="registered policy name (default aru-min)")
+    _add_registry_args(p_prof, "--policy", POLICIES, "aru-min")
     p_prof.add_argument("--seed", type=int, default=0)
     p_prof.add_argument("--horizon", type=float, default=30.0)
-    p_prof.add_argument("--gc", default="dgc",
-                        choices=("null", "ref", "tgc", "dgc"))
+    _add_registry_args(p_prof, "--gc", COLLECTORS, "dgc")
     p_prof.add_argument("--sort", default="cumulative",
                         choices=("cumulative", "cumtime", "tottime", "ncalls"),
                         help="pstats sort key; cumtime is an alias for "
@@ -874,6 +782,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.catalog is not None:
+        print(args.catalog())
+        return 0
     try:
         return args.func(args)
     except KeyboardInterrupt:

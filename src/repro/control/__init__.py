@@ -43,14 +43,14 @@ from repro.control.policy import (
 )
 from repro.control.propagation import FeedbackBus, FeedbackEndpoint
 from repro.control.registry import (
+    POLICIES,
+    SCALE_POLICIES,
     list_policies,
     list_scale_policies,
-    policies_help_text,
     register_policy,
     register_scale_policy,
     resolve_policy,
     resolve_scale_policy,
-    scale_policies_help_text,
 )
 from repro.control.scale import (
     ErlangScalePolicy,
@@ -86,10 +86,10 @@ __all__ = [
     "ThreadController",
     "build_policy",
     "build_thread_controller",
+    "POLICIES",
     "register_policy",
     "resolve_policy",
     "list_policies",
-    "policies_help_text",
     "ScaleActuator",
     "ScaleConfig",
     "ScalePolicy",
@@ -102,8 +102,8 @@ __all__ = [
     "erlang_c",
     "erlang_wait",
     "required_replicas",
+    "SCALE_POLICIES",
     "register_scale_policy",
     "resolve_scale_policy",
     "list_scale_policies",
-    "scale_policies_help_text",
 ]

@@ -1,13 +1,12 @@
-"""The policy registry: names usable from CLI flags and spec files.
+"""The policy registries: names usable from CLI flags and spec files.
 
-Registered names resolve to :class:`~repro.aru.config.AruConfig` values
-— the picklable, declarative description of a full control stack
-(policy kind + operators + filters + headroom + TTL). Keeping the
-registry value-based means spec files, sweep cells, and the CLI all
-share one resolution path and stay process-pool safe.
-
-Unknown names raise :class:`~repro.errors.ConfigError` with close-match
-suggestions; config typos must never silently run a default policy.
+Registered names resolve to :class:`~repro.aru.config.AruConfig` (rate)
+or :class:`~repro.control.scale.ScaleConfig` (scale) values — picklable,
+declarative descriptions of a control stack — so spec files, sweep
+cells, and the CLI all share one resolution path and stay process-pool
+safe. Both are :class:`~repro.registry.Registry` instances of
+zero-argument factories; unknown names raise
+:class:`~repro.errors.ConfigError` with close-match suggestions.
 
 Extensions register their own presets::
 
@@ -21,7 +20,7 @@ Extensions register their own presets::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Union
+from typing import Callable, Union
 
 from repro.aru.config import (
     AruConfig,
@@ -38,53 +37,34 @@ from repro.control.scale import (
     scale_erlang_latency,
     scale_null,
 )
-from repro.errors import ConfigError, unknown_name_error
+from repro.registry import Registry
+
+POLICIES: Registry[Callable[[], AruConfig]] = Registry("policy")
+SCALE_POLICIES: Registry[Callable[[], ScaleConfig]] = Registry("scale policy")
+
+register_policy = POLICIES.register
+list_policies = POLICIES.names
+register_scale_policy = SCALE_POLICIES.register
+list_scale_policies = SCALE_POLICIES.names
 
 
-class PolicyEntry(NamedTuple):
-    """One registered policy preset."""
-
-    factory: Callable[[], AruConfig]
-    help: str
-
-
-_REGISTRY: Dict[str, PolicyEntry] = {}
-
-
-def register_policy(name: str, factory: Callable[[], AruConfig],
-                    help: str = "") -> None:
-    """Register (or replace) a named policy preset."""
-    if not name:
-        raise ConfigError("policy name must be non-empty")
-    _REGISTRY[name] = PolicyEntry(factory=factory, help=help)
-
-
-def list_policies() -> List[str]:
-    """Registered policy names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def resolve_policy(policy: Union[str, AruConfig]) -> AruConfig:
-    """A name or an explicit config -> the :class:`AruConfig` to run.
-
-    Raises :class:`ConfigError` with did-you-mean suggestions for
-    unknown names.
-    """
+def resolve_policy(policy: Union[str, AruConfig, None]) -> AruConfig:
+    """A name, an explicit config, or None (ARU off) -> the
+    :class:`AruConfig` to run."""
+    if policy is None:
+        return aru_disabled()
     if isinstance(policy, AruConfig):
         return policy
-    entry = _REGISTRY.get(policy)
-    if entry is None:
-        raise unknown_name_error("policy", policy, _REGISTRY)
-    return entry.factory()
+    return POLICIES.get(policy)()
 
 
-def policies_help_text() -> str:
-    """One-line-per-policy catalog (the CLI's ``--list-policies``)."""
-    width = max(len(name) for name in _REGISTRY)
-    lines = ["registered policies:"]
-    for name in list_policies():
-        lines.append(f"  {name:<{width}}  {_REGISTRY[name].help}")
-    return "\n".join(lines)
+def resolve_scale_policy(
+        policy: Union[str, ScaleConfig, None]) -> Union[ScaleConfig, None]:
+    """A name, an explicit config, or None (elastic scaling not
+    configured, passed through) -> the :class:`ScaleConfig` to run."""
+    if policy is None or isinstance(policy, ScaleConfig):
+        return policy
+    return SCALE_POLICIES.get(policy)()
 
 
 register_policy(
@@ -104,60 +84,6 @@ register_policy(
     "null", aru_null,
     help="NullPolicy: control plane wired but inert (differential "
          "baseline)")
-
-
-# -- scale-policy registry -------------------------------------------------
-# The same value-based scheme for the elastic-parallelism dimension:
-# names resolve to picklable ScaleConfig values, so sweep cells and the
-# CLI share one resolution path (``--scale-policy`` / ``scale_policy=``).
-
-
-class ScalePolicyEntry(NamedTuple):
-    """One registered scale-policy preset."""
-
-    factory: Callable[[], ScaleConfig]
-    help: str
-
-
-_SCALE_REGISTRY: Dict[str, ScalePolicyEntry] = {}
-
-
-def register_scale_policy(name: str, factory: Callable[[], ScaleConfig],
-                          help: str = "") -> None:
-    """Register (or replace) a named scale-policy preset."""
-    if not name:
-        raise ConfigError("scale policy name must be non-empty")
-    _SCALE_REGISTRY[name] = ScalePolicyEntry(factory=factory, help=help)
-
-
-def list_scale_policies() -> List[str]:
-    """Registered scale-policy names, sorted."""
-    return sorted(_SCALE_REGISTRY)
-
-
-def resolve_scale_policy(
-        policy: Union[str, ScaleConfig, None]) -> Union[ScaleConfig, None]:
-    """A name, explicit config, or None -> the :class:`ScaleConfig` to run.
-
-    ``None`` passes through (elastic scaling not configured). Unknown
-    names raise :class:`ConfigError` with did-you-mean suggestions.
-    """
-    if policy is None or isinstance(policy, ScaleConfig):
-        return policy
-    entry = _SCALE_REGISTRY.get(policy)
-    if entry is None:
-        raise unknown_name_error("scale policy", policy, _SCALE_REGISTRY)
-    return entry.factory()
-
-
-def scale_policies_help_text() -> str:
-    """One-line-per-policy catalog (the CLI's ``--list-scale-policies``)."""
-    width = max(len(name) for name in _SCALE_REGISTRY)
-    lines = ["registered scale policies:"]
-    for name in list_scale_policies():
-        lines.append(f"  {name:<{width}}  {_SCALE_REGISTRY[name].help}")
-    return "\n".join(lines)
-
 
 register_scale_policy(
     "no-scale", scale_disabled,

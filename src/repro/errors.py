@@ -4,10 +4,11 @@ Every error raised by this library derives from :class:`ReproError`, so
 callers can catch the whole family with one ``except`` clause while still
 being able to discriminate on the specific subclass.
 
-:func:`unknown_name_error` is the shared did-you-mean builder used by
-every name registry (rate policies, scale policies, placement
-strategies): config typos must never silently run a default, and every
-registry should complain in the same voice.
+:func:`unknown_name_error` is the shared did-you-mean builder: every
+:class:`~repro.registry.Registry` raises it for an unknown name, and so
+do the two closed enums outside one (admission modes, cluster kinds).
+Config typos must never silently run a default, and every name should
+be complained about in the same voice.
 """
 
 from __future__ import annotations

@@ -32,8 +32,8 @@ class ExperimentSpec:
     Attributes
     ----------
     app:
-        What to run: a builtin app name (``"tracker"`` / ``"gesture"`` /
-        ``"stereo"``), a :class:`~repro.runtime.TaskGraph`, or a
+        What to run: a builtin app name (see :data:`repro.apps.APPS`),
+        a :class:`~repro.runtime.TaskGraph`, or a
         :class:`~repro.runtime.api.StampedeApp` (its graph is used).
     app_config:
         Per-app config object (e.g. ``TrackerConfig``) when ``app`` is a
@@ -107,22 +107,10 @@ class ExperimentSpec:
                     "app_config only applies when app is a builtin name"
                 )
             return app
-        if not isinstance(app, str):
-            raise ConfigError(
-                f"app must be a name, TaskGraph, or StampedeApp; got {app!r}"
-            )
-        if app == "tracker":
-            from repro.apps.tracker import build_tracker
-            return build_tracker(self.app_config)
-        if app == "gesture":
-            from repro.apps.gesture import build_gesture
-            return build_gesture(self.app_config)
-        if app == "stereo":
-            from repro.apps.stereo import build_stereo
-            return build_stereo(self.app_config)
-        raise ConfigError(
-            f"unknown app {app!r}; expected tracker/gesture/stereo"
-        )
+        from repro.apps import APPS
+
+        build, _ = APPS.get(app)
+        return build(self.app_config)
 
     def resolve_cluster_and_placement(self):
         """``(ClusterSpec, placement)`` with the paper's defaults."""
@@ -148,12 +136,6 @@ class ExperimentSpec:
 
     def resolve_policy(self):
         """The :class:`~repro.aru.AruConfig` (names via the registry)."""
-        from repro.aru.config import AruConfig, aru_disabled
-
-        if self.policy is None:
-            return aru_disabled()
-        if isinstance(self.policy, AruConfig):
-            return self.policy
         from repro.control.registry import resolve_policy
         return resolve_policy(self.policy)
 

@@ -17,12 +17,12 @@ replicas run (every control period, drawing from the arbiter's budget).
 """
 
 from repro.tenancy.arbiter import (
+    ARBITERS,
     Arbiter,
     ArbiterConfig,
     ArbiterView,
     Decision,
     TenantView,
-    arbiters_help_text,
     available_arbiters,
     register_arbiter,
     resolve_arbiter_config,
@@ -34,9 +34,8 @@ from repro.tenancy.fairness import (
     weighted_jain_index,
 )
 from repro.tenancy.placement import (
+    PLACEMENTS,
     PlacementView,
-    available_placements,
-    placements_help_text,
     register_placement,
     resolve_placement,
 )
@@ -66,11 +65,13 @@ from repro.tenancy.tenant import (
 
 __all__ = [
     "ADMISSION_MODES",
+    "ARBITERS",
     "Arbiter",
     "ArbiterConfig",
     "ArbiterView",
     "Decision",
     "FairnessReport",
+    "PLACEMENTS",
     "PlacementView",
     "ReservationLedger",
     "ResourceDemand",
@@ -83,13 +84,10 @@ __all__ = [
     "TenantRuntime",
     "TenantSpec",
     "TenantView",
-    "arbiters_help_text",
     "available_arbiters",
-    "available_placements",
     "churn",
     "fairness_report",
     "jain_index",
-    "placements_help_text",
     "poisson_arrivals",
     "register_arbiter",
     "register_placement",

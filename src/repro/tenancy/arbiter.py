@@ -20,7 +20,7 @@ runtime executes:
   and restarting them cold via the existing restart machinery), either
   to defragment stranded capacity or to move load off a hot node.
 
-Built-in arbiters (see :func:`arbiters_help_text`):
+Built-in arbiters (the :data:`ARBITERS` registry):
 
 * ``proportional`` — the weighted bi-criteria allocation of Benoit et
   al. (*Resource Allocation for Multiple Concurrent In-Network
@@ -46,11 +46,11 @@ process, sensing, and actuation through the runtime.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.errors import ConfigError, unknown_name_error
+from repro.errors import ConfigError
+from repro.registry import Registry
 
 _EPS = 1e-9
 
@@ -521,83 +521,26 @@ class DemandArbiter(Arbiter):
 
 # -- registry ----------------------------------------------------------------
 
+#: ``factory(config)`` -> a fresh arbiter per run (the same
+#: one-instance-per-scheduler discipline as placements).
+ARBITERS: Registry[Callable[[ArbiterConfig], Arbiter]] = Registry("arbiter")
 
-class _Entry:
-    __slots__ = ("factory", "help")
-
-    def __init__(self, factory: Callable[[ArbiterConfig], Arbiter],
-                 help: str) -> None:
-        self.factory = factory
-        self.help = help
-
-
-_ARBITERS: Dict[str, _Entry] = {}
-
-
-def register_arbiter(name: str,
-                     factory: Callable[[ArbiterConfig], Arbiter],
-                     help: str = "", replace: bool = False) -> None:
-    """Register an arbiter under ``name``.
-
-    ``factory(config)`` returns a fresh arbiter instance per run (the
-    same one-instance-per-scheduler discipline as placements). Use
-    ``replace=True`` to intentionally shadow a built-in.
-    """
-    if not name:
-        raise ConfigError("arbiter name must be non-empty")
-    if name in _ARBITERS and not replace:
-        raise ConfigError(
-            f"arbiter {name!r} is already registered "
-            f"(pass replace=True to override)"
-        )
-    if not callable(factory):
-        raise ConfigError(f"arbiter factory must be callable, got {factory!r}")
-    _ARBITERS[name] = _Entry(factory, help)
+register_arbiter = ARBITERS.register
+available_arbiters = ARBITERS.names
 
 
 def resolve_arbiter_config(value) -> Optional[ArbiterConfig]:
     """Normalize a TenancySpec ``arbiter`` value to a config (or None).
 
     Accepts None (arbitration off), a registered name, or an
-    :class:`ArbiterConfig`; unknown names get the did-you-mean error.
+    :class:`ArbiterConfig` whose policy is registered.
     """
     if value is None:
         return None
-    if isinstance(value, ArbiterConfig):
-        if value.policy not in _ARBITERS:
-            raise unknown_name_error("arbiter", value.policy, _ARBITERS)
-        return value
-    if isinstance(value, str):
-        if value not in _ARBITERS:
-            raise unknown_name_error("arbiter", value, _ARBITERS)
-        return ArbiterConfig(policy=value, name=value)
-    raise ConfigError(
-        f"arbiter must be None, a registered name, or an ArbiterConfig; "
-        f"got {value!r}"
-    )
-
-
-def build_arbiter(config: ArbiterConfig) -> Arbiter:
-    """The arbiter instance for one run."""
-    entry = _ARBITERS.get(config.policy)
-    if entry is None:
-        raise unknown_name_error("arbiter", config.policy, _ARBITERS)
-    return entry.factory(config)
-
-
-def available_arbiters() -> List[str]:
-    """Registered arbiter names, sorted."""
-    return sorted(_ARBITERS)
-
-
-def arbiters_help_text() -> str:
-    """The ``--list-arbiters`` catalog."""
-    names = available_arbiters()
-    width = max(len(n) for n in names) if names else 0
-    lines = ["registered arbiters:"]
-    for name in names:
-        lines.append(f"  {name:<{width}}  {_ARBITERS[name].help}")
-    return "\n".join(lines)
+    if not isinstance(value, ArbiterConfig):
+        value = ArbiterConfig(policy=value, name=value)
+    ARBITERS.get(value.policy)  # a typo fails here, not at the first tick
+    return value
 
 
 register_arbiter(
@@ -635,7 +578,7 @@ class ArbiterController:
     def __init__(self, runtime, config: ArbiterConfig) -> None:
         self.runtime = runtime
         self.config = config
-        self.arbiter = build_arbiter(config)
+        self.arbiter = ARBITERS.get(config.policy)(config)
         #: ``(t, kind, tenant, detail)`` rows, every executed decision.
         self.actions: List[Tuple[float, str, str, str]] = []
         self.revocations = 0
@@ -844,7 +787,3 @@ def install_arbiter(runtime, config: ArbiterConfig
     runtime.arbiter = controller
     runtime.engine.process(controller.run(), name="tenancy.arbiter")
     return controller
-
-
-# keep ruff happy about intentionally-unused math import in docstring math
-_ = math.inf

@@ -5,7 +5,7 @@ A strategy maps one tenant's threads onto cluster nodes against a
 resources. Strategies are pure bin-packing logic: no engine, no RNG, so
 the hypothesis property tests drive them directly.
 
-Built-ins (see :func:`placements_help_text`):
+Built-ins (the :data:`PLACEMENTS` registry):
 
 * ``round-robin`` — capacity-aware cycling: each thread goes to the next
   feasible node after a persistent cursor. The capacity-blind baseline
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import ConfigError, unknown_name_error
+from repro.registry import Registry
 
 #: Placement feasibility slack for float CPU arithmetic.
 _EPS = 1e-9
@@ -199,68 +199,21 @@ class SpreadPlacement:
 
 # -- registry ---------------------------------------------------------------
 
+#: Strategy factories: strategies may be stateful (the round-robin
+#: cursor), so each scheduler builds its own instance.
+PLACEMENTS: Registry[Callable[[], object]] = Registry("placement")
 
-class _Entry:
-    __slots__ = ("factory", "help")
-
-    def __init__(self, factory: Callable[[], object], help: str) -> None:
-        self.factory = factory
-        self.help = help
-
-
-_PLACEMENTS: Dict[str, _Entry] = {}
-
-
-def register_placement(name: str, factory: Callable[[], object],
-                       help: str = "", replace: bool = False) -> None:
-    """Register a placement strategy under ``name``.
-
-    ``factory`` returns a fresh strategy instance (strategies may be
-    stateful, e.g. the round-robin cursor, so each scheduler gets its
-    own). Use ``replace=True`` to intentionally shadow a built-in.
-    """
-    if not name:
-        raise ConfigError("placement name must be non-empty")
-    if name in _PLACEMENTS and not replace:
-        raise ConfigError(
-            f"placement {name!r} is already registered "
-            f"(pass replace=True to override)"
-        )
-    if not callable(factory):
-        raise ConfigError(f"placement factory must be callable, got {factory!r}")
-    _PLACEMENTS[name] = _Entry(factory, help)
+register_placement = PLACEMENTS.register
 
 
 def resolve_placement(value):
-    """A strategy instance from a registered name (or pass one through)."""
+    """A strategy instance: ``None`` means ``rstorm``, an object with
+    ``.place`` passes through, a name builds its registered strategy."""
     if value is None:
         value = "rstorm"
     if hasattr(value, "place"):
         return value
-    if not isinstance(value, str):
-        raise ConfigError(
-            f"placement must be a registered name or an object with a "
-            f".place() method, got {value!r}"
-        )
-    entry = _PLACEMENTS.get(value)
-    if entry is None:
-        raise unknown_name_error("placement", value, _PLACEMENTS)
-    return entry.factory()
-
-
-def available_placements() -> List[str]:
-    """Registered strategy names, sorted."""
-    return sorted(_PLACEMENTS)
-
-
-def placements_help_text() -> str:
-    """The ``--list-placements`` catalog."""
-    names = available_placements()
-    width = max(len(n) for n in names) if names else 0
-    lines = ["registered placement strategies:"]
-    for name in names:
-        lines.append(f"  {name:<{width}}  {_PLACEMENTS[name].help}")
-    return "\n".join(lines)
+    return PLACEMENTS.get(value)()
 
 
 register_placement(

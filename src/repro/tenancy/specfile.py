@@ -30,9 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.apps.gesture import GestureConfig
-from repro.apps.stereo import StereoConfig
-from repro.apps.tracker import TrackerConfig
+from repro.apps import APPS
 from repro.bench.specfile import _app_config, _check_keys, aru_from_dict
 from repro.cluster.spec import ClusterSpec, heterogeneous_spec, uniform_spec
 from repro.errors import ConfigError, unknown_name_error
@@ -48,18 +46,17 @@ _ARBITER_KEYS = {"policy", "interval", "patience", "min_residency",
                  "target_utilization", "latency_bias", "defrag",
                  "max_revocations"}
 
+#: Besides these, a tenant may carry one config object per registered
+#: app, keyed by the app's name.
 _TENANT_KEYS = {"name", "count", "app", "policy", "scale_policy", "priority",
                 "weight", "seed", "arrival", "departure", "demand",
-                "thread_demands", "namespace", "tracker", "gesture", "stereo"}
+                "thread_demands", "namespace"}
 
 _DEMAND_KEYS = {"cpu", "mem_bytes", "mem_mb", "bandwidth_bps", "bandwidth_mbps"}
 
 _CLUSTER_KEYS = {"nodes", "ncpus", "mem_bytes", "bandwidth_bps",
                  "sched_noise_cv", "kind", "n_big", "n_small", "big_ncpus",
                  "small_ncpus"}
-
-_APP_CONFIGS = {"tracker": TrackerConfig, "gesture": GestureConfig,
-                "stereo": StereoConfig}
 
 
 def demand_from_dict(spec: Any, where: str) -> ResourceDemand:
@@ -159,7 +156,7 @@ def _expand_tenant(raw: Dict[str, Any], index: int) -> List[TenantSpec]:
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object, got {raw!r}")
     raw = dict(raw)
-    _check_keys(raw, _TENANT_KEYS, where)
+    _check_keys(raw, _TENANT_KEYS.union(APPS.names()), where)
     name = raw.pop("name", None)
     if not name:
         raise ConfigError(f"{where}: tenant name is required")
@@ -169,13 +166,13 @@ def _expand_tenant(raw: Dict[str, Any], index: int) -> List[TenantSpec]:
 
     app = raw.pop("app", "tracker")
     app_config = None
-    for app_name, cls in _APP_CONFIGS.items():
+    for app_name in APPS.names():
         if app_name in raw:
             if app != app_name:
                 raise ConfigError(
                     f"{where}: {app_name!r} config given but app is {app!r}"
                 )
-            app_config = _app_config(cls, raw.pop(app_name),
+            app_config = _app_config(APPS.get(app_name)[1], raw.pop(app_name),
                                      f"{where}.{app_name}")
     kwargs: Dict[str, Any] = {"app": app, "app_config": app_config}
     if "policy" in raw:

@@ -21,6 +21,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
+from repro.apps import APPS
 from repro.errors import ConfigError
 
 #: Tenant admission states.
@@ -160,7 +161,7 @@ class TenantSpec:
         """The graph-name prefix this tenant's nodes live under."""
         return f"{self.name}/" if self.namespace is None else self.namespace
 
-    # -- resolution (mirrors ExperimentSpec) ------------------------------
+    # -- resolution ------------------------------------------------------
     def resolve_graph(self):
         """Build this tenant's private task graph."""
         from repro.runtime.api import StampedeApp
@@ -176,38 +177,8 @@ class TenantSpec:
                     f"app is a builtin name"
                 )
             return app
-        if not isinstance(app, str):
-            raise ConfigError(
-                f"tenant {self.name!r}: app must be a name, TaskGraph, or "
-                f"StampedeApp; got {app!r}"
-            )
-        if app == "tracker":
-            from repro.apps.tracker import build_tracker
-            return build_tracker(self.app_config)
-        if app == "gesture":
-            from repro.apps.gesture import build_gesture
-            return build_gesture(self.app_config)
-        if app == "stereo":
-            from repro.apps.stereo import build_stereo
-            return build_stereo(self.app_config)
-        from repro.errors import unknown_name_error
-        raise unknown_name_error(
-            "app", app, ("tracker", "gesture", "stereo")
-        )
-
-    def resolve_policy(self):
-        from repro.aru.config import AruConfig, aru_disabled
-
-        if self.policy is None:
-            return aru_disabled()
-        if isinstance(self.policy, AruConfig):
-            return self.policy
-        from repro.control.registry import resolve_policy
-        return resolve_policy(self.policy)
-
-    def resolve_scale_policy(self):
-        from repro.control.registry import resolve_scale_policy
-        return resolve_scale_policy(self.scale_policy)
+        build, _ = APPS.get(app)
+        return build(self.app_config)
 
     def derive_seed(self, root_seed: int) -> int:
         """The tenant's task-RNG seed (explicit, or derived stably)."""
@@ -280,14 +251,15 @@ class Tenant:
         if self.graph is not None:
             return
         from repro.control.propagation import FeedbackBus
+        from repro.control.registry import resolve_policy, resolve_scale_policy
         from repro.sim.rng import RngRegistry
 
         graph = self.spec.resolve_graph()
         if not isinstance(self.spec.app, str):
             graph.validate()  # a built-in builder validated its own
         self.graph = graph
-        self.aru = self.spec.resolve_policy()
-        self.scale = self.spec.resolve_scale_policy()
+        self.aru = resolve_policy(self.spec.policy)
+        self.scale = resolve_scale_policy(self.spec.scale_policy)
         self.rngs = RngRegistry(seed=self.spec.derive_seed(root_seed))
         self.bus = FeedbackBus(self.aru, time_fn=time_fn)
         self.demands = {

@@ -45,6 +45,14 @@ def test_invalid_filter_rejected_eagerly():
         AruConfig(stp_filter="kalman")
 
 
+def test_non_numeric_parameters_are_config_errors():
+    # int("abc") used to escape as a bare ValueError.
+    with pytest.raises(ConfigError, match="filter 'ewma:abc'"):
+        AruConfig(summary_filter="ewma:abc")
+    with pytest.raises(ConfigError, match="operator 'kth:two'"):
+        AruConfig(thread_op="kth:two")
+
+
 def test_frozen():
     cfg = aru_min()
     with pytest.raises(Exception):

@@ -1,39 +1,45 @@
 """Shared test fixtures.
 
-The policy registries in :mod:`repro.control.registry` are process-wide
-mutable state; tests that register presets (directly, or by running
+Every :class:`~repro.registry.Registry` is process-wide mutable state;
+tests that register names (directly, or by running
 ``examples/custom_policy.py``-style code) used to leak those
 registrations into every later test in the session. The autouse
-fixture below snapshots both registries before each test and restores
-them afterwards, so registry mutations cannot escape a test.
+fixture below snapshots every registry before each test and restores
+it afterwards, so registry mutations cannot escape a test.
+``tests/test_registries.py`` checks that :data:`REGISTRIES` lists every
+module-level registry in ``repro``.
 """
 
 import gc
 
 import pytest
 
-from repro import backends as _backends
-from repro.control import registry as _registry
-from repro.tenancy import placement as _placement
+from repro.apps import APPS, WORKLOADS
+from repro.aru import FILTERS
+from repro.backends import BACKENDS
+from repro.bench import PROBES
+from repro.control import POLICIES, SCALE_POLICIES
+from repro.gc import COLLECTORS
+from repro.tenancy import ARBITERS, PLACEMENTS
+
+REGISTRIES = (POLICIES, SCALE_POLICIES, BACKENDS, PLACEMENTS, ARBITERS,
+              COLLECTORS, FILTERS, PROBES, APPS, WORKLOADS)
 
 
 @pytest.fixture(autouse=True)
-def _isolated_policy_registries():
-    """Snapshot/restore the rate, scale, placement, and backend
-    registries."""
-    rate = dict(_registry._REGISTRY)
-    scale = dict(_registry._SCALE_REGISTRY)
-    placements = dict(_placement._PLACEMENTS)
-    backends = dict(_backends._REGISTRY)
+def _isolated_registries():
+    """Snapshot/restore every registry's entries around each test."""
+    saved = [(registry, dict(registry._entries)) for registry in REGISTRIES]
     yield
-    _registry._REGISTRY.clear()
-    _registry._REGISTRY.update(rate)
-    _registry._SCALE_REGISTRY.clear()
-    _registry._SCALE_REGISTRY.update(scale)
-    _placement._PLACEMENTS.clear()
-    _placement._PLACEMENTS.update(placements)
-    _backends._REGISTRY.clear()
-    _backends._REGISTRY.update(backends)
+    for registry, entries in saved:
+        registry._entries.clear()
+        registry._entries.update(entries)
+
+
+@pytest.fixture
+def isolated_registries():
+    """The registries the autouse fixture restores."""
+    return REGISTRIES
 
 
 @pytest.fixture

@@ -4,15 +4,15 @@ import pytest
 
 from repro.aru import AruConfig, aru_min
 from repro.control import (
+    POLICIES,
+    SCALE_POLICIES,
     ScaleConfig,
     list_policies,
     list_scale_policies,
-    policies_help_text,
     register_policy,
     register_scale_policy,
     resolve_policy,
     resolve_scale_policy,
-    scale_policies_help_text,
 )
 from repro.errors import ConfigError
 
@@ -56,7 +56,7 @@ def test_register_custom_policy():
         help="hot gains")
     cfg = resolve_policy("aru-pid-hot")
     assert cfg.pid_kp == 0.9
-    assert "aru-pid-hot" in policies_help_text()
+    assert "aru-pid-hot" in POLICIES.help_text()
 
 
 def test_registry_mutations_do_not_leak():
@@ -67,15 +67,17 @@ def test_registry_mutations_do_not_leak():
     assert "aru-pid-hot" not in list_policies()
 
 
-def test_empty_name_rejected():
-    with pytest.raises(ConfigError):
-        register_policy("", aru_min)
+def test_none_means_aru_off():
+    assert resolve_policy(None).enabled is False
 
 
-def test_help_text_covers_every_policy():
-    text = policies_help_text()
-    for name in list_policies():
-        assert name in text
+def test_non_string_names_are_config_errors():
+    # Unhashable names used to escape as TypeError: unhashable.
+    with pytest.raises(ConfigError, match="policy must be a registered name"):
+        resolve_policy(["aru-min"])
+    with pytest.raises(ConfigError,
+                       match="scale policy must be a registered name"):
+        resolve_scale_policy({})
 
 
 # -- scale-policy registry --------------------------------------------------
@@ -103,14 +105,8 @@ def test_register_custom_scale_policy():
         lambda: ScaleConfig(target_utilization=0.5, name="erlang-tight"),
         help="low-utilisation sizing")
     assert resolve_scale_policy("erlang-tight").target_utilization == 0.5
-    assert "erlang-tight" in scale_policies_help_text()
+    assert "erlang-tight" in SCALE_POLICIES.help_text()
 
 
 def test_scale_registry_mutations_do_not_leak():
     assert "erlang-tight" not in list_scale_policies()
-
-
-def test_scale_help_text_covers_every_policy():
-    text = scale_policies_help_text()
-    for name in list_scale_policies():
-        assert name in text

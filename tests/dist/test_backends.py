@@ -6,8 +6,8 @@ import pytest
 
 import repro
 from repro.backends import (
+    BACKENDS,
     available_backends,
-    backends_help_text,
     register_backend,
     resolve_backend,
 )
@@ -40,7 +40,7 @@ class TestRegistry:
         register_backend("unit-test-backend", lambda spec: sentinel,
                          help="test only")
         assert resolve_backend("unit-test-backend")(None) is sentinel
-        assert "unit-test-backend" in backends_help_text()
+        assert "unit-test-backend" in BACKENDS.help_text()
 
     def test_empty_name_rejected(self):
         with pytest.raises(ConfigError, match="non-empty"):

@@ -6,6 +6,7 @@ import pytest
 from repro.cluster.spec import uniform_spec
 from repro.errors import ConfigError
 from repro.tenancy import (
+    ARBITERS,
     ArbiterConfig,
     TenancySpec,
     TenantSpec,
@@ -22,8 +23,6 @@ from repro.tenancy.arbiter import (
     DemandArbiter,
     ProportionalArbiter,
     TenantView,
-    arbiters_help_text,
-    build_arbiter,
 )
 from repro.tenancy.tenant import ResourceDemand
 
@@ -51,7 +50,7 @@ class TestRegistry:
         assert {"proportional", "demand", "null"} <= set(available_arbiters())
 
     def test_help_text_covers_builtins(self):
-        text = arbiters_help_text()
+        text = ARBITERS.help_text()
         for name in available_arbiters():
             assert name in text
 
@@ -67,10 +66,6 @@ class TestRegistry:
     def test_none_means_off(self):
         assert resolve_arbiter_config(None) is None
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigError, match="already registered"):
-            register_arbiter("proportional", ProportionalArbiter)
-
     def test_custom_arbiter_registers_and_builds(self):
         class Greedy(Arbiter):
             name = "greedy-test"
@@ -78,9 +73,9 @@ class TestRegistry:
             def decide(self, view):
                 return []
 
-        register_arbiter("greedy-test", lambda cfg: Greedy(), replace=True)
-        built = build_arbiter(ArbiterConfig(policy="greedy-test"))
-        assert isinstance(built, Greedy)
+        register_arbiter("greedy-test", lambda cfg: Greedy())
+        config = resolve_arbiter_config("greedy-test")
+        assert isinstance(ARBITERS.get(config.policy)(config), Greedy)
 
 
 class TestConfigValidation:

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from repro.cluster.spec import heterogeneous_spec, uniform_spec
 from repro.errors import ConfigError
 from repro.tenancy import (
+    PLACEMENTS,
     PlacementView,
     Scheduler,
-    available_placements,
-    placements_help_text,
     register_placement,
     resolve_placement,
 )
@@ -153,20 +152,16 @@ class TestSpread:
 
 class TestRegistry:
     def test_builtins_listed(self):
-        assert set(STRATEGIES) <= set(available_placements())
+        assert set(STRATEGIES) <= set(PLACEMENTS.names())
 
     def test_help_text_catalogs_all(self):
-        text = placements_help_text()
+        text = PLACEMENTS.help_text()
         for name in STRATEGIES:
             assert name in text
 
     def test_unknown_name_suggests(self):
         with pytest.raises(ConfigError, match="did you mean 'rstorm'"):
             resolve_placement("rstrom")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigError, match="already registered"):
-            register_placement("rstorm", object)
 
     def test_replace_and_custom(self):
         class Custom:

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.cli import main
+from repro.apps import APPS
+from repro.backends import BACKENDS
+from repro.cli import build_parser, main
+from repro.control import POLICIES, SCALE_POLICIES
+from repro.gc import COLLECTORS
+from repro.tenancy import ARBITERS, PLACEMENTS
 
 
 def test_run_tracker_summary(capsys):
@@ -415,4 +420,80 @@ def test_tenants_bad_spec_file_fails(tmp_path):
     spec_path = tmp_path / "bad.json"
     spec_path.write_text('{"tenants": [{"name": "a", "cpu": 1}]}')
     with pytest.raises(SystemExit, match="unknown key"):
+        main(["tenants", str(spec_path)])
+
+
+# -- flags derived from the registries ---------------------------------------
+
+#: Every (subcommand, registry flag) pair, with its catalog flag.
+REGISTRY_FLAGS = [
+    ("run-tracker", "--policy", POLICIES, "--list-policies"),
+    ("run-tracker", "--gc", COLLECTORS, "--list-collectors"),
+    ("run-tracker", "--backend", BACKENDS, "--list-backends"),
+    ("sweep", "--policy", POLICIES, "--list-policies"),
+    ("sweep", "--backend", BACKENDS, "--list-backends"),
+    ("run-config", "--backend", BACKENDS, "--list-backends"),
+    ("chaos", "--policy", POLICIES, "--list-policies"),
+    ("elastic", "--policy", POLICIES, "--list-policies"),
+    ("elastic", "--scale-policy", SCALE_POLICIES, "--list-scale-policies"),
+    ("elastic", "--backend", BACKENDS, "--list-backends"),
+    ("tenants", "--placement", PLACEMENTS, "--list-placements"),
+    ("tenants", "--arbiter", ARBITERS, "--list-arbiters"),
+    ("tenants", "--policy", POLICIES, "--list-policies"),
+    ("dot", "app", APPS, "--list-apps"),
+    ("profile", "--policy", POLICIES, "--list-policies"),
+    ("profile", "--gc", COLLECTORS, "--list-collectors"),
+]
+
+
+@pytest.mark.parametrize("command, flag, registry, listing", REGISTRY_FLAGS,
+                         ids=[f"{c} {f}" for c, f, _, _ in REGISTRY_FLAGS])
+def test_registry_flag_lists_and_takes_registered_names(
+        command, flag, registry, listing, capsys):
+    registry.register("cli-test", registry.get(registry.names()[0]))
+    assert main([command, listing]) == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in registry.names())
+
+    argv = [command, flag, "cli-test"] if flag.startswith("-") \
+        else [command, "cli-test"]
+    args = build_parser().parse_args(argv)
+    assert getattr(args, flag.lstrip("-").replace("-", "_")) == "cli-test"
+
+
+def test_dot_builds_a_registered_app(capsys):
+    APPS.register("stereo-again", APPS.get("stereo"))
+    assert main(["dot", "stereo-again"]) == 0
+    assert capsys.readouterr().out.startswith('digraph "stereo"')
+
+
+def test_dot_without_an_app_exits():
+    with pytest.raises(SystemExit, match="--list-apps"):
+        main(["dot"])
+
+
+def test_run_tracker_runs_a_registered_collector(capsys):
+    from repro.gc import RefCountGC
+
+    COLLECTORS.register("ref-again", RefCountGC)
+    rc = main(["run-tracker", "--gc", "ref-again", "--horizon", "5"])
+    assert rc == 0
+    assert "memory footprint" in capsys.readouterr().out
+
+
+def test_unknown_collector_exits_with_suggestion():
+    with pytest.raises(SystemExit, match="did you mean 'dgc'"):
+        main(["run-tracker", "--gc", "dgcc"])
+
+
+def test_tenants_spec_with_non_string_scale_policy_fails_cleanly(tmp_path):
+    import json
+
+    spec_path = tmp_path / "fleet.json"
+    spec_path.write_text(json.dumps({
+        "horizon": 1.0,
+        "tenants": [{"name": "a", "scale_policy": ["erlang"]}],
+    }))
+    with pytest.raises(SystemExit,
+                       match="error: scale policy must be a registered name"):
         main(["tenants", str(spec_path)])
