@@ -10,12 +10,12 @@ locally and summary-STP feedback rides the same connections as the data,
 piggybacked on GET requests and PUT acknowledgements plus explicit
 FEEDBACK frames after reconnects.
 
-The launcher (:mod:`repro.dist.launcher`) spawns workers, broadcasts the
-spec and a shared clock epoch, runs the horizon, then merges per-worker
-traces, statistics, and telemetry snapshots into one ordinary
-:class:`~repro.experiment.RunResult` — downstream analysis code cannot
-tell which backend produced it. Protocol details and fidelity caveats:
-``docs/distributed.md``.
+The launcher (:mod:`repro.dist.launcher`) forks the workers from its own
+interpreter, broadcasts the spec and a shared clock epoch, runs the
+horizon, then merges per-worker traces, statistics, and telemetry
+snapshots into one ordinary :class:`~repro.experiment.RunResult` —
+downstream analysis code cannot tell which backend produced it.
+Protocol details and fidelity caveats: ``docs/distributed.md``.
 """
 
 from repro.dist.framing import (

@@ -2,9 +2,9 @@
 
 :func:`run_distributed` is the registered runner behind
 ``ExperimentSpec(backend="proc")``. It partitions the spec's graph with
-:func:`~repro.dist.plan.build_plan`, spawns ``python -m
-repro.dist.worker`` once per plan node, and drives the control protocol
-over framed TCP::
+:func:`~repro.dist.plan.build_plan`, forks one worker process per plan
+node from this already-imported interpreter (no ``exec``, no imports
+to repeat), and drives the control protocol over framed TCP::
 
     launcher                         worker[i]
     --------                         ---------
@@ -27,20 +27,22 @@ caller gets back an ordinary :class:`~repro.experiment.RunResult` whose
 ``runtime`` is a :class:`~repro.dist.result.DistRunInfo`.
 
 A worker that dies or stalls fails the run loudly: every protocol step
-has a deadline, ``ERROR`` frames carry the worker's traceback, and on
-any failure the launcher kills the remaining workers and raises
+has a deadline, a worker's exit wakes the launcher through its process
+sentinel, ``ERROR`` frames carry the worker's traceback, and on any
+failure the launcher kills and joins every worker and raises
 :class:`~repro.errors.DistError` with the dead worker's stderr tail.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import socket
-import subprocess
 import sys
 import tempfile
 import time
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -73,10 +75,6 @@ class _Worker:
         except OSError:
             return ""
         return text[-limit:]
-
-    def kill(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.kill()
 
 
 def _validate(spec) -> dict:
@@ -167,26 +165,30 @@ def _recv_step(worker: _Worker, expected: FrameKind, timeout: float):
     return payload
 
 
-def _spawn_workers(nodes, host: str, port: int, tmpdir: Path) -> List[_Worker]:
-    env = dict(os.environ)
-    src_root = str(Path(__file__).resolve().parents[2])
-    existing = env.get("PYTHONPATH", "")
-    env["PYTHONPATH"] = (
-        src_root + (os.pathsep + existing if existing else "")
-    )
-    workers = []
-    for index, node in enumerate(nodes):
-        stderr_path = tmpdir / f"worker-{index}-{node}.stderr"
-        with open(stderr_path, "wb") as stderr_f:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.dist.worker",
-                 host, str(port), str(index)],
-                env=env,
-                stdout=subprocess.DEVNULL,
-                stderr=stderr_f,
-            )
-        workers.append(_Worker(index, node, proc, stderr_path))
-    return workers
+def _worker_main(server: socket.socket, index: int, stderr_fd: int) -> None:
+    """What a forked worker runs; it never returns into the launcher."""
+    host, port = server.getsockname()
+    server.close()
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
+    os.dup2(stderr_fd, 2)
+    # Fresh stream objects: the inherited ones carry buffer locks that a
+    # launcher thread may have held at the instant of the fork.
+    sys.stdout = open(1, "w", closefd=False)
+    sys.stderr = open(2, "w", buffering=1, closefd=False)
+    from repro.dist.worker import main
+
+    sys.exit(main(host, port, index))
+
+
+def _reap(workers: List[_Worker], grace: float) -> None:
+    """``grace`` seconds to exit, then kill and join: no zombie is left."""
+    deadline = time.time() + grace
+    for w in workers:
+        w.proc.join(max(0.0, deadline - time.time()))
+        w.proc.kill()
+        w.proc.join(5.0)
 
 
 def _accept_all(server: socket.socket, workers: List[_Worker],
@@ -241,14 +243,19 @@ def run_distributed(spec) -> "object":
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     server.bind(("127.0.0.1", 0))
     server.listen(len(plan.nodes))
-    host, port = server.getsockname()
 
     workers: List[_Worker] = []
     t0 = 0.0
     try:
         with tempfile.TemporaryDirectory(prefix="repro-dist-") as tmp:
-            tmpdir = Path(tmp)
-            workers = _spawn_workers(plan.nodes, host, port, tmpdir)
+            fork = multiprocessing.get_context("fork")
+            for index, node in enumerate(plan.nodes):
+                stderr_path = Path(tmp) / f"worker-{index}-{node}.stderr"
+                with open(stderr_path, "wb") as stderr_f:
+                    proc = fork.Process(target=_worker_main, args=(
+                        server, index, stderr_f.fileno()))
+                    proc.start()
+                workers.append(_Worker(index, node, proc, stderr_path))
             _accept_all(server, workers, step_timeout)
             # The shared epoch: every worker clock reads seconds since
             # this instant, so merged traces sit on one time axis.
@@ -270,19 +277,17 @@ def run_distributed(spec) -> "object":
                 w.conn.send(FrameKind.PEERS, {"nodes": peers})
             for w in workers:
                 w.conn.send(FrameKind.START, {"t0": t0})
-            wake = time.time() + spec.horizon
-            while True:
-                remaining = wake - time.time()
-                if remaining <= 0:
-                    break
-                time.sleep(min(remaining, 0.5))
-                for w in workers:
-                    if w.proc.poll() is not None:
-                        raise DistError(
-                            f"worker {w.index} ({w.node}) died mid-run "
-                            f"(exit {w.proc.returncode})\n--- worker stderr "
-                            f"---\n{w.stderr_tail()}"
-                        )
+            # A worker's sentinel becomes readable the moment it exits.
+            dead = wait([w.proc.sentinel for w in workers],
+                        timeout=spec.horizon)
+            for w in workers:
+                if w.proc.sentinel in dead:
+                    w.proc.join()
+                    raise DistError(
+                        f"worker {w.index} ({w.node}) died mid-run "
+                        f"(exit {w.proc.exitcode})\n--- worker stderr "
+                        f"---\n{w.stderr_tail()}"
+                    )
             for w in workers:
                 w.conn.send(FrameKind.STOP, None)
             reports = []
@@ -291,17 +296,12 @@ def run_distributed(spec) -> "object":
             for w in workers:
                 w.conn.send(FrameKind.BYE, None)
                 w.conn.close()
-            for w in workers:
-                try:
-                    w.proc.wait(timeout=10.0)
-                except subprocess.TimeoutExpired:
-                    w.kill()
-                    w.proc.wait(timeout=5.0)
+            _reap(workers, grace=10.0)
     except BaseException:
         for w in workers:
-            w.kill()
             if w.conn is not None:
                 w.conn.close()
+        _reap(workers, grace=0.0)
         raise
     finally:
         server.close()
@@ -318,7 +318,7 @@ def run_distributed(spec) -> "object":
         plan=plan,
         workers=[
             WorkerInfo(index=w.index, node=w.node, pid=w.proc.pid,
-                       port=w.port, returncode=w.proc.returncode)
+                       port=w.port, returncode=w.proc.exitcode)
             for w in workers
         ],
         t0=t0,

@@ -1,8 +1,8 @@
 """Worker process main: one cluster node of a distributed run.
 
-Launched by :mod:`repro.dist.launcher` as ``python -m repro.dist.worker
-HOST PORT INDEX``. The worker dials the launcher's control socket and
-walks the session protocol:
+Forked by :mod:`repro.dist.launcher`, which calls :func:`main` in the
+child. The worker dials the launcher's control socket and walks the
+session protocol:
 
 1. ``HELLO`` (worker index + pid) →
 2. ``CONFIG`` (the pickled :class:`~repro.experiment.ExperimentSpec` +
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import os
 import socket
-import sys
 import time
 import traceback
 from typing import Dict, List, Optional, Tuple
@@ -216,13 +215,8 @@ def _session(ctl: FramedConnection, worker_index: int) -> None:
         pass
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if len(argv) != 3:
-        print("usage: python -m repro.dist.worker HOST PORT INDEX",
-              file=sys.stderr)
-        return 2
-    host, port, worker_index = argv[0], int(argv[1]), int(argv[2])
+def main(host: str, port: int, worker_index: int) -> int:
+    """One session against the launcher at ``host:port``; the exit code."""
     sock = socket.create_connection((host, port), timeout=30.0)
     sock.settimeout(None)
     ctl = FramedConnection(sock)
@@ -241,7 +235,3 @@ def main(argv=None) -> int:
         return 1
     finally:
         ctl.close()
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via launcher
-    sys.exit(main())

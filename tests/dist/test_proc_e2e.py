@@ -1,18 +1,52 @@
 """End-to-end: the bundled tracker across real worker processes.
 
-These spawn actual subprocesses and move real bytes over loopback TCP,
-so they are slower than the rest of the suite; horizons are kept short.
+These fork actual worker processes and move real bytes over loopback
+TCP, so they are slower than the rest of the suite; horizons are kept
+short.
 """
+
+import os
+import subprocess
+import time
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.aru import aru_min
+from repro.cluster.spec import ClusterSpec, NodeSpec
+from repro.control import register_policy
+from repro.errors import ConfigError, DistError
 from repro.experiment import ExperimentSpec, run_experiment
 from repro.faults.spec import FaultSpec
+from repro.runtime import Get, Put, Sleep, TaskGraph
+
+_CHILDREN = f"/proc/{os.getpid()}/task/{os.getpid()}/children"
+
+
+def _ticker(ctx):
+    ts = 0
+    while True:
+        yield Sleep(0.02)
+        yield Put("ticks", ts=ts, size=8)
+        ts += 1
+
+
+def _exits_on_first_tick(ctx):
+    yield Get("ticks")
+    os._exit(3)
+
+
+def _children():
+    """This process's children that have not been reaped, zombies too."""
+    with open(_CHILDREN) as f:
+        return set(f.read().split())
 
 
 @pytest.mark.slow
-def test_tracker_runs_across_worker_processes():
+def test_tracker_runs_across_worker_processes(monkeypatch):
+    def no_interpreters(*args, **kwargs):
+        raise AssertionError("a proc run must not start an interpreter")
+
+    monkeypatch.setattr(subprocess, "Popen", no_interpreters)
     result = run_experiment(ExperimentSpec(
         config="config2", policy="aru-min", seed=0, horizon=3.0,
         backend="proc",
@@ -38,6 +72,48 @@ def test_tracker_runs_across_worker_processes():
 
     assert result.trace.items
     assert all(item_id >= ID_STRIDE for item_id in result.trace.items)
+
+
+@pytest.mark.slow
+def test_policy_registered_at_run_time_reaches_workers():
+    # Workers are forks of the launcher, so they see its registries.
+    register_policy("aru-min-registered-by-test", aru_min)
+    result = run_experiment(ExperimentSpec(
+        config="config2", policy="aru-min-registered-by-test", horizon=1.0,
+        backend="proc",
+    ))
+    assert [w.returncode for w in result.runtime.workers] == [0] * 5
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists(_CHILDREN),
+                    reason="needs /proc/<pid>/task/<tid>/children")
+def test_failed_run_leaves_no_worker_behind():
+    before = _children()
+    with pytest.raises(DistError, match="unknown policy"):
+        run_experiment(ExperimentSpec(
+            config="config2", policy="no-such-policy", horizon=30.0,
+            backend="proc",
+        ))
+    assert _children() - before == set()
+
+
+@pytest.mark.slow
+def test_worker_death_fails_the_run_when_it_happens():
+    graph = TaskGraph("dies")
+    graph.add_thread("ticker", _ticker, node="n0")
+    graph.add_thread("sink", _exits_on_first_tick, node="n1", sink=True)
+    graph.add_channel("ticks")
+    graph.connect("ticker", "ticks").connect("ticks", "sink")
+    spec = ExperimentSpec(
+        app=graph, backend="proc", horizon=30.0,
+        config=ClusterSpec(nodes=(NodeSpec(name="n0"), NodeSpec(name="n1"))),
+    )
+    started = time.monotonic()
+    with pytest.raises(DistError,
+                       match=r"worker 1 \(n1\) died mid-run \(exit 3\)"):
+        run_experiment(spec)
+    assert time.monotonic() - started < 10.0
 
 
 class TestProcValidation:
@@ -68,8 +144,6 @@ class TestProcValidation:
             run_experiment(spec)
 
     def test_unpicklable_graph_fails_fast(self):
-        from repro.runtime import TaskGraph
-
         g = TaskGraph("closure")
         captured = []
 
