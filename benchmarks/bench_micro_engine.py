@@ -103,17 +103,16 @@ def test_process_trampoline_rate(benchmark):
 
 def _tracker_recorder(horizon=60.0):
     from repro.apps import build_tracker
-    from repro.bench import cluster_for, placement_for
+    from repro.cluster import config1_spec
     from repro.runtime import Runtime, RuntimeConfig
 
     runtime = Runtime(
         build_tracker(),
         RuntimeConfig(
-            cluster=cluster_for("config1"),
+            cluster=config1_spec(),
             gc="dgc",
             aru=aru_disabled(),
             seed=0,
-            placement=placement_for("config1"),
         ),
     )
     return runtime.run(until=horizon)

@@ -137,7 +137,7 @@ def _measure_trampoline() -> float:
 def _measure_postmortem_ms() -> float:
     from repro.apps import build_tracker
     from repro.aru import aru_disabled
-    from repro.bench import cluster_for, placement_for
+    from repro.cluster import config1_spec
     from repro.metrics import (
         PostmortemAnalyzer,
         jitter,
@@ -149,8 +149,7 @@ def _measure_postmortem_ms() -> float:
     runtime = Runtime(
         build_tracker(),
         RuntimeConfig(
-            cluster=cluster_for("config1"), gc="dgc", aru=aru_disabled(),
-            seed=0, placement=placement_for("config1"),
+            cluster=config1_spec(), gc="dgc", aru=aru_disabled(), seed=0,
         ),
     )
     recorder = runtime.run(until=60.0)

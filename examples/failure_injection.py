@@ -19,7 +19,7 @@ Run:  python examples/failure_injection.py
 
 from repro.apps import build_tracker
 from repro.aru import aru_min
-from repro.bench import cluster_for
+from repro.cluster import config1_spec
 from repro.faults import (
     FaultInjector,
     FaultSchedule,
@@ -42,7 +42,7 @@ def main() -> dict:
     runtime = Runtime(
         build_tracker(),
         RuntimeConfig(
-            cluster=cluster_for("config1"),
+            cluster=config1_spec(),
             aru=aru_min().with_(staleness_ttl=TTL),
             seed=0,
         ),

@@ -45,6 +45,7 @@ from repro.apps.workloads import (
     work_queue_pool,
 )
 from repro.registry import Registry
+from repro.schema import build
 
 APPS = Registry("app")
 APPS.register("tracker", (build_tracker, TrackerConfig),
@@ -54,8 +55,15 @@ APPS.register("gesture", (build_gesture, GestureConfig),
 APPS.register("stereo", (build_stereo, StereoConfig),
               help="two cameras matched by corresponding timestamps")
 
+
+def app_config_from_dict(app, raw, where: str):
+    """A spec file's ``app_config`` object -> the config of app ``app``."""
+    return build(APPS.get(app)[1], raw, f"{where} (app is {app!r})")
+
+
 __all__ = [
     "APPS",
+    "app_config_from_dict",
     "TrackerConfig",
     "build_tracker",
     "GestureConfig",

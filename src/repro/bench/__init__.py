@@ -15,10 +15,8 @@ from repro.bench.experiments import (
     POLICY_FACTORIES,
     PolicyAggregate,
     RunMetrics,
-    cluster_for,
     grid_specs,
     metrics_from_trace,
-    placement_for,
     run_grid,
     run_tracker_once,
 )
@@ -32,11 +30,6 @@ from repro.bench.runner import (
     SweepStats,
     default_workers,
     run_cell,
-)
-from repro.bench.specfile import (
-    aru_from_dict,
-    experiment_from_dict,
-    run_experiment,
 )
 from repro.bench.tables import (
     fig6_memory_table,
@@ -67,8 +60,6 @@ __all__ = [
     "POLICY_FACTORIES",
     "DEFAULT_HORIZON",
     "DEFAULT_SEEDS",
-    "cluster_for",
-    "placement_for",
     "fig6_memory_table",
     "fig7_waste_table",
     "fig10_performance_table",
@@ -80,9 +71,6 @@ __all__ = [
     "format_shape_report",
     "grid_to_csv",
     "compare_traces",
-    "experiment_from_dict",
-    "run_experiment",
-    "aru_from_dict",
     "summarize_trace",
     "RUN_COLUMNS",
 ]

@@ -14,10 +14,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.apps.tracker import TrackerConfig, tracker_placement
+from repro.apps.tracker import TrackerConfig
 from repro.aru.config import AruConfig, aru_disabled, aru_max, aru_min
-from repro.cluster.spec import ClusterSpec, config1_spec, config2_spec
-from repro.errors import ConfigError
 from repro.metrics.footprint import Timeline
 from repro.metrics.performance import jitter, latency_stats, throughput_fps
 from repro.metrics.postmortem import PostmortemAnalyzer
@@ -33,18 +31,6 @@ POLICY_FACTORIES: Dict[str, Callable[[], AruConfig]] = {
 
 DEFAULT_HORIZON = 120.0
 DEFAULT_SEEDS = (0, 1, 2)
-
-
-def cluster_for(config: str) -> ClusterSpec:
-    if config == "config1":
-        return config1_spec()
-    if config == "config2":
-        return config2_spec()
-    raise ConfigError(f"unknown config {config!r}; expected {CONFIG_NAMES}")
-
-
-def placement_for(config: str) -> Dict[str, str]:
-    return tracker_placement() if config == "config2" else {}
 
 
 @dataclass

@@ -125,8 +125,7 @@ class CellSpec:
         never cached, but key computation must not abort the sweep).
         """
         try:
-            cluster = self._cluster()
-            placement = self._placement()
+            cluster, placement = self._cluster_and_placement()
         except ConfigError:
             cluster, placement = None, None
         return {
@@ -136,27 +135,16 @@ class CellSpec:
         }
 
     # -- resolution helpers (worker side) ------------------------------------
-    def _cluster(self):
-        from repro.cluster.spec import config1_spec, config2_spec
+    def _cluster_and_placement(self):
+        from repro.experiment import ExperimentSpec
 
-        if self.config == "config1":
-            if self.sched_noise_cv is not None:
-                return config1_spec(sched_noise_cv=self.sched_noise_cv)
-            return config1_spec()
-        if self.config == "config2":
-            if self.sched_noise_cv is not None:
-                return config2_spec(sched_noise_cv=self.sched_noise_cv)
-            return config2_spec()
-        raise ConfigError(
-            f"unknown config {self.config!r}; expected config1/config2"
-        )
-
-    def _placement(self) -> Dict[str, str]:
-        from repro.apps.tracker import tracker_placement
-
-        if self.workload is not None:
-            return {}
-        return tracker_placement() if self.config == "config2" else {}
+        config: Any = self.config
+        if self.sched_noise_cv is not None:
+            config = {"kind": config, "sched_noise_cv": self.sched_noise_cv}
+        # A workload cell names no app, so it gets no paper placement.
+        return ExperimentSpec(
+            app=self.workload or "tracker", config=config,
+        ).resolve_cluster_and_placement()
 
     def _gc(self):
         if self.gc_interval is not None:
@@ -203,16 +191,17 @@ def _execute_cell(spec: CellSpec) -> CellResult:
         app_config = None
     else:
         app, app_config = "tracker", spec.tracker
+    cluster, placement = spec._cluster_and_placement()
     result = run_experiment(ExperimentSpec(
         app=app,
         app_config=app_config,
-        config=spec._cluster(),
+        config=cluster,
         policy=aru,
         scale_policy=spec.scale_policy,
         gc=spec._gc(),
         seed=spec.seed,
         horizon=spec.horizon,
-        placement=spec._placement(),
+        placement=placement,
         loads=spec.loads,
         faults=spec.faults,
         telemetry=spec.telemetry,

@@ -42,6 +42,7 @@ from typing import List, Optional
 from repro.apps import APPS
 from repro.backends import BACKENDS
 from repro.bench import (
+    CONFIG_NAMES,
     ascii_timeline,
     fig6_memory_table,
     fig7_waste_table,
@@ -148,66 +149,35 @@ def _print_run_summary(run) -> None:
 
 
 def cmd_run_tracker(args) -> int:
+    from repro.bench.experiments import metrics_from_trace
+    from repro.experiment import ExperimentSpec, run_experiment
+
     config = f"config{args.config}"
     policy = resolve_policy(args.policy)
-    if args.telemetry or args.backend != "sim":
-        from repro.bench.experiments import metrics_from_trace
-        from repro.experiment import ExperimentSpec, run_experiment
-
-        try:
-            result = run_experiment(ExperimentSpec(
-                config=config, policy=policy, gc=args.gc,
-                seed=args.seed, horizon=args.horizon,
-                telemetry=bool(args.telemetry), backend=args.backend,
-            ))
-        except ConfigError as exc:
-            raise SystemExit(f"error: {exc}") from None
-        run = metrics_from_trace(config, policy.name,
-                                 args.seed, args.horizon, result.trace)
-        _print_run_summary(run)
-        if args.telemetry:
-            _export_telemetry(result.telemetry, args.telemetry,
-                              f"tracker-{config}-{args.policy}-s{args.seed}")
-        if args.save_trace:
-            from repro.metrics import save_trace
-
-            save_trace(result.trace, args.save_trace)
-            print(f"  trace saved      : {args.save_trace}")
-        return 0
-    run = run_tracker_once(
-        config,
-        policy,
-        seed=args.seed,
-        horizon=args.horizon,
-        gc=args.gc,
-    )
+    try:
+        result = run_experiment(ExperimentSpec(
+            config=config, policy=policy, gc=args.gc,
+            seed=args.seed, horizon=args.horizon,
+            telemetry=bool(args.telemetry), backend=args.backend,
+        ))
+    except ConfigError as exc:
+        raise SystemExit(f"error: {exc}") from None
+    run = metrics_from_trace(config, policy.name,
+                             args.seed, args.horizon, result.trace)
     _print_run_summary(run)
+    if args.telemetry:
+        _export_telemetry(result.telemetry, args.telemetry,
+                          f"tracker-{config}-{args.policy}-s{args.seed}")
     if args.save_trace:
-        # re-run capturing the recorder (run_tracker_once returns scalars);
-        # cheap relative to clarity, and seeds make it identical.
-        from repro.apps import build_tracker
-        from repro.bench import cluster_for, placement_for
         from repro.metrics import save_trace
-        from repro.runtime import Runtime, RuntimeConfig
 
-        runtime = Runtime(
-            build_tracker(),
-            RuntimeConfig(
-                cluster=cluster_for(config),
-                gc=args.gc,
-                aru=policy,
-                seed=args.seed,
-                placement=placement_for(config),
-            ),
-        )
-        recorder = runtime.run(until=args.horizon)
-        save_trace(recorder, args.save_trace)
+        save_trace(result.trace, args.save_trace)
         print(f"  trace saved      : {args.save_trace}")
     return 0
 
 
 def _print_grid_tables(grid, save_csv=None) -> None:
-    for config in ("config1", "config2"):
+    for config in CONFIG_NAMES:
         print(fig6_memory_table(grid, config)[0], end="\n\n")
         print(fig7_waste_table(grid, config)[0], end="\n\n")
         print(fig10_performance_table(grid, config)[0], end="\n\n")
@@ -280,7 +250,8 @@ def cmd_run_config(args) -> int:
     import json
     from pathlib import Path
 
-    from repro.bench import run_experiment, summarize_trace
+    from repro.bench import summarize_trace
+    from repro.experiment import run_experiment
     from repro.metrics import save_trace
 
     if args.spec is None:
@@ -291,10 +262,11 @@ def cmd_run_config(args) -> int:
         # CLI flag wins over the spec file's own "backend" key.
         spec["backend"] = args.backend
     try:
-        recorder = run_experiment(spec)
+        result = run_experiment(spec)
     except ConfigError as exc:
         raise SystemExit(f"error: {exc}") from None
-    backend_label = spec.get("backend", "sim")
+    recorder = result.trace
+    backend_label = result.spec.backend
     unit = "simulated" if backend_label == "sim" else "wall-clock"
     print(f"experiment {args.spec} completed "
           f"({recorder.duration:.1f}s {unit}, backend={backend_label})")
@@ -308,7 +280,7 @@ def cmd_run_config(args) -> int:
 
 def cmd_chaos(args) -> int:
     """Run an experiment under a scripted fault schedule, report resilience."""
-    from repro.bench.specfile import experiment_from_dict
+    from repro.experiment import ExperimentSpec
     from repro.faults import FaultInjector, load_chaos_file, resilience_report
     from repro.metrics import gantt, save_trace
     from repro.runtime import Runtime
@@ -317,26 +289,24 @@ def cmd_chaos(args) -> int:
         raise SystemExit(
             "chaos: a schedule file is required (or use --list-faults)")
     experiment, schedule, detector = load_chaos_file(args.schedule)
-    graph, runtime_config, horizon = experiment_from_dict(experiment)
-    from dataclasses import replace
-
+    spec = ExperimentSpec.from_dict(experiment)
     if args.policy is not None:
-        runtime_config = replace(runtime_config,
-                                 aru=resolve_policy(args.policy))
+        spec = spec.with_(policy=args.policy)
     if args.horizon is not None:
-        horizon = args.horizon
+        spec = spec.with_(horizon=args.horizon)
     hub = None
     if args.telemetry:
         from repro.obs import TelemetryHub
 
         hub = TelemetryHub()
-        runtime_config = replace(runtime_config, telemetry=hub)
-    runtime = Runtime(graph, runtime_config)
+        spec = spec.with_(telemetry=hub)
+    graph = spec.resolve_graph()
+    runtime = Runtime(graph, spec.runtime_config())
     kwargs = dict(detector)
     if "interval" in kwargs:
         kwargs["detect_interval"] = kwargs.pop("interval")
     injector = FaultInjector(runtime, schedule, **kwargs).install()
-    recorder = runtime.run(until=horizon)
+    recorder = runtime.run(until=spec.horizon)
     print(f"chaos run: {args.schedule} — {len(schedule)} scheduled faults, "
           f"{recorder.duration:.1f}s simulated")
     print()
@@ -419,13 +389,12 @@ def cmd_tenants(args) -> int:
         TenantSpec,
         run_tenants,
         scaled_tracker_config,
-        tenancy_from_dict,
     )
 
     try:
         if args.spec is not None:
             raw = json.loads(Path(args.spec).read_text())
-            spec = tenancy_from_dict(raw)
+            spec = TenancySpec.from_dict(raw)
             if args.placement is not None:
                 spec = spec.with_(placement=args.placement)
             if args.horizon is not None:
@@ -704,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tenants",
         help="run a multi-tenant fleet on one shared cluster")
     p_ten.add_argument("spec", nargs="?", default=None,
-                       help="JSON tenancy spec (see repro.tenancy.specfile); "
+                       help="JSON tenancy spec (see TenancySpec.from_dict); "
                             "omit for a synthetic tracker fleet")
     p_ten.add_argument("--tenants", type=int, default=4, metavar="N",
                        help="synthetic fleet size when no spec file is "

@@ -5,12 +5,14 @@ from repro.cluster.load import LoadSpec, load_process, spawn_load
 from repro.cluster.network import Link, Network
 from repro.cluster.node import Node
 from repro.cluster.spec import (
+    CLUSTERS,
     DEFAULT_LATENCY_S,
     GIGABIT_BPS,
     ClusterSpec,
     LinkSpec,
     NodeSpec,
     config1_spec,
+    cluster_spec,
     config2_spec,
 )
 
@@ -28,6 +30,8 @@ __all__ = [
     "spawn_load",
     "config1_spec",
     "config2_spec",
+    "CLUSTERS",
+    "cluster_spec",
     "GIGABIT_BPS",
     "DEFAULT_LATENCY_S",
 ]

@@ -9,14 +9,20 @@ configurations:
   their producers.
 
 :func:`config1_spec` and :func:`config2_spec` build those two shapes.
+Every shape a spec can name — those two plus the multi-tenant
+:func:`uniform_spec` and :func:`heterogeneous_spec` — is registered in
+:data:`CLUSTERS`, and :func:`cluster_spec` is the one place a cluster
+value resolves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
+from repro.registry import Registry
+from repro.schema import build
 
 #: Gigabit Ethernet effective payload bandwidth, bytes/second. We use a
 #: conservative ~80 % of line rate to account for framing and TCP overhead.
@@ -253,7 +259,7 @@ def config2_spec(
 
 
 def uniform_spec(
-    n_nodes: int,
+    n_nodes: int = 4,
     *,
     ncpus: int = 8,
     mem_bytes: int = int(3.69 * 2**30),
@@ -326,3 +332,38 @@ def heterogeneous_spec(
         link=link or LinkSpec(),
         name=name or f"hetero-{n_big}big-{n_small}small",
     )
+
+
+CLUSTERS = Registry("cluster")
+CLUSTERS.register("config1", config1_spec,
+                  help="the paper's config 1: every tracker task on one "
+                       "8-way SMP node")
+CLUSTERS.register("config2", config2_spec,
+                  help="the paper's config 2: five nodes, one tracker task "
+                       "per node")
+CLUSTERS.register("uniform", uniform_spec,
+                  help="n_nodes identical quiet nodes (default 4)")
+CLUSTERS.register("heterogeneous", heterogeneous_spec,
+                  help="n_big fat nodes plus n_small thin ones")
+
+
+def cluster_spec(value: Any) -> ClusterSpec:
+    """A :class:`ClusterSpec`, a node count, a registered name, or
+    ``{"kind": name, <factory keywords>}`` -> the cluster to run on.
+
+    A count is that many :func:`uniform_spec` nodes; an object without
+    ``kind`` is a uniform one.
+    """
+    if isinstance(value, ClusterSpec):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return uniform_spec(value)
+    if isinstance(value, str):
+        return CLUSTERS.get(value)()
+    if not isinstance(value, Mapping):
+        raise ConfigError(
+            f"cluster must be a ClusterSpec, a node count, a name or an "
+            f"object; got {value!r}")
+    raw = dict(value)
+    kind = raw.pop("kind", "uniform")
+    return build(CLUSTERS.get(kind), raw, f"cluster (kind={kind!r})")

@@ -20,7 +20,7 @@ Extensions register their own presets::
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Any, Callable, Mapping, Union
 
 from repro.aru.config import (
     AruConfig,
@@ -38,6 +38,7 @@ from repro.control.scale import (
     scale_null,
 )
 from repro.registry import Registry
+from repro.schema import check_keys
 
 POLICIES: Registry[Callable[[], AruConfig]] = Registry("policy")
 SCALE_POLICIES: Registry[Callable[[], ScaleConfig]] = Registry("scale policy")
@@ -48,13 +49,20 @@ register_scale_policy = SCALE_POLICIES.register
 list_scale_policies = SCALE_POLICIES.names
 
 
-def resolve_policy(policy: Union[str, AruConfig, None]) -> AruConfig:
-    """A name, an explicit config, or None (ARU off) -> the
-    :class:`AruConfig` to run."""
+def resolve_policy(policy: Union[str, AruConfig, Mapping[str, Any], None]
+                   ) -> AruConfig:
+    """A name, an explicit config, None (ARU off), or a spec file's
+    ``{"preset": name, <AruConfig overrides>}`` (preset ``aru-min`` by
+    default) -> the :class:`AruConfig` to run."""
     if policy is None:
         return aru_disabled()
     if isinstance(policy, AruConfig):
         return policy
+    if isinstance(policy, Mapping):
+        overrides = dict(policy)
+        base = resolve_policy(overrides.pop("preset", "aru-min"))
+        check_keys(overrides, AruConfig.__dataclass_fields__, "policy")
+        return base.with_(**overrides)
     return POLICIES.get(policy)()
 
 

@@ -6,7 +6,7 @@ being able to discriminate on the specific subclass.
 
 :func:`unknown_name_error` is the shared did-you-mean builder: every
 :class:`~repro.registry.Registry` raises it for an unknown name, and so
-do the two closed enums outside one (admission modes, cluster kinds).
+does the one closed enum outside one (admission modes).
 Config typos must never silently run a default, and every name should
 be complained about in the same voice.
 """

@@ -20,9 +20,10 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Tuple, Union
 
 from repro.errors import ConfigError
+from repro.schema import build
 
 
 @dataclass(frozen=True)
@@ -39,9 +40,12 @@ class ExperimentSpec:
         Per-app config object (e.g. ``TrackerConfig``) when ``app`` is a
         name; must be None for graph/app instances.
     config:
-        Cluster: a paper config name (``"config1"`` / ``"config2"``), a
-        :class:`~repro.cluster.ClusterSpec`, or None for config1. The
-        tracker on ``"config2"`` gets the paper's placement by default.
+        Cluster: a name registered in :data:`repro.cluster.CLUSTERS`
+        (the paper's ``"config1"`` / ``"config2"``...), a
+        ``{"kind": name, ...}`` object, a
+        :class:`~repro.cluster.ClusterSpec`, or None for config1 (see
+        :func:`~repro.cluster.spec.cluster_spec`). The tracker on
+        ``"config2"`` gets the paper's placement by default.
     policy:
         ARU policy: an :class:`~repro.aru.AruConfig`, a registered
         policy name (``"aru-max"``...), or None for disabled.
@@ -92,6 +96,33 @@ class ExperimentSpec:
     def with_(self, **changes) -> "ExperimentSpec":
         return replace(self, **changes)
 
+    @classmethod
+    def from_dict(cls, raw: Mapping[str, Any]) -> "ExperimentSpec":
+        """The spec-file form (``run-config``, chaos files): an object
+        whose keys are this class's fields.
+
+        ``app_config`` is read as the named app's config, each ``loads``
+        entry as a :class:`~repro.cluster.LoadSpec`, ``faults`` as
+        :class:`~repro.faults.FaultSpec` entries and ``policy`` through
+        :func:`~repro.control.resolve_policy`, so their errors surface
+        when the file is read.
+        """
+        from repro.apps import app_config_from_dict
+        from repro.cluster.load import LoadSpec
+        from repro.control.registry import resolve_policy
+        from repro.faults.spec import FaultSchedule
+
+        app = raw.get("app", "tracker") if isinstance(raw, Mapping) else None
+        return build(cls, raw, "experiment spec", parse={
+            "app_config": lambda value: app_config_from_dict(
+                app, value, "app_config"),
+            "policy": resolve_policy,
+            "loads": lambda value: tuple(
+                build(LoadSpec, load, f"loads[{i}]")
+                for i, load in enumerate(value)),
+            "faults": lambda value: FaultSchedule.from_dicts(value).faults,
+        })
+
     # -- resolution ------------------------------------------------------
     def resolve_graph(self):
         """The task graph this spec runs (builds builtin apps by name)."""
@@ -114,25 +145,15 @@ class ExperimentSpec:
 
     def resolve_cluster_and_placement(self):
         """``(ClusterSpec, placement)`` with the paper's defaults."""
-        from repro.cluster.spec import ClusterSpec, config1_spec, config2_spec
+        from repro.cluster.spec import cluster_spec
 
+        config = "config1" if self.config is None else self.config
         placement = dict(self.placement)
-        config = self.config
-        if config is None:
-            return config1_spec(), placement
-        if isinstance(config, ClusterSpec):
-            return config, placement
-        if config == "config1":
-            return config1_spec(), placement
-        if config == "config2":
-            if self.app == "tracker" and not placement:
-                from repro.apps.tracker import tracker_placement
-                placement = tracker_placement()
-            return config2_spec(), placement
-        raise ConfigError(
-            f"unknown config {config!r}; expected config1/config2 "
-            f"or a ClusterSpec"
-        )
+        kind = config.get("kind") if isinstance(config, Mapping) else config
+        if kind == "config2" and self.app == "tracker" and not placement:
+            from repro.apps.tracker import tracker_placement
+            placement = tracker_placement()
+        return cluster_spec(config), placement
 
     def resolve_policy(self):
         """The :class:`~repro.aru.AruConfig` (names via the registry)."""
@@ -192,49 +213,13 @@ class RunResult:
         return bool(getattr(self.telemetry, "enabled", False))
 
 
-def _spec_from_dict(raw: Mapping[str, Any]) -> ExperimentSpec:
-    """Adapt the declarative spec-file grammar to an ExperimentSpec.
-
-    The dict grammar (see :mod:`repro.bench.specfile`) keeps its own
-    strict validation; this only lifts the keys the facade owns
-    (``telemetry``, ``faults``) before handing the rest over.
-    """
-    from repro.bench.specfile import experiment_from_dict
-    from repro.faults.spec import FaultSpec
-
-    raw = dict(raw)
-    telemetry = raw.pop("telemetry", False)
-    backend = raw.pop("backend", "sim")
-    backend_options = raw.pop("backend_options", {})
-    faults = tuple(
-        FaultSpec.from_dict(f) if isinstance(f, dict) else f
-        for f in raw.pop("faults", ())
-    )
-    # Validate + normalize everything else through the specfile grammar.
-    graph, runtime_config, horizon = experiment_from_dict(raw)
-    return ExperimentSpec(
-        app=graph,
-        config=runtime_config.cluster,
-        policy=runtime_config.aru,
-        gc=runtime_config.gc,
-        seed=runtime_config.seed,
-        horizon=horizon,
-        placement=runtime_config.placement,
-        loads=runtime_config.loads,
-        faults=faults,
-        telemetry=telemetry,
-        backend=backend,
-        backend_options=backend_options,
-    )
-
-
 def run_experiment(spec: Union[ExperimentSpec, Mapping[str, Any], None] = None,
                    **overrides) -> RunResult:
     """Run one experiment end to end; the single front door.
 
-    Accepts an :class:`ExperimentSpec`, a spec-file dict (the
-    ``run-config`` grammar plus ``telemetry``/``faults`` keys), or
-    keyword overrides over the default spec:
+    Accepts an :class:`ExperimentSpec`, its spec-file dict (see
+    :meth:`ExperimentSpec.from_dict`), or keyword overrides over the
+    default spec:
 
     >>> import repro
     >>> repro.run_experiment(horizon=5.0).telemetry_enabled
@@ -246,7 +231,7 @@ def run_experiment(spec: Union[ExperimentSpec, Mapping[str, Any], None] = None,
         if overrides:
             spec = spec.with_(**overrides)
     elif isinstance(spec, Mapping):
-        spec = _spec_from_dict(spec)
+        spec = ExperimentSpec.from_dict(spec)
         if overrides:
             spec = spec.with_(**overrides)
     else:

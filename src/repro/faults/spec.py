@@ -5,9 +5,10 @@ validated, time-sorted sequence of them. Both are frozen, picklable pure
 data — they travel through :class:`~repro.bench.runner.CellSpec` into
 sweep workers and hash cleanly into the content-addressed result cache.
 
-Schedules load from plain dicts (and therefore YAML/JSON chaos files,
-mirroring :mod:`repro.bench.specfile`): each fault names its target with
-a ``thread:``, ``node:``, or ``link:`` key matching its kind family, e.g.
+Schedules load from plain dicts (and therefore YAML/JSON chaos files),
+read by :func:`repro.schema.build` like every other spec object; each
+fault names its target with a ``thread:``, ``node:``, or ``link:`` key
+matching its kind family, e.g.
 
 .. code-block:: yaml
 
@@ -22,48 +23,55 @@ a ``thread:``, ``node:``, or ``link:`` key matching its kind family, e.g.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import FaultError
+from repro.schema import as_object, build, check_keys
 
-#: Catalog of fault kinds: {kind: (target family, parameters, description)}.
-FAULT_KINDS: Dict[str, Tuple[str, str, str]] = {
+#: Catalog of fault kinds: {kind: (target family, {parameter: required},
+#: description)}. A parameter a kind does not list must keep its default.
+FAULT_KINDS: Dict[str, Tuple[str, Dict[str, bool], str]] = {
     "thread_crash": (
-        "thread", "",
+        "thread", {},
         "kill a task thread (ProcessKilled at its current yield point)"),
     "thread_stall": (
-        "thread", "duration (s, required)",
+        "thread", {"duration": True},
         "freeze a thread without killing it — the livelock case"),
     "thread_restart": (
-        "thread", "",
+        "thread", {},
         "respawn a thread cold: fresh generator, new connections, "
         "reset ARU state"),
     "node_crash": (
-        "node", "",
+        "node", {},
         "crash a node: every resident thread dies (storage survives)"),
     "node_restart": (
-        "node", "",
+        "node", {},
         "bring a node back up, respawning its dead threads"),
     "link_degrade": (
-        "link", "factor (>1, required); duration (s, optional)",
+        "link", {"factor": True, "duration": False},
         "inflate a link's transfer times by factor"),
     "link_partition": (
-        "link", "mode (fail|block, default fail); duration (s, optional)",
+        "link", {"mode": False, "duration": False},
         "cut a link: transfers raise LinkDown (fail) or park (block)"),
     "link_restore": (
-        "link", "",
+        "link", {},
         "clear every fault on a link (degrade, partition, drop)"),
     "message_drop": (
-        "link", "probability ((0,1], required); duration (s, optional); "
-        "seed (int, optional)",
+        "link", {"probability": True, "duration": False, "seed": False},
         "lose each transfer on a link with probability (seeded RNG)"),
 }
 
-_THREAD_KINDS = frozenset(k for k, v in FAULT_KINDS.items() if v[0] == "thread")
-_NODE_KINDS = frozenset(k for k, v in FAULT_KINDS.items() if v[0] == "node")
-_LINK_KINDS = frozenset(k for k, v in FAULT_KINDS.items() if v[0] == "link")
+#: Every optional parameter: (default, valid-value test, what is valid).
+#: ``duration`` bounds a window: the fault clears itself after it.
+_PARAMS: Dict[str, Tuple[Any, Callable[[Any], bool], str]] = {
+    "duration": (None, lambda v: v > 0, "> 0 (s)"),
+    "factor": (None, lambda v: v > 1.0, "> 1"),
+    "probability": (None, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "mode": ("fail", lambda v: v in ("fail", "block"), "fail/block"),
+    "seed": (0, lambda v: True, "(int)"),
+}
 
 #: Kinds whose injection *is* a recovery action, and which earlier fault
 #: kinds (same target) they resolve.
@@ -72,11 +80,6 @@ RECOVERY_KINDS: Dict[str, Tuple[str, ...]] = {
     "node_restart": ("node_crash",),
     "link_restore": ("link_degrade", "link_partition", "message_drop"),
 }
-
-#: Kinds accepting a bounded window: the fault auto-clears after duration.
-_WINDOW_KINDS = frozenset(
-    {"thread_stall", "link_degrade", "link_partition", "message_drop"}
-)
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,8 @@ class FaultSpec:
                              f"got {self.at}")
         if not self.target or not isinstance(self.target, str):
             raise FaultError(f"{self.kind}: target must be a non-empty string")
-        if self.kind in _LINK_KINDS:
+        family, params, _ = FAULT_KINDS[self.kind]
+        if family == "link":
             if "->" not in self.target:
                 raise FaultError(
                     f"{self.kind}: link target must be 'src->dst', "
@@ -118,36 +122,17 @@ class FaultSpec:
         elif "->" in self.target:
             raise FaultError(
                 f"{self.kind}: target {self.target!r} looks like a link; "
-                f"this kind targets a {FAULT_KINDS[self.kind][0]}"
+                f"this kind targets a {family}"
             )
-        if self.duration is not None:
-            if self.kind not in _WINDOW_KINDS:
-                raise FaultError(f"{self.kind} takes no duration")
-            if self.duration <= 0:
-                raise FaultError(
-                    f"{self.kind}: duration must be positive, got {self.duration}"
-                )
-        elif self.kind == "thread_stall":
-            raise FaultError("thread_stall requires a duration")
-        if self.kind == "link_degrade":
-            if self.factor is None or self.factor <= 1.0:
-                raise FaultError(
-                    f"link_degrade requires factor > 1, got {self.factor}"
-                )
-        elif self.factor is not None:
-            raise FaultError(f"{self.kind} takes no factor")
-        if self.kind == "message_drop":
-            if self.probability is None or not 0.0 < self.probability <= 1.0:
-                raise FaultError(
-                    f"message_drop requires probability in (0, 1], "
-                    f"got {self.probability}"
-                )
-        elif self.probability is not None:
-            raise FaultError(f"{self.kind} takes no probability")
-        if self.mode not in ("fail", "block"):
-            raise FaultError(f"partition mode must be fail/block, got {self.mode!r}")
-        if self.mode != "fail" and self.kind != "link_partition":
-            raise FaultError(f"{self.kind} takes no mode")
+        for name, (default, valid, rule) in _PARAMS.items():
+            value = getattr(self, name)
+            if name not in params:
+                if value != default:
+                    raise FaultError(f"{self.kind} takes no {name}")
+            elif (value == default and params[name]) or (
+                    value != default and not valid(value)):
+                raise FaultError(f"{self.kind} requires a {name} {rule}, "
+                                 f"got {value!r}")
 
     # ------------------------------------------------------------------
     @property
@@ -161,13 +146,13 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "FaultSpec":
-        """Build from a chaos-file entry (``thread``/``node``/``link`` key)."""
-        if not isinstance(d, dict):
-            raise FaultError(f"fault spec must be a dict, got {d!r}")
-        d = dict(d)
-        kind = d.pop("kind", None)
-        if kind is None:
-            raise FaultError(f"fault spec missing 'kind': {d!r}")
+        """Build from a chaos-file entry: the fields, with the target
+        under its family's key (``thread``/``node``/``link``) or as
+        ``target``."""
+        if isinstance(d, FaultSpec):
+            return d
+        d = dict(as_object(d, "fault spec", FaultError))
+        kind = d.get("kind")
         target_keys = [k for k in ("thread", "node", "link", "target") if k in d]
         if len(target_keys) != 1:
             raise FaultError(
@@ -175,33 +160,23 @@ class FaultSpec:
                 f"got {target_keys or 'none'}"
             )
         key = target_keys[0]
-        target = d.pop(key)
         family = FAULT_KINDS.get(kind, (None,))[0]
         if key != "target" and family is not None and key != family:
             raise FaultError(
                 f"fault {kind!r} targets a {family}, but the spec used "
                 f"{key!r}"
             )
-        allowed = {f.name for f in fields(cls)} - {"kind", "target"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise FaultError(f"unknown key(s) in fault {kind!r}: {sorted(unknown)}")
-        if "at" not in d:
-            raise FaultError(f"fault {kind!r} missing 'at' (injection time)")
-        return cls(kind=kind, target=str(target), **d)
+        d["target"] = str(d.pop(key))
+        return build(cls, d, f"fault {kind!r}" if kind else "fault spec",
+                     error=FaultError)
 
     def to_dict(self) -> Dict[str, Any]:
-        family = FAULT_KINDS[self.kind][0]
+        family, params, _ = FAULT_KINDS[self.kind]
         out: Dict[str, Any] = {"kind": self.kind, "at": self.at,
                                family: self.target}
-        for key in ("duration", "factor", "probability"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.kind == "link_partition":
-            out["mode"] = self.mode
-        if self.kind == "message_drop" and self.seed:
-            out["seed"] = self.seed
+        for name in params:
+            if getattr(self, name) != _PARAMS[name][0]:
+                out[name] = getattr(self, name)
         return out
 
 
@@ -251,7 +226,7 @@ def chaos_from_dict(data: Dict[str, Any]):
     """Split a chaos-file dict into its three parts.
 
     Returns ``(experiment_spec, schedule, detector_kwargs)`` where
-    ``experiment_spec`` feeds :func:`repro.bench.specfile.experiment_from_dict`
+    ``experiment_spec`` feeds :meth:`repro.experiment.ExperimentSpec.from_dict`
     (which validates it), ``schedule`` is the :class:`FaultSchedule`, and
     ``detector_kwargs`` configure the :class:`~repro.faults.injector.FaultInjector`.
     """
@@ -260,9 +235,7 @@ def chaos_from_dict(data: Dict[str, Any]):
     data = dict(data)
     schedule = FaultSchedule.from_dicts(data.pop("faults", []))
     detector = dict(data.pop("detector", {}) or {})
-    unknown = set(detector) - _DETECTOR_KEYS
-    if unknown:
-        raise FaultError(f"unknown key(s) in detector: {sorted(unknown)}")
+    check_keys(detector, _DETECTOR_KEYS, "detector", FaultError)
     experiment = data.pop("experiment", None)
     if experiment is None:
         # flat layout: remaining top-level keys are the experiment
@@ -299,7 +272,11 @@ def list_faults_text() -> str:
     for kind, (family, params, desc) in FAULT_KINDS.items():
         lines.append(f"  {kind:<{width}}  [{family}] {desc}")
         if params:
-            lines.append(f"  {'':<{width}}  params: {params}")
+            text = "; ".join(
+                f"{name} {_PARAMS[name][2]}"
+                f"{', required' if required else ''}"
+                for name, required in params.items())
+            lines.append(f"  {'':<{width}}  params: {text}")
     lines += [
         "",
         "every fault: kind, at (s), and its target key; windowed kinds",

@@ -1,11 +1,11 @@
 """One registry class for every named choice a spec or a flag can make.
 
 Rate and scale policies, backends, placements, arbiters, collectors,
-filters, operators, probes, apps and workloads are all *names* in a
-spec file, a sweep cell or on the command line, and each resolves
-through a :class:`Registry`: one lookup, one did-you-mean error (via
-:func:`~repro.errors.unknown_name_error`), one catalog format for the
-CLI's ``--list-*`` flags. What a domain accepts besides a name — an
+filters, operators, probes, apps, workloads and clusters are all
+*names* in a spec file, a sweep cell or on the command line, and each
+resolves through a :class:`Registry`: one lookup, one did-you-mean
+error (via :func:`~repro.errors.unknown_name_error`), one catalog
+format for the CLI's ``--list-*`` flags. What a domain accepts besides a name — an
 explicit config, an instance, ``None`` for its default — is handled by
 that domain's resolve function in front of :meth:`Registry.get`.
 """

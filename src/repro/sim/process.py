@@ -56,9 +56,8 @@ class Process(Event):
         self.defused = False
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._waiting_on = None
         self._killed = False
-        engine._schedule_resume(self, True, None)
+        self._waiting_on = engine._schedule_resume(self, True, None)
 
     # ------------------------------------------------------------------
     @property
@@ -76,6 +75,12 @@ class Process(Event):
         if self.triggered or self._killed:
             return
         self._killed = True
+        waiting = self._waiting_on
+        if type(waiting) is _Resume:
+            # A resume already in flight (its start, or an already-fired
+            # yield) would run the generator to its next syscall before
+            # the kill lands, on connections a restart has just taken.
+            waiting.cancelled = True
         tick = Event(self.engine)
         tick.callbacks.append(self._deliver_kill)
         tick.succeed(reason)

@@ -55,7 +55,6 @@ from repro.tenancy.scheduler import (
     Scheduler,
     resolve_admission,
 )
-from repro.tenancy.specfile import tenancy_from_dict
 from repro.tenancy.tenant import (
     TENANT_STATES,
     ResourceDemand,
@@ -96,6 +95,5 @@ __all__ = [
     "resolve_placement",
     "run_tenants",
     "scaled_tracker_config",
-    "tenancy_from_dict",
     "weighted_jain_index",
 ]

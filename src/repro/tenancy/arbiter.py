@@ -47,10 +47,11 @@ process, sensing, and actuation through the runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.registry import Registry
+from repro.schema import build
 
 _EPS = 1e-9
 
@@ -532,12 +533,18 @@ available_arbiters = ARBITERS.names
 def resolve_arbiter_config(value) -> Optional[ArbiterConfig]:
     """Normalize a TenancySpec ``arbiter`` value to a config (or None).
 
-    Accepts None (arbitration off), a registered name, or an
-    :class:`ArbiterConfig` whose policy is registered.
+    Accepts None (arbitration off), a registered name, an
+    :class:`ArbiterConfig` whose policy is registered, or a spec file's
+    object of :class:`ArbiterConfig` fields (``name`` defaults to the
+    policy).
     """
     if value is None:
         return None
-    if not isinstance(value, ArbiterConfig):
+    if isinstance(value, Mapping):
+        value = build(ArbiterConfig,
+                      {"name": value.get("policy", "proportional"), **value},
+                      "arbiter")
+    elif not isinstance(value, ArbiterConfig):
         value = ArbiterConfig(policy=value, name=value)
     ARBITERS.get(value.policy)  # a typo fails here, not at the first tick
     return value

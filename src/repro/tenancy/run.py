@@ -25,11 +25,12 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.schema import as_object, build
 from repro.tenancy.fairness import FairnessReport, fairness_report
 from repro.tenancy.runtime import TenantRuntime
 from repro.tenancy.scheduler import Scheduler
@@ -46,9 +47,10 @@ class TenancySpec:
         The :class:`~repro.tenancy.TenantSpec` population (unique names;
         at most one with the empty namespace).
     cluster:
-        A :class:`~repro.cluster.ClusterSpec`, an int (that many uniform
-        nodes via :func:`~repro.cluster.spec.uniform_spec`), or None for
-        four uniform nodes.
+        Anything :func:`~repro.cluster.spec.cluster_spec` takes (a
+        :class:`~repro.cluster.ClusterSpec`, an int node count, a
+        :data:`~repro.cluster.CLUSTERS` name or ``{"kind": ...}``
+        object), or None for four uniform nodes.
     placement:
         Placement strategy name (``rstorm`` / ``round-robin`` /
         ``spread``, or anything registered) or a strategy instance.
@@ -112,24 +114,37 @@ class TenancySpec:
     def with_(self, **changes) -> "TenancySpec":
         return replace(self, **changes)
 
+    @classmethod
+    def from_dict(cls, raw: Mapping[str, Any]) -> "TenancySpec":
+        """The ``repro tenants`` file form: an object whose keys are this
+        class's fields.
+
+        Each ``tenants`` entry is a :meth:`TenantSpec.from_dict` object;
+        one with ``count: N`` expands to ``name-0 .. name-(N-1)``, each
+        deriving its own seed from the run seed (the fleet idiom).
+        ``faults`` entries are :class:`~repro.faults.FaultSpec` objects.
+        """
+        from repro.faults.spec import FaultSchedule
+        from repro.tenancy.arbiter import resolve_arbiter_config
+
+        spec = build(cls, raw, "tenancy spec", parse={
+            "tenants": _tenants_from_list,
+            "arbiter": resolve_arbiter_config,
+            "faults": lambda value: FaultSchedule.from_dicts(value).faults,
+        })
+        if not spec.tenants:
+            raise ConfigError("tenancy spec needs a non-empty 'tenants' list")
+        return spec
+
     def resolve_cluster(self):
-        """The :class:`~repro.cluster.ClusterSpec` to run on."""
-        from repro.cluster.spec import ClusterSpec, uniform_spec
+        """The :class:`~repro.cluster.ClusterSpec` to run on: anything
+        :func:`~repro.cluster.spec.cluster_spec` takes, or None for four
+        uniform nodes."""
+        from repro.cluster.spec import cluster_spec, uniform_spec
 
         if self.cluster is None:
-            return uniform_spec(4)
-        if isinstance(self.cluster, ClusterSpec):
-            return self.cluster
-        if isinstance(self.cluster, int):
-            if self.cluster < 1:
-                raise ConfigError(
-                    f"cluster node count must be >= 1, got {self.cluster}"
-                )
-            return uniform_spec(self.cluster)
-        raise ConfigError(
-            f"cluster must be a ClusterSpec, an int node count, or None; "
-            f"got {self.cluster!r}"
-        )
+            return uniform_spec()
+        return cluster_spec(self.cluster)
 
     def runtime_config(self):
         """The shared runtime's config (per-tenant knobs live on tenants)."""
@@ -153,6 +168,29 @@ class TenancySpec:
                 )
             kwargs["retry"] = self.retry
         return RuntimeConfig(**kwargs)
+
+
+def _tenants_from_list(entries: Any) -> Tuple[TenantSpec, ...]:
+    if not isinstance(entries, list):
+        raise ConfigError(f"tenants must be a list, got {entries!r}")
+    tenants: List[TenantSpec] = []
+    for index, entry in enumerate(entries):
+        where = f"tenants[{index}]"
+        entry = dict(as_object(entry, where))
+        count = entry.pop("count", 1)
+        if not isinstance(count, int) or count < 1:
+            raise ConfigError(f"{where}: count must be an int >= 1, "
+                              f"got {count!r}")
+        tenant = TenantSpec.from_dict(entry, where)
+        if count == 1:
+            tenants.append(tenant)
+        elif tenant.namespace == "":
+            raise ConfigError(
+                f"{where}: a blank namespace cannot expand (count={count})")
+        else:
+            tenants.extend(tenant.with_(name=f"{tenant.name}-{i}")
+                           for i in range(count))
+    return tuple(tenants)
 
 
 @dataclass

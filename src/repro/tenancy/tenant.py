@@ -21,8 +21,9 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
-from repro.apps import APPS
+from repro.apps import APPS, app_config_from_dict
 from repro.errors import ConfigError
+from repro.schema import as_object, build
 
 #: Tenant admission states.
 PENDING = "pending"      #: created, not yet offered to the scheduler
@@ -155,6 +156,33 @@ class TenantSpec:
 
     def with_(self, **changes) -> "TenantSpec":
         return replace(self, **changes)
+
+    @classmethod
+    def from_dict(cls, raw: Mapping[str, Any],
+                  where: str = "tenant") -> "TenantSpec":
+        """The spec-file form: an object whose keys are this class's
+        fields.
+
+        ``app_config`` is read as the named app's config, ``demand`` and
+        each ``thread_demands`` value as a :class:`ResourceDemand` (whose
+        ``mem_mb`` / ``bandwidth_mbps`` spell the other units), and
+        ``policy`` through :func:`~repro.control.resolve_policy`.
+        """
+        from repro.control.registry import resolve_policy
+
+        app = raw.get("app", "tracker") if isinstance(raw, Mapping) else None
+        return build(cls, raw, where, parse={
+            "app_config": lambda value: app_config_from_dict(
+                app, value, f"{where}.app_config"),
+            "policy": resolve_policy,
+            "demand": lambda value: build(ResourceDemand, value,
+                                          f"{where}.demand"),
+            "thread_demands": lambda value: {
+                thread: build(ResourceDemand, demand,
+                              f"{where}.thread_demands[{thread!r}]")
+                for thread, demand in as_object(
+                    value, f"{where}.thread_demands").items()},
+        })
 
     @property
     def prefix(self) -> str:

@@ -6,11 +6,9 @@ from repro.apps import StageCost, TrackerConfig
 from repro.aru import aru_disabled, aru_max
 from repro.bench import (
     PAPER,
-    cluster_for,
     fig6_memory_table,
     fig7_waste_table,
     fig10_performance_table,
-    placement_for,
     run_grid,
     run_tracker_once,
 )
@@ -60,10 +58,19 @@ class TestRunOnce:
             run_tracker_once("config9", aru_disabled())
 
     def test_cluster_and_placement_helpers(self):
-        assert len(cluster_for("config1").nodes) == 1
-        assert len(cluster_for("config2").nodes) == 5
-        assert placement_for("config1") == {}
-        assert placement_for("config2")["gui"] == "node4"
+        from repro.bench import CellSpec
+
+        cluster, placement = CellSpec(
+            config="config1")._cluster_and_placement()
+        assert len(cluster.nodes) == 1 and placement == {}
+        cluster, placement = CellSpec(
+            config="config2")._cluster_and_placement()
+        assert len(cluster.nodes) == 5 and placement["gui"] == "node4"
+        cluster, placement = CellSpec(
+            config="config2", sched_noise_cv=0.3,
+            workload="elastic")._cluster_and_placement()
+        assert {n.sched_noise_cv for n in cluster.nodes} == {0.3}
+        assert placement == {}
 
 
 class TestGridAndTables:

@@ -18,12 +18,13 @@ from repro.apps import APPS, WORKLOADS
 from repro.aru import FILTERS
 from repro.backends import BACKENDS
 from repro.bench import PROBES
+from repro.cluster import CLUSTERS
 from repro.control import POLICIES, SCALE_POLICIES
 from repro.gc import COLLECTORS
 from repro.tenancy import ARBITERS, PLACEMENTS
 
 REGISTRIES = (POLICIES, SCALE_POLICIES, BACKENDS, PLACEMENTS, ARBITERS,
-              COLLECTORS, FILTERS, PROBES, APPS, WORKLOADS)
+              COLLECTORS, FILTERS, PROBES, APPS, WORKLOADS, CLUSTERS)
 
 
 @pytest.fixture(autouse=True)

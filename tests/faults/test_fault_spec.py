@@ -56,7 +56,7 @@ class TestFaultSpecValidation:
             FaultSpec(kind="thread_crash", at=0.0, target="t", duration=1.0)
 
     def test_negative_duration(self):
-        with pytest.raises(FaultError, match="duration must be positive"):
+        with pytest.raises(FaultError, match="requires a duration > 0"):
             FaultSpec(kind="thread_stall", at=0.0, target="t", duration=-1.0)
 
     def test_stall_requires_duration(self):
@@ -153,6 +153,14 @@ class TestFromDict:
         with pytest.raises(FaultError, match="unknown key"):
             FaultSpec.from_dict({"kind": "thread_crash", "at": 1.0,
                                  "thread": "t", "severity": "high"})
+
+    def test_wrong_type_names_its_key(self):
+        with pytest.raises(FaultError, match="'at' in fault 'thread_crash'"):
+            FaultSpec.from_dict({"kind": "thread_crash", "at": "soon",
+                                 "thread": "t"})
+        spec = FaultSpec.from_dict({"kind": "link_degrade", "at": 1,
+                                    "link": "a->b", "factor": 3})
+        assert (spec.at, spec.factor) == (1.0, 3.0)
 
 
 class TestChaosFiles:

@@ -68,12 +68,12 @@ class TestGantt:
     def test_on_real_tracker_run(self):
         from repro.apps import build_tracker
         from repro.aru import aru_max
-        from repro.bench import cluster_for
+        from repro.cluster import config1_spec
         from repro.runtime import Runtime, RuntimeConfig
 
         rec = Runtime(
             build_tracker(),
-            RuntimeConfig(cluster=cluster_for("config1"), aru=aru_max(), seed=0),
+            RuntimeConfig(cluster=config1_spec(), aru=aru_max(), seed=0),
         ).run(until=20.0)
         out = gantt(rec, width=60)
         # under ARU-max the digitizer line must show throttle sleep

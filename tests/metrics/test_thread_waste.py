@@ -47,12 +47,12 @@ def test_report_sums_match_aggregate():
 def test_on_tracker_run_digitizer_dominates_waste():
     from repro.apps import build_tracker
     from repro.aru import aru_disabled
-    from repro.bench import cluster_for
+    from repro.cluster import config1_spec
     from repro.runtime import Runtime, RuntimeConfig
 
     rec = Runtime(
         build_tracker(),
-        RuntimeConfig(cluster=cluster_for("config1"), aru=aru_disabled(), seed=0),
+        RuntimeConfig(cluster=config1_spec(), aru=aru_disabled(), seed=0),
     ).run(until=30.0)
     report = PostmortemAnalyzer(rec).thread_waste_report()
     # the unthrottled camera wastes most of its work; detectors waste none

@@ -123,6 +123,25 @@ class TestAccessors:
             rt.channel("nope")
 
 
+class TestRestart:
+    def test_two_restarts_in_one_instant(self):
+        """A crash re-placement and an arbiter migration can both restart
+        a thread in the same instant. The first restart's incarnation
+        has not started when the second takes its connections; it must
+        never run, or its first ``Get`` hits an unregistered consumer."""
+        rt = Runtime(tiny_graph(), RuntimeConfig(cluster=quiet_cluster()))
+
+        def supervisor():
+            yield rt.engine.timeout(1.0)
+            rt.restart_thread("dst")
+            rt.restart_thread("dst")
+
+        rt.engine.process(supervisor())
+        trace = rt.run(until=3.0)
+        assert rt.thread_alive("dst")
+        assert any(it.t_start > 1.0 for it in trace.iterations_of("dst"))
+
+
 class TestGlobalVirtualTime:
     def test_gvt_advances_with_slowest_thread(self):
         rt = Runtime(tiny_graph(), RuntimeConfig(cluster=quiet_cluster(), gc="tgc"))

@@ -254,6 +254,28 @@ class TestKillScenarios:
         assert log == ["killed"]
         assert not handle["victim"].is_alive
 
+    def test_kill_before_start_never_runs_the_body(self):
+        """A process killed in the instant it was created, before its
+        start entry fires, never runs a line of its body: the start is
+        a resume in flight, and the kill cancels it on the spot."""
+        eng = Engine()
+        log = []
+        handle = {}
+
+        def body(eng):
+            log.append("started")
+            yield eng.timeout(1.0)
+
+        def supervisor(eng):
+            yield eng.timeout(1.0)
+            handle["p"] = eng.process(body(eng))
+            handle["p"].kill()
+
+        eng.process(supervisor(eng))
+        eng.run()
+        assert log == []
+        assert not handle["p"].is_alive
+
     def test_cancelled_resume_does_not_leak_into_new_waiters(self):
         """Pool recycling of a cancelled entry must not cancel its next
         owner: a process spawned after the kill still gets its value."""

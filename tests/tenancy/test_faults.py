@@ -98,17 +98,17 @@ class TestNodeCrash:
         # (``duplicate timestamp`` SimulationError). Needs cross-tenant
         # contention to keep the colliding item alive: full-cost
         # trackers, a throttled victim, a shared heterogeneous cluster.
-        from repro.tenancy import run_tenants, tenancy_from_dict
+        from repro.tenancy import TenancySpec, run_tenants
 
-        spec = tenancy_from_dict({
+        spec = TenancySpec.from_dict({
             "cluster": {"kind": "heterogeneous", "n_big": 1, "n_small": 3},
             "horizon": 6.0,
             "tenants": [
                 {"name": "cam", "count": 3,
-                 "tracker": {"frame_period": 0.2},
+                 "app_config": {"frame_period": 0.2},
                  "demand": {"cpu": 0.4, "mem_mb": 8, "bandwidth_mbps": 4}},
                 {"name": "vip", "priority": 3, "policy": "aru-max",
-                 "tracker": {"frame_period": 0.2},
+                 "app_config": {"frame_period": 0.2},
                  "demand": {"cpu": 0.4, "mem_mb": 8, "bandwidth_mbps": 4}},
             ],
             "faults": [{"kind": "node_crash", "at": 3.0, "node": "small0"}],

@@ -196,7 +196,7 @@ def test_chaos_run_from_json(tmp_path, capsys):
 
     chaos = {
         "experiment": {"app": "tracker", "config": "config1",
-                       "aru": {"preset": "aru-min", "staleness_ttl": 2.0},
+                       "policy": {"preset": "aru-min", "staleness_ttl": 2.0},
                        "horizon": 20},
         "detector": {"interval": 0.25},
         "faults": [
@@ -382,11 +382,11 @@ def test_tenants_spec_file_round_trip(tmp_path, capsys):
 
     spec_path = tmp_path / "fleet.json"
     spec_path.write_text(json.dumps({
-        "cluster": {"nodes": 2, "ncpus": 8},
+        "cluster": {"n_nodes": 2, "ncpus": 8},
         "horizon": 3.0,
         "tenants": [
             {"name": "cam", "count": 2,
-             "tracker": {"frame_period": 0.2},
+             "app_config": {"frame_period": 0.2},
              "demand": {"cpu": 0.25, "mem_mb": 16, "bandwidth_mbps": 1}},
         ],
     }))
@@ -403,7 +403,7 @@ def test_tenants_spec_file_placement_override(tmp_path, capsys):
     spec_path = tmp_path / "fleet.json"
     spec_path.write_text(json.dumps({
         "horizon": 2.0,
-        "tenants": [{"name": "a", "tracker": {"frame_period": 0.2}}],
+        "tenants": [{"name": "a", "app_config": {"frame_period": 0.2}}],
     }))
     rc = main(["tenants", str(spec_path), "--placement", "spread"])
     assert rc == 0
@@ -421,6 +421,24 @@ def test_tenants_bad_spec_file_fails(tmp_path):
     spec_path.write_text('{"tenants": [{"name": "a", "cpu": 1}]}')
     with pytest.raises(SystemExit, match="unknown key"):
         main(["tenants", str(spec_path)])
+
+
+@pytest.mark.parametrize("command, spec, where", [
+    ("run-config", {"horizon": "long"}, "'horizon' in experiment spec"),
+    ("run-config", {"loads": [{"node": "node0", "start": 1, "stop": 2,
+                               "thredas": 2}]}, r"loads\[0\]"),
+    ("tenants", {"tenants": [{"name": "a", "demand": {"cpu": "lots"}}]},
+     r"'cpu' in tenants\[0\].demand"),
+    ("tenants", {"tenants": [{"name": "a"}], "arbiter": {"interval": "x"}},
+     "'interval' in arbiter"),
+])
+def test_spec_file_bad_value_fails_at_its_key(tmp_path, command, spec, where):
+    import json
+
+    spec_path = tmp_path / "bad.json"
+    spec_path.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit, match=f"error: .*{where}"):
+        main([command, str(spec_path)])
 
 
 # -- flags derived from the registries ---------------------------------------

@@ -72,7 +72,7 @@ class TestSpecResolution:
         assert cluster is spec
 
     def test_unknown_config_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config"):
+        with pytest.raises(ConfigError, match="unknown cluster 'config9'"):
             ExperimentSpec(config="config9").resolve_cluster_and_placement()
 
     def test_policy_none_is_disabled(self):
@@ -119,7 +119,7 @@ class TestRunExperiment:
         result = run_experiment({
             "app": "tracker",
             "config": "config1",
-            "aru": "aru-min",
+            "policy": "aru-min",
             "horizon": HORIZON,
             "telemetry": True,
         })
@@ -172,10 +172,9 @@ class TestDelegationEquivalence:
         assert cell.metrics.latency_mean == direct_metrics.latency_mean
 
     def test_specfile_run_matches_facade(self):
-        from repro.bench.specfile import run_experiment as run_spec_dict
-
-        d = {"app": "tracker", "aru": "aru-min", "horizon": HORIZON}
-        trace_a = run_spec_dict(dict(d))
+        d = {"app": "tracker", "policy": "aru-min", "horizon": HORIZON}
+        trace_a = run_experiment(ExperimentSpec(
+            app="tracker", policy="aru-min", horizon=HORIZON)).trace
         trace_b = run_experiment(dict(d)).trace
         assert len(trace_a.items) == len(trace_b.items)
 
