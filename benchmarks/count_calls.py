@@ -16,6 +16,8 @@ script runs one repetition of a simulated e2e workload under
 * ``setup_python_calls`` / ``setup_c_calls`` — the share of the first two
   made before the first ``Runtime.run`` is entered (imports, graph
   building and validation, placement, driver assembly);
+* ``setup_collections`` — the interpreter's cyclic collections (gen
+  0/1/2, from ``gc.get_stats()``) run in that same stretch;
 * ``events`` — engine events, from the workload's ``Runtime.run`` stamps;
 * ``calls_per_event`` — ``python_calls / events``, the machine-stable
   ratio ``tests/bench/test_call_budget.py`` gates;
@@ -80,13 +82,15 @@ def count_calls(fn: Callable[[], Any], setup_ends=None
     ``counts`` holds ``python_calls``, ``c_calls``, ``generator_starts``
     and ``by_function`` (``"path:line:qualname" -> python calls``). With
     ``setup_ends`` (a code object), also ``setup_python_calls``,
-    ``setup_c_calls`` and ``setup_by_function``: the same counts as they
-    stood when a frame of that code was first entered.
+    ``setup_c_calls``, ``setup_by_function`` and ``setup_collections``:
+    the same counts, and the gen-0/1/2 collections since ``fn`` started,
+    as they stood when a frame of that code was first entered.
     """
     by_code: Counter = Counter()
     first_offset: Dict[Any, int] = {}
     c_calls = generator_starts = 0
     setup: Dict[str, Any] = {}
+    collections = [gen["collections"] for gen in gc.get_stats()]
 
     def profile(frame, event, arg):
         nonlocal c_calls, generator_starts
@@ -96,7 +100,10 @@ def count_calls(fn: Callable[[], Any], setup_ends=None
                 setup.update(
                     setup_python_calls=sum(by_code.values()),
                     setup_c_calls=c_calls,
-                    setup_by_function=_by_function(by_code))
+                    setup_by_function=_by_function(by_code),
+                    setup_collections=[
+                        gen["collections"] - before for gen, before
+                        in zip(gc.get_stats(), collections)])
             by_code[code] += 1
             if code.co_flags & _CO_GENERATOR:
                 first = first_offset.get(code)
@@ -218,6 +225,11 @@ _SCALARS = ("python_calls", "c_calls", "generator_starts", "events",
             "tracked_objects_per_event", "trace_bytes_per_event")
 
 
+def _generations(collections) -> str:
+    """``setup_collections`` as ``gen0/gen1/gen2``."""
+    return "/".join(str(n) for n in collections)
+
+
 def _print_counts(counts: Dict[str, Any], top: int) -> None:
     name = counts["workload"]
     for key in _SCALARS:
@@ -226,6 +238,9 @@ def _print_counts(counts: Dict[str, Any], top: int) -> None:
         value = counts[key]
         shown = f"{value:.2f}" if isinstance(value, float) else f"{value}"
         print(f"{name} {key} {shown}")
+    if "setup_collections" in counts:
+        print(f"{name} setup_collections "
+              f"{_generations(counts['setup_collections'])}")
     ranked = sorted(counts["by_function"].items(), key=lambda kv: -kv[1])
     for func, n in ranked[:top]:
         print(f"{name} calls {n:>10}  {func}")
@@ -262,6 +277,10 @@ def compare(a: Dict[str, Any], b: Dict[str, Any], top: int) -> None:
         fmt = "{:.2f}" if isinstance(va, float) else "{}"
         print(f"{key:>18}  {fmt.format(va):>12} -> {fmt.format(vb):>12}  "
               f"{change:+.2f} %")
+    if "setup_collections" in a and "setup_collections" in b:
+        print(f"{'setup_collections':>18}  "
+              f"{_generations(a['setup_collections']):>12} -> "
+              f"{_generations(b['setup_collections']):>12}")
     _print_deltas(a["by_function"], b["by_function"], top)
     if "setup_by_function" in a and "setup_by_function" in b:
         print("set-up (before the first Runtime.run):")

@@ -197,6 +197,8 @@ class TraceRecorder:
         self.touch_skip.append(1)
 
     def on_free(self, item_id: int, t: float) -> None:
+        if self.t_end is not None:
+            return  # sealed; late frees come from a collected run's threads
         row = self.item_row.get(item_id)
         if row is None:
             raise TraceError(f"unknown item {item_id}")

@@ -27,8 +27,6 @@ from __future__ import annotations
 from inspect import isgeneratorfunction
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.aru.filters import resolve_factory
 from repro.aru.stp import StpMeter
 from repro.control.controller import ThreadController
@@ -50,6 +48,7 @@ from repro.runtime.syscalls import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import Runtime
+    from repro.sim.rng import Stream
 
 
 class TaskContext:
@@ -61,14 +60,15 @@ class TaskContext:
         Identity and per-task configuration from the graph.
     rng:
         A dedicated seeded random stream for this task's data-dependent
-        behaviour (service-time draws, synthetic content).
+        behaviour (service-time draws, synthetic content): a
+        :class:`repro.sim.rng.Stream`, its generator built on first draw.
     """
 
     def __init__(
         self,
         name: str,
         params: Dict[str, Any],
-        rng: np.random.Generator,
+        rng: Stream,
         clock,
         is_source: bool,
         is_sink: bool,

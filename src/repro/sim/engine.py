@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import gc
 from collections import deque
+from contextlib import contextmanager
 from heapq import heappop, heappush
 from typing import Any, Dict, Generator, Iterable, List, Optional
 
@@ -74,6 +75,20 @@ from repro.sim.process import Process
 _RESUME_POOL_MAX = 128
 
 _INF = float("inf")
+
+
+@contextmanager
+def paused_collector():
+    """Pause the interpreter's cyclic collector; restore the caller's
+    setting on every way out. Sound only around code that builds no
+    reference cycles (DESIGN.md: the dispatch loop, bulk admission)."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class Engine:
@@ -290,140 +305,134 @@ class Engine:
         resume_cls = _Resume
         now = self._now
         ec = 0  # local events_processed accumulator
-        # The dispatch path builds no reference cycles (pinned by
-        # tests/sim/test_gc_pause.py), so the interpreter's cyclic
-        # collector would only re-walk a heap the trace keeps growing:
-        # pause it for the loop, restore the caller's setting after.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
+        # Dispatch builds no cycles: collection would only re-walk the heap.
         try:
-            while True:
-                # --- select the next entry (cohort order) ---------------
-                bucket = self._bucket
-                if bucket:
-                    event = bucket.pop()
-                elif imm:
-                    event = imm.popleft()
-                else:
-                    # Clock advance: a staged timeout is always in the
-                    # future, so only here could it be next — flush it.
-                    if self._staged is not None:
-                        self._flush_staged()
-                    if not times:
-                        break
-                    when = times[0]
-                    if limit is not None and when > limit:
-                        break
-                    if when < now:  # pragma: no cover - defensive
-                        raise SimulationError("calendar went backwards")
-                    pop(times)
-                    cohort = buckets.pop(when)
-                    cohort.reverse()
-                    self._now = now = when
-                    self._bucket = cohort
-                    event = cohort.pop()
-                ec += 1
-                # --- dispatch it ----------------------------------------
-                if event.__class__ is resume_cls:
-                    proc = event.process
-                    value = event.value
-                    ok = event.ok
-                    cancelled = event.cancelled
-                    event.process = None
-                    event.value = None
-                    if len(pool) < _RESUME_POOL_MAX:
-                        pool.append(event)
-                    if cancelled:
-                        # Killed while in flight: counted no-op (the entry
-                        # was recycled above — kills do not leak pool slots).
-                        if proc._waiting_on is event:
-                            proc._waiting_on = None
-                        continue
-                    if proc._value is not pending:
-                        continue
-                    proc._waiting_on = None
-                    if not ok:
-                        proc._throw(value)
-                        now = self._now
-                        continue
-                else:
-                    callbacks = event.callbacks
-                    event.callbacks = None  # mark processed
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(event)  # Process waiters are callable
-                        if event._ok is False and not event.defused:
-                            raise event._value
-                        now = self._now
-                    elif event._ok is False and not event.defused:
-                        raise event._value
-                    continue
-                # --- resume `proc` with `value` (successful resume) -----
-                gen_send = proc.gen.send
+            with paused_collector():
                 while True:
-                    try:
-                        target = gen_send(value)
-                    except StopIteration as stop:
-                        proc.succeed(stop.value)
-                        break
-                    except ProcessKilled as exc:
-                        proc.defused = True
-                        # No traceback: it would pin the dead frames in
-                        # a cycle through the stored exception.
-                        proc.fail(exc.with_traceback(None))
-                        break
-                    except BaseException as exc:
-                        proc.fail(exc)
-                        break
-                    # Chain: the process yielded the timeout it just
-                    # created, and nothing else fires before it.
-                    if (
-                        target is self._staged
-                        and not imm
-                        and not self._bucket
-                        and (limit is None or self._staged_when <= limit)
-                        and (not times or self._staged_when < times[0])
-                        and self._now == now
-                    ):
-                        self._staged = None
-                        target.callbacks = None  # processed
-                        ec += 1
-                        self._now = now = self._staged_when
-                        value = target._value
-                        continue
-                    # Generic wait registration.
-                    if isinstance(target, Event):
-                        tcb = target.callbacks
-                        if tcb is not None:
-                            tcb.append(proc)
-                            proc._waiting_on = target
-                        else:
-                            # Already fired: stay asynchronous through a
-                            # slim resume entry on the current-tick FIFO.
-                            if target._ok:
-                                ok = True
-                            else:
-                                target.defused = True
-                                ok = False
-                            if pool:
-                                entry = pool.pop()
-                                entry.cancelled = False
-                            else:
-                                entry = resume_cls()
-                            entry.process = proc
-                            entry.ok = ok
-                            entry.value = target._value
-                            imm.append(entry)
-                            proc._waiting_on = entry
+                    # --- select the next entry (cohort order) -----------
+                    bucket = self._bucket
+                    if bucket:
+                        event = bucket.pop()
+                    elif imm:
+                        event = imm.popleft()
                     else:
-                        proc._wait_on(target)  # raises SimulationError
-                    break
-                now = self._now
-            if limit is not None:
-                self._now = limit
+                        # Clock advance: a staged timeout is always in the
+                        # future, so only here could it be next — flush it.
+                        if self._staged is not None:
+                            self._flush_staged()
+                        if not times:
+                            break
+                        when = times[0]
+                        if limit is not None and when > limit:
+                            break
+                        if when < now:  # pragma: no cover - defensive
+                            raise SimulationError("calendar went backwards")
+                        pop(times)
+                        cohort = buckets.pop(when)
+                        cohort.reverse()
+                        self._now = now = when
+                        self._bucket = cohort
+                        event = cohort.pop()
+                    ec += 1
+                    # --- dispatch it ------------------------------------
+                    if event.__class__ is resume_cls:
+                        proc = event.process
+                        value = event.value
+                        ok = event.ok
+                        cancelled = event.cancelled
+                        event.process = None
+                        event.value = None
+                        if len(pool) < _RESUME_POOL_MAX:
+                            pool.append(event)
+                        if cancelled:
+                            # Killed while in flight: counted no-op (the entry
+                            # was recycled above — kills do not leak pool slots).
+                            if proc._waiting_on is event:
+                                proc._waiting_on = None
+                            continue
+                        if proc._value is not pending:
+                            continue
+                        proc._waiting_on = None
+                        if not ok:
+                            proc._throw(value)
+                            now = self._now
+                            continue
+                    else:
+                        callbacks = event.callbacks
+                        event.callbacks = None  # mark processed
+                        if callbacks:
+                            for cb in callbacks:
+                                cb(event)  # Process waiters are callable
+                            if event._ok is False and not event.defused:
+                                raise event._value
+                            now = self._now
+                        elif event._ok is False and not event.defused:
+                            raise event._value
+                        continue
+                    # --- resume `proc` with `value` (successful resume) -
+                    gen_send = proc.gen.send
+                    while True:
+                        try:
+                            target = gen_send(value)
+                        except StopIteration as stop:
+                            proc.succeed(stop.value)
+                            break
+                        except ProcessKilled as exc:
+                            proc.defused = True
+                            # No traceback: it would pin the dead frames in
+                            # a cycle through the stored exception.
+                            proc.fail(exc.with_traceback(None))
+                            break
+                        except BaseException as exc:
+                            proc.fail(exc)
+                            break
+                        # Chain: the process yielded the timeout it just
+                        # created, and nothing else fires before it.
+                        if (
+                            target is self._staged
+                            and not imm
+                            and not self._bucket
+                            and (limit is None or self._staged_when <= limit)
+                            and (not times or self._staged_when < times[0])
+                            and self._now == now
+                        ):
+                            self._staged = None
+                            target.callbacks = None  # processed
+                            ec += 1
+                            self._now = now = self._staged_when
+                            value = target._value
+                            continue
+                        # Generic wait registration.
+                        if isinstance(target, Event):
+                            tcb = target.callbacks
+                            if tcb is not None:
+                                tcb.append(proc)
+                                proc._waiting_on = target
+                            else:
+                                # Already fired: stay asynchronous through a
+                                # slim resume entry on the current-tick FIFO.
+                                if target._ok:
+                                    ok = True
+                                else:
+                                    target.defused = True
+                                    ok = False
+                                if pool:
+                                    entry = pool.pop()
+                                    entry.cancelled = False
+                                else:
+                                    entry = resume_cls()
+                                entry.process = proc
+                                entry.ok = ok
+                                entry.value = target._value
+                                imm.append(entry)
+                                proc._waiting_on = entry
+                        else:
+                            proc._wait_on(target)  # raises SimulationError
+                        break
+                    now = self._now
+                if limit is not None:
+                    self._now = limit
         finally:
-            if gc_was_enabled:
-                gc.enable()
             self._running = False
             self.events_processed += ec
             if self._staged is not None:

@@ -5,6 +5,9 @@ jitter, frame content variation) draws from its own named stream, derived
 deterministically from ``(root_seed, stream_name)``. This keeps runs
 reproducible *and* keeps streams independent: adding a new consumer of
 randomness does not perturb existing streams.
+
+A stream builds its :class:`numpy.random.Generator` on first draw, so
+``len()`` and ``in`` count *named* streams, drawn from or not.
 """
 
 from __future__ import annotations
@@ -21,8 +24,27 @@ def _derive_seed(root_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+class Stream:
+    """Forwards to its seed's ``numpy`` generator, built on first attribute
+    access and then cached per attribute, so a draw is a plain dict hit. Not
+    a ``Generator`` itself: hand on ``stream.bit_generator`` (shared state)."""
+
+    def __init__(self, root_seed: int, name: str) -> None:
+        self._key = (root_seed, name)
+
+    def __getattr__(self, attr: str):
+        if attr.startswith("__"):  # copy/pickle probes; never a draw
+            raise AttributeError(attr)
+        gen = self.__dict__.get("_gen")
+        if gen is None:
+            gen = self._gen = np.random.default_rng(_derive_seed(*self._key))
+        value = getattr(gen, attr)
+        setattr(self, attr, value)
+        return value
+
+
 class RngRegistry:
-    """Factory and cache of named :class:`numpy.random.Generator` streams.
+    """Factory and cache of named, lazily built random streams.
 
     Example
     -------
@@ -35,15 +57,14 @@ class RngRegistry:
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self._streams: Dict[str, np.random.Generator] = {}
+        self._streams: Dict[str, Stream] = {}
 
-    def stream(self, name: str) -> np.random.Generator:
+    def stream(self, name: str) -> Stream:
         """Return (creating on first use) the stream called ``name``."""
-        gen = self._streams.get(name)
-        if gen is None:
-            gen = np.random.default_rng(_derive_seed(self.seed, name))
-            self._streams[name] = gen
-        return gen
+        stream = self._streams.get(name)
+        if stream is None:
+            stream = self._streams[name] = Stream(self.seed, name)
+        return stream
 
     def spawn(self, name: str) -> "RngRegistry":
         """A child registry whose streams are independent of this one's."""

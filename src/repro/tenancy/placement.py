@@ -123,7 +123,9 @@ class RStormPlacement:
     (placed earlier in this attempt) and the distance is the euclidean
     norm of the post-placement remainder as fractions of node capacity —
     small remainder = tight packing, leaving big nodes whole for big
-    tenants. The node index makes ties deterministic.
+    tenants. The node index makes ties deterministic. A penalty-0 key
+    beats every penalty-1 key, so all nodes are scored only when no
+    neighbor node is feasible.
     """
 
     name = "rstorm"
@@ -131,34 +133,38 @@ class RStormPlacement:
     def place(self, tenant: str, threads, demands, view: PlacementView
               ) -> Optional[Dict[str, str]]:
         rows = view.rows()
+        row_of = {row[1]: row for row in rows}
         assignment: Dict[str, str] = {}
         for thread in threads:
-            cpu, mem, bandwidth = vector = demands[thread].as_vector()
-            neighbor_nodes = {
-                assignment[other]
-                for other in view.neighbors.get(thread, ())
-                if other in assignment
-            }
-            best = None
-            best_key = None
-            for index, node, (c0, c1, c2), (a0, a1, a2) in rows:
-                if not (a0 + _EPS >= cpu and a1 + _EPS >= mem
-                        and a2 + _EPS >= bandwidth):
-                    continue
-                # Remainders as fractions of capacity; an axis the node
-                # does not have contributes nothing.
-                r0 = (a0 - cpu) / c0 if c0 > 0 else 0.0
-                r1 = (a1 - mem) / c1 if c1 > 0 else 0.0
-                r2 = (a2 - bandwidth) / c2 if c2 > 0 else 0.0
-                key = (0 if node in neighbor_nodes else 1,
-                       math.sqrt(r0 * r0 + r1 * r1 + r2 * r2), index)
-                if best_key is None or key < best_key:
-                    best, best_key = node, key
+            vector = demands[thread].as_vector()
+            near = [row_of[assignment[other]]
+                    for other in view.neighbors.get(thread, ())
+                    if other in assignment]
+            best = _tightest(near, *vector) if near else None
+            if best is None:
+                best = _tightest(rows, *vector)
             if best is None:
                 return None
             view.take(best, vector)
             assignment[thread] = best
         return assignment
+
+
+def _tightest(rows, cpu: float, mem: float, bandwidth: float) -> Optional[str]:
+    """The feasible node of ``rows`` minimizing ``(distance, index)``."""
+    best = best_key = None
+    for index, node, (c0, c1, c2), (a0, a1, a2) in rows:
+        if not (a0 + _EPS >= cpu and a1 + _EPS >= mem
+                and a2 + _EPS >= bandwidth):
+            continue
+        # Remainders as fractions of capacity (0 on an axis the node lacks).
+        r0 = (a0 - cpu) / c0 if c0 > 0 else 0.0
+        r1 = (a1 - mem) / c1 if c1 > 0 else 0.0
+        r2 = (a2 - bandwidth) / c2 if c2 > 0 else 0.0
+        key = (math.sqrt(r0 * r0 + r1 * r1 + r2 * r2), index)
+        if best_key is None or key < best_key:
+            best, best_key = node, key
+    return best
 
 
 class SpreadPlacement:

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.schema import as_object, build
+from repro.sim.engine import paused_collector
 from repro.tenancy.fairness import FairnessReport, fairness_report
 from repro.tenancy.runtime import TenantRuntime
 from repro.tenancy.scheduler import Scheduler
@@ -397,10 +398,10 @@ def run_tenants(spec: Union[TenancySpec, None] = None,
 
     tenants = [Tenant(t) for t in spec.tenants]
     static = [t for t in tenants if t.spec.arrival <= 0]
-    for tenant in sorted(
-        static, key=lambda t: (-t.priority, tenants.index(t))
-    ):
-        runtime.arrive(tenant)
+    static.sort(key=lambda t: -t.priority)  # stable: ties keep spec order
+    with paused_collector():  # admission builds no cycles (DESIGN.md)
+        for tenant in static:
+            runtime.arrive(tenant)
 
     # Arbitration installs only when configured and non-null — the
     # no-arbiter default stays event-for-event identical to pack-only.

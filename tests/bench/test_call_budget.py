@@ -208,10 +208,12 @@ def admit_light_fleet(tenants: int) -> TenantRuntime:
 
 
 #: Python calls to admit one light tenant (build and validate its graph,
-#: place it, merge it, assemble its buffers and drivers). Measured 639
-#: when set (ISSUE 22: the tenant is an argument of the wiring, not
-#: looked up by name per thread; 764 before, 3 226 before ISSUE 18).
-SETUP_BUDGET = 671
+#: place it, merge it, assemble its buffers and drivers). Measured 622
+#: when set (RNG streams build their numpy generator on first draw,
+#: R-Storm scores only neighbor nodes when one fits): 639 before that,
+#: 764 before the wiring took the tenant as an argument, 3 226 while
+#: the graph was networkx.
+SETUP_BUDGET = 653
 
 
 def test_python_calls_per_admitted_tenant():

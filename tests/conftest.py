@@ -8,6 +8,11 @@ fixture below snapshots every registry before each test and restores
 it afterwards, so registry mutations cannot escape a test.
 ``tests/test_registries.py`` checks that :data:`REGISTRIES` lists every
 module-level registry in ``repro``.
+
+The interpreter's cyclic collector is process-wide state too, and
+``Engine.run`` and bulk admission pause it: a test that leaves it in a
+different state than it found it fails, so every later test does not run
+with collection silently off.
 """
 
 import gc
@@ -35,6 +40,16 @@ def _isolated_registries():
     for registry, entries in saved:
         registry._entries.clear()
         registry._entries.update(entries)
+
+
+@pytest.fixture(autouse=True)
+def _collector_state_kept():
+    """Fail a test that changes ``gc.isenabled()``; restore it first."""
+    was_enabled = gc.isenabled()
+    yield
+    if gc.isenabled() != was_enabled:
+        (gc.enable if was_enabled else gc.disable)()
+        pytest.fail(f"the test left gc.isenabled() == {not was_enabled}")
 
 
 @pytest.fixture

@@ -118,6 +118,13 @@ class TestFinalize:
         with pytest.raises(TraceError):
             rec.finalize(2.0)
 
+    def test_a_free_after_finalize_is_not_recorded(self):
+        rec = TraceRecorder()
+        alloc(rec, 1, t=1.0)
+        rec.finalize(5.0)
+        rec.on_free(1, t=5.0)
+        assert rec.items[1].t_free is None
+
     def test_duration_before_finalize_rejected(self):
         with pytest.raises(TraceError):
             _ = TraceRecorder().duration

@@ -15,12 +15,14 @@ thing.)
 """
 
 import gc
+import pickle
 
 import pytest
 
 from repro.errors import ProcessKilled, SimulationError
 from repro.experiment import ExperimentSpec, run_experiment
 from repro.sim import Engine
+from repro.sim.engine import paused_collector
 
 
 @pytest.fixture
@@ -28,7 +30,10 @@ def collector_enabled():
     was_enabled = gc.isenabled()
     gc.enable()
     yield
-    if not was_enabled:
+    # Restore exactly what was found: a test may leave it either way.
+    if was_enabled:
+        gc.enable()
+    else:
         gc.disable()
 
 
@@ -120,6 +125,28 @@ class TestPauseRestoresCollectorState:
         done = eng.process(proc(eng))
         eng.run_until_event(done)
         assert seen == [True]
+
+
+class TestPausedCollector:
+    def test_restores_enabled_on_error(self, collector_enabled):
+        with pytest.raises(ValueError):
+            with paused_collector():
+                assert not gc.isenabled()
+                raise ValueError("boom")
+        assert gc.isenabled()
+
+    def test_nested_pause_leaves_outer_paused(self, collector_enabled):
+        with paused_collector():
+            with paused_collector():
+                pass
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_caller_disabled_stays_disabled(self, collector_enabled):
+        gc.disable()
+        with paused_collector():
+            pass
+        assert not gc.isenabled()
 
 
 # -- the kill path stores no traceback -------------------------------------------
@@ -225,3 +252,13 @@ def test_tracker_cell_leaves_no_cycles(policy, unreachable_after):
               for r in (res_short, res_long)]
     assert events[1] > 3 * events[0]  # the long run really did 4x the work
     assert (short, long) == (0, 0)
+
+
+def test_collecting_a_finished_run_leaves_its_trace_alone():
+    # The run's threads still hold items; destroying them releases those
+    # at the horizon, which must not reach the sealed trace.
+    trace = run_experiment(ExperimentSpec(policy="aru-min", seed=0,
+                                          horizon=6.0)).trace
+    before = pickle.dumps(trace)
+    gc.collect()
+    assert pickle.dumps(trace) == before

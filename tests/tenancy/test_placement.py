@@ -108,6 +108,14 @@ class TestRStorm:
         placement = scheduler.admit("t", ["a", "b", "c"], demands, neighbors)
         assert len(set(placement.values())) == 1
 
+    def test_leaves_a_full_neighbor_node(self):
+        # "a" fills its node; "b" falls back to scoring every node.
+        scheduler = Scheduler(uniform_spec(2, ncpus=2), placement="rstorm")
+        demands = {"a": ResourceDemand(cpu=2.0), "b": ResourceDemand(cpu=1.0)}
+        neighbors = {"a": frozenset({"b"}), "b": frozenset({"a"})}
+        placement = scheduler.admit("t", ["a", "b"], demands, neighbors)
+        assert placement["a"] != placement["b"]
+
     def test_packs_small_nodes_first(self):
         # Min-distance packing fills the node whose remainder is
         # smallest: a thin node beats a fat one for a small thread.
@@ -307,6 +315,29 @@ def placement_problems(draw):
     return view_args, threads, demands
 
 
+@st.composite
+def colocation_problems(draw):
+    """Problems where neighbor nodes often fill up: up to 12 small nodes
+    (some failed) and a pipeline of up to 10 threads whose neighbors are
+    its chain plus random extras."""
+    names = [f"n{i}" for i in range(draw(st.integers(1, 12)))]
+    capacity = {n: draw(capacities.filter(any)) for n in names}
+    available = {n: [axis * draw(unused) for axis in cap]
+                 for n, cap in capacity.items()}
+    failed = draw(st.sets(st.sampled_from(names), max_size=len(names) - 1))
+    nodes = tuple(n for n in names if n not in failed)
+    threads = [f"t{i}" for i in range(draw(st.integers(1, 10)))]
+    demands = {t: ResourceDemand(*draw(vectors)) for t in threads}
+    neighbors = {}
+    for i, t in enumerate(threads):
+        chain = set(threads[max(0, i - 1):i]) | set(threads[i + 1:i + 2])
+        extra = draw(st.lists(st.sampled_from(threads), max_size=2))
+        neighbors[t] = frozenset(chain | set(extra))
+    view_args = dict(nodes=nodes, capacity=capacity, available=available,
+                     neighbors=neighbors)
+    return view_args, threads, demands
+
+
 def _fresh_view(view_args):
     return PlacementView(**{
         **view_args,
@@ -314,8 +345,8 @@ def _fresh_view(view_args):
     })
 
 
-@settings(max_examples=120, deadline=None)
-@given(problem=placement_problems(),
+@settings(max_examples=200, deadline=None)
+@given(problem=st.one_of(placement_problems(), colocation_problems()),
        strategy=st.sampled_from(("rstorm", "spread")))
 def test_strategy_equals_its_reference(problem, strategy):
     view_args, threads, demands = problem
