@@ -18,6 +18,10 @@ script runs one repetition of a simulated e2e workload under
   building and validation, placement, driver assembly);
 * ``setup_collections`` — the interpreter's cyclic collections (gen
   0/1/2, from ``gc.get_stats()``) run in that same stretch;
+* ``setup_modules`` — ``len(sys.modules)`` when the first
+  ``Runtime.run`` is entered: what a run imports before it runs;
+* ``numpy_loaded`` — 1 if numpy is in ``sys.modules`` at the end of the
+  repetition, else 0 (a light ``cv=0`` fleet draws nothing and needs none);
 * ``events`` — engine events, from the workload's ``Runtime.run`` stamps;
 * ``calls_per_event`` — ``python_calls / events``, the machine-stable
   ratio ``tests/bench/test_call_budget.py`` gates;
@@ -82,9 +86,10 @@ def count_calls(fn: Callable[[], Any], setup_ends=None
     ``counts`` holds ``python_calls``, ``c_calls``, ``generator_starts``
     and ``by_function`` (``"path:line:qualname" -> python calls``). With
     ``setup_ends`` (a code object), also ``setup_python_calls``,
-    ``setup_c_calls``, ``setup_by_function`` and ``setup_collections``:
-    the same counts, and the gen-0/1/2 collections since ``fn`` started,
-    as they stood when a frame of that code was first entered.
+    ``setup_c_calls``, ``setup_by_function``, ``setup_collections`` and
+    ``setup_modules``: the same counts, the gen-0/1/2 collections since
+    ``fn`` started and the number of imported modules, as they stood when
+    a frame of that code was first entered.
     """
     by_code: Counter = Counter()
     first_offset: Dict[Any, int] = {}
@@ -103,7 +108,8 @@ def count_calls(fn: Callable[[], Any], setup_ends=None
                     setup_by_function=_by_function(by_code),
                     setup_collections=[
                         gen["collections"] - before for gen, before
-                        in zip(gc.get_stats(), collections)])
+                        in zip(gc.get_stats(), collections)],
+                    setup_modules=len(sys.modules))
             by_code[code] += 1
             if code.co_flags & _CO_GENERATOR:
                 first = first_offset.get(code)
@@ -208,6 +214,7 @@ def count_workload(name: str, seed: int) -> Dict[str, Any]:
             lambda: workload.run(seed), setup_ends=first_run)
     finally:
         patches.restore()
+    counts["numpy_loaded"] = int("numpy" in sys.modules)
     if failures:
         raise SystemExit(f"{name}: failed ops: {failures}")
     events = sum(run["events"] for run in stamps.runs)
@@ -222,6 +229,7 @@ def count_workload(name: str, seed: int) -> Dict[str, Any]:
 
 _SCALARS = ("python_calls", "c_calls", "generator_starts", "events",
             "calls_per_event", "setup_python_calls", "setup_c_calls",
+            "setup_modules", "numpy_loaded",
             "tracked_objects_per_event", "trace_bytes_per_event")
 
 

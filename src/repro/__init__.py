@@ -21,6 +21,8 @@ subpackage directly for anything not listed in ``__all__``.
 
 from __future__ import annotations
 
+from repro.lazy import lazy_exports
+
 __version__ = "1.0.0"
 
 # Re-exported lazily to keep `import repro` cheap.
@@ -84,19 +86,4 @@ _LAZY = {
 }
 
 __all__ = sorted(_LAZY) + ["__version__"]
-
-
-def __getattr__(name: str):
-    target = _LAZY.get(name)
-    if target is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(target)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return __all__
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

@@ -13,19 +13,21 @@ executor. This module provides all three:
   depends on what is in the frame — §3.1: "computation is data-dependent");
 * genuine numpy kernels (:func:`make_frame`, :func:`background_subtract`,
   :func:`color_histogram`, :func:`detect_target`) used when payload
-  synthesis is enabled and by the real-threads examples.
+  synthesis is enabled and by the real-threads examples; each imports
+  numpy when called, so a run that synthesizes nothing never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.sim.rng import lognormal_with_mean
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,8 @@ def make_frame(rng: np.random.Generator, ts: int,
     The blob orbits the frame as a function of ``ts``, so downstream
     kernels see genuinely time-varying content.
     """
+    import numpy as np
+
     h, w, _ = shape
     frame = np.full(shape, 96, dtype=np.uint8)
     cy = int(h / 2 + (h / 3) * math.sin(ts / 23.0))
@@ -106,6 +110,8 @@ def background_subtract(frame: np.ndarray, background: Optional[np.ndarray] = No
 
     Returns a ``uint8`` mask (0/255) of shape ``frame.shape[:2]``.
     """
+    import numpy as np
+
     if background is None:
         background = np.full_like(frame, 96)
     diff = np.abs(frame.astype(np.int16) - background.astype(np.int16)).max(axis=2)
@@ -114,6 +120,8 @@ def background_subtract(frame: np.ndarray, background: Optional[np.ndarray] = No
 
 def color_histogram(frame: np.ndarray, bins: int = 32) -> np.ndarray:
     """Per-channel color histogram, normalized to sum to 1 per channel."""
+    import numpy as np
+
     if frame.ndim != 3:
         raise ValueError("expected an H x W x C frame")
     channels = []
@@ -132,6 +140,8 @@ def detect_target(frame: np.ndarray, mask: np.ndarray,
     with the color model, weighted by motion-mask coverage; returns
     ``(row, col, score)`` of the best patch — the 68-byte "location record".
     """
+    import numpy as np
+
     h, w = mask.shape
     best = (0, 0, -1.0)
     for y in range(0, h - patch + 1, patch):

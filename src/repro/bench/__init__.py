@@ -1,76 +1,29 @@
-"""Experiment harness: sweep runner, result cache, tables, comparison."""
+"""Experiment harness: sweep runner, result cache, tables, comparison.
 
-from repro.bench.cache import DEFAULT_CACHE_DIR, ResultCache, canonical_repr
-from repro.bench.compare import PAPER, format_shape_report, shape_checks
-from repro.bench.export import (
-    RUN_COLUMNS,
-    compare_traces,
-    grid_to_csv,
-    summarize_trace,
-)
-from repro.bench.experiments import (
-    CONFIG_NAMES,
-    DEFAULT_HORIZON,
-    DEFAULT_SEEDS,
-    POLICY_FACTORIES,
-    PolicyAggregate,
-    RunMetrics,
-    grid_specs,
-    metrics_from_trace,
-    run_grid,
-    run_tracker_once,
-)
-from repro.bench.identity import metrics_fingerprint
-from repro.bench.probes import PROBES, probe
-from repro.bench.report import ascii_timeline, format_table, timeline_csv
-from repro.bench.runner import (
-    CellResult,
-    CellSpec,
-    SweepRunner,
-    SweepStats,
-    default_workers,
-    run_cell,
-)
-from repro.bench.tables import (
-    fig6_memory_table,
-    fig7_waste_table,
-    fig10_performance_table,
-)
+The harness analyses what it runs with numpy, so its names are exported
+lazily: ``import repro.bench`` loads none of its modules, and numpy
+arrives with the first name used.
+"""
 
-__all__ = [
-    "run_tracker_once",
-    "run_grid",
-    "grid_specs",
-    "metrics_from_trace",
-    "CellSpec",
-    "CellResult",
-    "SweepRunner",
-    "SweepStats",
-    "run_cell",
-    "default_workers",
-    "metrics_fingerprint",
-    "ResultCache",
-    "DEFAULT_CACHE_DIR",
-    "canonical_repr",
-    "PROBES",
-    "probe",
-    "RunMetrics",
-    "PolicyAggregate",
-    "CONFIG_NAMES",
-    "POLICY_FACTORIES",
-    "DEFAULT_HORIZON",
-    "DEFAULT_SEEDS",
-    "fig6_memory_table",
-    "fig7_waste_table",
-    "fig10_performance_table",
-    "format_table",
-    "ascii_timeline",
-    "timeline_csv",
-    "PAPER",
-    "shape_checks",
-    "format_shape_report",
-    "grid_to_csv",
-    "compare_traces",
-    "summarize_trace",
-    "RUN_COLUMNS",
-]
+from repro.lazy import lazy_exports
+
+_MODULES = {
+    "cache": ("DEFAULT_CACHE_DIR", "ResultCache", "canonical_repr"),
+    "compare": ("PAPER", "format_shape_report", "shape_checks"),
+    "export": ("RUN_COLUMNS", "compare_traces", "grid_to_csv", "summarize_trace"),
+    "experiments": ("CONFIG_NAMES", "DEFAULT_HORIZON", "DEFAULT_SEEDS",
+                    "POLICY_FACTORIES", "PolicyAggregate", "RunMetrics",
+                    "grid_specs", "metrics_from_trace", "run_grid",
+                    "run_tracker_once"),
+    "identity": ("metrics_fingerprint",),
+    "probes": ("PROBES", "probe"),
+    "report": ("ascii_timeline", "format_table", "timeline_csv"),
+    "runner": ("CellResult", "CellSpec", "SweepRunner", "SweepStats",
+               "default_workers", "run_cell"),
+    "tables": ("fig6_memory_table", "fig7_waste_table",
+               "fig10_performance_table"),
+}
+_LAZY = {name: f"repro.bench.{module}"
+         for module, names in _MODULES.items() for name in names}
+__all__ = sorted(_LAZY)
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)

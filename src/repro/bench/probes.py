@@ -105,7 +105,7 @@ def latency_phases(
     in-cell evidence that a latency difference came from the pool
     actually resizing.
     """
-    from repro.metrics.performance import sink_latencies
+    from repro.metrics.performance import percentile, sink_latencies
 
     rows, latencies = sink_latencies(recorder)
     t_ends = recorder.iter_t_end
@@ -115,13 +115,8 @@ def latency_phases(
                    if lo <= t_ends[row] < hi]
         delivered = sum(1 for row in recorder.sink_rows()
                         if lo <= t_ends[row] < hi)
-        if samples:
-            arr = np.asarray(samples)
-            out[f"p50:{label}"] = float(np.percentile(arr, 50))
-            out[f"p95:{label}"] = float(np.percentile(arr, 95))
-        else:
-            out[f"p50:{label}"] = float("nan")
-            out[f"p95:{label}"] = float("nan")
+        out[f"p50:{label}"] = percentile(samples, 50)
+        out[f"p95:{label}"] = percentile(samples, 95)
         out[f"fps:{label}"] = delivered / (hi - lo)
     if stage and stage in graph.replicated_stages():
         out["replicas_final"] = float(len(graph.replicas_of(stage)))

@@ -244,6 +244,11 @@ def run_distributed(spec) -> "object":
     server.bind(("127.0.0.1", 0))
     server.listen(len(plan.nodes))
 
+    # Imported once here, before the fork, numpy's pages are shared by
+    # the workers instead of each importing its own copy; numpy.random
+    # too, which every worker's runtime would otherwise import after it.
+    import numpy.random  # noqa: F401
+
     workers: List[_Worker] = []
     t0 = 0.0
     try:

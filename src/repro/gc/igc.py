@@ -17,10 +17,11 @@ the paper-named entry point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.metrics.footprint import Timeline
-from repro.metrics.postmortem import PostmortemAnalyzer
-from repro.metrics.recorder import TraceRecorder
+if TYPE_CHECKING:
+    from repro.metrics.footprint import Timeline
+    from repro.metrics.recorder import TraceRecorder
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,8 @@ class IgcResult:
 
 def ideal_gc_analysis(recorder: TraceRecorder) -> IgcResult:
     """Run the IGC postmortem over a finalized trace."""
+    from repro.metrics.postmortem import PostmortemAnalyzer
+
     analyzer = PostmortemAnalyzer(recorder)
     timeline = analyzer.ideal_footprint()
     return IgcResult(

@@ -1,15 +1,13 @@
-"""Measurement infrastructure and postmortem analysis (paper §4)."""
+"""Measurement infrastructure and postmortem analysis (paper §4).
 
-from repro.metrics.control import (
-    ControlSeries,
-    control_series,
-    convergence_ratio,
-    settling_time,
-    smoothness,
-    steady_state,
-    throttle_duty,
-    tracking_error,
-)
+The recorder, the trace file format and the Gantt chart load with the
+package. The analyses (``control``, ``footprint``, ``performance``,
+``postmortem``) load with the first of their names used: all but
+``performance`` import numpy at module top, and a run that only records
+never needs them.
+"""
+
+from repro.lazy import lazy_exports
 from repro.metrics.events import ItemTrace, IterationTrace, StpSample, Touch
 from repro.metrics.faultlog import (
     FaultEventLog,
@@ -17,17 +15,6 @@ from repro.metrics.faultlog import (
     SymptomEvent,
 )
 from repro.metrics.gantt import activity_buckets, gantt
-from repro.metrics.footprint import Timeline
-from repro.metrics.performance import (
-    jitter,
-    latency_percentiles,
-    latency_samples,
-    latency_stats,
-    output_times,
-    thread_utilization,
-    throughput_fps,
-)
-from repro.metrics.postmortem import PostmortemAnalyzer
 from repro.metrics.recorder import TraceRecorder
 from repro.metrics.trace_io import (
     load_trace,
@@ -37,6 +24,20 @@ from repro.metrics.trace_io import (
     trace_from_dict,
     trace_to_dict,
 )
+
+_ANALYSES = {
+    "control": ("ControlSeries", "control_series", "convergence_ratio",
+                "settling_time", "smoothness", "steady_state", "throttle_duty",
+                "tracking_error"),
+    "footprint": ("Timeline",),
+    "performance": ("jitter", "latency_percentiles", "latency_samples",
+                    "latency_stats", "output_times", "thread_utilization",
+                    "throughput_fps"),
+    "postmortem": ("PostmortemAnalyzer",),
+}
+_LAZY = {name: f"repro.metrics.{module}"
+         for module, names in _ANALYSES.items() for name in names}
+__getattr__, __dir__ = lazy_exports(globals(), _LAZY)
 
 __all__ = [
     "TraceRecorder",

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from repro.metrics.recorder import TraceRecorder
 
 #: Activity glyphs in priority order (dominant wins the cell).
@@ -31,6 +29,8 @@ def activity_buckets(
     t1: float,
 ) -> List[str]:
     """Dominant activity per bucket for one thread."""
+    import numpy as np
+
     edges = np.linspace(t0, t1, n_buckets + 1)
     compute = np.zeros(n_buckets)
     blocked = np.zeros(n_buckets)

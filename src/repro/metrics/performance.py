@@ -16,11 +16,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import Dict, Iterable, List, Sequence
 
 from repro.metrics.recorder import TraceRecorder, ragged
+
 
 def _oldest_source_anchor(recorder: TraceRecorder) -> Dict[int, float]:
     """For every item, the creation time of its *oldest* source ancestor.
@@ -112,6 +111,8 @@ def latency_stats(recorder: TraceRecorder, warmup: float = 0.0) -> tuple:
     samples = latency_samples(recorder, warmup)
     if not samples:
         return float("nan"), float("nan")
+    import numpy as np
+
     arr = np.asarray(samples)
     return float(arr.mean()), float(arr.std())
 
@@ -123,10 +124,26 @@ def latency_percentiles(
 ) -> Dict[float, float]:
     """Latency percentiles in seconds (nan-valued with no deliveries)."""
     samples = latency_samples(recorder, warmup)
-    if not samples:
-        return {p: float("nan") for p in percentiles}
-    arr = np.asarray(samples)
-    return {p: float(np.percentile(arr, p)) for p in percentiles}
+    return {p: percentile(samples, p) for p in percentiles}
+
+
+def percentile(samples: Iterable[float], q: float) -> float:
+    """``numpy.percentile(samples, q)`` bit for bit, without numpy: its
+    default ``linear`` method in its own float sequence. nan with no
+    samples."""
+    xs = sorted(samples)
+    n = len(xs)
+    if not n:
+        return float("nan")
+    index = (n - 1) * (q / 100)
+    lo = int(index)
+    if lo >= n - 1:  # numpy clamps both neighbours to the last sample
+        a = b = xs[-1]
+        t = index + 1
+    else:
+        a, b = xs[lo], xs[lo + 1]
+        t = index - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def throughput_fps(recorder: TraceRecorder, warmup: float = 0.0) -> float:
@@ -150,6 +167,8 @@ def jitter(recorder: TraceRecorder, warmup: float = 0.0) -> float:
     times = output_times(recorder, warmup)
     if len(times) < 3:
         return float("nan")
+    import numpy as np
+
     return float(np.std(np.diff(times)))
 
 

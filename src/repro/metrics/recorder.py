@@ -32,12 +32,13 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import TraceError
 from repro.metrics.events import ItemTrace, IterationTrace, StpSample, Touch
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _NAN = float("nan")
 _SUMMARY_NONE, _TARGET_NONE = 1, 2
@@ -311,6 +312,8 @@ class TraceRecorder:
         stamp = (len(self.touch_item), len(self.item_id))
         groups = self._touch_groups
         if groups is None or groups[0] != stamp:
+            import numpy as np
+
             item_rows = np.array(self.touch_item, dtype=np.intp)
             order = np.argsort(item_rows, kind="stable")
             starts = np.searchsorted(item_rows[order], np.arange(stamp[1] + 1))

@@ -204,6 +204,9 @@ class ThreadedRuntime:
         graph.validate()
         if graph.queues():
             raise ConfigError("ThreadedRuntime supports channels only")
+        # Streams build their numpy generators on first draw: import them
+        # here, so no draw pays the import inside the timed stream.
+        import numpy.random  # noqa: F401
         self.graph = graph
         self.aru_config = aru or aru_disabled()
         self.compute_mode = compute_mode

@@ -7,15 +7,19 @@ reproducible *and* keeps streams independent: adding a new consumer of
 randomness does not perturb existing streams.
 
 A stream builds its :class:`numpy.random.Generator` on first draw, so
-``len()`` and ``in`` count *named* streams, drawn from or not.
+``len()`` and ``in`` count *named* streams, drawn from or not. numpy itself
+is imported there too: a run that never draws (no service-time or
+scheduling noise) never loads it, and one that does pays the import once,
+at its first draw.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _derive_seed(root_seed: int, name: str) -> int:
@@ -37,6 +41,8 @@ class Stream:
             raise AttributeError(attr)
         gen = self.__dict__.get("_gen")
         if gen is None:
+            import numpy as np
+
             gen = self._gen = np.random.default_rng(_derive_seed(*self._key))
         value = getattr(gen, attr)
         setattr(self, attr, value)
@@ -91,6 +97,8 @@ def lognormal_with_mean(rng: np.random.Generator, mean: float, cv: float) -> flo
         raise ValueError(f"cv must be non-negative, got {cv}")
     if cv == 0.0:
         return mean
+    import numpy as np
+
     sigma2 = np.log1p(cv * cv)
     mu = np.log(mean) - 0.5 * sigma2
     return float(rng.lognormal(mean=mu, sigma=float(np.sqrt(sigma2))))

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.schema import as_object, build
 from repro.sim.engine import paused_collector
@@ -283,6 +281,8 @@ def poisson_arrivals(tenants, rate: float, seed: int = 0,
     """
     if rate <= 0:
         raise ConfigError(f"arrival rate must be positive, got {rate}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     t = start
     out = []
@@ -299,12 +299,17 @@ def churn(tenants, rate: float, mean_lifetime: float, seed: int = 0,
     """Poisson arrivals plus exponential lifetimes: continuous churn.
 
     Each tenant arrives per :func:`poisson_arrivals` and departs after
-    an exponential residence of mean ``mean_lifetime`` seconds.
+    an exponential residence of mean ``mean_lifetime`` seconds;
+    ``rate == 0`` makes every tenant arrive at ``start``.
     """
+    if rate < 0:
+        raise ConfigError(f"arrival rate must be positive, got {rate}")
     if mean_lifetime <= 0:
         raise ConfigError(
             f"mean_lifetime must be positive, got {mean_lifetime}"
         )
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     t = start
     out = []
@@ -446,7 +451,7 @@ def run_tenants(spec: Union[TenancySpec, None] = None,
 
     trace = runtime.run(until=spec.horizon)
 
-    from repro.metrics.performance import latency_samples_by_thread
+    from repro.metrics.performance import latency_samples_by_thread, percentile
 
     by_thread = latency_samples_by_thread(trace)
     records: Dict[str, TenantRecord] = {}
@@ -466,15 +471,14 @@ def run_tenants(spec: Union[TenancySpec, None] = None,
                 drops += getattr(buf, "total_skips", 0) if buf else 0
         residence = tenant.residence(spec.horizon)
         rate = deliveries / residence if residence > 0 else 0.0
-        arr = np.asarray(samples, dtype=float)
         records[tenant.name] = TenantRecord(
             name=tenant.name,
             state=tenant.state,
             placement=dict(tenant.placement),
             deliveries=deliveries,
             goodput=rate,
-            latency_p50=float(np.percentile(arr, 50)) if len(arr) else float("nan"),
-            latency_p95=float(np.percentile(arr, 95)) if len(arr) else float("nan"),
+            latency_p50=percentile(samples, 50),
+            latency_p95=percentile(samples, 95),
             drops=drops,
             admitted_at=tenant.admitted_at,
             departed_at=tenant.departed_at,

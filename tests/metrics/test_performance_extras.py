@@ -1,7 +1,12 @@
 """Tests for warmup trimming and latency percentiles."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.metrics import (
     TraceRecorder,
@@ -11,6 +16,7 @@ from repro.metrics import (
     latency_stats,
     throughput_fps,
 )
+from repro.metrics.performance import percentile
 
 
 def make_rec():
@@ -74,3 +80,31 @@ class TestPercentiles:
     def test_monotone(self):
         pct = latency_percentiles(make_rec(), percentiles=(10.0, 50.0, 90.0))
         assert pct[10.0] <= pct[50.0] <= pct[90.0]
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+_VALUES = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False),  # b - a cannot overflow
+    st.sampled_from([-2.0, -0.5, 0.0, 0.5, 0.5, 3.0]),  # ties
+)
+_QS = st.one_of(st.sampled_from([0, 50, 95, 100, 50.0, 95.0]),
+                st.floats(0, 100))
+
+
+class TestPercentileWithoutNumpy:
+    @settings(max_examples=500, deadline=None)
+    @given(xs=st.lists(_VALUES, min_size=1, max_size=40), q=_QS)
+    @example(xs=[7.25], q=95)
+    @example(xs=[-3.0, -3.0, 1.0], q=50)
+    @example(xs=[1.0, 2.0, 3.0, 4.0, 5.0], q=95)
+    def test_matches_numpy_bit_for_bit(self, xs, q):
+        got, want = percentile(xs, q), float(np.percentile(xs, q))
+        # Equal signed zeros are one tie to numpy's unstable partition,
+        # which may hand back either of them.
+        assert _bits(got) == _bits(want) or got == want == 0.0
+
+    def test_empty_is_nan(self):
+        assert math.isnan(percentile([], 50))

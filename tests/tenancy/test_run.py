@@ -351,6 +351,15 @@ class TestDeterminism:
         for spec in stamped:
             assert spec.departure > spec.arrival
 
+    def test_churn_rejects_a_negative_rate(self):
+        # A negative rate used to read as 0: every tenant arrived at start.
+        with pytest.raises(ConfigError, match="arrival rate must be positive"):
+            churn(_fleet(3), rate=-2.0, mean_lifetime=5.0)
+
+    def test_churn_at_rate_zero_admits_everyone_at_start(self):
+        stamped = churn(_fleet(3), rate=0.0, mean_lifetime=5.0, start=1.5)
+        assert [spec.arrival for spec in stamped] == [1.5] * 3
+
     def test_churn_run_completes(self):
         tenants = churn(_fleet(6), rate=3.0, mean_lifetime=2.0, seed=5)
         result = run_tenants(TenancySpec(tenants=tenants, cluster=4,
