@@ -29,9 +29,13 @@ script runs one repetition of a simulated e2e workload under
   fleets only, whose horizon is a parameter) — what one more engine
   event leaves behind once the run is over: gc-tracked objects
   (``len(gc.get_objects())``) and bytes of trace storage (every column
-  buffer of the ``TraceRecorder``, and its id -> row map), each as the
-  difference of two unprofiled runs at a quarter and a half of the
-  workload's horizon over the difference in their engine events.
+  buffer of the ``TraceRecorder``), each as the difference of two
+  unprofiled runs at a quarter and a half of the workload's horizon
+  over the difference in their engine events;
+* ``analysis_bytes_per_event`` (the light fleets) — what the post-run
+  analysis allocates on top of the finished trace: the ``tracemalloc``
+  peak from ``Runtime.run``'s return to ``run_tenants``' return, above
+  the traced memory at that return, as the same two-horizon difference.
 
 Outside ``importlib`` (whether a tree's bytecode is on disk) the counts
 repeat exactly from run to run, so ``--compare`` of a parent and a
@@ -137,7 +141,7 @@ def count_calls(fn: Callable[[], Any], setup_ends=None
 def trace_bytes(recorder) -> int:
     """Bytes of a recorder's storage: the allocation of every column
     (typed array or list of shared strings) and of every map it keeps,
-    the id -> row map's int objects included."""
+    a map's key and value objects included."""
     sizeof = sys.getsizeof
     total = 0
     for value in vars(recorder).values():
@@ -149,6 +153,36 @@ def trace_bytes(recorder) -> int:
     return total
 
 
+def analysis_peak(recipe: Callable[[float], Any],
+                  horizon: float) -> Tuple[Any, int]:
+    """``(recipe(horizon), bytes)``: the run under ``tracemalloc``, and
+    the peak of traced memory between the return of its last
+    ``Runtime.run`` and its own return, above the level at the former."""
+    import tracemalloc
+
+    from repro.runtime.runtime import Runtime
+
+    run = vars(Runtime)["run"]
+    at_return = []
+
+    def marked(self, *args, **kwargs):
+        try:
+            return run(self, *args, **kwargs)
+        finally:
+            at_return.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+
+    Runtime.run = marked
+    tracemalloc.start()
+    try:
+        result = recipe(horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        Runtime.run = run
+    return result, peak - at_return[-1]
+
+
 def growth_per_event(recipe: Callable[[float], Any], short: float,
                      long: float) -> Dict[str, float]:
     """What an engine event leaves behind after the run, per event.
@@ -156,24 +190,27 @@ def growth_per_event(recipe: Callable[[float], Any], short: float,
     ``recipe(horizon)`` runs to ``horizon`` and returns a result with
     ``.trace`` and ``.stats``; the two horizons' difference cancels the
     set-up (drivers, buffers, the graph), so only what grows with the
-    run counts: gc-tracked objects alive while the result is held, and
-    bytes of trace storage.
+    run counts: gc-tracked objects alive while the result is held,
+    bytes of trace storage, and the peak of the post-run analysis
+    (:func:`analysis_peak`).
     """
     recipe(min(short, 0.5))  # lazy imports and first-use caches
-    objects, stored, events = [], [], []
+    objects, stored, analysis, events = [], [], [], []
     for horizon in (short, long):
         gc.collect()
         before = len(gc.get_objects())
-        result = recipe(horizon)
+        result, peak = analysis_peak(recipe, horizon)
         gc.collect()
         objects.append(len(gc.get_objects()) - before)
         stored.append(trace_bytes(result.trace))
+        analysis.append(peak)
         events.append(result.stats["engine"]["events_processed"])
         del result
     more = events[1] - events[0]
     return {
         "tracked_objects_per_event": (objects[1] - objects[0]) / more,
         "trace_bytes_per_event": (stored[1] - stored[0]) / more,
+        "analysis_bytes_per_event": (analysis[1] - analysis[0]) / more,
     }
 
 
@@ -230,7 +267,8 @@ def count_workload(name: str, seed: int) -> Dict[str, Any]:
 _SCALARS = ("python_calls", "c_calls", "generator_starts", "events",
             "calls_per_event", "setup_python_calls", "setup_c_calls",
             "setup_modules", "numpy_loaded",
-            "tracked_objects_per_event", "trace_bytes_per_event")
+            "tracked_objects_per_event", "trace_bytes_per_event",
+            "analysis_bytes_per_event")
 
 
 def _generations(collections) -> str:

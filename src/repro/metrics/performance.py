@@ -16,13 +16,16 @@
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, List, Sequence
 
 from repro.metrics.recorder import TraceRecorder, ragged
 
+_NAN = float("nan")
 
-def _oldest_source_anchor(recorder: TraceRecorder) -> Dict[int, float]:
-    """For every item, the creation time of its *oldest* source ancestor.
+
+def _oldest_source_anchor(recorder: TraceRecorder) -> array:
+    """Per item row, the creation time of its *oldest* source ancestor.
 
     A *source* item has no lineage parents (it was produced by a source
     thread from outside data — e.g. a camera frame). Lineage follows time,
@@ -30,29 +33,32 @@ def _oldest_source_anchor(recorder: TraceRecorder) -> Dict[int, float]:
     every parent before its children and one forward pass resolves all
     anchors; items whose parents appear later (possible in reloaded
     traces with reordered tables) wait for the next pass. A parent that
-    is in no table anchors nothing (``None``).
+    is in no table anchors nothing. NaN marks a row left unresolved,
+    which only a lineage cycle does.
     """
-    anchors: Dict[int, float] = {}
-    rows = recorder.item_row
-    ids, t_alloc = recorder.item_id, recorder.item_t_alloc
+    t_alloc = recorder.item_t_alloc
     flat, ends = recorder.item_parents, recorder.item_parents_end
-    pending: Sequence[int] = range(len(ids))
+    row_of = recorder.row_of
+    first, base, count = recorder.tail_run()
+    anchors = array("d", [_NAN]) * len(t_alloc)
+    pending: Sequence[int] = range(len(t_alloc))
     while pending:
         deferred: List[int] = []
         for row in pending:
             best = None
             for p in flat[ends[row - 1] if row else 0:ends[row]]:  # ragged()
-                if p in anchors:
-                    a = anchors[p]
-                    if a is not None and (best is None or a < best):
-                        best = a
-                elif p in rows:
+                off = p - first  # row_of(p), inlined for the tail run
+                p_row = base + off if 0 <= off < count else row_of(p)
+                if p_row is None:
+                    continue
+                a = anchors[p_row]
+                if a != a:  # NaN: not resolved yet
                     deferred.append(row)
                     break
-                else:
-                    anchors[p] = None  # type: ignore[assignment]
+                if best is None or a < best:
+                    best = a
             else:
-                anchors[ids[row]] = best if best is not None else t_alloc[row]
+                anchors[row] = best if best is not None else t_alloc[row]
         if len(deferred) == len(pending):
             break  # a lineage cycle: no trace has one; leave it unanchored
         pending = deferred
@@ -64,6 +70,8 @@ def sink_latencies(recorder: TraceRecorder, warmup: float = 0.0):
     iteration ending at or after ``warmup``, in delivery order — the
     iteration's row number and the item's latency."""
     anchors = _oldest_source_anchor(recorder)
+    row_of = recorder.row_of
+    first, base, count = recorder.tail_run()
     t_ends = recorder.iter_t_end
     flat, ends = recorder.iter_inputs, recorder.iter_inputs_end
     rows: List[int] = []
@@ -73,8 +81,12 @@ def sink_latencies(recorder: TraceRecorder, warmup: float = 0.0):
         if t_end < warmup:
             continue
         for item_id in ragged(flat, ends, row):
-            anchor = anchors.get(item_id)
-            if anchor is not None:
+            off = item_id - first  # row_of(item_id), inlined for the tail run
+            at = base + off if 0 <= off < count else row_of(item_id)
+            if at is None:
+                continue
+            anchor = anchors[at]
+            if anchor == anchor:  # not NaN
                 rows.append(row)
                 latencies.append(t_end - anchor)
     return rows, latencies

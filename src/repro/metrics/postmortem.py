@@ -66,12 +66,12 @@ class PostmortemAnalyzer:
     @cached_property
     def successful_ids(self) -> FrozenSet[int]:
         """Delivered items plus their full lineage-ancestor closure."""
-        rows = self.recorder.item_row
+        row_of = self.recorder.row_of
         flat, ends = self.recorder.item_parents, self.recorder.item_parents_end
         success: Set[int] = set(self.delivered_ids)
         stack = list(success)
         while stack:
-            row = rows.get(stack.pop())
+            row = row_of(stack.pop())
             if row is None:
                 continue
             for parent in flat[ends[row - 1] if row else 0:ends[row]]:  # ragged()

@@ -9,15 +9,23 @@ so recording cost stays O(1) per event and analysis choices stay open —
 and flat: a hook appends its arguments to typed columns (``_COLUMNS``),
 so a run leaves no per-event object behind for the interpreter's
 collector to walk. Four tables, one row per hook call, in call order:
-items (``item_*``; ``item_row`` maps an id to its row, ``item_t_free``
-is NaN until ``on_free``), touches (``touch_*``, gets and skips alike;
-``touch_item`` is the touched item's *row*), iterations (``iter_*``) and
-STP samples (``stp_*``; ``stp_none`` flags a ``None`` summary / target,
-so a recorded NaN stays a NaN). Tuple arguments are stored flattened,
-the offset past each row's last entry in the ``*_end`` column
-(:func:`ragged` cuts a row out). Columns are public for reading — by
+items (``item_*``; ``item_t_free`` is NaN until ``on_free``), touches
+(``touch_*``, gets and skips alike; ``touch_item`` is the touched item's
+*row*), iterations (``iter_*``) and STP samples (``stp_*``;
+``stp_none`` flags a ``None`` summary / target, so a recorded NaN stays
+a NaN). Tuple arguments are stored flattened, the offset past each
+row's last entry in the ``*_end`` column (:func:`ragged` cuts a row
+out). Columns are public for reading — by
 ``np.array(column)`` copies, never ``np.frombuffer``, which pins an
 array against the next append — and written only by the hooks.
+
+No table is keyed by item id. Ids come from one counter, so the item
+table lists them in runs of consecutive ids on consecutive rows, and
+:meth:`TraceRecorder.row_of` finds a row by arithmetic on the run that
+holds the id: the newest run is held in plain ints, the others in three
+sorted columns (first id, first row, length) it bisects. A live run
+leaves one run; out-of-order ids (a threaded race, a merge of worker
+traces, a hand-written trace) only make more of them.
 
 The record classes of :mod:`repro.metrics.events` are the public value
 types; the views (``items``, ``iterations``, ``stp_samples``,
@@ -30,7 +38,7 @@ arrive, so analysis code may call them freely inside loops.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -42,6 +50,7 @@ if TYPE_CHECKING:
 
 _NAN = float("nan")
 _SUMMARY_NONE, _TARGET_NONE = 1, 2
+_NO_LIMIT = 1 << 64  # room of a tail run no later run bounds
 
 #: Column -> ``array`` typecode; ``None``: a list of shared name strings.
 _COLUMNS = {
@@ -104,16 +113,19 @@ class _ItemsView(Mapping):
         self._recorder = recorder
 
     def __len__(self) -> int:
-        return len(self._recorder.item_row)
+        return len(self._recorder.item_id)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._recorder.item_id)
 
     def __contains__(self, item_id) -> bool:
-        return item_id in self._recorder.item_row
+        return self._recorder.row_of(item_id) is not None
 
     def __getitem__(self, item_id: int) -> ItemTrace:
-        return self._recorder._item_at(self._recorder.item_row[item_id])
+        row = self._recorder.row_of(item_id)
+        if row is None:
+            raise KeyError(item_id)
+        return self._recorder._item_at(row)
 
 
 class _RowIndex:
@@ -146,7 +158,13 @@ class TraceRecorder:
         self.t_end: Optional[float] = None
         for name, typecode in _COLUMNS.items():
             setattr(self, name, [] if typecode is None else array(typecode))
-        self.item_row: Dict[int, int] = {}
+        # Id runs: ids first..first+len-1 sit on rows row..row+len-1. The
+        # run the newest row extended is the tail, held in the _tail_*
+        # ints (_tail_room: how far it may grow before the next run's
+        # first id); the _run_* columns hold the others, sorted by id.
+        self._run_first, self._run_row, self._run_len = (
+            array("q"), array("q"), array("q"))
+        self._tail_first = self._tail_row = self._tail_len = self._tail_room = 0
         self._iter_counters: Dict[str, int] = {}
         self._by_thread = _RowIndex(self.iter_thread)  # behind the views
         self._by_sink = _RowIndex(self.iter_sink)
@@ -157,12 +175,12 @@ class TraceRecorder:
     def on_alloc(self, item_id: int, channel: str, node: str, ts: int,
                  size: int, producer: str, parents: Tuple[int, ...],
                  t: float) -> None:
-        rows = self.item_row
-        if item_id in rows:
-            raise TraceError(f"duplicate alloc for item {item_id}")
-        ids = self.item_id
-        rows[item_id] = len(ids)
-        ids.append(item_id)
+        n = self._tail_len
+        if item_id == self._tail_first + n and n < self._tail_room:
+            self._tail_len = n + 1
+        else:
+            self._start_run(item_id)
+        self.item_id.append(item_id)
         self.item_channel.append(channel)
         self.item_node.append(node)
         self.item_ts.append(ts)
@@ -175,10 +193,47 @@ class TraceRecorder:
         self.item_t_alloc.append(t)
         self.item_t_free.append(_NAN)
 
-    # on_get and on_skip spell the same five appends out twice: a shared
-    # helper would be one more Python call on every channel get.
+    def _start_run(self, item_id: int) -> None:
+        """Make ``item_id`` the first id of a new tail run, on the next row."""
+        if self.row_of(item_id) is not None:
+            raise TraceError(f"duplicate alloc for item {item_id}")
+        first = self._run_first
+        if self._tail_len:  # the old tail is complete: it joins the columns
+            k = bisect_left(first, self._tail_first)
+            first.insert(k, self._tail_first)
+            self._run_row.insert(k, self._tail_row)
+            self._run_len.insert(k, self._tail_len)
+        k = bisect_left(first, item_id)
+        self._tail_first, self._tail_row, self._tail_len = (
+            item_id, len(self.item_id), 1)
+        self._tail_room = first[k] - item_id if k < len(first) else _NO_LIMIT
+
+    def row_of(self, item_id: int) -> Optional[int]:
+        """Row of item ``item_id``, ``None`` if it was never allocated."""
+        off = item_id - self._tail_first
+        if 0 <= off < self._tail_len:
+            return self._tail_row + off
+        first = self._run_first
+        k = bisect_right(first, item_id) - 1
+        if k >= 0:
+            off = item_id - first[k]
+            if off < self._run_len[k]:
+                return self._run_row[k] + off
+        return None
+
+    def tail_run(self) -> Tuple[int, int, int]:
+        """``(first id, first row, length)`` of the run the newest row
+        extended: a hot loop resolves most ids with this arithmetic
+        before it falls back to :meth:`row_of`."""
+        return self._tail_first, self._tail_row, self._tail_len
+
+    # on_get and on_skip spell the same five appends and the tail-run
+    # arithmetic out twice: a shared helper would be one more Python call
+    # on every channel get.
     def on_get(self, item_id: int, conn_id: int, consumer: str, t: float) -> None:
-        row = self.item_row.get(item_id)
+        off = item_id - self._tail_first
+        row = (self._tail_row + off if 0 <= off < self._tail_len
+               else self.row_of(item_id))
         if row is None:
             raise TraceError(f"unknown item {item_id}")
         self.touch_item.append(row)
@@ -188,7 +243,9 @@ class TraceRecorder:
         self.touch_skip.append(0)
 
     def on_skip(self, item_id: int, conn_id: int, consumer: str, t: float) -> None:
-        row = self.item_row.get(item_id)
+        off = item_id - self._tail_first
+        row = (self._tail_row + off if 0 <= off < self._tail_len
+               else self.row_of(item_id))
         if row is None:
             raise TraceError(f"unknown item {item_id}")
         self.touch_item.append(row)
@@ -200,7 +257,9 @@ class TraceRecorder:
     def on_free(self, item_id: int, t: float) -> None:
         if self.t_end is not None:
             return  # sealed; late frees come from a collected run's threads
-        row = self.item_row.get(item_id)
+        off = item_id - self._tail_first
+        row = (self._tail_row + off if 0 <= off < self._tail_len
+               else self.row_of(item_id))
         if row is None:
             raise TraceError(f"unknown item {item_id}")
         t_free = self.item_t_free
@@ -314,9 +373,9 @@ class TraceRecorder:
         if groups is None or groups[0] != stamp:
             import numpy as np
 
-            item_rows = np.array(self.touch_item, dtype=np.intp)
-            order = np.argsort(item_rows, kind="stable")
-            starts = np.searchsorted(item_rows[order], np.arange(stamp[1] + 1))
+            touched = np.array(self.touch_item, dtype=np.intp)
+            order = np.argsort(touched, kind="stable")
+            starts = np.searchsorted(touched[order], np.arange(stamp[1] + 1))
             groups = self._touch_groups = (stamp, order, starts)
         _, order, starts = groups
         return order[starts[row]:starts[row + 1]]

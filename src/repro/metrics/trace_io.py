@@ -87,11 +87,11 @@ def trace_from_dict(data: dict) -> TraceRecorder:
     recorder.t_start = float(data["t_start"])
     for entry in data["items"]:
         item_id = entry["id"]
-        if item_id in recorder.item_row:
+        if recorder.row_of(item_id) is not None:
             raise TraceError(f"duplicate item id {item_id} in trace")
         recorder.on_alloc(*[entry[key] for key in _ITEM_KEYS])
         if entry["t_free"] is not None:
-            recorder.item_t_free[-1] = entry["t_free"]
+            recorder.on_free(item_id, entry["t_free"])
         for touch in entry["gets"]:
             recorder.on_get(item_id, *touch)
         for touch in entry["skips"]:
@@ -151,7 +151,7 @@ def merge_traces(recorders) -> TraceRecorder:
     for rec in recorders:
         base = len(merged.item_id)
         for row, item_id in enumerate(rec.item_id):
-            if item_id in merged.item_row:
+            if merged.row_of(item_id) is not None:
                 raise TraceError(
                     f"duplicate item id {item_id} across worker traces")
             merged.on_alloc(*rec.alloc_args(row))

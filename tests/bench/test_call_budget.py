@@ -15,10 +15,12 @@ Set-up has the same kind of gate: Python calls per admitted light tenant,
 as the difference of admitting 40 and 20 of them with no engine run.
 
 What an event leaves behind is gated the same way on the light fleet:
-gc-tracked objects and bytes of trace storage per engine event, again as
-the difference of two horizons. These are the deterministic companions
-of the benchmark's ``peak_rss_mb``: the trace is typed columns, so an
-event adds rows to arrays and no object for the collector to walk.
+gc-tracked objects and bytes of trace storage per engine event, and the
+bytes the post-run analysis allocates per event, again as the difference
+of two horizons. These are the deterministic companions of the
+benchmark's ``peak_rss_mb``: the trace is typed columns addressed by
+row, so an event adds rows to arrays and no object for the collector to
+walk, and the latency analysis adds one float per item.
 """
 
 import gc
@@ -165,12 +167,16 @@ def test_python_calls_per_engine_event(recipe, short, long, budget):
 
 
 #: What one more engine event of the light fleet leaves behind. Measured
-#: 0.000 gc-tracked objects (one stray object in 4 200 events at most)
-#: and 83.1 B of trace storage when set (ISSUE 23); the recorder that
-#: kept a record object per interaction measured 1.40 objects and
-#: about 224 B.
+#: 0.000 gc-tracked objects (one stray object in 4 200 events at most),
+#: 55.6 B of trace storage and a 3.58 B post-run analysis peak when set
+#: (rows are found by arithmetic on runs of consecutive item ids, and
+#: latency anchors are a row-aligned float column). The id -> row dict
+#: and the id -> anchor dict they replaced measured 83.1 B and 31.3 B;
+#: the recorder that kept a record object per interaction measured 1.40
+#: objects and about 224 B.
 TRACKED_OBJECTS_BUDGET = 0.01
-TRACE_BYTES_BUDGET = 87.3
+TRACE_BYTES_BUDGET = 58.4
+ANALYSIS_BYTES_BUDGET = 3.8
 
 
 def test_what_an_engine_event_leaves_behind():
@@ -182,9 +188,45 @@ def test_what_an_engine_event_leaves_behind():
     assert growth["trace_bytes_per_event"] <= TRACE_BYTES_BUDGET, (
         f"{growth['trace_bytes_per_event']:.1f} B of trace storage per "
         f"engine event, budget {TRACE_BYTES_BUDGET}")
+    assert growth["analysis_bytes_per_event"] <= ANALYSIS_BYTES_BUDGET, (
+        f"{growth['analysis_bytes_per_event']:.2f} B of post-run analysis "
+        f"peak per engine event, budget {ANALYSIS_BYTES_BUDGET}: is a table "
+        f"keyed by item id back?")
 
 
-def test_trace_bytes_counts_columns_and_the_id_map():
+def test_the_recorder_keeps_no_map_that_grows_with_its_items():
+    sizes = []
+    for horizon in (5.0, 10.0):
+        trace = light_fleet(horizon).trace
+        maps = [value for value in vars(trace).values()
+                if isinstance(value, dict)]
+        maps += [index._groups for index in vars(trace).values()
+                 if hasattr(index, "_groups")]
+        sizes.append((len(trace.item_id), [len(m) for m in maps]))
+    (short_items, short_maps), (long_items, long_maps) = sizes
+    assert long_items > 1.5 * short_items
+    assert short_maps and long_maps == short_maps
+
+
+def test_analysis_peak_counts_what_follows_the_run_only():
+    from repro.runtime.runtime import Runtime
+
+    run = vars(Runtime)["run"]
+    _, plain = counter.analysis_peak(light_fleet, 0.5)
+
+    def with_analysis(horizon):
+        result = light_fleet(horizon)
+        scratch = bytearray(8 << 20)  # allocated after Runtime.run returned
+        del scratch
+        return result
+
+    _, padded = counter.analysis_peak(with_analysis, 0.5)
+    assert plain < 1 << 20
+    assert 8 << 20 <= padded < plain + (9 << 20)
+    assert vars(Runtime)["run"] is run
+
+
+def test_trace_bytes_counts_columns_and_maps():
     class Storage:
         def __init__(self):
             self.ids = array("q", range(1000))

@@ -128,3 +128,11 @@ class TestValidation:
         data["items"].append(data["items"][0])
         with pytest.raises(TraceError, match="duplicate"):
             trace_from_dict(data)
+
+    def test_free_before_alloc_rejected(self):
+        original = run_pipeline()
+        data = trace_to_dict(original)
+        entry = data["items"][0]
+        entry["t_alloc"], entry["t_free"] = 2.0, 1.0
+        with pytest.raises(TraceError, match="free before alloc"):
+            trace_from_dict(data)
