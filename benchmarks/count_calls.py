@@ -35,7 +35,11 @@ script runs one repetition of a simulated e2e workload under
 * ``analysis_bytes_per_event`` (the light fleets) — what the post-run
   analysis allocates on top of the finished trace: the ``tracemalloc``
   peak from ``Runtime.run``'s return to ``run_tenants``' return, above
-  the traced memory at that return, as the same two-horizon difference.
+  the traced memory at that return, as the same two-horizon difference;
+* ``setup_bytes_per_tenant`` (the light fleets) — the resident heap one
+  more admitted tenant holds before the first event: ``tracemalloc``'s
+  traced memory after admitting 40 light tenants minus after admitting
+  20 (no engine run; garbage collected first), divided by 20.
 
 Outside ``importlib`` (whether a tree's bytecode is on disk) the counts
 repeat exactly from run to run, so ``--compare`` of a parent and a
@@ -214,9 +218,44 @@ def growth_per_event(recipe: Callable[[float], Any], short: float,
     }
 
 
+def setup_bytes_per_tenant(admit: Callable[[int], Any]) -> float:
+    """Traced bytes one more tenant holds once admitted: ``admit(40)``
+    less ``admit(20)``, over 20, each held while it is measured."""
+    import tracemalloc
+
+    admit(2)  # lazy imports and first-use caches
+    held = []
+    tracemalloc.start()
+    try:
+        for tenants in (20, 40):
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            runtime = admit(tenants)
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0] - before)
+            del runtime
+    finally:
+        tracemalloc.stop()
+    return (held[1] - held[0]) / 20
+
+
+def admit_fleet(spec):
+    """What ``run_tenants`` does before its engine runs, and no more."""
+    from repro.tenancy import Scheduler, TenantRuntime
+    from repro.tenancy.tenant import Tenant
+
+    config = spec.runtime_config()
+    runtime = TenantRuntime(config, Scheduler(config.cluster))
+    for tenant in spec.tenants:
+        runtime.arrive(Tenant(tenant))
+    return runtime
+
+
 def _fleet_recipes(seed: int) -> Dict[str, Tuple[Callable[[float], Any],
-                                                 float]]:
-    """Workloads whose horizon can be varied: (recipe, frozen horizon)."""
+                                                 float,
+                                                 Callable[[int], Any]]]:
+    """Workloads whose horizon and size can be varied: (recipe, frozen
+    horizon, admission of N of its tenants)."""
     import workloads
 
     from repro.tenancy import run_tenants
@@ -225,8 +264,11 @@ def _fleet_recipes(seed: int) -> Dict[str, Tuple[Callable[[float], Any],
         return lambda horizon: run_tenants(
             workloads._light_fleet(tenants, horizon, seed))
 
-    return {"fleet_10": (fleet(10), workloads.FLEET_10_HORIZON),
-            "fleet_1000": (fleet(1000), workloads.FLEET_1000_HORIZON)}
+    def admit(tenants: int):  # both fleets are of the same light tenant
+        return admit_fleet(workloads._light_fleet(tenants, 1.0, seed))
+
+    return {"fleet_10": (fleet(10), workloads.FLEET_10_HORIZON, admit),
+            "fleet_1000": (fleet(1000), workloads.FLEET_1000_HORIZON, admit)}
 
 
 def count_workload(name: str, seed: int) -> Dict[str, Any]:
@@ -259,14 +301,15 @@ def count_workload(name: str, seed: int) -> Dict[str, Any]:
                   calls_per_event=counts["python_calls"] / events)
     recipe = _fleet_recipes(seed).get(name)
     if recipe is not None:
-        run, horizon = recipe
+        run, horizon, admit = recipe
         counts.update(growth_per_event(run, horizon / 4, horizon / 2))
+        counts["setup_bytes_per_tenant"] = setup_bytes_per_tenant(admit)
     return counts
 
 
 _SCALARS = ("python_calls", "c_calls", "generator_starts", "events",
             "calls_per_event", "setup_python_calls", "setup_c_calls",
-            "setup_modules", "numpy_loaded",
+            "setup_modules", "setup_bytes_per_tenant", "numpy_loaded",
             "tracked_objects_per_event", "trace_bytes_per_event",
             "analysis_bytes_per_event")
 

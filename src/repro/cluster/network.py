@@ -59,7 +59,7 @@ class Link:
         #: Per-transfer loss probability (0.0 = reliable).
         self.drop_probability = 0.0
         self._drop_rng = None
-        self._restored = WaitQueue(engine, name=f"link.{name}.restored")
+        self._restored = WaitQueue(engine)
         #: Failure-detection callback (see :data:`LinkObserver`).
         self.observer: Optional[LinkObserver] = None
         #: Transfers lost to message-drop faults.

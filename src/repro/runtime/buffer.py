@@ -4,8 +4,9 @@
 :class:`~repro.runtime.squeue.SQueue` differ in *which* item a get
 returns and *when* storage is reclaimed; everything around that is the
 same and lives here once — the connection lists, the feedback endpoint,
-the capacity bound with its two wait queues, and the alloc/free
-accounting that keeps node memory, the trace and telemetry in step.
+the wait queue for gets, the capacity bound with its wait queue for room,
+and the alloc/free accounting that keeps node memory, the trace and
+telemetry in step.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class Buffer:
 
     ``engine`` may be ``None`` for a shell that does its own waiting
     (:class:`~repro.rt_threads.channel.ThreadChannel`): nothing here
-    reads it, and the two wait queues then never hold a waiter, so
+    reads it, and its wait queues then never hold a waiter, so
     notifying them is a no-op. ``node`` needs ``name``, ``alloc`` and
     ``free``. ``collector`` labels the free-side telemetry; subclasses
     set ``kind`` (the telemetry and stats label) and define ``__len__``.
@@ -62,8 +63,9 @@ class Buffer:
         self.capacity = capacity
         self.in_conns: List[InputConnection] = []
         self.out_conns: List[OutputConnection] = []
-        self._getters = WaitQueue(engine, name=f"{name}.get")
-        self._putters = WaitQueue(engine, name=f"{name}.room")
+        self._getters = WaitQueue(engine)
+        #: Waiters for room; an unbounded buffer never has any.
+        self._putters = WaitQueue(engine) if capacity is not None else None
         self.total_puts = 0
         self.total_gets = 0
         self.total_frees = 0

@@ -7,8 +7,9 @@ queues), built through an API mirroring Stampede's
 ``spd_chan_alloc()``-style calls, including the paper's added optional
 per-channel dependency operator parameter.
 
-The graph is three insertion-ordered dicts (attributes, successors,
-predecessors). **Ordering contract** — ``merge``, thread start order, DOT
+The graph is three insertion-ordered dicts: node -> attributes, node ->
+successors and node -> predecessors, the last two a tuple per node.
+**Ordering contract** — ``merge``, thread start order, DOT
 output and every placement are deterministic because: nodes (so
 ``threads()`` / ``buffers()``) iterate in the order added; a node's
 successors (``consumers_of`` / ``outputs_of``) and predecessors
@@ -47,11 +48,11 @@ class TaskGraph:
 
     def __init__(self, name: str = "app") -> None:
         self.name = name
-        #: node -> attributes; node -> successors / predecessors, kept as
-        #: insertion-ordered sets (dicts whose values are unused).
+        #: node -> attributes; node -> successors / predecessors, each a
+        #: tuple in connect order (degrees are small: a scan beats a set).
         self._nodes: Dict[str, Dict[str, Any]] = {}
-        self._succ: Dict[str, Dict[str, None]] = {}
-        self._pred: Dict[str, Dict[str, None]] = {}
+        self._succ: Dict[str, Tuple[str, ...]] = {}
+        self._pred: Dict[str, Tuple[str, ...]] = {}
         #: stage name -> replication spec (see :meth:`add_replicated_stage`).
         self._replicated: Dict[str, Dict[str, Any]] = {}
         #: Whether any thread is explicitly marked ``sink`` (cached so
@@ -67,8 +68,8 @@ class TaskGraph:
 
     def _add_node(self, name: str, attrs: Dict[str, Any]) -> None:
         self._nodes[name] = attrs
-        self._succ[name] = {}
-        self._pred[name] = {}
+        self._succ[name] = ()
+        self._pred[name] = ()
 
     def add_thread(
         self,
@@ -136,8 +137,8 @@ class TaskGraph:
             )
         if dst in self._succ[src]:
             raise GraphError(f"duplicate edge {src!r} -> {dst!r}")
-        self._succ[src][dst] = None
-        self._pred[dst][src] = None
+        self._succ[src] += (dst,)
+        self._pred[dst] += (src,)
         return self
 
     # -- replicated stages -------------------------------------------------
@@ -231,15 +232,23 @@ class TaskGraph:
         """Current worker threads of ``stage``, ordered by replica index."""
         return list(self.stage_spec(stage)["members"].values())
 
-    def add_replica(self, stage: str) -> str:
+    def add_replica(self, stage: str, index: Optional[int] = None) -> str:
         """Add one worker thread to ``stage``; returns its name.
 
         Indices are never reused — each spawn gets a fresh ``stage[i]``
-        name, so trace records of retired replicas stay unambiguous.
+        name, so trace records of retired replicas stay unambiguous. The
+        one exception is ``index``: it puts back a removed replica under
+        its old name, the way a restarted thread keeps its own.
         """
         spec = self.stage_spec(stage)
-        idx = spec["next_index"]
-        spec["next_index"] = idx + 1
+        idx = index
+        if idx is None:
+            idx = spec["next_index"]
+            spec["next_index"] = idx + 1
+        elif not 0 <= idx < spec["next_index"] or idx in spec["members"]:
+            raise GraphError(
+                f"stage {stage!r}: replica index {idx} is not a removed one"
+            )
         name = f"{stage}[{idx}]"
         self.add_thread(
             name,
@@ -251,6 +260,8 @@ class TaskGraph:
         self._nodes[name]["replica_of"] = stage
         self._nodes[name]["replica_index"] = idx
         spec["members"][idx] = name
+        if index is not None:  # members stay in index order
+            spec["members"] = dict(sorted(spec["members"].items()))
         self.connect(spec["input"], name)
         self.connect(name, spec["output"])
         return name
@@ -267,9 +278,9 @@ class TaskGraph:
             )
         del members[attrs["replica_index"]]
         for succ in self._succ.pop(name):
-            del self._pred[succ][name]
+            self._pred[succ] = tuple(p for p in self._pred[succ] if p != name)
         for pred in self._pred.pop(name):
-            del self._succ[pred][name]
+            self._succ[pred] = tuple(s for s in self._succ[pred] if s != name)
         del self._nodes[name]
 
     # -- composition --------------------------------------------------------
@@ -283,6 +294,11 @@ class TaskGraph:
         mapping. This is the multi-tenancy primitive: each tenant's app
         graph merges into one shared graph under its namespace, so all
         tenants coexist in a single engine run.
+
+        Sinks are decided within each graph: ``other``'s sinks (marked,
+        else its threads with no outputs) arrive marked, and so do this
+        graph's own implicit sinks when it gains its first mark, so the
+        order graphs merge in never changes which threads are sinks.
 
         Raises :class:`GraphError` on any name collision, leaving
         ``self`` untouched.
@@ -302,6 +318,11 @@ class TaskGraph:
                     f"merge collision: replicated stage "
                     f"{prefix}{stage!r} already exists in {self.name!r}"
                 )
+        sinks = other.sinks()
+        if sinks and not self._has_marked_sink:
+            for name in self.sinks():
+                self._nodes[name]["sink"] = True
+            self._has_marked_sink = True
         for old, new in mapping.items():
             data = dict(other._nodes[old])
             if "params" in data:  # task bodies keep counters there
@@ -310,11 +331,11 @@ class TaskGraph:
                 if data.get(key) is not None:
                     data[key] = f"{prefix}{data[key]}"
             self._add_node(new, data)
-            if data.get("sink"):
-                self._has_marked_sink = True
+        for old in sinks:
+            self._nodes[mapping[old]]["sink"] = True
         for u, v in other.edges():
-            self._succ[mapping[u]][mapping[v]] = None
-            self._pred[mapping[v]][mapping[u]] = None
+            self._succ[mapping[u]] += (mapping[v],)
+            self._pred[mapping[v]] += (mapping[u],)
         for stage, spec in other._replicated.items():
             spec = dict(spec)
             spec["params"] = dict(spec["params"])
@@ -325,6 +346,9 @@ class TaskGraph:
         return mapping
 
     # -- inspection ---------------------------------------------------------
+    def __contains__(self, name: str) -> bool:
+        return name in self._nodes
+
     def kind(self, name: str) -> str:
         try:
             return self._nodes[name]["kind"]

@@ -106,9 +106,8 @@ class WaitQueue:
     fires on any notification with the value passed to ``notify_all``.
     """
 
-    def __init__(self, engine: "Engine", name: str = "") -> None:
+    def __init__(self, engine: "Engine") -> None:
         self.engine = engine
-        self.name = name
         self._waiters: List[Tuple[Event, Optional[Callable[[], Any]]]] = []
 
     def __len__(self) -> int:

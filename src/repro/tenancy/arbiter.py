@@ -663,8 +663,7 @@ class ArbiterController:
                     if stp is not None and stp > 0:
                         observed += rate * stp
                         stps.append(stp)
-                    if (tenant.graph is not None
-                            and runtime.graph.is_source(name)):
+                    if runtime.graph.is_source(name):
                         arrival += rate
                 for name in tenant.buffers:
                     buf = runtime.buffers.get(name)

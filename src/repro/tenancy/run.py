@@ -461,14 +461,12 @@ def run_tenants(spec: Union[TenancySpec, None] = None,
         samples: List[float] = []
         deliveries = 0
         drops = 0
-        if tenant.graph is not None and tenant.mapping:
-            sinks = [tenant.mapping[s] for s in tenant.graph.sinks()]
-            for sink in sinks:
-                deliveries += trace.iteration_count(sink)
-                samples.extend(by_thread.get(sink, ()))
-            for name in tenant.buffers:
-                buf = runtime.buffers.get(name)
-                drops += getattr(buf, "total_skips", 0) if buf else 0
+        for sink in tenant.sinks:
+            deliveries += trace.iteration_count(sink)
+            samples.extend(by_thread.get(sink, ()))
+        for name in tenant.buffers:
+            buf = runtime.buffers.get(name)
+            drops += getattr(buf, "total_skips", 0) if buf else 0
         residence = tenant.residence(spec.horizon)
         rate = deliveries / residence if residence > 0 else 0.0
         records[tenant.name] = TenantRecord(

@@ -155,22 +155,27 @@ class TenantRuntime(Runtime):
                 f"tenant {tenant.name!r}: only one blank-namespace tenant "
                 f"per run (already: {self._blank_tenant!r})"
             )
-        locals_ = tenant.graph.threads()
+        graph = tenant.own_graph()
         placement_local = self.scheduler.admit(
-            tenant.name, locals_, tenant.demands, tenant.neighbors()
+            tenant.name, list(tenant.demands), tenant.demands,
+            tenant.neighbors(graph)
         )
         if placement_local is None:
             return False
 
-        first = not tenant.mapping
+        first = tenant.graph is not None
         if first:
-            mapping = self.graph.merge(tenant.graph, prefix=tenant.prefix)
+            mapping = self.graph.merge(graph, prefix=tenant.prefix)
             tenant.mapping = mapping
-            tenant.threads = tuple(mapping[t] for t in tenant.graph.threads())
-            tenant.buffers = tuple(mapping[b] for b in tenant.graph.buffers())
+            tenant.threads = tuple(mapping[t] for t in graph.threads())
+            tenant.buffers = tuple(mapping[b] for b in graph.buffers())
             tenant.stages = tuple(
-                f"{tenant.prefix}{s}" for s in tenant.graph.replicated_stages()
+                f"{tenant.prefix}{s}" for s in graph.replicated_stages()
             )
+            tenant.sinks = tuple(mapping[t] for t in graph.sinks())
+            tenant.graph = None  # the shared graph holds the tenant now
+        else:
+            self._restore_replicas(tenant, graph)
         self.tenants[tenant.name] = tenant
         if tenant.prefix == "":
             self._blank_tenant = tenant.name
@@ -188,6 +193,16 @@ class TenantRuntime(Runtime):
         if self.obs.enabled:
             self.obs.on_tenant("admitted", tenant.name, now)
         return True
+
+    def _restore_replicas(self, tenant: Tenant, graph: TaskGraph) -> None:
+        """Put back the declared replicas retired while ``tenant`` last
+        ran: a readmitted tenant restarts in the shape ``graph``, its
+        fresh build, declares."""
+        for stage in graph.replicated_stages():
+            members = graph.stage_spec(stage)["members"]
+            for index, local in members.items():
+                if tenant.mapping[local] not in self.graph:
+                    self.graph.add_replica(tenant.prefix + stage, index)
 
     def arrive(self, tenant: Tenant) -> str:
         """Admission front door: admit, else queue or reject."""
@@ -325,7 +340,7 @@ class TenantRuntime(Runtime):
         self.scheduler.release(tenant.placement_local, tenant.demands,
                                tenant=tenant.name)
         new_local = self.scheduler.admit(
-            tenant.name, tenant.graph.threads(), tenant.demands,
+            tenant.name, list(tenant.demands), tenant.demands,
             tenant.neighbors(), exclude=exclude,
         )
         if new_local is None or new_local == tenant.placement_local:

@@ -231,7 +231,9 @@ class Tenant:
         self.name = spec.name
         self.prefix = spec.prefix
         self.state = PENDING
-        #: Built lazily at first admission attempt.
+        #: The private graph: built at the first admission attempt and
+        #: dropped by the first merge into the shared graph, which holds
+        #: the tenant's nodes from then on (:meth:`own_graph`).
         self.graph = None
         self.aru = None
         self.scale = None
@@ -243,6 +245,8 @@ class Tenant:
         self.threads: Tuple[str, ...] = ()
         self.buffers: Tuple[str, ...] = ()
         self.stages: Tuple[str, ...] = ()
+        #: Namespaced sink threads, decided within the private graph.
+        self.sinks: Tuple[str, ...] = ()
         #: namespaced thread -> cluster node (and the local-keyed twin the
         #: scheduler's reservation ledger is keyed by).
         self.placement: Dict[str, str] = {}
@@ -276,7 +280,7 @@ class Tenant:
     def build(self, root_seed: int, time_fn=None) -> None:
         """Resolve graph/policies/RNG/feedback plane once (idempotent);
         ``time_fn`` is the admitting runtime's clock."""
-        if self.graph is not None:
+        if self.bus is not None:
             return
         from repro.control.propagation import FeedbackBus
         from repro.control.registry import resolve_policy, resolve_scale_policy
@@ -298,9 +302,17 @@ class Tenant:
         """The declared demand of one thread (per-thread override wins)."""
         return self.spec.thread_demands.get(local_thread, self.spec.demand)
 
-    def neighbors(self) -> Dict[str, FrozenSet[str]]:
-        """Thread adjacency (shared buffer = neighbor) for colocation."""
-        graph = self.graph
+    def own_graph(self):
+        """The private graph: the one built, until the first merge drops
+        it, then a fresh build of the spec (re-placement only)."""
+        return self.graph if self.graph is not None \
+            else self.spec.resolve_graph()
+
+    def neighbors(self, graph=None) -> Dict[str, FrozenSet[str]]:
+        """Thread adjacency (shared buffer = neighbor) for colocation,
+        over ``graph`` (default :meth:`own_graph`)."""
+        if graph is None:
+            graph = self.own_graph()
         adjacency: Dict[str, set] = {t: set() for t in graph.threads()}
         for buffer in graph.buffers():
             producers = graph.producers_of(buffer)

@@ -12,7 +12,8 @@ change that makes the per-syscall path dearer trips this on any machine;
 one that makes it cheaper should lower the budget in the same PR.
 
 Set-up has the same kind of gate: Python calls per admitted light tenant,
-as the difference of admitting 40 and 20 of them with no engine run.
+as the difference of admitting 40 and 20 of them with no engine run, and
+the bytes of heap that tenant holds once admitted, the same difference.
 
 What an event leaves behind is gated the same way on the light fleet:
 gc-tracked objects and bytes of trace storage per engine event, and the
@@ -34,14 +35,13 @@ import pytest
 from repro.cluster.spec import uniform_spec
 from repro.experiment import ExperimentSpec, run_experiment
 from repro.tenancy import (
-    Scheduler,
     TenancySpec,
     TenantRuntime,
     TenantSpec,
     run_tenants,
     scaled_tracker_config,
 )
-from repro.tenancy.tenant import ResourceDemand, Tenant
+from repro.tenancy.tenant import RUNNING, ResourceDemand
 
 
 def _load_counter():
@@ -241,11 +241,8 @@ def test_trace_bytes_counts_columns_and_maps():
 
 def admit_light_fleet(tenants: int) -> TenantRuntime:
     """What ``run_tenants`` does before its engine runs, and no more."""
-    spec = light_fleet_spec(tenants, horizon=1.0)
-    config = spec.runtime_config()
-    runtime = TenantRuntime(config, Scheduler(config.cluster))
-    for tenant in spec.tenants:
-        assert runtime.arrive(Tenant(tenant)) == "admitted"
+    runtime = counter.admit_fleet(light_fleet_spec(tenants, horizon=1.0))
+    assert [t.state for t in runtime.tenants.values()] == [RUNNING] * tenants
     return runtime
 
 
@@ -274,3 +271,20 @@ def test_python_calls_per_admitted_tenant():
         f"{per_tenant:.0f} Python calls per admitted tenant, budget "
         f"{SETUP_BUDGET}; benchmarks/count_calls.py --compare lists set-up "
         f"by function")
+
+
+#: Traced heap bytes one admitted light tenant holds before its first
+#: event (``count_calls.setup_bytes_per_tenant``: admit 40, less admit
+#: 20, over 20). Measured 38 023 when set, 38 527 after a whole
+#: ``fleet_1000`` run in the same process (the tenant keeps no private
+#: graph after its first merge, adjacency is a tuple per node and an
+#: unbounded buffer has no room queue); 55 531 before.
+SETUP_BYTES_BUDGET = 40_000
+
+
+def test_heap_bytes_per_admitted_tenant():
+    per_tenant = counter.setup_bytes_per_tenant(admit_light_fleet)
+    assert per_tenant <= SETUP_BYTES_BUDGET, (
+        f"{per_tenant:.0f} B of heap per admitted tenant, budget "
+        f"{SETUP_BYTES_BUDGET}: does a tenant keep a second copy of "
+        f"its graph again?")

@@ -190,6 +190,44 @@ class TestMergeCopies:
         assert x is not g.attrs("t")["params"]
         assert y is not g.attrs("t")["params"]
 
+    def test_merge_decides_sinks_within_each_graph(self):
+        """An unmarked graph's implicit sinks arrive marked, so merging a
+        graph with a marked sink first does not unmake them — in either
+        order, and for the receiving graph's own implicit sinks too."""
+        def chain(sink):
+            g = TaskGraph()
+            g.add_thread("src", dummy).add_thread("end", dummy, sink=sink)
+            g.add_channel("c").connect("src", "c").connect("c", "end")
+            return g
+
+        for order in ((True, False), (False, True)):
+            shared = TaskGraph("shared")
+            for i, marked in enumerate(order):
+                shared.merge(chain(marked), prefix=f"g{i}/")
+            assert shared.sinks() == ["g0/end", "g1/end"]
+            assert [t for t in shared.threads() if shared.is_sink(t)] \
+                == ["g0/end", "g1/end"]
+        own = chain(False)
+        own.merge(chain(True), prefix="m/")
+        assert own.sinks() == ["end", "m/end"]
+
+
+class TestTupleAdjacency:
+    def test_remove_replica_drops_only_its_own_edges(self):
+        g = TaskGraph()
+        g.add_thread("src", dummy).add_thread("end", dummy, sink=True)
+        g.add_replicated_stage("w", dummy, input="in", output="out",
+                               replicas=3)
+        g.connect("src", "in").connect("out", "end")
+        g.remove_replica("w", "w[1]")
+        assert g.consumers_of("in") == ["w[0]", "w[2]"]
+        assert g.producers_of("out") == ["w[0]", "w[2]"]
+        assert ("in", "w[1]") not in g.edges()
+        assert "w[1]" not in g
+        assert isinstance(g._succ["in"], tuple)
+        assert g._succ["w[0]"] == ("out",) and g._pred["w[0]"] == ("in",)
+        g.validate()
+
 
 # -- the two replaced algorithms, with the old ones as oracles ----------------
 # Cycle detection used to be networkx's ``find_cycle`` and iteration order

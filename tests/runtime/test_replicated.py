@@ -301,6 +301,18 @@ class TestGraphApi:
         assert g.replicas_of("workers") == [
             "workers[0]", "workers[2]", "workers[3]"]
 
+    def test_add_replica_puts_a_removed_one_back_under_its_name(self):
+        g = self.build(replicas=3, max_replicas=8)
+        g.remove_replica("workers", "workers[1]")
+        assert g.add_replica("workers", 1) == "workers[1]"
+        assert g.replicas_of("workers") == [
+            "workers[0]", "workers[1]", "workers[2]"]
+        assert g.producers_of("merge")[-1] == "workers[1]"
+        assert g.add_replica("workers") == "workers[3]"
+        for index in (1, 4, -1):  # live, never added, never valid
+            with pytest.raises(GraphError, match="not a removed one"):
+                g.add_replica("workers", index)
+
     def test_remove_replica_guards(self):
         g = self.build(replicas=1)
         g.add_thread("bystander", worker_body, sink=True)

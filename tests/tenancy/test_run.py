@@ -1,13 +1,18 @@
 """End-to-end multi-tenant runs: coexistence, fairness, dynamics."""
 
 import os
+import weakref
 
 import pytest
 
 from repro.apps import elastic_pipeline
+from repro.apps.workloads import make_sink, make_source
 from repro.aru.operators import resolve as resolve_operator
 from repro.cluster.spec import uniform_spec
 from repro.errors import ConfigError
+from repro.metrics.performance import latency_samples_by_thread
+from repro.runtime.graph import TaskGraph
+from repro.sim.engine import paused_collector
 from repro.tenancy import (
     Scheduler,
     TenancySpec,
@@ -246,6 +251,84 @@ class TestOwnershipSurvivesTheLifecycle:
         step(1.0)
         assert sink_deliveries(runtime, pool) > delivered
         assert sink_deliveries(runtime, tracker) > 0
+
+
+class TestTheTenantIsStoredOnce:
+    """After its first merge a tenant keeps no graph of its own: the
+    shared graph holds its nodes, and re-placement asks the scheduler
+    for exactly what a fresh build of its spec would."""
+
+    def test_a_built_in_tenants_private_graph_dies_at_its_first_merge(self):
+        cluster = uniform_spec(2, ncpus=16)
+        runtime = TenantRuntime(TenancySpec(cluster=cluster).runtime_config(),
+                                Scheduler(cluster))
+        tenant = Tenant(TenantSpec("a", app_config=CHEAP))
+        with paused_collector():  # freed by its refcount, not a collection
+            tenant.build(0, runtime.clock.now)
+            private = weakref.ref(tenant.graph)
+            assert runtime.arrive(tenant) == "admitted"
+            assert private() is None
+        assert tenant.graph is None and tenant.sinks == ("a/gui",)
+        assert runtime.graph.is_sink("a/gui")
+
+    def test_re_placement_admits_the_shape_a_fresh_build_declares(self):
+        runtime, tracker, pool = tracker_and_pool(
+            4,
+            TenantSpec("t", app_config=CHEAP),
+            TenantSpec("p", app=elastic_pipeline(replicas=2, max_replicas=4),
+                       namespace="pool/"))
+        admitted = []
+        admit = runtime.scheduler.admit
+
+        def spy(name, threads, demands, neighbors, **kwargs):
+            admitted.append((name, list(threads), dict(neighbors)))
+            return admit(name, threads, demands, neighbors, **kwargs)
+
+        runtime.scheduler.admit = spy
+        stage = pool.stages[0]
+        runtime.advance(0.5)
+        assert runtime.scale_in(stage) == "pool/workers[1]"  # declared
+        runtime.advance(0.5)
+        for tenant in (tracker, pool):
+            runtime.revoke_tenant(tenant)
+        runtime.advance(0.5)
+        assert runtime.retry_queued() == 2
+        assert runtime.graph.replicas_of(stage) == [
+            "pool/workers[0]", "pool/workers[1]"]
+        assert_wired_for_owner(runtime)
+        was_on = tuple(set(tracker.placement.values()))
+        assert runtime.migrate_tenant(tracker, exclude=was_on)
+        assert [name for name, _, _ in admitted] == ["t", "p", "t"]
+        for name, threads, neighbors in admitted:
+            fresh = Tenant(runtime.tenants[name].spec)
+            fresh.build(0)
+            assert threads == fresh.graph.threads()
+            assert neighbors == fresh.neighbors()
+        before = sink_deliveries(runtime, tracker), sink_deliveries(runtime, pool)
+        runtime.advance(2.0)
+        assert sink_deliveries(runtime, tracker) > before[0]
+        assert sink_deliveries(runtime, pool) > before[1]
+        assert_wired_for_owner(runtime)
+
+    @pytest.mark.parametrize("first", ["t", "p"])
+    def test_implicit_sinks_do_not_depend_on_admission_order(self, first):
+        """A tenant whose graph has no marked sink keeps its implicit
+        one when a tenant with a marked sink was admitted before it."""
+        chain = TaskGraph("chain")
+        chain.add_thread("src", make_source(["c"], period=0.1, size=100))
+        chain.add_channel("c")
+        chain.add_thread("end", make_sink(["c"]))
+        chain.connect("src", "c").connect("c", "end")
+        specs = {"t": TenantSpec("t", app_config=CHEAP),
+                 "p": TenantSpec("p", app=chain)}
+        order = (specs[first], *(s for n, s in specs.items() if n != first))
+        result = run_tenants(TenancySpec(tenants=order, cluster=2,
+                                         horizon=5.0))
+        record = result.records["p"]
+        assert record.deliveries == 50
+        assert record.latency_p50 == 0.0
+        assert result.runtime.graph.is_sink("p/end")
+        assert len(latency_samples_by_thread(result.trace)["p/end"]) == 50
 
 
 class TestDynamics:
