@@ -1,26 +1,26 @@
 #!/usr/bin/env python
 """Extending the control plane: custom presets and custom policies.
 
-Two extension points, demonstrated end to end (docs/control-plane.md is
-the prose version):
+A registered preset and the rate loop's library layer, demonstrated end
+to end (docs/control-plane.md is the prose version):
 
 1. a custom *preset* — a named ``AruConfig`` registered with
    ``register_policy``, usable everywhere a policy name is accepted
    (CLI ``--policy``, sweep spec files, ``CellSpec(policy="...")``);
-2. a custom *decision algorithm* — a ``RatePolicy`` subclass, wired
-   through a ``ThreadController`` at the library layer.
+2. the library layer — the shipped ``SummaryStpPolicy`` and
+   ``PidPolicy`` driven offline through a ``ThreadController``.
 
 Run:  python examples/custom_policy.py
 """
 
-from repro.aru import AruConfig
+from repro.aru import AruConfig, BackwardStpVector
 from repro.aru.filters import NoFilter
 from repro.aru.stp import StpMeter
 from repro.bench import CellSpec, SweepRunner
 from repro.control import (
-    RatePolicy,
-    SleepThrottle,
+    PidPolicy,
     StpSensor,
+    SummaryStpPolicy,
     ThreadController,
     register_policy,
 )
@@ -28,13 +28,13 @@ from repro.control import (
 HORIZON = 60.0
 
 
-# --- 1. a custom preset: gentle PI gains + headroom, as a named policy ---
+# --- 1. a custom preset: the PI policy + headroom, as a named policy ---
 
 register_policy(
     "aru-pid-soft",
-    lambda: AruConfig(policy="pid", pid_kp=0.3, pid_ki=0.1,
+    lambda: AruConfig(policy="pid", summary_filter="ewma:0.3",
                       headroom=1.05, name="aru-pid-soft"),
-    help="gentle PI gains + 5% headroom for noisy nodes",
+    help="PI policy over smoothed feedback + 5% headroom for noisy nodes",
 )
 
 
@@ -52,48 +52,12 @@ def compare_presets() -> None:
               f"{m.mem_mean / 1e6:>10.1f}MB {m.wasted_memory:>10.1%}")
 
 
-# --- 2. a custom decision algorithm: deadband over summary-STP ---
+# --- 2. the two shipped policies, offline, through a ThreadController ---
 
-class DeadbandPolicy(RatePolicy):
-    """Summary-STP, but only move the target on >10% changes."""
-
-    kind = "deadband"
-
-    def __init__(self, band: float = 0.10) -> None:
-        self.band = band
-        self._slots = {}
-        self._target = None
-
-    def on_feedback(self, conn_id, value):
-        self._slots[conn_id] = value
-
-    def observe(self, signals):
-        if not self._slots:
-            return None
-        measured = min(self._slots.values())
-        if self._target is None or \
-                abs(measured - self._target) > self.band * self._target:
-            self._target = measured
-        return self._target
-
-    def advertise(self, signals):
-        if not self._slots:
-            return signals.current_stp
-        summary = min(self._slots.values())
-        if signals.current_stp is not None:
-            summary = max(summary, signals.current_stp)
-        return summary
-
-    def reset(self):
-        self._slots.clear()
-        self._target = None
-
-    def snapshot(self):
-        return dict(self._slots)
-
-
-def drive_deadband() -> None:
-    """Feed a noisy measurement sequence through a full control stack."""
+def drive_policies() -> None:
+    """Feed one noisy measurement sequence through both shipped policies:
+    the paper's policy actuates each value raw, the PI policy steps
+    towards it."""
 
     class Clock:
         t = 0.0
@@ -101,27 +65,30 @@ def drive_deadband() -> None:
         def now(self):
             return self.t
 
-    clock = Clock()
-    controller = ThreadController(
-        sensor=StpSensor(StpMeter(clock, stp_filter=NoFilter()), clock.now),
-        policy=DeadbandPolicy(band=0.10),
-        actuator=SleepThrottle(headroom=1.0),
-        throttled=True,
-    )
+    def controller(policy_cls) -> ThreadController:
+        clock = Clock()
+        sensor = StpSensor(StpMeter(clock, stp_filter=NoFilter()), clock.now)
+        return ThreadController(sensor, policy_cls(BackwardStpVector("min")),
+                                throttled=True)
+
+    paper, pid = controller(SummaryStpPolicy), controller(PidPolicy)
     # downstream summary wobbles ±8% around 100ms, then genuinely doubles
     feedback = [0.100, 0.104, 0.097, 0.092, 0.108, 0.200, 0.205, 0.196]
-    print("\ndeadband policy against a noisy measurement "
-          "(target moves only on real change):")
-    print(f"  {'measured':>9} {'target':>8}")
+    print("\nthe same noisy measurement through both policies "
+          "(target period):")
+    print(f"  {'measured':>9} {'summary-stp':>12} {'pid':>8}")
     for value in feedback:
-        controller.on_feedback("conn0", value)
-        target, _sleep = controller.plan_throttle()
-        print(f"  {value * 1e3:>7.0f}ms {target * 1e3:>6.0f}ms")
+        targets = []
+        for ctl in (paper, pid):
+            ctl.on_feedback("conn0", value)
+            targets.append(ctl.plan_throttle()[0])
+        print(f"  {value * 1e3:>7.0f}ms {targets[0] * 1e3:>10.0f}ms "
+              f"{targets[1] * 1e3:>6.0f}ms")
 
 
 def main() -> None:
     compare_presets()
-    drive_deadband()
+    drive_policies()
 
 
 if __name__ == "__main__":

@@ -1,14 +1,14 @@
 #!/usr/bin/env python
 """Elastic parallelism: scaling a worker pool under a load swing.
 
-The scale plane's extension points, demonstrated end to end (the
-ScalePolicy section of docs/control-plane.md is the prose version):
+The scale loop, demonstrated end to end (the scale section of
+docs/control-plane.md is the prose version):
 
 1. the shipped Erlang-C controller riding a 10x arrival swing —
    watch the pool grow and shrink, and compare latency against the
    fixed-N run of the same workload;
-2. a custom *decision algorithm* — a ``ScalePolicy`` subclass driven
-   through the same ``StageSignals`` the built-in controller sees;
+2. the controller's decision — ``ErlangScalePolicy`` — driven offline
+   through the same ``StageSignals`` the controller reads;
 3. a custom *preset* — a named ``ScaleConfig`` registered with
    ``register_scale_policy``, usable everywhere a scale-policy name is
    accepted (CLI ``--scale-policy``, ``CellSpec(scale_policy="...")``).
@@ -16,11 +16,9 @@ ScalePolicy section of docs/control-plane.md is the prose version):
 Run:  python examples/elastic_tracker.py
 """
 
-import math
-
 from repro.apps import elastic_pipeline
 from repro.bench import CellSpec, SweepRunner
-from repro.control import ScaleConfig, ScalePolicy, register_scale_policy
+from repro.control import ErlangScalePolicy, ScaleConfig, register_scale_policy
 from repro.control.scale import StageSignals
 from repro.experiment import ExperimentSpec, run_experiment
 from repro.metrics.performance import latency_percentiles
@@ -58,35 +56,21 @@ def compare_fixed_and_elastic() -> None:
     print()
 
 
-# --- 2. a custom decision algorithm: queue-depth threshold scaling ---
+# --- 2. the Erlang-C decision, offline ---
 
-class DepthStepPolicy(ScalePolicy):
-    """Add a replica per ``step`` queued items, ignore service times.
-
-    A deliberately naive contrast to Erlang-C: it reacts to the
-    *symptom* (backlog) rather than the *cause* (offered erlangs), so
-    it lags the swing by however long the backlog takes to build.
-    """
-
-    kind = "depth-step"
-
-    def __init__(self, step: int = 20) -> None:
-        self.step = step
-
-    def decide(self, signals: StageSignals):
-        desired = 1 + math.floor(signals.queue_depth / self.step)
-        return max(signals.min_replicas,
-                   min(signals.max_replicas, desired))
-
-
-def drive_custom_policy() -> None:
-    policy = DepthStepPolicy(step=20)
-    print("DepthStepPolicy offline, against synthetic signals:")
-    for depth in (0, 15, 45, 130):
-        signals = StageSignals(now=0.0, arrival_rate=50.0,
+def drive_erlang_policy() -> None:
+    """The controller's decision is a pure function of ``StageSignals``:
+    offered load ``(lambda + depth/drain_window) * s`` erlangs, sized to
+    the utilisation target."""
+    policy = ErlangScalePolicy(ScaleConfig())
+    print("ErlangScalePolicy offline, against synthetic signals "
+          "(30 ms service):")
+    for rate, depth in ((8.0, 0), (50.0, 0), (50.0, 45), (80.0, 130)):
+        signals = StageSignals(now=0.0, arrival_rate=rate,
                                service_time=0.03, queue_depth=depth,
                                replicas=1, min_replicas=1, max_replicas=6)
-        print(f"  depth {depth:>4} -> desired N = {policy.decide(signals)}")
+        print(f"  lambda {rate:>4.0f}/s depth {depth:>4} -> desired N = "
+              f"{policy.decide(signals)}")
     print()
 
 
@@ -122,5 +106,5 @@ def sweep_with_preset() -> None:
 
 if __name__ == "__main__":
     compare_fixed_and_elastic()
-    drive_custom_policy()
+    drive_erlang_policy()
     sweep_with_preset()

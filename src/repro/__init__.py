@@ -42,18 +42,14 @@ _LAZY = {
     "AruConfig": "repro.aru",
     "MIN_OPERATOR": "repro.aru",
     "MAX_OPERATOR": "repro.aru",
-    "RatePolicy": "repro.control",
     "SummaryStpPolicy": "repro.control",
     "PidPolicy": "repro.control",
-    "NullPolicy": "repro.control",
     "ThreadController": "repro.control",
     "register_policy": "repro.control",
     "resolve_policy": "repro.control",
     "list_policies": "repro.control",
     "ScaleConfig": "repro.control",
-    "ScalePolicy": "repro.control",
     "ErlangScalePolicy": "repro.control",
-    "NullScalePolicy": "repro.control",
     "register_scale_policy": "repro.control",
     "resolve_scale_policy": "repro.control",
     "list_scale_policies": "repro.control",

@@ -13,7 +13,7 @@ compute costs, fixed periods). RNG streams are keyed by thread name, so
 replica names entering/leaving the registry would otherwise perturb
 run-to-run comparisons between differently-sized pools; with no RNG
 draws at all, a fixed-N elastic run is bit-identical across serial and
-parallel sweep execution and `null-scale` equals no-replication.
+parallel sweep execution and `no-scale` equals no-replication.
 
 Builders are registered by name (:data:`WORKLOADS`) so sweep cells can
 carry ``workload="elastic"`` as a picklable string, mirroring how

@@ -7,12 +7,11 @@ Components:
 * :mod:`repro.aru.operators` — min/max/user compression operators;
 * :mod:`repro.aru.filters` — STP noise filters (paper's future work);
 * :mod:`repro.aru.config` — declarative policy configs (`no-aru`,
-  `aru-min`, `aru-max`, `aru-pid`, `null`).
+  `aru-min`, `aru-max`, `aru-pid`).
 
-The live feedback loop itself — sensors, the piggyback bus, rate
-policies, actuators — lives in :mod:`repro.control`; this package is
-the paper-specific measurement/state layer those policies build on
-(:func:`throttle_sleep` is re-exported for compatibility).
+The live feedback loop itself — the STP sensor, the piggyback bus, the
+rate policies and the source sleep — lives in :mod:`repro.control`;
+this package is the measurement/state layer those policies build on.
 """
 
 from repro.aru.config import (
@@ -20,7 +19,6 @@ from repro.aru.config import (
     aru_disabled,
     aru_max,
     aru_min,
-    aru_null,
     aru_pid,
 )
 from repro.aru.filters import (
@@ -44,8 +42,7 @@ from repro.aru.operators import (
     resolve,
 )
 from repro.aru.stp import StpMeter
-from repro.aru.summary import BackwardStpVector, BufferAruState, ThreadAruState
-from repro.control.actuator import throttle_sleep
+from repro.aru.summary import BackwardStpVector
 
 __all__ = [
     "AruConfig",
@@ -53,12 +50,8 @@ __all__ = [
     "aru_min",
     "aru_max",
     "aru_pid",
-    "aru_null",
-    "throttle_sleep",
     "StpMeter",
     "BackwardStpVector",
-    "ThreadAruState",
-    "BufferAruState",
     "min_op",
     "max_op",
     "mean_op",

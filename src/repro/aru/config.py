@@ -2,14 +2,13 @@
 
 An :class:`AruConfig` names a policy *kind* plus every knob the control
 plane (:mod:`repro.control`) needs to assemble it — compression
-operators, noise filters, headroom, staleness TTL, PID gains. It stays
+operators, noise filters, headroom, staleness TTL. It stays
 a frozen, picklable value object so sweep cells and result-cache keys
 can carry it verbatim.
 
 Presets cover the paper's three evaluated policies (``no-aru`` /
 ``aru-min`` / ``aru-max``) plus the PI-controller extension
-(``aru-pid``) and the wired-but-inert ``null`` baseline; register more
-via :func:`repro.control.register_policy`.
+(``aru-pid``); register more via :func:`repro.control.register_policy`.
 """
 
 from __future__ import annotations
@@ -21,10 +20,10 @@ from repro.aru.filters import FilterFactory, resolve_factory
 from repro.aru.operators import Operator, resolve
 from repro.errors import ConfigError
 
-#: Policy kinds the control-plane factory can assemble. Kept as a local
-#: constant (not imported from repro.control) so this module stays
-#: import-cycle free; repro.control.factory raises on any drift.
-_POLICY_KINDS = ("summary-stp", "pid", "null")
+#: Policy kinds a thread driver can assemble: the paper's
+#: :class:`~repro.control.policy.SummaryStpPolicy` and
+#: :class:`~repro.control.policy.PidPolicy`.
+_POLICY_KINDS = ("summary-stp", "pid")
 
 
 @dataclass(frozen=True)
@@ -35,13 +34,12 @@ class AruConfig:
     ----------
     enabled:
         Master switch. Disabled = the paper's "No ARU" baseline (summary
-        values are neither piggybacked nor acted upon).
+        values are neither piggybacked nor acted upon): the one way to
+        turn the loop off.
     policy:
-        Which :class:`~repro.control.policy.RatePolicy` the control
-        plane assembles: ``"summary-stp"`` (the paper's mechanism,
-        default), ``"pid"`` (velocity-form PI over the same
-        measurement), or ``"null"`` (wired but inert — behaviourally
-        identical to ``enabled=False``).
+        Which policy each thread runs: ``"summary-stp"`` (the paper's
+        mechanism, default) or ``"pid"`` (velocity-form PI over the
+        same measurement).
     default_channel_op:
         Compression operator channels use over their consumers' summaries
         unless the channel declares its own (the optional argument the
@@ -49,9 +47,6 @@ class AruConfig:
     thread_op:
         Compression operator threads use over their *output-connection*
         backward vector.
-    throttle_sources_only:
-        Paper behaviour (True): only source threads actuate; everyone else
-        adapts by blocking. False throttles every thread (extension).
     stp_filter / summary_filter:
         Noise-filter factories (extension; identity reproduces the paper).
         ``stp_filter`` smooths each thread's own current-STP measurement;
@@ -65,22 +60,16 @@ class AruConfig:
         ghost period. Must exceed the pipeline's largest steady-state
         feedback interval. ``None`` (default) keeps slots forever — the
         paper's fault-free behaviour.
-    pid_kp / pid_ki:
-        Gains of the ``"pid"`` policy (velocity-form PI; unused by the
-        other kinds).
     """
 
     enabled: bool = True
     policy: str = "summary-stp"
     default_channel_op: Union[str, Operator] = "min"
     thread_op: Union[str, Operator] = "min"
-    throttle_sources_only: bool = True
     stp_filter: Union[str, FilterFactory, None] = None
     summary_filter: Union[str, FilterFactory, None] = None
     headroom: float = 1.0
     staleness_ttl: Optional[float] = None
-    pid_kp: float = 0.5
-    pid_ki: float = 0.25
     name: str = "aru"
 
     def __post_init__(self) -> None:
@@ -91,12 +80,6 @@ class AruConfig:
             )
         if self.headroom <= 0:
             raise ConfigError(f"headroom must be positive, got {self.headroom}")
-        if self.pid_kp < 0 or self.pid_ki < 0:
-            raise ConfigError(
-                f"PID gains must be >= 0, got kp={self.pid_kp} ki={self.pid_ki}"
-            )
-        if self.policy == "pid" and self.pid_kp == 0 and self.pid_ki == 0:
-            raise ConfigError("the pid policy needs a non-zero gain")
         if self.staleness_ttl is not None and self.staleness_ttl <= 0:
             raise ConfigError(
                 f"staleness_ttl must be positive, got {self.staleness_ttl}"
@@ -144,13 +127,3 @@ def aru_pid(**overrides) -> AruConfig:
                     name="aru-pid")
     return cfg.with_(**overrides) if overrides else cfg
 
-
-def aru_null(**overrides) -> AruConfig:
-    """The control plane wired through but making no decisions.
-
-    Behaviourally identical to :func:`aru_disabled` (the differential
-    test suite asserts bit-identical traces); exists to prove the
-    plumbing itself is free of side effects.
-    """
-    cfg = AruConfig(policy="null", name="null")
-    return cfg.with_(**overrides) if overrides else cfg

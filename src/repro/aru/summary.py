@@ -12,6 +12,11 @@ from the paper:
    channel/queue nodes: ``summary = compressed``;
 5. propagate ``summary`` upstream (piggy-backed on the next put/get).
 
+This module holds the vector (steps 1–3). Step 4 is
+:meth:`repro.control.policy.SummaryStpPolicy.advertise` for threads and
+:meth:`repro.control.propagation.FeedbackEndpoint.advertise` for
+channels and queues.
+
 Values are periods in **seconds**. A node that has not yet heard from any
 consumer has no summary (``None``) — upstream nodes simply don't update
 that slot yet, matching the cold-start of a real pipeline.
@@ -128,63 +133,3 @@ class BackwardStpVector:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<BackwardStpVector op={operator_name(self.op)} {self._values}>"
-
-
-class ThreadAruState:
-    """ARU state for a thread node.
-
-    ``summary()`` implements step 4: the thread inserts its own execution
-    period when it is the slowest — *"this allows a thread with a larger
-    period than its consumers to insert its execution period into the
-    summary-STP"*.
-    """
-
-    def __init__(self, name: str, op: Union[str, Operator, None] = None,
-                 summary_filter_factory: Optional[FilterFactory] = None,
-                 ttl: Optional[float] = None,
-                 time_fn: Optional[Callable[[], float]] = None) -> None:
-        self.name = name
-        self.backward = BackwardStpVector(op, summary_filter_factory,
-                                          ttl=ttl, time_fn=time_fn)
-
-    def update_backward(self, conn_id: object, value: float) -> None:
-        self.backward.update(conn_id, value)
-
-    def compressed_backward(self) -> Optional[float]:
-        return self.backward.compressed()
-
-    def summary(self, current_stp: Optional[float]) -> Optional[float]:
-        """``max(compressed_backward, current_STP)`` with None-handling.
-
-        * no downstream info, no own STP yet -> ``None``;
-        * only one side known -> that side.
-        """
-        compressed = self.backward.compressed()
-        if compressed is None:
-            return current_stp
-        if current_stp is None:
-            return compressed
-        return max(compressed, current_stp)
-
-
-class BufferAruState:
-    """ARU state for a channel or queue node.
-
-    Channels/queues generate no current-STP of their own (paper step 5):
-    their summary is just the compressed backward vector over *consumer*
-    connections.
-    """
-
-    def __init__(self, name: str, op: Union[str, Operator, None] = None,
-                 summary_filter_factory: Optional[FilterFactory] = None,
-                 ttl: Optional[float] = None,
-                 time_fn: Optional[Callable[[], float]] = None) -> None:
-        self.name = name
-        self.backward = BackwardStpVector(op, summary_filter_factory,
-                                          ttl=ttl, time_fn=time_fn)
-
-    def update_backward(self, conn_id: object, value: float) -> None:
-        self.backward.update(conn_id, value)
-
-    def summary(self) -> Optional[float]:
-        return self.backward.compressed()

@@ -1,46 +1,32 @@
-"""The pluggable control plane: sensors, propagation, policy, actuation.
+"""The control plane: the paper's rate loop and the elastic scale loop.
 
-The paper's ARU mechanism is one fixed feedback loop — summary-STP
-measured per thread, min/max-compressed backwards, actuated as a
-source-side sleep. This package carves that loop into four first-class
-layers so the paper's design becomes *one instance* of a general
-architecture (cf. Xia et al.'s event-driven feedback scheduling and
-Fu et al.'s DRS resource controller):
+The paper's ARU mechanism is one fixed feedback loop (§3.3.1–3.3.2) —
+summary-STP measured per thread, min/max-compressed backwards,
+piggybacked on put/get, actuated as a source-side sleep. Its parts:
 
-* **Sensor** (:mod:`~repro.control.sensor`) — measurement:
-  :class:`StpSensor` wraps the paper's STP meter;
-  :class:`PipelineSensor` adds queue depths and drop counts;
-* **Propagation** (:mod:`~repro.control.propagation`) — transport:
-  the :class:`FeedbackBus` builds per-buffer :class:`FeedbackEndpoint`
-  ports that carry summary values piggybacked on put/get;
-* **Policy** (:mod:`~repro.control.policy`) — decision:
-  :class:`RatePolicy` implementations map sensor :class:`Signals` to a
-  target period (:class:`SummaryStpPolicy` = the paper,
-  :class:`PidPolicy` = a PI controller, :class:`NullPolicy` = No ARU);
-* **Actuator** (:mod:`~repro.control.actuator`) — action:
-  :class:`SleepThrottle` realizes the paper's source-side sleep.
+* :class:`StpSensor` (:mod:`~repro.control.sensor`) reads a thread's
+  STP meter as :class:`Signals`;
+* :class:`FeedbackEndpoint` / :class:`FeedbackBus`
+  (:mod:`~repro.control.propagation`) carry summary values piggybacked
+  on put/get, one backwardSTP vector per buffer;
+* :class:`SummaryStpPolicy` (the paper) and :class:`PidPolicy` (a PI
+  controller over the same measurement) (:mod:`~repro.control.policy`)
+  hold a thread's backwardSTP vector and decide its summary and target;
+* :class:`ThreadController` (:mod:`~repro.control.controller`) is one
+  thread's loop; :func:`throttle_sleep` turns a target into the sleep.
+  A thread with ARU off holds :data:`NULL_CONTROLLER`.
 
-:class:`ThreadController` assembles the stack per thread;
-:func:`build_thread_controller` constructs it from an
-:class:`~repro.aru.config.AruConfig`; the registry maps CLI/spec names
-to configs. See ``docs/control-plane.md`` for a worked custom policy.
+The scale loop (:mod:`~repro.control.scale`) sizes replicated stages.
+The registries map CLI/spec names to configs. See
+``docs/control-plane.md``.
 """
 
-from repro.control.actuator import (
-    Actuator,
-    NullActuator,
-    ScaleActuator,
-    SleepThrottle,
+from repro.control.controller import (
+    NULL_CONTROLLER,
+    ThreadController,
     throttle_sleep,
 )
-from repro.control.controller import ThreadController
-from repro.control.factory import build_policy, build_thread_controller
-from repro.control.policy import (
-    NullPolicy,
-    PidPolicy,
-    RatePolicy,
-    SummaryStpPolicy,
-)
+from repro.control.policy import PidPolicy, SummaryStpPolicy
 from repro.control.propagation import FeedbackBus, FeedbackEndpoint
 from repro.control.registry import (
     POLICIES,
@@ -54,51 +40,36 @@ from repro.control.registry import (
 )
 from repro.control.scale import (
     ErlangScalePolicy,
-    NullScalePolicy,
     ScaleConfig,
-    ScalePolicy,
     StageScaleController,
     StageSensor,
     StageSignals,
-    build_scale_policy,
     erlang_c,
     erlang_wait,
     required_replicas,
 )
-from repro.control.sensor import PipelineSensor, Sensor, StpSensor
+from repro.control.sensor import StpSensor
 from repro.control.signals import Signals
 
 __all__ = [
     "Signals",
-    "Sensor",
     "StpSensor",
-    "PipelineSensor",
-    "RatePolicy",
-    "NullPolicy",
     "SummaryStpPolicy",
     "PidPolicy",
-    "Actuator",
-    "SleepThrottle",
-    "NullActuator",
     "throttle_sleep",
     "FeedbackBus",
     "FeedbackEndpoint",
     "ThreadController",
-    "build_policy",
-    "build_thread_controller",
+    "NULL_CONTROLLER",
     "POLICIES",
     "register_policy",
     "resolve_policy",
     "list_policies",
-    "ScaleActuator",
     "ScaleConfig",
-    "ScalePolicy",
-    "NullScalePolicy",
     "ErlangScalePolicy",
     "StageSignals",
     "StageSensor",
     "StageScaleController",
-    "build_scale_policy",
     "erlang_c",
     "erlang_wait",
     "required_replicas",

@@ -1,31 +1,61 @@
-"""The per-thread controller: sensor + policy + actuator, assembled.
+"""The per-thread controller: the paper's rate loop for one thread.
 
 :class:`ThreadController` is what a thread driver holds instead of raw
 ARU state. The driver keeps its three obligations — piggyback an
 outbound summary on gets, deliver put feedback, and throttle at
-``periodicity_sync()`` — but each is now one call into the control
-plane, with the measurement/decision/actuation split hidden behind it:
+``periodicity_sync()`` — and each is one call into the controller:
 
 * :meth:`~ThreadController.outbound_summary` — sensor read → policy
   ``advertise``; the value piggybacked upstream on a get;
 * :meth:`~ThreadController.on_feedback` — the value a put returned,
   delivered to the policy;
 * :meth:`~ThreadController.plan_throttle` — sensor read → policy
-  ``observe`` → actuator ``plan``; returns ``(target, sleep_seconds)``.
+  ``observe`` → :func:`throttle_sleep`; returns ``(target,
+  sleep_seconds)``.
 
-The controller never sleeps or meters itself: the driver owns the
-engine timeout and the meter's exclusion windows, so executors (DES,
-real threads) differ only in how they realize the planned sleep.
+A thread with ARU off holds the shared :data:`NULL_CONTROLLER`, which
+has no policy: it advertises nothing and never throttles. The
+controller never sleeps or meters itself: the driver owns the engine
+timeout and the meter's exclusion windows, so executors (DES, real
+threads) differ only in how they realize the planned sleep.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
-from repro.aru.stp import StpMeter
-from repro.control.actuator import Actuator
-from repro.control.policy import RatePolicy
-from repro.control.sensor import Sensor
+from repro.control.policy import PidPolicy, SummaryStpPolicy
+from repro.control.sensor import StpSensor
+
+
+def throttle_sleep(target_period: Optional[float], iteration_elapsed: float,
+                   headroom: float = 1.0) -> float:
+    """Seconds of sleep needed to stretch this iteration to the target.
+
+    Paper §3.3.2: sources *"use the propagated summary-STP information
+    to adjust their rate of data item production"* — a sleep at
+    ``periodicity_sync()`` that tops the iteration up to the target
+    period; threads already slower than the target sleep nothing.
+
+    Parameters
+    ----------
+    target_period:
+        The policy's target period (``None`` before any feedback has
+        arrived — no throttling during cold start).
+    iteration_elapsed:
+        Wall time already spent in the current iteration, *including*
+        blocking: the consumer-visible period is what must match.
+    headroom:
+        Multiplier on the target (``1.0`` reproduces the paper;
+        :attr:`repro.aru.config.AruConfig.headroom` validates it).
+    """
+    if iteration_elapsed < 0:
+        raise ValueError(f"negative iteration_elapsed: {iteration_elapsed}")
+    if target_period is None:
+        return 0.0
+    if target_period < 0:
+        raise ValueError(f"negative target period: {target_period}")
+    return max(0.0, target_period * headroom - iteration_elapsed)
 
 
 class ThreadController:
@@ -33,31 +63,30 @@ class ThreadController:
 
     Parameters
     ----------
-    sensor / policy / actuator:
-        The three pluggable layers.
+    sensor / policy:
+        The thread's STP sensor and rate policy; both ``None`` for
+        :data:`NULL_CONTROLLER`.
     throttled:
         Whether this thread actuates at all. Paper behaviour: only
         source threads do; everyone else adapts by blocking (§3.3.2's
         cascading effect).
+    headroom:
+        Throttle target multiplier (:attr:`AruConfig.headroom
+        <repro.aru.config.AruConfig.headroom>`).
     """
 
-    def __init__(self, sensor: Sensor, policy: RatePolicy,
-                 actuator: Actuator, throttled: bool) -> None:
+    def __init__(self, sensor: Optional[StpSensor],
+                 policy: Union[SummaryStpPolicy, PidPolicy, None],
+                 throttled: bool, headroom: float = 1.0) -> None:
         self.sensor = sensor
         self.policy = policy
-        self.actuator = actuator
         self.throttled = throttled
-
-    @property
-    def meter(self) -> StpMeter:
-        """The thread's STP meter (the driver does block/sleep
-        bookkeeping against it directly)."""
-        return self.sensor.meter
+        self.headroom = headroom
 
     def outbound_summary(self) -> Optional[float]:
         """The summary value to piggyback upstream right now (``None``,
-        the sensor unread, when ``policy.propagates`` is false)."""
-        if not self.policy.propagates:
+        the sensor unread, when ARU is off)."""
+        if self.policy is None:
             return None
         return self.policy.advertise(self.sensor.read())
 
@@ -76,12 +105,14 @@ class ThreadController:
             return None, 0.0
         signals = self.sensor.read()
         target = self.policy.observe(signals)
-        return target, self.actuator.plan(target, signals)
-
-    def reset(self) -> None:
-        """Cold-restart the decision state (supervisor thread restart)."""
-        self.policy.reset()
+        return target, throttle_sleep(target, signals.iteration_elapsed,
+                                      self.headroom)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<ThreadController policy={self.policy.kind} "
+        return (f"<ThreadController policy={type(self.policy).__name__} "
                 f"throttled={self.throttled}>")
+
+
+#: The controller of every thread with ARU off: no policy, no sensor,
+#: never throttled. One shared instance, like the telemetry ``NULL_HUB``.
+NULL_CONTROLLER = ThreadController(None, None, throttled=False)

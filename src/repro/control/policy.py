@@ -1,111 +1,80 @@
-"""Rate policies: the decision layer of the control plane.
+"""Rate policies: the decision half of a thread's feedback loop.
 
-A :class:`RatePolicy` owns the feedback *state* of one thread and makes
-two kinds of decisions from sensor :class:`~repro.control.signals.Signals`:
+A policy owns one thread's backwardSTP vector (one slot per output
+connection) and makes two decisions from sensor
+:class:`~repro.control.signals.Signals`:
 
-* :meth:`~RatePolicy.observe` — the target period the actuator should
-  enforce this iteration (``None`` = no throttling);
-* :meth:`~RatePolicy.advertise` — the summary value to piggyback
-  upstream on this thread's next get (``None`` = nothing known yet).
+* ``observe`` — the target period the source sleep enforces this
+  iteration (``None`` = no throttling);
+* ``advertise`` — the summary value to piggyback upstream on this
+  thread's next get (``None`` = nothing known yet).
 
 Feedback received from downstream (piggybacked on puts) arrives through
-:meth:`~RatePolicy.on_feedback`. Policies whose class attribute
-``propagates`` is False opt the whole pipeline out of feedback
-transport — no buffer-side state is built and no values ride on put/get,
-which is how :class:`NullPolicy` reproduces the "No ARU" baseline
-bit-for-bit.
-
-Three policies ship:
+``on_feedback``. Two policies ship, selected by
+:attr:`AruConfig.policy <repro.aru.config.AruConfig.policy>`:
 
 * :class:`SummaryStpPolicy` — the paper's mechanism (§3.3.2): min/max
   compression of the backwardSTP vector, target = compressed summary;
 * :class:`PidPolicy` — a velocity-form proportional-integral controller
   (after Xia et al., *Feedback Scheduling: An Event-Driven Paradigm*)
   that smooths the same measurement into the target instead of applying
-  it raw;
-* :class:`NullPolicy` — the No-ARU baseline.
+  it raw.
+
+ARU off is no policy at all: see
+:data:`~repro.control.controller.NULL_CONTROLLER`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.aru.summary import ThreadAruState
+from repro.aru.summary import BackwardStpVector
 from repro.control.signals import Signals
 
-
-class RatePolicy:
-    """Decision interface of the control plane (see module docstring)."""
-
-    #: Whether this policy participates in feedback transport. False
-    #: disables the piggyback bus entirely (no buffer-side state, no
-    #: values on put/get) — the No-ARU baseline. A policy that transports
-    #: nothing advertises nothing: the controller answers ``None`` for it
-    #: without calling :meth:`advertise` or reading the sensor.
-    propagates: bool = True
-    #: Short human-readable kind tag (diagnostics and reports).
-    kind: str = "rate-policy"
-
-    def on_feedback(self, conn_id: object, value: float) -> None:
-        """A downstream summary value arrived for output ``conn_id``."""
-
-    def observe(self, signals: Signals) -> Optional[float]:
-        """The target period to actuate this iteration (None = none)."""
-        raise NotImplementedError
-
-    def advertise(self, signals: Signals) -> Optional[float]:
-        """The summary value to propagate upstream (None = unknown)."""
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Drop all feedback state (cold restart of the owning thread)."""
-
-    def snapshot(self) -> Dict[object, float]:
-        """Copy of the per-connection feedback state (diagnostics)."""
-        return {}
+#: Gains of :class:`PidPolicy` (velocity-form PI).
+PID_KP = 0.5
+PID_KI = 0.25
 
 
-class NullPolicy(RatePolicy):
-    """The paper's "No ARU" baseline: no feedback, no throttling."""
-
-    propagates = False
-    kind = "null"
-
-    def observe(self, signals: Signals) -> Optional[float]:
-        return None
-
-    def advertise(self, signals: Signals) -> Optional[float]:
-        return None
-
-
-class SummaryStpPolicy(RatePolicy):
+class SummaryStpPolicy:
     """The paper's ARU policy on top of a backwardSTP vector (§3.3.2).
 
     * feedback values land in the per-output-connection vector;
     * the advertised summary is ``max(compressed backward, current-STP)``
-      — a thread slower than its consumers inserts its own period;
+      — *"this allows a thread with a larger period than its consumers
+      to insert its execution period into the summary-STP"*;
     * the observed target is the compressed backward vector verbatim.
     """
 
-    kind = "summary-stp"
-
-    def __init__(self, state: ThreadAruState) -> None:
-        self.state = state
+    def __init__(self, backward: BackwardStpVector) -> None:
+        self.backward = backward
 
     def on_feedback(self, conn_id: object, value: float) -> None:
-        self.state.update_backward(conn_id, value)
+        """A downstream summary value arrived for output ``conn_id``."""
+        self.backward.update(conn_id, value)
 
     def observe(self, signals: Signals) -> Optional[float]:
-        return self.state.backward.compressed()
+        """The target period to actuate this iteration (None = none)."""
+        return self.backward.compressed()
 
     def advertise(self, signals: Signals) -> Optional[float]:
-        return self.state.summary(signals.current_stp)
+        """``max(compressed backward, current-STP)``; only one side known
+        -> that side; neither -> ``None``."""
+        compressed = self.backward.compressed()
+        current_stp = signals.current_stp
+        if compressed is None:
+            return current_stp
+        if current_stp is None:
+            return compressed
+        return max(compressed, current_stp)
 
     def reset(self) -> None:
-        self.state.backward.clear()
+        """Drop all feedback state (cold restart of the owning thread)."""
+        self.backward.clear()
 
     def snapshot(self) -> Dict[object, float]:
-        return self.state.backward.snapshot()
+        """Copy of the per-connection feedback state (diagnostics)."""
+        return self.backward.snapshot()
 
 
 class PidPolicy(SummaryStpPolicy):
@@ -133,11 +102,9 @@ class PidPolicy(SummaryStpPolicy):
     ``max(compressed, current-STP)``; only the actuated target differs.
     """
 
-    kind = "pid"
-
-    def __init__(self, state: ThreadAruState, kp: float = 0.5,
-                 ki: float = 0.25) -> None:
-        super().__init__(state)
+    def __init__(self, backward: BackwardStpVector, kp: float = PID_KP,
+                 ki: float = PID_KI) -> None:
+        super().__init__(backward)
         if kp < 0 or ki < 0:
             raise ValueError(f"PID gains must be >= 0, got kp={kp} ki={ki}")
         if kp == 0 and ki == 0:
@@ -148,7 +115,7 @@ class PidPolicy(SummaryStpPolicy):
         self._prev_error = 0.0
 
     def observe(self, signals: Signals) -> Optional[float]:
-        measured = self.state.backward.compressed()
+        measured = self.backward.compressed()
         if measured is None:
             # All feedback evicted (staleness TTL after a consumer died):
             # un-throttle and restart the loop cold, like the base policy.

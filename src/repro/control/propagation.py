@@ -3,57 +3,53 @@
 The paper piggybacks feedback on the existing data path (§3.3.2): a
 consumer's summary-STP rides upstream on every ``get``, a buffer's
 compressed summary rides back to the producer on every ``put``. This
-module owns that transport as one explicit layer:
+module owns that transport:
 
-* :class:`FeedbackEndpoint` — the buffer-side half: receives consumer
-  summaries per connection, advertises the compressed value to
-  producers, and detaches slots when consumers unregister (thread
+* :class:`FeedbackEndpoint` — the buffer-side half: a backwardSTP
+  vector over the buffer's consumer connections. It receives consumer
+  summaries, advertises the compressed value to producers (a channel or
+  queue has no period of its own, so its summary *is* the compressed
+  vector), and detaches slots when consumers unregister (thread
   restart) — the seam fault recovery and staleness eviction hook into;
 * :class:`FeedbackBus` — the per-runtime factory that decides, from the
   :class:`~repro.aru.config.AruConfig`, whether buffers get endpoints at
-  all (policies with ``propagates = False`` build none, reproducing the
-  No-ARU baseline with zero transport overhead) and with which
-  compression operator, summary filter, and staleness TTL.
+  all (ARU off builds none, reproducing the No-ARU baseline with zero
+  transport overhead) and with which compression operator, summary
+  filter, and staleness TTL.
 
-Channels and queues talk only to their endpoint; they no longer know
-what a backwardSTP vector is.
+Channels and queues talk only to their endpoint.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.aru.config import AruConfig
 from repro.aru.filters import resolve_factory
 from repro.aru.operators import Operator
-from repro.aru.summary import BufferAruState
+from repro.aru.summary import BackwardStpVector
 
 
 class FeedbackEndpoint:
-    """Buffer-side feedback port wrapping a :class:`BufferAruState`."""
+    """Buffer-side feedback port over one :class:`BackwardStpVector`."""
 
-    def __init__(self, state: BufferAruState) -> None:
-        self.state = state
+    def __init__(self, backward: BackwardStpVector) -> None:
+        self.backward = backward
 
     def receive(self, conn_id: object, value: float) -> None:
         """A consumer summary arrived, piggybacked on a get."""
-        self.state.update_backward(conn_id, value)
+        self.backward.update(conn_id, value)
 
     def advertise(self) -> Optional[float]:
         """The compressed summary to return to a producer on a put."""
-        return self.state.summary()
+        return self.backward.compressed()
 
     def detach(self, conn_id: object) -> bool:
         """Drop one consumer's slot (unregistration / thread restart)."""
-        return self.state.backward.evict(conn_id)
-
-    @property
-    def backward(self):
-        """The underlying backwardSTP vector (diagnostics/tests)."""
-        return self.state.backward
+        return self.backward.evict(conn_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<FeedbackEndpoint {self.state.name!r}>"
+        return f"<FeedbackEndpoint {self.backward!r}>"
 
 
 class FeedbackBus:
@@ -63,40 +59,18 @@ class FeedbackBus:
                  time_fn: Optional[Callable[[], float]] = None) -> None:
         self.config = config
         self.time_fn = time_fn
-        #: Endpoints built so far, by buffer name (diagnostics).
-        self.endpoints: Dict[str, FeedbackEndpoint] = {}
 
-    @property
-    def propagates(self) -> bool:
-        """Whether feedback values are transported at all."""
-        return self.config.enabled and self.config.policy != "null"
-
-    def buffer_state(
-        self, name: str,
-        compress_op: Union[str, Operator, None] = None,
-    ) -> Optional[BufferAruState]:
-        """The backwardSTP state for one buffer, or None when feedback
-        is off. ``compress_op`` overrides the config's channel default
-        (the optional argument the paper adds to ``spd_chan_alloc()``)."""
-        if not self.propagates:
-            return None
+    def endpoint(self, compress_op: Union[str, Operator, None] = None
+                 ) -> Optional[FeedbackEndpoint]:
+        """A new buffer's feedback endpoint, or None when ARU is off.
+        ``compress_op`` overrides the config's channel default (the
+        optional argument the paper adds to ``spd_chan_alloc()``)."""
         cfg = self.config
-        return BufferAruState(
-            name,
-            op=compress_op or cfg.default_channel_op,
-            summary_filter_factory=resolve_factory(cfg.summary_filter),
+        if not cfg.enabled:
+            return None
+        return FeedbackEndpoint(BackwardStpVector(
+            compress_op or cfg.default_channel_op,
+            resolve_factory(cfg.summary_filter),
             ttl=cfg.staleness_ttl,
             time_fn=self.time_fn,
-        )
-
-    def endpoint_for(
-        self, name: str,
-        compress_op: Union[str, Operator, None] = None,
-    ) -> Optional[FeedbackEndpoint]:
-        """Build (and remember) the feedback endpoint for one buffer."""
-        state = self.buffer_state(name, compress_op)
-        if state is None:
-            return None
-        endpoint = FeedbackEndpoint(state)
-        self.endpoints[name] = endpoint
-        return endpoint
+        ))

@@ -4,44 +4,39 @@ Registered names resolve to :class:`~repro.aru.config.AruConfig` (rate)
 or :class:`~repro.control.scale.ScaleConfig` (scale) values — picklable,
 declarative descriptions of a control stack — so spec files, sweep
 cells, and the CLI all share one resolution path and stay process-pool
-safe. Both are :class:`~repro.registry.Registry` instances of
-zero-argument factories; unknown names raise
-:class:`~repro.errors.ConfigError` with close-match suggestions.
+safe. ``no-scale`` resolves to ``None``: scaling off. Both are
+:class:`~repro.registry.Registry` instances of zero-argument factories;
+unknown names raise :class:`~repro.errors.ConfigError` with close-match
+suggestions.
 
 Extensions register their own presets::
 
     from repro.control import register_policy
-    from repro.aru import AruConfig
+    from repro.aru import aru_max
 
-    register_policy("aru-pid-hot", lambda: AruConfig(
-        policy="pid", pid_kp=0.9, pid_ki=0.5, name="aru-pid-hot"),
-        help="PI controller with aggressive gains")
+    register_policy("aru-max-ttl", lambda: aru_max(
+        staleness_ttl=2.0, name="aru-max-ttl"),
+        help="aru-max that forgets a consumer silent for 2 s")
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 from repro.aru.config import (
     AruConfig,
     aru_disabled,
     aru_max,
     aru_min,
-    aru_null,
     aru_pid,
 )
-from repro.control.scale import (
-    ScaleConfig,
-    scale_disabled,
-    scale_erlang,
-    scale_erlang_latency,
-    scale_null,
-)
+from repro.control.scale import ScaleConfig, scale_erlang, scale_erlang_latency
 from repro.registry import Registry
 from repro.schema import check_keys
 
 POLICIES: Registry[Callable[[], AruConfig]] = Registry("policy")
-SCALE_POLICIES: Registry[Callable[[], ScaleConfig]] = Registry("scale policy")
+SCALE_POLICIES: Registry[Callable[[], Optional[ScaleConfig]]] = Registry(
+    "scale policy")
 
 register_policy = POLICIES.register
 list_policies = POLICIES.names
@@ -68,8 +63,8 @@ def resolve_policy(policy: Union[str, AruConfig, Mapping[str, Any], None]
 
 def resolve_scale_policy(
         policy: Union[str, ScaleConfig, None]) -> Union[ScaleConfig, None]:
-    """A name, an explicit config, or None (elastic scaling not
-    configured, passed through) -> the :class:`ScaleConfig` to run."""
+    """A name, an explicit config, or None (elastic scaling off, passed
+    through) -> the :class:`ScaleConfig` to run, or None."""
     if policy is None or isinstance(policy, ScaleConfig):
         return policy
     return SCALE_POLICIES.get(policy)()
@@ -88,17 +83,10 @@ register_policy(
 register_policy(
     "aru-pid", aru_pid,
     help="velocity-form PI controller over the summary-STP measurement")
-register_policy(
-    "null", aru_null,
-    help="NullPolicy: control plane wired but inert (differential "
-         "baseline)")
 
 register_scale_policy(
-    "no-scale", scale_disabled,
+    "no-scale", lambda: None,
     help="elastic scaling off — fixed-N baseline (zero added events)")
-register_scale_policy(
-    "null-scale", scale_null,
-    help="NullScalePolicy: scaling surface wired, no controller installed")
 register_scale_policy(
     "erlang", scale_erlang,
     help="DRS-style Erlang utilisation predictor (N = ceil(lambda*s/rho))")

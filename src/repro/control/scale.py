@@ -9,14 +9,15 @@ control plane:
 * a **sensor** (:class:`StageSensor`) turns the stage's observable
   state — arrival rate into the partition queue, measured worker
   service STP, queue depth — into immutable :class:`StageSignals`;
-* a **policy** (:class:`ScalePolicy`) maps signals to a desired replica
-  count, with no access to the runtime;
+* a **policy** (:class:`ErlangScalePolicy`) maps signals to a desired
+  replica count, with no access to the runtime;
 * the **controller** (:class:`StageScaleController`) runs as one DES
   process per stage, applies hysteresis/cooldown, and actuates through
-  the :class:`~repro.control.actuator.ScaleActuator` verb, which charges
-  each spawn against the node's CPU budget.
+  :meth:`~repro.runtime.runtime.Runtime.scale_out` /
+  :meth:`~repro.runtime.runtime.Runtime.scale_in`, which charge each
+  spawn against the node's CPU budget.
 
-The default :class:`ErlangScalePolicy` is the DRS-style predictor
+:class:`ErlangScalePolicy` is the DRS-style predictor
 (*Dynamic Resource Scheduling for Real-Time Analytics over Fast
 Streams*): model the stage as an M/M/N queue, compute the offered load
 ``a = λ·s`` erlangs from the observed arrival rate λ and mean service
@@ -24,10 +25,11 @@ time s, and size N so utilisation stays under a target — optionally
 refined with the Erlang-C waiting-time formula when a queueing-delay
 budget is configured. See ``docs/control-plane.md`` for the derivation.
 
-Determinism: a runtime with no scale config, a disabled config, or the
-``null`` policy registers **no** controller process — zero added engine
-events — so such runs are bit-identical to pre-elastic ones (the same
-zero-cost-when-off pattern as the fault injector's empty schedule).
+Determinism: scaling is off with ``scale=None`` (the registered
+``no-scale`` resolves to it), and such a runtime registers **no**
+controller process — zero added engine events — so its runs are
+bit-identical to pre-elastic ones (the same zero-cost-when-off pattern
+as the fault injector's empty schedule).
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import Runtime
-
-SCALE_POLICY_KINDS = ("erlang", "null")
 
 
 @dataclass(frozen=True)
@@ -83,14 +83,11 @@ class ScaleConfig:
     Picklable pure data, like :class:`~repro.aru.config.AruConfig`:
     sweep cells and spec files carry it by value (or by registered
     name via :func:`repro.control.registry.resolve_scale_policy`).
+    Every config runs the :class:`ErlangScalePolicy`; scaling off is no
+    config at all (``None``).
 
     Attributes
     ----------
-    enabled:
-        Master switch. Disabled configs install nothing.
-    policy:
-        ``"erlang"`` (the DRS-style predictor) or ``"null"`` (never an
-        opinion; installs no controller — the differential baseline).
     interval:
         Controller poll period in seconds.
     target_utilization:
@@ -114,8 +111,6 @@ class ScaleConfig:
         Label for reports and registries.
     """
 
-    enabled: bool = True
-    policy: str = "erlang"
     interval: float = 0.5
     target_utilization: float = 0.7
     wait_budget: Optional[float] = None
@@ -126,11 +121,6 @@ class ScaleConfig:
     name: str = "erlang"
 
     def __post_init__(self) -> None:
-        if self.policy not in SCALE_POLICY_KINDS:
-            raise ConfigError(
-                f"unknown scale policy kind {self.policy!r}; "
-                f"expected one of {SCALE_POLICY_KINDS}"
-            )
         if self.interval <= 0:
             raise ConfigError(f"interval must be positive, got {self.interval}")
         if not (0 < self.target_utilization < 1):
@@ -155,16 +145,6 @@ class ScaleConfig:
 
 
 # -- presets (the registry's factories) -----------------------------------
-def scale_disabled() -> ScaleConfig:
-    """Elastic scaling off entirely (fixed-N baseline)."""
-    return ScaleConfig(enabled=False, name="no-scale")
-
-
-def scale_null() -> ScaleConfig:
-    """Null policy: scaling surface wired, no controller installed."""
-    return ScaleConfig(policy="null", name="null-scale")
-
-
 def scale_erlang() -> ScaleConfig:
     """The default DRS-style Erlang utilisation predictor."""
     return ScaleConfig(name="erlang")
@@ -229,41 +209,8 @@ def required_replicas(
     return n
 
 
-# -- policies ---------------------------------------------------------------
-class ScalePolicy:
-    """Decision interface: signals in, desired replica count out.
-
-    ``decide`` returns the policy's desired N, or ``None`` for "no
-    opinion" (e.g. before any service-time measurement exists). The
-    controller owns hysteresis, cooldown, and bound clamping — policies
-    stay pure functions of the signals and are unit-testable with
-    hand-built snapshots.
-    """
-
-    kind = "null"
-
-    def decide(self, signals: StageSignals) -> Optional[int]:
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Forget learned state (worker restart / cold start)."""
-
-
-class NullScalePolicy(ScalePolicy):
-    """Never an opinion — the elastic differential baseline.
-
-    A runtime configured with this policy installs no controller
-    process at all, so a fixed-N replicated run under ``null-scale`` is
-    bit-identical to one with no scale config.
-    """
-
-    kind = "null"
-
-    def decide(self, signals: StageSignals) -> Optional[int]:
-        return None
-
-
-class ErlangScalePolicy(ScalePolicy):
+# -- policy -----------------------------------------------------------------
+class ErlangScalePolicy:
     """DRS-style M/M/N sizing from observed arrival and service rates.
 
     Sizing: offered load ``a = λ_eff · s`` erlangs, where the effective
@@ -272,9 +219,11 @@ class ErlangScalePolicy(ScalePolicy):
     during a burst forces capacity to drain it. Desired
     ``N = ceil(a / target_utilization)``, optionally raised until the
     Erlang-C mean wait fits ``wait_budget``.
-    """
 
-    kind = "erlang"
+    ``decide`` is a pure function of the signals — ``None`` for "no
+    opinion" (no service-time measurement yet); the controller owns
+    hysteresis, cooldown and bound clamping.
+    """
 
     def __init__(self, config: ScaleConfig) -> None:
         self.config = config
@@ -293,17 +242,6 @@ class ErlangScalePolicy(ScalePolicy):
             max_replicas=signals.max_replicas,
         )
         return max(signals.min_replicas, min(signals.max_replicas, n))
-
-
-def build_scale_policy(config: ScaleConfig) -> ScalePolicy:
-    """The policy instance for one stage."""
-    if not config.enabled or config.policy == "null":
-        return NullScalePolicy()
-    if config.policy == "erlang":
-        return ErlangScalePolicy(config)
-    raise ConfigError(  # pragma: no cover - ScaleConfig validates the kind
-        f"unknown scale policy kind {config.policy!r}"
-    )
 
 
 # -- sensor -----------------------------------------------------------------
@@ -367,14 +305,11 @@ class StageScaleController:
     """
 
     def __init__(self, runtime: "Runtime", stage: str, config: ScaleConfig) -> None:
-        from repro.control.actuator import ScaleActuator
-
         self.runtime = runtime
         self.stage = stage
         self.config = config
-        self.policy = build_scale_policy(config)
+        self.policy = ErlangScalePolicy(config)
         self.sensor = StageSensor(runtime, stage)
-        self.actuator = ScaleActuator(runtime, stage)
         self._last_action_t = -math.inf
         self._undershoot_polls = 0
         #: ``(t, replicas, desired, applied)`` rows for diagnostics.
@@ -409,7 +344,7 @@ class StageScaleController:
             self._undershoot_polls = 0
             if signals.now - self._last_action_t >= cfg.cooldown:
                 attempted_out = desired - current
-                applied = self.actuator.apply(
+                applied = self._apply(
                     attempted_out,
                     reason=f"erlang: lambda={signals.arrival_rate:.1f}/s "
                            f"desired={desired}",
@@ -418,7 +353,7 @@ class StageScaleController:
             self._undershoot_polls += 1
             if (self._undershoot_polls >= cfg.patience
                     and signals.now - self._last_action_t >= cfg.cooldown):
-                applied = self.actuator.apply(
+                applied = self._apply(
                     desired - current,
                     reason=f"erlang: lambda={signals.arrival_rate:.1f}/s "
                            f"desired={desired}",
@@ -432,3 +367,17 @@ class StageScaleController:
             self.denied_total += attempted_out - applied
         self.decisions.append((signals.now, current, desired, applied))
         return applied
+
+    def _apply(self, delta: int, reason: str) -> int:
+        """Add (``delta > 0``) or retire (``delta < 0``) replicas one at
+        a time, stopping early when the runtime refuses (max/min bound
+        hit, or node CPU admission denied); returns the signed count
+        actually applied, so a partial grant shows as a smaller value."""
+        runtime, stage = self.runtime, self.stage
+        step = runtime.scale_out if delta > 0 else runtime.scale_in
+        applied = 0
+        for _ in range(abs(delta)):
+            if step(stage, reason=reason) is None:
+                break
+            applied += 1
+        return applied if delta > 0 else -applied

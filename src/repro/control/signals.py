@@ -1,11 +1,11 @@
 """The signal record flowing from sensors to policies.
 
-A :class:`Signals` snapshot is what a :class:`~repro.control.sensor.Sensor`
-hands to a :class:`~repro.control.policy.RatePolicy` at each decision
-point (every piggyback opportunity and every ``periodicity_sync()``).
-It deliberately carries *measurements only* — no feedback state, which
-lives in the policy, and no actuation state, which lives in the actuator
-— so a policy can be unit-tested by constructing snapshots by hand.
+A :class:`Signals` snapshot is what a
+:class:`~repro.control.sensor.StpSensor` hands to a rate policy at each
+decision point (every piggyback opportunity and every
+``periodicity_sync()``). It carries *measurements only* — the feedback
+state lives in the policy — so a policy can be unit-tested by
+constructing snapshots by hand.
 """
 
 from __future__ import annotations
@@ -32,12 +32,6 @@ class Signals:
         blocking — what a throttle actuator must top up to the target.
     iterations:
         Completed iterations so far.
-    queue_depth:
-        Total items buffered across the thread's input connections
-        (``None`` when the sensor does not meter queues).
-    drops:
-        Total items skipped-over (dropped unread) across the thread's
-        input connections (``None`` when not metered).
     """
 
     now: float
@@ -45,5 +39,3 @@ class Signals:
     raw_stp: Optional[float]
     iteration_elapsed: float
     iterations: int = 0
-    queue_depth: Optional[int] = None
-    drops: Optional[int] = None

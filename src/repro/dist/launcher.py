@@ -99,9 +99,9 @@ def _validate(spec) -> dict:
                 "injection"
             )
     scale = spec.resolve_scale_policy()
-    if scale is not None and scale.enabled:
-        # A disabled ScaleConfig (e.g. the registered "no-scale") is a
-        # no-op and fine; only an *active* scaler needs the simulator.
+    if scale is not None:
+        # "no-scale" resolves to None and is fine; only a scaler needs
+        # the simulator.
         raise ConfigError(
             "the proc backend does not support elastic scaling; "
             "use backend='sim'"

@@ -5,8 +5,8 @@ computes loop-quality statistics — settling time, steady-state tracking
 error, signal smoothness, steady-state level. The throttle target is
 recorded generically as *the policy's decision* at each sync point —
 the compressed summary-STP for the paper's policy, the integrated
-target for the PI policy, NaN for the inert ones — so every helper here
-works for any :class:`~repro.control.policy.RatePolicy`. Used by the
+target for the PI policy, NaN with ARU off — so every helper here
+works for either policy. Used by the
 filter/noise ablations, the PID-convergence bench, and the
 adaptive-filters example to *look at* the control loop rather than only
 its end effects.

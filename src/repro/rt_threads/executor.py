@@ -245,9 +245,8 @@ class ThreadedRuntime:
 
     def _make_channel(self, name: str) -> ThreadChannel:
         """Build the local channel backing buffer ``name``."""
-        feedback = self.feedback_bus.endpoint_for(
-            name, self.graph.attrs(name).get("compress_op")
-        )
+        feedback = self.feedback_bus.endpoint(
+            self.graph.attrs(name).get("compress_op"))
         return ThreadChannel(
             name, self.recorder, self.clock, feedback, self.recorder_lock,
             node=self.node_name, gc=self.gc,
@@ -372,9 +371,9 @@ def run_threaded_experiment(spec) -> "object":
                 "(real worker kills)"
             )
     scale = spec.resolve_scale_policy()
-    if scale is not None and scale.enabled:
-        # A disabled ScaleConfig (e.g. the registered "no-scale") is a
-        # no-op and fine; only an *active* scaler needs the simulator.
+    if scale is not None:
+        # "no-scale" resolves to None and is fine; only a scaler needs
+        # the simulator.
         raise ConfigError(
             "the threads backend does not support elastic scaling; "
             "use backend='sim'"

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.aru.summary import BufferAruState
 from repro.control.propagation import FeedbackEndpoint
 from repro.errors import SimulationError
 from repro.runtime.connection import InputConnection, OutputConnection
@@ -125,11 +124,6 @@ class Buffer:
             self.feedback.detach(conn.conn_id)
 
     # -- introspection ------------------------------------------------------
-    @property
-    def aru(self) -> Optional[BufferAruState]:
-        """The buffer's ARU state, when feedback propagation is wired."""
-        return self.feedback.state if self.feedback is not None else None
-
     def check_dead(self, ts: int) -> bool:
         """Would an item with ``ts`` be skipped by every consumer?"""
         conns = self.in_conns

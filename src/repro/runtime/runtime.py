@@ -51,9 +51,9 @@ class RuntimeConfig:
     loads: tuple = ()
     #: Transport retry/backoff for remote put/get under link faults.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Elastic-parallelism control for replicated stages; ``None`` (or a
-    #: disabled/null config) installs no controller processes, keeping
-    #: the run bit-identical to a fixed-N one.
+    #: Elastic-parallelism control for replicated stages; ``None``
+    #: installs no controller processes, keeping the run bit-identical
+    #: to a fixed-N one.
     scale: Optional[ScaleConfig] = None
     #: Telemetry: False/None (off, zero overhead), True (default hub),
     #: a :class:`~repro.obs.TelemetryConfig`, or a pre-built
@@ -152,8 +152,8 @@ class Runtime:
 
     def _install_scale_controllers(self, stages, scale) -> None:
         """Spawn scale-controller processes for ``stages`` under ``scale``
-        (None, disabled or null = none)."""
-        if scale is None or not scale.enabled or scale.policy == "null":
+        (None = none)."""
+        if scale is None:
             return
         for stage in stages:
             ctl = StageScaleController(self, stage, scale)
@@ -200,7 +200,7 @@ class Runtime:
         args = (self.engine, name, self.nodes[self._resolve_buffer_node(name)])
         common = dict(
             recorder=self.recorder,
-            feedback=scope.bus.endpoint_for(name, attrs.get("compress_op")),
+            feedback=scope.bus.endpoint(attrs.get("compress_op")),
             capacity=attrs.get("capacity"),
             obs=self.obs,
         )

@@ -29,8 +29,10 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 from repro.aru.filters import resolve_factory
 from repro.aru.stp import StpMeter
-from repro.control.controller import ThreadController
-from repro.control.factory import build_thread_controller
+from repro.aru.summary import BackwardStpVector
+from repro.control.controller import NULL_CONTROLLER, ThreadController
+from repro.control.policy import PidPolicy, SummaryStpPolicy
+from repro.control.sensor import StpSensor
 from repro.errors import LinkDown, MessageDropped, SimulationError
 from repro.runtime.connection import InputConnection, OutputConnection
 from repro.runtime.item import Item, ItemView
@@ -109,14 +111,21 @@ class ThreadDriver:
             out_conns[buf[strip:]] = (buffer, buffer.register_producer(name))
         aru = scope.aru
         meter = StpMeter(clock, stp_filter=resolve_factory(aru.stp_filter)())
-        controller = build_thread_controller(
-            aru,
-            name,
-            meter,
-            clock.now,
-            is_source,
-            compress_op=attrs.get("compress_op"),
-        )
+        controller = NULL_CONTROLLER
+        if aru.enabled:
+            backward = BackwardStpVector(
+                attrs.get("compress_op") or aru.thread_op,
+                resolve_factory(aru.summary_filter),
+                ttl=aru.staleness_ttl,
+                time_fn=clock.now,
+            )
+            policy = (PidPolicy if aru.policy == "pid"
+                      else SummaryStpPolicy)(backward)
+            # Paper behaviour: only sources throttle; everyone else
+            # adapts by blocking (§3.3.2's cascading effect).
+            controller = ThreadController(StpSensor(meter, clock.now), policy,
+                                          throttled=is_source,
+                                          headroom=aru.headroom)
         ctx = TaskContext(
             name=name,
             params=attrs.get("params", {}),
@@ -133,6 +142,7 @@ class ThreadDriver:
             in_conns=in_conns,
             out_conns=out_conns,
             ctx=ctx,
+            meter=meter,
             controller=controller,
         )
         driver.scope = scope
@@ -149,10 +159,9 @@ class ThreadDriver:
         in_conns: Dict[str, Tuple[object, InputConnection]],
         out_conns: Dict[str, Tuple[object, OutputConnection]],
         ctx: TaskContext,
+        meter: StpMeter,
         controller: ThreadController,
     ) -> None:
-        # NOTE: the deprecated ``headroom`` kwarg was removed; set
-        # ``AruConfig.headroom`` (the actuator's single source of truth).
         self.runtime = runtime
         self.engine = runtime.engine
         self.now = runtime.clock.now  # the clock's own: one frame per read
@@ -167,8 +176,8 @@ class ThreadDriver:
         self.in_conns = in_conns
         self.out_conns = out_conns
         self.ctx = ctx
+        self.meter = meter
         self.controller = controller
-        self.meter = controller.meter
         # Fixed-slot telemetry handle for the per-iteration sync close,
         # resolved once per thread instead of eight registry lookups per
         # iteration (ISSUE 7). No-op when telemetry/metrics are off.
@@ -216,12 +225,6 @@ class ThreadDriver:
         peer stage or throttle-sleeping). Failure detectors use this to
         tell a stalled thread from one that is merely starved."""
         return self.meter._pause_kind is not None
-
-    @property
-    def aru(self):
-        """The thread's backwardSTP state, when its policy keeps one
-        (compatibility accessor; None for null/disabled stacks)."""
-        return getattr(self.controller.policy, "state", None)
 
     # -- fault injection ---------------------------------------------------
     def stall(self, duration: float) -> None:
@@ -513,8 +516,8 @@ class ThreadDriver:
 
     def _do_sync(self, sc: PeriodicitySync) -> Generator:
         # 1. Source throttling (the actuation) — the policy turns the
-        #    propagated feedback into a target period, the actuator into
-        #    a sleep that stretches the iteration to it.
+        #    propagated feedback into a target period, the controller
+        #    into a sleep that stretches the iteration to it.
         slept = 0.0
         target, sleep_t = self.controller.plan_throttle()
         if sleep_t > 0:

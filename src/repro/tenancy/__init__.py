@@ -12,7 +12,7 @@ Timescale separation (docs/multi-tenancy.md): the **scheduler** decides
 *where* threads run (arrival / departure / fault granularity); the
 **arbiter** re-decides *how much* each tenant holds (every arbitration
 period — budgets, revocations, migrations); **ARU** decides *how fast*
-they consume (every iteration); **ScalePolicy** decides *how many*
+they consume (every iteration); the **scale controller** decides *how many*
 replicas run (every control period, drawing from the arbiter's budget).
 """
 

@@ -35,8 +35,9 @@ Built-in arbiters (the :data:`ARBITERS` registry):
   the Erlang-C machinery reused from :mod:`repro.control.scale`, and
   budgets, revocations, and hot-node migrations follow measured demand
   rather than declared weights.
-* ``null`` — never an opinion; installs no controller process (the
-  differential baseline, same zero-cost idiom as ``null-scale``).
+
+Arbitration is off with ``arbiter=None``: no controller process, no
+added engine events.
 
 Arbiters are pure: ``decide(view)`` maps an :class:`ArbiterView`
 snapshot to decisions with no runtime access, so unit tests drive them
@@ -93,11 +94,10 @@ class ArbiterConfig:
     Attributes
     ----------
     policy:
-        Registered arbiter name (``proportional`` / ``demand`` /
-        ``null``).
+        Registered arbiter name (``proportional`` / ``demand``).
     interval:
         Arbitration period in simulated seconds — one to two orders of
-        magnitude above the ScalePolicy's, below tenant lifetimes.
+        magnitude above the scale controller's, below tenant lifetimes.
     patience:
         Seconds a tenant must sit queued before revocations are
         considered on its behalf.
@@ -336,30 +336,13 @@ class Arbiter:
     """Decision interface: cluster view in, decisions out.
 
     Arbiters never touch the runtime; the controller executes their
-    decisions and owns all side effects. ``reset`` forgets learned
-    state (none for the built-ins, hooks for stateful customs).
+    decisions and owns all side effects.
     """
 
-    name = "null"
+    name = "arbiter"
 
     def decide(self, view: ArbiterView) -> List[Decision]:
         raise NotImplementedError
-
-    def reset(self) -> None:
-        """Forget learned state (cold restart)."""
-
-
-class NullArbiter(Arbiter):
-    """Never an opinion — the arbitration differential baseline.
-
-    A run configured with this arbiter installs no controller process
-    at all, so it is bit-identical to ``arbiter=None``.
-    """
-
-    name = "null"
-
-    def decide(self, view: ArbiterView) -> List[Decision]:
-        return []
 
 
 class ProportionalArbiter(Arbiter):
@@ -560,11 +543,6 @@ register_arbiter(
     "demand", DemandArbiter,
     help="DRS-style observed-demand allocation (Fu et al.): Erlang-C "
          "estimates size budgets, hot nodes shed their smallest tenant",
-)
-register_arbiter(
-    "null", lambda config: NullArbiter(),
-    help="never an opinion; installs no controller (differential "
-         "baseline)",
 )
 
 
@@ -781,13 +759,13 @@ class ArbiterController:
 
 def install_arbiter(runtime, config: ArbiterConfig
                     ) -> Optional[ArbiterController]:
-    """Spawn the arbitration process on a runtime (None for null/off).
+    """Spawn the arbitration process on a runtime (None when off).
 
-    The same zero-cost idiom as the scale plane: ``None`` configs and
-    the ``null`` policy install nothing, so such runs stay bit-identical
-    to PR 8 behaviour.
+    The same zero-cost idiom as the scale plane: a ``None`` config
+    installs nothing, so such runs stay bit-identical to the pack-only
+    plane.
     """
-    if config is None or config.policy == "null":
+    if config is None:
         return None
     controller = ArbiterController(runtime, config)
     runtime.arbiter = controller

@@ -59,7 +59,7 @@ class TenancySpec:
     arbiter:
         Cross-tenant arbitration: None (off — the pack-only plane, no
         added engine events), a registered arbiter name
-        (``proportional`` / ``demand`` / ``null``), or an
+        (``proportional`` / ``demand``), or an
         :class:`~repro.tenancy.arbiter.ArbiterConfig`. When on, a
         controller process periodically re-solves the allocation:
         granting/shrinking elastic budgets, revoking over-share
@@ -408,7 +408,7 @@ def run_tenants(spec: Union[TenancySpec, None] = None,
         for tenant in static:
             runtime.arrive(tenant)
 
-    # Arbitration installs only when configured and non-null — the
+    # Arbitration installs only when configured — the
     # no-arbiter default stays event-for-event identical to pack-only.
     controller = None
     if spec.arbiter is not None:

@@ -194,15 +194,18 @@ class TenantRuntime(Runtime):
             self.obs.on_tenant("admitted", tenant.name, now)
         return True
 
-    def _restore_replicas(self, tenant: Tenant, graph: TaskGraph) -> None:
-        """Put back the declared replicas retired while ``tenant`` last
-        ran: a readmitted tenant restarts in the shape ``graph``, its
-        fresh build, declares."""
+    def _restore_replicas(self, tenant: Tenant, graph: TaskGraph) -> List[str]:
+        """Put back the declared replicas scale-in retired: a readmitted
+        or re-placed tenant restarts in the shape ``graph``, its fresh
+        build, declares. Returns the names put back."""
+        restored = []
         for stage in graph.replicated_stages():
             members = graph.stage_spec(stage)["members"]
             for index, local in members.items():
                 if tenant.mapping[local] not in self.graph:
-                    self.graph.add_replica(tenant.prefix + stage, index)
+                    restored.append(
+                        self.graph.add_replica(tenant.prefix + stage, index))
+        return restored
 
     def arrive(self, tenant: Tenant) -> str:
         """Admission front door: admit, else queue or reject."""
@@ -390,8 +393,14 @@ class TenantRuntime(Runtime):
         # consumer would wedge until the counter caught up).
         for name in tenant.buffers:
             self.buffers[name].drain(now)
+        restored = (self._restore_replicas(tenant, tenant.own_graph())
+                    if tenant.stages else ())
         for name in tenant.threads:
-            self.restart_thread(name)
+            if name in restored:  # retired, its reservation still held
+                self._thread_placement[name] = tenant.placement[name]
+                self._spawn(name, tenant)
+            else:
+                self.restart_thread(name)
         return ",".join(f"{l}->{n}" for l, n in sorted(new_local.items()))
 
     # -- fault surface --------------------------------------------------------
@@ -404,16 +413,17 @@ class TenantRuntime(Runtime):
         exists the whole tenant is evicted. Tenants elsewhere in the
         cluster are untouched — blast-radius containment is the point.
         """
-        resident = list(self.threads_on(name))
         super().crash_node(name, reason)
         self.scheduler.mark_failed(name)
+        # What moves is what is reserved here: every declared thread,
+        # running or retired by scale-in. An elastic replica holds no
+        # reservation: it died with the node and is its stage's to reap.
         by_tenant: Dict[Tenant, List[str]] = {}
-        for thread in resident:
-            tenant = self.drivers[thread].scope
-            # An elastic replica holds no reservation to move: it died
-            # with the node and is its stage's to reap.
-            if tenant.state == RUNNING and thread in tenant.placement:
-                by_tenant.setdefault(tenant, []).append(thread)
+        for tenant in self.tenants.values():
+            if tenant.state == RUNNING:
+                threads = [t for t, n in tenant.placement.items() if n == name]
+                if threads:
+                    by_tenant[tenant] = threads
         for tenant, threads in by_tenant.items():
             self._replace_tenant_threads(tenant, threads, crashed=name)
 

@@ -15,7 +15,7 @@ Timescale separation (see docs/multi-tenancy.md): the scheduler decides
 *where* threads run, at tenant arrival/departure/fault granularity; the
 arbiter re-decides *how much* each tenant holds, every arbitration
 period; ARU decides *how fast* threads run, every iteration; the
-ScalePolicy decides *how many* replicas run, every control period.
+scale controller decides *how many* replicas run, every control period.
 """
 
 from __future__ import annotations

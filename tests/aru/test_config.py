@@ -57,3 +57,10 @@ def test_frozen():
     cfg = aru_min()
     with pytest.raises(Exception):
         cfg.headroom = 2.0
+
+
+def test_off_is_enabled_false_only():
+    """``enabled=False`` is the one way to turn the loop off: there is
+    no inert policy kind beside it."""
+    with pytest.raises(ConfigError, match="unknown policy kind 'null'"):
+        AruConfig(policy="null")

@@ -4,15 +4,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.aru import (
-    BackwardStpVector,
-    BufferAruState,
-    EwmaFilter,
-    ThreadAruState,
-    throttle_sleep,
-)
+from repro.aru import BackwardStpVector, EwmaFilter
+from repro.control import FeedbackEndpoint, SummaryStpPolicy, throttle_sleep
+from repro.control.signals import Signals
 
 FIG3 = {"B": 337.0, "C": 139.0, "D": 273.0, "E": 544.0, "F": 420.0}
+
+
+def thread_node(op=None, **kwargs) -> SummaryStpPolicy:
+    """A thread node's ARU state: the paper's policy over its vector."""
+    return SummaryStpPolicy(BackwardStpVector(op, **kwargs))
+
+
+def summary(node: SummaryStpPolicy, current_stp):
+    """Step 4 for a thread node: ``max(compressed, current_STP)``."""
+    return node.advertise(Signals(now=0.0, current_stp=current_stp,
+                                  raw_stp=current_stp, iteration_elapsed=0.0))
 
 
 class TestBackwardStpVector:
@@ -63,38 +70,41 @@ class TestBackwardStpVector:
 
 
 class TestThreadAruState:
+    """A thread node's summary, as :meth:`SummaryStpPolicy.advertise`
+    computes it."""
+
     def test_paper_fig3_thread_summary(self):
         """Node A (a thread) with consumers B-F and its own STP of 100 ms:
         min-compress gives 139; summary = max(139, 100) = 139."""
-        state = ThreadAruState("A", op="min")
+        state = thread_node("min")
         for conn, value in FIG3.items():
-            state.update_backward(conn, value)
-        assert state.summary(current_stp=100.0) == 139.0
+            state.on_feedback(conn, value)
+        assert summary(state, current_stp=100.0) == 139.0
 
     def test_slow_thread_inserts_own_period(self):
         """A thread slower than its consumers inserts its own STP."""
-        state = ThreadAruState("A", op="min")
+        state = thread_node("min")
         for conn, value in FIG3.items():
-            state.update_backward(conn, value)
-        assert state.summary(current_stp=200.0) == 200.0
+            state.on_feedback(conn, value)
+        assert summary(state, current_stp=200.0) == 200.0
 
     def test_fig4_max_aggressive(self):
-        state = ThreadAruState("A", op="max")
+        state = thread_node("max")
         for conn, value in FIG3.items():
-            state.update_backward(conn, value)
-        assert state.summary(current_stp=100.0) == 544.0
+            state.on_feedback(conn, value)
+        assert summary(state, current_stp=100.0) == 544.0
 
     def test_no_feedback_yet_returns_own_stp(self):
-        state = ThreadAruState("A")
-        assert state.summary(current_stp=80.0) == 80.0
+        state = thread_node()
+        assert summary(state, current_stp=80.0) == 80.0
 
     def test_no_own_stp_returns_compressed(self):
-        state = ThreadAruState("A")
-        state.update_backward("i", 42.0)
-        assert state.summary(current_stp=None) == 42.0
+        state = thread_node()
+        state.on_feedback("i", 42.0)
+        assert summary(state, current_stp=None) == 42.0
 
     def test_nothing_known_returns_none(self):
-        assert ThreadAruState("A").summary(current_stp=None) is None
+        assert summary(thread_node(), current_stp=None) is None
 
     @given(
         st.dictionaries(st.integers(0, 5), st.floats(0.0, 1e3), min_size=1),
@@ -102,10 +112,10 @@ class TestThreadAruState:
     )
     def test_summary_at_least_current_stp(self, backward, own):
         """Property: a thread never advertises a period shorter than its own."""
-        state = ThreadAruState("t", op="min")
+        state = thread_node("min")
         for conn, value in backward.items():
-            state.update_backward(conn, value)
-        assert state.summary(own) >= own
+            state.on_feedback(conn, value)
+        assert summary(state, own) >= own
 
     @given(
         st.dictionaries(st.integers(0, 5), st.floats(0.0, 1e3), min_size=1),
@@ -113,24 +123,27 @@ class TestThreadAruState:
     )
     def test_max_dominates_min(self, backward, own):
         """Property: the max-operator summary >= the min-operator summary."""
-        s_min = ThreadAruState("t", op="min")
-        s_max = ThreadAruState("t", op="max")
+        s_min = thread_node("min")
+        s_max = thread_node("max")
         for conn, value in backward.items():
-            s_min.update_backward(conn, value)
-            s_max.update_backward(conn, value)
-        assert s_max.summary(own) >= s_min.summary(own)
+            s_min.on_feedback(conn, value)
+            s_max.on_feedback(conn, value)
+        assert summary(s_max, own) >= summary(s_min, own)
 
 
 class TestBufferAruState:
+    """A channel node's summary, as :class:`FeedbackEndpoint` advertises
+    it."""
+
     def test_channel_summary_is_pure_compression(self):
         """Channels generate no current-STP (paper step 5)."""
-        state = BufferAruState("C1", op="min")
-        state.update_backward("consumerA", 250.0)
-        state.update_backward("consumerB", 300.0)
-        assert state.summary() == 250.0
+        endpoint = FeedbackEndpoint(BackwardStpVector("min"))
+        endpoint.receive("consumerA", 250.0)
+        endpoint.receive("consumerB", 300.0)
+        assert endpoint.advertise() == 250.0
 
     def test_channel_with_no_consumers_yet(self):
-        assert BufferAruState("C1").summary() is None
+        assert FeedbackEndpoint(BackwardStpVector()).advertise() is None
 
 
 class TestThrottleSleep:
@@ -151,8 +164,6 @@ class TestThrottleSleep:
             throttle_sleep(0.1, -0.1)
         with pytest.raises(ValueError):
             throttle_sleep(-0.1, 0.1)
-        with pytest.raises(ValueError):
-            throttle_sleep(0.1, 0.1, headroom=0.0)
 
     @given(st.floats(0, 10), st.floats(0, 10))
     def test_sleep_plus_elapsed_reaches_target(self, target, elapsed):
@@ -229,7 +240,7 @@ class TestStalenessEviction:
 
     def test_thread_state_passes_ttl_through(self):
         t = [0.0]
-        state = ThreadAruState("A", op="min", ttl=1.0, time_fn=lambda: t[0])
-        state.update_backward("dead", 500.0)
+        state = thread_node("min", ttl=1.0, time_fn=lambda: t[0])
+        state.on_feedback("dead", 500.0)
         t[0] = 2.0
-        assert state.summary(current_stp=100.0) == 100.0
+        assert summary(state, current_stp=100.0) == 100.0

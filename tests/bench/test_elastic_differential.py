@@ -9,8 +9,8 @@ Extends the sweep-runner determinism contract to replicated stages:
 * runs with the scale *controller* active are equally deterministic —
   its decisions are computed from simulated state on the simulated
   clock;
-* the zero-added-events contract: ``scale_policy=None``, the disabled
-  preset, and the null policy all produce the same fingerprint, and a
+* the zero-added-events contract: ``scale_policy=None`` and the
+  registered ``no-scale`` produce the same fingerprint, and a
   single-replica replicated stage is indistinguishable from a plain
   queue→worker→channel pipeline built by hand.
 """
@@ -99,18 +99,16 @@ def test_elastic_controller_runs_are_deterministic():
 
 
 def test_null_scale_policy_equals_unconfigured(fixed_n_serial):
-    """None, the disabled preset, and the null policy all fingerprint
-    identically: installing a no-op controller adds zero events."""
+    """None and the registered ``no-scale`` fingerprint identically:
+    scaling off is one value and installs no controller."""
     reference = metrics_fingerprint(fixed_n_serial[0])
-    runner = SweepRunner(workers=1)
-    for policy in ("no-scale", "null-scale"):
-        spec = elastic_cell(
-            workload_args=ELASTIC_ARGS + (("partition", "round-robin"),),
-            seed=0, label="fixed-round-robin", scale_policy=policy,
-        )
-        (result,) = runner.run([spec])
-        assert result.ok
-        assert metrics_fingerprint(result) == reference, policy
+    spec = elastic_cell(
+        workload_args=ELASTIC_ARGS + (("partition", "round-robin"),),
+        seed=0, label="fixed-round-robin", scale_policy="no-scale",
+    )
+    (result,) = SweepRunner(workers=1).run([spec])
+    assert result.ok
+    assert metrics_fingerprint(result) == reference
 
 
 # -- single-replica stage vs hand-built plain pipeline -----------------------
@@ -163,6 +161,6 @@ def test_single_replica_stage_equals_plain_pipeline():
     for seed in (0, 3):
         plain_fp = run_and_fingerprint(plain_twin_graph(), seed=seed)
         elastic_fp = run_and_fingerprint(replicated, seed=seed)
-        null_fp = run_and_fingerprint(replicated, scale_policy="null-scale",
-                                      seed=seed)
-        assert plain_fp == elastic_fp == null_fp
+        off_fp = run_and_fingerprint(replicated, scale_policy="no-scale",
+                                     seed=seed)
+        assert plain_fp == elastic_fp == off_fp

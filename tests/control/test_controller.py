@@ -1,24 +1,24 @@
-"""ThreadController orchestration, the factory, and sensors."""
+"""ThreadController orchestration, its assembly by the driver, and the
+STP sensor."""
 
 import warnings
 
 import pytest
 
-from repro.aru import aru_disabled, aru_max, aru_min, aru_null, aru_pid
+from repro.apps import build_tracker
+from repro.aru import BackwardStpVector, aru_disabled, aru_max, aru_min, aru_pid
 from repro.aru.filters import NoFilter
 from repro.aru.stp import StpMeter
 from repro.control import (
-    NullPolicy,
+    NULL_CONTROLLER,
     PidPolicy,
-    SleepThrottle,
     StpSensor,
     SummaryStpPolicy,
     ThreadController,
-    build_policy,
-    build_thread_controller,
 )
-from repro.control.sensor import PipelineSensor
+from repro.control.policy import PID_KI, PID_KP
 from repro.control.signals import Signals
+from repro.runtime import Runtime, RuntimeConfig
 
 
 class FakeClock:
@@ -33,10 +33,11 @@ def make_meter(clock=None) -> StpMeter:
     return StpMeter(clock or FakeClock(), stp_filter=NoFilter())
 
 
-class RecordingPolicy(NullPolicy):
+class RecordingPolicy(SummaryStpPolicy):
     """Counts calls so controller short-circuits can be asserted."""
 
     def __init__(self):
+        super().__init__(BackwardStpVector("min"))
         self.observed = 0
         self.fed = []
 
@@ -48,19 +49,20 @@ class RecordingPolicy(NullPolicy):
         self.fed.append((conn_id, value))
 
 
+def tracker_drivers(aru):
+    return Runtime(build_tracker(), RuntimeConfig(aru=aru)).drivers
+
+
 class TestThreadController:
     def make(self, policy, throttled=True, clock=None) -> ThreadController:
         clock = clock or FakeClock()
-        return ThreadController(
-            sensor=StpSensor(make_meter(clock), clock.now),
-            policy=policy,
-            actuator=SleepThrottle(),
-            throttled=throttled,
-        )
+        return ThreadController(StpSensor(make_meter(clock), clock.now),
+                                policy, throttled=throttled)
 
     def test_meter_property_is_sensor_meter(self):
-        controller = self.make(NullPolicy())
-        assert controller.meter is controller.sensor.meter
+        """The driver is handed the meter its controller's sensor reads."""
+        driver = tracker_drivers(aru_min())["digitizer"]
+        assert driver.controller.sensor.meter is driver.meter
 
     def test_unthrottled_skips_policy_entirely(self):
         policy = RecordingPolicy()
@@ -82,39 +84,43 @@ class TestThreadController:
         assert policy.fed == [("c", 0.5)]
 
     def test_plan_throttle_returns_target_and_sleep(self):
-        controller = self.make(build_policy(aru_min(), "t"))
-        controller.policy.on_feedback("c", 2.0)
+        controller = self.make(SummaryStpPolicy(BackwardStpVector("min")))
+        controller.on_feedback("c", 2.0)
         target, sleep_t = controller.plan_throttle()
         assert target == pytest.approx(2.0)
         assert sleep_t == pytest.approx(2.0)  # nothing elapsed yet
 
     def test_reset_delegates_to_policy(self):
-        controller = self.make(build_policy(aru_min(), "t"))
-        controller.policy.on_feedback("c", 2.0)
-        controller.reset()
+        controller = self.make(SummaryStpPolicy(BackwardStpVector("min")))
+        controller.on_feedback("c", 2.0)
+        controller.policy.reset()
         assert controller.policy.snapshot() == {}
+        assert controller.plan_throttle() == (None, 0.0)
 
 
 class TestBuildPolicy:
-    def test_disabled_gives_null(self):
-        assert isinstance(build_policy(aru_disabled(), "t"), NullPolicy)
+    """The policy each thread driver assembles from its AruConfig."""
 
-    def test_null_kind_gives_null(self):
-        assert isinstance(build_policy(aru_null(), "t"), NullPolicy)
+    def test_disabled_gives_null(self):
+        drivers = tracker_drivers(aru_disabled())
+        assert all(d.controller is NULL_CONTROLLER for d in drivers.values())
+        assert NULL_CONTROLLER.policy is None
 
     def test_summary_stp_default(self):
-        policy = build_policy(aru_min(), "t")
+        policy = tracker_drivers(aru_min())["digitizer"].controller.policy
         assert isinstance(policy, SummaryStpPolicy)
         assert not isinstance(policy, PidPolicy)
 
     def test_pid_carries_config_gains(self):
-        policy = build_policy(aru_pid(pid_kp=0.7, pid_ki=0.1), "t")
+        policy = tracker_drivers(aru_pid())["digitizer"].controller.policy
         assert isinstance(policy, PidPolicy)
-        assert policy.kp == 0.7
-        assert policy.ki == 0.1
+        assert (policy.kp, policy.ki) == (PID_KP, PID_KI)
 
     def test_compress_op_override(self):
-        policy = build_policy(aru_min(), "t", compress_op="max")
+        graph = build_tracker()
+        graph.attrs("digitizer")["compress_op"] = "max"
+        runtime = Runtime(graph, RuntimeConfig(aru=aru_min()))
+        policy = runtime.drivers["digitizer"].controller.policy
         policy.on_feedback("a", 0.2)
         policy.on_feedback("b", 0.9)
         sig = Signals(now=0.0, current_stp=None, raw_stp=None,
@@ -123,25 +129,18 @@ class TestBuildPolicy:
 
 
 class TestBuildThreadController:
-    def build(self, cfg, is_source=True) -> ThreadController:
-        clock = FakeClock()
-        return build_thread_controller(cfg, "t", make_meter(clock), clock.now,
-                                       is_source)
-
     def test_sources_only_throttling(self):
-        assert self.build(aru_min(), is_source=True).throttled is True
-        assert self.build(aru_min(), is_source=False).throttled is False
-        everyone = aru_min(throttle_sources_only=False)
-        assert self.build(everyone, is_source=False).throttled is True
+        drivers = tracker_drivers(aru_min())
+        assert drivers["digitizer"].controller.throttled is True
+        assert drivers["gui"].controller.throttled is False
 
     def test_disabled_never_throttles(self):
-        assert self.build(aru_disabled(), is_source=True).throttled is False
-        assert self.build(aru_null(), is_source=True).throttled is False
+        drivers = tracker_drivers(aru_disabled())
+        assert drivers["digitizer"].controller.throttled is False
 
     def test_headroom_lands_on_actuator(self):
-        controller = self.build(aru_min(headroom=1.2))
-        assert isinstance(controller.actuator, SleepThrottle)
-        assert controller.actuator.headroom == pytest.approx(1.2)
+        drivers = tracker_drivers(aru_min(headroom=1.2))
+        assert drivers["digitizer"].controller.headroom == pytest.approx(1.2)
 
 
 class SpySensor(StpSensor):
@@ -155,43 +154,25 @@ class SpySensor(StpSensor):
 
 
 class TestSilentWhenItDecidesNothing:
-    """``RatePolicy.propagates`` is a contract the controller acts on: a
-    policy that transports nothing advertises nothing, so its stack does
-    no measurement work per get or per sync."""
+    """ARU off is :data:`NULL_CONTROLLER`: no policy, so no measurement
+    work per get or per sync."""
 
-    def spied(self, cfg) -> ThreadController:
-        clock = FakeClock()
-        controller = build_thread_controller(
-            cfg, "t", make_meter(clock), clock.now, is_source=True)
-        controller.sensor = SpySensor(controller.meter, clock.now)
-        return controller
-
-    @pytest.mark.parametrize("cfg", [aru_disabled(), aru_null()],
-                             ids=["disabled", "null"])
-    def test_null_stack_never_reads_its_sensor(self, cfg):
-        controller = self.spied(cfg)
+    def test_null_stack_never_reads_its_sensor(self):
         for _ in range(3):
-            assert controller.outbound_summary() is None
-            assert controller.plan_throttle() == (None, 0.0)
-        assert controller.sensor.reads == 0
+            assert NULL_CONTROLLER.outbound_summary() is None
+            assert NULL_CONTROLLER.plan_throttle() == (None, 0.0)
+            NULL_CONTROLLER.on_feedback("c", None)
+        assert NULL_CONTROLLER.sensor is None
 
     def test_propagating_stack_reads_once_per_call(self):
-        controller = self.spied(aru_min())
+        clock = FakeClock()
+        controller = ThreadController(
+            SpySensor(make_meter(clock), clock.now),
+            SummaryStpPolicy(BackwardStpVector("min")), throttled=True)
         controller.outbound_summary()
         assert controller.sensor.reads == 1
         controller.plan_throttle()
         assert controller.sensor.reads == 2
-
-    def test_a_silent_policy_is_not_asked_to_advertise(self):
-        class Loud(NullPolicy):
-            def advertise(self, signals):
-                raise AssertionError("advertise() on a non-propagating policy")
-
-        clock = FakeClock()
-        controller = ThreadController(
-            sensor=SpySensor(make_meter(clock), clock.now), policy=Loud(),
-            actuator=SleepThrottle(), throttled=False)
-        assert controller.outbound_summary() is None
 
 
 class TestSensors:
@@ -204,51 +185,27 @@ class TestSensors:
         assert sig.now == 3.0
         assert sig.current_stp is None
         assert sig.iterations == 0
-        assert sig.queue_depth is None
-
-    def test_pipeline_sensor_sums_depth_and_drops(self):
-        class Buf(list):
-            pass
-
-        class Conn:
-            def __init__(self, skips):
-                self.skips = skips
-
-        clock = FakeClock()
-        in_conns = {
-            "a": (Buf([1, 2]), Conn(skips=3)),
-            "b": (Buf([1]), Conn(skips=4)),
-        }
-        sig = PipelineSensor(make_meter(clock), clock.now, in_conns).read()
-        assert sig.queue_depth == 3
-        assert sig.drops == 7
+        assert sig.iteration_elapsed == 3.0
 
 
 class TestHeadroomKwargRemoved:
     def test_driver_kwarg_now_raises(self):
-        """The deprecated ``headroom`` kwarg completed its cycle: passing
-        it is a TypeError; AruConfig.headroom is the only spelling."""
-        from repro.apps import build_tracker
-        from repro.runtime import Runtime, RuntimeConfig
+        """``AruConfig.headroom`` is the only spelling: a driver
+        ``headroom`` kwarg is a TypeError."""
         from repro.runtime.thread import ThreadDriver
 
         rt = Runtime(build_tracker(), RuntimeConfig(aru=aru_max()))
         old = rt.drivers["digitizer"]
-        controller = build_thread_controller(
-            aru_max(), "digitizer", make_meter(rt.clock), rt.clock.now, True)
         with pytest.raises(TypeError, match="headroom"):
             ThreadDriver(
                 runtime=rt, name="extra", fn=old.fn, node=old.node,
-                in_conns={}, out_conns={}, ctx=old.ctx,
-                controller=controller, headroom=0.9)
+                in_conns={}, out_conns={}, ctx=old.ctx, meter=old.meter,
+                controller=old.controller, headroom=0.9)
 
     def test_config_headroom_still_lands_on_actuator(self):
-        from repro.apps import build_tracker
-        from repro.runtime import Runtime, RuntimeConfig
-
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             rt = Runtime(build_tracker(),
                          RuntimeConfig(aru=aru_max(headroom=1.3)))
-        actuator = rt.drivers["digitizer"].controller.actuator
-        assert actuator.headroom == pytest.approx(1.3)
+        controller = rt.drivers["digitizer"].controller
+        assert controller.headroom == pytest.approx(1.3)

@@ -62,6 +62,6 @@ class TestRestartResetsPolicyState:
         runtime.advance(10.0)
         controller = runtime.drivers["digitizer"].controller
         assert controller.policy.snapshot() != {}
-        controller.reset()
+        controller.policy.reset()
         assert controller.policy.snapshot() == {}
         assert controller.policy._target is None

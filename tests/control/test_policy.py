@@ -1,10 +1,16 @@
-"""Decision layer: Null / SummaryStp / Pid policies against hand-built
-states and signal snapshots."""
+"""Decision layer: ARU off, and the SummaryStp / Pid policies against
+hand-built vectors and signal snapshots."""
 
 import pytest
 
-from repro.aru.summary import ThreadAruState
-from repro.control import NullPolicy, PidPolicy, SummaryStpPolicy
+from repro.aru import aru_disabled
+from repro.aru.summary import BackwardStpVector
+from repro.control import (
+    NULL_CONTROLLER,
+    FeedbackBus,
+    PidPolicy,
+    SummaryStpPolicy,
+)
 from repro.control.signals import Signals
 
 
@@ -14,47 +20,48 @@ def _signals(current_stp=None) -> Signals:
 
 
 class TestNullPolicy:
+    """ARU off: no buffer endpoint and the policy-less null controller."""
+
     def test_does_not_propagate(self):
-        assert NullPolicy.propagates is False
+        assert FeedbackBus(aru_disabled()).endpoint() is None
+        assert NULL_CONTROLLER.policy is None
 
     def test_decisions_are_none(self):
-        policy = NullPolicy()
-        assert policy.observe(_signals(1.0)) is None
-        assert policy.advertise(_signals(1.0)) is None
-        assert policy.snapshot() == {}
+        assert NULL_CONTROLLER.outbound_summary() is None
+        assert NULL_CONTROLLER.plan_throttle() == (None, 0.0)
 
 
 class TestSummaryStpPolicy:
     def test_observe_is_compressed_backward(self):
-        policy = SummaryStpPolicy(ThreadAruState("t", op="min"))
+        policy = SummaryStpPolicy(BackwardStpVector("min"))
         assert policy.observe(_signals()) is None
         policy.on_feedback("c1", 0.4)
         policy.on_feedback("c2", 0.9)
         assert policy.observe(_signals()) == pytest.approx(0.4)
 
     def test_advertise_inserts_own_period(self):
-        policy = SummaryStpPolicy(ThreadAruState("t", op="min"))
+        policy = SummaryStpPolicy(BackwardStpVector("min"))
         policy.on_feedback("c1", 0.4)
         # slower than every consumer: my own period dominates
         assert policy.advertise(_signals(current_stp=0.7)) == pytest.approx(0.7)
         assert policy.advertise(_signals(current_stp=0.2)) == pytest.approx(0.4)
 
     def test_reset_clears_backward_state(self):
-        policy = SummaryStpPolicy(ThreadAruState("t", op="min"))
+        policy = SummaryStpPolicy(BackwardStpVector("min"))
         policy.on_feedback("c1", 0.4)
         policy.reset()
         assert policy.observe(_signals()) is None
         assert policy.snapshot() == {}
 
     def test_snapshot_exposes_slots(self):
-        policy = SummaryStpPolicy(ThreadAruState("t", op="min"))
+        policy = SummaryStpPolicy(BackwardStpVector("min"))
         policy.on_feedback("c1", 0.4)
         assert policy.snapshot() == {"c1": pytest.approx(0.4)}
 
 
 class TestPidPolicy:
     def make(self, kp=0.5, ki=0.25) -> PidPolicy:
-        return PidPolicy(ThreadAruState("t", op="min"), kp=kp, ki=ki)
+        return PidPolicy(BackwardStpVector("min"), kp=kp, ki=ki)
 
     def test_gain_validation(self):
         with pytest.raises(ValueError):
@@ -92,7 +99,7 @@ class TestPidPolicy:
         policy = self.make(kp=5.0, ki=5.0)
         policy.on_feedback("c", 10.0)
         policy.observe(_signals())
-        policy.state.update_backward("c", 0.001)
+        policy.backward.update("c", 0.001)
         for _ in range(10):
             assert policy.observe(_signals()) >= 0.0
 
@@ -100,7 +107,7 @@ class TestPidPolicy:
         policy = self.make()
         policy.on_feedback("c", 1.0)
         policy.observe(_signals())
-        policy.state.backward.evict("c")
+        policy.backward.evict("c")
         assert policy.observe(_signals()) is None
         # next measurement cold-starts again
         policy.on_feedback("c", 3.0)
@@ -116,6 +123,5 @@ class TestPidPolicy:
 
     def test_propagation_inherited_from_summary_stp(self):
         policy = self.make()
-        assert policy.propagates is True
         policy.on_feedback("c", 0.4)
         assert policy.advertise(_signals(current_stp=0.7)) == pytest.approx(0.7)

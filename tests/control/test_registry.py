@@ -22,7 +22,8 @@ def test_builtin_names_resolve():
     assert resolve_policy("aru-min").thread_op == "min"
     assert resolve_policy("aru-max").thread_op == "max"
     assert resolve_policy("aru-pid").policy == "pid"
-    assert resolve_policy("null").policy == "null"
+    with pytest.raises(ConfigError, match="unknown policy 'null'"):
+        resolve_policy("null")
 
 
 def test_config_passes_through():
@@ -43,7 +44,8 @@ def test_unknown_name_lists_available():
 def test_list_policies_sorted():
     names = list_policies()
     assert names == sorted(names)
-    assert {"no-aru", "aru-min", "aru-max", "aru-pid", "null"} <= set(names)
+    assert {"no-aru", "aru-min", "aru-max", "aru-pid"} <= set(names)
+    assert "null" not in names
 
 
 def test_register_custom_policy():
@@ -51,11 +53,10 @@ def test_register_custom_policy():
     # registry after every test.
     register_policy(
         "aru-pid-hot",
-        lambda: AruConfig(policy="pid", pid_kp=0.9, pid_ki=0.5,
-                          name="aru-pid-hot"),
-        help="hot gains")
+        lambda: AruConfig(policy="pid", headroom=1.2, name="aru-pid-hot"),
+        help="over-throttling PI")
     cfg = resolve_policy("aru-pid-hot")
-    assert cfg.pid_kp == 0.9
+    assert (cfg.policy, cfg.headroom) == ("pid", 1.2)
     assert "aru-pid-hot" in POLICIES.help_text()
 
 
@@ -82,9 +83,10 @@ def test_non_string_names_are_config_errors():
 
 # -- scale-policy registry --------------------------------------------------
 def test_builtin_scale_names_resolve():
-    assert resolve_scale_policy("no-scale").enabled is False
-    assert resolve_scale_policy("null-scale").policy == "null"
-    assert resolve_scale_policy("erlang").policy == "erlang"
+    assert resolve_scale_policy("no-scale") is None
+    with pytest.raises(ConfigError, match="unknown scale policy 'null-scale'"):
+        resolve_scale_policy("null-scale")
+    assert resolve_scale_policy("erlang") == ScaleConfig(name="erlang")
     assert resolve_scale_policy("erlang-latency").wait_budget is not None
 
 

@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from repro.aru import BufferAruState
+from repro.aru import BackwardStpVector
 from repro.control import FeedbackEndpoint
 from repro.dist.channels import ChannelServer, RemoteChannelClient
 from repro.dist.framing import FrameKind
@@ -28,7 +28,7 @@ class Served:
     """A served channel plus the clients opened against it."""
 
     def __init__(self, channel_cls=ThreadChannel):
-        self.endpoint = FeedbackEndpoint(BufferAruState("ch", op="min"))
+        self.endpoint = FeedbackEndpoint(BackwardStpVector("min"))
         self.channel = channel_cls(
             "ch", TraceRecorder(), WallClock(), feedback=self.endpoint)
         self.stop = threading.Event()

@@ -132,6 +132,14 @@ class TestProcValidation:
         with pytest.raises(ConfigError, match="elastic scaling"):
             run_experiment(spec)
 
+    @pytest.mark.slow
+    def test_scaling_off_runs(self):
+        """``no-scale`` is scaling off (``None``), which proc runs."""
+        result = run_experiment(ExperimentSpec(
+            config="config2", horizon=1.0, backend="proc",
+            scale_policy="no-scale"))
+        assert [w.returncode for w in result.runtime.workers] == [0] * 5
+
     def test_transparent_gc_rejected_before_any_worker_starts(self):
         spec = ExperimentSpec(backend="proc", horizon=1.0, gc="tgc")
         with pytest.raises(ConfigError, match="tgc.*backend='sim'"):

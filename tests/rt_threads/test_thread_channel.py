@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.aru import BufferAruState
+from repro.aru import BackwardStpVector
 from repro.control import FeedbackEndpoint
 from repro.errors import ItemDropped, SimulationError
 from repro.metrics import TraceRecorder
@@ -157,7 +157,7 @@ class TestDgcBehaviour:
 
 class TestAru:
     def test_piggyback(self):
-        aru = BufferAruState("ch", op="min")
+        aru = BackwardStpVector("min")
         ch, _, _ = make_channel(aru=aru)
         prod = ch.register_producer("p")
         cons = ch.register_consumer("c")
@@ -172,7 +172,7 @@ class TestEviction:
         # connection's backwardSTP slot behind, so after a reconnect the
         # channel kept advertising the dead connection's 10 ms under
         # ``min`` although its only consumer now ran at 50 ms.
-        aru = BufferAruState("ch", op="min")
+        aru = BackwardStpVector("min")
         ch, _, _ = make_channel(aru=aru)
         prod = ch.register_producer("p")
         old = ch.register_consumer("c")
@@ -183,12 +183,12 @@ class TestEviction:
         new = ch.register_consumer("c")
         ch.get(new, LATEST, consumer_summary=0.050)
         assert put(ch, prod, 2) == 0.050
-        assert aru.backward.snapshot() == {new.conn_id: 0.050}
+        assert aru.snapshot() == {new.conn_id: 0.050}
 
     def test_get_through_an_evicted_cursor_is_rejected(self):
         # A server session still blocked in a poll for the old connection
         # must not re-create the slot the eviction removed.
-        aru = BufferAruState("ch", op="min")
+        aru = BackwardStpVector("min")
         ch, _, _ = make_channel(aru=aru)
         prod = ch.register_producer("p")
         old = ch.register_consumer("c")
@@ -196,7 +196,7 @@ class TestEviction:
         put(ch, prod, 0)
         with pytest.raises(SimulationError, match="unregistered"):
             ch.get(old, LATEST, consumer_summary=0.010)
-        assert aru.backward.snapshot() == {}
+        assert aru.snapshot() == {}
 
 
 class _GatedLock:

@@ -82,6 +82,17 @@ class TestBasics:
         with pytest.raises(ConfigError):
             ThreadedRuntime(g)
 
+    def test_scaling_off_runs(self):
+        """``no-scale`` is scaling off (``None``), which threads run."""
+        result = run_experiment(ExperimentSpec(
+            app=small_pipeline(), backend="threads", horizon=0.3,
+            scale_policy="no-scale"))
+        assert result.trace.sink_iterations()
+        with pytest.raises(ConfigError, match="elastic scaling"):
+            run_experiment(ExperimentSpec(
+                app=small_pipeline(), backend="threads", horizon=0.3,
+                scale_policy="erlang"))
+
     def test_bad_compute_mode(self):
         with pytest.raises(ConfigError):
             ThreadedRuntime(small_pipeline(), compute_mode="quantum")

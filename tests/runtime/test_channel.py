@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aru import BufferAruState
+from repro.aru import BackwardStpVector
 from repro.errors import ItemDropped, SimulationError
 from repro.runtime import Item
 from repro.vt import EARLIEST, LATEST
@@ -226,7 +226,7 @@ class TestBlockingGet:
 
 class TestAruPiggyback:
     def test_put_returns_channel_summary(self, harness):
-        aru = BufferAruState("ch", op="min")
+        aru = BackwardStpVector("min")
         ch = harness.channel(aru=aru)
         prod = ch.register_producer("p")
         cons = ch.register_consumer("c")
@@ -235,7 +235,7 @@ class TestAruPiggyback:
         assert put(ch, prod, ts=1) == 0.25
 
     def test_channel_compresses_multiple_consumers(self, harness_null_gc):
-        aru = BufferAruState("ch", op="min")
+        aru = BackwardStpVector("min")
         ch = harness_null_gc.channel(aru=aru)
         prod = ch.register_producer("p")
         c1 = ch.register_consumer("c1")
@@ -246,7 +246,7 @@ class TestAruPiggyback:
         assert put(ch, prod, ts=1) == 0.2
 
     def test_max_operator_channel(self, harness_null_gc):
-        aru = BufferAruState("ch", op="max")
+        aru = BackwardStpVector("max")
         ch = harness_null_gc.channel(aru=aru)
         prod = ch.register_producer("p")
         c1 = ch.register_consumer("c1")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aru import BufferAruState
+from repro.aru import BackwardStpVector
 from repro.errors import SimulationError
 from repro.runtime import Item
 
@@ -107,7 +107,7 @@ class TestCapacityAndAru:
         assert q.has_room()
 
     def test_aru_piggyback(self, harness):
-        aru = BufferAruState("q", op="min")
+        aru = BackwardStpVector("min")
         q = harness.squeue(aru=aru)
         prod = q.register_producer("p")
         cons = q.register_consumer("c")

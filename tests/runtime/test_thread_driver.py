@@ -307,16 +307,6 @@ class TestAruThrottling:
         mean_period = sum(it.duration for it in late_relay) / len(late_relay)
         assert mean_period == pytest.approx(0.3, rel=0.2)
 
-    def test_throttle_all_threads_extension(self):
-        g = simple_pipeline(prod_period=0.01, cons_compute=0.2)
-        cfg = aru_min().with_(throttle_sources_only=False)
-        rt = Runtime(g, RuntimeConfig(cluster=quiet_cluster(), aru=cfg))
-        rec = rt.run(until=10.0)
-        # consumer is the slowest node; it should never need to sleep,
-        # but the config path must execute without error and the producer
-        # still throttles.
-        assert any(it.slept > 0 for it in rec.iterations_of("prod"))
-
 
 class TestRemotePlacement:
     def test_remote_put_costs_network_time(self):

@@ -47,7 +47,8 @@ def _view(tenants, now=10.0, total=8.0, free=0.0, **kw):
 
 class TestRegistry:
     def test_builtins_listed(self):
-        assert {"proportional", "demand", "null"} <= set(available_arbiters())
+        assert {"proportional", "demand"} <= set(available_arbiters())
+        assert "null" not in available_arbiters()
 
     def test_help_text_covers_builtins(self):
         text = ARBITERS.help_text()
@@ -285,7 +286,8 @@ class TestRuntimeIntegration:
         assert "revoked" in phases
 
     def test_null_arbiter_installs_nothing(self):
-        spec = _fleet(2, arbiter="null")
+        """Arbitration off is ``arbiter=None``."""
+        spec = _fleet(2, arbiter=None)
         result = run_tenants(spec)
         assert result.arbitration is None
         assert result.runtime.arbiter is None

@@ -100,20 +100,19 @@ def assert_wired_for_owner(runtime):
             assert all(buffer.name in tenant.buffers
                        for buffer, _conn in conns.values())
         assert driver.ctx.rng is tenant.rngs.stream(f"task.{local}")
-        state = driver.aru
-        assert (state is not None) == tenant.aru.enabled
-        if state is not None:
-            assert state.backward.op is resolve_operator(tenant.aru.thread_op)
+        policy = driver.controller.policy
+        assert (policy is not None) == tenant.aru.enabled
+        if policy is not None:
+            assert policy.backward.op is resolve_operator(tenant.aru.thread_op)
     for tenant in live:
         assert set(tenant.threads) <= set(runtime.drivers)
         for name in tenant.buffers:
             endpoint = runtime.buffers[name].feedback
             assert (endpoint is not None) == tenant.aru.enabled
-            assert tenant.bus.endpoints.get(name) is endpoint
-            assert name not in runtime.feedback_bus.endpoints
-            assert not any(name in other.bus.endpoints
-                           for other in runtime.tenants.values()
-                           if other is not tenant)
+            if endpoint is not None:  # built from the tenant's own config
+                op = (runtime.graph.attrs(name).get("compress_op")
+                      or tenant.aru.default_channel_op)
+                assert endpoint.backward.op is resolve_operator(op)
 
 
 def sink_deliveries(runtime, tenant):
@@ -159,8 +158,8 @@ class TestNamespace:
         runtime = result.runtime
         a, b = runtime.tenants["a"], runtime.tenants["b"]
         assert a.bus is not b.bus
-        assert set(a.bus.endpoints) == set(a.buffers)
-        assert set(b.bus.endpoints) == set(b.buffers)
+        assert a.bus.config.thread_op == "max"
+        assert b.bus.config.thread_op == "min"
         assert all(r.deliveries > 0 for r in result.records.values())
         assert_wired_for_owner(runtime)
 
@@ -251,6 +250,50 @@ class TestOwnershipSurvivesTheLifecycle:
         step(1.0)
         assert sink_deliveries(runtime, pool) > delivered
         assert sink_deliveries(runtime, tracker) > 0
+
+
+class TestReplacementAfterScaleIn:
+    """A declared replica retired by scale-in keeps its reservation; a
+    tenant re-placed as a unit puts it back where that reservation is
+    and starts it with the rest."""
+
+    def scaled_in(self):
+        runtime, tracker, pool = tracker_and_pool(
+            4,
+            TenantSpec("t", app_config=CHEAP),
+            TenantSpec("p", app=elastic_pipeline(replicas=2, max_replicas=4),
+                       namespace="pool/"))
+        stage = pool.stages[0]
+        runtime.advance(0.5)
+        assert runtime.scale_in(stage) == "pool/workers[1]"  # declared
+        runtime.advance(0.5)
+        return runtime, pool, stage
+
+    def assert_restored(self, runtime, pool, stage):
+        assert runtime.graph.replicas_of(stage) == [
+            "pool/workers[0]", "pool/workers[1]"]
+        for name in pool.threads:
+            assert runtime.thread_alive(name)
+            assert runtime.drivers[name].node.name == pool.placement[name]
+        assert_wired_for_owner(runtime)
+        before = sink_deliveries(runtime, pool)
+        runtime.advance(2.0)
+        assert sink_deliveries(runtime, pool) > before
+
+    def test_migrate_puts_the_retired_replica_back(self):
+        runtime, pool, stage = self.scaled_in()
+        was_on = tuple(set(pool.placement.values()))
+        assert runtime.migrate_tenant(pool, exclude=was_on)
+        assert not set(was_on) & set(pool.placement.values())
+        self.assert_restored(runtime, pool, stage)
+
+    def test_node_crash_puts_the_retired_replica_back(self):
+        runtime, pool, stage = self.scaled_in()
+        crashed = pool.placement["pool/workers[1]"]
+        runtime.crash_node(crashed)
+        assert pool.state == RUNNING
+        assert crashed not in pool.placement.values()
+        self.assert_restored(runtime, pool, stage)
 
 
 class TestTheTenantIsStoredOnce:

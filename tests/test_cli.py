@@ -114,7 +114,7 @@ def test_sweep_list_policies(capsys):
     rc = main(["sweep", "--list-policies"])
     assert rc == 0
     out = capsys.readouterr().out
-    for name in ("no-aru", "aru-min", "aru-max", "aru-pid", "null"):
+    for name in ("no-aru", "aru-min", "aru-max", "aru-pid"):
         assert name in out
 
 
@@ -308,8 +308,20 @@ def test_elastic_list_scale_policies(capsys):
     rc = main(["elastic", "--list-scale-policies"])
     assert rc == 0
     out = capsys.readouterr().out
-    for name in ("erlang", "erlang-latency", "no-scale", "null-scale"):
+    for name in ("erlang", "erlang-latency", "no-scale"):
         assert name in out
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["run-tracker", "--policy", "null"], "policy"),
+    (["elastic", "--scale-policy", "null-scale"], "scale policy"),
+    (["tenants", "--arbiter", "null"], "arbiter"),
+])
+def test_off_is_not_a_registered_name(argv, kind):
+    """Each loop is off one way (``no-aru``, ``no-scale``, no
+    ``--arbiter``); the old ``null`` spellings are unknown names."""
+    with pytest.raises(SystemExit, match=f"unknown {kind} '{argv[-1]}'"):
+        main(argv)
 
 
 def test_elastic_unknown_scale_policy_exits():

@@ -39,10 +39,10 @@ TOP_LEVEL_API = {
     "Runtime", "RuntimeConfig", "TaskGraph",
     "Get", "Put", "Compute", "PeriodicitySync",
     "AruConfig", "MIN_OPERATOR", "MAX_OPERATOR",
-    "RatePolicy", "SummaryStpPolicy", "PidPolicy", "NullPolicy",
+    "SummaryStpPolicy", "PidPolicy",
     "ThreadController", "register_policy", "resolve_policy",
     "list_policies",
-    "ScaleConfig", "ScalePolicy", "ErlangScalePolicy", "NullScalePolicy",
+    "ScaleConfig", "ErlangScalePolicy",
     "register_scale_policy", "resolve_scale_policy", "list_scale_policies",
     "FaultSpec", "FaultSchedule", "FaultInjector",
     "TraceRecorder", "PostmortemAnalyzer",
