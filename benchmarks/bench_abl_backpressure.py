@@ -26,21 +26,23 @@ VARIANTS = {
     "ARU-min, unbounded": dict(aru=aru_min(), capacity=None),
 }
 
+#: The sweep's cells, by the key ``check_control_identity.py`` checks.
+CELLS = {
+    f"backpressure/{label}/s{seed}": CellSpec(
+        config="config1",
+        policy=spec["aru"],
+        label=label,
+        seed=seed,
+        horizon=HORIZON,
+        app_config=TrackerConfig(channel_capacity=spec["capacity"]),
+    )
+    for label, spec in VARIANTS.items()
+    for seed in SEEDS
+}
+
 
 def _sweep(runner):
-    specs = [
-        CellSpec(
-            config="config1",
-            policy=spec["aru"],
-            label=label,
-            seed=seed,
-            horizon=HORIZON,
-            tracker=TrackerConfig(channel_capacity=spec["capacity"]),
-        )
-        for label, spec in VARIANTS.items()
-        for seed in SEEDS
-    ]
-    results = runner.run_metrics(specs)
+    results = runner.run_metrics(list(CELLS.values()))
     rows = []
     for label in VARIANTS:
         runs = [r.metrics for r in results if r.spec.label == label]

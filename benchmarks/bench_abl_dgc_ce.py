@@ -30,21 +30,23 @@ VARIANTS = {
     "DGC + ARU-max": dict(aru=aru_max(), ce=False),
 }
 
+#: The sweep's cells, by the key ``check_control_identity.py`` checks.
+CELLS = {
+    f"dgc_ce/{label}": CellSpec(
+        config="config1",
+        policy=spec["aru"],
+        label=label,
+        seed=0,
+        horizon=HORIZON,
+        app_config=TrackerConfig(computation_elimination=spec["ce"]),
+        probe="ce_stats",
+    )
+    for label, spec in VARIANTS.items()
+}
+
 
 def _sweep(runner):
-    specs = [
-        CellSpec(
-            config="config1",
-            policy=spec["aru"],
-            label=label,
-            seed=0,
-            horizon=HORIZON,
-            tracker=TrackerConfig(computation_elimination=spec["ce"]),
-            probe="ce_stats",
-        )
-        for label, spec in VARIANTS.items()
-    ]
-    results = runner.run_metrics(specs)
+    results = runner.run_metrics(list(CELLS.values()))
     rows = []
     for result in results:
         m = result.metrics

@@ -20,19 +20,14 @@ The per-phase latency percentiles come from the ``latency_phases``
 probe (in-worker; the full trace never leaves the cell).
 """
 
+from repro.apps import ElasticConfig
 from repro.bench import CellSpec, format_table
 
 HORIZON = 120.0
 SWING = (40.0, 80.0, 10.0)  # 10x arrivals during t=[40,80)
 
-WORKLOAD_ARGS = (
-    ("replicas", 1),
-    ("max_replicas", 6),
-    ("worker_cost", 0.03),
-    ("steady_period", 0.12),
-    ("swing", SWING),
-    ("item_size", 100_000),
-)
+WORKLOAD = ElasticConfig(replicas=1, max_replicas=6, worker_cost=0.03,
+                         steady_period=0.12, swing=SWING, item_size=100_000)
 
 #: Measurement windows: settle margins after each transition.
 PHASES = (
@@ -41,29 +36,28 @@ PHASES = (
     ("recovery", SWING[1] + 10.0, HORIZON),
 )
 
-CELLS = (
-    ("fixed no-control", "no-aru", None),
-    ("fixed ARU-min", "aru-min", None),
-    ("elastic Erlang-C", "no-aru", "erlang"),
-)
+CELLS = {
+    f"elastic/{label}": CellSpec(
+        config="config1",
+        policy=policy,
+        label=label,
+        app="elastic",
+        app_config=WORKLOAD,
+        scale_policy=scale,
+        horizon=HORIZON,
+        probe="latency_phases",
+        probe_args=(("phases", PHASES), ("stage", "workers")),
+    )
+    for label, policy, scale in (
+        ("fixed no-control", "no-aru", None),
+        ("fixed ARU-min", "aru-min", None),
+        ("elastic Erlang-C", "no-aru", "erlang"),
+    )
+}
 
 
 def _run(runner):
-    specs = [
-        CellSpec(
-            config="config1",
-            policy=policy,
-            label=label,
-            workload="elastic",
-            workload_args=WORKLOAD_ARGS,
-            scale_policy=scale,
-            horizon=HORIZON,
-            probe="latency_phases",
-            probe_args=(("phases", PHASES), ("stage", "workers")),
-        )
-        for label, policy, scale in CELLS
-    ]
-    return {r.spec.label: r for r in runner.run_metrics(specs)}
+    return {r.spec.label: r for r in runner.run_metrics(list(CELLS.values()))}
 
 
 def test_elastic_holds_latency_where_fixed_aru_cannot(benchmark, emit,
@@ -71,8 +65,8 @@ def test_elastic_holds_latency_where_fixed_aru_cannot(benchmark, emit,
     results = benchmark.pedantic(lambda: _run(sweep_runner),
                                  rounds=1, iterations=1)
     rows = []
-    for label, _, _ in CELLS:
-        x = results[label].extras
+    for label, result in results.items():
+        x = result.extras
         rows.append([
             label,
             x["p95:steady"] * 1e3,

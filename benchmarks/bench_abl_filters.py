@@ -28,21 +28,22 @@ SEEDS = (0, 1)
 HORIZON = 120.0
 NOISE = 0.35
 
+#: The sweep's cells, by the key ``check_control_identity.py`` checks.
+CELLS = {
+    f"filters/{label}/s{seed}": CellSpec(
+        config={"kind": "config1", "sched_noise_cv": NOISE},
+        policy=aru_max(summary_filter=fspec) if fspec else aru_max(),
+        label=label,
+        seed=seed,
+        horizon=HORIZON,
+    )
+    for label, fspec in FILTERS.items()
+    for seed in SEEDS
+}
+
 
 def _sweep(runner):
-    specs = [
-        CellSpec(
-            config="config1",
-            policy=aru_max(summary_filter=fspec) if fspec else aru_max(),
-            label=label,
-            seed=seed,
-            horizon=HORIZON,
-            sched_noise_cv=NOISE,
-        )
-        for label, fspec in FILTERS.items()
-        for seed in SEEDS
-    ]
-    results = runner.run_metrics(specs)
+    results = runner.run_metrics(list(CELLS.values()))
     rows = []
     for label in FILTERS:
         runs = [r.metrics for r in results if r.spec.label == label]

@@ -18,14 +18,16 @@ from repro.bench import CellSpec, format_table
 GCS = ("null", "ref", "tgc", "dgc")
 HORIZON = 60.0  # null/ref grow linearly; keep the horizon moderate
 
+#: The sweep's cells, by the key ``check_control_identity.py`` checks.
+CELLS = {
+    f"gc/{gc}": CellSpec(config="config1", policy=aru_disabled(), label=gc,
+                         seed=0, horizon=HORIZON, gc=gc)
+    for gc in GCS
+}
+
 
 def _sweep(runner):
-    specs = [
-        CellSpec(config="config1", policy=aru_disabled(), label=gc,
-                 seed=0, horizon=HORIZON, gc=gc)
-        for gc in GCS
-    ]
-    results = runner.run_metrics(specs)
+    results = runner.run_metrics(list(CELLS.values()))
     return [
         [
             result.spec.label,

@@ -17,21 +17,22 @@ from repro.bench import CellSpec, format_table
 INTERVALS = (0.0, 0.25, 0.5, 1.0)
 HORIZON = 90.0
 
+#: The sweep's cells, by the key ``check_control_identity.py`` checks.
+CELLS = {
+    f"gc_lag/{interval}": CellSpec(
+        config="config1",
+        policy=aru_disabled(),
+        label=f"{interval:.2f}s" if interval else "eager",
+        seed=0,
+        horizon=HORIZON,
+        gc={"kind": "dgc", "interval": interval},
+    )
+    for interval in INTERVALS
+}
+
 
 def _sweep(runner):
-    specs = [
-        CellSpec(
-            config="config1",
-            policy=aru_disabled(),
-            label=f"{interval:.2f}s" if interval else "eager",
-            seed=0,
-            horizon=HORIZON,
-            gc="dgc",
-            gc_interval=interval,
-        )
-        for interval in INTERVALS
-    ]
-    results = runner.run_metrics(specs)
+    results = runner.run_metrics(list(CELLS.values()))
     return [
         [
             result.spec.label,

@@ -16,20 +16,22 @@ HEADROOMS = (0.8, 0.9, 1.0, 1.1, 1.25)
 SEEDS = (0, 1)
 HORIZON = 90.0
 
+#: The sweep's cells, by the key ``check_control_identity.py`` checks.
+CELLS = {
+    f"headroom/h{headroom}/s{seed}": CellSpec(
+        config="config2",
+        policy=aru_max(headroom=headroom, name=f"aru-max-h{headroom}"),
+        label=f"h{headroom}",
+        seed=seed,
+        horizon=HORIZON,
+    )
+    for headroom in HEADROOMS
+    for seed in SEEDS
+}
+
 
 def _sweep(runner):
-    specs = [
-        CellSpec(
-            config="config2",
-            policy=aru_max(headroom=headroom, name=f"aru-max-h{headroom}"),
-            label=f"h{headroom}",
-            seed=seed,
-            horizon=HORIZON,
-        )
-        for headroom in HEADROOMS
-        for seed in SEEDS
-    ]
-    results = runner.run_metrics(specs)
+    results = runner.run_metrics(list(CELLS.values()))
     rows = []
     for headroom in HEADROOMS:
         runs = [r.metrics for r in results

@@ -31,9 +31,9 @@ PHASES = (
     ("after (100-150s)", BURST[1] + 5.0, HORIZON),
 )
 
-
-def _run(runner):
-    spec = CellSpec(
+#: The sweep's cells, by the key ``check_control_identity.py`` checks.
+CELLS = {
+    "load_adaptivity": CellSpec(
         config="config1",
         policy=aru_min(),
         seed=0,
@@ -42,8 +42,12 @@ def _run(runner):
                         threads=LOAD_THREADS, burst_s=0.05),),
         probe="throttle_phases",
         probe_args=(("thread", "digitizer"), ("phases", PHASES)),
-    )
-    result, = runner.run_metrics([spec])
+    ),
+}
+
+
+def _run(runner):
+    result, = runner.run_metrics(list(CELLS.values()))
     rows = [
         [label, result.extras[f"target:{label}"] * 1e3,
          result.extras[f"fps:{label}"]]

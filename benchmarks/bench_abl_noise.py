@@ -15,21 +15,22 @@ NOISE_LEVELS = (0.0, 0.08, 0.2, 0.4)
 SEEDS = (0, 1)
 HORIZON = 90.0
 
+#: The sweep's cells, by the key ``check_control_identity.py`` checks.
+CELLS = {
+    f"noise/cv{noise}/s{seed}": CellSpec(
+        config={"kind": "config1", "sched_noise_cv": noise},
+        policy=aru_min(),
+        label=f"cv={noise}",
+        seed=seed,
+        horizon=HORIZON,
+    )
+    for noise in NOISE_LEVELS
+    for seed in SEEDS
+}
+
 
 def _sweep(runner):
-    specs = [
-        CellSpec(
-            config="config1",
-            policy=aru_min(),
-            label=f"cv={noise}",
-            seed=seed,
-            horizon=HORIZON,
-            sched_noise_cv=noise,
-        )
-        for noise in NOISE_LEVELS
-        for seed in SEEDS
-    ]
-    results = runner.run_metrics(specs)
+    results = runner.run_metrics(list(CELLS.values()))
     rows = []
     for noise in NOISE_LEVELS:
         runs = [r.metrics for r in results if r.spec.label == f"cv={noise}"]

@@ -18,21 +18,23 @@ OPERATORS = ("min", "kth:1", "median", "mean", "max")
 SEEDS = (0, 1)
 HORIZON = 90.0
 
+#: The sweep's cells, by the key ``check_control_identity.py`` checks.
+CELLS = {
+    f"operators/{op}/s{seed}": CellSpec(
+        config="config1",
+        policy=AruConfig(default_channel_op=op, thread_op=op,
+                         name=f"aru-{op}"),
+        label=op,
+        seed=seed,
+        horizon=HORIZON,
+    )
+    for op in OPERATORS
+    for seed in SEEDS
+}
+
 
 def _sweep(runner):
-    specs = [
-        CellSpec(
-            config="config1",
-            policy=AruConfig(default_channel_op=op, thread_op=op,
-                             name=f"aru-{op}"),
-            label=op,
-            seed=seed,
-            horizon=HORIZON,
-        )
-        for op in OPERATORS
-        for seed in SEEDS
-    ]
-    results = runner.run_metrics(specs)
+    results = runner.run_metrics(list(CELLS.values()))
     rows = []
     for op in OPERATORS:
         runs = [r.metrics for r in results if r.spec.label == op]

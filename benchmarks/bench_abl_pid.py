@@ -29,9 +29,8 @@ PHASES = (
     ("after (100-150s)", BURST[1] + 5.0, HORIZON),
 )
 
-
-def _run(runner, policy):
-    spec = CellSpec(
+CELLS = {
+    f"pid/{policy}": CellSpec(
         config="config1",
         policy=policy,
         seed=0,
@@ -41,13 +40,13 @@ def _run(runner, policy):
         probe="control_phases",
         probe_args=(("thread", "digitizer"), ("phases", PHASES)),
     )
-    result, = runner.run_metrics([spec])
-    return result
+    for policy in ("aru-min", "aru-pid")
+}
 
 
 def test_pid_converges_to_sustainable_period(benchmark, emit, sweep_runner):
     ref, pid = benchmark.pedantic(
-        lambda: (_run(sweep_runner, "aru-min"), _run(sweep_runner, "aru-pid")),
+        lambda: sweep_runner.run_metrics(list(CELLS.values())),
         rounds=1, iterations=1)
     rows = []
     ratios = {}

@@ -15,8 +15,8 @@ Usage::
     PYTHONPATH=src python benchmarks/check_control_identity.py \
         --check baseline.json         # verify (exit 1 on any drift)
 
-The enumerated specs mirror the bench modules by construction; keep them
-in sync when a bench gains cells.
+The grid cells come from :func:`~repro.bench.grid_specs`, the ablation
+cells from each bench module's ``CELLS``, so a cell is declared once.
 """
 
 from __future__ import annotations
@@ -24,106 +24,35 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
-from repro.apps import TrackerConfig
-from repro.aru import AruConfig, aru_disabled, aru_max, aru_min
-from repro.bench import CellSpec, SweepRunner, metrics_fingerprint
+import bench_abl_backpressure
+import bench_abl_dgc_ce
+import bench_abl_filters
+import bench_abl_gc
+import bench_abl_gc_lag
+import bench_abl_headroom
+import bench_abl_load_adaptivity
+import bench_abl_noise
+import bench_abl_operators
+from repro.bench import CellSpec, SweepRunner, grid_specs, metrics_fingerprint
 from repro.bench.experiments import DEFAULT_SEEDS
-from repro.cluster import LoadSpec
 
-# kept as a module-level alias: older baselines were captured with this name
-_hash_metrics = metrics_fingerprint
-
-
-def _grid_cells() -> Iterable[Tuple[str, CellSpec]]:
-    """The §5 grid shared by bench_fig06–bench_fig10."""
-    policies = {"No ARU": aru_disabled, "ARU-min": aru_min, "ARU-max": aru_max}
-    for config in ("config1", "config2"):
-        for label, factory in policies.items():
-            for seed in DEFAULT_SEEDS:
-                yield (f"grid/{config}/{label}/s{seed}",
-                       CellSpec(config=config, policy=factory(), label=label,
-                                seed=seed, horizon=120.0))
-
-
-def _ablation_cells() -> Iterable[Tuple[str, CellSpec]]:
-    # bench_abl_operators
-    for op in ("min", "kth:1", "median", "mean", "max"):
-        for seed in (0, 1):
-            yield (f"operators/{op}/s{seed}",
-                   CellSpec(config="config1",
-                            policy=AruConfig(default_channel_op=op,
-                                             thread_op=op, name=f"aru-{op}"),
-                            label=op, seed=seed, horizon=90.0))
-    # bench_abl_filters
-    for label, fspec in (("none (paper)", None), ("ewma:0.2", "ewma:0.2"),
-                         ("median:5", "median:5"), ("slew:0.2", "slew:0.2")):
-        for seed in (0, 1):
-            yield (f"filters/{label}/s{seed}",
-                   CellSpec(config="config1",
-                            policy=aru_max(summary_filter=fspec) if fspec
-                            else aru_max(),
-                            label=label, seed=seed, horizon=120.0,
-                            sched_noise_cv=0.35))
-    # bench_abl_noise
-    for noise in (0.0, 0.08, 0.2, 0.4):
-        for seed in (0, 1):
-            yield (f"noise/cv{noise}/s{seed}",
-                   CellSpec(config="config1", policy=aru_min(),
-                            label=f"cv={noise}", seed=seed, horizon=90.0,
-                            sched_noise_cv=noise))
-    # bench_abl_gc
-    for gc in ("null", "ref", "tgc", "dgc"):
-        yield (f"gc/{gc}", CellSpec(config="config1", policy=aru_disabled(),
-                                    label=gc, seed=0, horizon=60.0, gc=gc))
-    # bench_abl_gc_lag
-    for interval in (0.0, 0.25, 0.5, 1.0):
-        yield (f"gc_lag/{interval}",
-               CellSpec(config="config1", policy=aru_disabled(),
-                        label=f"{interval:.2f}s" if interval else "eager",
-                        seed=0, horizon=90.0, gc="dgc", gc_interval=interval))
-    # bench_abl_dgc_ce
-    for label, aru, ce in (("DGC alone", aru_disabled(), False),
-                           ("DGC + comp-elim [6]", aru_disabled(), True),
-                           ("DGC + ARU-max", aru_max(), False)):
-        yield (f"dgc_ce/{label}",
-               CellSpec(config="config1", policy=aru, label=label, seed=0,
-                        horizon=90.0,
-                        tracker=TrackerConfig(computation_elimination=ce),
-                        probe="ce_stats"))
-    # bench_abl_backpressure
-    for label, aru, cap in (("unbounded, no ARU", aru_disabled(), None),
-                            ("backpressure cap=3", aru_disabled(), 3),
-                            ("backpressure cap=8", aru_disabled(), 8),
-                            ("ARU-min, unbounded", aru_min(), None)):
-        for seed in (0, 1):
-            yield (f"backpressure/{label}/s{seed}",
-                   CellSpec(config="config1", policy=aru, label=label,
-                            seed=seed, horizon=90.0,
-                            tracker=TrackerConfig(channel_capacity=cap)))
-    # bench_abl_headroom
-    for headroom in (0.8, 0.9, 1.0, 1.1, 1.25):
-        for seed in (0, 1):
-            yield (f"headroom/h{headroom}/s{seed}",
-                   CellSpec(config="config2",
-                            policy=aru_max(headroom=headroom,
-                                           name=f"aru-max-h{headroom}"),
-                            label=f"h{headroom}", seed=seed, horizon=90.0))
-    # bench_abl_load_adaptivity
-    phases = (("before (0-50s)", 5.0, 50.0),
-              ("burst (50-100s)", 55.0, 100.0),
-              ("after (100-150s)", 105.0, 150.0))
-    yield ("load_adaptivity",
-           CellSpec(config="config1", policy=aru_min(), seed=0, horizon=150.0,
-                    loads=(LoadSpec(node="node0", start=50.0, stop=100.0,
-                                    threads=6, burst_s=0.05),),
-                    probe="throttle_phases",
-                    probe_args=(("thread", "digitizer"), ("phases", phases))))
+#: The ablation benches whose cells are checked, in run order.
+ABLATIONS = (bench_abl_operators, bench_abl_filters, bench_abl_noise,
+             bench_abl_gc, bench_abl_gc_lag, bench_abl_dgc_ce,
+             bench_abl_backpressure, bench_abl_headroom,
+             bench_abl_load_adaptivity)
 
 
 def all_cells() -> List[Tuple[str, CellSpec]]:
-    return list(_grid_cells()) + list(_ablation_cells())
+    """Every checked cell with its key: the §5 grid shared by
+    bench_fig06–bench_fig10, then the ablations'."""
+    cells = [(f"grid/{spec.config}/{spec.label}/s{spec.seed}", spec)
+             for spec in grid_specs(seeds=DEFAULT_SEEDS, horizon=120.0)]
+    for bench in ABLATIONS:
+        cells.extend(bench.CELLS.items())
+    return cells
 
 
 def compute_hashes(workers: int = 1) -> Dict[str, str]:

@@ -6,7 +6,8 @@ to end (docs/control-plane.md is the prose version):
 
 1. a custom *preset* — a named ``AruConfig`` registered with
    ``register_policy``, usable everywhere a policy name is accepted
-   (CLI ``--policy``, sweep spec files, ``CellSpec(policy="...")``);
+   (CLI ``--policy``, spec files, ``ExperimentSpec(policy="...")`` and
+   so a sweep cell, ``CellSpec(policy="...")``);
 2. the library layer — the shipped ``SummaryStpPolicy`` and
    ``PidPolicy`` driven offline through a ``ThreadController``.
 

@@ -11,12 +11,13 @@ docs/control-plane.md is the prose version):
    through the same ``StageSignals`` the controller reads;
 3. a custom *preset* — a named ``ScaleConfig`` registered with
    ``register_scale_policy``, usable everywhere a scale-policy name is
-   accepted (CLI ``--scale-policy``, ``CellSpec(scale_policy="...")``).
+   accepted (CLI ``--scale-policy``, spec files, an ``ExperimentSpec``
+   or sweep ``CellSpec`` naming ``app="elastic"``).
 
 Run:  python examples/elastic_tracker.py
 """
 
-from repro.apps import elastic_pipeline
+from repro.apps import ElasticConfig
 from repro.bench import CellSpec, SweepRunner
 from repro.control import ErlangScalePolicy, ScaleConfig, register_scale_policy
 from repro.control.scale import StageSignals
@@ -27,11 +28,9 @@ HORIZON = 90.0
 SWING = (30.0, 60.0, 10.0)  # 10x arrivals during t=[30,60)
 
 
-def build(**kw):
-    return elastic_pipeline(
-        replicas=1, max_replicas=6, worker_cost=0.03,
-        steady_period=0.12, swing=SWING, **kw,
-    )
+#: One 30 ms worker that may grow to six behind the swing source.
+WORKLOAD = ElasticConfig(replicas=1, max_replicas=6, worker_cost=0.03,
+                         steady_period=0.12, swing=SWING)
 
 
 # --- 1. the shipped Erlang-C controller vs a fixed pool ---
@@ -41,8 +40,8 @@ def compare_fixed_and_elastic() -> None:
           f"{SWING[1]:.0f})s; one 30 ms worker (config1)\n")
     for label, scale in (("fixed N=1", None), ("elastic erlang", "erlang")):
         result = run_experiment(ExperimentSpec(
-            app=build(), config="config1", policy="no-aru",
-            scale_policy=scale, horizon=HORIZON,
+            app="elastic", app_config=WORKLOAD, config="config1",
+            policy="no-aru", scale_policy=scale, horizon=HORIZON,
         ))
         pct = latency_percentiles(result.trace, percentiles=(50, 95))
         frames = len(result.trace.sink_iterations())
@@ -88,10 +87,7 @@ def sweep_with_preset() -> None:
     cells = [
         CellSpec(
             config="config1", policy="no-aru", label=name or "fixed",
-            workload="elastic",
-            workload_args=(("replicas", 1), ("max_replicas", 6),
-                           ("worker_cost", 0.03), ("steady_period", 0.12),
-                           ("swing", SWING)),
+            app="elastic", app_config=WORKLOAD,
             scale_policy=name, horizon=HORIZON,
         )
         for name in (None, "erlang", "erlang-cautious")

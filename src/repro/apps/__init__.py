@@ -1,5 +1,5 @@
-"""Applications: the people tracker, gesture/stereo pipelines, and
-generic workload generators.
+"""Applications: the people tracker, gesture/stereo pipelines, the elastic
+pipeline, and generic workload generators.
 
 The builtin apps a spec can name (``ExperimentSpec(app=...)``, spec
 files, ``repro dot``) are registered in :data:`APPS` as
@@ -28,8 +28,7 @@ from repro.apps.vision import (
     make_frame,
 )
 from repro.apps.elastic import (
-    WORKLOADS,
-    build_workload,
+    ElasticConfig,
     elastic_pipeline,
     make_draining_sink,
     make_pool_worker,
@@ -54,6 +53,8 @@ APPS.register("gesture", (build_gesture, GestureConfig),
               help="sliding-window recognizer pinning a window of features")
 APPS.register("stereo", (build_stereo, StereoConfig),
               help="two cameras matched by corresponding timestamps")
+APPS.register("elastic", (elastic_pipeline, ElasticConfig),
+              help="source -> replicated worker stage -> sink, with a rate swing")
 
 
 def app_config_from_dict(app, raw, where: str):
@@ -90,9 +91,8 @@ __all__ = [
     "make_source",
     "make_worker",
     "make_sink",
+    "ElasticConfig",
     "elastic_pipeline",
-    "build_workload",
-    "WORKLOADS",
     "make_swing_source",
     "make_pool_worker",
     "make_draining_sink",

@@ -15,17 +15,16 @@ run-to-run comparisons between differently-sized pools; with no RNG
 draws at all, a fixed-N elastic run is bit-identical across serial and
 parallel sweep execution and `no-scale` equals no-replication.
 
-Builders are registered by name (:data:`WORKLOADS`) so sweep cells can
-carry ``workload="elastic"`` as a picklable string, mirroring how
-policies resolve through the registry.
+The pipeline is the builtin app ``"elastic"`` (:data:`repro.apps.APPS`),
+so a spec names it and its :class:`ElasticConfig` like any other app.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.registry import Registry
 from repro.runtime.graph import TaskGraph
 from repro.runtime.syscalls import (
     Compute,
@@ -50,10 +49,6 @@ def make_swing_source(channel: str, period: float,
     """
     if swing is not None:
         t_on, t_off, factor = swing
-        if t_off <= t_on:
-            raise ConfigError(f"swing window is empty: {swing}")
-        if factor <= 0:
-            raise ConfigError(f"swing factor must be positive, got {factor}")
 
     def source(ctx):
         ts = 0
@@ -99,66 +94,77 @@ def make_draining_sink(channel: str, cost: float = 0.001):
     return sink
 
 
-def elastic_pipeline(
-    replicas: int = 1,
-    min_replicas: int = 1,
-    max_replicas: int = 6,
-    partition: str = "round-robin",
-    worker_cost: float = 0.03,
-    steady_period: float = 0.12,
-    swing: Optional[Tuple[float, float, float]] = (40.0, 80.0, 10.0),
-    item_size: int = 100_000,
-    sink_cost: float = 0.001,
-    source_cost: float = 0.002,
-    input_capacity: Optional[int] = None,
-    name: str = "elastic",
-) -> TaskGraph:
+@dataclass(frozen=True)
+class ElasticConfig:
+    """Knobs of :func:`elastic_pipeline`.
+
+    ``swing`` is ``(t_on, t_off, factor)``: the source's period divides
+    by ``factor`` during ``[t_on, t_off)``; ``None`` keeps it steady.
+    Defaults put the steady state at ~25% utilisation of one worker and
+    the swing at ~2.5 erlangs — beyond any fixed single worker but
+    comfortably inside an 8-CPU node at N=4.
+    """
+
+    replicas: int = 1
+    min_replicas: int = 1
+    max_replicas: int = 6
+    partition: str = "round-robin"
+    worker_cost: float = 0.03
+    steady_period: float = 0.12
+    swing: Optional[Tuple[float, float, float]] = (40.0, 80.0, 10.0)
+    item_size: int = 100_000
+    sink_cost: float = 0.001
+    source_cost: float = 0.002
+    input_capacity: Optional[int] = None
+    name: str = "elastic"
+
+    def __post_init__(self) -> None:
+        if self.replicas < 1:
+            raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
+        if self.worker_cost <= 0:
+            raise ConfigError(
+                f"worker_cost must be positive, got {self.worker_cost}")
+        if self.steady_period <= 0:
+            raise ConfigError(
+                f"steady_period must be positive, got {self.steady_period}")
+        if self.swing is not None:
+            # A spec file spells the window as a list.
+            object.__setattr__(self, "swing", tuple(self.swing))
+            t_on, t_off, factor = self.swing
+            if t_off <= t_on:
+                raise ConfigError(f"swing window is empty: {self.swing}")
+            if factor <= 0:
+                raise ConfigError(
+                    f"swing factor must be positive, got {factor}")
+
+
+def elastic_pipeline(cfg: Optional[ElasticConfig] = None) -> TaskGraph:
     """``source -> partition -> workers[N] -> merge -> sink``.
 
     The canonical elastic topology: one swing source feeding a
     replicated worker stage (via :meth:`TaskGraph.add_replicated_stage`)
     whose merged output an earliest-draining sink consumes in timestamp
-    order. Defaults put the steady state at ~25% utilisation of one
-    worker and the swing at ~2.5 erlangs — beyond any fixed single
-    worker but comfortably inside an 8-CPU node at N=4.
+    order.
     """
-    if replicas < 1:
-        raise ConfigError(f"replicas must be >= 1, got {replicas}")
-    if worker_cost <= 0:
-        raise ConfigError(f"worker_cost must be positive, got {worker_cost}")
-    if steady_period <= 0:
-        raise ConfigError(
-            f"steady_period must be positive, got {steady_period}"
-        )
-    g = TaskGraph(name)
+    cfg = cfg or ElasticConfig()
+    g = TaskGraph(cfg.name)
     g.add_thread("source", make_swing_source(
-        "part", steady_period, swing, item_size, cost=source_cost))
+        "part", cfg.steady_period, cfg.swing, cfg.item_size,
+        cost=cfg.source_cost))
     g.add_replicated_stage(
         "workers",
-        make_pool_worker("part", "merge", worker_cost, item_size),
+        make_pool_worker("part", "merge", cfg.worker_cost, cfg.item_size),
         input="part",
         output="merge",
-        replicas=replicas,
-        min_replicas=min_replicas,
-        max_replicas=max_replicas,
-        partition=partition,
-        input_capacity=input_capacity,
+        replicas=cfg.replicas,
+        min_replicas=cfg.min_replicas,
+        max_replicas=cfg.max_replicas,
+        partition=cfg.partition,
+        input_capacity=cfg.input_capacity,
     )
-    g.add_thread("sink", make_draining_sink("merge", cost=sink_cost),
+    g.add_thread("sink", make_draining_sink("merge", cost=cfg.sink_cost),
                  sink=True)
     g.connect("source", "part")
     g.connect("merge", "sink")
     g.validate()
     return g
-
-
-#: Workloads resolvable by name from sweep cells (picklable strings).
-WORKLOADS: Registry[Callable[..., TaskGraph]] = Registry("workload")
-WORKLOADS.register(
-    "elastic", elastic_pipeline,
-    help="source -> replicated worker stage -> sink, with a rate swing")
-
-
-def build_workload(name: str, **args) -> TaskGraph:
-    """Resolve a registered workload builder by name and build it."""
-    return WORKLOADS.get(name)(**args)

@@ -10,11 +10,10 @@ over seeds, reporting across-run standard deviations where the paper does
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.apps.tracker import TrackerConfig
 from repro.aru.config import AruConfig, aru_disabled, aru_max, aru_min
 from repro.metrics.footprint import Timeline
 from repro.metrics.performance import jitter, latency_stats, throughput_fps
@@ -98,21 +97,22 @@ def run_tracker_once(
     policy: Union[AruConfig, str],
     seed: int = 0,
     horizon: float = DEFAULT_HORIZON,
-    tracker_cfg: Optional[TrackerConfig] = None,
-    gc: str = "dgc",
+    **fields: Any,
 ) -> RunMetrics:
     """One full tracker simulation + postmortem.
 
     ``policy`` is an explicit :class:`AruConfig` or a registered policy
-    name (``"aru-min"``, ``"aru-pid"``, ...). This is the single-cell
-    convenience wrapper over the sweep path: errors propagate (unlike
+    name (``"aru-min"``, ``"aru-pid"``, ...); ``fields`` are any other
+    :class:`~repro.bench.runner.CellSpec` fields (``app_config``,
+    ``gc``...). This is the single-cell convenience wrapper over the
+    sweep path: errors propagate (unlike
     :func:`repro.bench.runner.run_cell`, which folds them into the
     result).
     """
     from repro.bench.runner import CellSpec, _execute_cell
 
     spec = CellSpec(config=config, policy=policy, seed=seed, horizon=horizon,
-                    tracker=tracker_cfg, gc=gc)
+                    **fields)
     return _execute_cell(spec).metrics
 
 
@@ -159,12 +159,11 @@ def grid_specs(
     policies: Optional[Dict[str, Callable[[], AruConfig]]] = None,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     horizon: float = DEFAULT_HORIZON,
-    tracker_cfg: Optional[TrackerConfig] = None,
-    gc: str = "dgc",
-    telemetry: bool = False,
-    backend: str = "sim",
+    **fields: Any,
 ) -> List["CellSpec"]:
-    """The paper's §5 grid as a flat list of sweep cell specs.
+    """The paper's §5 grid as a flat list of sweep cell specs; ``fields``
+    are any other :class:`~repro.bench.runner.CellSpec` fields, the same
+    in every cell.
 
     Policy *factories* (possibly lambdas) are resolved to their
     :class:`AruConfig` values here, in the parent process — cell specs
@@ -175,8 +174,7 @@ def grid_specs(
     policies = policies or POLICY_FACTORIES
     return [
         CellSpec(config=config, policy=factory(), label=label, seed=seed,
-                 horizon=horizon, tracker=tracker_cfg, gc=gc,
-                 telemetry=telemetry, backend=backend)
+                 horizon=horizon, **fields)
         for config in configs
         for label, factory in policies.items()
         for seed in seeds
@@ -188,14 +186,12 @@ def run_grid(
     policies: Optional[Dict[str, Callable[[], AruConfig]]] = None,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     horizon: float = DEFAULT_HORIZON,
-    tracker_cfg: Optional[TrackerConfig] = None,
-    gc: str = "dgc",
     runner: Optional["SweepRunner"] = None,
     workers: int = 1,
-    telemetry: bool = False,
-    backend: str = "sim",
+    **fields: Any,
 ) -> Dict[Tuple[str, str], PolicyAggregate]:
-    """Run the full (config x policy x seed) grid of the paper's §5.
+    """Run the full (config x policy x seed) grid of the paper's §5
+    (``fields`` as for :func:`grid_specs`).
 
     All cells go through a :class:`~repro.bench.runner.SweepRunner` —
     pass one in (``runner``) to share its worker pool and result cache,
@@ -205,8 +201,7 @@ def run_grid(
     """
     from repro.bench.runner import SweepRunner
 
-    specs = grid_specs(configs, policies, seeds, horizon, tracker_cfg, gc,
-                       telemetry=telemetry, backend=backend)
+    specs = grid_specs(configs, policies, seeds, horizon, **fields)
     runner = runner or SweepRunner(workers=workers)
     results = runner.run_metrics(specs)
     out: Dict[Tuple[str, str], PolicyAggregate] = {}

@@ -5,9 +5,9 @@ DES is seeded and deterministic, so the cells can run in any order, in
 any process, and produce bit-identical results. :class:`SweepRunner`
 exploits that:
 
-* cells are described by :class:`CellSpec` — a pure-data, picklable
-  value object covering every knob the benches use (cluster config, ARU
-  policy, seed, horizon, workload overrides, GC, injected load, noise);
+* cells are described by :class:`CellSpec` — an
+  :class:`~repro.experiment.ExperimentSpec` (pure, picklable data) plus
+  the row label and in-worker probe the sweep reports;
 * :func:`run_cell` is a pure function ``CellSpec -> CellResult``,
   executable in a ``concurrent.futures.ProcessPoolExecutor`` worker;
 * results are optionally memoized through a content-addressed
@@ -28,14 +28,13 @@ import gc
 import os
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.aru.config import AruConfig, aru_disabled
 from repro.bench.cache import ResultCache
 from repro.bench.probes import PROBES
-from repro.cluster.load import LoadSpec
 from repro.errors import ConfigError
+from repro.experiment import ExperimentSpec, run_experiment
 
 
 def default_workers() -> int:
@@ -44,75 +43,36 @@ def default_workers() -> int:
 
 
 @dataclass(frozen=True)
-class CellSpec:
-    """One sweep cell, as pure picklable data.
+class CellSpec(ExperimentSpec):
+    """One sweep cell: an experiment plus what the sweep reports of it.
 
     Every field must survive ``pickle`` (worker dispatch) and
-    :func:`repro.bench.cache.canonical_repr` (cache keying); keep
-    factories and other callables out — name things instead (``gc`` and
-    ``probe`` are strings for exactly this reason).
+    :func:`repro.bench.cache.canonical_repr` (cache keying); keep graphs,
+    factories and other callables out — name things instead (``app``,
+    ``gc`` and ``probe`` are names for exactly this reason). With
+    ``telemetry=True`` the hub's summary lands in
+    :attr:`CellResult.telemetry` — deliberately NOT in ``extras``, so the
+    determinism fingerprint is identical with telemetry on or off.
     """
 
-    config: str = "config1"
-    #: An explicit :class:`AruConfig` or a registered policy name (the
-    #: control-plane registry resolves names in the worker).
-    policy: Union[AruConfig, str] = field(default_factory=aru_disabled)
+    #: Named, not None: the metrics label of a cell is its config's name.
+    config: Any = "config1"
     #: Row label for grouping/reporting; defaults to the policy's name.
     label: str = ""
-    seed: int = 0
-    horizon: float = 120.0
-    tracker: Optional[Any] = None  # TrackerConfig; Any avoids a cycle
-    #: Registered workload name (see repro.apps.elastic.WORKLOADS);
-    #: ``None`` runs the default tracker app. Kept as a string so the
-    #: spec stays picklable and cache-keyable.
-    workload: Optional[str] = None
-    workload_args: Tuple[Tuple[str, Any], ...] = ()
-    #: Elastic-parallelism policy: a registered scale-policy name or an
-    #: explicit :class:`~repro.control.ScaleConfig`; ``None`` = not
-    #: configured (fixed N, zero added events).
-    scale_policy: Optional[Any] = None
-    gc: str = "dgc"
-    #: DGC pass interval override (``None`` = the collector's default).
-    gc_interval: Optional[float] = None
-    #: Override the cluster's OS-scheduling noise coefficient.
-    sched_noise_cv: Optional[float] = None
-    loads: Tuple[LoadSpec, ...] = ()
-    #: Scripted faults injected into the cell (see repro.faults). An
-    #: empty tuple installs nothing, keeping fault-free cells
-    #: bit-identical to pre-faults sweeps.
-    faults: Tuple[Any, ...] = ()  # Tuple[FaultSpec, ...]; Any avoids a cycle
     #: Name of a registered in-worker probe (see repro.bench.probes).
     probe: Optional[str] = None
     probe_args: Tuple[Tuple[str, Any], ...] = ()
-    #: Record telemetry (repro.obs) for this cell. The summary lands in
-    #: :attr:`CellResult.telemetry` — deliberately NOT in ``extras``, so
-    #: the determinism fingerprint is identical with telemetry on or off.
-    telemetry: bool = False
-    #: Execution backend, by registered name (see repro.backends). The
-    #: default ``"sim"`` keeps cache keys and fingerprints of existing
-    #: sweeps unchanged.
-    backend: str = "sim"
-
-    @property
-    def aru(self) -> AruConfig:
-        """The resolved :class:`AruConfig` (names go via the registry)."""
-        from repro.control.registry import resolve_policy
-
-        return resolve_policy(self.policy)
 
     @property
     def policy_label(self) -> str:
         if self.label:
             return self.label
         try:
-            return self.aru.name
+            return self.resolve_policy().name
         except ConfigError:
             # An unresolvable name still needs a label so the failed
             # cell can be reported.
             return str(self.policy)
-
-    def with_(self, **changes) -> "CellSpec":
-        return replace(self, **changes)
 
     def cache_payload(self) -> Dict[str, Any]:
         """What the content-addressed cache key hashes.
@@ -125,35 +85,10 @@ class CellSpec:
         never cached, but key computation must not abort the sweep).
         """
         try:
-            cluster, placement = self._cluster_and_placement()
+            cluster, placement = self.resolve_cluster_and_placement()
         except ConfigError:
             cluster, placement = None, None
-        return {
-            "spec": self,
-            "cluster": cluster,
-            "placement": placement,
-        }
-
-    # -- resolution helpers (worker side) ------------------------------------
-    def _cluster_and_placement(self):
-        from repro.experiment import ExperimentSpec
-
-        config: Any = self.config
-        if self.sched_noise_cv is not None:
-            config = {"kind": config, "sched_noise_cv": self.sched_noise_cv}
-        # A workload cell names no app, so it gets no paper placement.
-        return ExperimentSpec(
-            app=self.workload or "tracker", config=config,
-        ).resolve_cluster_and_placement()
-
-    def _gc(self):
-        if self.gc_interval is not None:
-            if self.gc != "dgc":
-                raise ConfigError("gc_interval only applies to the 'dgc' GC")
-            from repro.gc import DeadTimestampGC
-
-            return DeadTimestampGC(interval=self.gc_interval)
-        return self.gc
+        return {"spec": self, "cluster": cluster, "placement": placement}
 
 
 @dataclass
@@ -177,39 +112,14 @@ class CellResult:
 def _execute_cell(spec: CellSpec) -> CellResult:
     """Run one cell, letting any simulation error propagate.
 
-    Delegates runtime assembly to :func:`repro.run_experiment` so the
-    sweep path and the interactive paths cannot drift apart.
+    The cell runs through :func:`repro.run_experiment` so the sweep path
+    and the interactive paths cannot drift apart.
     """
     from repro.bench.experiments import metrics_from_trace
-    from repro.experiment import ExperimentSpec, run_experiment
 
-    aru = spec.aru
-    if spec.workload is not None:
-        from repro.apps.elastic import build_workload
-
-        app: Any = build_workload(spec.workload, **dict(spec.workload_args))
-        app_config = None
-    else:
-        app, app_config = "tracker", spec.tracker
-    cluster, placement = spec._cluster_and_placement()
-    result = run_experiment(ExperimentSpec(
-        app=app,
-        app_config=app_config,
-        config=cluster,
-        policy=aru,
-        scale_policy=spec.scale_policy,
-        gc=spec._gc(),
-        seed=spec.seed,
-        horizon=spec.horizon,
-        placement=placement,
-        loads=spec.loads,
-        faults=spec.faults,
-        telemetry=spec.telemetry,
-        backend=spec.backend,
-    ))
-    recorder = result.trace
-    metrics = metrics_from_trace(spec.config, aru.name, spec.seed,
-                                 spec.horizon, recorder)
+    result = run_experiment(spec)
+    metrics = metrics_from_trace(spec.config_name, spec.resolve_policy().name,
+                                 spec.seed, spec.horizon, result.trace)
     extras: Dict[str, float] = {}
     if spec.probe is not None:
         if getattr(result.runtime, "graph", None) is None:
@@ -217,7 +127,7 @@ def _execute_cell(spec: CellSpec) -> CellResult:
                 f"probe {spec.probe!r} inspects runtime internals and "
                 f"requires backend='sim', not {spec.backend!r}")
         extras = PROBES.get(spec.probe)(
-            result.runtime.graph, recorder, **dict(spec.probe_args)
+            result.runtime.graph, result.trace, **dict(spec.probe_args)
         )
     telemetry = result.telemetry.snapshot() if spec.telemetry else None
     return CellResult(spec=spec, metrics=metrics, extras=extras,

@@ -53,7 +53,7 @@ from repro.bench import (
     shape_checks,
 )
 from repro.control.registry import POLICIES, SCALE_POLICIES, resolve_policy
-from repro.errors import ConfigError
+from repro.errors import ConfigError, FaultError
 from repro.faults.spec import list_faults_text
 from repro.gc import COLLECTORS
 from repro.metrics import (
@@ -288,8 +288,14 @@ def cmd_chaos(args) -> int:
     if not args.schedule:
         raise SystemExit(
             "chaos: a schedule file is required (or use --list-faults)")
-    experiment, schedule, detector = load_chaos_file(args.schedule)
-    spec = ExperimentSpec.from_dict(experiment)
+    try:
+        experiment, schedule, detector = load_chaos_file(args.schedule)
+        spec = ExperimentSpec.from_dict(experiment)
+    except (ConfigError, FaultError) as exc:
+        raise SystemExit(f"error: {exc}") from None
+    if spec.backend != "sim":
+        raise SystemExit(f"error: chaos runs on the 'sim' backend, "
+                         f"not {spec.backend!r}")
     if args.policy is not None:
         spec = spec.with_(policy=args.policy)
     if args.horizon is not None:
@@ -327,21 +333,21 @@ def cmd_chaos(args) -> int:
 
 def cmd_elastic(args) -> int:
     """Run the elastic workload under a scale policy, report the swing."""
-    from repro.apps.elastic import elastic_pipeline
+    from repro.apps.elastic import ElasticConfig
     from repro.experiment import ExperimentSpec, run_experiment
     from repro.metrics.performance import latency_percentiles, throughput_fps
 
     swing = (args.swing_start, args.swing_end, args.swing_factor)
-    graph = elastic_pipeline(
-        replicas=args.replicas,
-        max_replicas=args.max_replicas,
-        worker_cost=args.worker_cost,
-        steady_period=args.period,
-        swing=swing if args.swing_factor != 1.0 else None,
-    )
     try:
         result = run_experiment(ExperimentSpec(
-            app=graph,
+            app="elastic",
+            app_config=ElasticConfig(
+                replicas=args.replicas,
+                max_replicas=args.max_replicas,
+                worker_cost=args.worker_cost,
+                steady_period=args.period,
+                swing=swing if args.swing_factor != 1.0 else None,
+            ),
             config=f"config{args.config}",
             policy=args.policy,
             scale_policy=args.scale_policy,
@@ -393,14 +399,8 @@ def cmd_tenants(args) -> int:
 
     try:
         if args.spec is not None:
-            raw = json.loads(Path(args.spec).read_text())
-            spec = TenancySpec.from_dict(raw)
-            if args.placement is not None:
-                spec = spec.with_(placement=args.placement)
-            if args.horizon is not None:
-                spec = spec.with_(horizon=args.horizon)
-            if args.arbiter is not None:
-                spec = spec.with_(arbiter=args.arbiter)
+            spec = TenancySpec.from_dict(
+                json.loads(Path(args.spec).read_text()))
         else:
             # Synthetic fleet: N equal scaled-down trackers.
             cfg = scaled_tracker_config(0.1, frame_period=0.2, cv=0.0)
@@ -411,12 +411,15 @@ def cmd_tenants(args) -> int:
                     for i in range(args.tenants)
                 ),
                 cluster=args.nodes,
-                placement=args.placement or "rstorm",
-                admission=args.admission,
-                arbiter=args.arbiter,
-                seed=args.seed,
-                horizon=args.horizon if args.horizon is not None else 10.0,
+                horizon=10.0,
             )
+        overrides = {
+            key: value for key, value in (
+                ("placement", args.placement), ("admission", args.admission),
+                ("arbiter", args.arbiter), ("seed", args.seed),
+                ("horizon", args.horizon))
+            if value is not None}
+        spec = spec.with_(**overrides)
         result = run_tenants(spec)
     except ConfigError as exc:
         raise SystemExit(f"error: {exc}") from None
@@ -683,15 +686,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 4)")
     _add_registry_args(p_ten, "--placement", PLACEMENTS,
                        help="placement strategy (default rstorm)")
-    p_ten.add_argument("--admission", default="queue", metavar="MODE",
+    p_ten.add_argument("--admission", default=None, metavar="MODE",
                        help="over-capacity behaviour: queue or reject "
-                            "(default queue)")
+                            "(overrides the spec's; default queue)")
     _add_registry_args(p_ten, "--arbiter", ARBITERS,
                        help="cross-tenant arbiter (default none)")
     _add_registry_args(p_ten, "--policy", POLICIES,
                        help="per-tenant ARU policy for the synthetic fleet "
                             "(default none)")
-    p_ten.add_argument("--seed", type=int, default=0)
+    p_ten.add_argument("--seed", type=int, default=None,
+                       help="override the spec's seed (synthetic default 0)")
     p_ten.add_argument("--horizon", type=float, default=None,
                        help="override the spec's horizon (synthetic default "
                             "10s)")

@@ -143,17 +143,23 @@ class ExperimentSpec:
         build, _ = APPS.get(app)
         return build(self.app_config)
 
+    @property
+    def config_name(self) -> Any:
+        """``config``'s name: an object's ``kind``; ``"config1"`` if unset."""
+        config = "config1" if self.config is None else self.config
+        return config.get("kind") if isinstance(config, Mapping) else config
+
     def resolve_cluster_and_placement(self):
         """``(ClusterSpec, placement)`` with the paper's defaults."""
         from repro.cluster.spec import cluster_spec
 
-        config = "config1" if self.config is None else self.config
         placement = dict(self.placement)
-        kind = config.get("kind") if isinstance(config, Mapping) else config
-        if kind == "config2" and self.app == "tracker" and not placement:
+        if (self.config_name == "config2" and self.app == "tracker"
+                and not placement):
             from repro.apps.tracker import tracker_placement
             placement = tracker_placement()
-        return cluster_spec(config), placement
+        return cluster_spec("config1" if self.config is None
+                            else self.config), placement
 
     def resolve_policy(self):
         """The :class:`~repro.aru.AruConfig` (names via the registry)."""

@@ -244,6 +244,9 @@ def chaos_from_dict(data: Dict[str, Any]):
         raise FaultError(
             f"unexpected top-level key(s) next to 'experiment': {sorted(data)}"
         )
+    elif isinstance(experiment, dict) and "faults" in experiment:
+        raise FaultError("'faults' goes at the top level of a chaos file, "
+                         "not inside 'experiment'")
     return experiment, schedule, detector
 
 

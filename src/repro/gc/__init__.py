@@ -6,7 +6,7 @@ Live collectors: ``null``, ``ref``, ``tgc``, ``dgc`` (see
 not a live collector — see :mod:`repro.gc.igc`.
 """
 
-from typing import Union
+from typing import Any, Dict, Union
 
 from repro.gc.base import GarbageCollector, NullGC
 from repro.gc.dgc import DeadTimestampGC
@@ -14,6 +14,7 @@ from repro.gc.igc import IgcResult, ideal_gc_analysis
 from repro.gc.refgc import RefCountGC
 from repro.gc.tgc import TransparentGC
 from repro.registry import Registry
+from repro.schema import build
 
 COLLECTORS = Registry("collector")  # name -> GarbageCollector class
 COLLECTORS.register(
@@ -31,17 +32,26 @@ COLLECTORS.register(
          "the item (default)")
 
 
-def make_gc(spec: Union[str, GarbageCollector, None]) -> GarbageCollector:
+def make_gc(spec: Union[str, Dict[str, Any], GarbageCollector, None]
+            ) -> GarbageCollector:
     """Build a collector from a config value: ``None`` is DGC — the
     collector all paper experiments run on — an instance passes through,
-    and a name is matched case-insensitively."""
+    a name is matched case-insensitively, and ``{"kind": name, **args}``
+    passes ``args`` to the named collector (``{"kind": "dgc",
+    "interval": 0.5}``); an argument it does not take is a
+    :class:`~repro.errors.ConfigError`."""
     if spec is None:
         return DeadTimestampGC()
     if isinstance(spec, GarbageCollector):
         return spec
+    args: Dict[str, Any] = {}
+    if isinstance(spec, dict):
+        args = dict(spec)
+        spec = args.pop("kind", None)
     if isinstance(spec, str):
         spec = spec.lower()
-    return COLLECTORS.get(spec)()
+    collector = COLLECTORS.get(spec)
+    return build(collector, args, f"gc {spec!r}") if args else collector()
 
 
 __all__ = [

@@ -11,7 +11,7 @@ policy — then runs the event engine for a simulated horizon. After
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional, Union
+from typing import Any, Dict, NamedTuple, Optional, Union
 
 from repro.aru.config import AruConfig, aru_disabled
 from repro.cluster.load import LoadSpec, spawn_load
@@ -40,7 +40,7 @@ class RuntimeConfig:
     """Everything outside the task graph that defines a run."""
 
     cluster: ClusterSpec = field(default_factory=config1_spec)
-    gc: Union[str, GarbageCollector, None] = "dgc"
+    gc: Union[str, Dict[str, Any], GarbageCollector, None] = "dgc"
     aru: AruConfig = field(default_factory=aru_disabled)
     seed: int = 0
     #: Overrides graph placement: graph node name -> cluster node name.

@@ -6,6 +6,7 @@ import pytest
 
 import repro
 from repro.aru import aru_disabled, aru_max, aru_min
+from repro.apps import TrackerConfig
 from repro.bench import CellSpec, ResultCache, SweepRunner, canonical_repr
 
 HORIZON = 6.0
@@ -47,7 +48,10 @@ class TestHitAndMiss:
         dict(policy=aru_disabled()),
         dict(config="config2"),
         dict(gc="tgc"),
-        dict(sched_noise_cv=0.3),
+        dict(config={"kind": "config1", "sched_noise_cv": 0.3}),
+        dict(gc={"kind": "dgc", "interval": 0.5}),
+        dict(app="elastic"),
+        dict(app_config=TrackerConfig(channel_capacity=3)),
     ])
     def test_miss_on_any_field_change(self, cache, spec, change):
         changed = spec.with_(**change)
@@ -56,6 +60,11 @@ class TestHitAndMiss:
     def test_policy_parameter_changes_key(self, cache, spec):
         tweaked = spec.with_(policy=aru_min(headroom=1.1))
         assert cache.key(tweaked) != cache.key(spec)
+
+    def test_dgc_interval_changes_key(self, cache, spec):
+        keys = {cache.key(spec.with_(gc={"kind": "dgc", "interval": lag}))
+                for lag in (0.25, 0.5)}
+        assert len(keys) == 2 and cache.key(spec) not in keys
 
     def test_get_on_empty_cache_is_none(self, cache, spec):
         assert cache.get(spec) is None
@@ -144,3 +153,10 @@ class TestCanonicalRepr:
     def test_rejects_unknown_objects(self):
         with pytest.raises(TypeError):
             canonical_repr(object())
+
+    def test_graph_app_is_not_keyable(self, cache, spec):
+        """A cell names its app; a built graph has no content key."""
+        from repro.apps import build_tracker
+
+        with pytest.raises(TypeError):
+            cache.key(spec.with_(app=build_tracker()))

@@ -16,11 +16,12 @@ Extends the sweep-runner determinism contract to replicated stages:
 """
 
 import pickle
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
-from repro.apps import elastic_pipeline
+from repro.apps import ElasticConfig, elastic_pipeline
 from repro.apps.elastic import make_draining_sink, make_pool_worker, make_swing_source
 from repro.bench import CellSpec, SweepRunner, metrics_fingerprint
 from repro.bench.experiments import metrics_from_trace
@@ -30,22 +31,17 @@ from repro.runtime import TaskGraph
 HORIZON = 15.0
 
 #: Small but non-trivial: 2 workers, a 8x swing mid-run, ~4 erlangs peak.
-ELASTIC_ARGS = (
-    ("replicas", 2),
-    ("max_replicas", 4),
-    ("worker_cost", 0.02),
-    ("steady_period", 0.06),
-    ("swing", (4.0, 10.0, 8.0)),
-    ("item_size", 1000),
-)
+ELASTIC = ElasticConfig(replicas=2, max_replicas=4, worker_cost=0.02,
+                        steady_period=0.06, swing=(4.0, 10.0, 8.0),
+                        item_size=1000)
 
 
 def elastic_cell(**overrides):
     base = dict(
         config="config1",
         policy="no-aru",
-        workload="elastic",
-        workload_args=ELASTIC_ARGS,
+        app="elastic",
+        app_config=ELASTIC,
         horizon=HORIZON,
     )
     base.update(overrides)
@@ -57,9 +53,9 @@ def fixed_n_specs():
     """Fixed-N cells (no scale policy) across seeds and partitioners."""
     specs = []
     for partition in ("round-robin", "hash"):
-        args = ELASTIC_ARGS + (("partition", partition),)
+        cfg = replace(ELASTIC, partition=partition)
         for seed in (0, 1):
-            specs.append(elastic_cell(workload_args=args, seed=seed,
+            specs.append(elastic_cell(app_config=cfg, seed=seed,
                                       label=f"fixed-{partition}"))
     return specs
 
@@ -103,7 +99,7 @@ def test_null_scale_policy_equals_unconfigured(fixed_n_serial):
     scaling off is one value and installs no controller."""
     reference = metrics_fingerprint(fixed_n_serial[0])
     spec = elastic_cell(
-        workload_args=ELASTIC_ARGS + (("partition", "round-robin"),),
+        app_config=replace(ELASTIC, partition="round-robin"),
         seed=0, label="fixed-round-robin", scale_policy="no-scale",
     )
     (result,) = SweepRunner(workers=1).run([spec])
@@ -153,11 +149,11 @@ def run_and_fingerprint(graph, scale_policy=None, seed=0):
 def test_single_replica_stage_equals_plain_pipeline():
     """The strongest zero-overhead claim: one replica behind a
     partition/merge pair is event-for-event a plain pipeline."""
-    replicated = elastic_pipeline(
+    replicated = elastic_pipeline(ElasticConfig(
         replicas=1, max_replicas=1,
         worker_cost=WORKER_COST, steady_period=PERIOD,
         swing=None, item_size=ITEM_SIZE,
-    )
+    ))
     for seed in (0, 3):
         plain_fp = run_and_fingerprint(plain_twin_graph(), seed=seed)
         elastic_fp = run_and_fingerprint(replicated, seed=seed)

@@ -29,14 +29,14 @@ def quick_tracker():
 
 @pytest.fixture(scope="module")
 def small_grid():
-    return run_grid(seeds=(0,), horizon=40.0, tracker_cfg=quick_tracker())
+    return run_grid(seeds=(0,), horizon=40.0, app_config=quick_tracker())
 
 
 class TestRunOnce:
     def test_metrics_populated(self):
         run = run_tracker_once(
             "config1", aru_disabled(), seed=0, horizon=30.0,
-            tracker_cfg=quick_tracker(),
+            app_config=quick_tracker(),
         )
         assert run.mem_mean > 0
         assert run.igc_mean > 0
@@ -49,7 +49,7 @@ class TestRunOnce:
     def test_footprint_at_least_igc_per_run(self):
         for aru in (aru_disabled(), aru_max()):
             run = run_tracker_once(
-                "config1", aru, seed=0, horizon=30.0, tracker_cfg=quick_tracker()
+                "config1", aru, seed=0, horizon=30.0, app_config=quick_tracker()
             )
             assert run.mem_mean >= run.igc_mean * 0.999
 
@@ -61,16 +61,17 @@ class TestRunOnce:
         from repro.bench import CellSpec
 
         cluster, placement = CellSpec(
-            config="config1")._cluster_and_placement()
+            config="config1").resolve_cluster_and_placement()
         assert len(cluster.nodes) == 1 and placement == {}
         cluster, placement = CellSpec(
-            config="config2")._cluster_and_placement()
+            config="config2").resolve_cluster_and_placement()
         assert len(cluster.nodes) == 5 and placement["gui"] == "node4"
-        cluster, placement = CellSpec(
-            config="config2", sched_noise_cv=0.3,
-            workload="elastic")._cluster_and_placement()
+        noisy = CellSpec(config={"kind": "config2", "sched_noise_cv": 0.3},
+                         app="elastic")
+        cluster, placement = noisy.resolve_cluster_and_placement()
         assert {n.sched_noise_cv for n in cluster.nodes} == {0.3}
         assert placement == {}
+        assert noisy.config_name == "config2"
 
 
 class TestGridAndTables:

@@ -61,7 +61,7 @@ class TestGridCsv:
     def test_rows_and_header(self):
         grid = run_grid(
             configs=("config1",), seeds=(0, 1), horizon=20.0,
-            tracker_cfg=quick_tracker(),
+            app_config=quick_tracker(),
         )
         csv = grid_to_csv(grid)
         lines = csv.strip().splitlines()
@@ -74,7 +74,7 @@ class TestGridCsv:
     def test_floats_roundtrip(self):
         grid = run_grid(
             configs=("config1",), seeds=(0,), horizon=20.0,
-            tracker_cfg=quick_tracker(),
+            app_config=quick_tracker(),
         )
         csv = grid_to_csv(grid)
         rows = [line.split(",") for line in csv.strip().splitlines()[1:]]

@@ -13,7 +13,7 @@ import pickle
 
 import pytest
 
-from repro.apps import TrackerConfig
+from repro.apps import ElasticConfig, TrackerConfig
 from repro.aru import AruConfig, aru_max, aru_min
 from repro.aru.filters import ParametrizedFilterFactory, resolve_factory
 from repro.aru.operators import KthOperator, resolve
@@ -28,21 +28,27 @@ ALL_SPEC_SHAPES = [
                               name="aru-kth")),
     CellSpec(policy=aru_max(summary_filter="ewma:0.2")),
     CellSpec(policy=aru_max(stp_filter="median:5", summary_filter="slew:0.2")),
-    CellSpec(tracker=TrackerConfig(channel_capacity=3)),
-    CellSpec(tracker=TrackerConfig(computation_elimination=True),
+    CellSpec(app_config=TrackerConfig(channel_capacity=3)),
+    CellSpec(app_config=TrackerConfig(computation_elimination=True),
              probe="ce_stats"),
     CellSpec(gc="tgc"),
-    CellSpec(gc_interval=0.5),
-    CellSpec(sched_noise_cv=0.35),
+    CellSpec(gc={"kind": "dgc", "interval": 0.5}),
+    CellSpec(config={"kind": "config1", "sched_noise_cv": 0.35}),
     CellSpec(loads=(LoadSpec(node="node0", start=10, stop=20, threads=4),),
              probe="throttle_phases",
              probe_args=(("thread", "digitizer"),
                          ("phases", (("mid", 10.0, 20.0),)))),
+    CellSpec(app="elastic", app_config=ElasticConfig(replicas=2),
+             scale_policy="erlang"),
 ]
 
 
-@pytest.mark.parametrize("spec", ALL_SPEC_SHAPES,
-                         ids=lambda s: f"{s.policy.name}-{s.gc}-{s.probe}")
+def _shape_id(spec):
+    gc = spec.gc["kind"] if isinstance(spec.gc, dict) else spec.gc
+    return f"{spec.policy_label}-{gc}-{spec.probe}"
+
+
+@pytest.mark.parametrize("spec", ALL_SPEC_SHAPES, ids=_shape_id)
 def test_spec_roundtrips(spec):
     clone = pickle.loads(pickle.dumps(spec))
     assert clone == spec

@@ -9,6 +9,7 @@ memory of a serial sweep would be two cells (or more), not one.
 
 import weakref
 
+import repro.bench.runner
 import repro.experiment
 from repro.bench import SweepRunner, grid_specs
 
@@ -24,7 +25,7 @@ def test_previous_cell_trace_is_dead_before_the_next_starts(monkeypatch):
         traces.append(weakref.ref(result.trace))
         return result
 
-    monkeypatch.setattr(repro.experiment, "run_experiment", spying)
+    monkeypatch.setattr(repro.bench.runner, "run_experiment", spying)
     specs = grid_specs(seeds=(0,), horizon=5.0)[:4]
     results = SweepRunner(workers=1).run(specs)
 

@@ -19,7 +19,7 @@ import gc
 
 import pytest
 
-from repro.apps import APPS, WORKLOADS
+from repro.apps import APPS
 from repro.aru import FILTERS
 from repro.backends import BACKENDS
 from repro.bench import PROBES
@@ -29,7 +29,7 @@ from repro.gc import COLLECTORS
 from repro.tenancy import ARBITERS, PLACEMENTS
 
 REGISTRIES = (POLICIES, SCALE_POLICIES, BACKENDS, PLACEMENTS, ARBITERS,
-              COLLECTORS, FILTERS, PROBES, APPS, WORKLOADS, CLUSTERS)
+              COLLECTORS, FILTERS, PROBES, APPS, CLUSTERS)
 
 
 @pytest.fixture(autouse=True)

@@ -17,7 +17,7 @@ The elastic machinery must compose with the fault model:
 
 import pytest
 
-from repro.apps import elastic_pipeline
+from repro.apps import ElasticConfig, elastic_pipeline
 from repro.cluster import ClusterSpec, LinkSpec, NodeSpec
 from repro.control.scale import ScaleConfig
 from repro.faults import FaultInjector, FaultSchedule, FaultSpec
@@ -50,7 +50,7 @@ def elastic_runtime(scale=None, placement=None, n_nodes=1, seed=0, **graph_kw):
         swing=(1.0, HORIZON, 8.0), item_size=10_000,
     )
     kw.update(graph_kw)
-    graph = elastic_pipeline(**kw)
+    graph = elastic_pipeline(ElasticConfig(**kw))
     return Runtime(graph, RuntimeConfig(
         cluster=quiet_cluster(n_nodes=n_nodes),
         placement=placement or {},

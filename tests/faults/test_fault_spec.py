@@ -199,6 +199,13 @@ class TestChaosFiles:
         with pytest.raises(FaultError, match="unexpected top-level"):
             chaos_from_dict(bad)
 
+    def test_faults_inside_experiment_rejected(self):
+        bad = dict(self.CHAOS)
+        bad["experiment"] = dict(bad["experiment"],
+                                 faults=bad.pop("faults"))
+        with pytest.raises(FaultError, match="top level"):
+            chaos_from_dict(bad)
+
     def test_load_json_file(self, tmp_path):
         path = tmp_path / "chaos.json"
         path.write_text(json.dumps(self.CHAOS))

@@ -64,6 +64,19 @@ class TestMakeGc:
         with pytest.raises(ConfigError):
             make_gc(42)
 
+    def test_kind_object_passes_its_arguments(self):
+        gc = make_gc({"kind": "DGC", "interval": 0.5})
+        assert isinstance(gc, DeadTimestampGC) and gc.interval == 0.5
+        assert isinstance(make_gc({"kind": "ref"}), RefCountGC)
+
+    def test_kind_object_rejects_arguments_the_collector_lacks(self):
+        with pytest.raises(ConfigError, match="interval"):
+            make_gc({"kind": "ref", "interval": 1})
+        with pytest.raises(ConfigError, match="'interval' in gc 'dgc'"):
+            make_gc({"kind": "dgc", "interval": "soon"})
+        with pytest.raises(ConfigError):
+            make_gc({"interval": 1})
+
 
 class TestNullGC:
     def test_never_frees(self):

@@ -32,7 +32,7 @@ def per_seed_runs():
         runs[seed] = {
             policy.name: run_tracker_once(
                 "config1", policy, seed=seed, horizon=HORIZON,
-                tracker_cfg=quick_tracker(),
+                app_config=quick_tracker(),
             )
             for policy in (aru_disabled(), aru_min(), aru_max())
         }

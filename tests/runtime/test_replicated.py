@@ -15,7 +15,7 @@ Covers the elastic-parallelism building blocks bottom-up:
 
 import pytest
 
-from repro.apps import elastic_pipeline
+from repro.apps import ElasticConfig, elastic_pipeline
 from repro.cluster import ClusterSpec, NodeSpec
 from repro.errors import GraphError, SimulationError
 from repro.runtime import (
@@ -328,7 +328,7 @@ class TestGraphApi:
 
 
 def elastic_runtime(replicas=2, max_replicas=4, min_replicas=1, ncpus=8):
-    graph = elastic_pipeline(
+    graph = elastic_pipeline(ElasticConfig(
         replicas=replicas,
         min_replicas=min_replicas,
         max_replicas=max_replicas,
@@ -336,7 +336,7 @@ def elastic_runtime(replicas=2, max_replicas=4, min_replicas=1, ncpus=8):
         steady_period=0.05,
         swing=None,
         item_size=100,
-    )
+    ))
     cluster = ClusterSpec(
         nodes=(NodeSpec(name="node0", sched_noise_cv=0.0, ncpus=ncpus),),
     )

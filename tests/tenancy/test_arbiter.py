@@ -340,13 +340,13 @@ class TestRuntimeIntegration:
             assert ledger.tenant_committed["mover"][0] == pytest.approx(total)
 
     def test_budget_gates_scale_out(self):
-        from repro.apps import elastic_pipeline
+        from repro.apps import ElasticConfig, elastic_pipeline
         from repro.tenancy.runtime import TenantRuntime
         from repro.tenancy.scheduler import Scheduler
         from repro.runtime.runtime import RuntimeConfig
         from repro.tenancy.tenant import Tenant
 
-        graph = elastic_pipeline(replicas=1, max_replicas=6)
+        graph = elastic_pipeline(ElasticConfig(replicas=1, max_replicas=6))
         cluster = uniform_spec(1, ncpus=16)
         config = RuntimeConfig(cluster=cluster, placement={})
         runtime = TenantRuntime(config, Scheduler(cluster))

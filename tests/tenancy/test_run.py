@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from repro.apps import elastic_pipeline
+from repro.apps import ElasticConfig, elastic_pipeline
 from repro.apps.workloads import make_sink, make_source
 from repro.aru.operators import resolve as resolve_operator
 from repro.cluster.spec import uniform_spec
@@ -168,7 +168,7 @@ class TestNamespace:
             3,
             TenantSpec("a", app_config=CHEAP, namespace="ns1/",
                        policy="aru-min"),
-            TenantSpec("p", app=elastic_pipeline(replicas=1, max_replicas=4),
+            TenantSpec("p", app=elastic_pipeline(ElasticConfig(replicas=1, max_replicas=4)),
                        namespace="pool/", policy="aru-max"))
         runtime.advance(1.0)
 
@@ -214,7 +214,7 @@ class TestOwnershipSurvivesTheLifecycle:
         runtime, tracker, pool = tracker_and_pool(
             4,
             TenantSpec("t", app_config=CHEAP, policy="aru-max"),
-            TenantSpec("p", app=elastic_pipeline(replicas=2, max_replicas=4),
+            TenantSpec("p", app=elastic_pipeline(ElasticConfig(replicas=2, max_replicas=4)),
                        namespace="pool/", policy="aru-min"))
 
         def step(dt=0.5):
@@ -261,7 +261,7 @@ class TestReplacementAfterScaleIn:
         runtime, tracker, pool = tracker_and_pool(
             4,
             TenantSpec("t", app_config=CHEAP),
-            TenantSpec("p", app=elastic_pipeline(replicas=2, max_replicas=4),
+            TenantSpec("p", app=elastic_pipeline(ElasticConfig(replicas=2, max_replicas=4)),
                        namespace="pool/"))
         stage = pool.stages[0]
         runtime.advance(0.5)
@@ -318,7 +318,7 @@ class TestTheTenantIsStoredOnce:
         runtime, tracker, pool = tracker_and_pool(
             4,
             TenantSpec("t", app_config=CHEAP),
-            TenantSpec("p", app=elastic_pipeline(replicas=2, max_replicas=4),
+            TenantSpec("p", app=elastic_pipeline(ElasticConfig(replicas=2, max_replicas=4)),
                        namespace="pool/"))
         admitted = []
         admit = runtime.scheduler.admit

@@ -232,6 +232,22 @@ def test_chaos_horizon_override(tmp_path, capsys):
     assert "6.0s simulated" in out
 
 
+@pytest.mark.parametrize("experiment, error", [
+    ({"backend": "threads", "horizon": 3},
+     "chaos runs on the 'sim' backend, not 'threads'"),
+    ({"horizon": 3,
+      "faults": [{"kind": "thread_crash", "at": 1.0, "thread": "gui"}]},
+     "'faults' goes at the top level"),
+])
+def test_chaos_rejects_what_it_would_ignore(tmp_path, experiment, error):
+    import json
+
+    path = tmp_path / "chaos.json"
+    path.write_text(json.dumps({"experiment": experiment}))
+    with pytest.raises(SystemExit, match=f"error: {error}"):
+        main(["chaos", str(path)])
+
+
 def test_run_tracker_telemetry_exports(tmp_path, capsys):
     out_dir = tmp_path / "tel"
     rc = main(["run-tracker", "--horizon", "8", "--policy", "aru-min",
@@ -421,6 +437,21 @@ def test_tenants_spec_file_placement_override(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "placement=spread" in out
+
+
+def test_tenants_spec_file_admission_and_seed_overrides(capsys):
+    import json
+
+    def run(*flags):
+        rc = main(["tenants", "examples/fleet.json", "--horizon", "6",
+                   "--json", *flags])
+        assert rc == 0
+        out = capsys.readouterr().out
+        return json.loads(out[out.index("{"):])["tenants"]
+
+    rejected = run("--admission", "reject")
+    assert rejected["cam-3"]["state"] == rejected["vip"]["state"] == "rejected"
+    assert run("--seed", "7") != run("--seed", "1")
 
 
 def test_tenants_unknown_placement_fails(capsys):

@@ -145,6 +145,34 @@ class TestRunExperiment:
         assert result.fault_log is not None
         assert len(result.fault_log.records) == 1
 
+    def test_dict_spec_names_the_elastic_app(self):
+        from repro.apps import ElasticConfig
+
+        spec = ExperimentSpec.from_dict({
+            "app": "elastic",
+            "app_config": {"replicas": 2, "swing": [1.0, 3.0, 4.0]},
+            "gc": {"kind": "dgc", "interval": 0.5},
+            "horizon": HORIZON,
+        })
+        assert spec.app_config == ElasticConfig(replicas=2,
+                                                swing=(1.0, 3.0, 4.0))
+        assert spec.gc == {"kind": "dgc", "interval": 0.5}
+        result = run_experiment(spec)
+        assert result.runtime.gc.interval == 0.5
+        assert len(result.runtime.graph.replicas_of("workers")) == 2
+        with pytest.raises(ConfigError, match="replicas"):
+            ExperimentSpec.from_dict({"app": "elastic",
+                                      "app_config": {"replicas": 0}})
+        with pytest.raises(ConfigError, match="swing window"):
+            ExperimentSpec.from_dict({"app": "elastic",
+                                      "app_config": {"swing": [3, 1, 2]}})
+
+    def test_collector_arguments_it_lacks_rejected(self):
+        spec = ExperimentSpec.from_dict({"gc": {"kind": "ref", "interval": 1},
+                                         "horizon": HORIZON})
+        with pytest.raises(ConfigError, match="interval"):
+            run_experiment(spec)
+
     def test_dict_spec_faults_from_dicts(self):
         result = run_experiment({
             "app": "tracker",
