@@ -32,6 +32,9 @@ script runs one repetition of a simulated e2e workload under
   buffer of the ``TraceRecorder``), each as the difference of two
   unprofiled runs at a quarter and a half of the workload's horizon
   over the difference in their engine events;
+* ``trace_bytes_by_table`` (the light fleets) — the same bytes per
+  event split by the table that holds them: items (with their id
+  runs), touches, iterations, STP samples and the name table;
 * ``analysis_bytes_per_event`` (the light fleets) — what the post-run
   analysis allocates on top of the finished trace: the ``tracemalloc``
   peak from ``Runtime.run``'s return to ``run_tenants``' return, above
@@ -142,19 +145,33 @@ def count_calls(fn: Callable[[], Any], setup_ends=None
     }, result
 
 
-def trace_bytes(recorder) -> int:
-    """Bytes of a recorder's storage: the allocation of every column
-    (typed array or list of shared strings) and of every map it keeps,
-    a map's key and value objects included."""
+#: Attribute-name prefix -> the trace table its storage is counted
+#: under; every other attribute (the name table and its map) is "names".
+_TABLES = {"item": "items", "run": "items", "touch": "touches",
+           "iter": "iterations", "stp": "stp"}
+
+
+def trace_bytes_by_table(recorder) -> Dict[str, int]:
+    """Bytes of a recorder's storage by table: the allocation of every
+    column (typed array or list) and of every map it keeps, a map's key
+    and value objects included; the id runs count as items."""
     sizeof = sys.getsizeof
-    total = 0
-    for value in vars(recorder).values():
+    tables = dict.fromkeys((*_TABLES.values(), "names"), 0)
+    for name, value in vars(recorder).items():
         if isinstance(value, (array, list)):
-            total += sizeof(value)
+            size = sizeof(value)
         elif isinstance(value, dict):
-            total += sizeof(value) + sum(
+            size = sizeof(value) + sum(
                 sizeof(k) + sizeof(v) for k, v in value.items())
-    return total
+        else:
+            continue
+        tables[_TABLES.get(name.lstrip("_").split("_")[0], "names")] += size
+    return tables
+
+
+def trace_bytes(recorder) -> int:
+    """Bytes of a recorder's storage, every table's together."""
+    return sum(trace_bytes_by_table(recorder).values())
 
 
 def analysis_peak(recipe: Callable[[float], Any],
@@ -206,14 +223,17 @@ def growth_per_event(recipe: Callable[[float], Any], short: float,
         result, peak = analysis_peak(recipe, horizon)
         gc.collect()
         objects.append(len(gc.get_objects()) - before)
-        stored.append(trace_bytes(result.trace))
+        stored.append(trace_bytes_by_table(result.trace))
         analysis.append(peak)
         events.append(result.stats["engine"]["events_processed"])
         del result
     more = events[1] - events[0]
+    by_table = {table: (stored[1][table] - stored[0][table]) / more
+                for table in stored[0]}
     return {
         "tracked_objects_per_event": (objects[1] - objects[0]) / more,
-        "trace_bytes_per_event": (stored[1] - stored[0]) / more,
+        "trace_bytes_per_event": sum(by_table.values()),
+        "trace_bytes_by_table": by_table,
         "analysis_bytes_per_event": (analysis[1] - analysis[0]) / more,
     }
 
@@ -327,6 +347,10 @@ def _print_counts(counts: Dict[str, Any], top: int) -> None:
         value = counts[key]
         shown = f"{value:.2f}" if isinstance(value, float) else f"{value}"
         print(f"{name} {key} {shown}")
+    if "trace_bytes_by_table" in counts:
+        print(f"{name} trace_bytes_by_table " + " ".join(
+            f"{table}={value:.2f}"
+            for table, value in counts["trace_bytes_by_table"].items()))
     if "setup_collections" in counts:
         print(f"{name} setup_collections "
               f"{_generations(counts['setup_collections'])}")

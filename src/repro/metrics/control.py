@@ -40,8 +40,7 @@ class ControlSeries:
 
 def control_series(recorder: TraceRecorder, thread: str) -> ControlSeries:
     """The feedback signals sampled at each of ``thread``'s sync points."""
-    rows = [row for row, name in enumerate(recorder.stp_thread)
-            if name == thread]
+    rows = recorder.stp_rows(thread)
     if not rows:
         raise TraceError(
             f"no STP samples for thread {thread!r} "

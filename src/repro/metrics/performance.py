@@ -111,10 +111,10 @@ def latency_samples_by_thread(
     so grouping by the iteration's thread yields per-tenant latency
     distributions from a single shared trace.
     """
-    threads = recorder.iter_thread
+    rows, samples = sink_latencies(recorder, warmup)
     grouped: Dict[str, List[float]] = {}
-    for row, sample in zip(*sink_latencies(recorder, warmup)):
-        grouped.setdefault(threads[row], []).append(sample)
+    for thread, sample in zip(recorder.threads_of(rows), samples):
+        grouped.setdefault(thread, []).append(sample)
     return grouped
 
 

@@ -34,7 +34,9 @@ across the optimization (the sweep cache keys rely on this).
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
+from itertools import compress
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 import numpy as np
@@ -64,21 +66,29 @@ class PostmortemAnalyzer:
         return frozenset(out)
 
     @cached_property
+    def _success_rows(self) -> Tuple[bytearray, FrozenSet[int]]:
+        """Per item row, 1 iff successful; and the successful ids no row holds."""
+        rec = self.recorder
+        row_of, flat, ends = rec.row_of, rec.item_parents, rec.item_parents_end
+        first, base, count = rec.tail_run()
+        marked, untraced = bytearray(len(rec.item_t_alloc)), set()
+        stack = list(self.delivered_ids)
+        while stack:
+            item_id = stack.pop()
+            off = item_id - first  # row_of(item_id), inlined for the tail run
+            row = base + off if 0 <= off < count else row_of(item_id)
+            if row is None:
+                untraced.add(item_id)
+            elif not marked[row]:
+                marked[row] = 1
+                stack += flat[ends[row - 1] if row else 0:ends[row]]  # ragged()
+        return marked, frozenset(untraced)
+
+    @cached_property
     def successful_ids(self) -> FrozenSet[int]:
         """Delivered items plus their full lineage-ancestor closure."""
-        row_of = self.recorder.row_of
-        flat, ends = self.recorder.item_parents, self.recorder.item_parents_end
-        success: Set[int] = set(self.delivered_ids)
-        stack = list(success)
-        while stack:
-            row = row_of(stack.pop())
-            if row is None:
-                continue
-            for parent in flat[ends[row - 1] if row else 0:ends[row]]:  # ragged()
-                if parent not in success:
-                    success.add(parent)
-                    stack.append(parent)
-        return frozenset(success)
+        marked, untraced = self._success_rows
+        return frozenset(compress(self.recorder.ids(), marked)) | untraced
 
     def is_successful(self, item_id: int) -> bool:
         return item_id in self.successful_ids
@@ -100,8 +110,7 @@ class PostmortemAnalyzer:
     @cached_property
     def _success_mask(self) -> np.ndarray:
         """Row-aligned with :attr:`_item_arrays`: True iff item successful."""
-        success = self.successful_ids
-        return np.array([i in success for i in self.recorder.item_id], bool)
+        return np.array(self._success_rows[0], dtype=bool)
 
     # -- wasted memory ----------------------------------------------------
     def _byte_seconds(self, keep: np.ndarray | bool = True) -> float:
@@ -184,8 +193,9 @@ class PostmortemAnalyzer:
         )
 
     @cached_property
-    def _last_use_end(self) -> Dict[int, float]:
-        """item_id -> end time of the last iteration that consumed it.
+    def _last_use_end(self) -> array:
+        """Per item row, the end time of the last iteration that consumed
+        the item (-inf: none did).
 
         This is the earliest instant even an ideal collector could free a
         consumed item: the consumer is still computing on it until its
@@ -193,16 +203,18 @@ class PostmortemAnalyzer:
         processing").
         """
         rec = self.recorder
+        first, base, count = rec.tail_run()
         t_ends, flat = rec.iter_t_end, rec.iter_inputs
-        out: Dict[int, float] = {}
+        out = array("d", [-np.inf]) * len(rec.item_t_alloc)
         lo = 0
         for row, hi in enumerate(rec.iter_inputs_end):
             if lo < hi:
                 t_end = t_ends[row]
                 for item_id in flat[lo:hi]:
-                    prev = out.get(item_id)
-                    if prev is None or t_end > prev:
-                        out[item_id] = t_end
+                    off = item_id - first  # row_of(item_id), inlined
+                    at = base + off if 0 <= off < count else rec.row_of(item_id)
+                    if at is not None and t_end > out[at]:
+                        out[at] = t_end
                 lo = hi
         return out
 
@@ -222,10 +234,8 @@ class PostmortemAnalyzer:
         np.maximum.at(last_get, np.array(rec.touch_item, dtype=np.intp)[gets],
                       np.array(rec.touch_t)[gets])
         eligible = np.flatnonzero(self._success_mask & (last_get > -np.inf))
-        last_use = self._last_use_end
-        item_id = rec.item_id
-        ends = np.array([last_use.get(item_id[row], fallback) for row, fallback
-                         in zip(eligible.tolist(), last_get[eligible].tolist())])
+        last_use = np.array(self._last_use_end)[eligible]
+        ends = np.where(last_use > -np.inf, last_use, last_get[eligible])
         return timeline_from_intervals(
             starts[eligible], ends, sizes[eligible],
             rec.t_start, self.horizon,
@@ -241,9 +251,10 @@ class PostmortemAnalyzer:
         its outputs reached the pipeline end (transitively).
         """
         wasted = set(self._wasted_rows)
+        rec = self.recorder
         out: Dict[str, dict] = {}
         for row, (thread, compute) in enumerate(zip(
-                self.recorder.iter_thread, self.recorder.iter_compute)):
+                rec.threads_of(range(len(rec.iter_thread))), rec.iter_compute)):
             entry = out.get(thread)
             if entry is None:
                 entry = out[thread] = {

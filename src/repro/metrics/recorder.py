@@ -19,11 +19,20 @@ out). Columns are public for reading — by
 ``np.array(column)`` copies, never ``np.frombuffer``, which pins an
 array against the next append — and written only by the hooks.
 
-No table is keyed by item id. Ids come from one counter, so the item
-table lists them in runs of consecutive ids on consecutive rows, and
+Each fact is stored once, no wider than it needs. Names are 4-byte
+codes into a name table the recorder owns (``item_site`` codes an item's
+``(channel, node, producer)``; ``touch_consumer``, ``iter_thread`` and
+``stp_thread`` a thread), found by one ``dict.get`` in the hook and read
+back only through the recorder's methods. Row numbers and ragged offsets
+are 4-byte too, so a table holds at most 2**31 - 1 rows; item ids stay
+8-byte (``proc`` workers start theirs at ``(k + 1) << 40``).
+
+No column holds item ids. Ids come from one counter, so the item table
+lists them in runs of consecutive ids on consecutive rows, and
 :meth:`TraceRecorder.row_of` finds a row by arithmetic on the run that
 holds the id: the newest run is held in plain ints, the others in three
-sorted columns (first id, first row, length) it bisects. A live run
+sorted columns (first id, first row, length) it bisects, and
+:meth:`TraceRecorder.id_of` bisects every run's first row. A live run
 leaves one run; out-of-order ids (a threaded race, a merge of worker
 traces, a hand-written trace) only make more of them.
 
@@ -40,6 +49,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
+from itertools import chain
+from operator import index
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import TraceError
@@ -52,18 +63,16 @@ _NAN = float("nan")
 _SUMMARY_NONE, _TARGET_NONE = 1, 2
 _NO_LIMIT = 1 << 64  # room of a tail run no later run bounds
 
-#: Column -> ``array`` typecode; ``None``: a list of shared name strings.
+#: Column -> ``array`` typecode (``i``: a name code, row or offset).
 _COLUMNS = {
-    "item_id": "q", "item_channel": None, "item_node": None, "item_ts": "q",
-    "item_size": "q", "item_producer": None, "item_parents": "q",
-    "item_parents_end": "q", "item_t_alloc": "d", "item_t_free": "d",
-    "touch_item": "q", "touch_conn": "q", "touch_consumer": None,
-    "touch_t": "d", "touch_skip": "b",
-    "iter_thread": None, "iter_t_start": "d", "iter_t_end": "d",
+    "item_site": "i", "item_ts": "q", "item_size": "q", "item_parents": "q",
+    "item_parents_end": "i", "item_t_alloc": "d", "item_t_free": "d",
+    "touch_item": "i", "touch_conn": "q", "touch_consumer": "i", "touch_t": "d", "touch_skip": "b",
+    "iter_thread": "i", "iter_t_start": "d", "iter_t_end": "d",
     "iter_compute": "d", "iter_blocked": "d", "iter_slept": "d",
-    "iter_inputs": "q", "iter_inputs_end": "q", "iter_outputs": "q",
-    "iter_outputs_end": "q", "iter_sink": "b",
-    "stp_thread": None, "stp_t": "d", "stp_current": "d", "stp_summary": "d",
+    "iter_inputs": "q", "iter_inputs_end": "i", "iter_outputs": "q",
+    "iter_outputs_end": "i", "iter_sink": "b",
+    "stp_thread": "i", "stp_t": "d", "stp_current": "d", "stp_summary": "d",
     "stp_target": "d", "stp_slept": "d", "stp_none": "b",
 }
 
@@ -113,10 +122,10 @@ class _ItemsView(Mapping):
         self._recorder = recorder
 
     def __len__(self) -> int:
-        return len(self._recorder.item_id)
+        return len(self._recorder.item_t_alloc)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._recorder.item_id)
+        return self._recorder.ids()
 
     def __contains__(self, item_id) -> bool:
         return self._recorder.row_of(item_id) is not None
@@ -129,21 +138,25 @@ class _ItemsView(Mapping):
 
 
 class _RowIndex:
-    """Row numbers of a table grouped by one of its columns, on demand."""
+    """Row numbers of a table grouped by a column's value, or by (field
+    ``part`` of) the name it codes, on demand."""
 
-    def __init__(self, column) -> None:
-        self._column, self._groups, self._done = column, {}, 0
+    def __init__(self, column, names=None, part=None) -> None:
+        self._column, self._names, self._part = column, names, part
+        self._groups, self._of_value, self._done = {}, {}, 0
 
     def groups(self) -> Dict[object, array]:
         """Key -> its rows in order, caught up with the column first."""
-        column, groups = self._column, self._groups
+        column, of_value = self._column, self._of_value
         for row in range(self._done, len(column)):
-            bucket = groups.get(column[row])
-            if bucket is None:
-                bucket = groups[column[row]] = array("q")
-            bucket.append(row)
+            rows = of_value.get(column[row])
+            if rows is None:
+                key = column[row] if self._names is None else self._names[column[row]]
+                key = key if self._part is None else key[self._part]
+                rows = of_value[column[row]] = self._groups.setdefault(key, array("i"))
+            rows.append(row)
         self._done = len(column)
-        return groups
+        return self._groups
 
 
 class TraceRecorder:
@@ -157,19 +170,28 @@ class TraceRecorder:
         self.t_start: float = 0.0
         self.t_end: Optional[float] = None
         for name, typecode in _COLUMNS.items():
-            setattr(self, name, [] if typecode is None else array(typecode))
+            setattr(self, name, array(typecode))
+        # Name table: code -> thread or site, and back. Code 0 is
+        # no name's, so a hook looks one up as ``get(name) or _code(name)``.
+        self._names, self._codes = [None], {}
         # Id runs: ids first..first+len-1 sit on rows row..row+len-1. The
         # run the newest row extended is the tail, held in the _tail_*
         # ints (_tail_room: how far it may grow before the next run's
         # first id); the _run_* columns hold the others, sorted by id.
         self._run_first, self._run_row, self._run_len = (
             array("q"), array("q"), array("q"))
+        self._run_rows_at, self._run_ids_at = array("q"), array("q")  # all, by row
         self._tail_first = self._tail_row = self._tail_len = self._tail_room = 0
         self._iter_counters: Dict[str, int] = {}
-        self._by_thread = _RowIndex(self.iter_thread)  # behind the views
+        self._by_thread = _RowIndex(self.iter_thread, self._names)  # views
         self._by_sink = _RowIndex(self.iter_sink)
-        self._by_channel = _RowIndex(self.item_channel)
+        self._by_channel = _RowIndex(self.item_site, self._names, 0)
         self._touch_groups: Optional[tuple] = None
+
+    def _code(self, name) -> int:
+        """Code of a name the table has not seen (the hooks' slow path)."""
+        self._names.append(name)
+        return self._codes.setdefault(name, len(self._names) - 1)
 
     # -- item lifecycle ---------------------------------------------------
     def on_alloc(self, item_id: int, channel: str, node: str, ts: int,
@@ -180,12 +202,10 @@ class TraceRecorder:
             self._tail_len = n + 1
         else:
             self._start_run(item_id)
-        self.item_id.append(item_id)
-        self.item_channel.append(channel)
-        self.item_node.append(node)
+        site = (channel, node, producer)
+        self.item_site.append(self._codes.get(site) or self._code(site))
         self.item_ts.append(ts)
         self.item_size.append(size)
-        self.item_producer.append(producer)
         flat = self.item_parents
         if parents:
             flat.extend(parents)
@@ -195,6 +215,7 @@ class TraceRecorder:
 
     def _start_run(self, item_id: int) -> None:
         """Make ``item_id`` the first id of a new tail run, on the next row."""
+        item_id = index(item_id)  # a float or str id is refused
         if self.row_of(item_id) is not None:
             raise TraceError(f"duplicate alloc for item {item_id}")
         first = self._run_first
@@ -205,11 +226,17 @@ class TraceRecorder:
             self._run_len.insert(k, self._tail_len)
         k = bisect_left(first, item_id)
         self._tail_first, self._tail_row, self._tail_len = (
-            item_id, len(self.item_id), 1)
+            item_id, len(self.item_t_alloc), 1)
+        self._run_rows_at.append(self._tail_row)
+        self._run_ids_at.append(item_id)
         self._tail_room = first[k] - item_id if k < len(first) else _NO_LIMIT
 
     def row_of(self, item_id: int) -> Optional[int]:
-        """Row of item ``item_id``, ``None`` if it was never allocated."""
+        """Row of item ``item_id``; ``None`` if none was, or it is no integer."""
+        try:
+            item_id = index(item_id)
+        except TypeError:
+            return None
         off = item_id - self._tail_first
         if 0 <= off < self._tail_len:
             return self._tail_row + off
@@ -220,6 +247,19 @@ class TraceRecorder:
             if off < self._run_len[k]:
                 return self._run_row[k] + off
         return None
+
+    def id_of(self, row: int) -> int:
+        """Id of the item on row ``row``: the reverse of :meth:`row_of`."""
+        if not 0 <= row < len(self.item_t_alloc):
+            raise IndexError(f"no item row {row}")
+        k = bisect_right(self._run_rows_at, row) - 1  # a live run has one run
+        return self._run_ids_at[k] + row - self._run_rows_at[k]
+
+    def ids(self) -> Iterator[int]:
+        """Every item id in row order: one ``range`` per id run."""
+        rows, ends = self._run_rows_at, [*self._run_rows_at[1:], len(self.item_t_alloc)]
+        return chain.from_iterable([range(first, first + end - row) for first, row, end
+                                    in zip(self._run_ids_at, rows, ends)])
 
     def tail_run(self) -> Tuple[int, int, int]:
         """``(first id, first row, length)`` of the run the newest row
@@ -238,7 +278,7 @@ class TraceRecorder:
             raise TraceError(f"unknown item {item_id}")
         self.touch_item.append(row)
         self.touch_conn.append(conn_id)
-        self.touch_consumer.append(consumer)
+        self.touch_consumer.append(self._codes.get(consumer) or self._code(consumer))
         self.touch_t.append(t)
         self.touch_skip.append(0)
 
@@ -250,7 +290,7 @@ class TraceRecorder:
             raise TraceError(f"unknown item {item_id}")
         self.touch_item.append(row)
         self.touch_conn.append(conn_id)
-        self.touch_consumer.append(consumer)
+        self.touch_consumer.append(self._codes.get(consumer) or self._code(consumer))
         self.touch_t.append(t)
         self.touch_skip.append(1)
 
@@ -277,7 +317,7 @@ class TraceRecorder:
                      is_sink: bool = False) -> None:
         counters = self._iter_counters
         counters[thread] = counters.get(thread, 0) + 1
-        self.iter_thread.append(thread)
+        self.iter_thread.append(self._codes.get(thread) or self._code(thread))
         self.iter_t_start.append(t_start)
         self.iter_t_end.append(t_end)
         self.iter_compute.append(compute)
@@ -297,7 +337,7 @@ class TraceRecorder:
                summary: Optional[float], throttle_target: Optional[float],
                slept: float) -> None:
         if self.record_stp:
-            self.stp_thread.append(thread)
+            self.stp_thread.append(self._codes.get(thread) or self._code(thread))
             self.stp_t.append(t)
             self.stp_current.append(current_stp)
             self.stp_summary.append(_NAN if summary is None else summary)
@@ -324,17 +364,23 @@ class TraceRecorder:
     # -- rows, as the hooks received them --------------------------------
     def alloc_args(self, row: int) -> tuple:
         """Item row ``row`` as :meth:`on_alloc`'s positional arguments."""
+        channel, node, producer = self._names[self.item_site[row]]
         return (
-            self.item_id[row], self.item_channel[row], self.item_node[row],
-            self.item_ts[row], self.item_size[row], self.item_producer[row],
+            self.id_of(row), channel, node,
+            self.item_ts[row], self.item_size[row], producer,
             tuple(ragged(self.item_parents, self.item_parents_end, row)),
             self.item_t_alloc[row],
         )
 
+    def touch_args(self, row: int) -> tuple:
+        """Touch row ``row`` as :meth:`on_get`'s / :meth:`on_skip`'s arguments."""
+        return (self.id_of(self.touch_item[row]), self.touch_conn[row],
+                self._names[self.touch_consumer[row]], self.touch_t[row])
+
     def iteration_args(self, row: int) -> tuple:
         """Iteration row ``row`` as :meth:`on_iteration`'s arguments."""
         return (
-            self.iter_thread[row], self.iter_t_start[row],
+            self._names[self.iter_thread[row]], self.iter_t_start[row],
             self.iter_t_end[row], self.iter_compute[row],
             self.iter_blocked[row], self.iter_slept[row],
             tuple(ragged(self.iter_inputs, self.iter_inputs_end, row)),
@@ -346,11 +392,15 @@ class TraceRecorder:
         """STP row ``row`` as :meth:`on_stp`'s positional arguments."""
         none = self.stp_none[row]
         return (
-            self.stp_thread[row], self.stp_t[row], self.stp_current[row],
+            self._names[self.stp_thread[row]], self.stp_t[row], self.stp_current[row],
             None if none & _SUMMARY_NONE else self.stp_summary[row],
             None if none & _TARGET_NONE else self.stp_target[row],
             self.stp_slept[row],
         )
+
+    def threads_of(self, rows) -> List[str]:
+        """The thread of each iteration row in ``rows``."""
+        return [self._names[self.iter_thread[row]] for row in rows]
 
     # -- row numbers ----------------------------------------------------------
     def iteration_count(self, thread: str) -> int:
@@ -365,10 +415,15 @@ class TraceRecorder:
         """Row numbers of ``channel``'s items, in allocation order."""
         return self._by_channel.groups().get(channel, ())
 
+    def stp_rows(self, thread: str) -> List[int]:
+        """Row numbers of ``thread``'s STP samples, in recording order."""
+        code = self._codes.get(thread)
+        return [row for row, c in enumerate(self.stp_thread) if c == code]
+
     def _touches_of(self, row: int) -> np.ndarray:
         """Touch-table rows of item row ``row``, in recording order (a
         stable sort by item row, redone when either table has grown)."""
-        stamp = (len(self.touch_item), len(self.item_id))
+        stamp = (len(self.touch_item), len(self.item_t_alloc))
         groups = self._touch_groups
         if groups is None or groups[0] != stamp:
             import numpy as np
@@ -385,7 +440,7 @@ class TraceRecorder:
         gets, skips = [], []
         for k in self._touches_of(row):
             (skips if self.touch_skip[k] else gets).append(
-                Touch(self.touch_conn[k], self.touch_consumer[k],
+                Touch(self.touch_conn[k], self._names[self.touch_consumer[k]],
                       self.touch_t[k]))
         t_free = self.item_t_free[row]
         return ItemTrace(*self.alloc_args(row),

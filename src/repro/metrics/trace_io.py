@@ -40,11 +40,9 @@ def trace_to_dict(recorder: TraceRecorder) -> dict:
     if recorder.t_end is None:
         raise TraceError("finalize the recorder before saving")
     # Per item row, its (gets, skips) in recording order.
-    touches = [([], []) for _ in recorder.item_id]
-    for row, conn_id, consumer, t, skip in zip(
-            recorder.touch_item, recorder.touch_conn, recorder.touch_consumer,
-            recorder.touch_t, recorder.touch_skip):
-        touches[row][skip].append([conn_id, consumer, t])
+    touches = [([], []) for _ in recorder.item_t_alloc]
+    for k, (row, skip) in enumerate(zip(recorder.touch_item, recorder.touch_skip)):
+        touches[row][skip].append(list(recorder.touch_args(k)[1:]))
     items = []
     for row, (gets, skips) in enumerate(touches):
         entry = dict(zip(_ITEM_KEYS, recorder.alloc_args(row)))
@@ -149,24 +147,21 @@ def merge_traces(recorders) -> TraceRecorder:
     merged.t_start = min(rec.t_start for rec in recorders)
     iterations, samples = [], []  # of (sort key, source recorder, row)
     for rec in recorders:
-        base = len(merged.item_id)
-        for row, item_id in enumerate(rec.item_id):
+        base = len(merged.item_t_alloc)
+        for row, item_id in enumerate(rec.ids()):
             if merged.row_of(item_id) is not None:
                 raise TraceError(
                     f"duplicate item id {item_id} across worker traces")
             merged.on_alloc(*rec.alloc_args(row))
         merged.item_t_free[base:] = rec.item_t_free
-        for row, conn_id, consumer, t, skip in zip(
-                rec.touch_item, rec.touch_conn, rec.touch_consumer,
-                rec.touch_t, rec.touch_skip):
-            touch = merged.on_skip if skip else merged.on_get
-            touch(rec.item_id[row], conn_id, consumer, t)
+        for k, skip in enumerate(rec.touch_skip):
+            (merged.on_skip if skip else merged.on_get)(*rec.touch_args(k))
         counters: dict = {}
-        for row, thread in enumerate(rec.iter_thread):
+        for row, thread in enumerate(rec.threads_of(range(len(rec.iter_thread)))):
             index = counters[thread] = counters.get(thread, -1) + 1
             iterations.append(((rec.iter_t_end[row], thread, index), rec, row))
-        samples += [((rec.stp_t[row], thread), rec, row)
-                    for row, thread in enumerate(rec.stp_thread)]
+        samples += [((rec.stp_t[row], rec.stp_args(row)[0]), rec, row)
+                    for row in range(len(rec.stp_thread))]
     for _, rec, row in sorted(iterations, key=itemgetter(0)):
         merged.on_iteration(*rec.iteration_args(row))
     for _, rec, row in sorted(samples, key=itemgetter(0)):

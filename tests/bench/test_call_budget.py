@@ -170,15 +170,17 @@ def test_python_calls_per_engine_event(recipe, short, long, budget):
 
 #: What one more engine event of the light fleet leaves behind. Measured
 #: 0.000 gc-tracked objects (one stray object in 4 200 events at most),
-#: 55.6 B of trace storage and a 3.58 B post-run analysis peak when set
-#: (rows are found by arithmetic on runs of consecutive item ids, and
-#: latency anchors are a row-aligned float column). The id -> row dict
-#: and the id -> anchor dict they replaced measured 83.1 B and 31.3 B;
-#: the recorder that kept a record object per interaction measured 1.40
-#: objects and about 224 B.
+#: 41.0 B of trace storage and a 2.86 B post-run analysis peak when set
+#: (names are 4-byte codes, no column holds item ids, row numbers and
+#: offsets are 4-byte; rows are found by arithmetic on runs of
+#: consecutive item ids, and latency anchors and success marks are
+#: row-aligned). Names as shared-string pointers with an item-id column
+#: and 8-byte rows measured 55.6 B and 3.58 B; the id -> row dict and the
+#: id -> anchor dict before them 83.1 B and 31.3 B; the recorder that
+#: kept a record object per interaction 1.40 objects and about 224 B.
 TRACKED_OBJECTS_BUDGET = 0.01
-TRACE_BYTES_BUDGET = 58.4
-ANALYSIS_BYTES_BUDGET = 3.8
+TRACE_BYTES_BUDGET = 43.0
+ANALYSIS_BYTES_BUDGET = 3.0
 
 
 def test_what_an_engine_event_leaves_behind():
@@ -204,7 +206,7 @@ def test_the_recorder_keeps_no_map_that_grows_with_its_items():
                 if isinstance(value, dict)]
         maps += [index._groups for index in vars(trace).values()
                  if hasattr(index, "_groups")]
-        sizes.append((len(trace.item_id), [len(m) for m in maps]))
+        sizes.append((len(trace.items), [len(m) for m in maps]))
     (short_items, short_maps), (long_items, long_maps) = sizes
     assert long_items > 1.5 * short_items
     assert short_maps and long_maps == short_maps

@@ -11,6 +11,7 @@ bit for bit.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
 from typing import (
     Callable,
@@ -351,7 +352,7 @@ class RecordPostmortem:
         return build_timeline(items, self.recorder.t_start, self.horizon)
 
     @cached_property
-    def _last_use_end(self) -> Dict[int, float]:
+    def _last_use_by_id(self) -> Dict[int, float]:
         """item_id -> end time of the last iteration that consumed it.
 
         This is the earliest instant even an ideal collector could free a
@@ -367,6 +368,15 @@ class RecordPostmortem:
                     out[item_id] = it.t_end
         return out
 
+    @property
+    def _last_use_end(self) -> array:
+        """:attr:`_last_use_by_id` in the form ``PostmortemAnalyzer`` keeps:
+        one entry per item in allocation order, -inf where no iteration
+        consumed the item."""
+        last_use = self._last_use_by_id
+        return array("d", [last_use.get(item_id, -np.inf)
+                           for item_id in self.recorder.items])
+
     def ideal_footprint(self) -> Timeline:
         """The IGC lower-bound footprint timeline.
 
@@ -376,7 +386,7 @@ class RecordPostmortem:
         associated memory usage").
         """
         success = self.successful_ids
-        last_use = self._last_use_end
+        last_use = self._last_use_by_id
 
         def end_at_last_use(item) -> float | None:
             end = last_use.get(item.item_id)

@@ -125,6 +125,17 @@ def test_row_of_matches_a_dict(ids):
                                     if item_id in oracle for _ in range(2)]
 
 
+@pytest.mark.parametrize("key", [1.5, 2.0, "x", None, (1,)])
+def test_a_key_that_is_no_integer_is_no_item(key):
+    rec = trace_from_dict(json.loads(FIXTURE.read_text()))
+    assert rec.row_of(1) is not None and rec.row_of(2) is not None
+    assert rec.row_of(key) is None
+    assert key not in rec.items
+    assert rec.items.get(key) is None
+    with pytest.raises(KeyError):
+        rec.items[key]
+
+
 def test_ascending_ids_make_one_run():
     rec = TraceRecorder()
     for item_id in range(7, 107):
