@@ -1,6 +1,6 @@
 """Elastic streaming workloads: replicated stages under load swings.
 
-The ablation bench for ISSUE 6 needs a workload where the *offered*
+The elastic-scaling ablation bench needs a workload where the *offered*
 load changes faster than a fixed worker pool can absorb: a source whose
 period represents external arrivals (a camera switching to burst mode,
 a sensor fan-in spike) drops by ``factor`` during a swing window, and a

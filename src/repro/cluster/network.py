@@ -41,7 +41,8 @@ class Link:
         self.spec = spec
         self.name = name
         self.obs = obs
-        # Fixed-slot telemetry handle, resolved once per link (ISSUE 7).
+        # Fixed-slot telemetry handle, resolved once per link instead of
+        # a (name, labels) registry lookup per transfer.
         self._transfer_h = obs.transfer_handle(name)
         self._wire = Resource(engine, capacity=1, name=f"link.{name}")
         #: Total bytes moved over this link.

@@ -138,6 +138,20 @@ def _picklable_telemetry(value):
     return value  # TelemetryConfig is a plain frozen dataclass
 
 
+def merged_telemetry(telemetry, snapshots):
+    """The run's hub, from the workers' snapshots.
+
+    Off exactly when :func:`~repro.obs.resolve_hub` says so, which is
+    how each worker decided whether to send a snapshot at all.
+    """
+    from repro.obs import (NULL_HUB, hub_from_snapshot, merge_snapshots,
+                           resolve_hub)
+
+    if not resolve_hub(telemetry).enabled:
+        return NULL_HUB
+    return hub_from_snapshot(merge_snapshots(snapshots))
+
+
 def _recv_step(worker: _Worker, expected: FrameKind, timeout: float):
     """One protocol step; ERROR frames and dead sockets become DistError."""
     try:
@@ -227,7 +241,6 @@ def run_distributed(spec) -> "object":
     """Run a spec across one worker process per cluster node."""
     from repro.experiment import RunResult
     from repro.metrics.trace_io import merge_traces, trace_from_dict
-    from repro.obs import NULL_HUB, hub_from_snapshot, merge_snapshots
 
     opts = _validate(spec)
     step_timeout = float(opts.get("step_timeout", STEP_TIMEOUT))
@@ -313,12 +326,8 @@ def run_distributed(spec) -> "object":
 
     trace = merge_traces([trace_from_dict(r["trace"]) for r in reports])
     stats = merge_stats([r["stats"] for r in reports])
-    if spec.telemetry in (False, None):
-        telemetry = NULL_HUB
-    else:
-        telemetry = hub_from_snapshot(
-            merge_snapshots([r["telemetry"] for r in reports])
-        )
+    telemetry = merged_telemetry(spec.telemetry,
+                                 [r["telemetry"] for r in reports])
     info = DistRunInfo(
         plan=plan,
         workers=[

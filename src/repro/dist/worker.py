@@ -16,7 +16,7 @@ session protocol:
 4. ``START`` (shared clock epoch ``t0``) — the epoch clock rebases, the
    task threads start →
 5. ``STOP`` → wind down, join, then ``STATS`` (trace dict + DES-shaped
-   stats + optional telemetry snapshot) and exit.
+   stats + the worker hub's snapshot when telemetry is on) and exit.
 
 Any exception is reported as an ``ERROR`` frame (full traceback) before
 the process dies, so the launcher can surface the real failure instead
@@ -59,7 +59,8 @@ class WorkerRuntime(ThreadedRuntime):
 
     def __init__(self, graph, *, aru, seed, compute_mode, gc, node: str,
                  plan: DistPlan, epoch: Optional[float] = None,
-                 retry: Optional[RetryPolicy] = None) -> None:
+                 retry: Optional[RetryPolicy] = None,
+                 telemetry=False) -> None:
         self.node_name = node
         self._plan = plan
         self._epoch = epoch
@@ -68,7 +69,8 @@ class WorkerRuntime(ThreadedRuntime):
         #: One TCP proxy per connection of a local thread to a remote buffer.
         self.proxies: List[RemoteChannelClient] = []
         super().__init__(graph, aru=aru, seed=seed, compute_mode=compute_mode,
-                         gc=gc)
+                         gc=gc, telemetry=telemetry)
+        self.obs.bind(run={"backend": "proc", "node": node})
 
     # -- hook overrides ------------------------------------------------
     def _make_clock(self):
@@ -112,40 +114,6 @@ class WorkerRuntime(ThreadedRuntime):
         return sum(p.bytes_sent + p.bytes_received for p in self.proxies)
 
 
-def _build_worker_hub(spec, runtime, stats):
-    """A per-worker telemetry snapshot, derived at shutdown.
-
-    The live executor is not instrumented on its hot paths (that is a
-    sim-backend feature); workers instead fold their end-of-run
-    statistics into a real hub so the launcher can merge and the
-    existing exporters run unchanged.
-    """
-    if spec.telemetry in (False, None):
-        return None
-    from repro.obs import TelemetryConfig, TelemetryHub, resolve_hub
-
-    cfg = spec.telemetry
-    if cfg is True:
-        cfg = TelemetryConfig(spans=False)
-    hub = resolve_hub(cfg)
-    if not isinstance(hub, TelemetryHub):
-        return None
-    hub.bind(time_fn=runtime.clock.now,
-             run={"backend": "proc", "node": runtime.node_name})
-    m = hub.metrics
-    for thread, st in stats["threads"].items():
-        m.counter("repro_iterations_total", {"thread": thread}).inc(
-            st["iterations"])
-    for buf, st in stats["buffers"].items():
-        labels = {"buffer": buf}
-        m.counter("repro_puts_total", labels).inc(st["puts"])
-        m.counter("repro_gets_total", labels).inc(st["gets"])
-        m.counter("repro_skips_total", labels).inc(st["skips"])
-        m.counter("repro_frees_total", labels).inc(st["frees"])
-    hub.on_finalize(stats, runtime.clock.now())
-    return hub.snapshot()
-
-
 def _session(ctl: FramedConnection, worker_index: int) -> None:
     ctl.send(FrameKind.HELLO, {"worker": worker_index, "pid": os.getpid()})
     kind, config = ctl.recv(timeout=60.0)
@@ -169,6 +137,7 @@ def _session(ctl: FramedConnection, worker_index: int) -> None:
         plan=plan,
         epoch=config["t0"],
         retry=spec.retry if spec.retry is not None else RetryPolicy(),
+        telemetry=spec.telemetry,
     )
     server = ChannelServer(runtime.channels, runtime.stop_event)
     server.start()
@@ -202,12 +171,14 @@ def _session(ctl: FramedConnection, worker_index: int) -> None:
     server.close()
     stats = runtime.stats()
     stats["network"]["total_bytes"] = server.total_bytes + runtime.proxy_bytes()
-    telemetry = _build_worker_hub(spec, runtime, stats)
+    obs = runtime.obs
+    if obs.enabled:
+        obs.on_finalize(stats, runtime.clock.now())
     ctl.send(FrameKind.STATS, {
         "node": node,
         "trace": trace_to_dict(trace),
         "stats": stats,
-        "telemetry": telemetry,
+        "telemetry": obs.snapshot() if obs.enabled else None,
     })
     try:
         ctl.recv(timeout=10.0)  # BYE (or EOF) — then we are done

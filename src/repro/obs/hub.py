@@ -1,6 +1,6 @@
 """The telemetry hub: one object owning a run's metrics and spans.
 
-Design constraints (ISSUE 5, tightened by ISSUE 7):
+Design constraints:
 
 * **zero overhead when disabled** — a runtime without telemetry holds
   the module-level :data:`NULL_HUB` singleton, whose ``enabled`` is
@@ -8,14 +8,17 @@ Design constraints (ISSUE 5, tightened by ISSUE 7):
   (``if obs.enabled:``), so the disabled hot path pays a single load +
   branch and the micro-bench gate in ``benchmarks/check_regression.py``
   stays within threshold;
-* **cheap when enabled** — hot sites resolve *fixed-slot handles* once
-  at wiring time (``put_handle``/``get_handle``/...); the per-operation
-  cost is then one or two flat-array adds into the registry's
+* **counts are read, not pushed** — the puts, gets, skips and frees a
+  buffer keeps for itself are read when the registry is
+  (:meth:`TelemetryHub.read_buffers`), so those paths write no
+  telemetry at all; only what the runtime does not keep is pushed;
+* **cheap when pushed** — the pushed sites (iteration close, link
+  transfer, fault, tenant delivery) resolve *fixed-slot handles* once
+  at wiring time (``sync_handle``/``transfer_handle``/...); the
+  per-operation cost is then a few flat-array adds into the registry's
   :class:`~repro.obs.metrics.SlotBank` — no ``(name, labels)`` dict
   lookup, no ``str()`` churn, no timestamp call. Label resolution and
-  export are deferred to ``snapshot()``. The regression gate pins
-  telemetry-on within 3× of telemetry-off through a realistic site
-  (``telemetry_on_over_off_ratio``);
+  export are deferred to ``snapshot()``;
 * **observation must not perturb** — hook bodies only *read* runtime
   state and write hub-private structures; they never touch the engine
   calendar, the RNG registry, or ARU state, so a telemetry-on run is
@@ -23,12 +26,14 @@ Design constraints (ISSUE 5, tightened by ISSUE 7):
   ``tests/obs/test_integration.py`` via ``metrics_fingerprint``);
 * **sampling-aware** — item spans/flows are kept for every Nth item
   (:attr:`TelemetryConfig.span_sample`), and the span store is bounded
-  with an explicit dropped counter.
+  with an explicit dropped counter. Spans are recorded by the
+  simulator only; the live backends build a metrics-only hub.
 
-The hub exposes two API tiers. Hot sites (buffer put/get/skip/free,
-link transfer, iteration close) request a handle at wiring time and
-pair it with the matching ``span_*`` helper behind the hub's
-precomputed ``metrics_on``/``spans_on`` flags. The *semantic* hooks
+The hub exposes two API tiers. Hot sites (link transfer, iteration
+close) request a handle at wiring time and pair it with the matching
+``span_*`` helper behind the hub's precomputed ``metrics_on``/
+``spans_on`` flags; a buffer calls only its ``span_*`` helpers. The
+*semantic* hooks
 (``on_fault``, ``on_scale``, ``on_tenant``, ``on_arbiter``,
 ``on_finalize``) serve the cold sites and route through cached handles
 themselves. The registry and tracer stay reachable for ad-hoc instruments
@@ -39,15 +44,11 @@ themselves. The registry and tracer stay reachable for ad-hoc instruments
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigError
-from repro.obs.metrics import (
-    NOOP_HANDLE,
-    CounterHandle,
-    MetricsRegistry,
-    PairHandle,
-)
+from repro.obs.metrics import NOOP_HANDLE, CounterHandle, MetricsRegistry
 from repro.obs.spans import SpanTracer
 
 
@@ -176,18 +177,6 @@ class NullTelemetryHub:
     def on_arbiter(self, *a, **k) -> None: ...
     def on_finalize(self, *a, **k) -> None: ...
 
-    def put_handle(self, *a, **k):
-        return NOOP_HANDLE
-
-    def get_handle(self, *a, **k):
-        return NOOP_HANDLE
-
-    def skip_handle(self, *a, **k):
-        return NOOP_HANDLE
-
-    def free_handle(self, *a, **k):
-        return NOOP_HANDLE
-
     def transfer_handle(self, *a, **k):
         return NOOP_HANDLE
 
@@ -237,8 +226,6 @@ class TelemetryHub:
         self.spans_on: bool = self.config.spans
         #: Wiring-time handle cache, keyed on the site identity tuple.
         self._handles: Dict[Tuple, object] = {}
-        #: thread name -> currently open iteration span id (span mode).
-        self._iter_open: Dict[str, int] = {}
 
     # -- lifecycle ----------------------------------------------------------
     def bind(self, time_fn: Optional[Callable[[], float]] = None,
@@ -250,87 +237,21 @@ class TelemetryHub:
             self.run_meta.update(run)
         return self
 
+    # -- read counts --------------------------------------------------------
+    def read_buffers(self, buffers: Mapping[str, object]) -> None:
+        """Export the counts every buffer in ``buffers`` keeps itself.
+
+        The mapping is read whenever the registry is, so a buffer wired
+        after this call is exported too, and one the runtime drained
+        keeps its totals. With metrics off nothing is registered.
+        """
+        if self.metrics_on:
+            self.metrics.sources.append(partial(buffer_series, buffers))
+
     # -- fixed-slot handle wiring ------------------------------------------
     # Each factory is idempotent per site identity and resolves labels
     # exactly once; with metrics off it returns NOOP_HANDLE so callers
     # can wire unconditionally (spans-only mode creates zero instruments).
-
-    def put_handle(self, buffer: str, kind: str):
-        """Handle for ``commit_put``: ``.add(1, item.size)`` per put."""
-        if not self.metrics_on:
-            return NOOP_HANDLE
-        key = ("put", buffer, kind)
-        handle = self._handles.get(key)
-        if handle is None:
-            bank = self.metrics.bank
-            labels = {"buffer": buffer, "kind": kind}
-            puts = bank.counter_slot("repro_buffer_puts_total", labels)
-            put_bytes = bank.hidden_slot("repro_buffer_put_bytes", labels)
-            bank.derive_gauge("repro_buffer_depth", labels, plus=[puts])
-            bank.derive_gauge("repro_buffer_bytes_held", labels,
-                              plus=[put_bytes])
-            handle = PairHandle(bank.values, puts, put_bytes)
-            self._handles[key] = handle
-        return handle
-
-    def get_handle(self, buffer: str, kind: str, consumer: str):
-        """Handle for ``commit_get``: ``.inc()`` per committed read."""
-        if not self.metrics_on:
-            return NOOP_HANDLE
-        key = ("get", buffer, kind, consumer)
-        handle = self._handles.get(key)
-        if handle is None:
-            bank = self.metrics.bank
-            slot = bank.counter_slot(
-                "repro_buffer_gets_total",
-                {"buffer": buffer, "kind": kind, "consumer": consumer},
-            )
-            handle = CounterHandle(bank.values, slot)
-            self._handles[key] = handle
-        return handle
-
-    def skip_handle(self, buffer: str, consumer: str):
-        """Handle for skip-reads: ``.inc()`` per item skipped unread."""
-        if not self.metrics_on:
-            return NOOP_HANDLE
-        key = ("skip", buffer, consumer)
-        handle = self._handles.get(key)
-        if handle is None:
-            bank = self.metrics.bank
-            slot = bank.counter_slot(
-                "repro_buffer_skips_total",
-                {"buffer": buffer, "consumer": consumer},
-            )
-            handle = CounterHandle(bank.values, slot)
-            self._handles[key] = handle
-        return handle
-
-    def free_handle(self, buffer: str, kind: str, collector: str):
-        """Handle for ``_free``: ``.add(1, item.size)`` per reclaim.
-
-        Also links the reclaim slots as the *minus* side of the derived
-        ``repro_buffer_depth`` / ``repro_buffer_bytes_held`` gauges, so
-        depth is materialised as puts − frees at export time instead of
-        paying a second read-modify-write pair per operation.
-        """
-        if not self.metrics_on:
-            return NOOP_HANDLE
-        key = ("free", buffer, kind, collector)
-        handle = self._handles.get(key)
-        if handle is None:
-            bank = self.metrics.bank
-            gc_labels = {"buffer": buffer, "gc": collector}
-            items = bank.counter_slot("repro_gc_reclaimed_items_total",
-                                      gc_labels)
-            nbytes = bank.counter_slot("repro_gc_reclaimed_bytes_total",
-                                       gc_labels)
-            buf_labels = {"buffer": buffer, "kind": kind}
-            bank.derive_gauge("repro_buffer_depth", buf_labels, minus=[items])
-            bank.derive_gauge("repro_buffer_bytes_held", buf_labels,
-                              minus=[nbytes])
-            handle = PairHandle(bank.values, items, nbytes)
-            self._handles[key] = handle
-        return handle
 
     def transfer_handle(self, link: str):
         """Handle for one link: ``.update(nbytes, duration)`` per transfer."""
@@ -579,6 +500,31 @@ class TelemetryHub:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<TelemetryHub metrics={len(self.metrics)} "
                 f"spans={self.tracer.stats()['spans']}>")
+
+
+def buffer_series(buffers: Mapping[str, object]) -> Iterator[tuple]:
+    """The ``repro_buffer_*`` and ``repro_gc_reclaimed_*`` rows of
+    ``buffers``, read from the counts each buffer keeps
+    (:class:`~repro.runtime.buffer.Buffer`)."""
+    for name, buf in buffers.items():
+        kind = buf.kind
+        labels = (("buffer", name), ("kind", kind))
+        yield "counter", "repro_buffer_puts_total", labels, buf.total_puts
+        yield ("gauge", "repro_buffer_depth", labels,
+               buf.total_puts - buf.total_frees)
+        yield "gauge", "repro_buffer_bytes_held", labels, buf.unfreed_bytes
+        gc = (("buffer", name), ("gc", buf.collector))
+        yield "counter", "repro_gc_reclaimed_items_total", gc, buf.total_frees
+        yield "counter", "repro_gc_reclaimed_bytes_total", gc, buf.freed_bytes
+        reads = [(c.thread, c.gets, c.skips) for c in buf.in_conns]
+        reads.extend((thread, gets, skips) for thread, (gets, skips)
+                     in (buf.retired_reads or {}).items())
+        for thread, gets, skips in reads:
+            yield ("counter", "repro_buffer_gets_total",
+                   (("buffer", name), ("consumer", thread), ("kind", kind)),
+                   gets)
+            yield ("counter", "repro_buffer_skips_total",
+                   (("buffer", name), ("consumer", thread)), skips)
 
 
 #: What call sites may hand to :func:`resolve_hub`.

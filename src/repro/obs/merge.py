@@ -66,7 +66,9 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
                     slot[1] += count
                 have["count"] += sample["count"]
                 have["sum"] += sample["sum"]
-            have["t"] = max(have["t"], sample["t"])
+            # None: never updated (a counter still at zero) in that worker.
+            have["t"] = max((t for t in (have["t"], sample["t"]) if t is not None),
+                            default=None)
     meta: Dict[str, object] = {}
     for snap in snapshots:
         meta.update(snap.get("meta", {}))

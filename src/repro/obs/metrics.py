@@ -15,7 +15,8 @@ rather than silently shadowing it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Tuple,
+                    Union)
 
 from repro.errors import TelemetryError
 
@@ -194,18 +195,13 @@ class SlotBank:
       still NaN at export time was never written and is not exported
       (so wiring an instrument does not invent a ``0.0`` sample);
     * ``hist`` — a contiguous block ``[c_0..c_k-1, inf, sum, count]``
-      over ``k`` bounds; skipped at export while ``count`` is zero;
-    * ``hidden`` — accumulator slots that feed derived gauges but are
-      never exported themselves (e.g. cumulative put bytes);
-    * ``derived`` — a gauge materialised as ``sum(plus) - sum(minus)``
-      over other slots (e.g. buffer depth = puts − frees), so the hot
-      path pays one add instead of a read-modify-write pair.
+      over ``k`` bounds; skipped at export while ``count`` is zero.
 
     The array grows on demand (``list.extend``); handles hold the list
     object itself, so growth never invalidates an existing handle.
     """
 
-    __slots__ = ("values", "_slots", "_series", "_derived")
+    __slots__ = ("values", "_slots", "_series")
 
     def __init__(self) -> None:
         self.values: List[float] = []
@@ -214,8 +210,6 @@ class SlotBank:
         #: export metadata, in allocation order:
         #: (kind, name, labels, slot, extra)
         self._series: List[tuple] = []
-        #: (name, labels) -> (plus_slots, minus_slots)
-        self._derived: Dict[Tuple[str, LabelSet], Tuple[List[int], List[int]]] = {}
 
     def _slot(self, kind: str, name: str, labels, width: int,
               init: float, extra=None) -> int:
@@ -243,10 +237,6 @@ class SlotBank:
         """Slot of a set-style gauge; NaN until first written."""
         return self._slot("gauge", name, labels, 1, float("nan"))
 
-    def hidden_slot(self, name: str, labels=None) -> int:
-        """Slot of a non-exported accumulator (feeds derived gauges)."""
-        return self._slot("hidden", name, labels, 1, 0.0)
-
     def histogram_slot(self, name: str, labels=None,
                        buckets: Tuple[float, ...] = DEFAULT_BUCKETS) -> int:
         """Start slot of a histogram block ``[c_0.., inf, sum, count]``."""
@@ -266,25 +256,6 @@ class SlotBank:
             self.values, slot, tuple(float(b) for b in buckets)
         )
 
-    def derive_gauge(self, name: str, labels=None,
-                     plus: Iterable[int] = (), minus: Iterable[int] = ()) -> None:
-        """Register/extend a gauge exported as ``sum(plus) - sum(minus)``."""
-        key = (name, canonical_labels(labels))
-        entry = self._derived.get(key)
-        if entry is None:
-            self._derived[key] = (list(plus), list(minus))
-            self._series.append(("derived", key[0], key[1], None, None))
-            return
-        for slot in plus:
-            if slot not in entry[0]:
-                entry[0].append(slot)
-        for slot in minus:
-            if slot not in entry[1]:
-                entry[1].append(slot)
-
-    def __len__(self) -> int:
-        return len(self._slots) + len(self._derived)
-
 
 class NoopHandle:
     """Shared do-nothing handle (telemetry disabled or metrics-off)."""
@@ -292,9 +263,6 @@ class NoopHandle:
     __slots__ = ()
 
     def inc(self, amount: float = 1.0) -> None: ...
-    def add(self, a: float, b: float) -> None: ...
-    def set(self, value: float) -> None: ...
-    def observe(self, value: float) -> None: ...
     def update(self, *args, **kwargs) -> None: ...
 
 
@@ -313,35 +281,6 @@ class CounterHandle:
 
     def inc(self, amount: float = 1.0) -> None:
         self._values[self._slot] += amount
-
-
-class PairHandle:
-    """Two preresolved slots updated together (count + volume)."""
-
-    __slots__ = ("_values", "_a", "_b")
-
-    def __init__(self, values: List[float], a: int, b: int) -> None:
-        self._values = values
-        self._a = a
-        self._b = b
-
-    def add(self, a: float, b: float) -> None:
-        values = self._values
-        values[self._a] += a
-        values[self._b] += b
-
-
-class GaugeHandle:
-    """Preresolved set-style gauge slot."""
-
-    __slots__ = ("_values", "_slot")
-
-    def __init__(self, values: List[float], slot: int) -> None:
-        self._values = values
-        self._slot = slot
-
-    def set(self, value: float) -> None:
-        self._values[self._slot] = value
 
 
 class HistogramHandle:
@@ -367,20 +306,24 @@ class HistogramHandle:
 class MetricsRegistry:
     """All instruments of one telemetry hub, keyed on ``(name, labels)``.
 
-    Two storage tiers share this namespace: ordinary instrument objects
+    Three sources share this namespace: ordinary instrument objects
     (ad-hoc ``counter()``/``gauge()``/``histogram()`` calls, stamped per
-    update) and the :class:`SlotBank` behind the hub's preresolved
-    hot-path handles. Bank slots are materialised into instruments
-    lazily — every read API (``get``/``value``/``collect``/
-    ``snapshot``/``len``) folds the bank in first, so callers observe
-    one coherent registry. Bank-owned series are overwritten from their
-    slots at each materialisation; don't update them ad-hoc as well.
+    update), the :class:`SlotBank` behind the hub's preresolved
+    hot-path handles, and the :attr:`sources` that read counts the
+    runtime keeps itself. Bank slots and sources are materialised into
+    instruments lazily — every read API (``get``/``value``/``collect``/
+    ``snapshot``/``len``) folds them in first, so callers observe one
+    coherent registry. Their series are overwritten at each
+    materialisation; don't update them ad-hoc as well.
     """
 
     def __init__(self, time_fn=None) -> None:
         self._metrics: Dict[Tuple[str, LabelSet], Metric] = {}
         self.time_fn = time_fn if time_fn is not None else (lambda: 0.0)
         self.bank = SlotBank()
+        #: Callables returning ``(type, name, labels, value)`` rows:
+        #: ``type`` is ``"counter"`` or ``"gauge"``, ``labels`` canonical.
+        self.sources: List[Callable[[], Iterable[tuple]]] = []
 
     def _now(self) -> float:
         return self.time_fn()
@@ -421,9 +364,6 @@ class MetricsRegistry:
         bank = self.bank
         values = bank.values
         for kind, name, labels, slot, extra in bank._series:
-            if kind == "hidden":
-                continue
-            key = (name, labels)
             if kind == "counter":
                 metric = self._get_or_create(Counter, name, labels, "")
                 v = values[slot]
@@ -438,17 +378,6 @@ class MetricsRegistry:
                     continue
                 metric = self._get_or_create(Gauge, name, labels, "")
                 if metric.value != v or metric.last_updated is None:
-                    metric.value = v
-                    metric.last_updated = self.time_fn()
-            elif kind == "derived":
-                plus, minus = bank._derived[key]
-                v = 0.0
-                for i in plus:
-                    v += values[i]
-                for i in minus:
-                    v -= values[i]
-                metric = self._get_or_create(Gauge, name, labels, "")
-                if metric.value != v:
                     metric.value = v
                     metric.last_updated = self.time_fn()
             else:  # hist
@@ -468,10 +397,35 @@ class MetricsRegistry:
                     metric.count = int(count)
                     metric.last_updated = self.time_fn()
 
-    def get(self, name: str, labels=None) -> Optional[Metric]:
-        """The live instrument for ``(name, labels)``, or None."""
+    def _read_sources(self) -> None:
+        """Materialise what :attr:`sources` read into instruments.
+
+        Rows of one identity sum (two connections of one consumer, two
+        runtimes on one hub). Stamps follow :meth:`_sync_bank`: a series
+        is stamped when its value moved since the last read.
+        """
+        totals: Dict[tuple, float] = {}
+        for source in self.sources:
+            for kind, name, labels, v in source():
+                key = (kind, name, labels)
+                totals[key] = totals.get(key, 0) + v
+        for (kind, name, labels), v in totals.items():
+            metric = self._get_or_create(
+                Counter if kind == "counter" else Gauge, name, labels, "")
+            v = float(v)
+            if metric.value != v:
+                metric.value = v
+                metric.last_updated = self.time_fn()
+
+    def _sync(self) -> None:
         if self.bank._series:
             self._sync_bank()
+        if self.sources:
+            self._read_sources()
+
+    def get(self, name: str, labels=None) -> Optional[Metric]:
+        """The live instrument for ``(name, labels)``, or None."""
+        self._sync()
         return self._metrics.get((name, canonical_labels(labels)))
 
     def value(self, name: str, labels=None, default: float = 0.0) -> float:
@@ -483,8 +437,7 @@ class MetricsRegistry:
 
     def collect(self) -> Iterable[Metric]:
         """Every instrument, sorted by ``(name, labels)`` for stable export."""
-        if self.bank._series:
-            self._sync_bank()
+        self._sync()
         return [self._metrics[k] for k in sorted(self._metrics)]
 
     def snapshot(self) -> List[dict]:
@@ -492,6 +445,5 @@ class MetricsRegistry:
         return [m.sample() for m in self.collect()]
 
     def __len__(self) -> int:
-        if self.bank._series:
-            self._sync_bank()
+        self._sync()
         return len(self._metrics)

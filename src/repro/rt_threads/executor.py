@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import Dict, List, Optional
 
@@ -32,7 +33,7 @@ from repro.control.propagation import FeedbackBus
 from repro.errors import ConfigError, SimulationError
 from repro.gc import make_gc
 from repro.metrics.recorder import TraceRecorder
-from repro.obs.hub import NULL_HUB
+from repro.obs.hub import TelemetryConfig, resolve_hub
 from repro.rt_threads.channel import ThreadChannel
 from repro.runtime.graph import TaskGraph
 from repro.runtime.runtime import Scope, buffer_stats
@@ -176,6 +177,11 @@ class ThreadedRuntime:
         ``ExperimentSpec.gc``: ``dgc`` (default), ``ref`` or ``null``,
         one collector per channel, run under its lock; ``tgc`` is
         rejected (:func:`check_live_gc`).
+    telemetry:
+        As ``RuntimeConfig.telemetry``. Spans are recorded by the
+        simulator only, so ``True`` or a :class:`TelemetryConfig` builds
+        a metrics-only hub: the buffer counts read from the channels,
+        the iteration series pushed at each close.
     """
 
     #: The node every channel and stat is attributed to (a distributed
@@ -185,8 +191,6 @@ class ThreadedRuntime:
     #: It asks the engine for timeouts to yield: on the wall clock that
     #: is a sleep, over by the time there is anything to yield.
     engine = SimpleNamespace(timeout=time.sleep)
-    #: Telemetry is off on the live backends (ROADMAP item 4).
-    obs = NULL_HUB
 
     def __init__(
         self,
@@ -195,6 +199,7 @@ class ThreadedRuntime:
         seed: int = 0,
         compute_mode: str = "sleep",
         gc="dgc",
+        telemetry=False,
     ) -> None:
         if compute_mode not in _COMPUTE_MODES:
             raise ConfigError(
@@ -212,6 +217,15 @@ class ThreadedRuntime:
         self.compute_mode = compute_mode
         self.gc = gc
         self.clock = self._make_clock()
+        if telemetry is True:
+            telemetry = TelemetryConfig()
+        if isinstance(telemetry, TelemetryConfig):
+            telemetry = replace(telemetry, spans=False)
+        self.obs = resolve_hub(telemetry).bind(
+            time_fn=self.clock.now,
+            run={"seed": seed, "gc": str(gc),
+                 "policy": self.aru_config.policy},
+        )
         self.recorder = TraceRecorder()
         self.recorder_lock = threading.Lock()
         self.stop_event = threading.Event()
@@ -223,6 +237,9 @@ class ThreadedRuntime:
         self.channels: Dict[str, ThreadChannel] = {}
         for name in self._local_buffers():
             self.channels[name] = self._make_channel(name)
+        if self.obs.enabled:
+            self.obs.read_buffers(
+                {name: ch._state for name, ch in self.channels.items()})
 
         self.drivers: Dict[str, WallDriver] = {}
         for name in self._local_threads():
@@ -297,7 +314,10 @@ class ThreadedRuntime:
         self.start()
         time.sleep(duration)
         self.stop()
-        return self.join()
+        trace = self.join()
+        if self.obs.enabled:
+            self.obs.on_finalize(self.stats(), self.clock.now())
+        return trace
 
     def stats(self) -> Dict[str, dict]:
         """Post-run statistics in the same shape the DES produces.
@@ -378,11 +398,6 @@ def run_threaded_experiment(spec) -> "object":
             "the threads backend does not support elastic scaling; "
             "use backend='sim'"
         )
-    if spec.telemetry not in (False, None):
-        raise ConfigError(
-            "the threads backend is not instrumented for telemetry; "
-            "use backend='sim'"
-        )
     graph = spec.resolve_graph()
     runtime = ThreadedRuntime(
         graph,
@@ -390,13 +405,14 @@ def run_threaded_experiment(spec) -> "object":
         seed=spec.seed,
         compute_mode=compute_mode,
         gc=spec.gc,
+        telemetry=spec.telemetry,
     )
     trace = runtime.run(duration=spec.horizon)
     return RunResult(
         spec=spec,
         trace=trace,
         stats=runtime.stats(),
-        telemetry=NULL_HUB,
+        telemetry=runtime.obs,
         fault_log=None,
         runtime=runtime,
     )

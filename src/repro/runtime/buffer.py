@@ -5,13 +5,14 @@
 returns and *when* storage is reclaimed; everything around that is the
 same and lives here once — the connection lists, the feedback endpoint,
 the wait queue for gets, the capacity bound with its wait queue for room,
-and the alloc/free accounting that keeps node memory, the trace and
-telemetry in step.
+and the alloc/free accounting that keeps node memory and the trace in
+step. The counts kept here are what telemetry exports: it reads them
+(:func:`repro.obs.hub.buffer_series`), nothing is pushed to it per item.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.control.propagation import FeedbackEndpoint
 from repro.errors import SimulationError
@@ -33,9 +34,17 @@ class Buffer:
     (:class:`~repro.rt_threads.channel.ThreadChannel`): nothing here
     reads it, and its wait queues then never hold a waiter, so
     notifying them is a no-op. ``node`` needs ``name``, ``alloc`` and
-    ``free``. ``collector`` labels the free-side telemetry; subclasses
-    set ``kind`` (the telemetry and stats label) and define ``__len__``.
+    ``free``. Subclasses set ``kind`` (the telemetry and stats label)
+    and ``collector`` (what frees their items, the reclaim label) and
+    define ``__len__`` and ``bytes_held``.
     """
+
+    #: Items skipped unread (a queue never skips).
+    total_skips = 0
+    #: Consumer thread -> ``[gets, skips]`` of its connections since
+    #: unregistered (restart, scale-in, departure), so that no count a
+    #: connection kept is lost with it. None until the first one goes.
+    retired_reads: Optional[Dict[str, List[int]]] = None
 
     def __init__(
         self,
@@ -43,7 +52,6 @@ class Buffer:
         name: str,
         node: "Node",
         recorder: "TraceRecorder",
-        collector: str,
         capacity: Optional[int],
         feedback: Optional[FeedbackEndpoint],
         obs,
@@ -53,11 +61,6 @@ class Buffer:
         self.node = node
         self.recorder = recorder
         self.obs = obs
-        # Fixed-slot telemetry handles, resolved once here instead of a
-        # (name, labels) registry lookup per operation (ISSUE 7). With
-        # telemetry or metrics off these are shared no-ops.
-        self._put_h = obs.put_handle(name, self.kind)
-        self._free_h = obs.free_handle(name, self.kind, collector)
         self.feedback = feedback
         self.capacity = capacity
         self.in_conns: List[InputConnection] = []
@@ -68,6 +71,7 @@ class Buffer:
         self.total_puts = 0
         self.total_gets = 0
         self.total_frees = 0
+        self.freed_bytes = 0
         # Collector state (:mod:`repro.gc.dgc`): pass due, last threshold, last move.
         self._gc_due = True
         self._gc_threshold = -1
@@ -81,10 +85,6 @@ class Buffer:
 
     def register_consumer(self, thread: str) -> InputConnection:
         conn = InputConnection(buffer=self.name, thread=thread)
-        obs = self.obs
-        if obs.enabled:
-            conn.get_h = obs.get_handle(self.name, self.kind, thread)
-            conn.skip_h = obs.skip_handle(self.name, thread)
         self.in_conns.append(conn)
         self._gc_due = True
         return conn
@@ -122,12 +122,22 @@ class Buffer:
         self._gc_due = True
         if self.feedback is not None:
             self.feedback.detach(conn.conn_id)
+        if self.retired_reads is None:
+            self.retired_reads = {}
+        reads = self.retired_reads.setdefault(conn.thread, [0, 0])
+        reads[0] += conn.gets
+        reads[1] += conn.skips
 
     # -- introspection ------------------------------------------------------
     def check_dead(self, ts: int) -> bool:
         """Would an item with ``ts`` be skipped by every consumer?"""
         conns = self.in_conns
         return bool(conns) and all(conn.last_got >= ts for conn in conns)
+
+    @property
+    def unfreed_bytes(self) -> int:
+        """Bytes put here and not yet freed."""
+        return self.bytes_held
 
     # -- capacity and waiting -----------------------------------------------
     def has_room(self) -> bool:
@@ -142,10 +152,9 @@ class Buffer:
         self._getters.cancel(event)
 
     # -- accounting ---------------------------------------------------------
-    def _account_put(self, conn: OutputConnection, item: Item, t: float) -> None:
-        """``item`` now occupies storage here: counters, node, trace, telemetry."""
+    def _account_put(self, item: Item, t: float) -> None:
+        """``item`` now occupies storage here: counters, node, trace, spans."""
         self.total_puts += 1
-        conn.puts += 1
         self.node.alloc(item.size)
         self.recorder.on_alloc(
             item_id=item.item_id,
@@ -157,20 +166,15 @@ class Buffer:
             parents=item.parents,
             t=t,
         )
-        obs = self.obs
-        if obs.enabled:
-            self._put_h.add(1.0, item.size)
-            if obs.spans_on:
-                obs.span_put(self.name, item, t)
+        if self.obs.spans_on:
+            self.obs.span_put(self.name, item, t)
 
     def _account_free(self, item: Item, t: float) -> None:
         """``item``'s storage is reclaimed (the caller already unlinked it)."""
         item.freed = True
         self.total_frees += 1
+        self.freed_bytes += item.size
         self.node.free(item.size)
         self.recorder.on_free(item.item_id, t)
-        obs = self.obs
-        if obs.enabled:
-            self._free_h.add(1.0, item.size)
-            if obs.spans_on:
-                obs.span_free(item, t)
+        if self.obs.spans_on:
+            self.obs.span_free(item, t)

@@ -62,8 +62,7 @@ class Channel(Buffer):
         feedback: Optional[FeedbackEndpoint] = None,
         obs=NULL_HUB,
     ) -> None:
-        super().__init__(engine, name, node, recorder, gc.name, capacity,
-                         feedback, obs)
+        super().__init__(engine, name, node, recorder, capacity, feedback, obs)
         self.gc = gc
         self._items: dict[int, Item] = {}
         self._order: List[int] = []  # sorted timestamps present
@@ -72,6 +71,10 @@ class Channel(Buffer):
     # -- introspection ------------------------------------------------------
     def __len__(self) -> int:
         return len(self._items)
+
+    @property
+    def collector(self) -> str:
+        return self.gc.name
 
     @property
     def bytes_held(self) -> int:
@@ -111,14 +114,13 @@ class Channel(Buffer):
             )
         self._items[item.ts] = item
         insort(self._order, item.ts)
-        self._account_put(conn, item, t)
+        self._account_put(item, t)
         # Dead on arrival for consumers whose cursor already passed this ts.
         for in_conn in self.in_conns:
             if in_conn.last_got >= item.ts:
                 in_conn.skips += 1
                 self.total_skips += 1
                 self.recorder.on_skip(item.item_id, in_conn.conn_id, in_conn.thread, t)
-                in_conn.skip_h.inc()
         self.gc.on_put(self, item)
         if self._gc_due:
             self.maybe_collect(t)
@@ -177,7 +179,6 @@ class Channel(Buffer):
                 f"(cursor={conn.last_got}, request={request!r})"
             )
         # Skip-marking: present items the cursor jumps over.
-        obs = self.obs
         lo = bisect_right(self._order, conn.last_got)
         hi = bisect_left(self._order, item.ts)
         for ts in self._order[lo:hi]:
@@ -185,17 +186,14 @@ class Channel(Buffer):
             conn.skips += 1
             self.total_skips += 1
             self.recorder.on_skip(skipped.item_id, conn.conn_id, conn.thread, t)
-            conn.skip_h.inc()
         self._cursor_from = conn.last_got
         conn.last_got = item.ts
         conn.gets += 1
         self.total_gets += 1
         item.acquire()
         self.recorder.on_get(item.item_id, conn.conn_id, conn.thread, t)
-        if obs.enabled:
-            conn.get_h.inc()
-            if obs.spans_on:
-                obs.span_get(item, conn.thread, t)
+        if self.obs.spans_on:
+            self.obs.span_get(item, conn.thread, t)
         if self.feedback is not None and consumer_summary is not None:
             self.feedback.receive(conn.conn_id, consumer_summary)
         self.gc.on_get(self, conn, item)

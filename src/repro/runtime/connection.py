@@ -7,17 +7,14 @@ mechanisms need:
 * consumer connections hold the get-latest cursor (``last_got``) that both
   the skipping semantics and the dead-timestamp GC rely on;
 * both kinds are the slots of the ARU ``backwardSTP`` vectors;
-* consumer connections additionally carry their preresolved telemetry
-  handles (``get_h``/``skip_h``), wired once at registration so the
-  per-operation telemetry cost is a flat-array add (ISSUE 7).
+* consumer connections count their gets and skips, which telemetry
+  reads (and the buffer keeps once the connection is unregistered).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-
-from repro.obs.metrics import NOOP_HANDLE
 
 _next_conn_id = itertools.count(1)
 
@@ -35,8 +32,6 @@ class OutputConnection:
     thread: str
     buffer: str
     conn_id: int = field(default_factory=lambda: next(_next_conn_id))
-    #: Items put through this connection.
-    puts: int = 0
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Out#{self.conn_id} {self.thread}->{self.buffer}>"
@@ -56,10 +51,6 @@ class InputConnection:
     #: Items gotten / skipped through this connection.
     gets: int = 0
     skips: int = 0
-    #: Fixed-slot telemetry handles, resolved once by the buffer's
-    #: ``register_consumer`` (no-ops when telemetry/metrics are off).
-    get_h: object = NOOP_HANDLE
-    skip_h: object = NOOP_HANDLE
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<In#{self.conn_id} {self.buffer}->{self.thread} last_got={self.last_got}>"

@@ -195,7 +195,8 @@ class PartitionQueue(SQueue):
         if not self.has_room():
             raise SimulationError(f"commit_put on full queue {self.name!r}")
         self._assign(item)
-        self._account_put(conn, item, t)
+        self.put_bytes += item.size
+        self._account_put(item, t)
         if self._merge is not None:
             self._merge.expect(item.ts)
         self._getters.notify_all()

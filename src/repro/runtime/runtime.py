@@ -83,7 +83,7 @@ def buffer_stats(buffers) -> Dict[str, dict]:
             "bytes_held": buf.bytes_held,
             "puts": buf.total_puts,
             "gets": buf.total_gets,
-            "skips": getattr(buf, "total_skips", 0),
+            "skips": buf.total_skips,
             "frees": buf.total_frees,
         }
         for name, buf in buffers.items()
@@ -123,6 +123,8 @@ class Runtime:
             t: self._resolve_thread_node(t) for t in graph.threads()
         }
         self.buffers: Dict[str, object] = {}
+        if self.obs.enabled:
+            self.obs.read_buffers(self.buffers)
         self.drivers: Dict[str, ThreadDriver] = {}
         self._processes: Dict[str, object] = {}
         #: Replicated stage -> the scope it was wired for.
@@ -363,11 +365,13 @@ class Runtime:
 
     # -- elastic parallelism ------------------------------------------------
     def replica_count(self, stage: str, alive_only: bool = True) -> int:
-        """Worker replicas of a replicated stage (alive by default)."""
+        """Worker replicas of a replicated stage (alive by default; a
+        departed tenant's replicas have no process and count as dead)."""
         names = self.graph.replicas_of(stage)
         if not alive_only:
             return len(names)
-        return sum(1 for n in names if self.thread_alive(n))
+        processes = self._processes
+        return sum(1 for n in names if n in processes and processes[n].is_alive)
 
     def _admit_replica(self, stage: str, node_name: str) -> bool:
         """R-Storm-style admission: charge the replica against the node.

@@ -35,6 +35,8 @@ class SQueue(Buffer):
     """One named FIFO queue placed on a cluster node."""
 
     kind = "queue"
+    #: Queues self-manage storage, hence the fixed reclaim label.
+    collector = "queue"
 
     def __init__(
         self,
@@ -46,10 +48,11 @@ class SQueue(Buffer):
         feedback: Optional[FeedbackEndpoint] = None,
         obs=NULL_HUB,
     ) -> None:
-        # Queues self-manage storage, hence the fixed "queue" collector label.
-        super().__init__(engine, name, node, recorder, "queue", capacity,
-                         feedback, obs)
+        super().__init__(engine, name, node, recorder, capacity, feedback, obs)
         self._fifo: Deque[Item] = deque()
+        #: Bytes put here: a popped item has left the FIFO but holds its
+        #: storage until released, so ``bytes_held`` cannot tell it.
+        self.put_bytes = 0
 
     # -- introspection ------------------------------------------------------
     def __len__(self) -> int:
@@ -59,13 +62,18 @@ class SQueue(Buffer):
     def bytes_held(self) -> int:
         return sum(item.size for item in self._fifo)
 
+    @property
+    def unfreed_bytes(self) -> int:
+        return self.put_bytes - self.freed_bytes
+
     # -- put side ----------------------------------------------------------
     def commit_put(self, conn: OutputConnection, item: Item, t: float) -> Optional[float]:
         """Append ``item``; returns the queue's summary-STP (ARU feedback)."""
         if not self.has_room():
             raise SimulationError(f"commit_put on full queue {self.name!r}")
         self._fifo.append(item)
-        self._account_put(conn, item, t)
+        self.put_bytes += item.size
+        self._account_put(item, t)
         self._getters.notify_all()
         return self.feedback.advertise() if self.feedback is not None else None
 
@@ -100,11 +108,8 @@ class SQueue(Buffer):
         self.total_gets += 1
         item.acquire()
         self.recorder.on_get(item.item_id, conn.conn_id, conn.thread, t)
-        obs = self.obs
-        if obs.enabled:
-            conn.get_h.inc()
-            if obs.spans_on:
-                obs.span_get(item, conn.thread, t)
+        if self.obs.spans_on:
+            self.obs.span_get(item, conn.thread, t)
         if self.feedback is not None and consumer_summary is not None:
             self.feedback.receive(conn.conn_id, consumer_summary)
         if self.capacity is not None:

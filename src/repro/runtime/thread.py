@@ -180,7 +180,7 @@ class ThreadDriver:
         self.controller = controller
         # Fixed-slot telemetry handle for the per-iteration sync close,
         # resolved once per thread instead of eight registry lookups per
-        # iteration (ISSUE 7). No-op when telemetry/metrics are off.
+        # iteration. No-op when telemetry/metrics are off.
         self._sync_h = runtime.obs.sync_handle(name)
         #: Assigned by :meth:`assemble`: whom this thread is wired for, and
         #: (a tenant's sink thread, telemetry on) its delivery counter.

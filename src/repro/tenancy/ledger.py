@@ -1,7 +1,7 @@
 """The reservation ledger: pure resource accounting for one cluster.
 
-ISSUE 9 splits the old monolithic ``Scheduler`` into two layers. This
-module is the *mechanism* half — a :class:`ReservationLedger` that knows
+One monolithic ``Scheduler`` used to do both; it is split into two
+layers. This module is the *mechanism* half — a :class:`ReservationLedger` that knows
 how much of each node's CPU/memory/bandwidth is committed, which tenant
 committed it, and what **elastic budget** each tenant has been granted
 on top of its base reservations. It holds no policy: placement

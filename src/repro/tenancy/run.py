@@ -466,7 +466,7 @@ def run_tenants(spec: Union[TenancySpec, None] = None,
             samples.extend(by_thread.get(sink, ()))
         for name in tenant.buffers:
             buf = runtime.buffers.get(name)
-            drops += getattr(buf, "total_skips", 0) if buf else 0
+            drops += buf.total_skips if buf else 0
         residence = tenant.residence(spec.horizon)
         rate = deliveries / residence if residence > 0 else 0.0
         records[tenant.name] = TenantRecord(

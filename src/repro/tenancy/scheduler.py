@@ -1,6 +1,6 @@
 """The cluster scheduler: the tenancy resource plane's decision layer.
 
-ISSUE 9 split the old monolithic scheduler in two. The *mechanism* —
+The old monolithic scheduler is split in two. The *mechanism* —
 per-node reservation accounting and per-tenant elastic budgets — lives
 in :class:`~repro.tenancy.ledger.ReservationLedger`; this class is the
 *decision* layer that composes a pluggable placement strategy (where do

@@ -149,14 +149,14 @@ def marginal_calls_per_event(recipe, short: float, long: float) -> float:
 
 
 #: (recipe, short and long horizon in simulated s, budget). Measured
-#: 27.31 and 32.14 when set (a thread's policy holds its backwardSTP
-#: vector and plans its own sleep: 27.31 and 33.41 before; recording
-#: appends to columns, no record ``__init__``: 28.71 and 34.91 before
-#: that, 38.14 and 41.28 before DGC and the controller went
-#: event-driven).
+#: 27.31 and 32.10 when set (a skip calls no telemetry handle: 27.31
+#: and 32.14 before; a thread's policy holds its backwardSTP vector and
+#: plans its own sleep: 27.31 and 33.41 before that; recording appends
+#: to columns, no record ``__init__``: 28.71 and 34.91 before that,
+#: 38.14 and 41.28 before DGC and the controller went event-driven).
 BUDGETS = [
     pytest.param(light_fleet, 5.0, 20.0, 28.7, id="light-fleet"),
-    pytest.param(tracker_cell, 10.0, 60.0, 33.8, id="tracker-aru-min"),
+    pytest.param(tracker_cell, 10.0, 60.0, 33.7, id="tracker-aru-min"),
 ]
 
 
@@ -251,13 +251,14 @@ def admit_light_fleet(tenants: int) -> TenantRuntime:
 
 
 #: Python calls to admit one light tenant (build and validate its graph,
-#: place it, merge it, assemble its buffers and drivers). Measured 562
-#: when set (a thread with ARU off holds the shared null controller):
-#: 622 before that, 639 before RNG streams built their numpy generator
-#: on first draw and R-Storm scored only neighbor nodes when one fits,
-#: 764 before the wiring took the tenant as an argument, 3 226 while
-#: the graph was networkx.
-SETUP_BUDGET = 590
+#: place it, merge it, assemble its buffers and drivers). Measured 544
+#: when set (a buffer resolves no telemetry handles): 562 before that
+#: (a thread with ARU off holds the shared null controller), 622 before
+#: that, 639 before RNG streams built their numpy generator on first
+#: draw and R-Storm scored only neighbor nodes when one fits, 764 before
+#: the wiring took the tenant as an argument, 3 226 while the graph was
+#: networkx.
+SETUP_BUDGET = 571
 
 
 def test_python_calls_per_admitted_tenant():
@@ -280,13 +281,14 @@ def test_python_calls_per_admitted_tenant():
 
 #: Traced heap bytes one admitted light tenant holds before its first
 #: event (``count_calls.setup_bytes_per_tenant``: admit 40, less admit
-#: 20, over 20). Measured 35 832 when set (a thread with ARU off holds
+#: 20, over 20). Measured 35 533 when set (connections and buffers hold
+#: no telemetry handles); 35 832 before (a thread with ARU off holds
 #: the shared null controller, not a four-object control stack of its
-#: own); 38 023 before, 38 527 after a whole ``fleet_1000`` run in the
-#: same process (the tenant keeps no private graph after its first
+#: own); 38 023 before that, 38 527 after a whole ``fleet_1000`` run in
+#: the same process (the tenant keeps no private graph after its first
 #: merge, adjacency is a tuple per node and an unbounded buffer has no
 #: room queue); 55 531 before that.
-SETUP_BYTES_BUDGET = 37_600
+SETUP_BYTES_BUDGET = 37_300
 
 
 def test_heap_bytes_per_admitted_tenant():

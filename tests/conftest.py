@@ -16,6 +16,7 @@ with collection silently off.
 """
 
 import gc
+import re
 
 import pytest
 
@@ -81,3 +82,30 @@ def unreachable_after():
                 gc.enable()
 
     return measure
+
+
+#: The series a live backend must export as the simulator does: the
+#: buffer counts it reads and the iteration close it pushes.
+_SHARED_SERIES = re.compile(
+    r"repro_(buffer_|gc_reclaimed_|iteration|.*_seconds_total$)")
+
+
+def _shared_series(hub):
+    return {(m.name, m.labels) for m in hub.metrics.collect()
+            if _SHARED_SERIES.match(m.name)}
+
+
+@pytest.fixture
+def exports_sims_series():
+    """``check(result)``: a live run's telemetry has the buffer and thread
+    series (names and label sets) the same spec has on ``sim``, and its
+    summary table a buffers section."""
+    from repro.experiment import run_experiment
+    from repro.obs import summary_table
+
+    def check(result):
+        sim = run_experiment(result.spec.with_(backend="sim"))
+        assert _shared_series(result.telemetry) == _shared_series(sim.telemetry)
+        assert "buffers" in summary_table(result.telemetry).splitlines()
+
+    return check

@@ -42,14 +42,15 @@ def _children():
 
 
 @pytest.mark.slow
-def test_tracker_runs_across_worker_processes(monkeypatch):
+def test_tracker_runs_across_worker_processes(monkeypatch,
+                                             exports_sims_series):
     def no_interpreters(*args, **kwargs):
         raise AssertionError("a proc run must not start an interpreter")
 
     monkeypatch.setattr(subprocess, "Popen", no_interpreters)
     result = run_experiment(ExperimentSpec(
         config="config2", policy="aru-min", seed=0, horizon=3.0,
-        backend="proc",
+        backend="proc", telemetry=True,
     ))
     info = result.runtime
     # >= 2 real worker processes, all exited cleanly
@@ -72,6 +73,9 @@ def test_tracker_runs_across_worker_processes(monkeypatch):
 
     assert result.trace.items
     assert all(item_id >= ID_STRIDE for item_id in result.trace.items)
+    # every worker's hub read its own channels and merged into one that
+    # exports what the same spec exports on sim
+    exports_sims_series(result)
 
 
 @pytest.mark.slow

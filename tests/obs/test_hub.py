@@ -4,7 +4,10 @@ import pickle
 
 import pytest
 
+from repro.cluster import Node, NodeSpec
 from repro.errors import ConfigError
+from repro.gc import make_gc
+from repro.metrics import TraceRecorder
 from repro.obs import (
     NULL_HUB,
     NullTelemetryHub,
@@ -12,6 +15,9 @@ from repro.obs import (
     TelemetryHub,
     resolve_hub,
 )
+from repro.runtime import Channel, Item
+from repro.sim import Engine, RngRegistry
+from repro.vt import LATEST
 
 
 class FakeItem:
@@ -25,27 +31,26 @@ class FakeItem:
         self.parents = tuple(parents)
 
 
-# The hot sites drive the hub through a wiring-time handle plus a
-# ``span_*`` helper behind ``spans_on``; these spell out, call for call,
-# what ``Buffer._account_put`` / ``_account_get`` / ``_account_free``,
-# ``Link.transfer`` and ``ThreadDriver._publish`` do.
+# ``Link.transfer`` and ``ThreadDriver._publish`` drive the hub through
+# a wiring-time handle plus a ``span_*`` helper behind ``spans_on``;
+# these spell them out call for call. A buffer pushes only its spans
+# (``put``), its counts are read: ``wired_channel`` is a real one.
 
-def put(hub, buffer, kind, item, t):
-    hub.put_handle(buffer, kind).add(1.0, item.size)
+def put(hub, buffer, item, t):
     if hub.spans_on:
         hub.span_put(buffer, item, t)
 
 
-def get(hub, buffer, kind, item, consumer, t):
-    hub.get_handle(buffer, kind, consumer).inc()
-    if hub.spans_on:
-        hub.span_get(item, consumer, t)
-
-
-def free(hub, buffer, kind, item, t, collector):
-    hub.free_handle(buffer, kind, collector).add(1.0, item.size)
-    if hub.spans_on:
-        hub.span_free(item, t)
+def wired_channel(hub, name="C1"):
+    """A channel whose counts ``hub`` reads, with one producer ``p`` and
+    one consumer ``gui``."""
+    engine = Engine()
+    node = Node(engine, NodeSpec(name="n0"), RngRegistry(seed=0))
+    channel = Channel(engine, name, node, TraceRecorder(), make_gc("dgc"),
+                      obs=hub)
+    hub.read_buffers({name: channel})
+    return (channel, channel.register_producer("p"),
+            channel.register_consumer("gui"))
 
 
 def transfer(hub, link, nbytes, duration, t):
@@ -73,7 +78,7 @@ class TestNullHub:
         assert resolve_hub(False) is NULL_HUB
 
     def test_hooks_are_noops(self):
-        put(NULL_HUB, "C1", "channel", FakeItem(1), 0.0)
+        put(NULL_HUB, "C1", FakeItem(1), 0.0)
         sync(NULL_HUB, "t", 0, 1, 0.5, 0.1, 0.0, None, None, None)
         NULL_HUB.on_fault("injected", "thread_crash", "x", 1.0)
         NULL_HUB.on_finalize({}, 1.0)
@@ -130,10 +135,11 @@ class TestResolveHub:
 class TestHooks:
     def test_put_get_free_roundtrip(self):
         hub = TelemetryHub()
-        item = FakeItem(1, ts=5, size=200)
-        put(hub, "C1", "channel", item, t=1.0)
-        get(hub, "C1", "channel", item, consumer="gui", t=2.0)
-        free(hub, "C1", "channel", item, t=3.0, collector="dgc")
+        channel, out, conn = wired_channel(hub)
+        item = Item(ts=5, size=200, producer="p")
+        channel.commit_put(out, item, 1.0)
+        view = channel.commit_get(conn, LATEST, 2.0)
+        channel.release(view._item, 3.0)
         m = hub.metrics
         assert m.value("repro_buffer_puts_total",
                        {"buffer": "C1", "kind": "channel"}) == 1
@@ -145,21 +151,24 @@ class TestHooks:
         assert m.value("repro_gc_reclaimed_bytes_total",
                        {"buffer": "C1", "gc": "dgc"}) == 200
         # item span was opened at put and closed at free
-        span = hub.tracer.get(hub.tracer.item_span[1])
+        span = hub.tracer.get(hub.tracer.item_span[item.item_id])
         assert span.t_start == 1.0 and span.t_end == 3.0
 
     def test_put_parents_link_spans(self):
         hub = TelemetryHub()
         parent = FakeItem(1)
-        put(hub, "C1", "channel", parent, t=0.0)
+        put(hub, "C1", parent, t=0.0)
         child = FakeItem(2, parents=(1,))
-        put(hub, "C2", "channel", child, t=1.0)
+        put(hub, "C2", child, t=1.0)
         chain = hub.tracer.ancestry(2)
         assert [s.track for s in chain] == ["buffer/C2", "buffer/C1"]
 
     def test_sampling_skips_item_spans_but_not_counters(self):
         hub = TelemetryHub(TelemetryConfig(span_sample=2))
-        put(hub, "C1", "channel", FakeItem(3), t=0.0)  # 3 % 2 != 0
+        channel, out, _ = wired_channel(hub)
+        item = Item(ts=0, size=100)
+        item.item_id = 3  # 3 % 2 != 0
+        channel.commit_put(out, item, 0.0)
         assert 3 not in hub.tracer.item_span
         assert hub.metrics.value(
             "repro_buffer_puts_total",
@@ -198,20 +207,21 @@ class TestHooks:
 
     def test_metrics_only_mode(self):
         hub = TelemetryHub(TelemetryConfig(spans=False))
-        put(hub, "C1", "channel", FakeItem(2), t=0.0)
+        put(hub, "C1", FakeItem(2), t=0.0)
         hub.on_fault("injected", "x", "y", t=1.0)
         assert hub.tracer.recorded == 0
         assert len(hub.metrics) > 0
 
     def test_spans_only_mode(self):
         hub = TelemetryHub(TelemetryConfig(metrics=False))
-        put(hub, "C1", "channel", FakeItem(2), t=0.0)
+        wired_channel(hub)
+        put(hub, "C1", FakeItem(2), t=0.0)
         assert len(hub.metrics) == 0
         assert hub.tracer.recorded > 0
 
     def test_finalize_flushes_and_stamps(self):
         hub = TelemetryHub()
-        put(hub, "C1", "channel", FakeItem(2), t=0.0)
+        put(hub, "C1", FakeItem(2), t=0.0)
         hub.on_finalize({"engine": {"events_processed": 10, "now": 9.0}}, 9.0)
         assert hub.t_end == 9.0
         assert all(s.t_end is not None for s in hub.tracer.spans)
@@ -226,7 +236,8 @@ class TestHooks:
 
     def test_snapshot_is_plain_data(self):
         hub = TelemetryHub()
-        put(hub, "C1", "channel", FakeItem(2), t=0.0)
+        wired_channel(hub)
+        put(hub, "C1", FakeItem(2), t=0.0)
         snap = hub.snapshot()
         assert snap["enabled"] is True
         assert isinstance(snap["metrics"], list)

@@ -1,14 +1,15 @@
 """The fixed-slot hot path: SlotBank, handles, and registry sync.
 
-ISSUE 7 moved every per-event telemetry update off the dict-lookup
-instrument API onto preresolved flat-array slots: a site resolves its
-instruments once at wiring time into indices, the hot-path update is
-one array add, and label resolution / Metric materialisation is
-deferred to the first read. These tests pin the bank's slot contract
-(reuse, kind-clash detection, growth never invalidating handles), the
-handle semantics, and the fidelity of the deferred materialisation —
-what ``snapshot()`` exports must be indistinguishable from having
-updated the instruments directly.
+A pushed telemetry update goes to preresolved flat-array slots, not
+through the dict-lookup instrument API: a site resolves its instruments
+once at wiring time into indices, the hot-path update is one array add,
+and label resolution / Metric materialisation is deferred to the first
+read. These tests pin the bank's slot contract (reuse, kind-clash
+detection, growth never invalidating handles), the handle semantics,
+and the fidelity of the deferred materialisation — what ``snapshot()``
+exports must be indistinguishable from having updated the instruments
+directly. The counts a buffer keeps are read instead of pushed; the
+depth test below is the one that reaches a buffer.
 """
 
 import math
@@ -25,12 +26,14 @@ from repro.obs.hub import (
 from repro.obs.metrics import (
     NOOP_HANDLE,
     CounterHandle,
-    GaugeHandle,
     MetricsRegistry,
     NoopHandle,
-    PairHandle,
     SlotBank,
 )
+from repro.cluster import Node, NodeSpec
+from repro.metrics import TraceRecorder
+from repro.runtime import Item, SQueue
+from repro.sim import Engine, RngRegistry
 
 
 class TestSlotContract:
@@ -85,25 +88,6 @@ class TestHandles:
         h.inc(2.5)
         assert bank.values[slot] == 3.5
 
-    def test_pair_handle_writes_both_slots(self):
-        bank = SlotBank()
-        a = bank.counter_slot("puts_total")
-        bank.counter_slot("spacer_total")  # slots need not be contiguous
-        b = bank.hidden_slot("put_bytes")
-        h = PairHandle(bank.values, a, b)
-        h.add(1.0, 100.0)
-        h.add(1.0, 40.0)
-        assert bank.values[a] == 2.0
-        assert bank.values[b] == 140.0
-
-    def test_gauge_handle_overwrites(self):
-        bank = SlotBank()
-        slot = bank.gauge_slot("g")
-        h = GaugeHandle(bank.values, slot)
-        h.set(5.0)
-        h.set(2.0)
-        assert bank.values[slot] == 2.0
-
     def test_histogram_handle_boundary_is_value_le_bound(self):
         # Legacy Histogram.observe places value in the first bucket with
         # value <= bound; the bisect-based handle must match exactly.
@@ -118,10 +102,7 @@ class TestHandles:
         assert block[4] == 4.0                  # count
 
     def test_noop_handle_swallows_everything(self):
-        for call in (NOOP_HANDLE.inc, lambda: NOOP_HANDLE.add(1, 2),
-                     lambda: NOOP_HANDLE.set(3),
-                     lambda: NOOP_HANDLE.observe(0.5),
-                     lambda: NOOP_HANDLE.update(1, 2, 3)):
+        for call in (NOOP_HANDLE.inc, lambda: NOOP_HANDLE.update(1, 2, 3)):
             assert call() is None
         assert isinstance(NOOP_HANDLE, NoopHandle)
 
@@ -145,12 +126,6 @@ class TestDeferredMaterialisation:
         (metric,) = reg.collect()
         assert metric.value == 7.0
 
-    def test_hidden_slots_never_export(self):
-        reg = MetricsRegistry()
-        slot = reg.bank.hidden_slot("scratch")
-        reg.bank.values[slot] += 99.0
-        assert list(reg.collect()) == []
-
     def test_empty_histogram_is_not_exported(self):
         reg = MetricsRegistry()
         h = reg.bank.histogram_handle("repro_h_seconds", buckets=(0.1,))
@@ -159,16 +134,6 @@ class TestDeferredMaterialisation:
         (metric,) = reg.collect()
         assert metric.count == 1
         assert metric.bucket_counts == [1]
-
-    def test_derived_gauge_is_plus_minus(self):
-        reg = MetricsRegistry()
-        bank = reg.bank
-        puts = bank.counter_slot("puts_total")
-        frees = bank.counter_slot("frees_total")
-        bank.derive_gauge("depth", plus=[puts], minus=[frees])
-        bank.values[puts] += 5.0
-        bank.values[frees] += 2.0
-        assert reg.value("depth") == 3.0
 
     def test_sync_is_idempotent_and_stamps_on_change_only(self):
         clock = [0.0]
@@ -188,33 +153,42 @@ class TestDeferredMaterialisation:
 class TestHubWiring:
     def test_handles_are_cached_per_site_identity(self):
         hub = TelemetryHub(TelemetryConfig(spans=False))
-        assert hub.put_handle("cam", "channel") is hub.put_handle(
-            "cam", "channel")
-        assert hub.put_handle("cam", "channel") is not hub.put_handle(
-            "det", "channel")
+        assert hub.sync_handle("cam") is hub.sync_handle("cam")
+        assert hub.sync_handle("cam") is not hub.sync_handle("det")
 
     def test_metrics_off_wires_noop_and_creates_no_instruments(self):
         hub = TelemetryHub(TelemetryConfig(metrics=False, spans=True))
-        assert hub.put_handle("cam", "channel") is NOOP_HANDLE
+        assert hub.transfer_handle("a->b") is NOOP_HANDLE
         assert hub.sync_handle("t0") is NOOP_HANDLE
+        hub.read_buffers({"cam": object()})  # never read with metrics off
         assert len(hub.metrics.bank.values) == 0
+        assert len(hub.metrics) == 0
 
     def test_null_hub_hands_out_noop_handles(self):
         assert isinstance(NULL_HUB, NullTelemetryHub)
-        assert NULL_HUB.put_handle("cam", "channel") is NOOP_HANDLE
+        assert NULL_HUB.sync_handle("t0") is NOOP_HANDLE
         assert NULL_HUB.transfer_handle("a->b") is NOOP_HANDLE
 
     def test_depth_is_puts_minus_frees_at_export(self):
+        # A queue's popped item has left the FIFO but is not freed until
+        # released: depth and bytes held count it until then.
         hub = TelemetryHub(TelemetryConfig(spans=False))
-        put = hub.put_handle("cam", "channel")
-        free = hub.free_handle("cam", "channel", "dgc")
-        for _ in range(5):
-            put.add(1.0, 100.0)
-        free.add(1.0, 100.0)
-        free.add(1.0, 100.0)
-        labels = {"buffer": "cam", "kind": "channel"}
+        engine = Engine()
+        node = Node(engine, NodeSpec(name="n0"), RngRegistry(seed=0))
+        q = SQueue(engine, "cam", node, TraceRecorder(), obs=hub)
+        hub.read_buffers({"cam": q})
+        prod, cons = q.register_producer("p"), q.register_consumer("c")
+        for ts in range(5):
+            q.commit_put(prod, Item(ts=ts, size=100), 0.0)
+        views = [q.commit_get(cons, None, 0.0) for _ in range(3)]
+        for view in views[:2]:
+            q.release(view._item, 0.0)
+        labels = {"buffer": "cam", "kind": "queue"}
+        assert len(q) == 2
         assert hub.metrics.value("repro_buffer_depth", labels) == 3.0
         assert hub.metrics.value("repro_buffer_bytes_held", labels) == 300.0
+        assert hub.metrics.value("repro_gc_reclaimed_bytes_total",
+                                 {"buffer": "cam", "gc": "queue"}) == 200.0
 
     def test_transfer_handle_updates_all_three_series(self):
         hub = TelemetryHub(TelemetryConfig(spans=False))

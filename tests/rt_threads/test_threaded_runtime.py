@@ -253,18 +253,31 @@ class TestCollectorIsTheSpecs:
     def run_with(gc):
         result = run_experiment(ExperimentSpec(
             app=small_pipeline(prod_period=0.001, cons_compute=0.02),
-            backend="threads", gc=gc, horizon=0.6))
-        return result.stats["buffers"]["c"], result.runtime.channels["c"]
+            backend="threads", gc=gc, horizon=0.6, telemetry=True))
+        return result.stats["buffers"]["c"], result.runtime.channels["c"], result
 
-    def test_null_frees_nothing(self):
-        stats, channel = self.run_with("null")
+    def test_null_frees_nothing(self, exports_sims_series):
+        stats, channel, result = self.run_with("null")
         assert stats["puts"] > 20 and stats["skips"] > 0
         assert stats["frees"] == 0
         assert stats["depth"] == stats["puts"]
         assert channel._state.gc.name == "null"
+        # The hub read the channel's own counts, and the run exports the
+        # series the simulator does.
+        m = result.telemetry.metrics
+        assert m.value("repro_buffer_puts_total",
+                       {"buffer": "c", "kind": "channel"}) == stats["puts"]
+        assert m.value("repro_buffer_skips_total",
+                       {"buffer": "c", "consumer": "cons"}) == stats["skips"]
+        # Both OS threads pushed their iteration closes into one hub,
+        # each into its own slots: none is lost.
+        for thread in ("prod", "cons"):
+            assert m.value("repro_iterations_total", {"thread": thread}) \
+                == result.trace.iteration_count(thread)
+        exports_sims_series(result)
 
     def test_ref_frees_only_what_was_consumed(self):
-        stats, channel = self.run_with("ref")
+        stats, channel, _ = self.run_with("ref")
         assert channel._state.gc.name == "ref"
         assert 0 < stats["frees"] <= stats["gets"]
         assert stats["depth"] >= stats["skips"]  # skipped items leak

@@ -49,7 +49,6 @@ class TestPut:
         put(ch, prod, ts=0)
         put(ch, prod, ts=1)
         assert ch.total_puts == 2
-        assert prod.puts == 2
 
 
 class TestGetLatest:

@@ -296,6 +296,17 @@ class TestReplacementAfterScaleIn:
         self.assert_restored(runtime, pool, stage)
 
 
+def test_stats_after_an_elastic_tenant_departed():
+    # Its replicas stay in the shared graph with no process; counting
+    # the live ones used to raise "no thread named" in ``stats()``.
+    result = run_tenants(TenancySpec(
+        tenants=(TenantSpec("p", app=elastic_pipeline(ElasticConfig(replicas=2)),
+                            departure=1.0),),
+        cluster=2, horizon=2.0))
+    assert result.records["p"].state == "departed"
+    assert result.stats["scaling"]["p/workers"]["replicas"] == 0
+
+
 class TestTheTenantIsStoredOnce:
     """After its first merge a tenant keeps no graph of its own: the
     shared graph holds its nodes, and re-placement asks the scheduler
