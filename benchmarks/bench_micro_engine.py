@@ -153,7 +153,7 @@ def test_postmortem_analysis_rate(benchmark):
 def _put_get_cycle():
     eng = Engine()
     node = Node(eng, NodeSpec(name="n0"), RngRegistry(0))
-    rec = TraceRecorder(record_stp=False)
+    rec = TraceRecorder()
     ch = Channel(eng, "ch", node, recorder=rec, gc=make_gc("dgc"))
     prod = ch.register_producer("p")
     cons = ch.register_consumer("c")

@@ -34,7 +34,10 @@ script runs one repetition of a simulated e2e workload under
   over the difference in their engine events;
 * ``trace_bytes_by_table`` (the light fleets) — the same bytes per
   event split by the table that holds them: items (with their id
-  runs), touches, iterations, STP samples and the name table;
+  runs), touches, iterations, sinks, STP samples and the name table;
+* ``trace_bytes_per_event_rows`` / ``trace_bytes_by_table_rows`` (the
+  light fleets) — the same two with ``trace_rows=True``: a fleet keeps
+  the trace's reducer only by default, these price its rows;
 * ``analysis_bytes_per_event`` (the light fleets) — what the post-run
   analysis allocates on top of the finished trace: the ``tracemalloc``
   peak from ``Runtime.run``'s return to ``run_tenants``' return, above
@@ -148,7 +151,7 @@ def count_calls(fn: Callable[[], Any], setup_ends=None
 #: Attribute-name prefix -> the trace table its storage is counted
 #: under; every other attribute (the name table and its map) is "names".
 _TABLES = {"item": "items", "run": "items", "touch": "touches",
-           "iter": "iterations", "stp": "stp"}
+           "iter": "iterations", "sink": "sinks", "stp": "stp"}
 
 
 def trace_bytes_by_table(recorder) -> Dict[str, int]:
@@ -272,23 +275,28 @@ def admit_fleet(spec):
 
 
 def _fleet_recipes(seed: int) -> Dict[str, Tuple[Callable[[float], Any],
+                                                 Callable[[float], Any],
                                                  float,
                                                  Callable[[int], Any]]]:
-    """Workloads whose horizon and size can be varied: (recipe, frozen
-    horizon, admission of N of its tenants)."""
+    """Workloads whose horizon and size can be varied: (recipe, the
+    recipe with the trace's rows kept, frozen horizon, admission of N of
+    its tenants)."""
     import workloads
 
     from repro.tenancy import run_tenants
 
-    def fleet(tenants: int):
+    def fleet(tenants: int, **changes):
         return lambda horizon: run_tenants(
-            workloads._light_fleet(tenants, horizon, seed))
+            workloads._light_fleet(tenants, horizon, seed).with_(**changes))
 
     def admit(tenants: int):  # both fleets are of the same light tenant
         return admit_fleet(workloads._light_fleet(tenants, 1.0, seed))
 
-    return {"fleet_10": (fleet(10), workloads.FLEET_10_HORIZON, admit),
-            "fleet_1000": (fleet(1000), workloads.FLEET_1000_HORIZON, admit)}
+    return {name: (fleet(tenants), fleet(tenants, trace_rows=True), horizon,
+                   admit)
+            for name, tenants, horizon in (
+                ("fleet_10", 10, workloads.FLEET_10_HORIZON),
+                ("fleet_1000", 1000, workloads.FLEET_1000_HORIZON))}
 
 
 def count_workload(name: str, seed: int) -> Dict[str, Any]:
@@ -321,8 +329,11 @@ def count_workload(name: str, seed: int) -> Dict[str, Any]:
                   calls_per_event=counts["python_calls"] / events)
     recipe = _fleet_recipes(seed).get(name)
     if recipe is not None:
-        run, horizon, admit = recipe
+        run, run_with_rows, horizon, admit = recipe
         counts.update(growth_per_event(run, horizon / 4, horizon / 2))
+        rows = growth_per_event(run_with_rows, horizon / 4, horizon / 2)
+        counts["trace_bytes_per_event_rows"] = rows["trace_bytes_per_event"]
+        counts["trace_bytes_by_table_rows"] = rows["trace_bytes_by_table"]
         counts["setup_bytes_per_tenant"] = setup_bytes_per_tenant(admit)
     return counts
 
@@ -331,7 +342,7 @@ _SCALARS = ("python_calls", "c_calls", "generator_starts", "events",
             "calls_per_event", "setup_python_calls", "setup_c_calls",
             "setup_modules", "setup_bytes_per_tenant", "numpy_loaded",
             "tracked_objects_per_event", "trace_bytes_per_event",
-            "analysis_bytes_per_event")
+            "trace_bytes_per_event_rows", "analysis_bytes_per_event")
 
 
 def _generations(collections) -> str:
@@ -347,10 +358,10 @@ def _print_counts(counts: Dict[str, Any], top: int) -> None:
         value = counts[key]
         shown = f"{value:.2f}" if isinstance(value, float) else f"{value}"
         print(f"{name} {key} {shown}")
-    if "trace_bytes_by_table" in counts:
-        print(f"{name} trace_bytes_by_table " + " ".join(
-            f"{table}={value:.2f}"
-            for table, value in counts["trace_bytes_by_table"].items()))
+    for key in ("trace_bytes_by_table", "trace_bytes_by_table_rows"):
+        if key in counts:
+            print(f"{name} {key} " + " ".join(
+                f"{table}={value:.2f}" for table, value in counts[key].items()))
     if "setup_collections" in counts:
         print(f"{name} setup_collections "
               f"{_generations(counts['setup_collections'])}")

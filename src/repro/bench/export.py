@@ -40,8 +40,8 @@ def summarize_trace(recorder: TraceRecorder) -> Dict[str, float]:
     lat_mean, lat_std = latency_stats(recorder)
     return {
         "duration_s": recorder.duration,
-        "items": float(len(recorder.items)),
-        "iterations": float(len(recorder.iterations)),
+        "items": float(len(recorder.item_t_alloc)),
+        "iterations": float(len(recorder.iter_thread)),
         "mem_mean_bytes": pm.footprint().mean(),
         "mem_std_bytes": pm.footprint().std(),
         "igc_mean_bytes": pm.ideal_footprint().mean(),

@@ -51,7 +51,7 @@ def ce_stats(graph, recorder, threads: Sequence[str] = TRACKER_UPSTREAM):
     ce_skips = sum(
         graph.attrs(t)["params"].get("ce_skips", 0) for t in graph.threads()
     )
-    upstream_iters = sum(len(recorder.iterations_of(t)) for t in threads)
+    upstream_iters = sum(recorder.iteration_count(t) for t in threads)
     return {
         "ce_skips": float(ce_skips),
         "upstream_iterations": float(upstream_iters),
@@ -107,14 +107,13 @@ def latency_phases(
     """
     from repro.metrics.performance import percentile, sink_latencies
 
-    rows, latencies = sink_latencies(recorder)
-    t_ends = recorder.iter_t_end
+    sinks, latencies = sink_latencies(recorder)
+    t_ends = recorder.sink_t_end
     out: Dict[str, float] = {}
     for label, lo, hi in phases:
-        samples = [latency for row, latency in zip(rows, latencies)
-                   if lo <= t_ends[row] < hi]
-        delivered = sum(1 for row in recorder.sink_rows()
-                        if lo <= t_ends[row] < hi)
+        samples = [latency for k, latency in zip(sinks, latencies)
+                   if lo <= t_ends[k] < hi]
+        delivered = sum(1 for t_end in t_ends if lo <= t_end < hi)
         out[f"p50:{label}"] = percentile(samples, 50)
         out[f"p95:{label}"] = percentile(samples, 95)
         out[f"fps:{label}"] = delivered / (hi - lo)

@@ -88,18 +88,6 @@ class Node:
         self.mem_committed -= mem_bytes
         self.bw_committed -= bandwidth_bps
 
-    @property
-    def cpu_headroom(self) -> float:
-        """Cores not yet committed to tenants (0 while failed).
-
-        What an arbiter may still grant here: declared capacity minus
-        reservations, *not* instantaneous busy-ness — a failed node
-        offers nothing regardless of its ledger state.
-        """
-        if self.failed:
-            return 0.0
-        return max(0.0, float(self.spec.ncpus) - self.cpu_committed)
-
     # -- fault control ------------------------------------------------------
     def fail(self) -> None:
         """Mark the node crashed (bookkeeping; the runtime kills threads)."""

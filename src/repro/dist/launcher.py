@@ -106,6 +106,11 @@ def _validate(spec) -> dict:
             "the proc backend does not support elastic scaling; "
             "use backend='sim'"
         )
+    if not spec.trace_rows:
+        raise ConfigError(
+            "the proc backend needs trace_rows=True: the run's trace is "
+            "its workers' rows, merged"
+        )
     from repro.obs import TelemetryHub
     from repro.rt_threads.executor import check_live_gc
 

@@ -36,14 +36,6 @@ class DistPlan:
     def buffers_on(self, node: str) -> Tuple[str, ...]:
         return tuple(b for b, n in self.buffer_nodes.items() if n == node)
 
-    def remote_buffers(self, node: str) -> Tuple[str, ...]:
-        """Buffers the node's threads touch that live on another node."""
-        remote = []
-        for buf, host in self.buffer_nodes.items():
-            if host != node and buf not in remote:
-                remote.append(buf)
-        return tuple(remote)
-
     @property
     def cross_node_buffers(self) -> Tuple[str, ...]:
         """Buffers with at least one producer or consumer off-node."""

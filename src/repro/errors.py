@@ -35,10 +35,6 @@ class ProcessKilled(ReproError):
     """Raised *inside* a simulated process when it is forcibly interrupted."""
 
 
-class ChannelClosed(ReproError):
-    """A put/get was attempted on a channel that has been shut down."""
-
-
 class ItemDropped(ReproError):
     """A get() request can never be satisfied (item already skipped/freed)."""
 

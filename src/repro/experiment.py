@@ -54,8 +54,15 @@ class ExperimentSpec:
         :class:`~repro.control.ScaleConfig`, a registered name
         (``"erlang"``...), or None for not configured. Only meaningful
         when the resolved graph declares replicated stages.
-    gc / seed / placement / loads / retry / record_stp:
+    gc / seed / placement / loads / retry:
         Forwarded to :class:`~repro.runtime.RuntimeConfig`.
+    trace_rows:
+        Keep the trace's rows — touches, whole iterations, STP samples —
+        beside the reducer every analysis reads (True, the default: a
+        single experiment's trace is its product). Without them
+        ``save_trace``, the Gantt chart, ``control_series`` and the
+        record views raise :class:`~repro.errors.TraceError`; ``proc``
+        needs them to merge its workers' traces.
     faults:
         A tuple of :class:`~repro.faults.FaultSpec` (or a
         :class:`~repro.faults.FaultSchedule`); empty injects nothing.
@@ -88,7 +95,7 @@ class ExperimentSpec:
     loads: Tuple[Any, ...] = ()
     faults: Any = ()
     retry: Any = None
-    record_stp: bool = True
+    trace_rows: bool = True
     telemetry: Any = False
     backend: str = "sim"
     backend_options: Mapping[str, Any] = field(default_factory=dict)
@@ -184,7 +191,7 @@ class ExperimentSpec:
             aru=self.resolve_policy(),
             seed=self.seed,
             placement=placement,
-            record_stp=self.record_stp,
+            trace_rows=self.trace_rows,
             loads=tuple(self.loads),
             telemetry=self.telemetry,
             scale=self.resolve_scale_policy(),

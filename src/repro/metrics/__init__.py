@@ -14,7 +14,7 @@ from repro.metrics.faultlog import (
     FaultRecord,
     SymptomEvent,
 )
-from repro.metrics.gantt import activity_buckets, gantt
+from repro.metrics.gantt import activity_buckets, gantt, thread_utilization
 from repro.metrics.recorder import TraceRecorder
 from repro.metrics.trace_io import (
     load_trace,
@@ -31,8 +31,7 @@ _ANALYSES = {
                 "tracking_error"),
     "footprint": ("Timeline",),
     "performance": ("jitter", "latency_percentiles", "latency_samples",
-                    "latency_stats", "output_times", "thread_utilization",
-                    "throughput_fps"),
+                    "latency_stats", "output_times", "throughput_fps"),
     "postmortem": ("PostmortemAnalyzer",),
 }
 _LAZY = {name: f"repro.metrics.{module}"

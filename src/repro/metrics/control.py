@@ -44,7 +44,7 @@ def control_series(recorder: TraceRecorder, thread: str) -> ControlSeries:
     if not rows:
         raise TraceError(
             f"no STP samples for thread {thread!r} "
-            "(was the run recorded with record_stp=True?)"
+            "(was the run recorded with trace_rows=True?)"
         )
     # The recorder stores a ``None`` summary / target as NaN already.
     return ControlSeries(thread, *(

@@ -1,4 +1,4 @@
-"""ASCII Gantt rendering of per-thread activity.
+"""Per-thread activity: ASCII Gantt rendering and time decomposition.
 
 Turns iteration traces into a time-bucketed activity chart: for each
 thread, each column shows what dominated that time bucket —
@@ -9,6 +9,9 @@ thread, each column shows what dominated that time bucket —
 One glance shows the paper's §5.2 story: without ARU every stage is busy
 (much of it wasted); with ARU-max the upstream stages alternate compute
 with throttle sleep while consumers stay saturated.
+
+Both read the trace's iteration rows, which a run kept without rows
+(``trace_rows=False``) does not have.
 """
 
 from __future__ import annotations
@@ -19,6 +22,22 @@ from repro.metrics.recorder import TraceRecorder
 
 #: Activity glyphs in priority order (dominant wins the cell).
 GLYPHS = {"compute": "#", "blocked": ".", "slept": "z", "idle": " "}
+
+
+def thread_utilization(recorder: TraceRecorder, thread: str) -> dict:
+    """Decomposition of one thread's time: compute/blocked/slept fractions."""
+    iters = recorder.iterations_of(thread)
+    if not iters:
+        return {"compute": 0.0, "blocked": 0.0, "slept": 0.0, "iterations": 0}
+    span = iters[-1].t_end - iters[0].t_start
+    if span <= 0:
+        span = float("nan")
+    return {
+        "compute": sum(i.compute for i in iters) / span,
+        "blocked": sum(i.blocked for i in iters) / span,
+        "slept": sum(i.slept for i in iters) / span,
+        "iterations": len(iters),
+    }
 
 
 def activity_buckets(

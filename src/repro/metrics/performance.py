@@ -12,6 +12,10 @@
   second": completed sink iterations per second.
 * **Jitter** — "the standard deviation of the time difference between
   successive output frames": over sink-iteration completion times.
+
+Each reads the recorder's reducer only — the item lineage and the sink
+table, one row per sink iteration with its end time and inputs — so it
+runs the same on a trace kept without rows (``trace_rows=False``).
 """
 
 from __future__ import annotations
@@ -66,30 +70,30 @@ def _oldest_source_anchor(recorder: TraceRecorder) -> array:
 
 
 def sink_latencies(recorder: TraceRecorder, warmup: float = 0.0):
-    """``(rows, latencies)``: one entry per item consumed by a sink
+    """``(sinks, latencies)``: one entry per item consumed by a sink
     iteration ending at or after ``warmup``, in delivery order — the
-    iteration's row number and the item's latency."""
+    iteration's index in the recorder's sink table (``sink_iter`` /
+    ``sink_t_end``) and the item's latency."""
     anchors = _oldest_source_anchor(recorder)
     row_of = recorder.row_of
     first, base, count = recorder.tail_run()
-    t_ends = recorder.iter_t_end
-    flat, ends = recorder.iter_inputs, recorder.iter_inputs_end
-    rows: List[int] = []
+    t_ends = recorder.sink_t_end
+    flat, ends = recorder.sink_inputs, recorder.sink_inputs_end
+    sinks: List[int] = []
     latencies: List[float] = []
-    for row in recorder.sink_rows():
-        t_end = t_ends[row]
+    for k, t_end in enumerate(t_ends):
         if t_end < warmup:
             continue
-        for item_id in ragged(flat, ends, row):
+        for item_id in ragged(flat, ends, k):
             off = item_id - first  # row_of(item_id), inlined for the tail run
             at = base + off if 0 <= off < count else row_of(item_id)
             if at is None:
                 continue
             anchor = anchors[at]
             if anchor == anchor:  # not NaN
-                rows.append(row)
+                sinks.append(k)
                 latencies.append(t_end - anchor)
-    return rows, latencies
+    return sinks, latencies
 
 
 def latency_samples(recorder: TraceRecorder, warmup: float = 0.0) -> List[float]:
@@ -111,9 +115,11 @@ def latency_samples_by_thread(
     so grouping by the iteration's thread yields per-tenant latency
     distributions from a single shared trace.
     """
-    rows, samples = sink_latencies(recorder, warmup)
+    sinks, samples = sink_latencies(recorder, warmup)
+    rows = recorder.sink_iter
     grouped: Dict[str, List[float]] = {}
-    for thread, sample in zip(recorder.threads_of(rows), samples):
+    for thread, sample in zip(recorder.threads_of([rows[k] for k in sinks]),
+                              samples):
         grouped.setdefault(thread, []).append(sample)
     return grouped
 
@@ -168,10 +174,7 @@ def throughput_fps(recorder: TraceRecorder, warmup: float = 0.0) -> float:
 
 def output_times(recorder: TraceRecorder, warmup: float = 0.0) -> List[float]:
     """Completion times of sink iterations (the output-frame instants)."""
-    t_ends = recorder.iter_t_end
-    return sorted(
-        t_ends[row] for row in recorder.sink_rows() if t_ends[row] >= warmup
-    )
+    return sorted(t_end for t_end in recorder.sink_t_end if t_end >= warmup)
 
 
 def jitter(recorder: TraceRecorder, warmup: float = 0.0) -> float:
@@ -182,19 +185,3 @@ def jitter(recorder: TraceRecorder, warmup: float = 0.0) -> float:
     import numpy as np
 
     return float(np.std(np.diff(times)))
-
-
-def thread_utilization(recorder: TraceRecorder, thread: str) -> dict:
-    """Decomposition of one thread's time: compute/blocked/slept fractions."""
-    iters = recorder.iterations_of(thread)
-    if not iters:
-        return {"compute": 0.0, "blocked": 0.0, "slept": 0.0, "iterations": 0}
-    span = iters[-1].t_end - iters[0].t_start
-    if span <= 0:
-        span = float("nan")
-    return {
-        "compute": sum(i.compute for i in iters) / span,
-        "blocked": sum(i.blocked for i in iters) / span,
-        "slept": sum(i.slept for i in iters) / span,
-        "iterations": len(iters),
-    }

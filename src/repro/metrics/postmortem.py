@@ -23,27 +23,28 @@ From the marking:
   memory usage". Not realizable (requires future knowledge); computed here
   from the trace.
 
-Every pass below is O(items + iterations) and reads the recorder's
-columns in place (no trace record is built): the per-channel breakdowns
-go through the recorder's channel index instead of rescanning the item
-table per channel, and the byte-second sums run over array copies of
-the columns. Accumulation *order* is everywhere identical to the naive
+Every pass below is O(items + iterations) and reads only the recorder's
+reducer (no trace record is built, and no row), so it runs the same on
+a trace kept with or without rows: the per-channel breakdowns go
+through the recorder's channel index instead of rescanning the item
+table per channel, the byte-second sums run over array copies of the
+columns, and the IGC end of each item was folded in while the run went.
+Accumulation *order* is everywhere identical to the naive
 implementation over records, so derived metrics are bit-for-bit stable
 across the optimization (the sweep cache keys rely on this).
 """
 
 from __future__ import annotations
 
-from array import array
 from functools import cached_property
 from itertools import compress
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
 from repro.errors import TraceError
 from repro.metrics.footprint import Timeline, timeline_from_intervals
-from repro.metrics.recorder import TraceRecorder, ragged
+from repro.metrics.recorder import TraceRecorder
 
 
 class PostmortemAnalyzer:
@@ -59,11 +60,7 @@ class PostmortemAnalyzer:
     @cached_property
     def delivered_ids(self) -> FrozenSet[int]:
         """Items consumed directly by sink iterations."""
-        rec = self.recorder
-        out: Set[int] = set()
-        for row in rec.sink_rows():
-            out.update(ragged(rec.iter_inputs, rec.iter_inputs_end, row))
-        return frozenset(out)
+        return frozenset(self.recorder.sink_inputs)
 
     @cached_property
     def _success_rows(self) -> Tuple[bytearray, FrozenSet[int]]:
@@ -192,53 +189,25 @@ class PostmortemAnalyzer:
             self.recorder.t_start, self.horizon,
         )
 
-    @cached_property
-    def _last_use_end(self) -> array:
-        """Per item row, the end time of the last iteration that consumed
-        the item (-inf: none did).
-
-        This is the earliest instant even an ideal collector could free a
-        consumed item: the consumer is still computing on it until its
-        iteration ends (the paper counts "items in various stages of
-        processing").
-        """
-        rec = self.recorder
-        first, base, count = rec.tail_run()
-        t_ends, flat = rec.iter_t_end, rec.iter_inputs
-        out = array("d", [-np.inf]) * len(rec.item_t_alloc)
-        lo = 0
-        for row, hi in enumerate(rec.iter_inputs_end):
-            if lo < hi:
-                t_end = t_ends[row]
-                for item_id in flat[lo:hi]:
-                    off = item_id - first  # row_of(item_id), inlined
-                    at = base + off if 0 <= off < count else rec.row_of(item_id)
-                    if at is not None and t_end > out[at]:
-                        out[at] = t_end
-                lo = hi
-        return out
-
     def ideal_footprint(self) -> Timeline:
         """The IGC lower-bound footprint timeline.
 
         Successful items only, each alive from allocation to the end of
-        the last iteration that consumed it (never-gotten items contribute
-        nothing — IGC "eliminates all unnecessary computations and
-        associated memory usage").
+        the last iteration that consumed it — the earliest instant even an
+        ideal collector could free it, as the consumer computes on it
+        until then — or to its last get if none did (never-gotten items
+        contribute nothing — IGC "eliminates all unnecessary computations
+        and associated memory usage").
         """
         rec = self.recorder
         starts, _, sizes = self._item_arrays
-        # Per item row, the time of its final get (-inf: never gotten).
-        last_get = np.full(len(starts), -np.inf)
-        gets = np.array(rec.touch_skip) == 0
-        np.maximum.at(last_get, np.array(rec.touch_item, dtype=np.intp)[gets],
-                      np.array(rec.touch_t)[gets])
-        eligible = np.flatnonzero(self._success_mask & (last_get > -np.inf))
-        last_use = np.array(self._last_use_end)[eligible]
-        ends = np.where(last_use > -np.inf, last_use, last_get[eligible])
+        # The recorder folded each item's IGC end in as the run went: the
+        # end of the last iteration that consumed it, else its last get.
+        gotten = (np.array(rec.item_igc) & 1).astype(bool)
+        eligible = np.flatnonzero(self._success_mask & gotten)
         return timeline_from_intervals(
-            starts[eligible], ends, sizes[eligible],
-            rec.t_start, self.horizon,
+            starts[eligible], np.array(rec.item_igc_end)[eligible],
+            sizes[eligible], rec.t_start, self.horizon,
         )
 
     # -- per-thread waste attribution ---------------------------------------

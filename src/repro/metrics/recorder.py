@@ -4,20 +4,41 @@ One :class:`TraceRecorder` instance per run. The runtime calls the
 ``on_*`` hooks; the analysis modules (``performance``, ``postmortem``,
 ``control``, ``trace_io``) read what they accumulated.
 
-The recorder is deliberately dumb — it never aggregates during the run,
-so recording cost stays O(1) per event and analysis choices stay open —
-and flat: a hook appends its arguments to typed columns (``_COLUMNS``),
-so a run leaves no per-event object behind for the interpreter's
-collector to walk. Four tables, one row per hook call, in call order:
-items (``item_*``; ``item_t_free`` is NaN until ``on_free``), touches
-(``touch_*``, gets and skips alike; ``touch_item`` is the touched item's
-*row*), iterations (``iter_*``) and STP samples (``stp_*``;
+The recorder is flat: a hook appends to typed columns, so a run leaves
+no per-event object behind for the interpreter's collector to walk, and
+each hook is O(1) in the trace it has kept. What it keeps comes in two
+layers.
+
+**The reducer** (``_REDUCER``), kept in every run, is what the
+postmortem reads — the paper's "statistics recorded during the run" —
+and nothing more. Per item row, in allocation order: its site, size,
+lineage parents, allocation and free time (``item_t_free`` is NaN until
+``on_free``) and its Ideal-GC end: ``item_igc`` flags whether the item
+was ever gotten (1) and whether an iteration consumed it (2), and
+``item_igc_end`` holds the end of the last consuming iteration, or the
+last get while none consumed it (−inf: neither), folded in by
+``on_get`` and ``on_iteration`` as they come. Per iteration row: its
+thread, compute seconds, sink flag and outputs (what waste attribution
+reads). Per sink iteration (``sink_*``): its iteration row, end time
+and inputs, in delivery order (what latency, throughput and jitter
+read).
+
+**The rows** (``_ROWS``), kept with ``trace_rows=True`` (the default),
+complete each table to every argument the hooks received: ``item_ts``,
+the touch table (``touch_*``, gets and skips alike; ``touch_item`` is
+the touched item's *row*), the rest of each iteration (``iter_*``
+times, blocked, slept and inputs) and the STP samples (``stp_*``;
 ``stp_none`` flags a ``None`` summary / target, so a recorded NaN stays
-a NaN). Tuple arguments are stored flattened, the offset past each
-row's last entry in the ``*_end`` column (:func:`ragged` cuts a row
-out). Columns are public for reading — by
-``np.array(column)`` copies, never ``np.frombuffer``, which pins an
-array against the next append — and written only by the hooks.
+a NaN). The views (``items``, ``iterations``, ``stp_samples``,
+``iterations_of`` ...), ``save_trace``, ``merge_traces``, the Gantt
+chart and ``control_series`` read them; with ``trace_rows=False`` they
+raise :class:`~repro.errors.TraceError` instead.
+
+Tuple arguments are stored flattened, the offset past each row's last
+entry in the ``*_end`` column (:func:`ragged` cuts a row out). Columns
+are public for reading — by ``np.array(column)`` copies, never
+``np.frombuffer``, which pins an array against the next append — and
+written only by the hooks.
 
 Each fact is stored once, no wider than it needs. Names are 4-byte
 codes into a name table the recorder owns (``item_site`` codes an item's
@@ -37,11 +58,10 @@ leaves one run; out-of-order ids (a threaded race, a merge of worker
 traces, a hand-written trace) only make more of them.
 
 The record classes of :mod:`repro.metrics.events` are the public value
-types; the views (``items``, ``iterations``, ``stp_samples``,
-``iterations_of`` ...) build them on access, one at a time, each a
-snapshot of its row as it is now. The groupings behind the views are
-row-number indexes that catch up on the next call after new rows
-arrive, so analysis code may call them freely inside loops.
+types; the views build them on access, one at a time, each a snapshot
+of its row as it is now. The groupings behind the views are row-number
+indexes that catch up on the next call after new rows arrive, so
+analysis code may call them freely inside loops.
 """
 
 from __future__ import annotations
@@ -60,18 +80,28 @@ if TYPE_CHECKING:
     import numpy as np
 
 _NAN = float("nan")
+_NO_USE = float("-inf")
 _SUMMARY_NONE, _TARGET_NONE = 1, 2
+_GOTTEN, _USED = 1, 2  # item_igc flags
 _NO_LIMIT = 1 << 64  # room of a tail run no later run bounds
 
 #: Column -> ``array`` typecode (``i``: a name code, row or offset).
-_COLUMNS = {
-    "item_site": "i", "item_ts": "q", "item_size": "q", "item_parents": "q",
+#: The reducer: kept in every run, read by the postmortem.
+_REDUCER = {
+    "item_site": "i", "item_size": "q", "item_parents": "q",
     "item_parents_end": "i", "item_t_alloc": "d", "item_t_free": "d",
+    "item_igc_end": "d", "item_igc": "b",
+    "iter_thread": "i", "iter_compute": "d", "iter_sink": "b",
+    "iter_outputs": "q", "iter_outputs_end": "i",
+    "sink_iter": "i", "sink_t_end": "d", "sink_inputs": "q",
+    "sink_inputs_end": "i",
+}
+#: The rows: kept with ``trace_rows=True``, read by the views.
+_ROWS = {
+    "item_ts": "q",
     "touch_item": "i", "touch_conn": "q", "touch_consumer": "i", "touch_t": "d", "touch_skip": "b",
-    "iter_thread": "i", "iter_t_start": "d", "iter_t_end": "d",
-    "iter_compute": "d", "iter_blocked": "d", "iter_slept": "d",
-    "iter_inputs": "q", "iter_inputs_end": "i", "iter_outputs": "q",
-    "iter_outputs_end": "i", "iter_sink": "b",
+    "iter_t_start": "d", "iter_t_end": "d", "iter_blocked": "d", "iter_slept": "d",
+    "iter_inputs": "q", "iter_inputs_end": "i",
     "stp_thread": "i", "stp_t": "d", "stp_current": "d", "stp_summary": "d",
     "stp_target": "d", "stp_slept": "d", "stp_none": "b",
 }
@@ -163,13 +193,18 @@ class TraceRecorder:
     """Collects item and iteration traces for one run, as typed columns:
     the six ``on_*`` hooks append, and ``items`` / ``iterations`` /
     ``stp_samples`` / the ``*_of`` methods are read-only views that build
-    :mod:`repro.metrics.events` records on access."""
+    :mod:`repro.metrics.events` records on access.
 
-    def __init__(self, record_stp: bool = True) -> None:
-        self.record_stp = record_stp
+    ``trace_rows=False`` keeps the reducer only: every analysis of
+    ``performance`` and ``postmortem`` still runs, bit for bit as with
+    rows, and the row readers raise :class:`~repro.errors.TraceError`."""
+
+    def __init__(self, trace_rows: bool = True) -> None:
+        self.trace_rows = trace_rows
         self.t_start: float = 0.0
         self.t_end: Optional[float] = None
-        for name, typecode in _COLUMNS.items():
+        for name, typecode in (
+                {**_REDUCER, **_ROWS} if trace_rows else _REDUCER).items():
             setattr(self, name, array(typecode))
         # Name table: code -> thread or site, and back. Code 0 is
         # no name's, so a hook looks one up as ``get(name) or _code(name)``.
@@ -182,16 +217,28 @@ class TraceRecorder:
             array("q"), array("q"), array("q"))
         self._run_rows_at, self._run_ids_at = array("q"), array("q")  # all, by row
         self._tail_first = self._tail_row = self._tail_len = self._tail_room = 0
+        # Input id -> latest end of an iteration that consumed it before
+        # it was allocated (a hand-written or reordered trace; a live run
+        # leaves this empty): on_alloc folds it into the item's IGC end.
+        self._early_uses: Dict[int, float] = {}
         self._iter_counters: Dict[str, int] = {}
-        self._by_thread = _RowIndex(self.iter_thread, self._names)  # views
-        self._by_sink = _RowIndex(self.iter_sink)
+        self._by_thread = _RowIndex(self.iter_thread, self._names)
         self._by_channel = _RowIndex(self.item_site, self._names, 0)
-        self._touch_groups: Optional[tuple] = None
+        if trace_rows:
+            self._by_stp_thread = _RowIndex(self.stp_thread, self._names)
+            self._touch_groups: Optional[tuple] = None
 
     def _code(self, name) -> int:
         """Code of a name the table has not seen (the hooks' slow path)."""
         self._names.append(name)
         return self._codes.setdefault(name, len(self._names) - 1)
+
+    def require_rows(self, reader: str) -> None:
+        """Raise :class:`TraceError` unless this trace kept its rows."""
+        if not self.trace_rows:
+            raise TraceError(
+                f"{reader} reads the trace's rows, and this run kept none "
+                f"(trace_rows=False); rerun with trace_rows=True")
 
     # -- item lifecycle ---------------------------------------------------
     def on_alloc(self, item_id: int, channel: str, node: str, ts: int,
@@ -204,7 +251,6 @@ class TraceRecorder:
             self._start_run(item_id)
         site = (channel, node, producer)
         self.item_site.append(self._codes.get(site) or self._code(site))
-        self.item_ts.append(ts)
         self.item_size.append(size)
         flat = self.item_parents
         if parents:
@@ -212,6 +258,14 @@ class TraceRecorder:
         self.item_parents_end.append(len(flat))
         self.item_t_alloc.append(t)
         self.item_t_free.append(_NAN)
+        if self._early_uses and item_id in self._early_uses:
+            self.item_igc_end.append(self._early_uses.pop(item_id))
+            self.item_igc.append(_USED)
+        else:
+            self.item_igc_end.append(_NO_USE)
+            self.item_igc.append(0)
+        if self.trace_rows:
+            self.item_ts.append(ts)
 
     def _start_run(self, item_id: int) -> None:
         """Make ``item_id`` the first id of a new tail run, on the next row."""
@@ -267,8 +321,8 @@ class TraceRecorder:
         before it falls back to :meth:`row_of`."""
         return self._tail_first, self._tail_row, self._tail_len
 
-    # on_get and on_skip spell the same five appends and the tail-run
-    # arithmetic out twice: a shared helper would be one more Python call
+    # on_get and on_skip spell the tail-run arithmetic and the touch
+    # appends out twice: a shared helper would be one more Python call
     # on every channel get.
     def on_get(self, item_id: int, conn_id: int, consumer: str, t: float) -> None:
         off = item_id - self._tail_first
@@ -276,11 +330,16 @@ class TraceRecorder:
                else self.row_of(item_id))
         if row is None:
             raise TraceError(f"unknown item {item_id}")
-        self.touch_item.append(row)
-        self.touch_conn.append(conn_id)
-        self.touch_consumer.append(self._codes.get(consumer) or self._code(consumer))
-        self.touch_t.append(t)
-        self.touch_skip.append(0)
+        flags = self.item_igc[row]
+        if not flags & _USED and t > self.item_igc_end[row]:
+            self.item_igc_end[row] = t  # the last get, while nothing consumed it
+        self.item_igc[row] = flags | _GOTTEN
+        if self.trace_rows:
+            self.touch_item.append(row)
+            self.touch_conn.append(conn_id)
+            self.touch_consumer.append(self._codes.get(consumer) or self._code(consumer))
+            self.touch_t.append(t)
+            self.touch_skip.append(0)
 
     def on_skip(self, item_id: int, conn_id: int, consumer: str, t: float) -> None:
         off = item_id - self._tail_first
@@ -288,11 +347,12 @@ class TraceRecorder:
                else self.row_of(item_id))
         if row is None:
             raise TraceError(f"unknown item {item_id}")
-        self.touch_item.append(row)
-        self.touch_conn.append(conn_id)
-        self.touch_consumer.append(self._codes.get(consumer) or self._code(consumer))
-        self.touch_t.append(t)
-        self.touch_skip.append(1)
+        if self.trace_rows:
+            self.touch_item.append(row)
+            self.touch_conn.append(conn_id)
+            self.touch_consumer.append(self._codes.get(consumer) or self._code(consumer))
+            self.touch_t.append(t)
+            self.touch_skip.append(1)
 
     def on_free(self, item_id: int, t: float) -> None:
         if self.t_end is not None:
@@ -318,25 +378,50 @@ class TraceRecorder:
         counters = self._iter_counters
         counters[thread] = counters.get(thread, 0) + 1
         self.iter_thread.append(self._codes.get(thread) or self._code(thread))
-        self.iter_t_start.append(t_start)
-        self.iter_t_end.append(t_end)
         self.iter_compute.append(compute)
-        self.iter_blocked.append(blocked)
-        self.iter_slept.append(slept)
-        flat = self.iter_inputs
-        if inputs:
-            flat.extend(inputs)
-        self.iter_inputs_end.append(len(flat))
         flat = self.iter_outputs
         if outputs:
             flat.extend(outputs)
         self.iter_outputs_end.append(len(flat))
         self.iter_sink.append(is_sink)
+        if inputs:
+            # Each input's IGC end: the end of the last iteration that
+            # consumed it (row_of inlined for the tail run).
+            first, base, count = self._tail_first, self._tail_row, self._tail_len
+            ends, igc = self.item_igc_end, self.item_igc
+            for item_id in inputs:
+                off = item_id - first
+                row = base + off if 0 <= off < count else self.row_of(item_id)
+                if row is None:
+                    early = self._early_uses.get(item_id, _NO_USE)
+                    self._early_uses[item_id] = t_end if t_end > early else early
+                elif igc[row] & _USED:
+                    if t_end > ends[row]:
+                        ends[row] = t_end
+                else:
+                    ends[row] = t_end
+                    igc[row] |= _USED
+        if is_sink:
+            self.sink_iter.append(len(self.iter_thread) - 1)
+            self.sink_t_end.append(t_end)
+            flat = self.sink_inputs
+            if inputs:
+                flat.extend(inputs)
+            self.sink_inputs_end.append(len(flat))
+        if self.trace_rows:
+            self.iter_t_start.append(t_start)
+            self.iter_t_end.append(t_end)
+            self.iter_blocked.append(blocked)
+            self.iter_slept.append(slept)
+            flat = self.iter_inputs
+            if inputs:
+                flat.extend(inputs)
+            self.iter_inputs_end.append(len(flat))
 
     def on_stp(self, thread: str, t: float, current_stp: float,
                summary: Optional[float], throttle_target: Optional[float],
                slept: float) -> None:
-        if self.record_stp:
+        if self.trace_rows:
             self.stp_thread.append(self._codes.get(thread) or self._code(thread))
             self.stp_t.append(t)
             self.stp_current.append(current_stp)
@@ -364,6 +449,7 @@ class TraceRecorder:
     # -- rows, as the hooks received them --------------------------------
     def alloc_args(self, row: int) -> tuple:
         """Item row ``row`` as :meth:`on_alloc`'s positional arguments."""
+        self.require_rows("alloc_args")
         channel, node, producer = self._names[self.item_site[row]]
         return (
             self.id_of(row), channel, node,
@@ -374,11 +460,13 @@ class TraceRecorder:
 
     def touch_args(self, row: int) -> tuple:
         """Touch row ``row`` as :meth:`on_get`'s / :meth:`on_skip`'s arguments."""
+        self.require_rows("touch_args")
         return (self.id_of(self.touch_item[row]), self.touch_conn[row],
                 self._names[self.touch_consumer[row]], self.touch_t[row])
 
     def iteration_args(self, row: int) -> tuple:
         """Iteration row ``row`` as :meth:`on_iteration`'s arguments."""
+        self.require_rows("iteration_args")
         return (
             self._names[self.iter_thread[row]], self.iter_t_start[row],
             self.iter_t_end[row], self.iter_compute[row],
@@ -390,6 +478,7 @@ class TraceRecorder:
 
     def stp_args(self, row: int) -> tuple:
         """STP row ``row`` as :meth:`on_stp`'s positional arguments."""
+        self.require_rows("stp_args")
         none = self.stp_none[row]
         return (
             self._names[self.stp_thread[row]], self.stp_t[row], self.stp_current[row],
@@ -408,17 +497,17 @@ class TraceRecorder:
         return self._iter_counters.get(thread, 0)
 
     def sink_rows(self) -> Sequence:
-        """Row numbers of the sink iterations, in completion order."""
-        return self._by_sink.groups().get(1, ())
+        """Iteration row of each sink iteration, in completion order."""
+        return self.sink_iter
 
     def channel_rows(self, channel: str) -> Sequence:
         """Row numbers of ``channel``'s items, in allocation order."""
         return self._by_channel.groups().get(channel, ())
 
-    def stp_rows(self, thread: str) -> List[int]:
+    def stp_rows(self, thread: str) -> Sequence:
         """Row numbers of ``thread``'s STP samples, in recording order."""
-        code = self._codes.get(thread)
-        return [row for row, c in enumerate(self.stp_thread) if c == code]
+        self.require_rows("stp_rows")
+        return self._by_stp_thread.groups().get(thread, ())
 
     def _touches_of(self, row: int) -> np.ndarray:
         """Touch-table rows of item row ``row``, in recording order (a
@@ -458,29 +547,35 @@ class TraceRecorder:
     @property
     def items(self) -> Mapping:
         """Item id -> :class:`ItemTrace`, in allocation order."""
+        self.require_rows("items")
         return _ItemsView(self)
 
     @property
     def iterations(self) -> TraceView:
         """Every :class:`IterationTrace`, in completion order."""
+        self.require_rows("iterations")
         return TraceView(self._iteration_at, None, self.iter_thread)
 
     @property
     def stp_samples(self) -> TraceView:
         """Every :class:`StpSample`, in recording order."""
+        self.require_rows("stp_samples")
         return TraceView(self._stp_at, None, self.stp_thread)
 
     def iterations_of(self, thread: str) -> TraceView:
         """All iterations of ``thread``, in completion order."""
+        self.require_rows("iterations_of")
         return TraceView(self._iteration_at,
                          self._by_thread.groups().get(thread, ()))
 
     def sink_iterations(self) -> TraceView:
         """All sink iterations, in completion order."""
-        return TraceView(self._iteration_at, self.sink_rows())
+        self.require_rows("sink_iterations")
+        return TraceView(self._iteration_at, self.sink_iter)
 
     def items_of_channel(self, channel: str) -> TraceView:
         """All items of ``channel``, in allocation order."""
+        self.require_rows("items_of_channel")
         return TraceView(self._item_at, self.channel_rows(channel))
 
     def threads(self) -> List[str]:

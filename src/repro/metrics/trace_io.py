@@ -37,6 +37,7 @@ _STP_KEYS = ("thread", "t", "current_stp", "summary", "throttle_target",
 
 def trace_to_dict(recorder: TraceRecorder) -> dict:
     """Serialize a finalized recorder to plain Python data."""
+    recorder.require_rows("trace_to_dict")
     if recorder.t_end is None:
         raise TraceError("finalize the recorder before saving")
     # Per item row, its (gets, skips) in recording order.
@@ -119,8 +120,10 @@ def rebase_trace(recorder: TraceRecorder, t_start: float = 0.0) -> TraceRecorder
         return recorder
     recorder.t_start += delta
     recorder.t_end += delta
-    for name in ("item_t_alloc", "item_t_free", "touch_t",
-                 "iter_t_start", "iter_t_end", "stp_t"):
+    names = ["item_t_alloc", "item_t_free", "item_igc_end", "sink_t_end"]
+    if recorder.trace_rows:
+        names += ["touch_t", "iter_t_start", "iter_t_end", "stp_t"]
+    for name in names:
         column = getattr(recorder, name)
         column[:] = array("d", [t + delta for t in column])
     return recorder
@@ -143,6 +146,8 @@ def merge_traces(recorders) -> TraceRecorder:
         raise TraceError("merge_traces needs at least one trace")
     if any(rec.t_end is None for rec in recorders):
         raise TraceError("finalize every worker trace before merging")
+    for rec in recorders:
+        rec.require_rows("merge_traces")
     merged = TraceRecorder()
     merged.t_start = min(rec.t_start for rec in recorders)
     iterations, samples = [], []  # of (sort key, source recorder, row)

@@ -189,9 +189,6 @@ class NullTelemetryHub:
     def tenant_handle(self, *a, **k):
         return NOOP_HANDLE
 
-    def span_put(self, *a, **k) -> None: ...
-    def span_get(self, *a, **k) -> None: ...
-    def span_free(self, *a, **k) -> None: ...
     def span_transfer(self, *a, **k) -> None: ...
     def span_sync(self, *a, **k) -> None: ...
     def span_fault(self, *a, **k) -> None: ...

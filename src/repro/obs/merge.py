@@ -5,8 +5,9 @@ ships each hub's :meth:`~repro.obs.hub.TelemetryHub.snapshot` (plain
 picklable data) back over the control socket. :func:`merge_snapshots`
 folds those into a single snapshot — counters and histogram buckets sum,
 gauges take the maximum (worker gauges are peaks/levels; a sum would
-invent memory that never coexisted), histogram merges require identical
-bucket bounds — and :func:`hub_from_snapshot` rebuilds a live
+invent memory that never coexisted) except the run totals of
+:data:`TOTAL_GAUGES`, which sum as ``merge_stats`` sums the same stats
+fields, histogram merges require identical bucket bounds — and :func:`hub_from_snapshot` rebuilds a live
 :class:`~repro.obs.hub.TelemetryHub` from it so every existing exporter
 (:func:`~repro.obs.export.prometheus_text`, JSONL, summary tables) works
 on distributed results unchanged.
@@ -22,6 +23,12 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import TelemetryError
 from repro.obs.hub import TelemetryConfig, TelemetryHub
+
+
+#: Gauges each worker sets once, at finalize, to its own share of a run
+#: total (``TelemetryHub.on_finalize``): merged, they are the sum.
+TOTAL_GAUGES = frozenset({"repro_engine_events_processed",
+                          "repro_network_bytes_total"})
 
 
 def _key(sample: dict) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
@@ -51,6 +58,8 @@ def merge_snapshots(snapshots: Iterable[dict]) -> dict:
                     f"worker and a {sample['type']} in another"
                 )
             if have["type"] == "counter":
+                have["value"] += sample["value"]
+            elif key[0] in TOTAL_GAUGES:
                 have["value"] += sample["value"]
             elif have["type"] == "gauge":
                 have["value"] = max(have["value"], sample["value"])

@@ -200,6 +200,7 @@ class ThreadedRuntime:
         compute_mode: str = "sleep",
         gc="dgc",
         telemetry=False,
+        trace_rows: bool = True,
     ) -> None:
         if compute_mode not in _COMPUTE_MODES:
             raise ConfigError(
@@ -226,7 +227,7 @@ class ThreadedRuntime:
             run={"seed": seed, "gc": str(gc),
                  "policy": self.aru_config.policy},
         )
-        self.recorder = TraceRecorder()
+        self.recorder = TraceRecorder(trace_rows=trace_rows)
         self.recorder_lock = threading.Lock()
         self.stop_event = threading.Event()
         self.rngs = RngRegistry(seed=seed)
@@ -406,6 +407,7 @@ def run_threaded_experiment(spec) -> "object":
         compute_mode=compute_mode,
         gc=spec.gc,
         telemetry=spec.telemetry,
+        trace_rows=spec.trace_rows,
     )
     trace = runtime.run(duration=spec.horizon)
     return RunResult(

@@ -45,7 +45,10 @@ class RuntimeConfig:
     seed: int = 0
     #: Overrides graph placement: graph node name -> cluster node name.
     placement: Dict[str, str] = field(default_factory=dict)
-    record_stp: bool = True
+    #: Keep the trace's rows (touches, whole iterations, STP samples)
+    #: beside the reducer the postmortem reads; see
+    #: :class:`~repro.metrics.recorder.TraceRecorder`.
+    trace_rows: bool = True
     #: Background-load bursts injected into the cluster (§1's "current
     #: load"); the ARU loop must adapt through them.
     loads: tuple = ()
@@ -101,7 +104,7 @@ class Runtime:
         self.engine = Engine()
         self.clock = SimClock(self.engine)
         self.rngs = RngRegistry(seed=self.config.seed)
-        self.recorder = TraceRecorder(record_stp=self.config.record_stp)
+        self.recorder = TraceRecorder(trace_rows=self.config.trace_rows)
         self.obs = resolve_hub(self.config.telemetry).bind(
             time_fn=self.clock.now,
             run={"seed": self.config.seed, "gc": str(self.config.gc),

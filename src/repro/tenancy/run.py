@@ -65,9 +65,14 @@ class TenancySpec:
         granting/shrinking elastic budgets, revoking over-share
         tenants when the queue starves, and migrating tenants to
         defragment or re-balance.
-    gc / seed / retry / record_stp / telemetry / horizon:
+    gc / seed / retry / telemetry / horizon:
         As in :class:`~repro.experiment.ExperimentSpec`. ``seed`` is the
         *root* seed tenant seeds derive from.
+    trace_rows:
+        As in :class:`~repro.experiment.ExperimentSpec`, but off by
+        default: a fleet's product is its tenant records
+        (:class:`TenantRecord`), which read the trace's reducer only, so
+        :attr:`TenancyResult.trace` keeps no rows unless this is True.
     faults:
         A tuple of :class:`~repro.faults.FaultSpec` (or a schedule);
         node crashes flow through the scheduler's evict/re-place path.
@@ -83,7 +88,7 @@ class TenancySpec:
     horizon: float = 30.0
     faults: Any = ()
     retry: Any = None
-    record_stp: bool = True
+    trace_rows: bool = False
     telemetry: Any = False
 
     def __post_init__(self) -> None:
@@ -157,7 +162,7 @@ class TenancySpec:
             aru=aru_disabled(),
             seed=self.seed,
             placement={},
-            record_stp=self.record_stp,
+            trace_rows=self.trace_rows,
             telemetry=self.telemetry,
         )
         if self.retry is not None:
@@ -226,6 +231,8 @@ class TenancyResult:
     #: tenant name -> :class:`TenantRecord`, in spec order.
     records: Dict[str, TenantRecord]
     fairness: FairnessReport
+    #: The shared :class:`~repro.metrics.TraceRecorder`: its reducer
+    #: only, unless the spec set ``trace_rows=True``.
     trace: Any
     stats: Dict[str, dict]
     telemetry: Any

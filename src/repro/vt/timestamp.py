@@ -132,16 +132,6 @@ class TsRange:
     def __iter__(self) -> Iterator[Timestamp]:
         return (Timestamp(v) for v in range(self.lo, self.hi))
 
-    def intersect(self, other: "TsRange") -> "TsRange":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            return TsRange(lo, lo)  # empty at lo
-        return TsRange(lo, hi)
-
-    def union_hull(self, other: "TsRange") -> "TsRange":
-        """Smallest range containing both (not a strict set union)."""
-        return TsRange(min(self.lo, other.lo), max(self.hi, other.hi))
-
     @property
     def empty(self) -> bool:
         return self.lo >= self.hi

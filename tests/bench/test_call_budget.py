@@ -128,6 +128,10 @@ def light_fleet(horizon: float):
     return run_tenants(light_fleet_spec(2, horizon))
 
 
+def light_fleet_with_rows(horizon: float):
+    return run_tenants(light_fleet_spec(2, horizon).with_(trace_rows=True))
+
+
 def tracker_cell(horizon: float):
     return run_experiment(ExperimentSpec(
         config="config1", policy="aru-min", seed=0, horizon=horizon))
@@ -170,17 +174,23 @@ def test_python_calls_per_engine_event(recipe, short, long, budget):
 
 #: What one more engine event of the light fleet leaves behind. Measured
 #: 0.000 gc-tracked objects (one stray object in 4 200 events at most),
-#: 41.0 B of trace storage and a 2.86 B post-run analysis peak when set
-#: (names are 4-byte codes, no column holds item ids, row numbers and
-#: offsets are 4-byte; rows are found by arithmetic on runs of
+#: 18.7 B of trace storage and a 2.09 B post-run analysis peak when set
+#: (a fleet keeps the trace's reducer only: no touch, whole-iteration or
+#: STP rows). With every row, as the fleet kept until then, 41.0 B and
+#: 2.86 B (names are 4-byte codes, no column holds item ids, row numbers
+#: and offsets are 4-byte; rows are found by arithmetic on runs of
 #: consecutive item ids, and latency anchors and success marks are
 #: row-aligned). Names as shared-string pointers with an item-id column
 #: and 8-byte rows measured 55.6 B and 3.58 B; the id -> row dict and the
 #: id -> anchor dict before them 83.1 B and 31.3 B; the recorder that
 #: kept a record object per interaction 1.40 objects and about 224 B.
 TRACKED_OBJECTS_BUDGET = 0.01
-TRACE_BYTES_BUDGET = 43.0
+TRACE_BYTES_BUDGET = 19.0
 ANALYSIS_BYTES_BUDGET = 3.0
+#: The same fleet with ``trace_rows=True``: the reducer and every row.
+#: Measured 44.3 B when set (41.0 B of rows and 3.3 B of reducer: each
+#: item's IGC end and flags, and the sink table).
+TRACE_ROWS_BYTES_BUDGET = 44.5
 
 
 def test_what_an_engine_event_leaves_behind():
@@ -198,6 +208,14 @@ def test_what_an_engine_event_leaves_behind():
         f"keyed by item id back?")
 
 
+def test_what_an_engine_event_leaves_behind_with_rows():
+    growth = counter.growth_per_event(light_fleet_with_rows, 5.0, 20.0)
+    assert growth["trace_bytes_per_event"] <= TRACE_ROWS_BYTES_BUDGET, (
+        f"{growth['trace_bytes_per_event']:.1f} B of trace storage per "
+        f"engine event with rows, budget {TRACE_ROWS_BYTES_BUDGET}")
+    assert growth["trace_bytes_by_table"]["touches"] > 0
+
+
 def test_the_recorder_keeps_no_map_that_grows_with_its_items():
     sizes = []
     for horizon in (5.0, 10.0):
@@ -206,7 +224,7 @@ def test_the_recorder_keeps_no_map_that_grows_with_its_items():
                 if isinstance(value, dict)]
         maps += [index._groups for index in vars(trace).values()
                  if hasattr(index, "_groups")]
-        sizes.append((len(trace.items), [len(m) for m in maps]))
+        sizes.append((len(trace.item_t_alloc), [len(m) for m in maps]))
     (short_items, short_maps), (long_items, long_maps) = sizes
     assert long_items > 1.5 * short_items
     assert short_maps and long_maps == short_maps

@@ -97,6 +97,21 @@ class TestDispatch:
         assert "run_threaded_experiment" in inspect.getsource(runner)
         assert callable(run_threaded_experiment)
 
+    def test_proc_refuses_a_trace_without_rows(self):
+        # Its trace is its workers' rows, merged; refused before any
+        # worker starts.
+        with pytest.raises(ConfigError, match="trace_rows=True"):
+            run_experiment(ExperimentSpec(backend="proc", horizon=1.0,
+                                          trace_rows=False))
+
+    def test_a_threaded_runtime_keeps_the_rows_it_is_asked_for(self):
+        from repro.apps.tracker import build_tracker
+        from repro.rt_threads.executor import ThreadedRuntime
+
+        for trace_rows in (True, False):
+            runtime = ThreadedRuntime(build_tracker(), trace_rows=trace_rows)
+            assert runtime.recorder.trace_rows is trace_rows
+
 
 class TestDeprecations:
     def test_executor_submodule_path_stays_quiet(self):

@@ -10,6 +10,7 @@ process and no task thread starts here.
 import pytest
 
 from repro.dist.launcher import merged_telemetry
+from repro.dist.result import merge_stats
 from repro.obs import NULL_HUB, TelemetryConfig, resolve_hub
 from repro.rt_threads.executor import ThreadedRuntime
 from repro.runtime import Get, Put, TaskGraph
@@ -69,3 +70,31 @@ def test_a_live_hub_records_metrics_only():
     names = {sample["name"] for sample in hub["metrics"]}
     assert {"repro_buffer_puts_total", "repro_buffer_gets_total",
             "repro_engine_events_processed"} <= names
+
+
+def test_merged_run_totals_equal_the_merged_stats():
+    # Each worker's hub holds its own share of the run's events and
+    # network bytes; the merge took the largest share (27 events against
+    # 99 in a 3 s config2 run), where merge_stats sums them.
+    per_worker = []
+    for node, events, sent, now in (("n0", 27, 32_290, 3.0),
+                                    ("n1", 72, 53_048, 3.1)):
+        per_worker.append({
+            "engine": {"events_processed": events, "now": now},
+            "nodes": {node: {"mem_peak": 10, "busy_time": 0.5}},
+            "network": {"total_bytes": sent},
+            "buffers": {}, "threads": {}})
+    snapshots = []
+    for stats in per_worker:
+        hub = resolve_hub(True).bind(time_fn=lambda: 1.0, run={})
+        hub.on_finalize(stats, stats["engine"]["now"])
+        snapshots.append(hub.snapshot())
+    merged = merged_telemetry(True, snapshots).metrics
+    stats = merge_stats(per_worker)
+    assert merged.value("repro_engine_events_processed") == \
+        stats["engine"]["events_processed"] == 99
+    assert merged.value("repro_network_bytes_total") == \
+        stats["network"]["total_bytes"]
+    assert merged.value("repro_sim_time_seconds") == stats["engine"]["now"]
+    for node in ("n0", "n1"):
+        assert merged.value("repro_node_mem_peak_bytes", {"node": node}) == 10

@@ -1,12 +1,17 @@
 """Oracle: the footprint, postmortem and latency analyses as they were
-while the trace was objects (until ISSUE 23; ``build_timeline`` and
-``byte_seconds`` were public in ``repro.metrics`` until then, and had no
-caller left in ``src/``) — every function here walks
-``ItemTrace`` / ``IterationTrace`` records through the recorder's reading
-API, so it runs on the ``object_recorder.ObjectRecorder`` oracle and,
-through the materialising views, on the column recorder too. The
-versions in ``src/`` read the columns in place and must agree with these
-bit for bit.
+while the trace was objects (``build_timeline`` and ``byte_seconds``
+were public in ``repro.metrics`` until then, and had no caller left in
+``src/``) — every function here walks ``ItemTrace`` /
+``IterationTrace`` records through the recorder's reading API, so it
+runs on the ``object_recorder.ObjectRecorder`` oracle and, through the
+materialising views, on the column recorder with rows too. The versions
+in ``src/`` read the recorder's reducer and must agree with these bit
+for bit.
+
+:func:`column_last_use_end` and :func:`column_ideal_footprint` are the
+IGC passes ``PostmortemAnalyzer`` ran over the touch and iteration
+columns after the run, before the recorder folded each item's IGC end
+in while it ran; they need a trace kept with rows.
 """
 
 from __future__ import annotations
@@ -458,3 +463,48 @@ class RecordPostmortem:
                 ),
             }
         return out
+
+
+def jitter(recorder, warmup: float = 0.0) -> float:
+    """Std deviation of inter-output intervals (seconds); nan if < 3 outputs."""
+    times = output_times(recorder, warmup)
+    if len(times) < 3:
+        return float("nan")
+    return float(np.std(np.diff(times)))
+
+
+def column_last_use_end(recorder) -> array:
+    """Per item row, the end time of the last iteration that consumed
+    the item (-inf: none did), from the iteration rows."""
+    first, base, count = recorder.tail_run()
+    t_ends, flat = recorder.iter_t_end, recorder.iter_inputs
+    out = array("d", [-np.inf]) * len(recorder.item_t_alloc)
+    lo = 0
+    for row, hi in enumerate(recorder.iter_inputs_end):
+        if lo < hi:
+            t_end = t_ends[row]
+            for item_id in flat[lo:hi]:
+                off = item_id - first  # row_of(item_id), inlined
+                at = base + off if 0 <= off < count else recorder.row_of(item_id)
+                if at is not None and t_end > out[at]:
+                    out[at] = t_end
+            lo = hi
+    return out
+
+
+def column_ideal_footprint(recorder, success_mask: np.ndarray,
+                           horizon: float) -> Timeline:
+    """The IGC timeline from the touch and iteration rows: successful
+    items with a get, each to its last use, else to its last get."""
+    starts = np.array(recorder.item_t_alloc)
+    sizes = np.array(recorder.item_size, dtype=float)
+    # Per item row, the time of its final get (-inf: never gotten).
+    last_get = np.full(len(starts), -np.inf)
+    gets = np.array(recorder.touch_skip) == 0
+    np.maximum.at(last_get, np.array(recorder.touch_item, dtype=np.intp)[gets],
+                  np.array(recorder.touch_t)[gets])
+    eligible = np.flatnonzero(success_mask & (last_get > -np.inf))
+    last_use = np.array(column_last_use_end(recorder))[eligible]
+    ends = np.where(last_use > -np.inf, last_use, last_get[eligible])
+    return timeline_from_intervals(
+        starts[eligible], ends, sizes[eligible], recorder.t_start, horizon)

@@ -101,9 +101,10 @@ class TestStpSamples:
         assert len(rec.stp_samples) == 1
 
     def test_disabled(self):
-        rec = TraceRecorder(record_stp=False)
+        rec = TraceRecorder(trace_rows=False)
         rec.on_stp("t", 1.0, 0.1, 0.2, None, 0.0)
-        assert rec.stp_samples == []
+        with pytest.raises(TraceError, match="trace_rows=False"):
+            rec.stp_samples
 
 
 class TestFinalize:

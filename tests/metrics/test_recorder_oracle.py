@@ -1,24 +1,33 @@
-"""The column recorder against the object recorder it replaced.
+"""The column recorder, in both of its modes, against the object
+recorder it replaced.
 
 A hypothesis state machine feeds one hook sequence — including the four
 misuses the recorder rejects — to ``object_recorder.ObjectRecorder`` (the
-parent commit's recorder, kept in this directory as the oracle) and to
-``repro.metrics.TraceRecorder``, reads every view in the middle of the
-sequence, and requires: the same exception type and message, the same
-records out of every view, the same serialized trace, and the same
-postmortem and latency results (the record-walking analyses of
-``record_analyses.py`` on the oracle, the column-reading ones of ``src/``
-on the recorder — and the record-walking ones on the recorder's views).
+recorder that kept one record object per interaction, kept in this
+directory as the oracle) and to ``repro.metrics.TraceRecorder`` twice:
+with its rows (``trace_rows=True``) and with its reducer only
+(``trace_rows=False``). It reads every view in the middle of the
+sequence and requires: the same exception type and message from all
+three, the same records out of every view of the recorder with rows
+(and a ``TraceError`` from every view of the one without), the same
+serialized trace, and the same postmortem and performance results — the
+record-walking analyses of ``record_analyses.py`` on the oracle, the
+reducer-reading ones of ``src/`` on both modes, bit for bit. The same
+analyses must agree again on ``load_trace`` and ``merge_traces`` output
+of the sequence, where lineage is out of allocation order, and on a
+reducer-only replay of each.
 """
 
 import json
 import pickle
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 from object_recorder import ObjectRecorder, records_to_dict
-from record_analyses import RecordPostmortem
+from record_analyses import RecordPostmortem, column_ideal_footprint, column_last_use_end
+from record_analyses import jitter as record_jitter
 from record_analyses import latency_samples as record_latency_samples
 from record_analyses import (
     latency_samples_by_thread as record_latency_samples_by_thread,
@@ -30,7 +39,9 @@ from repro.errors import TraceError
 from repro.metrics import (
     PostmortemAnalyzer,
     TraceRecorder,
+    jitter,
     latency_samples,
+    merge_traces,
     output_times,
     throughput_fps,
     trace_from_dict,
@@ -44,6 +55,14 @@ times = st.floats(0.0, 50.0, allow_nan=False)
 names = st.sampled_from(["a", "b", "t0/gui"])
 maybe_nan = st.one_of(st.none(), st.just(float("nan")), times)
 
+#: The row readers: each raises on a recorder kept without rows.
+ROW_VIEWS = (
+    lambda rec: rec.items, lambda rec: rec.iterations,
+    lambda rec: rec.stp_samples, lambda rec: rec.sink_iterations(),
+    lambda rec: rec.iterations_of("a"), lambda rec: rec.items_of_channel("a"),
+    lambda rec: rec.stp_rows("a"), trace_to_dict,
+)
+
 
 def canon(records):
     """Records as text: exact for floats, and NaN equals NaN."""
@@ -54,7 +73,10 @@ def timeline_bytes(timeline):
     return timeline.times.tobytes(), timeline.values.tobytes()
 
 
-def postmortem_results(pm, channels):
+def analyses(pm, recorder, channels, warmup, fns):
+    """Every postmortem and performance result of one trace; ``fns``
+    are the latency, by-thread, fps, output-times and jitter functions."""
+    latency, by_thread, fps, outputs, jitter_of = fns
     return {
         "delivered": pm.delivered_ids,
         "successful": pm.successful_ids,
@@ -66,26 +88,91 @@ def postmortem_results(pm, channels):
         "by_channel": [timeline_bytes(pm.footprint(c))
                        for c in [*channels, "no such channel"]],
         "igc": timeline_bytes(pm.ideal_footprint()),
-        "last_use": pm._last_use_end,
         "thread_waste": pm.thread_waste_report(),
         "channel_report": pm.channel_report(),
+        "latency": latency(recorder, warmup),
+        "by_thread": by_thread(recorder, warmup),
+        "fps": fps(recorder, warmup),
+        "outputs": outputs(recorder, warmup),
+        "jitter": repr(jitter_of(recorder, warmup)),
     }
 
 
+MINE = (latency_samples, latency_samples_by_thread, throughput_fps,
+        output_times, jitter)
+THEIRS = (record_latency_samples, record_latency_samples_by_thread,
+          record_throughput_fps, record_output_times, record_jitter)
+
+
+def reducer_twin(rec):
+    """A recorder without rows, fed ``rec``'s rows in ``rec``'s row order."""
+    twin = TraceRecorder(trace_rows=False)
+    twin.t_start = rec.t_start
+    for row in range(len(rec.item_t_alloc)):
+        twin.on_alloc(*rec.alloc_args(row))
+    for k, skip in enumerate(rec.touch_skip):
+        (twin.on_skip if skip else twin.on_get)(*rec.touch_args(k))
+    for row, t_free in enumerate(rec.item_t_free):
+        if t_free == t_free:  # not NaN: freed
+            twin.on_free(rec.id_of(row), t_free)
+    for row in range(len(rec.iter_thread)):
+        twin.on_iteration(*rec.iteration_args(row))
+    twin.finalize(rec.t_end)
+    return twin
+
+
+def check_both_modes(rec, warmup):
+    """``rec`` (kept with rows) and its reducer-only twin analyse alike,
+    and as the record-walking oracles do on ``rec``'s views."""
+    channels = rec.channels()
+    expected = analyses(RecordPostmortem(rec), rec, channels, warmup, THEIRS)
+    assert analyses(PostmortemAnalyzer(rec), rec, channels, warmup,
+                    MINE) == expected
+    twin = reducer_twin(rec)
+    assert analyses(PostmortemAnalyzer(twin), twin, channels, warmup,
+                    MINE) == expected
+    check_stp_index(rec)
+
+
+def check_stp_index(rec):
+    """``stp_rows`` is the scan it replaced, thread by thread."""
+    threads = {rec.stp_args(row)[0] for row in range(len(rec.stp_thread))}
+    for thread in [*sorted(threads), "nobody"]:
+        assert list(rec.stp_rows(thread)) == [
+            row for row in range(len(rec.stp_thread))
+            if rec.stp_args(row)[0] == thread]
+
+
+def reordered(data):
+    """``data`` with its items in reverse order: children before parents."""
+    return {**data, "items": data["items"][::-1]}
+
+
+def split(data):
+    """``data`` as two worker traces: even item ids and every other
+    iteration and STP sample in one, the rest in the other."""
+    return [{**data,
+             "items": [i for i in data["items"] if i["id"] % 2 == parity],
+             "iterations": data["iterations"][parity::2],
+             "stp_samples": data["stp_samples"][parity::2]}
+            for parity in (0, 1)]
+
+
 class RecorderMachine(RuleBasedStateMachine):
-    @initialize(record_stp=st.booleans())
-    def start(self, record_stp):
-        self.obj = ObjectRecorder(record_stp=record_stp)
-        self.col = TraceRecorder(record_stp=record_stp)
+    @initialize()
+    def start(self):
+        self.obj = ObjectRecorder()
+        self.rows = TraceRecorder(trace_rows=True)
+        self.lean = TraceRecorder(trace_rows=False)
 
     def both(self, hook, *args, **kwargs):
         outcomes = []
-        for recorder in (self.obj, self.col):
+        for recorder in (self.obj, self.rows, self.lean):
             try:
                 outcomes.append(getattr(recorder, hook)(*args, **kwargs))
             except TraceError as exc:
                 outcomes.append((type(exc), str(exc)))
-        assert outcomes[0] == outcomes[1], (hook, args, outcomes)
+        assert outcomes[0] == outcomes[1] == outcomes[2], (hook, args, outcomes)
 
     @rule(item_id=ids, channel=names, ts=st.integers(0, 5),
           size=st.integers(0, 1000), parents=id_tuples, t=times)
@@ -110,6 +197,7 @@ class RecorderMachine(RuleBasedStateMachine):
     @rule(thread=names, t_start=times, span=times, inputs=id_tuples,
           outputs=id_tuples, is_sink=st.booleans())
     def iteration(self, thread, t_start, span, inputs, outputs, is_sink):
+        # An input may be allocated only later: its IGC end still counts.
         self.both("on_iteration", thread=thread, t_start=t_start,
                   t_end=t_start + span, compute=span / 2, blocked=span / 4,
                   slept=span / 8, inputs=inputs, outputs=outputs,
@@ -122,7 +210,7 @@ class RecorderMachine(RuleBasedStateMachine):
 
     @rule()
     def read_every_view(self):
-        obj, col = self.obj, self.col
+        obj, col, lean = self.obj, self.rows, self.lean
         assert list(col.items) == list(obj.items)
         assert len(col.items) == len(obj.items)
         assert canon(col.items.values()) == canon(obj.items.values())
@@ -132,41 +220,95 @@ class RecorderMachine(RuleBasedStateMachine):
         assert canon(col.iterations) == canon(obj.iterations)
         assert canon(col.stp_samples) == canon(obj.stp_samples)
         assert canon(col.sink_iterations()) == canon(obj.sink_iterations())
-        assert col.threads() == obj.threads()
-        assert col.channels() == obj.channels()
+        for rec in (col, lean):
+            assert rec.threads() == obj.threads()
+            assert rec.channels() == obj.channels()
+            assert len(rec.sink_rows()) == len(obj.sink_iterations())
         for thread in [*obj.threads(), "nobody"]:
             assert canon(col.iterations_of(thread)) == canon(
                 obj.iterations_of(thread))
-            assert col.iteration_count(thread) == len(obj.iterations_of(thread))
+            for rec in (col, lean):
+                assert rec.iteration_count(thread) == len(
+                    obj.iterations_of(thread))
         for channel in [*obj.channels(), "nowhere"]:
             assert canon(col.items_of_channel(channel)) == canon(
                 obj.items_of_channel(channel))
+        check_stp_index(col)
+        for view in ROW_VIEWS:
+            try:
+                view(lean)
+            except TraceError as exc:
+                assert "trace_rows=False" in str(exc)
+            else:
+                raise AssertionError("a row view answered without rows")
 
     @rule(t_end=times, warmup=st.sampled_from([0.0, 10.0]))
     def finalize_a_copy_and_analyze(self, t_end, warmup):
         # Through pickle: the copies are finalized, the run goes on.
-        obj = pickle.loads(pickle.dumps(self.obj))
-        col = pickle.loads(pickle.dumps(self.col))
-        obj.finalize(t_end)
-        col.finalize(t_end)
+        obj, col, lean = (pickle.loads(pickle.dumps(rec))
+                          for rec in (self.obj, self.rows, self.lean))
+        for rec in (obj, col, lean):
+            rec.finalize(t_end)
         saved = json.dumps(trace_to_dict(col))
         assert saved == json.dumps(records_to_dict(obj))
         assert saved == json.dumps(records_to_dict(col))  # through the views
         assert saved == json.dumps(trace_to_dict(trace_from_dict(
             json.loads(saved))))
         channels = obj.channels()
-        expected = postmortem_results(RecordPostmortem(obj), channels)
-        assert postmortem_results(PostmortemAnalyzer(col), channels) == expected
-        assert postmortem_results(RecordPostmortem(col), channels) == expected
-        for mine, theirs in (
-                (latency_samples, record_latency_samples),
-                (latency_samples_by_thread, record_latency_samples_by_thread),
-                (throughput_fps, record_throughput_fps),
-                (output_times, record_output_times)):
-            assert mine(col, warmup) == theirs(obj, warmup) == theirs(col, warmup)
+        oracle = RecordPostmortem(obj)
+        expected = analyses(oracle, obj, channels, warmup, THEIRS)
+        for rec in (col, lean):
+            assert analyses(PostmortemAnalyzer(rec), rec, channels, warmup,
+                            MINE) == expected
+        assert analyses(RecordPostmortem(col), col, channels, warmup,
+                        THEIRS) == expected
+        # The post-run IGC passes the recorder's fold replaced.
+        assert column_last_use_end(col) == oracle._last_use_end
+        assert timeline_bytes(column_ideal_footprint(
+            col, PostmortemAnalyzer(col)._success_mask,
+            t_end)) == expected["igc"]
+
+        data = json.loads(saved)
+        check_both_modes(trace_from_dict(reordered(data)), warmup)
+        workers = [trace_from_dict(part) for part in split(data)]
+        check_both_modes(merge_traces(workers), warmup)
+        check_both_modes(merge_traces(workers[::-1]), warmup)
 
 
 TestRecorderAgainstOracle = RecorderMachine.TestCase
 TestRecorderAgainstOracle.settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None
 )
+
+
+def test_analyses_of_an_empty_trace_agree_in_both_modes():
+    for trace_rows in (True, False):
+        rec = TraceRecorder(trace_rows=trace_rows)
+        rec.finalize(5.0)
+        pm = PostmortemAnalyzer(rec)
+        assert pm.wasted_memory_fraction == pm.wasted_computation_fraction == 0.0
+        assert np.array_equal(pm.ideal_footprint().values, [0.0])
+        assert latency_samples(rec) == [] and throughput_fps(rec) == 0.0
+
+
+def test_the_igc_end_is_the_last_use_whatever_the_hook_order():
+    # A get after the consuming iteration ended (another consumer's) does
+    # not extend the IGC end, and an iteration that consumed an item
+    # before it was allocated still counts.
+    def hooks(rec):
+        rec.on_alloc(1, "c", "n0", 0, 10, "p", (), 0.0)
+        rec.on_get(1, 1, "a", 1.0)
+        rec.on_iteration("a", 0.5, 3.0, 1.0, 0.0, 0.0, (1, 2), (), True)
+        rec.on_get(1, 2, "b", 5.0)
+        rec.on_alloc(2, "c", "n0", 1, 10, "p", (), 2.0)
+        rec.on_get(2, 1, "a", 2.5)
+        rec.finalize(8.0)
+        return rec
+
+    rows = hooks(TraceRecorder(trace_rows=True))
+    expected = timeline_bytes(column_ideal_footprint(
+        rows, PostmortemAnalyzer(rows)._success_mask, 8.0))
+    assert timeline_bytes(RecordPostmortem(rows).ideal_footprint()) == expected
+    for rec in (rows, hooks(TraceRecorder(trace_rows=False))):
+        assert list(rec.item_igc_end) == [3.0, 3.0]
+        assert timeline_bytes(PostmortemAnalyzer(rec).ideal_footprint()) == expected

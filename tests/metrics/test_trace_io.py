@@ -30,7 +30,7 @@ from repro.runtime import (
 )
 
 
-def run_pipeline():
+def run_pipeline(trace_rows=True):
     def src(ctx):
         ts = 0
         while True:
@@ -51,9 +51,30 @@ def run_pipeline():
     g.add_channel("c")
     g.connect("src", "c").connect("c", "dst")
     cluster = ClusterSpec(nodes=(NodeSpec(name="node0", sched_noise_cv=0.1),))
-    return Runtime(g, RuntimeConfig(cluster=cluster, aru=aru_min(), seed=4)).run(
-        until=20.0
-    )
+    return Runtime(g, RuntimeConfig(cluster=cluster, aru=aru_min(), seed=4,
+                                    trace_rows=trace_rows)).run(until=20.0)
+
+
+def test_rebase_moves_the_reducer_alike_in_both_modes():
+    # A trace without rows rebases its reducer's times as one with rows
+    # does, and reads the same metrics after.
+    from repro.metrics import rebase_trace
+    from repro.metrics.performance import sink_latencies
+
+    def metrics(trace):
+        pm = PostmortemAnalyzer(trace)
+        return (pm.footprint().times.tobytes(),
+                pm.ideal_footprint().times.tobytes(),
+                pm.wasted_memory_fraction, sink_latencies(trace, 105.0),
+                list(trace.sink_t_end))
+
+    rows, lean = run_pipeline(), run_pipeline(trace_rows=False)
+    assert metrics(rows) == metrics(lean)
+    rebased = [rebase_trace(trace, 100.0) for trace in (rows, lean)]
+    assert metrics(rebased[0]) == metrics(rebased[1])
+    assert metrics(rebased[0]) != metrics(run_pipeline())
+    with pytest.raises(TraceError, match="trace_rows=False"):
+        trace_to_dict(lean)
 
 
 class TestRoundTrip:

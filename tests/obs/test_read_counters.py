@@ -74,7 +74,8 @@ def test_read_counters_equal_the_trace_across_the_lifecycle():
     cheap = scaled_tracker_config(0.1, frame_period=0.2, cv=0.0)
     cluster = uniform_spec(4, ncpus=16)
     runtime = TenantRuntime(
-        TenancySpec(cluster=cluster, telemetry=True).runtime_config(),
+        TenancySpec(cluster=cluster, telemetry=True,
+                    trace_rows=True).runtime_config(),
         Scheduler(cluster))
     tracker = Tenant(TenantSpec("t", app_config=cheap, policy="aru-max"))
     pool = Tenant(TenantSpec(

@@ -112,6 +112,7 @@ class TestNodeCrash:
                  "demand": {"cpu": 0.4, "mem_mb": 8, "bandwidth_mbps": 4}},
             ],
             "faults": [{"kind": "node_crash", "at": 3.0, "node": "small0"}],
+            "trace_rows": True,  # the iteration rows read below
         })
         result = run_tenants(spec)
         assert all(r.state == "running" for r in result.records.values())

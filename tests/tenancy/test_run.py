@@ -9,7 +9,7 @@ from repro.apps import ElasticConfig, elastic_pipeline
 from repro.apps.workloads import make_sink, make_source
 from repro.aru.operators import resolve as resolve_operator
 from repro.cluster.spec import uniform_spec
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TraceError
 from repro.metrics.performance import latency_samples_by_thread
 from repro.runtime.graph import TaskGraph
 from repro.sim.engine import paused_collector
@@ -116,7 +116,7 @@ def assert_wired_for_owner(runtime):
 
 
 def sink_deliveries(runtime, tenant):
-    return sum(len(runtime.recorder.iterations_of(t)) for t in tenant.threads
+    return sum(runtime.recorder.iteration_count(t) for t in tenant.threads
                if runtime.graph.is_sink(t))
 
 
@@ -473,6 +473,26 @@ class TestDeterminism:
             {n: r.deliveries for n, r in b.records.items()}
         assert a.stats["engine"]["events_processed"] == \
             b.stats["engine"]["events_processed"]
+
+    def test_records_are_the_same_with_and_without_the_traces_rows(self):
+        # A fleet keeps the trace's reducer only by default; every
+        # tenant record reads it, so keeping the rows changes nothing.
+        spec = TenancySpec(
+            tenants=(*_fleet(2), TenantSpec("late", app_config=CHEAP,
+                                            policy="aru-max", arrival=1.0)),
+            cluster=4, horizon=4.0, seed=5)
+        lean, rows = run_tenants(spec), run_tenants(spec.with_(trace_rows=True))
+        assert not lean.trace.trace_rows and rows.trace.trace_rows
+        assert [repr((r.latency_p50, r.latency_p95, r.deliveries, r.goodput))
+                for r in lean.records.values()] == [
+            repr((r.latency_p50, r.latency_p95, r.deliveries, r.goodput))
+            for r in rows.records.values()]
+        assert repr(lean.fairness.jain) == repr(rows.fairness.jain)
+        assert lean.records["late"].deliveries > 0
+        assert latency_samples_by_thread(lean.trace) == \
+            latency_samples_by_thread(rows.trace)
+        with pytest.raises(TraceError, match="trace_rows=False"):
+            lean.trace.iterations_of("late/gui")
 
     def test_poisson_arrivals_deterministic(self):
         base = _fleet(5)

@@ -95,26 +95,6 @@ class TestTsRange:
         with pytest.raises(ValueError):
             TsRange(5, 2)
 
-    def test_intersect(self):
-        assert TsRange(0, 10).intersect(TsRange(5, 15)) == TsRange(5, 10)
-
-    def test_intersect_disjoint_is_empty(self):
-        assert TsRange(0, 3).intersect(TsRange(7, 9)).empty
-
-    def test_union_hull(self):
-        assert TsRange(0, 3).union_hull(TsRange(7, 9)) == TsRange(0, 9)
-
-    @given(
-        st.integers(0, 100), st.integers(0, 100),
-        st.integers(0, 100), st.integers(0, 100),
-    )
-    def test_intersect_is_subset_of_both(self, a, b, c, d):
-        r1 = TsRange(min(a, b), max(a, b))
-        r2 = TsRange(min(c, d), max(c, d))
-        inter = r1.intersect(r2)
-        for t in inter:
-            assert t in r1 and t in r2
-
 
 class TestCorresponds:
     def test_equal_timestamps_correspond(self):
