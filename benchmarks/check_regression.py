@@ -21,9 +21,10 @@ cohort timeouts drained by ``Engine.run()`` with no process resumption,
 the rate the batched cohort loop is accountable for. The chain and
 trampoline rates cover the allocation-bound paths (create+yield+fire per
 event), which CPython frame/object costs dominate. The telemetry pair
-drives the *real* ``Channel`` put/get/free site — mandatory work
-included — so the on/off ratio states what a user actually pays for
-leaving metrics on. The pure :func:`compare` function carries the policy
+runs a short two-node ``sim`` pipeline — mandatory work included —
+through the sites that still push (iteration close, link transfer), so
+the on/off ratio states what a user actually pays for leaving metrics
+on. The pure :func:`compare` function carries the policy
 and is unit-tested in ``tests/bench/test_check_regression.py``; a
 ``perf``-marked pytest wrapper runs the full gate when ``REPRO_PERF=1``.
 """
@@ -48,7 +49,7 @@ GATED_RATES = ("dispatch_events_per_sec", "telemetry_off_ops_per_sec")
 #: Absolute caps (lower is better) checked on the current measurement,
 #: independent of the baseline. The telemetry ratio is a *contract*,
 #: not a trend: metrics-on must stay within 3x of metrics-off through
-#: the real channel site (ISSUE 7).
+#: the sites that still push.
 GATED_MAX = {"telemetry_on_over_off_ratio": 3.0}
 
 #: Maximum allowed fractional drop of a gated rate vs baseline.
@@ -169,53 +170,63 @@ def _measure_postmortem_ms() -> float:
     return _best_of(analyze, repeat=3) * 1e3
 
 
+#: Simulated seconds of the telemetry pair's run (≈ 28 000 engine events).
+_TELEMETRY_HORIZON = 2.0
+
+
 def _measure_telemetry(enabled: bool) -> float:
-    """Ops/sec through the *real* channel site, telemetry on or off.
+    """Engine events/sec of a short ``sim`` run, telemetry on or off.
 
-    One op is a full item lifecycle against a live :class:`Channel`:
-    ``commit_put`` → ``commit_get`` → ``release`` (with the dead-
-    timestamp GC freeing behind the cursor), exactly the per-item work
-    the runtime pays. With ``enabled`` the channel carries a metrics-
-    only hub (``spans=False`` — the "leave it on" configuration) that
-    reads the channel's counts, as a runtime registers it, and takes one
-    snapshot at the end. The channel keeps those counts either way and
-    pushes nothing to the hub per item, so what the on side adds is the
-    ``spans_on`` checks and one read, and the ratio sits near 1; the
-    ≤3x ratio gate enforces it. Bare-branch numbers would flatter the
-    off side: the disabled check is ~50ns while any real site does
-    microseconds of mandatory work.
+    The run is a two-node pipeline whose sink gets every item over the
+    link, so every iteration close and every transfer is a site that
+    still pushes (one histogram observation each); the counts beside
+    them are read, not pushed. With ``enabled`` the runtime carries a
+    metrics-only hub (``spans=False`` — the "leave it on"
+    configuration), which registers its read sources at wiring and is
+    read once at the end; off, it holds ``NULL_HUB``. The ≤3x ratio
+    gate enforces what the on side adds. Bare-branch numbers would
+    flatter the off side: the disabled check is ~50ns while the run
+    around it does microseconds of mandatory work per event.
     """
-    from repro.cluster import Node, NodeSpec
-    from repro.gc import make_gc
-    from repro.metrics import TraceRecorder
-    from repro.obs import NULL_HUB, TelemetryConfig, TelemetryHub
-    from repro.runtime import Channel
-    from repro.runtime.item import Item
-    from repro.sim import Engine, RngRegistry
-    from repro.vt.timestamp import LATEST
+    from repro.cluster import ClusterSpec, LinkSpec, NodeSpec
+    from repro.obs import TelemetryConfig, TelemetryHub
+    from repro.runtime import (Compute, Get, PeriodicitySync, Put, Runtime,
+                               RuntimeConfig, TaskGraph)
 
-    n = _N_EVENTS
+    def src(ctx):
+        ts = 0
+        while True:
+            yield Compute(0.001)
+            yield Put("c", ts=ts, size=1_000)
+            ts += 1
+            yield PeriodicitySync()
+
+    def dst(ctx):
+        while True:
+            yield Get("c")
+            yield Compute(0.001)
+            yield PeriodicitySync()
+
+    cluster = ClusterSpec(nodes=(NodeSpec(name="n0"), NodeSpec(name="n1")),
+                          link=LinkSpec(latency_s=1e-4, bandwidth_bps=10**9))
+    events = []
 
     def spin():
-        obs = (TelemetryHub(TelemetryConfig(spans=False)) if enabled
-               else NULL_HUB)
-        engine = Engine()
-        node = Node(engine, NodeSpec(name="n0"), RngRegistry(seed=0))
-        gc = make_gc("dgc")
-        channel = Channel(engine, "bench", node, recorder=TraceRecorder(),
-                          gc=gc, obs=obs)
-        if enabled:
-            obs.read_buffers({"bench": channel})
-        out = channel.register_producer("p")
-        conn = channel.register_consumer("c")
-        for i in range(n):
-            item = Item(ts=i, size=100, producer="p")
-            channel.commit_put(out, item, 0.0)
-            view = channel.commit_get(conn, LATEST, 0.0)
-            channel.release(view._item, 0.0)
-        obs.snapshot()
+        graph = TaskGraph()
+        graph.add_thread("src", src)
+        graph.add_thread("dst", dst, sink=True)
+        graph.add_channel("c")
+        graph.connect("src", "c").connect("c", "dst")
+        obs = TelemetryHub(TelemetryConfig(spans=False)) if enabled else False
+        runtime = Runtime(graph, RuntimeConfig(
+            cluster=cluster, telemetry=obs,
+            placement={"src": "n0", "dst": "n1"}))
+        runtime.run(until=_TELEMETRY_HORIZON)
+        runtime.obs.snapshot()
+        events.append(runtime.engine.events_processed)
 
-    return _N_EVENTS / _best_of(spin, repeat=3)
+    best = _best_of(spin, repeat=3)
+    return events[-1] / best
 
 
 def measure() -> Dict[str, float]:

@@ -21,7 +21,7 @@ from typing import Callable, Dict, Generator, Optional, Tuple
 
 from repro.cluster.spec import ClusterSpec, LinkSpec
 from repro.errors import ConfigError, LinkDown, MessageDropped
-from repro.obs.hub import NULL_HUB
+from repro.obs.hub import NULL_HUB, link_series
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource, WaitQueue
 
@@ -41,12 +41,16 @@ class Link:
         self.spec = spec
         self.name = name
         self.obs = obs
-        # Fixed-slot telemetry handle, resolved once per link instead of
-        # a (name, labels) registry lookup per transfer.
-        self._transfer_h = obs.transfer_handle(name)
+        #: The one telemetry series a transfer pushes (its totals are
+        #: read: :func:`~repro.obs.hub.link_series`); None with metrics off.
+        self._hist = (obs.metrics.histogram("repro_link_transfer_seconds",
+                                            {"link": name})
+                      if obs.metrics_on else None)
         self._wire = Resource(engine, capacity=1, name=f"link.{name}")
-        #: Total bytes moved over this link.
+        #: Total bytes moved over this link, and the transfers that moved
+        #: them (both counted on the way out, a transfer cut short too).
         self.bytes_transferred = 0
+        self.transfers = 0
         #: Total seconds the wire was occupied.
         self.busy_time = 0.0
         # -- fault state ----------------------------------------------------
@@ -137,11 +141,13 @@ class Link:
             yield self.engine.timeout(duration)
         finally:
             self.bytes_transferred += nbytes
+            self.transfers += 1
             self.busy_time += duration
             self._wire.release()
         obs = self.obs
         if obs.enabled:
-            self._transfer_h.update(nbytes, duration)
+            if obs.metrics_on:
+                self._hist.observe(duration)
             if obs.spans_on:
                 obs.span_transfer(self.name, nbytes, duration, self.engine.now)
         if (self._drop_rng is not None
@@ -163,6 +169,8 @@ class Network:
         self.obs = obs
         self._links: Dict[Tuple[str, str], Link] = {}
         self._observer: Optional[LinkObserver] = None
+        if obs.enabled:
+            obs.read(link_series, self._links)
 
     def link(self, src: str, dst: str) -> Link:
         """The directed link ``src -> dst`` (raises for loopback)."""

@@ -135,7 +135,7 @@ class FaultDetector:
                 if not alive:
                     continue
                 driver = runtime.drivers[name]
-                iterations = driver.iterations
+                iterations = driver.meter.iterations
                 last = self._progress.get(name)
                 if last is None or last[0] != iterations:
                     self._progress[name] = (iterations, t)

@@ -8,17 +8,16 @@ Design constraints:
   (``if obs.enabled:``), so the disabled hot path pays a single load +
   branch and the micro-bench gate in ``benchmarks/check_regression.py``
   stays within threshold;
-* **counts are read, not pushed** — the puts, gets, skips and frees a
-  buffer keeps for itself are read when the registry is
-  (:meth:`TelemetryHub.read_buffers`), so those paths write no
-  telemetry at all; only what the runtime does not keep is pushed;
-* **cheap when pushed** — the pushed sites (iteration close, link
-  transfer, fault, tenant delivery) resolve *fixed-slot handles* once
-  at wiring time (``sync_handle``/``transfer_handle``/...); the
-  per-operation cost is then a few flat-array adds into the registry's
-  :class:`~repro.obs.metrics.SlotBank` — no ``(name, labels)`` dict
-  lookup, no ``str()`` churn, no timestamp call. Label resolution and
-  export are deferred to ``snapshot()``;
+* **counts are read, not pushed** — what a buffer, a thread or a link
+  keeps for itself (puts, gets and frees; iterations, compute, blocked
+  and slept seconds, the last STP, summary-STP and throttle target;
+  bytes and transfers) is read when the registry is (:meth:`TelemetryHub.read`
+  with :func:`buffer_series`, :func:`thread_series`, :func:`link_series`),
+  so those paths write no telemetry at all. Only the two histograms the
+  runtime does not keep are pushed — ``repro_iteration_seconds`` at an
+  iteration close, ``repro_link_transfer_seconds`` at a transfer — each
+  an ordinary :class:`~repro.obs.metrics.Histogram` looked up once at
+  wiring;
 * **observation must not perturb** — hook bodies only *read* runtime
   state and write hub-private structures; they never touch the engine
   calendar, the RNG registry, or ARU state, so a telemetry-on run is
@@ -29,26 +28,25 @@ Design constraints:
   with an explicit dropped counter. Spans are recorded by the
   simulator only; the live backends build a metrics-only hub.
 
-The hub exposes two API tiers. Hot sites (link transfer, iteration
-close) request a handle at wiring time and pair it with the matching
-``span_*`` helper behind the hub's precomputed ``metrics_on``/
-``spans_on`` flags; a buffer calls only its ``span_*`` helpers. The
-*semantic* hooks
+The registry has two ways in: sources, which read the runtime's counts
+(registered with :meth:`TelemetryHub.read` at wiring), and ordinary
+instruments. The pushed histograms pair with the matching ``span_*``
+helper behind the hub's precomputed ``metrics_on``/``spans_on`` flags;
+a buffer calls only its ``span_*`` helpers. The *semantic* hooks
 (``on_fault``, ``on_scale``, ``on_tenant``, ``on_arbiter``,
-``on_finalize``) serve the cold sites and route through cached handles
-themselves. The registry and tracer stay reachable for ad-hoc instruments
-(``hub.metrics.counter(...)``) and for the exporters in
-:mod:`repro.obs.export`.
+``on_finalize``) serve the cold sites with ad-hoc instruments
+(``hub.metrics.counter(...)``), which the exporters in
+:mod:`repro.obs.export` read like any other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Mapping, Optional, Union
 
 from repro.errors import ConfigError
-from repro.obs.metrics import NOOP_HANDLE, CounterHandle, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
 
 
@@ -89,74 +87,11 @@ class TelemetryConfig:
             raise ConfigError(f"max_spans must be >= 1, got {self.max_spans}")
 
 
-class _SyncHandle:
-    """Preresolved slots for one thread's ``periodicity_sync`` close.
-
-    One iteration writes: iteration count, iteration-length histogram,
-    compute/blocked second totals, optional throttle-sleep total, and
-    the three control-loop gauges (current STP, summary STP, throttle
-    target). Gauge slots start NaN and are only exported once written,
-    matching the legacy "set only when present" hook behaviour.
-    """
-
-    __slots__ = ("_values", "_iters", "_hist", "_compute", "_blocked",
-                 "_slept", "_stp", "_summary", "_target")
-
-    def __init__(self, values, iters, hist, compute, blocked, slept,
-                 stp, summary, target) -> None:
-        self._values = values
-        self._iters = iters
-        self._hist = hist
-        self._compute = compute
-        self._blocked = blocked
-        self._slept = slept
-        self._stp = stp
-        self._summary = summary
-        self._target = target
-
-    def update(self, t_start: float, t_end: float, compute: float,
-               blocked: float, slept: float, stp: Optional[float],
-               summary: Optional[float], target: Optional[float]) -> None:
-        values = self._values
-        values[self._iters] += 1.0
-        self._hist.observe(t_end - t_start)
-        values[self._compute] += compute
-        values[self._blocked] += blocked
-        if slept:
-            values[self._slept] += slept
-        if stp is not None:
-            values[self._stp] = stp
-        if summary is not None:
-            values[self._summary] = summary
-        if target is not None:
-            values[self._target] = target
-
-
-class _TransferHandle:
-    """Preresolved slots for one link: bytes + count + duration histogram."""
-
-    __slots__ = ("_values", "_bytes", "_count", "_hist")
-
-    def __init__(self, values, bytes_slot, count_slot, hist) -> None:
-        self._values = values
-        self._bytes = bytes_slot
-        self._count = count_slot
-        self._hist = hist
-
-    def update(self, nbytes: float, duration: float) -> None:
-        values = self._values
-        values[self._bytes] += nbytes
-        values[self._count] += 1.0
-        self._hist.observe(duration)
-
-
 class NullTelemetryHub:
     """The disabled hub: every hook is a no-op, ``enabled`` is False.
 
     Hot paths guard with ``if obs.enabled:`` and never call further; the
-    no-op methods exist so unguarded diagnostic code is still safe, and
-    the ``*_handle`` factories hand back the shared
-    :data:`~repro.obs.metrics.NOOP_HANDLE` so wiring code is branch-free.
+    no-op hooks exist so unguarded diagnostic code is still safe.
     """
 
     __slots__ = ()
@@ -176,22 +111,6 @@ class NullTelemetryHub:
     def on_tenant(self, *a, **k) -> None: ...
     def on_arbiter(self, *a, **k) -> None: ...
     def on_finalize(self, *a, **k) -> None: ...
-
-    def transfer_handle(self, *a, **k):
-        return NOOP_HANDLE
-
-    def sync_handle(self, *a, **k):
-        return NOOP_HANDLE
-
-    def fault_handle(self, *a, **k):
-        return NOOP_HANDLE
-
-    def tenant_handle(self, *a, **k):
-        return NOOP_HANDLE
-
-    def span_transfer(self, *a, **k) -> None: ...
-    def span_sync(self, *a, **k) -> None: ...
-    def span_fault(self, *a, **k) -> None: ...
 
     def snapshot(self) -> dict:
         return {"enabled": False, "metrics": [], "spans": {}, "meta": {}}
@@ -221,8 +140,6 @@ class TelemetryHub:
         #: per call instead of chasing ``self.config.metrics``.
         self.metrics_on: bool = self.config.metrics
         self.spans_on: bool = self.config.spans
-        #: Wiring-time handle cache, keyed on the site identity tuple.
-        self._handles: Dict[Tuple, object] = {}
 
     # -- lifecycle ----------------------------------------------------------
     def bind(self, time_fn: Optional[Callable[[], float]] = None,
@@ -235,89 +152,15 @@ class TelemetryHub:
         return self
 
     # -- read counts --------------------------------------------------------
-    def read_buffers(self, buffers: Mapping[str, object]) -> None:
-        """Export the counts every buffer in ``buffers`` keeps itself.
-
-        The mapping is read whenever the registry is, so a buffer wired
-        after this call is exported too, and one the runtime drained
-        keeps its totals. With metrics off nothing is registered.
+    def read(self, series: Callable[..., Iterator[tuple]], *args) -> None:
+        """Export the rows ``series(*args)`` yields whenever the registry
+        is read — :func:`buffer_series` over a runtime's buffers,
+        :func:`thread_series` over its drivers, :func:`link_series` over
+        its links. The arguments are read then, not now, so what is wired
+        later is exported too. With metrics off nothing is registered.
         """
         if self.metrics_on:
-            self.metrics.sources.append(partial(buffer_series, buffers))
-
-    # -- fixed-slot handle wiring ------------------------------------------
-    # Each factory is idempotent per site identity and resolves labels
-    # exactly once; with metrics off it returns NOOP_HANDLE so callers
-    # can wire unconditionally (spans-only mode creates zero instruments).
-
-    def transfer_handle(self, link: str):
-        """Handle for one link: ``.update(nbytes, duration)`` per transfer."""
-        if not self.metrics_on:
-            return NOOP_HANDLE
-        key = ("transfer", link)
-        handle = self._handles.get(key)
-        if handle is None:
-            bank = self.metrics.bank
-            labels = {"link": link}
-            nbytes = bank.counter_slot("repro_link_transfer_bytes_total",
-                                       labels)
-            count = bank.counter_slot("repro_link_transfers_total", labels)
-            hist = bank.histogram_handle("repro_link_transfer_seconds", labels)
-            handle = _TransferHandle(bank.values, nbytes, count, hist)
-            self._handles[key] = handle
-        return handle
-
-    def sync_handle(self, thread: str):
-        """Handle for one thread's iteration close (``periodicity_sync``)."""
-        if not self.metrics_on:
-            return NOOP_HANDLE
-        key = ("sync", thread)
-        handle = self._handles.get(key)
-        if handle is None:
-            bank = self.metrics.bank
-            labels = {"thread": thread}
-            handle = _SyncHandle(
-                bank.values,
-                bank.counter_slot("repro_iterations_total", labels),
-                bank.histogram_handle("repro_iteration_seconds", labels),
-                bank.counter_slot("repro_compute_seconds_total", labels),
-                bank.counter_slot("repro_blocked_seconds_total", labels),
-                bank.counter_slot("repro_throttle_sleep_seconds_total",
-                                  labels),
-                bank.gauge_slot("repro_stp_current_seconds", labels),
-                bank.gauge_slot("repro_stp_summary_seconds", labels),
-                bank.gauge_slot("repro_throttle_target_seconds", labels),
-            )
-            self._handles[key] = handle
-        return handle
-
-    def fault_handle(self, phase: str, kind: str):
-        """Handle for one fault lifecycle cell: ``.inc()`` per event."""
-        if not self.metrics_on:
-            return NOOP_HANDLE
-        key = ("fault", phase, kind)
-        handle = self._handles.get(key)
-        if handle is None:
-            bank = self.metrics.bank
-            slot = bank.counter_slot("repro_fault_events_total",
-                                     {"phase": phase, "kind": kind})
-            handle = CounterHandle(bank.values, slot)
-            self._handles[key] = handle
-        return handle
-
-    def tenant_handle(self, tenant: str):
-        """Handle for one tenant's sink deliveries: ``.inc()`` per frame."""
-        if not self.metrics_on:
-            return NOOP_HANDLE
-        key = ("tenant", tenant)
-        handle = self._handles.get(key)
-        if handle is None:
-            bank = self.metrics.bank
-            slot = bank.counter_slot("repro_tenant_deliveries_total",
-                                     {"tenant": tenant})
-            handle = CounterHandle(bank.values, slot)
-            self._handles[key] = handle
-        return handle
+            self.metrics.sources.append(partial(series, *args))
 
     # -- span helpers -------------------------------------------------------
     # The span side of each hot site, called behind ``if obs.spans_on:``
@@ -374,22 +217,20 @@ class TelemetryHub:
                                  args=args)
         self.tracer.end(span, t_end)
 
-    def span_fault(self, phase: str, kind: str, target: str, t: float,
-                   source: Optional[str] = None) -> None:
-        args: Dict[str, object] = {"kind": kind, "target": target}
-        if source:
-            args["source"] = source
-        self.tracer.instant(f"{phase}:{kind}", cat="fault",
-                            track="faults", t=t, args=args)
-
     # -- fault path ---------------------------------------------------------
     def on_fault(self, phase: str, kind: str, target: str, t: float,
                  source: Optional[str] = None) -> None:
-        """A fault lifecycle event: ``injected``/``symptom``/``recovered``."""
+        """A fault lifecycle event: ``injected``/``symptom``/``recovered``.
+        O(faults), so an ad-hoc instrument, stamped at the event."""
         if self.metrics_on:
-            self.fault_handle(phase, kind).inc()
+            self.metrics.counter("repro_fault_events_total",
+                                 {"phase": phase, "kind": kind}).inc()
         if self.spans_on:
-            self.span_fault(phase, kind, target, t, source)
+            args: Dict[str, object] = {"kind": kind, "target": target}
+            if source:
+                args["source"] = source
+            self.tracer.instant(f"{phase}:{kind}", cat="fault",
+                                track="faults", t=t, args=args)
 
     # -- scaling path -------------------------------------------------------
     def on_scale(self, stage: str, action: str, replicas_from: int,
@@ -397,8 +238,7 @@ class TelemetryHub:
                  replica: Optional[str] = None) -> None:
         """A replicated stage changed size: ``out``/``in``/``restart``.
 
-        Stays on ad-hoc instruments: scale events are O(decisions), not
-        O(items), so preresolved slots would buy nothing.
+        Ad-hoc instruments: scale events are O(decisions), not O(items).
         """
         if self.metrics_on:
             m = self.metrics
@@ -522,6 +362,48 @@ def buffer_series(buffers: Mapping[str, object]) -> Iterator[tuple]:
                    gets)
             yield ("counter", "repro_buffer_skips_total",
                    (("buffer", name), ("consumer", thread)), skips)
+
+
+def thread_series(drivers: Mapping[str, object],
+                  retired: Mapping[str, tuple]) -> Iterator[tuple]:
+    """The per-thread ``repro_*`` rows and each tenant's
+    ``repro_tenant_deliveries_total`` (its sink threads' iterations),
+    read from what each driver kept at its last iteration close
+    (:meth:`~repro.runtime.thread.ThreadDriver.closed_counts`) on top of
+    ``retired``, what earlier incarnations of the same thread closed.
+
+    Reading never calls into the control stack: an outbound summary
+    evicts stale backward-STP slots, so computing one here would change
+    the run."""
+    counts = dict(retired)
+    for name, driver in drivers.items():
+        counts[name] = driver.closed_counts(counts.get(name))
+    for name, c in counts.items():
+        labels = (("thread", name),)
+        yield "counter", "repro_iterations_total", labels, c.iterations
+        yield "counter", "repro_compute_seconds_total", labels, c.compute
+        yield "counter", "repro_blocked_seconds_total", labels, c.blocked
+        yield ("counter", "repro_throttle_sleep_seconds_total", labels,
+               c.slept)
+        # A gauge is exported once its thread has advertised a value.
+        for gauge, v in (("repro_stp_current_seconds", c.stp),
+                         ("repro_stp_summary_seconds", c.summary),
+                         ("repro_throttle_target_seconds", c.target)):
+            if v is not None:
+                yield "gauge", gauge, labels, v
+        if c.tenant is not None:
+            yield ("counter", "repro_tenant_deliveries_total",
+                   (("tenant", c.tenant),), c.iterations)
+
+
+def link_series(links: Mapping[object, object]) -> Iterator[tuple]:
+    """The ``repro_link_*`` totals of every link in ``links``, read from
+    the counts each :class:`~repro.cluster.network.Link` keeps."""
+    for link in links.values():
+        labels = (("link", link.name),)
+        yield ("counter", "repro_link_transfer_bytes_total", labels,
+               link.bytes_transferred)
+        yield "counter", "repro_link_transfers_total", labels, link.transfers
 
 
 #: What call sites may hand to :func:`resolve_hub`.

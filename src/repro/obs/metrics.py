@@ -105,14 +105,6 @@ class Gauge(Metric):
         self.value = float(value)
         self._stamp()
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-        self._stamp()
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-        self._stamp()
-
     def sample(self) -> dict:
         return {"type": "gauge", "name": self.name,
                 "labels": dict(self.labels), "value": self.value,
@@ -147,10 +139,10 @@ class Histogram(Metric):
     def observe(self, value: float) -> None:
         self.total += value
         self.count += 1
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                break
+        # The first bucket with value <= bound; past the last, +inf.
+        i = bisect_left(self.bounds, value)
+        if i < len(self.bucket_counts):
+            self.bucket_counts[i] += 1
         else:
             self.inf_count += 1
         self._stamp()
@@ -177,150 +169,23 @@ class Histogram(Metric):
                 "t": self.last_updated}
 
 
-class SlotBank:
-    """Flat-array metric storage behind preresolved hot-path handles.
-
-    The hub resolves each instrumentation site **once** at wiring time
-    into integer slots of :attr:`values`; the per-operation cost is then
-    a bare ``values[i] += x`` — no ``(name, labels)`` dict lookup, no
-    ``str()`` churn, no timestamp call. Label resolution and export
-    happen when the owning :class:`MetricsRegistry` materialises the
-    bank into ordinary instruments (on ``snapshot``/``collect``/
-    ``value``/``get``), never on the hot path.
-
-    Series kinds:
-
-    * ``counter`` — one slot, initialised to ``0.0``;
-    * ``gauge`` — one set-only slot, initialised to ``NaN``; a slot
-      still NaN at export time was never written and is not exported
-      (so wiring an instrument does not invent a ``0.0`` sample);
-    * ``hist`` — a contiguous block ``[c_0..c_k-1, inf, sum, count]``
-      over ``k`` bounds; skipped at export while ``count`` is zero.
-
-    The array grows on demand (``list.extend``); handles hold the list
-    object itself, so growth never invalidates an existing handle.
-    """
-
-    __slots__ = ("values", "_slots", "_series")
-
-    def __init__(self) -> None:
-        self.values: List[float] = []
-        #: (name, labels) -> (kind, slot)
-        self._slots: Dict[Tuple[str, LabelSet], Tuple[str, int]] = {}
-        #: export metadata, in allocation order:
-        #: (kind, name, labels, slot, extra)
-        self._series: List[tuple] = []
-
-    def _slot(self, kind: str, name: str, labels, width: int,
-              init: float, extra=None) -> int:
-        key = (name, canonical_labels(labels))
-        found = self._slots.get(key)
-        if found is not None:
-            have_kind, slot = found
-            if have_kind != kind:
-                raise TelemetryError(
-                    f"metric {name!r} already banked as {have_kind}, "
-                    f"requested {kind}"
-                )
-            return slot
-        slot = len(self.values)
-        self.values.extend([init] * width)
-        self._slots[key] = (kind, slot)
-        self._series.append((kind, key[0], key[1], slot, extra))
-        return slot
-
-    def counter_slot(self, name: str, labels=None) -> int:
-        """Slot of a monotonic counter (idempotent per ``(name, labels)``)."""
-        return self._slot("counter", name, labels, 1, 0.0)
-
-    def gauge_slot(self, name: str, labels=None) -> int:
-        """Slot of a set-style gauge; NaN until first written."""
-        return self._slot("gauge", name, labels, 1, float("nan"))
-
-    def histogram_slot(self, name: str, labels=None,
-                       buckets: Tuple[float, ...] = DEFAULT_BUCKETS) -> int:
-        """Start slot of a histogram block ``[c_0.., inf, sum, count]``."""
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or list(bounds) != sorted(bounds):
-            raise TelemetryError(
-                f"histogram {name!r} buckets must be sorted and non-empty"
-            )
-        return self._slot("hist", name, labels, len(bounds) + 3, 0.0, bounds)
-
-    def histogram_handle(self, name: str, labels=None,
-                         buckets: Tuple[float, ...] = DEFAULT_BUCKETS
-                         ) -> "HistogramHandle":
-        """A bound :class:`HistogramHandle` over :meth:`histogram_slot`."""
-        slot = self.histogram_slot(name, labels, buckets)
-        return HistogramHandle(
-            self.values, slot, tuple(float(b) for b in buckets)
-        )
-
-
-class NoopHandle:
-    """Shared do-nothing handle (telemetry disabled or metrics-off)."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None: ...
-    def update(self, *args, **kwargs) -> None: ...
-
-
-#: The module-level no-op handle every disabled site shares.
-NOOP_HANDLE = NoopHandle()
-
-
-class CounterHandle:
-    """Preresolved single-slot adder: ``inc`` is one array add."""
-
-    __slots__ = ("_values", "_slot")
-
-    def __init__(self, values: List[float], slot: int) -> None:
-        self._values = values
-        self._slot = slot
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._values[self._slot] += amount
-
-
-class HistogramHandle:
-    """Preresolved histogram block; ``observe`` is a bisect + three adds."""
-
-    __slots__ = ("_values", "_slot", "_bounds", "_isum", "_icnt")
-
-    def __init__(self, values: List[float], slot: int,
-                 bounds: Tuple[float, ...]) -> None:
-        self._values = values
-        self._slot = slot
-        self._bounds = bounds
-        self._isum = slot + len(bounds) + 1
-        self._icnt = slot + len(bounds) + 2
-
-    def observe(self, value: float) -> None:
-        values = self._values
-        values[self._slot + bisect_left(self._bounds, value)] += 1.0
-        values[self._isum] += value
-        values[self._icnt] += 1.0
-
-
 class MetricsRegistry:
     """All instruments of one telemetry hub, keyed on ``(name, labels)``.
 
-    Three sources share this namespace: ordinary instrument objects
-    (ad-hoc ``counter()``/``gauge()``/``histogram()`` calls, stamped per
-    update), the :class:`SlotBank` behind the hub's preresolved
-    hot-path handles, and the :attr:`sources` that read counts the
-    runtime keeps itself. Bank slots and sources are materialised into
+    Two ways in share this namespace: ordinary instrument objects,
+    stamped at each update (the ad-hoc ``counter()``/``gauge()`` calls
+    and the two pushed histograms), and the :attr:`sources` that read
+    counts the runtime keeps itself. Sources are materialised into
     instruments lazily — every read API (``get``/``value``/``collect``/
     ``snapshot``/``len``) folds them in first, so callers observe one
-    coherent registry. Their series are overwritten at each
-    materialisation; don't update them ad-hoc as well.
+    coherent registry. Their series are overwritten at each read; don't
+    update them ad-hoc as well. A histogram is exported from its first
+    observation on, so wiring one invents no empty sample.
     """
 
     def __init__(self, time_fn=None) -> None:
         self._metrics: Dict[Tuple[str, LabelSet], Metric] = {}
         self.time_fn = time_fn if time_fn is not None else (lambda: 0.0)
-        self.bank = SlotBank()
         #: Callables returning ``(type, name, labels, value)`` rows:
         #: ``type`` is ``"counter"`` or ``"gauge"``, ``labels`` canonical.
         self.sources: List[Callable[[], Iterable[tuple]]] = []
@@ -353,56 +218,13 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, labels, help,
                                    buckets=buckets)
 
-    def _sync_bank(self) -> None:
-        """Materialise :class:`SlotBank` slots into ordinary instruments.
-
-        Runs on every read API, never on the update path. Timestamps
-        follow stamp-on-change semantics: a series whose banked value
-        has not moved since the last materialisation keeps its previous
-        ``last_updated``.
-        """
-        bank = self.bank
-        values = bank.values
-        for kind, name, labels, slot, extra in bank._series:
-            if kind == "counter":
-                metric = self._get_or_create(Counter, name, labels, "")
-                v = values[slot]
-                if metric.value != v:
-                    # Assign directly (not ``inc``): slots are the source
-                    # of truth and re-materialisation must be idempotent.
-                    metric.value = v
-                    metric.last_updated = self.time_fn()
-            elif kind == "gauge":
-                v = values[slot]
-                if v != v:  # NaN sentinel: never written, don't export
-                    continue
-                metric = self._get_or_create(Gauge, name, labels, "")
-                if metric.value != v or metric.last_updated is None:
-                    metric.value = v
-                    metric.last_updated = self.time_fn()
-            else:  # hist
-                bounds = extra
-                k = len(bounds)
-                count = values[slot + k + 2]
-                if count == 0:
-                    continue
-                metric = self._get_or_create(Histogram, name, labels, "",
-                                             buckets=bounds)
-                if metric.count != count:
-                    metric.bucket_counts = [
-                        int(values[slot + i]) for i in range(k)
-                    ]
-                    metric.inf_count = int(values[slot + k])
-                    metric.total = values[slot + k + 1]
-                    metric.count = int(count)
-                    metric.last_updated = self.time_fn()
-
     def _read_sources(self) -> None:
         """Materialise what :attr:`sources` read into instruments.
 
         Rows of one identity sum (two connections of one consumer, two
-        runtimes on one hub). Stamps follow :meth:`_sync_bank`: a series
-        is stamped when its value moved since the last read.
+        runtimes on one hub). A series is stamped when its value moved
+        since the last read, so re-reading an unchanged run changes
+        nothing.
         """
         totals: Dict[tuple, float] = {}
         for source in self.sources:
@@ -417,15 +239,9 @@ class MetricsRegistry:
                 metric.value = v
                 metric.last_updated = self.time_fn()
 
-    def _sync(self) -> None:
-        if self.bank._series:
-            self._sync_bank()
-        if self.sources:
-            self._read_sources()
-
     def get(self, name: str, labels=None) -> Optional[Metric]:
         """The live instrument for ``(name, labels)``, or None."""
-        self._sync()
+        self._read_sources()
         return self._metrics.get((name, canonical_labels(labels)))
 
     def value(self, name: str, labels=None, default: float = 0.0) -> float:
@@ -436,14 +252,15 @@ class MetricsRegistry:
         return getattr(metric, "value", default)
 
     def collect(self) -> Iterable[Metric]:
-        """Every instrument, sorted by ``(name, labels)`` for stable export."""
-        self._sync()
-        return [self._metrics[k] for k in sorted(self._metrics)]
+        """Every exported instrument, sorted by ``(name, labels)``."""
+        self._read_sources()
+        metrics = self._metrics
+        return [metrics[k] for k in sorted(metrics)
+                if not isinstance(metrics[k], Histogram) or metrics[k].count]
 
     def snapshot(self) -> List[dict]:
         """Plain-data samples of every instrument (stable order)."""
         return [m.sample() for m in self.collect()]
 
     def __len__(self) -> int:
-        self._sync()
-        return len(self._metrics)
+        return len(self.collect())

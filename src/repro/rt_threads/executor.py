@@ -33,7 +33,8 @@ from repro.control.propagation import FeedbackBus
 from repro.errors import ConfigError, SimulationError
 from repro.gc import make_gc
 from repro.metrics.recorder import TraceRecorder
-from repro.obs.hub import TelemetryConfig, resolve_hub
+from repro.obs.hub import (TelemetryConfig, buffer_series, resolve_hub,
+                           thread_series)
 from repro.rt_threads.channel import ThreadChannel
 from repro.runtime.graph import TaskGraph
 from repro.runtime.runtime import Scope, buffer_stats
@@ -63,9 +64,6 @@ class WallDriver(ThreadDriver):
     its handler returns, so the handlers are plain functions.
     """
 
-    #: Measured ``Compute`` seconds over the thread's life (stats).
-    total_compute = 0.0
-
     @classmethod
     def _dispatch_table(cls):
         """Every entry wrapped so that stop lands at a syscall boundary:
@@ -94,7 +92,6 @@ class WallDriver(ThreadDriver):
                 pass
         actual = self.now() - t0
         self._iter_compute += actual
-        self.total_compute += actual
         return actual
 
     def _do_get(self, sc: Get):
@@ -180,8 +177,9 @@ class ThreadedRuntime:
     telemetry:
         As ``RuntimeConfig.telemetry``. Spans are recorded by the
         simulator only, so ``True`` or a :class:`TelemetryConfig` builds
-        a metrics-only hub: the buffer counts read from the channels,
-        the iteration series pushed at each close.
+        a metrics-only hub that reads the counts the channels and drivers
+        keep; only the iteration-length histogram is pushed, at each
+        close.
     """
 
     #: The node every channel and stat is attributed to (a distributed
@@ -238,11 +236,11 @@ class ThreadedRuntime:
         self.channels: Dict[str, ThreadChannel] = {}
         for name in self._local_buffers():
             self.channels[name] = self._make_channel(name)
-        if self.obs.enabled:
-            self.obs.read_buffers(
-                {name: ch._state for name, ch in self.channels.items()})
-
         self.drivers: Dict[str, WallDriver] = {}
+        if self.obs.enabled:
+            self.obs.read(buffer_series,
+                          {name: ch._state for name, ch in self.channels.items()})
+            self.obs.read(thread_series, self.drivers, {})
         for name in self._local_threads():
             self.drivers[name] = self._build_driver(name)
         self._threads: List[_TaskThread] = []
@@ -335,7 +333,7 @@ class ThreadedRuntime:
             "engine": {
                 "now": self.clock.now(),
                 "events_processed": sum(
-                    d.iterations for d in self.drivers.values()
+                    d.meter.iterations for d in self.drivers.values()
                 ),
             },
             "nodes": {
@@ -353,7 +351,7 @@ class ThreadedRuntime:
             "buffers": buffer_stats(self.channels),
             "threads": {
                 name: {
-                    "iterations": driver.iterations,
+                    "iterations": driver.meter.iterations,
                     "virtual_time": driver.total_compute,
                     "blocked": driver.meter.total_blocked,
                     "slept": driver.meter.total_slept,

@@ -23,13 +23,13 @@ from repro.control.scale import ScaleConfig, StageScaleController
 from repro.errors import ConfigError, SimulationError
 from repro.gc import GarbageCollector, make_gc
 from repro.metrics.recorder import TraceRecorder
-from repro.obs.hub import resolve_hub
+from repro.obs.hub import buffer_series, resolve_hub, thread_series
 from repro.runtime.channel import Channel
 from repro.runtime.graph import CHANNEL, QUEUE, TaskGraph
 from repro.runtime.replicated import MergeChannel, PartitionQueue
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.squeue import SQueue
-from repro.runtime.thread import ThreadDriver
+from repro.runtime.thread import ClosedCounts, ThreadDriver
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.vt.clock import SimClock
@@ -126,9 +126,13 @@ class Runtime:
             t: self._resolve_thread_node(t) for t in graph.threads()
         }
         self.buffers: Dict[str, object] = {}
-        if self.obs.enabled:
-            self.obs.read_buffers(self.buffers)
         self.drivers: Dict[str, ThreadDriver] = {}
+        #: Thread name -> what its disconnected incarnations closed
+        #: (:meth:`ThreadDriver.closed_counts`), kept for telemetry.
+        self.retired_threads: Dict[str, ClosedCounts] = {}
+        if self.obs.enabled:
+            self.obs.read(buffer_series, self.buffers)
+            self.obs.read(thread_series, self.drivers, self.retired_threads)
         self._processes: Dict[str, object] = {}
         #: Replicated stage -> the scope it was wired for.
         self._stage_scope: Dict[str, Scope] = {}
@@ -245,9 +249,12 @@ class Runtime:
     def _disconnect(self, name: str, collect: bool = True) -> ThreadDriver:
         """Unregister every connection of thread ``name``'s (killed)
         driver — evicting its backwardSTP slots, releasing its DGC
-        cursors — and return it. ``collect`` frees what those cursors
-        held; a whole-tenant teardown drains the buffers next instead."""
+        cursors — fold what it closed into :attr:`retired_threads`, and
+        return it. ``collect`` frees what those cursors held; a
+        whole-tenant teardown drains the buffers next instead."""
         driver = self.drivers[name]
+        if self.obs.metrics_on:
+            self._retire_counts(driver, self._processes[name])
         now = self.engine.now
         for buffer, conn in driver.in_conns.values():
             buffer.unregister_consumer(conn)
@@ -256,6 +263,23 @@ class Runtime:
         for buffer, conn in driver.out_conns.values():
             buffer.unregister_producer(conn)
         return driver
+
+    def _retire_counts(self, driver: ThreadDriver, process) -> None:
+        """Fold what ``driver`` closed into :attr:`retired_threads`.
+
+        A kill lands at the next engine step, and a wait that fired at
+        this instant resumes first: the dying incarnation may close one
+        more iteration, so a live ``process`` folds again when it ends.
+        """
+        retired = self.retired_threads
+        before = retired.get(driver.name)
+
+        def fold(_ended=None) -> None:
+            retired[driver.name] = driver.closed_counts(before)
+
+        fold()
+        if process.is_alive:
+            process.callbacks.append(fold)
 
     # -- execution ---------------------------------------------------------
     def run(self, until: float) -> TraceRecorder:
@@ -551,7 +575,7 @@ class Runtime:
             "buffers": buffer_stats(self.buffers),
             "threads": {
                 name: {
-                    "iterations": driver.iterations,
+                    "iterations": driver.meter.iterations,
                     "virtual_time": driver.virtual_time,
                     "blocked": driver.meter.total_blocked,
                     "slept": driver.meter.total_slept,

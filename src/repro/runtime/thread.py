@@ -25,7 +25,8 @@ the driver does the bookkeeping the paper's mechanisms require —
 from __future__ import annotations
 
 from inspect import isgeneratorfunction
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Generator, List, NamedTuple,
+                    Optional, Tuple)
 
 from repro.aru.filters import resolve_factory
 from repro.aru.stp import StpMeter
@@ -87,6 +88,21 @@ class TaskContext:
         return self._clock.now()
 
 
+class ClosedCounts(NamedTuple):
+    """A thread's iteration closes, summed: the counts, the last current
+    STP, summary-STP and throttle target (None until one was seen), and
+    the tenant its iterations deliver to (set on a tenant's sink)."""
+
+    iterations: int
+    compute: float
+    blocked: float
+    slept: float
+    stp: Optional[float]
+    summary: Optional[float]
+    target: Optional[float]
+    tenant: Optional[str]
+
+
 class ThreadDriver:
     """Runs one task body as a Stampede thread (simulated, as written)."""
 
@@ -146,8 +162,6 @@ class ThreadDriver:
             controller=controller,
         )
         driver.scope = scope
-        if is_sink and scope.name is not None and runtime.obs.enabled:
-            driver._deliver_h = runtime.obs.tenant_handle(scope.name)
         return driver
 
     def __init__(
@@ -178,14 +192,14 @@ class ThreadDriver:
         self.ctx = ctx
         self.meter = meter
         self.controller = controller
-        # Fixed-slot telemetry handle for the per-iteration sync close,
-        # resolved once per thread instead of eight registry lookups per
-        # iteration. No-op when telemetry/metrics are off.
-        self._sync_h = runtime.obs.sync_handle(name)
-        #: Assigned by :meth:`assemble`: whom this thread is wired for, and
-        #: (a tenant's sink thread, telemetry on) its delivery counter.
+        obs = runtime.obs
+        #: The one telemetry series an iteration close pushes (its other
+        #: series are read: :meth:`closed_counts`); None with metrics off.
+        self._iter_hist = (obs.metrics.histogram("repro_iteration_seconds",
+                                                 {"thread": name})
+                           if obs.metrics_on else None)
+        #: Assigned by :meth:`assemble`: whom this thread is wired for.
         self.scope = None
-        self._deliver_h = None
         # per-iteration accumulators (``run`` stamps the first start)
         self._iter_start = 0.0
         self._iter_inputs: List[int] = []
@@ -195,12 +209,16 @@ class ThreadDriver:
         #: Items gotten with hold=True, keyed by item id; released only
         #: via an explicit Release syscall (or at task termination).
         self._retained: Dict[int, Tuple[object, ItemView]] = {}
+        #: Blocked seconds at the last close (the meter's total then).
         self._prev_blocked = 0.0
+        #: Compute seconds of the closed iterations.
+        self.total_compute = 0.0
+        #: The last summary-STP and throttle target this thread advertised
+        #: at a close (None until it advertised one; kept for telemetry).
+        self._summary = None
+        self._target = None
         self._next_src_ts = 0
-        #: Completed iterations (mirrors the recorder, cheap to read).
-        self.iterations = 0
-        # fault-injection state
-        self._stalled = False
+        #: Fault injection: stalled until this time; 0.0 = not stalled.
         self._stall_until = 0.0
         #: Remote transfers retried after a transport error.
         self.transport_retries = 0
@@ -237,14 +255,13 @@ class ThreadDriver:
         """
         if duration <= 0:
             raise SimulationError(f"stall duration must be positive: {duration}")
-        self._stalled = True
         self._stall_until = max(self._stall_until, self.now() + duration)
 
     def _stall_wait(self) -> Generator:
         while True:
             remaining = self._stall_until - self.now()
             if remaining <= 0:
-                self._stalled = False
+                self._stall_until = 0.0
                 return
             yield self._timeout(remaining)
 
@@ -275,7 +292,7 @@ class ThreadDriver:
                     syscall = gen.send(to_send)
                 except StopIteration:
                     break
-                if self._stalled:
+                if self._stall_until:
                     yield from self._stall_wait()
                 try:
                     handler, waits = table[syscall.__class__]
@@ -535,9 +552,9 @@ class ThreadDriver:
         self._release_held()
         self._iter_inputs = []
         self._iter_outputs = []
+        self.total_compute += self._iter_compute
         self._iter_compute = 0.0
         self._iter_start = t_end
-        self.iterations += 1
         return stp
 
     def _publish(self, t_end: float, blocked: float, slept: float,
@@ -569,17 +586,40 @@ class ThreadDriver:
         )
         obs = self.runtime.obs
         if obs.enabled:
-            self._sync_h.update(
-                self._iter_start, t_end, self._iter_compute, blocked,
-                slept, stp, summary, target,
-            )
-            if self._deliver_h is not None:
-                self._deliver_h.inc()
+            if obs.metrics_on:
+                self._iter_hist.observe(t_end - self._iter_start)
+                if summary is not None:
+                    self._summary = summary
+                if target is not None:
+                    self._target = target
             if obs.spans_on:
                 obs.span_sync(
                     self.name, self._iter_start, t_end, self._iter_compute,
                     blocked, slept, stp, summary,
                 )
+
+    def closed_counts(self, before: Optional[ClosedCounts] = None
+                      ) -> ClosedCounts:
+        """What this thread's closed iterations add up to, on top of
+        ``before`` (an earlier incarnation's): the counts telemetry
+        reads. Only what the close kept is read, so a scrape at any
+        time changes nothing."""
+        meter = self.meter
+        mine = ClosedCounts(
+            meter.iterations, self.total_compute, self._prev_blocked,
+            meter.total_slept, meter.current_stp, self._summary,
+            self._target, self.scope.name if self.ctx.is_sink else None)
+        if before is None:
+            return mine
+        return mine._replace(
+            iterations=before.iterations + mine.iterations,
+            compute=before.compute + mine.compute,
+            blocked=before.blocked + mine.blocked,
+            slept=before.slept + mine.slept,
+            stp=before.stp if mine.stp is None else mine.stp,
+            summary=before.summary if mine.summary is None else mine.summary,
+            target=before.target if mine.target is None else mine.target,
+        )
 
     def _release_held(self) -> None:
         t = self.now()

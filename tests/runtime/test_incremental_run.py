@@ -60,7 +60,7 @@ def test_state_inspectable_between_phases():
     mid_occupancy = len(rt.channel("c"))
     assert rt.engine.now == 2.0
     assert mid_occupancy >= 0  # channel accessible mid-run
-    assert rt.drivers["src"].iterations > 0
+    assert rt.drivers["src"].meter.iterations > 0
     rt.advance(1.0)
     rt.finalize()
 
