@@ -34,10 +34,11 @@ script runs one repetition of a simulated e2e workload under
   over the difference in their engine events;
 * ``trace_bytes_by_table`` (the light fleets) — the same bytes per
   event split by the table that holds them: items (with their id
-  runs), touches, iterations, sinks, STP samples and the name table;
+  runs and pending anchors), touches, iterations, sinks, STP samples
+  and the name table; without rows only items and sinks grow;
 * ``trace_bytes_per_event_rows`` / ``trace_bytes_by_table_rows`` (the
   light fleets) — the same two with ``trace_rows=True``: a fleet keeps
-  the trace's reducer only by default, these price its rows;
+  no rows by default, these price them;
 * ``analysis_bytes_per_event`` (the light fleets) — what the post-run
   analysis allocates on top of the finished trace: the ``tracemalloc``
   peak from ``Runtime.run``'s return to ``run_tenants``' return, above
@@ -150,14 +151,17 @@ def count_calls(fn: Callable[[], Any], setup_ends=None
 
 #: Attribute-name prefix -> the trace table its storage is counted
 #: under; every other attribute (the name table and its map) is "names".
-_TABLES = {"item": "items", "run": "items", "touch": "touches",
-           "iter": "iterations", "sink": "sinks", "stp": "stp"}
+_TABLES = {"item": "items", "run": "items", "pending": "items",
+           "touch": "touches", "iter": "iterations", "sink": "sinks",
+           "stp": "stp"}
 
 
 def trace_bytes_by_table(recorder) -> Dict[str, int]:
     """Bytes of a recorder's storage by table: the allocation of every
     column (typed array or list) and of every map it keeps, a map's key
-    and value objects included; the id runs count as items."""
+    and value objects included; the id runs and the rows whose latency
+    anchor is pending count as items, the per-thread iteration counters
+    as iterations."""
     sizeof = sys.getsizeof
     tables = dict.fromkeys((*_TABLES.values(), "names"), 0)
     for name, value in vars(recorder).items():

@@ -88,7 +88,7 @@ def metrics_from_trace(
         footprint=footprint,
         igc_footprint=igc,
         frames_produced=recorder.iteration_count("digitizer"),
-        frames_delivered=len(recorder.sink_rows()),
+        frames_delivered=len(recorder.sink_t_end),
     )
 
 

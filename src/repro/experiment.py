@@ -57,12 +57,16 @@ class ExperimentSpec:
     gc / seed / placement / loads / retry:
         Forwarded to :class:`~repro.runtime.RuntimeConfig`.
     trace_rows:
-        Keep the trace's rows — touches, whole iterations, STP samples —
-        beside the reducer every analysis reads (True, the default: a
-        single experiment's trace is its product). Without them
-        ``save_trace``, the Gantt chart, ``control_series`` and the
-        record views raise :class:`~repro.errors.TraceError`; ``proc``
-        needs them to merge its workers' traces.
+        Keep the trace's rows — item sites, sizes, lineage and
+        lifetimes, touches, iterations, STP samples — beside the latency
+        anchors, sink table and iteration counts every run keeps (True,
+        the default: a single experiment's trace is its product).
+        Without them the postmortem (``PostmortemAnalyzer``,
+        ``metrics_from_trace``), ``save_trace``, the Gantt chart,
+        ``control_series`` and the record views raise
+        :class:`~repro.errors.TraceError`; the latency, throughput and
+        jitter functions run either way. ``proc`` needs them to merge
+        its workers' traces.
     faults:
         A tuple of :class:`~repro.faults.FaultSpec` (or a
         :class:`~repro.faults.FaultSchedule`); empty injects nothing.

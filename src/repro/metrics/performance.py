@@ -13,75 +13,32 @@
 * **Jitter** — "the standard deviation of the time difference between
   successive output frames": over sink-iteration completion times.
 
-Each reads the recorder's reducer only — the item lineage and the sink
-table, one row per sink iteration with its end time and inputs — so it
+Each reads what the recorder keeps in every run — each item's latency
+anchor, folded in when the item was allocated, and the sink table, one
+row per sink iteration with its thread, end time and inputs — so it
 runs the same on a trace kept without rows (``trace_rows=False``).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.metrics.recorder import TraceRecorder, ragged
 
-_NAN = float("nan")
 
-
-def _oldest_source_anchor(recorder: TraceRecorder) -> array:
-    """Per item row, the creation time of its *oldest* source ancestor.
-
-    A *source* item has no lineage parents (it was produced by a source
-    thread from outside data — e.g. a camera frame). Lineage follows time,
-    so in a live recorder the item table (allocation order) already lists
-    every parent before its children and one forward pass resolves all
-    anchors; items whose parents appear later (possible in reloaded
-    traces with reordered tables) wait for the next pass. A parent that
-    is in no table anchors nothing. NaN marks a row left unresolved,
-    which only a lineage cycle does.
-    """
-    t_alloc = recorder.item_t_alloc
-    flat, ends = recorder.item_parents, recorder.item_parents_end
-    row_of = recorder.row_of
-    first, base, count = recorder.tail_run()
-    anchors = array("d", [_NAN]) * len(t_alloc)
-    pending: Sequence[int] = range(len(t_alloc))
-    while pending:
-        deferred: List[int] = []
-        for row in pending:
-            best = None
-            for p in flat[ends[row - 1] if row else 0:ends[row]]:  # ragged()
-                off = p - first  # row_of(p), inlined for the tail run
-                p_row = base + off if 0 <= off < count else row_of(p)
-                if p_row is None:
-                    continue
-                a = anchors[p_row]
-                if a != a:  # NaN: not resolved yet
-                    deferred.append(row)
-                    break
-                if best is None or a < best:
-                    best = a
-            else:
-                anchors[row] = best if best is not None else t_alloc[row]
-        if len(deferred) == len(pending):
-            break  # a lineage cycle: no trace has one; leave it unanchored
-        pending = deferred
-    return anchors
-
-
-def sink_latencies(recorder: TraceRecorder, warmup: float = 0.0):
+def sink_latencies(recorder: TraceRecorder,
+                   warmup: float = 0.0) -> Tuple[array, array]:
     """``(sinks, latencies)``: one entry per item consumed by a sink
     iteration ending at or after ``warmup``, in delivery order — the
-    iteration's index in the recorder's sink table (``sink_iter`` /
+    iteration's index in the recorder's sink table (``sink_thread`` /
     ``sink_t_end``) and the item's latency."""
-    anchors = _oldest_source_anchor(recorder)
+    anchors = recorder.anchors()
     row_of = recorder.row_of
     first, base, count = recorder.tail_run()
-    t_ends = recorder.sink_t_end
     flat, ends = recorder.sink_inputs, recorder.sink_inputs_end
-    sinks: List[int] = []
-    latencies: List[float] = []
-    for k, t_end in enumerate(t_ends):
+    sinks, latencies = array("i"), array("d")
+    for k, t_end in enumerate(recorder.sink_t_end):
         if t_end < warmup:
             continue
         for item_id in ragged(flat, ends, k):
@@ -96,7 +53,7 @@ def sink_latencies(recorder: TraceRecorder, warmup: float = 0.0):
     return sinks, latencies
 
 
-def latency_samples(recorder: TraceRecorder, warmup: float = 0.0) -> List[float]:
+def latency_samples(recorder: TraceRecorder, warmup: float = 0.0) -> array:
     """One latency sample per item consumed by a sink iteration.
 
     ``warmup`` discards sink iterations ending before that time — useful
@@ -108,7 +65,7 @@ def latency_samples(recorder: TraceRecorder, warmup: float = 0.0) -> List[float]
 
 def latency_samples_by_thread(
     recorder: TraceRecorder, warmup: float = 0.0
-) -> Dict[str, List[float]]:
+) -> Dict[str, array]:
     """Latency samples grouped by the sink thread that delivered them.
 
     Multi-tenant runs have one sink per tenant (namespaced thread names),
@@ -116,12 +73,15 @@ def latency_samples_by_thread(
     distributions from a single shared trace.
     """
     sinks, samples = sink_latencies(recorder, warmup)
-    rows = recorder.sink_iter
-    grouped: Dict[str, List[float]] = {}
-    for thread, sample in zip(recorder.threads_of([rows[k] for k in sinks]),
-                              samples):
-        grouped.setdefault(thread, []).append(sample)
-    return grouped
+    codes = recorder.sink_thread
+    by_code: Dict[int, array] = {}
+    for k, sample in zip(sinks, samples):
+        code = codes[k]
+        group = by_code.get(code)
+        if group is None:
+            group = by_code[code] = array("d")
+        group.append(sample)
+    return dict(zip(recorder.names_of(by_code), by_code.values()))
 
 
 def latency_stats(recorder: TraceRecorder, warmup: float = 0.0) -> tuple:
@@ -148,7 +108,9 @@ def latency_percentiles(
 def percentile(samples: Iterable[float], q: float) -> float:
     """``numpy.percentile(samples, q)`` bit for bit, without numpy: its
     default ``linear`` method in its own float sequence. nan with no
-    samples."""
+    samples; a ``q`` outside [0, 100] raises ``ValueError``, as numpy's."""
+    if not 0 <= q <= 100:  # NaN too
+        raise ValueError("Percentiles must be in the range [0, 100]")
     xs = sorted(samples)
     n = len(xs)
     if not n:
@@ -172,7 +134,7 @@ def throughput_fps(recorder: TraceRecorder, warmup: float = 0.0) -> float:
     return len(output_times(recorder, warmup)) / duration
 
 
-def output_times(recorder: TraceRecorder, warmup: float = 0.0) -> List[float]:
+def output_times(recorder: TraceRecorder, warmup: float = 0.0) -> Sequence[float]:
     """Completion times of sink iterations (the output-frame instants)."""
     return sorted(t_end for t_end in recorder.sink_t_end if t_end >= warmup)
 

@@ -23,9 +23,9 @@ From the marking:
   memory usage". Not realizable (requires future knowledge); computed here
   from the trace.
 
-Every pass below is O(items + iterations) and reads only the recorder's
-reducer (no trace record is built, and no row), so it runs the same on
-a trace kept with or without rows: the per-channel breakdowns go
+Every pass below is O(items + iterations) and reads the recorder's
+columns (no trace record is built), so it needs a trace kept with its
+rows (``trace_rows=True``): the per-channel breakdowns go
 through the recorder's channel index instead of rescanning the item
 table per channel, the byte-second sums run over array copies of the
 columns, and the IGC end of each item was folded in while the run went.
@@ -53,6 +53,7 @@ class PostmortemAnalyzer:
     def __init__(self, recorder: TraceRecorder) -> None:
         if recorder.t_end is None:
             raise TraceError("finalize the recorder before analysis")
+        recorder.require_rows("PostmortemAnalyzer")
         self.recorder = recorder
         self.horizon = recorder.t_end
 

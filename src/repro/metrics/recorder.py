@@ -9,30 +9,38 @@ no per-event object behind for the interpreter's collector to walk, and
 each hook is O(1) in the trace it has kept. What it keeps comes in two
 layers.
 
-**The reducer** (``_REDUCER``), kept in every run, is what the
-postmortem reads — the paper's "statistics recorded during the run" —
-and nothing more. Per item row, in allocation order: its site, size,
-lineage parents, allocation and free time (``item_t_free`` is NaN until
-``on_free``) and its Ideal-GC end: ``item_igc`` flags whether the item
-was ever gotten (1) and whether an iteration consumed it (2), and
-``item_igc_end`` holds the end of the last consuming iteration, or the
-last get while none consumed it (−inf: neither), folded in by
-``on_get`` and ``on_iteration`` as they come. Per iteration row: its
-thread, compute seconds, sink flag and outputs (what waste attribution
-reads). Per sink iteration (``sink_*``): its iteration row, end time
-and inputs, in delivery order (what latency, throughput and jitter
-read).
+**The kept columns** (``_KEPT``), in every run, are what a multi-tenant
+run reads — per-sink latency samples and per-thread iteration counts —
+and what the hooks' own checks need, and nothing more. Per item row, in
+allocation order: its allocation time, a freed flag and its latency
+anchor, ``item_anchor``: the creation time of its oldest source
+ancestor, folded in by ``on_alloc`` as the minimum of its parents'
+anchors, or its own allocation time if no parent is in the table. A
+parent not yet allocated, or not yet anchored (a merge of worker traces,
+a reordered file; never a live run), leaves the row NaN and on a small
+pending list that :meth:`TraceRecorder.anchors` resolves when read. Per
+sink iteration (``sink_*``): its thread's name code, end time and
+inputs, in delivery order (what latency, throughput and jitter read).
+Per thread: its iteration count.
 
 **The rows** (``_ROWS``), kept with ``trace_rows=True`` (the default),
-complete each table to every argument the hooks received: ``item_ts``,
-the touch table (``touch_*``, gets and skips alike; ``touch_item`` is
-the touched item's *row*), the rest of each iteration (``iter_*``
-times, blocked, slept and inputs) and the STP samples (``stp_*``;
+are everything else the hooks received, and what the postmortem reads.
+Per item: its site, timestamp, size, lineage parents, free time
+(``item_t_free``, NaN until ``on_free``) and its Ideal-GC end:
+``item_igc`` flags whether the item was ever gotten (1) and whether an
+iteration consumed it (2), and ``item_igc_end`` holds the end of the
+last consuming iteration, or the last get while none consumed it (−inf:
+neither), folded in by ``on_get`` and ``on_iteration`` as they come.
+The touch table (``touch_*``, gets and skips alike; ``touch_item`` is
+the touched item's *row*), every iteration (``iter_*``: thread, times,
+compute, blocked, slept, sink flag, inputs and outputs; ``sink_iter``
+is each sink iteration's row) and the STP samples (``stp_*``;
 ``stp_none`` flags a ``None`` summary / target, so a recorded NaN stays
-a NaN). The views (``items``, ``iterations``, ``stp_samples``,
-``iterations_of`` ...), ``save_trace``, ``merge_traces``, the Gantt
-chart and ``control_series`` read them; with ``trace_rows=False`` they
-raise :class:`~repro.errors.TraceError` instead.
+a NaN). :class:`~repro.metrics.postmortem.PostmortemAnalyzer`, the views
+(``items``, ``iterations``, ``stp_samples``, ``iterations_of`` ...),
+``threads()`` / ``channels()``, ``save_trace``, ``merge_traces``, the
+Gantt chart and ``control_series`` read them; with ``trace_rows=False``
+they raise :class:`~repro.errors.TraceError` instead.
 
 Tuple arguments are stored flattened, the offset past each row's last
 entry in the ``*_end`` column (:func:`ragged` cuts a row out). Columns
@@ -40,13 +48,14 @@ are public for reading — by ``np.array(column)`` copies, never
 ``np.frombuffer``, which pins an array against the next append — and
 written only by the hooks.
 
-Each fact is stored once, no wider than it needs. Names are 4-byte
-codes into a name table the recorder owns (``item_site`` codes an item's
-``(channel, node, producer)``; ``touch_consumer``, ``iter_thread`` and
-``stp_thread`` a thread), found by one ``dict.get`` in the hook and read
-back only through the recorder's methods. Row numbers and ragged offsets
-are 4-byte too, so a table holds at most 2**31 - 1 rows; item ids stay
-8-byte (``proc`` workers start theirs at ``(k + 1) << 40``).
+Each fact is stored once in each layer, no wider than it needs. Names
+are 4-byte codes into a name table the recorder owns (``item_site``
+codes an item's ``(channel, node, producer)``; ``sink_thread``,
+``touch_consumer``, ``iter_thread`` and ``stp_thread`` a thread), found
+by one ``dict.get`` in the hook and read back only through the
+recorder's methods. Row numbers and ragged offsets are 4-byte too, so a
+table holds at most 2**31 - 1 rows; item ids stay 8-byte (``proc``
+workers start theirs at ``(k + 1) << 40``).
 
 No column holds item ids. Ids come from one counter, so the item table
 lists them in runs of consecutive ids on consecutive rows, and
@@ -86,22 +95,23 @@ _GOTTEN, _USED = 1, 2  # item_igc flags
 _NO_LIMIT = 1 << 64  # room of a tail run no later run bounds
 
 #: Column -> ``array`` typecode (``i``: a name code, row or offset).
-#: The reducer: kept in every run, read by the postmortem.
-_REDUCER = {
-    "item_site": "i", "item_size": "q", "item_parents": "q",
-    "item_parents_end": "i", "item_t_alloc": "d", "item_t_free": "d",
-    "item_igc_end": "d", "item_igc": "b",
-    "iter_thread": "i", "iter_compute": "d", "iter_sink": "b",
-    "iter_outputs": "q", "iter_outputs_end": "i",
-    "sink_iter": "i", "sink_t_end": "d", "sink_inputs": "q",
+#: Kept in every run: read by the latency and delivery analyses.
+_KEPT = {
+    "item_t_alloc": "d", "item_freed": "b", "item_anchor": "d",
+    "sink_thread": "i", "sink_t_end": "d", "sink_inputs": "q",
     "sink_inputs_end": "i",
 }
-#: The rows: kept with ``trace_rows=True``, read by the views.
+#: The rows: kept with ``trace_rows=True``, read by the postmortem and
+#: the views.
 _ROWS = {
-    "item_ts": "q",
+    "item_site": "i", "item_ts": "q", "item_size": "q", "item_parents": "q",
+    "item_parents_end": "i", "item_t_free": "d", "item_igc_end": "d",
+    "item_igc": "b",
     "touch_item": "i", "touch_conn": "q", "touch_consumer": "i", "touch_t": "d", "touch_skip": "b",
-    "iter_t_start": "d", "iter_t_end": "d", "iter_blocked": "d", "iter_slept": "d",
-    "iter_inputs": "q", "iter_inputs_end": "i",
+    "iter_thread": "i", "iter_t_start": "d", "iter_t_end": "d", "iter_compute": "d",
+    "iter_blocked": "d", "iter_slept": "d", "iter_sink": "b",
+    "iter_inputs": "q", "iter_inputs_end": "i", "iter_outputs": "q",
+    "iter_outputs_end": "i", "sink_iter": "i",
     "stp_thread": "i", "stp_t": "d", "stp_current": "d", "stp_summary": "d",
     "stp_target": "d", "stp_slept": "d", "stp_none": "b",
 }
@@ -195,16 +205,19 @@ class TraceRecorder:
     ``stp_samples`` / the ``*_of`` methods are read-only views that build
     :mod:`repro.metrics.events` records on access.
 
-    ``trace_rows=False`` keeps the reducer only: every analysis of
-    ``performance`` and ``postmortem`` still runs, bit for bit as with
-    rows, and the row readers raise :class:`~repro.errors.TraceError`."""
+    ``trace_rows=False`` keeps what latencies and delivery counts read
+    (17 B per item, plus the sink table): every analysis of
+    ``performance``, and :meth:`iteration_count`, still runs, bit for
+    bit as with rows, and every hook still refuses what it refuses with
+    rows; ``PostmortemAnalyzer`` and the row readers raise
+    :class:`~repro.errors.TraceError`."""
 
     def __init__(self, trace_rows: bool = True) -> None:
         self.trace_rows = trace_rows
         self.t_start: float = 0.0
         self.t_end: Optional[float] = None
         for name, typecode in (
-                {**_REDUCER, **_ROWS} if trace_rows else _REDUCER).items():
+                {**_KEPT, **_ROWS} if trace_rows else _KEPT).items():
             setattr(self, name, array(typecode))
         # Name table: code -> thread or site, and back. Code 0 is
         # no name's, so a hook looks one up as ``get(name) or _code(name)``.
@@ -217,14 +230,19 @@ class TraceRecorder:
             array("q"), array("q"), array("q"))
         self._run_rows_at, self._run_ids_at = array("q"), array("q")  # all, by row
         self._tail_first = self._tail_row = self._tail_len = self._tail_room = 0
-        # Input id -> latest end of an iteration that consumed it before
-        # it was allocated (a hand-written or reordered trace; a live run
-        # leaves this empty): on_alloc folds it into the item's IGC end.
-        self._early_uses: Dict[int, float] = {}
+        # Rows whose anchor waits for a parent (NaN in item_anchor), with
+        # their parents: anchors() resolves them. A live run leaves none.
+        self._pending_row, self._pending_parents, self._pending_parents_end = (
+            array("i"), array("q"), array("i"))
         self._iter_counters: Dict[str, int] = {}
-        self._by_thread = _RowIndex(self.iter_thread, self._names)
-        self._by_channel = _RowIndex(self.item_site, self._names, 0)
         if trace_rows:
+            # Input id -> latest end of an iteration that consumed it
+            # before it was allocated (a hand-written or reordered trace;
+            # a live run leaves this empty): on_alloc folds it into the
+            # item's IGC end.
+            self._early_uses: Dict[int, float] = {}
+            self._by_thread = _RowIndex(self.iter_thread, self._names)
+            self._by_channel = _RowIndex(self.item_site, self._names, 0)
             self._by_stp_thread = _RowIndex(self.stp_thread, self._names)
             self._touch_groups: Optional[tuple] = None
 
@@ -244,28 +262,51 @@ class TraceRecorder:
     def on_alloc(self, item_id: int, channel: str, node: str, ts: int,
                  size: int, producer: str, parents: Tuple[int, ...],
                  t: float) -> None:
+        anchor = t  # a source item's
+        if parents:
+            # The oldest anchor among the parents (row_of inlined for the
+            # tail run), found before this id joins a run: NaN if one is
+            # not allocated yet, or not anchored yet.
+            first, base, count = self._tail_first, self._tail_row, self._tail_len
+            anchors, best = self.item_anchor, None
+            for p in parents:
+                off = p - first
+                row = base + off if 0 <= off < count else self.row_of(p)
+                a = _NAN if row is None else anchors[row]
+                if a != a:
+                    best = a
+                    break
+                if best is None or a < best:
+                    best = a
+            anchor = best
         n = self._tail_len
         if item_id == self._tail_first + n and n < self._tail_room:
             self._tail_len = n + 1
         else:
             self._start_run(item_id)
-        site = (channel, node, producer)
-        self.item_site.append(self._codes.get(site) or self._code(site))
-        self.item_size.append(size)
-        flat = self.item_parents
-        if parents:
-            flat.extend(parents)
-        self.item_parents_end.append(len(flat))
+        if anchor != anchor:
+            self._pending_row.append(len(self.item_t_alloc))
+            self._pending_parents.extend(parents)
+            self._pending_parents_end.append(len(self._pending_parents))
         self.item_t_alloc.append(t)
-        self.item_t_free.append(_NAN)
-        if self._early_uses and item_id in self._early_uses:
-            self.item_igc_end.append(self._early_uses.pop(item_id))
-            self.item_igc.append(_USED)
-        else:
-            self.item_igc_end.append(_NO_USE)
-            self.item_igc.append(0)
+        self.item_freed.append(0)
+        self.item_anchor.append(anchor)
         if self.trace_rows:
+            site = (channel, node, producer)
+            self.item_site.append(self._codes.get(site) or self._code(site))
             self.item_ts.append(ts)
+            self.item_size.append(size)
+            flat = self.item_parents
+            if parents:
+                flat.extend(parents)
+            self.item_parents_end.append(len(flat))
+            self.item_t_free.append(_NAN)
+            if self._early_uses and item_id in self._early_uses:
+                self.item_igc_end.append(self._early_uses.pop(item_id))
+                self.item_igc.append(_USED)
+            else:
+                self.item_igc_end.append(_NO_USE)
+                self.item_igc.append(0)
 
     def _start_run(self, item_id: int) -> None:
         """Make ``item_id`` the first id of a new tail run, on the next row."""
@@ -330,11 +371,11 @@ class TraceRecorder:
                else self.row_of(item_id))
         if row is None:
             raise TraceError(f"unknown item {item_id}")
-        flags = self.item_igc[row]
-        if not flags & _USED and t > self.item_igc_end[row]:
-            self.item_igc_end[row] = t  # the last get, while nothing consumed it
-        self.item_igc[row] = flags | _GOTTEN
         if self.trace_rows:
+            flags = self.item_igc[row]
+            if not flags & _USED and t > self.item_igc_end[row]:
+                self.item_igc_end[row] = t  # the last get, while nothing consumed it
+            self.item_igc[row] = flags | _GOTTEN
             self.touch_item.append(row)
             self.touch_conn.append(conn_id)
             self.touch_consumer.append(self._codes.get(consumer) or self._code(consumer))
@@ -362,13 +403,14 @@ class TraceRecorder:
                else self.row_of(item_id))
         if row is None:
             raise TraceError(f"unknown item {item_id}")
-        t_free = self.item_t_free
-        was = t_free[row]
-        if was == was:  # not NaN: freed already
+        freed = self.item_freed
+        if freed[row]:
             raise TraceError(f"double free of item {item_id}")
         if t < self.item_t_alloc[row]:
             raise TraceError(f"free before alloc for item {item_id}")
-        t_free[row] = t
+        freed[row] = 1
+        if self.trace_rows:
+            self.item_t_free[row] = t
 
     # -- iterations ---------------------------------------------------------
     def on_iteration(self, thread: str, t_start: float, t_end: float,
@@ -377,13 +419,32 @@ class TraceRecorder:
                      is_sink: bool = False) -> None:
         counters = self._iter_counters
         counters[thread] = counters.get(thread, 0) + 1
+        if is_sink:
+            self.sink_thread.append(self._codes.get(thread) or self._code(thread))
+            self.sink_t_end.append(t_end)
+            flat = self.sink_inputs
+            if inputs:
+                flat.extend(inputs)
+            self.sink_inputs_end.append(len(flat))
+        if not self.trace_rows:
+            return
         self.iter_thread.append(self._codes.get(thread) or self._code(thread))
+        self.iter_t_start.append(t_start)
+        self.iter_t_end.append(t_end)
         self.iter_compute.append(compute)
+        self.iter_blocked.append(blocked)
+        self.iter_slept.append(slept)
+        self.iter_sink.append(is_sink)
+        flat = self.iter_inputs
+        if inputs:
+            flat.extend(inputs)
+        self.iter_inputs_end.append(len(flat))
         flat = self.iter_outputs
         if outputs:
             flat.extend(outputs)
         self.iter_outputs_end.append(len(flat))
-        self.iter_sink.append(is_sink)
+        if is_sink:
+            self.sink_iter.append(len(self.iter_thread) - 1)
         if inputs:
             # Each input's IGC end: the end of the last iteration that
             # consumed it (row_of inlined for the tail run).
@@ -401,22 +462,6 @@ class TraceRecorder:
                 else:
                     ends[row] = t_end
                     igc[row] |= _USED
-        if is_sink:
-            self.sink_iter.append(len(self.iter_thread) - 1)
-            self.sink_t_end.append(t_end)
-            flat = self.sink_inputs
-            if inputs:
-                flat.extend(inputs)
-            self.sink_inputs_end.append(len(flat))
-        if self.trace_rows:
-            self.iter_t_start.append(t_start)
-            self.iter_t_end.append(t_end)
-            self.iter_blocked.append(blocked)
-            self.iter_slept.append(slept)
-            flat = self.iter_inputs
-            if inputs:
-                flat.extend(inputs)
-            self.iter_inputs_end.append(len(flat))
 
     def on_stp(self, thread: str, t: float, current_stp: float,
                summary: Optional[float], throttle_target: Optional[float],
@@ -489,19 +534,64 @@ class TraceRecorder:
 
     def threads_of(self, rows) -> List[str]:
         """The thread of each iteration row in ``rows``."""
+        self.require_rows("threads_of")
         return [self._names[self.iter_thread[row]] for row in rows]
 
-    # -- row numbers ----------------------------------------------------------
+    def names_of(self, codes) -> List:
+        """The name each code in ``codes`` stands for (``sink_thread``'s)."""
+        return [self._names[code] for code in codes]
+
+    # -- what every run keeps ---------------------------------------------
     def iteration_count(self, thread: str) -> int:
         """Iterations ``thread`` has completed (O(1))."""
         return self._iter_counters.get(thread, 0)
 
+    def anchors(self) -> array:
+        """Per item row, the creation time of its oldest source ancestor:
+        ``item_anchor``, with the pending rows resolved — in a copy, as a
+        parent allocated later may still lower them. A parent in no table
+        anchors nothing; NaN marks a row left unresolved, which only a
+        lineage cycle does. Each pass resolves the rows whose parents
+        are resolved, so a reordered table takes one pass per level of
+        lineage it lists out of order."""
+        pending = self._pending_row
+        if not pending:
+            return self.item_anchor
+        anchors = array("d", self.item_anchor)
+        t_alloc, row_of = self.item_t_alloc, self.row_of
+        flat, ends = self._pending_parents, self._pending_parents_end
+        todo: Sequence[int] = range(len(pending))
+        while todo:
+            deferred: List[int] = []
+            for k in todo:
+                best = None
+                for p in ragged(flat, ends, k):
+                    p_row = row_of(p)
+                    if p_row is None:
+                        continue
+                    a = anchors[p_row]
+                    if a != a:  # NaN: not resolved yet
+                        deferred.append(k)
+                        break
+                    if best is None or a < best:
+                        best = a
+                else:
+                    row = pending[k]
+                    anchors[row] = best if best is not None else t_alloc[row]
+            if len(deferred) == len(todo):
+                break  # a lineage cycle: no trace has one; leave it unanchored
+            todo = deferred
+        return anchors
+
+    # -- row numbers ----------------------------------------------------------
     def sink_rows(self) -> Sequence:
         """Iteration row of each sink iteration, in completion order."""
+        self.require_rows("sink_rows")
         return self.sink_iter
 
     def channel_rows(self, channel: str) -> Sequence:
         """Row numbers of ``channel``'s items, in allocation order."""
+        self.require_rows("channel_rows")
         return self._by_channel.groups().get(channel, ())
 
     def stp_rows(self, thread: str) -> Sequence:
@@ -580,8 +670,10 @@ class TraceRecorder:
 
     def threads(self) -> List[str]:
         """Thread names in order of first recorded iteration."""
+        self.require_rows("threads")
         return list(self._by_thread.groups())
 
     def channels(self) -> List[str]:
         """Channel names in order of first allocation."""
+        self.require_rows("channels")
         return list(self._by_channel.groups())

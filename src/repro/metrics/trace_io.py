@@ -120,9 +120,10 @@ def rebase_trace(recorder: TraceRecorder, t_start: float = 0.0) -> TraceRecorder
         return recorder
     recorder.t_start += delta
     recorder.t_end += delta
-    names = ["item_t_alloc", "item_t_free", "item_igc_end", "sink_t_end"]
+    names = ["item_t_alloc", "item_anchor", "sink_t_end"]
     if recorder.trace_rows:
-        names += ["touch_t", "iter_t_start", "iter_t_end", "stp_t"]
+        names += ["item_t_free", "item_igc_end", "touch_t", "iter_t_start",
+                  "iter_t_end", "stp_t"]
     for name in names:
         column = getattr(recorder, name)
         column[:] = array("d", [t + delta for t in column])
@@ -159,6 +160,7 @@ def merge_traces(recorders) -> TraceRecorder:
                     f"duplicate item id {item_id} across worker traces")
             merged.on_alloc(*rec.alloc_args(row))
         merged.item_t_free[base:] = rec.item_t_free
+        merged.item_freed[base:] = rec.item_freed
         for k, skip in enumerate(rec.touch_skip):
             (merged.on_skip if skip else merged.on_get)(*rec.touch_args(k))
         counters: dict = {}

@@ -45,8 +45,9 @@ class RuntimeConfig:
     seed: int = 0
     #: Overrides graph placement: graph node name -> cluster node name.
     placement: Dict[str, str] = field(default_factory=dict)
-    #: Keep the trace's rows (touches, whole iterations, STP samples)
-    #: beside the reducer the postmortem reads; see
+    #: Keep the trace's rows (item sites, sizes, lineage and lifetimes,
+    #: touches, iterations, STP samples), which the postmortem reads,
+    #: beside the latency anchors and sink table every run keeps; see
     #: :class:`~repro.metrics.recorder.TraceRecorder`.
     trace_rows: bool = True
     #: Background-load bursts injected into the cluster (§1's "current

@@ -71,8 +71,10 @@ class TenancySpec:
     trace_rows:
         As in :class:`~repro.experiment.ExperimentSpec`, but off by
         default: a fleet's product is its tenant records
-        (:class:`TenantRecord`), which read the trace's reducer only, so
-        :attr:`TenancyResult.trace` keeps no rows unless this is True.
+        (:class:`TenantRecord`), which read only each item's latency
+        anchor, the sink table and the iteration counts, so
+        :attr:`TenancyResult.trace` keeps no rows unless this is True —
+        and a fleet's postmortem (``PostmortemAnalyzer``) needs them.
     faults:
         A tuple of :class:`~repro.faults.FaultSpec` (or a schedule);
         node crashes flow through the scheduler's evict/re-place path.
@@ -231,8 +233,9 @@ class TenancyResult:
     #: tenant name -> :class:`TenantRecord`, in spec order.
     records: Dict[str, TenantRecord]
     fairness: FairnessReport
-    #: The shared :class:`~repro.metrics.TraceRecorder`: its reducer
-    #: only, unless the spec set ``trace_rows=True``.
+    #: The shared :class:`~repro.metrics.TraceRecorder`: latency anchors,
+    #: sink table and iteration counts only, unless the spec set
+    #: ``trace_rows=True``.
     trace: Any
     stats: Dict[str, dict]
     telemetry: Any

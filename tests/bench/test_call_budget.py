@@ -21,7 +21,8 @@ bytes the post-run analysis allocates per event, again as the difference
 of two horizons. These are the deterministic companions of the
 benchmark's ``peak_rss_mb``: the trace is typed columns addressed by
 row, so an event adds rows to arrays and no object for the collector to
-walk, and the latency analysis adds one float per item.
+walk, and the latency analysis reads each item's anchor folded in at its
+allocation and adds typed arrays of samples, no object per item.
 """
 
 import gc
@@ -174,23 +175,28 @@ def test_python_calls_per_engine_event(recipe, short, long, budget):
 
 #: What one more engine event of the light fleet leaves behind. Measured
 #: 0.000 gc-tracked objects (one stray object in 4 200 events at most),
-#: 18.7 B of trace storage and a 2.09 B post-run analysis peak when set
-#: (a fleet keeps the trace's reducer only: no touch, whole-iteration or
-#: STP rows). With every row, as the fleet kept until then, 41.0 B and
-#: 2.86 B (names are 4-byte codes, no column holds item ids, row numbers
-#: and offsets are 4-byte; rows are found by arithmetic on runs of
-#: consecutive item ids, and latency anchors and success marks are
-#: row-aligned). Names as shared-string pointers with an item-id column
+#: 5.28 B of trace storage and a 1.40 B post-run analysis peak when set
+#: (a fleet keeps 17 B per item — allocation time, freed flag and the
+#: latency anchor folded in at allocation — and the sink table; the
+#: analysis allocates typed arrays of samples, no anchor pass). Keeping
+#: the postmortem's per-item and per-iteration columns as well measured
+#: 18.7 B and 2.09 B. With every row, as the fleet kept until then,
+#: 41.0 B and 2.86 B (names are 4-byte codes, no column holds item ids,
+#: row numbers and offsets are 4-byte; rows are found by arithmetic on
+#: runs of consecutive item ids, and latency anchors and success marks
+#: are row-aligned). Names as shared-string pointers with an item-id column
 #: and 8-byte rows measured 55.6 B and 3.58 B; the id -> row dict and the
 #: id -> anchor dict before them 83.1 B and 31.3 B; the recorder that
 #: kept a record object per interaction 1.40 objects and about 224 B.
 TRACKED_OBJECTS_BUDGET = 0.01
-TRACE_BYTES_BUDGET = 19.0
-ANALYSIS_BYTES_BUDGET = 3.0
-#: The same fleet with ``trace_rows=True``: the reducer and every row.
-#: Measured 44.3 B when set (41.0 B of rows and 3.3 B of reducer: each
-#: item's IGC end and flags, and the sink table).
-TRACE_ROWS_BYTES_BUDGET = 44.5
+TRACE_BYTES_BUDGET = 5.4
+ANALYSIS_BYTES_BUDGET = 1.5
+#: The same fleet with ``trace_rows=True``: every row, and what every run
+#: keeps. Measured 46.7 B when set (44.3 B before each item kept its
+#: latency anchor and freed flag, and each sink iteration its thread:
+#: 8 B of that anchor array the analysis no longer allocates after the
+#: run, so its peak is under the same budget as without rows).
+TRACE_ROWS_BYTES_BUDGET = 46.9
 
 
 def test_what_an_engine_event_leaves_behind():
@@ -214,12 +220,16 @@ def test_what_an_engine_event_leaves_behind_with_rows():
         f"{growth['trace_bytes_per_event']:.1f} B of trace storage per "
         f"engine event with rows, budget {TRACE_ROWS_BYTES_BUDGET}")
     assert growth["trace_bytes_by_table"]["touches"] > 0
+    assert growth["analysis_bytes_per_event"] <= ANALYSIS_BYTES_BUDGET, (
+        f"{growth['analysis_bytes_per_event']:.2f} B of post-run analysis "
+        f"peak per engine event with rows, budget {ANALYSIS_BYTES_BUDGET}")
 
 
 def test_the_recorder_keeps_no_map_that_grows_with_its_items():
     sizes = []
     for horizon in (5.0, 10.0):
         trace = light_fleet(horizon).trace
+        assert not trace._pending_row  # every anchor was folded at its alloc
         maps = [value for value in vars(trace).values()
                 if isinstance(value, dict)]
         maps += [index._groups for index in vars(trace).values()

@@ -5,13 +5,16 @@ were public in ``repro.metrics`` until then, and had no caller left in
 ``IterationTrace`` records through the recorder's reading API, so it
 runs on the ``object_recorder.ObjectRecorder`` oracle and, through the
 materialising views, on the column recorder with rows too. The versions
-in ``src/`` read the recorder's reducer and must agree with these bit
+in ``src/`` read the recorder's columns and must agree with these bit
 for bit.
 
 :func:`column_last_use_end` and :func:`column_ideal_footprint` are the
 IGC passes ``PostmortemAnalyzer`` ran over the touch and iteration
 columns after the run, before the recorder folded each item's IGC end
-in while it ran; they need a trace kept with rows.
+in while it ran; :func:`column_oldest_source_anchor` is the latency
+anchor pass ``sink_latencies`` ran over the lineage columns after the
+run, before the recorder folded each item's anchor in at its
+allocation. They need a trace kept with rows.
 """
 
 from __future__ import annotations
@@ -490,6 +493,45 @@ def column_last_use_end(recorder) -> array:
                     out[at] = t_end
             lo = hi
     return out
+
+
+def column_oldest_source_anchor(recorder) -> array:
+    """Per item row, the creation time of its *oldest* source ancestor.
+
+    A *source* item has no lineage parents (it was produced by a source
+    thread from outside data — e.g. a camera frame). Lineage follows time,
+    so in a live recorder the item table (allocation order) already lists
+    every parent before its children and one forward pass resolves all
+    anchors; items whose parents appear later (possible in reloaded
+    traces with reordered tables) wait for the next pass. A parent that
+    is in no table anchors nothing. NaN marks a row left unresolved,
+    which only a lineage cycle does.
+    """
+    t_alloc = recorder.item_t_alloc
+    flat, ends = recorder.item_parents, recorder.item_parents_end
+    row_of = recorder.row_of
+    anchors = array("d", [np.nan]) * len(t_alloc)
+    pending = range(len(t_alloc))
+    while pending:
+        deferred: List[int] = []
+        for row in pending:
+            best = None
+            for p in flat[ends[row - 1] if row else 0:ends[row]]:
+                p_row = row_of(p)
+                if p_row is None:
+                    continue
+                a = anchors[p_row]
+                if a != a:  # NaN: not resolved yet
+                    deferred.append(row)
+                    break
+                if best is None or a < best:
+                    best = a
+            else:
+                anchors[row] = best if best is not None else t_alloc[row]
+        if len(deferred) == len(pending):
+            break  # a lineage cycle: leave it unanchored
+        pending = deferred
+    return anchors
 
 
 def column_ideal_footprint(recorder, success_mask: np.ndarray,

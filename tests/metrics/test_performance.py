@@ -44,7 +44,7 @@ def make_rec():
 
 class TestLatency:
     def test_samples_anchor_on_source_creation(self):
-        samples = latency_samples(make_rec())
+        samples = list(latency_samples(make_rec()))
         assert samples == [pytest.approx(2.0), pytest.approx(1.5), pytest.approx(0.6)]
 
     def test_stats(self):
@@ -74,7 +74,7 @@ class TestLatency:
         rec.on_iteration("gui", 6.5, 7.0, 0.1, 0, 0, (3,), (), is_sink=True)
         rec.finalize(10.0)
         # anchor is the OLDEST source ancestor: the full pipeline trip
-        assert latency_samples(rec) == [pytest.approx(7.0)]
+        assert list(latency_samples(rec)) == [pytest.approx(7.0)]
 
 
 class TestThroughput:
@@ -148,8 +148,8 @@ class TestLatencyByThread:
         rec.finalize(5.0)
         grouped = latency_samples_by_thread(rec)
         assert set(grouped) == {"a/gui", "b/gui"}
-        assert grouped["a/gui"] == [pytest.approx(2.0)]
-        assert grouped["b/gui"] == [pytest.approx(0.5)]
+        assert list(grouped["a/gui"]) == [pytest.approx(2.0)]
+        assert list(grouped["b/gui"]) == [pytest.approx(0.5)]
 
     def test_warmup_filters_early_deliveries(self):
         from repro.metrics.performance import latency_samples_by_thread

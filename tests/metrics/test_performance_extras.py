@@ -108,3 +108,16 @@ class TestPercentileWithoutNumpy:
 
     def test_empty_is_nan(self):
         assert math.isnan(percentile([], 50))
+
+    @pytest.mark.parametrize("q", [-50, -1e-9, 100.5, 1e9, float("nan")])
+    def test_a_q_outside_0_to_100_raises_as_numpy_does(self, q):
+        # Linear interpolation past either end would return a value
+        # outside the samples' range: 5.5 for q = -50 here.
+        with pytest.raises(ValueError, match=r"range \[0, 100\]"):
+            np.percentile([1, 2, 3, 4], q)
+        with pytest.raises(ValueError, match=r"range \[0, 100\]"):
+            percentile([1, 2, 3, 4], q)
+        with pytest.raises(ValueError, match=r"range \[0, 100\]"):
+            percentile([], q)
+        with pytest.raises(ValueError, match=r"range \[0, 100\]"):
+            latency_percentiles(make_rec(), percentiles=(50.0, q))

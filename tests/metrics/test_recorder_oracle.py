@@ -5,28 +5,36 @@ A hypothesis state machine feeds one hook sequence — including the four
 misuses the recorder rejects — to ``object_recorder.ObjectRecorder`` (the
 recorder that kept one record object per interaction, kept in this
 directory as the oracle) and to ``repro.metrics.TraceRecorder`` twice:
-with its rows (``trace_rows=True``) and with its reducer only
-(``trace_rows=False``). It reads every view in the middle of the
-sequence and requires: the same exception type and message from all
-three, the same records out of every view of the recorder with rows
-(and a ``TraceError`` from every view of the one without), the same
-serialized trace, and the same postmortem and performance results — the
+with its rows (``trace_rows=True``) and without (``trace_rows=False``).
+It reads every view in the middle of the sequence and requires: the
+same exception type and message from all three, the same records out of
+every view of the recorder with rows (and a ``TraceError`` from every
+row reader of the one without), the same latency anchors in both modes
+as the oracle's, the same serialized trace, and the same results — the
 record-walking analyses of ``record_analyses.py`` on the oracle, the
-reducer-reading ones of ``src/`` on both modes, bit for bit. The same
-analyses must agree again on ``load_trace`` and ``merge_traces`` output
-of the sequence, where lineage is out of allocation order, and on a
-reducer-only replay of each.
+column-reading ones of ``src/`` bit for bit: the postmortem on the
+recorder with rows, the latency family on both modes. The same analyses
+must agree again on ``load_trace`` and ``merge_traces`` output of the
+sequence, where lineage is out of allocation order, and on a replay of
+each without rows.
 """
 
 import json
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 from object_recorder import ObjectRecorder, records_to_dict
-from record_analyses import RecordPostmortem, column_ideal_footprint, column_last_use_end
+from record_analyses import (
+    RecordPostmortem,
+    _oldest_source_anchor,
+    column_ideal_footprint,
+    column_last_use_end,
+    column_oldest_source_anchor,
+)
 from record_analyses import jitter as record_jitter
 from record_analyses import latency_samples as record_latency_samples
 from record_analyses import (
@@ -60,7 +68,10 @@ ROW_VIEWS = (
     lambda rec: rec.items, lambda rec: rec.iterations,
     lambda rec: rec.stp_samples, lambda rec: rec.sink_iterations(),
     lambda rec: rec.iterations_of("a"), lambda rec: rec.items_of_channel("a"),
-    lambda rec: rec.stp_rows("a"), trace_to_dict,
+    lambda rec: rec.stp_rows("a"), lambda rec: rec.threads(),
+    lambda rec: rec.channels(), lambda rec: rec.sink_rows(),
+    lambda rec: rec.channel_rows("a"), lambda rec: rec.threads_of([]),
+    trace_to_dict,
 )
 
 
@@ -73,10 +84,8 @@ def timeline_bytes(timeline):
     return timeline.times.tobytes(), timeline.values.tobytes()
 
 
-def analyses(pm, recorder, channels, warmup, fns):
-    """Every postmortem and performance result of one trace; ``fns``
-    are the latency, by-thread, fps, output-times and jitter functions."""
-    latency, by_thread, fps, outputs, jitter_of = fns
+def postmortem(pm, channels):
+    """Every postmortem result of one trace."""
     return {
         "delivered": pm.delivered_ids,
         "successful": pm.successful_ids,
@@ -90,8 +99,18 @@ def analyses(pm, recorder, channels, warmup, fns):
         "igc": timeline_bytes(pm.ideal_footprint()),
         "thread_waste": pm.thread_waste_report(),
         "channel_report": pm.channel_report(),
-        "latency": latency(recorder, warmup),
-        "by_thread": by_thread(recorder, warmup),
+    }
+
+
+def performance(recorder, warmup, fns):
+    """Every performance result of one trace; ``fns`` are the latency,
+    by-thread, fps, output-times and jitter functions. Samples are
+    compared as lists: ``src/`` returns ``array``\\ s."""
+    latency, by_thread, fps, outputs, jitter_of = fns
+    return {
+        "latency": list(latency(recorder, warmup)),
+        "by_thread": {thread: list(samples) for thread, samples
+                      in by_thread(recorder, warmup).items()},
         "fps": fps(recorder, warmup),
         "outputs": outputs(recorder, warmup),
         "jitter": repr(jitter_of(recorder, warmup)),
@@ -104,7 +123,17 @@ THEIRS = (record_latency_samples, record_latency_samples_by_thread,
           record_throughput_fps, record_output_times, record_jitter)
 
 
-def reducer_twin(rec):
+def anchors_agree(rec, oracle):
+    """``rec``'s latency anchors, resolved, are the record oracle's item
+    by item (NaN for an item the oracle anchors to nothing)."""
+    by_id = _oldest_source_anchor(oracle)
+    anchors = rec.anchors()
+    assert repr([anchors[rec.row_of(item_id)] for item_id in oracle.items]) == repr(
+        [float("nan") if by_id[item_id] is None else by_id[item_id]
+         for item_id in oracle.items])
+
+
+def twin_without_rows(rec):
     """A recorder without rows, fed ``rec``'s rows in ``rec``'s row order."""
     twin = TraceRecorder(trace_rows=False)
     twin.t_start = rec.t_start
@@ -122,15 +151,19 @@ def reducer_twin(rec):
 
 
 def check_both_modes(rec, warmup):
-    """``rec`` (kept with rows) and its reducer-only twin analyse alike,
-    and as the record-walking oracles do on ``rec``'s views."""
+    """``rec`` (kept with rows) analyses as the record-walking oracles do
+    on ``rec``'s views, and its twin without rows keeps the same anchors
+    and latencies."""
     channels = rec.channels()
-    expected = analyses(RecordPostmortem(rec), rec, channels, warmup, THEIRS)
-    assert analyses(PostmortemAnalyzer(rec), rec, channels, warmup,
-                    MINE) == expected
-    twin = reducer_twin(rec)
-    assert analyses(PostmortemAnalyzer(twin), twin, channels, warmup,
-                    MINE) == expected
+    assert postmortem(PostmortemAnalyzer(rec), channels) == postmortem(
+        RecordPostmortem(rec), channels)
+    expected = performance(rec, warmup, THEIRS)
+    assert repr(rec.anchors()) == repr(column_oldest_source_anchor(rec))
+    twin = twin_without_rows(rec)
+    for mine in (rec, twin):
+        assert performance(mine, warmup, MINE) == expected
+        anchors_agree(mine, rec)
+    assert repr(twin.item_anchor) == repr(rec.item_anchor)
     check_stp_index(rec)
 
 
@@ -220,10 +253,16 @@ class RecorderMachine(RuleBasedStateMachine):
         assert canon(col.iterations) == canon(obj.iterations)
         assert canon(col.stp_samples) == canon(obj.stp_samples)
         assert canon(col.sink_iterations()) == canon(obj.sink_iterations())
+        assert col.threads() == obj.threads()
+        assert col.channels() == obj.channels()
+        assert len(col.sink_rows()) == len(obj.sink_iterations())
+        # Both modes fold the same anchors, leave the same rows pending,
+        # and resolve them to the oracle's.
+        assert repr(lean.item_anchor) == repr(col.item_anchor)
+        assert lean._pending_row == col._pending_row
         for rec in (col, lean):
-            assert rec.threads() == obj.threads()
-            assert rec.channels() == obj.channels()
-            assert len(rec.sink_rows()) == len(obj.sink_iterations())
+            anchors_agree(rec, obj)
+            assert len(rec.sink_t_end) == len(obj.sink_iterations())
         for thread in [*obj.threads(), "nobody"]:
             assert canon(col.iterations_of(thread)) == canon(
                 obj.iterations_of(thread))
@@ -256,12 +295,15 @@ class RecorderMachine(RuleBasedStateMachine):
             json.loads(saved))))
         channels = obj.channels()
         oracle = RecordPostmortem(obj)
-        expected = analyses(oracle, obj, channels, warmup, THEIRS)
+        expected = postmortem(oracle, channels)
+        assert postmortem(PostmortemAnalyzer(col), channels) == expected
+        assert postmortem(RecordPostmortem(col), channels) == expected
+        expected_performance = performance(obj, warmup, THEIRS)
         for rec in (col, lean):
-            assert analyses(PostmortemAnalyzer(rec), rec, channels, warmup,
-                            MINE) == expected
-        assert analyses(RecordPostmortem(col), col, channels, warmup,
-                        THEIRS) == expected
+            assert performance(rec, warmup, MINE) == expected_performance
+        assert performance(col, warmup, THEIRS) == expected_performance
+        with pytest.raises(TraceError, match="trace_rows"):
+            PostmortemAnalyzer(lean)
         # The post-run IGC passes the recorder's fold replaced.
         assert column_last_use_end(col) == oracle._last_use_end
         assert timeline_bytes(column_ideal_footprint(
@@ -282,33 +324,59 @@ TestRecorderAgainstOracle.settings = settings(
 
 
 def test_analyses_of_an_empty_trace_agree_in_both_modes():
+    rec = TraceRecorder(trace_rows=True)
+    rec.finalize(5.0)
+    pm = PostmortemAnalyzer(rec)
+    assert pm.wasted_memory_fraction == pm.wasted_computation_fraction == 0.0
+    assert np.array_equal(pm.ideal_footprint().values, [0.0])
     for trace_rows in (True, False):
         rec = TraceRecorder(trace_rows=trace_rows)
         rec.finalize(5.0)
-        pm = PostmortemAnalyzer(rec)
-        assert pm.wasted_memory_fraction == pm.wasted_computation_fraction == 0.0
-        assert np.array_equal(pm.ideal_footprint().values, [0.0])
-        assert latency_samples(rec) == [] and throughput_fps(rec) == 0.0
+        assert list(latency_samples(rec)) == [] and throughput_fps(rec) == 0.0
+
+
+def test_the_postmortem_of_a_trace_without_rows_names_trace_rows():
+    rec = TraceRecorder(trace_rows=False)
+    rec.on_alloc(1, "c", "n0", 0, 10, "p", (), 0.0)
+    rec.on_iteration("a", 0.5, 1.0, 0.5, 0.0, 0.0, (1,), (), True)
+    rec.finalize(2.0)
+    with pytest.raises(TraceError, match=r"PostmortemAnalyzer .*trace_rows=True"):
+        PostmortemAnalyzer(rec)
+    assert list(latency_samples(rec)) == [1.0]
 
 
 def test_the_igc_end_is_the_last_use_whatever_the_hook_order():
     # A get after the consuming iteration ended (another consumer's) does
     # not extend the IGC end, and an iteration that consumed an item
     # before it was allocated still counts.
-    def hooks(rec):
-        rec.on_alloc(1, "c", "n0", 0, 10, "p", (), 0.0)
-        rec.on_get(1, 1, "a", 1.0)
-        rec.on_iteration("a", 0.5, 3.0, 1.0, 0.0, 0.0, (1, 2), (), True)
-        rec.on_get(1, 2, "b", 5.0)
-        rec.on_alloc(2, "c", "n0", 1, 10, "p", (), 2.0)
-        rec.on_get(2, 1, "a", 2.5)
-        rec.finalize(8.0)
-        return rec
-
-    rows = hooks(TraceRecorder(trace_rows=True))
+    rec = TraceRecorder(trace_rows=True)
+    rec.on_alloc(1, "c", "n0", 0, 10, "p", (), 0.0)
+    rec.on_get(1, 1, "a", 1.0)
+    rec.on_iteration("a", 0.5, 3.0, 1.0, 0.0, 0.0, (1, 2), (), True)
+    rec.on_get(1, 2, "b", 5.0)
+    rec.on_alloc(2, "c", "n0", 1, 10, "p", (), 2.0)
+    rec.on_get(2, 1, "a", 2.5)
+    rec.finalize(8.0)
     expected = timeline_bytes(column_ideal_footprint(
-        rows, PostmortemAnalyzer(rows)._success_mask, 8.0))
-    assert timeline_bytes(RecordPostmortem(rows).ideal_footprint()) == expected
-    for rec in (rows, hooks(TraceRecorder(trace_rows=False))):
-        assert list(rec.item_igc_end) == [3.0, 3.0]
-        assert timeline_bytes(PostmortemAnalyzer(rec).ideal_footprint()) == expected
+        rec, PostmortemAnalyzer(rec)._success_mask, 8.0))
+    assert timeline_bytes(RecordPostmortem(rec).ideal_footprint()) == expected
+    assert list(rec.item_igc_end) == [3.0, 3.0]
+    assert timeline_bytes(PostmortemAnalyzer(rec).ideal_footprint()) == expected
+
+
+def test_an_anchor_waits_for_a_parent_allocated_later():
+    # A child allocated before its parent, and a grandchild of that
+    # child, stay pending until read: then they take the parent's
+    # anchor, as the post-run pass over the lineage columns did.
+    for trace_rows in (True, False):
+        rec = TraceRecorder(trace_rows=trace_rows)
+        rec.on_alloc(5, "c", "n0", 0, 10, "p", (3,), 2.0)
+        rec.on_alloc(6, "c", "n0", 0, 10, "p", (5, 9), 3.0)
+        assert repr(rec.item_anchor) == "array('d', [nan, nan])"
+        # 3 and 9 are in no table yet: 5 anchors itself, 6 on 5.
+        assert list(rec.anchors()) == [2.0, 2.0]
+        rec.on_alloc(3, "c", "n0", 0, 10, "p", (), 1.0)
+        rec.on_alloc(7, "c", "n0", 0, 10, "p", (3,), 4.0)  # resolved now
+        assert list(rec._pending_row) == [0, 1]
+        assert list(rec.anchors()) == [1.0, 1.0, 1.0, 1.0]
+        assert repr(rec.item_anchor) == "array('d', [nan, nan, 1.0, 1.0])"

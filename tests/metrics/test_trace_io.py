@@ -55,26 +55,36 @@ def run_pipeline(trace_rows=True):
                                     trace_rows=trace_rows)).run(until=20.0)
 
 
-def test_rebase_moves_the_reducer_alike_in_both_modes():
-    # A trace without rows rebases its reducer's times as one with rows
-    # does, and reads the same metrics after.
+def test_rebase_moves_what_every_run_keeps_alike_in_both_modes():
+    # A trace without rows rebases its allocation times, latency anchors
+    # and sink table as one with rows does, and reads the same latencies
+    # after; the one with rows rebases its postmortem too.
+    from record_analyses import column_oldest_source_anchor
+
     from repro.metrics import rebase_trace
     from repro.metrics.performance import sink_latencies
 
-    def metrics(trace):
+    def kept(trace):
+        return (list(trace.item_t_alloc), list(trace.anchors()),
+                sink_latencies(trace, 105.0), list(trace.sink_t_end))
+
+    def postmortem(trace):
         pm = PostmortemAnalyzer(trace)
         return (pm.footprint().times.tobytes(),
                 pm.ideal_footprint().times.tobytes(),
-                pm.wasted_memory_fraction, sink_latencies(trace, 105.0),
-                list(trace.sink_t_end))
+                pm.wasted_memory_fraction)
 
     rows, lean = run_pipeline(), run_pipeline(trace_rows=False)
-    assert metrics(rows) == metrics(lean)
+    assert kept(rows) == kept(lean)
     rebased = [rebase_trace(trace, 100.0) for trace in (rows, lean)]
-    assert metrics(rebased[0]) == metrics(rebased[1])
-    assert metrics(rebased[0]) != metrics(run_pipeline())
-    with pytest.raises(TraceError, match="trace_rows=False"):
-        trace_to_dict(lean)
+    assert kept(rebased[0]) == kept(rebased[1])
+    assert kept(rebased[0]) != kept(run_pipeline())
+    assert postmortem(rebased[0]) != postmortem(run_pipeline())
+    assert list(rebased[0].anchors()) == list(
+        column_oldest_source_anchor(rebased[0]))
+    for reader in (trace_to_dict, PostmortemAnalyzer):
+        with pytest.raises(TraceError, match="trace_rows=False"):
+            reader(lean)
 
 
 class TestRoundTrip:

@@ -389,6 +389,47 @@ class TestRemotePlacement:
         assert item.freed
         assert len(buffer) == 0
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "Process.kill cancels an in-flight resume but not a Timeout firing "
+        "in the same cohort: the killed thread runs one more step "
+        "(ROADMAP item 3's corpus)."))
+    def test_a_thread_killed_as_its_own_wait_fires_runs_no_further(self):
+        # The kill is scheduled first in the cohort at 1.5 s, the
+        # source's sleep second (it was scheduled at 1.3 s). Killed at
+        # that instant, the source must close no iteration there and put
+        # nothing after it.
+        def src(ctx):
+            ts = 0
+            while True:
+                yield Put("c", ts=ts, size=10)
+                ts += 1
+                yield Sleep(0.3)
+                yield Sleep(0.2)
+                yield PeriodicitySync()
+
+        def dst(ctx):
+            while True:
+                yield Get("c")
+                yield Compute(0.01)
+                yield PeriodicitySync()
+
+        g = TaskGraph()
+        g.add_thread("src", src)
+        g.add_thread("dst", dst, sink=True)
+        g.add_channel("c")
+        g.connect("src", "c").connect("c", "dst")
+        rt = Runtime(g, RuntimeConfig(cluster=quiet_cluster()))
+
+        def killer():
+            yield rt.engine.timeout(1.5)
+            rt.kill_thread("src", "crash")
+
+        rt.engine.process(killer())
+        trace = rt.run(until=3.0)
+        assert not rt.thread_alive("src")
+        assert [it.t_end for it in trace.iterations_of("src")] == [0.5, 1.0]
+        assert [item.ts for item in trace.items.values()] == [0, 1, 2]
+
     def test_channel_default_colocation_with_producer(self):
         def src(ctx):
             yield Put("c", ts=0, size=1)

@@ -10,6 +10,7 @@ from repro.apps.workloads import make_sink, make_source
 from repro.aru.operators import resolve as resolve_operator
 from repro.cluster.spec import uniform_spec
 from repro.errors import ConfigError, TraceError
+from repro.metrics import PostmortemAnalyzer
 from repro.metrics.performance import latency_samples_by_thread
 from repro.runtime.graph import TaskGraph
 from repro.sim.engine import paused_collector
@@ -23,6 +24,7 @@ from repro.tenancy import (
     run_tenants,
     scaled_tracker_config,
 )
+from repro.tenancy.arbiter import ArbiterConfig
 from repro.tenancy.tenant import RUNNING, ResourceDemand, Tenant
 
 CHEAP = scaled_tracker_config(0.1, frame_period=0.2, cv=0.0)
@@ -474,25 +476,53 @@ class TestDeterminism:
         assert a.stats["engine"]["events_processed"] == \
             b.stats["engine"]["events_processed"]
 
+    @staticmethod
+    def _records_agree_with_and_without_rows(spec):
+        # A fleet keeps no rows by default; every tenant record reads
+        # what every trace keeps, so keeping the rows changes nothing.
+        lean, rows = run_tenants(spec), run_tenants(spec.with_(trace_rows=True))
+        assert not lean.trace.trace_rows and rows.trace.trace_rows
+        assert [repr(r) for r in lean.records.values()] == [
+            repr(r) for r in rows.records.values()]
+        assert repr(lean.fairness.jain) == repr(rows.fairness.jain)
+        assert latency_samples_by_thread(lean.trace) == \
+            latency_samples_by_thread(rows.trace)
+        # Every anchor was folded when its item was allocated.
+        assert not lean.trace._pending_row and not rows.trace._pending_row
+        return lean
+
     def test_records_are_the_same_with_and_without_the_traces_rows(self):
-        # A fleet keeps the trace's reducer only by default; every
-        # tenant record reads it, so keeping the rows changes nothing.
         spec = TenancySpec(
             tenants=(*_fleet(2), TenantSpec("late", app_config=CHEAP,
                                             policy="aru-max", arrival=1.0)),
             cluster=4, horizon=4.0, seed=5)
-        lean, rows = run_tenants(spec), run_tenants(spec.with_(trace_rows=True))
-        assert not lean.trace.trace_rows and rows.trace.trace_rows
-        assert [repr((r.latency_p50, r.latency_p95, r.deliveries, r.goodput))
-                for r in lean.records.values()] == [
-            repr((r.latency_p50, r.latency_p95, r.deliveries, r.goodput))
-            for r in rows.records.values()]
-        assert repr(lean.fairness.jain) == repr(rows.fairness.jain)
+        lean = self._records_agree_with_and_without_rows(spec)
         assert lean.records["late"].deliveries > 0
-        assert latency_samples_by_thread(lean.trace) == \
-            latency_samples_by_thread(rows.trace)
         with pytest.raises(TraceError, match="trace_rows=False"):
             lean.trace.iterations_of("late/gui")
+
+    def test_a_churned_fleet_with_revocations_is_the_same_without_rows(self):
+        heavy = scaled_tracker_config(0.15, frame_period=0.2, cv=0.0)
+        light = scaled_tracker_config(0.05, frame_period=0.2, cv=0.0)
+        fleet = tuple(
+            TenantSpec(f"t{i}", app_config=heavy if i % 2 == 0 else light,
+                       weight=float(1 + i % 3),
+                       demand=ResourceDemand(cpu=1.0 if i % 2 == 0 else 0.75,
+                                             bandwidth_bps=100))
+            for i in range(10))
+        spec = TenancySpec(
+            tenants=churn(fleet, rate=4.0, mean_lifetime=3.0, seed=2),
+            cluster=uniform_spec(3, ncpus=4),
+            arbiter=ArbiterConfig(policy="proportional", interval=1.0,
+                                  patience=1.0, min_residency=1.0,
+                                  max_revocations=4),
+            seed=2, horizon=8.0)
+        lean = self._records_agree_with_and_without_rows(spec)
+        records = lean.records.values()
+        assert sum(r.revocations for r in records) > 0
+        assert "departed" in {r.state for r in records}
+        with pytest.raises(TraceError, match="trace_rows=False"):
+            PostmortemAnalyzer(lean.trace)
 
     def test_poisson_arrivals_deterministic(self):
         base = _fleet(5)

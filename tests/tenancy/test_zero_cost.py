@@ -1,7 +1,9 @@
 """The zero-cost-abstraction contract: one static tenant through the
 scheduler is indistinguishable from the same app through
 ``run_experiment`` — identical metrics fingerprint, identical engine
-event count. Multi-tenancy must cost nothing when unused."""
+event count. Multi-tenancy must cost nothing when unused. The tenancy
+side keeps its trace's rows (``trace_rows=True``), as the postmortem
+behind the fingerprint reads them."""
 
 from types import SimpleNamespace
 
@@ -28,7 +30,7 @@ def pair():
     tenancy = run_tenants(TenancySpec(
         tenants=(TenantSpec("solo", namespace="", seed=SEED,
                             policy="aru-max"),),
-        cluster=cluster, seed=SEED, horizon=HORIZON,
+        cluster=cluster, seed=SEED, horizon=HORIZON, trace_rows=True,
     ))
     classic = run_experiment(ExperimentSpec(
         config=cluster, seed=SEED, policy="aru-max", horizon=HORIZON,
@@ -62,6 +64,6 @@ def test_fingerprint_differs_without_contract(pair):
     other = run_tenants(TenancySpec(
         tenants=(TenantSpec("solo", namespace="", seed=SEED + 1,
                             policy="aru-max"),),
-        cluster=uniform_spec(4), seed=SEED, horizon=HORIZON,
+        cluster=uniform_spec(4), seed=SEED, horizon=HORIZON, trace_rows=True,
     ))
     assert _fingerprint(other.trace) != _fingerprint(tenancy.trace)
