@@ -245,7 +245,7 @@ def _accept_all(server: socket.socket, workers: List[_Worker],
 def run_distributed(spec) -> "object":
     """Run a spec across one worker process per cluster node."""
     from repro.experiment import RunResult
-    from repro.metrics.trace_io import merge_traces, trace_from_dict
+    from repro.metrics.trace_io import merge_traces
 
     opts = _validate(spec)
     step_timeout = float(opts.get("step_timeout", STEP_TIMEOUT))
@@ -329,7 +329,7 @@ def run_distributed(spec) -> "object":
     finally:
         server.close()
 
-    trace = merge_traces([trace_from_dict(r["trace"]) for r in reports])
+    trace = merge_traces([r["trace"] for r in reports])
     stats = merge_stats([r["stats"] for r in reports])
     telemetry = merged_telemetry(spec.telemetry,
                                  [r["telemetry"] for r in reports])

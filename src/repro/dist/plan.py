@@ -36,14 +36,6 @@ class DistPlan:
     def buffers_on(self, node: str) -> Tuple[str, ...]:
         return tuple(b for b, n in self.buffer_nodes.items() if n == node)
 
-    @property
-    def cross_node_buffers(self) -> Tuple[str, ...]:
-        """Buffers with at least one producer or consumer off-node."""
-        return tuple(sorted(self._cross))
-
-    # populated by build_plan (object.__setattr__ on the frozen instance)
-    _cross: frozenset = frozenset()
-
 
 def build_plan(graph, cluster, placement: Mapping[str, str]) -> DistPlan:
     """Partition ``graph`` over ``cluster`` exactly as the DES would."""
@@ -66,25 +58,15 @@ def build_plan(graph, cluster, placement: Mapping[str, str]) -> DistPlan:
         t: resolve(t, node_names[0]) for t in graph.threads()
     }
     buffer_nodes = {}
-    cross = set()
     for buf in graph.buffers():
         producers = graph.producers_of(buf)
         fallback = thread_nodes[producers[0]] if producers else node_names[0]
-        host = resolve(buf, fallback)
-        buffer_nodes[buf] = host
-        for t in producers:
-            if thread_nodes[t] != host:
-                cross.add(buf)
-        for t in graph.consumers_of(buf):
-            if thread_nodes[t] != host:
-                cross.add(buf)
+        buffer_nodes[buf] = resolve(buf, fallback)
 
     used = set(thread_nodes.values()) | set(buffer_nodes.values())
     nodes = tuple(n for n in node_names if n in used)
-    plan = DistPlan(
+    return DistPlan(
         thread_nodes=thread_nodes,
         buffer_nodes=buffer_nodes,
         nodes=nodes,
     )
-    object.__setattr__(plan, "_cross", frozenset(cross))
-    return plan

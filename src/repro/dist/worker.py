@@ -15,8 +15,10 @@ session protocol:
    remote-channel proxies connect →
 4. ``START`` (shared clock epoch ``t0``) — the epoch clock rebases, the
    task threads start →
-5. ``STOP`` → wind down, join, then ``STATS`` (trace dict + DES-shaped
-   stats + the worker hub's snapshot when telemetry is on) and exit.
+5. ``STOP`` → wind down, join, then ``STATS`` (the finalized
+   :class:`~repro.metrics.recorder.TraceRecorder`, which pickles as its
+   row columns and name table, + DES-shaped stats + the worker hub's
+   snapshot when telemetry is on) and exit.
 
 Any exception is reported as an ``ERROR`` frame (full traceback) before
 the process dies, so the launcher can surface the real failure instead
@@ -36,7 +38,6 @@ from repro.dist.framing import FrameKind
 from repro.dist.plan import DistPlan, build_plan
 from repro.dist.wire import FramedConnection
 from repro.errors import DistError
-from repro.metrics.trace_io import trace_to_dict
 from repro.rt_threads.executor import ThreadedRuntime
 from repro.runtime.item import seed_item_ids
 from repro.runtime.retry import RetryPolicy
@@ -176,7 +177,7 @@ def _session(ctl: FramedConnection, worker_index: int) -> None:
         obs.on_finalize(stats, runtime.clock.now())
     ctl.send(FrameKind.STATS, {
         "node": node,
-        "trace": trace_to_dict(trace),
+        "trace": trace,  # pickles as its columns and name table
         "stats": stats,
         "telemetry": obs.snapshot() if obs.enabled else None,
     })

@@ -16,12 +16,13 @@ allocation order: its allocation time, a freed flag and its latency
 anchor, ``item_anchor``: the creation time of its oldest source
 ancestor, folded in by ``on_alloc`` as the minimum of its parents'
 anchors, or its own allocation time if no parent is in the table. A
-parent not yet allocated, or not yet anchored (a merge of worker traces,
-a reordered file; never a live run), leaves the row NaN and on a small
-pending list that :meth:`TraceRecorder.anchors` resolves when read. Per
-sink iteration (``sink_*``): its thread's name code, end time and
-inputs, in delivery order (what latency, throughput and jitter read).
-Per thread: its iteration count.
+parent not yet allocated, or not yet anchored (a ``proc`` worker's item
+whose parent another worker allocated, a merge of worker traces, a
+reordered file; never a ``sim`` or ``threads`` run), leaves the row NaN
+and on a small pending list that :meth:`TraceRecorder.anchors` resolves
+when read. Per sink iteration (``sink_*``): its thread's name code, end
+time and inputs, in delivery order (what latency, throughput and jitter
+read). Per thread: its iteration count.
 
 **The rows** (``_ROWS``), kept with ``trace_rows=True`` (the default),
 are everything else the hooks received, and what the postmortem reads.
@@ -57,6 +58,14 @@ recorder's methods. Row numbers and ragged offsets are 4-byte too, so a
 table holds at most 2**31 - 1 rows; item ids stay 8-byte (``proc``
 workers start theirs at ``(k + 1) << 40``).
 
+A pickle of the recorder (a ``proc`` worker's ``STATS`` report, a
+cached sweep result) carries its columns, name table and id runs. With
+rows it leaves out what the hooks folded from them (the latency
+anchors, the pending list, the iteration counts, the IGC ends of
+inputs not in the table), which :meth:`TraceRecorder.__setstate__`
+folds again in row order, as the hooks did; without rows those travel,
+since no row remains to fold them from. The read indexes never travel.
+
 No column holds item ids. Ids come from one counter, so the item table
 lists them in runs of consecutive ids on consecutive rows, and
 :meth:`TraceRecorder.row_of` finds a row by arithmetic on the run that
@@ -77,6 +86,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from itertools import chain
 from operator import index
@@ -93,6 +103,13 @@ _NO_USE = float("-inf")
 _SUMMARY_NONE, _TARGET_NONE = 1, 2
 _GOTTEN, _USED = 1, 2  # item_igc flags
 _NO_LIMIT = 1 << 64  # room of a tail run no later run bounds
+#: What a pickle leaves out: the name -> code map and the read indexes,
+#: rebuilt on unpickling, and with rows also what the hooks fold from
+#: them, folded again.
+_INDEXES = ("_codes", "_by_thread", "_by_channel", "_by_stp_thread",
+            "_touch_groups")
+_FOLDED = ("item_anchor", "_pending_row", "_pending_parents",
+           "_pending_parents_end", "_iter_counters", "_early_uses")
 
 #: Column -> ``array`` typecode (``i``: a name code, row or offset).
 #: Kept in every run: read by the latency and delivery analyses.
@@ -231,7 +248,8 @@ class TraceRecorder:
         self._run_rows_at, self._run_ids_at = array("q"), array("q")  # all, by row
         self._tail_first = self._tail_row = self._tail_len = self._tail_room = 0
         # Rows whose anchor waits for a parent (NaN in item_anchor), with
-        # their parents: anchors() resolves them. A live run leaves none.
+        # their parents: anchors() resolves them. A sim or threads run
+        # leaves none.
         self._pending_row, self._pending_parents, self._pending_parents_end = (
             array("i"), array("q"), array("i"))
         self._iter_counters: Dict[str, int] = {}
@@ -241,10 +259,14 @@ class TraceRecorder:
             # a live run leaves this empty): on_alloc folds it into the
             # item's IGC end.
             self._early_uses: Dict[int, float] = {}
-            self._by_thread = _RowIndex(self.iter_thread, self._names)
-            self._by_channel = _RowIndex(self.item_site, self._names, 0)
-            self._by_stp_thread = _RowIndex(self.stp_thread, self._names)
-            self._touch_groups: Optional[tuple] = None
+            self._index_rows()
+
+    def _index_rows(self) -> None:
+        """Fresh read indexes over the rows; each catches up when read."""
+        self._by_thread = _RowIndex(self.iter_thread, self._names)
+        self._by_channel = _RowIndex(self.item_site, self._names, 0)
+        self._by_stp_thread = _RowIndex(self.stp_thread, self._names)
+        self._touch_groups: Optional[tuple] = None
 
     def _code(self, name) -> int:
         """Code of a name the table has not seen (the hooks' slow path)."""
@@ -490,6 +512,62 @@ class TraceRecorder:
         if self.t_end is None:
             raise TraceError("trace not finalized")
         return self.t_end - self.t_start
+
+    # -- pickling ----------------------------------------------------------
+    def __getstate__(self) -> dict:
+        drop = _INDEXES + _FOLDED if self.trace_rows else _INDEXES
+        return {k: v for k, v in self.__dict__.items() if k not in drop}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # Each name is coded once: _code runs only for a name not coded.
+        self._codes = {name: code for code, name in enumerate(self._names) if code}
+        if self.trace_rows:
+            self._index_rows()
+            self._fold_rows()
+
+    def _fold_rows(self) -> None:
+        """Fold the latency anchors, the pending list, the iteration
+        counts and the early uses from the rows, in row order, as
+        ``on_alloc`` and ``on_iteration`` folded them when the rows came."""
+        pending, pending_parents, pending_ends = array("i"), array("q"), array("i")
+        anchors, row_of = array("d"), self.row_of
+        flat, ends = self.item_parents, self.item_parents_end
+        for row, t in enumerate(self.item_t_alloc):
+            parents = ragged(flat, ends, row)
+            anchor = t
+            if parents:
+                # The oldest anchor among the parents: NaN if one came
+                # on a later row (or none), or is not anchored.
+                anchor = None
+                for p in parents:
+                    p_row = row_of(p)
+                    a = _NAN if p_row is None or p_row >= row else anchors[p_row]
+                    if a != a:
+                        anchor = a
+                        break
+                    if anchor is None or a < anchor:
+                        anchor = a
+            if anchor != anchor:
+                pending.append(row)
+                pending_parents.extend(parents)
+                pending_ends.append(len(pending_parents))
+            anchors.append(anchor)
+        self.item_anchor = anchors
+        self._pending_row, self._pending_parents, self._pending_parents_end = (
+            pending, pending_parents, pending_ends)
+        names = self._names
+        self._iter_counters = {names[code]: n
+                               for code, n in Counter(self.iter_thread).items()}
+        # An input no row holds keeps the end of the last iteration that
+        # consumed it, for an on_alloc that may still come.
+        early = self._early_uses = {}
+        flat, ends = self.iter_inputs, self.iter_inputs_end
+        for row, t_end in enumerate(self.iter_t_end):
+            for item_id in ragged(flat, ends, row):
+                if row_of(item_id) is None:
+                    last = early.get(item_id, _NO_USE)
+                    early[item_id] = t_end if t_end > last else last
 
     # -- rows, as the hooks received them --------------------------------
     def alloc_args(self, row: int) -> tuple:

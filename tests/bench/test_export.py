@@ -1,5 +1,6 @@
 """Tests for grid CSV export and trace comparison."""
 
+import pytest
 
 from repro.apps import StageCost, TrackerConfig
 from repro.aru import aru_disabled, aru_min
@@ -57,12 +58,17 @@ def small_trace(aru):
     return Runtime(g, RuntimeConfig(aru=aru, seed=0)).run(until=10.0)
 
 
+@pytest.fixture(scope="module")
+def grid():
+    """Config 1, the three policies, seeds 0 and 1, 20 s each."""
+    return run_grid(
+        configs=("config1",), seeds=(0, 1), horizon=20.0,
+        app_config=quick_tracker(),
+    )
+
+
 class TestGridCsv:
-    def test_rows_and_header(self):
-        grid = run_grid(
-            configs=("config1",), seeds=(0, 1), horizon=20.0,
-            app_config=quick_tracker(),
-        )
+    def test_rows_and_header(self, grid):
         csv = grid_to_csv(grid)
         lines = csv.strip().splitlines()
         assert lines[0] == ",".join(RUN_COLUMNS)
@@ -71,16 +77,13 @@ class TestGridCsv:
         for line in lines[1:]:
             assert len(line.split(",")) == len(RUN_COLUMNS)
 
-    def test_floats_roundtrip(self):
-        grid = run_grid(
-            configs=("config1",), seeds=(0,), horizon=20.0,
-            app_config=quick_tracker(),
-        )
+    def test_floats_roundtrip(self, grid):
         csv = grid_to_csv(grid)
         rows = [line.split(",") for line in csv.strip().splitlines()[1:]]
         policy_col = RUN_COLUMNS.index("policy")
         mem_col = RUN_COLUMNS.index("mem_mean")
-        # RunMetrics carries the AruConfig name ("no-aru"), not the label
+        # RunMetrics carries the AruConfig name ("no-aru"), not the label;
+        # the first no-aru row is seed 0's, the cell's first run
         row = next(r for r in rows if r[policy_col] == "no-aru")
         run = grid[("config1", "No ARU")].runs[0]
         assert float(row[mem_col]) == run.mem_mean

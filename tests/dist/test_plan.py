@@ -31,6 +31,14 @@ def _pipeline(chan_node=None):
     return g
 
 
+def _crossing(plan, graph):
+    """Buffers with a producer or consumer on another node than theirs."""
+    return sorted(
+        buf for buf, host in plan.buffer_nodes.items()
+        if any(plan.thread_nodes[t] != host
+               for t in (*graph.producers_of(buf), *graph.consumers_of(buf))))
+
+
 def test_explicit_placement_wins():
     plan = build_plan(_pipeline(), _two_node_cluster(), {"src": "n1"})
     assert plan.thread_nodes["src"] == "n1"
@@ -53,13 +61,14 @@ def test_buffer_explicit_node_wins():
 
 
 def test_cross_node_buffers_detected():
-    plan = build_plan(_pipeline(), _two_node_cluster(), {})
+    graph = _pipeline()
+    plan = build_plan(graph, _two_node_cluster(), {})
     # consumer dst is on n1, buffer on n0 -> crossing
-    assert plan.cross_node_buffers == ("c",)
+    assert _crossing(plan, graph) == ["c"]
     # co-locate everything -> no crossing
-    plan2 = build_plan(_pipeline(), _two_node_cluster(),
+    plan2 = build_plan(graph, _two_node_cluster(),
                        {"src": "n0", "dst": "n0", "c": "n0"})
-    assert plan2.cross_node_buffers == ()
+    assert _crossing(plan2, graph) == []
 
 
 def test_threads_on_and_buffers_on():
@@ -107,4 +116,4 @@ def test_tracker_plan_matches_des_placement():
     assert set(plan.buffer_nodes.values()) <= names
     # the tracker spans multiple nodes => it has cross-node traffic
     assert len(plan.nodes) >= 2
-    assert plan.cross_node_buffers
+    assert _crossing(plan, graph)

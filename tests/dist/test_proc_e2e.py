@@ -41,17 +41,39 @@ def _children():
         return set(f.read().split())
 
 
-@pytest.mark.slow
-def test_tracker_runs_across_worker_processes(monkeypatch,
-                                             exports_sims_series):
+@pytest.fixture(scope="module")
+def tracker_run():
+    """A 3 s ``config2`` ``aru-min`` proc run, with the ``STATS`` report
+    the launcher received from each worker."""
+    from repro.dist import launcher
+    from repro.dist.framing import FrameKind
+
     def no_interpreters(*args, **kwargs):
         raise AssertionError("a proc run must not start an interpreter")
 
-    monkeypatch.setattr(subprocess, "Popen", no_interpreters)
-    result = run_experiment(ExperimentSpec(
-        config="config2", policy="aru-min", seed=0, horizon=3.0,
-        backend="proc", telemetry=True,
-    ))
+    reports = []
+    recv_step = launcher._recv_step
+
+    def recording(worker, expected, timeout):
+        payload = recv_step(worker, expected, timeout)
+        if expected == FrameKind.STATS:
+            reports.append(payload)
+        return payload
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subprocess, "Popen", no_interpreters)
+        mp.setattr(launcher, "_recv_step", recording)
+        result = run_experiment(ExperimentSpec(
+            config="config2", policy="aru-min", seed=0, horizon=3.0,
+            backend="proc", telemetry=True,
+        ))
+    return result, reports
+
+
+@pytest.mark.slow
+def test_tracker_runs_across_worker_processes(tracker_run,
+                                             exports_sims_series):
+    result, _ = tracker_run
     info = result.runtime
     # >= 2 real worker processes, all exited cleanly
     assert len(info.workers) >= 2
@@ -76,6 +98,27 @@ def test_tracker_runs_across_worker_processes(monkeypatch,
     # every worker's hub read its own channels and merged into one that
     # exports what the same spec exports on sim
     exports_sims_series(result)
+
+
+@pytest.mark.slow
+def test_worker_traces_travel_without_pending_anchors(tracker_run):
+    """A worker's trace crosses the wire as its rows and name table: no
+    latency anchor and no pending-anchor row travels, though a worker
+    holds items whose parents another worker allocated. The merge folds
+    the anchors again and resolves every one."""
+    result, reports = tracker_run
+    assert len(reports) == len(result.runtime.workers)
+    folded = {"item_anchor", "_pending_row", "_pending_parents",
+              "_pending_parents_end"}
+    for report in reports:
+        trace = report["trace"]
+        assert trace.trace_rows and trace.t_end is not None
+        assert not folded & set(trace.__getstate__())
+    # Cross-worker lineage: a worker alone cannot anchor every item.
+    assert any(len(report["trace"]._pending_row) for report in reports)
+    anchors = result.trace.anchors()
+    assert len(anchors) == len(result.trace.items)
+    assert all(a == a for a in anchors)  # no NaN: every anchor resolved
 
 
 @pytest.mark.slow
