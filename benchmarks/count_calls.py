@@ -46,7 +46,13 @@ script runs one repetition of a simulated e2e workload under
 * ``setup_bytes_per_tenant`` (the light fleets) — the resident heap one
   more admitted tenant holds before the first event: ``tracemalloc``'s
   traced memory after admitting 40 light tenants minus after admitting
-  20 (no engine run; garbage collected first), divided by 20.
+  20 (no engine run; garbage collected first), divided by 20;
+* ``run_end_bytes_per_tenant`` (the light fleets) — the resident heap
+  one more tenant holds when its run ends: the traced memory at the
+  return of ``Runtime.run`` (garbage collected first) of a 40-tenant
+  light fleet at ``fleet_1000``'s horizon, less that of a 20-tenant
+  one, over 20 — what set-up built plus what the run left behind
+  (blocked gets, held items, the trace), before any analysis.
 
 Outside ``importlib`` (whether a tree's bytecode is on disk) the counts
 repeat exactly from run to run, so ``--compare`` of a parent and a
@@ -266,6 +272,42 @@ def setup_bytes_per_tenant(admit: Callable[[int], Any]) -> float:
     return (held[1] - held[0]) / 20
 
 
+def run_end_bytes_per_tenant(run_fleet: Callable[[int], Any]) -> float:
+    """Traced bytes one more tenant holds when its run ends: the heap at
+    the return of ``Runtime.run`` in ``run_fleet(40)`` less in
+    ``run_fleet(20)``, over 20; each measured from before its fleet was
+    built, with the garbage collected at both ends."""
+    import tracemalloc
+
+    from repro.runtime.runtime import Runtime
+
+    run_fleet(2)  # lazy imports and first-use caches
+    run = vars(Runtime)["run"]
+    at_return = []
+
+    def marked(self, *args, **kwargs):
+        try:
+            return run(self, *args, **kwargs)
+        finally:
+            gc.collect()
+            at_return.append(tracemalloc.get_traced_memory()[0])
+
+    held = []
+    Runtime.run = marked
+    tracemalloc.start()
+    try:
+        for tenants in (20, 40):
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_fleet(tenants)
+            held.append(at_return[-1] - before)
+            del result
+    finally:
+        tracemalloc.stop()
+        Runtime.run = run
+    return (held[1] - held[0]) / 20
+
+
 def admit_fleet(spec):
     """What ``run_tenants`` does before its engine runs, and no more."""
     from repro.tenancy import Scheduler, TenantRuntime
@@ -281,10 +323,11 @@ def admit_fleet(spec):
 def _fleet_recipes(seed: int) -> Dict[str, Tuple[Callable[[float], Any],
                                                  Callable[[float], Any],
                                                  float,
+                                                 Callable[[int], Any],
                                                  Callable[[int], Any]]]:
     """Workloads whose horizon and size can be varied: (recipe, the
     recipe with the trace's rows kept, frozen horizon, admission of N of
-    its tenants)."""
+    its tenants, a run of N of its tenants at ``fleet_1000``'s horizon)."""
     import workloads
 
     from repro.tenancy import run_tenants
@@ -296,8 +339,11 @@ def _fleet_recipes(seed: int) -> Dict[str, Tuple[Callable[[float], Any],
     def admit(tenants: int):  # both fleets are of the same light tenant
         return admit_fleet(workloads._light_fleet(tenants, 1.0, seed))
 
+    def short_run(tenants: int):
+        return fleet(tenants)(workloads.FLEET_1000_HORIZON)
+
     return {name: (fleet(tenants), fleet(tenants, trace_rows=True), horizon,
-                   admit)
+                   admit, short_run)
             for name, tenants, horizon in (
                 ("fleet_10", 10, workloads.FLEET_10_HORIZON),
                 ("fleet_1000", 1000, workloads.FLEET_1000_HORIZON))}
@@ -333,18 +379,21 @@ def count_workload(name: str, seed: int) -> Dict[str, Any]:
                   calls_per_event=counts["python_calls"] / events)
     recipe = _fleet_recipes(seed).get(name)
     if recipe is not None:
-        run, run_with_rows, horizon, admit = recipe
+        run, run_with_rows, horizon, admit, short_run = recipe
         counts.update(growth_per_event(run, horizon / 4, horizon / 2))
         rows = growth_per_event(run_with_rows, horizon / 4, horizon / 2)
         counts["trace_bytes_per_event_rows"] = rows["trace_bytes_per_event"]
         counts["trace_bytes_by_table_rows"] = rows["trace_bytes_by_table"]
         counts["setup_bytes_per_tenant"] = setup_bytes_per_tenant(admit)
+        counts["run_end_bytes_per_tenant"] = run_end_bytes_per_tenant(
+            short_run)
     return counts
 
 
 _SCALARS = ("python_calls", "c_calls", "generator_starts", "events",
             "calls_per_event", "setup_python_calls", "setup_c_calls",
-            "setup_modules", "setup_bytes_per_tenant", "numpy_loaded",
+            "setup_modules", "setup_bytes_per_tenant",
+            "run_end_bytes_per_tenant", "numpy_loaded",
             "tracked_objects_per_event", "trace_bytes_per_event",
             "trace_bytes_per_event_rows", "analysis_bytes_per_event")
 

@@ -8,7 +8,9 @@ We implement that extension: a filter sits between the raw measurement
 (current-STP, or a received summary-STP) and the value used by the
 feedback computation. Filters are tiny stateful objects with a
 ``__call__(sample) -> filtered`` interface; a fresh instance is created
-per signal (per thread / per connection) from a factory.
+per signal (per thread / per connection) from a factory — except the
+identity, which keeps no state: every unfiltered signal shares
+:data:`NO_FILTER`.
 """
 
 from __future__ import annotations
@@ -27,8 +29,20 @@ FilterFactory = Callable[[], Filter]
 class NoFilter:
     """Identity filter — the paper's published behaviour."""
 
+    __slots__ = ()
+
     def __call__(self, sample: float) -> float:
         return sample
+
+
+#: The one identity filter, shared by every signal that has none (as
+#: every ARU-off thread shares ``NULL_CONTROLLER``).
+NO_FILTER = NoFilter()
+
+
+def no_filter() -> Filter:
+    """The identity filter's factory: the shared :data:`NO_FILTER`."""
+    return NO_FILTER
 
 
 class EwmaFilter:
@@ -95,7 +109,7 @@ class SlewRateFilter:
 
 
 FILTERS: Registry[Callable[..., Filter]] = Registry("filter")
-FILTERS.register("none", NoFilter, help="identity — the paper's behaviour")
+FILTERS.register("none", no_filter, help="identity — the paper's behaviour")
 FILTERS.register(
     "ewma", EwmaFilter,
     help="exponentially-weighted moving average (ewma:<alpha>, default 0.3)")
@@ -142,7 +156,7 @@ def resolve_factory(spec: Union[str, FilterFactory, None]) -> FilterFactory:
     ``"median:7"``), or any zero-arg callable returning a filter.
     """
     if spec is None:
-        return NoFilter
+        return no_filter
     if callable(spec):
         return spec
     if not isinstance(spec, str):

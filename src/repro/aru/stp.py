@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.aru.filters import Filter, NoFilter
+from repro.aru.filters import NO_FILTER, Filter
 from repro.errors import SimulationError
 from repro.vt.clock import Clock
 
@@ -33,7 +33,7 @@ class StpMeter:
 
     def __init__(self, clock: Clock, stp_filter: Optional[Filter] = None) -> None:
         self._clock = clock
-        self._filter = stp_filter or NoFilter()
+        self._filter = stp_filter or NO_FILTER
         self._iter_start = clock.now()
         self._excluded = 0.0
         self._pause_start: Optional[float] = None

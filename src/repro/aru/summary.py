@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.aru.filters import FilterFactory, NoFilter
+from repro.aru.filters import FilterFactory, no_filter
 from repro.aru.operators import Operator, operator_name, resolve
 
 
@@ -61,7 +61,7 @@ class BackwardStpVector:
         if ttl is not None and time_fn is None:
             raise ValueError("a ttl requires a time_fn to judge staleness")
         self.op = resolve(op)
-        self._filter_factory = summary_filter_factory or NoFilter
+        self._filter_factory = summary_filter_factory or no_filter
         self._values: Dict[object, float] = {}
         self._filters: Dict[object, object] = {}
         self.ttl = ttl

@@ -173,15 +173,16 @@ class Network:
             obs.read(link_series, self._links)
 
     def link(self, src: str, dst: str) -> Link:
-        """The directed link ``src -> dst`` (raises for loopback)."""
-        if src == dst:
-            raise ConfigError(f"no self-link: {src!r}")
-        names = self.spec.node_names
-        if src not in names or dst not in names:
-            raise ConfigError(f"unknown node in link {src!r}->{dst!r}")
+        """The directed link ``src -> dst`` (raises for loopback or an
+        unknown node, checked when the link is first built)."""
         key = (src, dst)
         link = self._links.get(key)
         if link is None:
+            if src == dst:
+                raise ConfigError(f"no self-link: {src!r}")
+            names = self.spec.node_names
+            if src not in names or dst not in names:
+                raise ConfigError(f"unknown node in link {src!r}->{dst!r}")
             link = Link(self.engine, self.spec.link_spec(src, dst),
                         name=f"{src}->{dst}", obs=self.obs)
             link.observer = self._observer

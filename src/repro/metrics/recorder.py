@@ -105,7 +105,7 @@ _GOTTEN, _USED = 1, 2  # item_igc flags
 _NO_LIMIT = 1 << 64  # room of a tail run no later run bounds
 #: What a pickle leaves out: the name -> code map and the read indexes,
 #: rebuilt on unpickling, and with rows also what the hooks fold from
-#: them, folded again.
+#: them, folded again when one of those is first read.
 _INDEXES = ("_codes", "_by_thread", "_by_channel", "_by_stp_thread",
             "_touch_groups")
 _FOLDED = ("item_anchor", "_pending_row", "_pending_parents",
@@ -284,13 +284,15 @@ class TraceRecorder:
     def on_alloc(self, item_id: int, channel: str, node: str, ts: int,
                  size: int, producer: str, parents: Tuple[int, ...],
                  t: float) -> None:
+        # Read before any row grows: an unpickled trace folds on it.
+        anchors = self.item_anchor
         anchor = t  # a source item's
         if parents:
             # The oldest anchor among the parents (row_of inlined for the
             # tail run), found before this id joins a run: NaN if one is
             # not allocated yet, or not anchored yet.
             first, base, count = self._tail_first, self._tail_row, self._tail_len
-            anchors, best = self.item_anchor, None
+            best = None
             for p in parents:
                 off = p - first
                 row = base + off if 0 <= off < count else self.row_of(p)
@@ -312,7 +314,7 @@ class TraceRecorder:
             self._pending_parents_end.append(len(self._pending_parents))
         self.item_t_alloc.append(t)
         self.item_freed.append(0)
-        self.item_anchor.append(anchor)
+        anchors.append(anchor)
         if self.trace_rows:
             site = (channel, node, producer)
             self.item_site.append(self._codes.get(site) or self._code(site))
@@ -524,7 +526,18 @@ class TraceRecorder:
         self._codes = {name: code for code, name in enumerate(self._names) if code}
         if self.trace_rows:
             self._index_rows()
+
+    def __getattr__(self, name: str):
+        """With rows, an unpickled trace folds what its pickle left out
+        (:data:`_FOLDED`) when one of those is first read — a merge reads
+        none of them. Every hook reads one before its rows grow, so the
+        fold sees the rows the pickle carried. Reached only for an
+        attribute the trace lacks."""
+        if name in _FOLDED and self.__dict__.get("trace_rows"):
             self._fold_rows()
+            return self.__dict__[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _fold_rows(self) -> None:
         """Fold the latency anchors, the pending list, the iteration

@@ -124,8 +124,9 @@ def rebase_trace(recorder: TraceRecorder, t_start: float = 0.0) -> TraceRecorder
     if recorder.trace_rows:
         names += ["item_t_free", "item_igc_end", "touch_t", "iter_t_start",
                   "iter_t_end", "stp_t"]
-    for name in names:
-        column = getattr(recorder, name)
+    # Every column is read before any is shifted: an unpickled trace
+    # folds its anchors from the allocation times when first read.
+    for column in [getattr(recorder, name) for name in names]:
         column[:] = array("d", [t + delta for t in column])
     return recorder
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import replace
-from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from repro.aru.config import AruConfig, aru_disabled
@@ -37,7 +36,7 @@ from repro.obs.hub import (TelemetryConfig, buffer_series, resolve_hub,
                            thread_series)
 from repro.rt_threads.channel import ThreadChannel
 from repro.runtime.graph import TaskGraph
-from repro.runtime.runtime import Scope, buffer_stats
+from repro.runtime.runtime import Scope, StatsView, buffer_entry
 from repro.runtime.syscalls import Compute, Get, Put, TryGet
 from repro.runtime.thread import ThreadDriver
 from repro.sim.rng import RngRegistry
@@ -185,10 +184,12 @@ class ThreadedRuntime:
     #: The node every channel and stat is attributed to (a distributed
     #: worker sets its plan node before construction).
     node_name = "local"
-    #: What a driver reads off its runtime besides clock and recorder.
-    #: It asks the engine for timeouts to yield: on the wall clock that
-    #: is a sleep, over by the time there is anything to yield.
-    engine = SimpleNamespace(timeout=time.sleep)
+    #: A driver's wait of ``d`` seconds: on the wall clock a sleep, over
+    #: by the time there is anything to yield.
+    timeout = time.sleep
+    #: Nothing here is simulated: every handler that reads a driver's
+    #: engine is one :class:`WallDriver` overrides.
+    engine = None
 
     def __init__(
         self,
@@ -216,12 +217,14 @@ class ThreadedRuntime:
         self.compute_mode = compute_mode
         self.gc = gc
         self.clock = self._make_clock()
+        #: The clock read every driver, meter and feedback plane shares.
+        self.now = self.clock.now
         if telemetry is True:
             telemetry = TelemetryConfig()
         if isinstance(telemetry, TelemetryConfig):
             telemetry = replace(telemetry, spans=False)
         self.obs = resolve_hub(telemetry).bind(
-            time_fn=self.clock.now,
+            time_fn=self.now,
             run={"seed": seed, "gc": str(gc),
                  "policy": self.aru_config.policy},
         )
@@ -229,7 +232,7 @@ class ThreadedRuntime:
         self.recorder_lock = threading.Lock()
         self.stop_event = threading.Event()
         self.rngs = RngRegistry(seed=seed)
-        self.feedback_bus = FeedbackBus(self.aru_config, time_fn=self.clock.now)
+        self.feedback_bus = FeedbackBus(self.aru_config, time_fn=self.now)
         self.scope = Scope(None, "", self.aru_config, None, self.rngs,
                            self.feedback_bus)
 
@@ -326,7 +329,8 @@ class ThreadedRuntime:
         ``busy_time`` is summed measured compute, and fields the live
         executor cannot observe (cpu grants, network bytes here) are
         zero rather than absent so downstream reports need no
-        per-backend cases.
+        per-backend cases. As there, ``"buffers"`` and ``"threads"`` are
+        read from the channels and drivers on lookup.
         """
         busy = sum(d.total_compute for d in self.drivers.values())
         return {
@@ -348,17 +352,21 @@ class ThreadedRuntime:
                 }
             },
             "network": {"total_bytes": 0},
-            "buffers": buffer_stats(self.channels),
-            "threads": {
-                name: {
-                    "iterations": driver.meter.iterations,
-                    "virtual_time": driver.total_compute,
-                    "blocked": driver.meter.total_blocked,
-                    "slept": driver.meter.total_slept,
-                }
-                for name, driver in self.drivers.items()
-            },
+            "buffers": StatsView(self.channels, buffer_entry),
+            "threads": StatsView(self.drivers, _thread_entry),
         }
+
+
+def _thread_entry(driver: WallDriver) -> dict:
+    """One driver's entry in the ``"threads"`` block of ``stats()``; its
+    ``virtual_time`` is the compute seconds it measured."""
+    meter = driver.meter
+    return {
+        "iterations": meter.iterations,
+        "virtual_time": driver.total_compute,
+        "blocked": meter.total_blocked,
+        "slept": meter.total_slept,
+    }
 
 
 def run_threaded_experiment(spec) -> "object":

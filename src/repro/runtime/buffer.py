@@ -4,15 +4,18 @@
 :class:`~repro.runtime.squeue.SQueue` differ in *which* item a get
 returns and *when* storage is reclaimed; everything around that is the
 same and lives here once — the connection lists, the feedback endpoint,
-the wait queue for gets, the capacity bound with its wait queue for room,
+the gets blocked here, the capacity bound with its wait queue for room,
 and the alloc/free accounting that keeps node memory and the trace in
-step. The counts kept here are what telemetry exports: it reads them
+step. A blocked get is one ``(event, conn, request)`` record: a notify
+re-tests each record with the buffer's own ``_match``, oldest first, and
+fires the event of each that would now commit. The counts kept here are
+what telemetry exports: it reads them
 (:func:`repro.obs.hub.buffer_series`), nothing is pushed to it per item.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.control.propagation import FeedbackEndpoint
 from repro.errors import SimulationError
@@ -21,6 +24,7 @@ from repro.runtime.item import Item
 from repro.sim.engine import Engine
 from repro.sim.events import Event
 from repro.sim.resources import WaitQueue
+from repro.vt.timestamp import LATEST
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.node import Node
@@ -32,11 +36,12 @@ class Buffer:
 
     ``engine`` may be ``None`` for a shell that does its own waiting
     (:class:`~repro.rt_threads.channel.ThreadChannel`): nothing here
-    reads it, and its wait queues then never hold a waiter, so
-    notifying them is a no-op. ``node`` needs ``name``, ``alloc`` and
-    ``free``. Subclasses set ``kind`` (the telemetry and stats label)
-    and ``collector`` (what frees their items, the reclaim label) and
-    define ``__len__`` and ``bytes_held``.
+    reads it, and no get or put then blocks here, so notifying is a
+    no-op. ``node`` needs ``name``, ``alloc`` and ``free``. Subclasses
+    set ``kind`` (the telemetry and stats label) and ``collector`` (what
+    frees their items, the reclaim label) and define ``__len__``,
+    ``bytes_held`` and ``_match`` (the item a get through a connection
+    would commit now, or None).
     """
 
     #: Items skipped unread (a queue never skips).
@@ -45,6 +50,9 @@ class Buffer:
     #: unregistered (restart, scale-in, departure), so that no count a
     #: connection kept is lost with it. None until the first one goes.
     retired_reads: Optional[Dict[str, List[int]]] = None
+    #: Blocked gets, oldest first: ``(event, conn, request)``. A list
+    #: from the first get that blocks; until then the empty tuple.
+    _getters: List[Tuple[Event, InputConnection, object]] = ()
 
     def __init__(
         self,
@@ -65,7 +73,6 @@ class Buffer:
         self.capacity = capacity
         self.in_conns: List[InputConnection] = []
         self.out_conns: List[OutputConnection] = []
-        self._getters = WaitQueue(engine)
         #: Waiters for room; an unbounded buffer never has any.
         self._putters = WaitQueue(engine) if capacity is not None else None
         self.total_puts = 0
@@ -147,9 +154,45 @@ class Buffer:
         """Event firing when the capacity bound admits another item."""
         return self._putters.wait(lambda: self.has_room() or None)
 
+    def request_get(self, conn: InputConnection, request=LATEST) -> Event:
+        """Event firing when a get through ``conn`` can commit: at once
+        if it can now, else at the first notify that finds it can."""
+        if conn not in self.in_conns:
+            raise SimulationError(f"unregistered consumer on {self.name!r}")
+        ev = Event(self.engine)
+        if self._match(conn, request) is not None:
+            ev.succeed(True)
+        elif self._getters:
+            self._getters.append((ev, conn, request))
+        else:
+            self._getters = [(ev, conn, request)]
+        return ev
+
+    def try_match(self, conn: InputConnection, request=LATEST) -> bool:
+        """Non-blocking availability test."""
+        return self._match(conn, request) is not None
+
+    def _notify_getters(self) -> None:
+        """Fire every blocked get that would now commit, oldest first,
+        and drop those fired or already triggered (killed or timed out)."""
+        getters = self._getters
+        if not getters:
+            return
+        waiting = []
+        for record in getters:
+            ev = record[0]
+            if ev.triggered:
+                continue
+            if self._match(record[1], record[2]) is None:
+                waiting.append(record)
+            else:
+                ev.succeed(True)
+        self._getters = waiting
+
     def cancel_get(self, event: Event) -> None:
         """Withdraw a pending get request (timed-get expiry)."""
-        self._getters.cancel(event)
+        self._getters = [record for record in self._getters
+                         if record[0] is not event]
 
     # -- accounting ---------------------------------------------------------
     def _account_put(self, item: Item, t: float) -> None:

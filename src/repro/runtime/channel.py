@@ -35,7 +35,6 @@ from repro.runtime.buffer import Buffer
 from repro.runtime.connection import InputConnection, OutputConnection
 from repro.runtime.item import Item, ItemView
 from repro.sim.engine import Engine
-from repro.sim.events import Event
 from repro.vt.timestamp import EARLIEST, LATEST, Timestamp, _Sentinel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -124,7 +123,7 @@ class Channel(Buffer):
         self.gc.on_put(self, item)
         if self._gc_due:
             self.maybe_collect(t)
-        self._getters.notify_all()
+        self._notify_getters()
         return self.feedback.advertise() if self.feedback is not None else None
 
     # -- get side ----------------------------------------------------------
@@ -147,16 +146,6 @@ class Channel(Buffer):
                 f"on channel {self.name!r}"
             )
         return self._items.get(ts)
-
-    def request_get(self, conn: InputConnection, request: Request = LATEST) -> Event:
-        """Event firing when a matching item is available."""
-        if conn not in self.in_conns:
-            raise SimulationError(f"unregistered consumer on {self.name!r}")
-        return self._getters.wait(lambda: self._match(conn, request) is not None or None)
-
-    def try_match(self, conn: InputConnection, request: Request = LATEST) -> bool:
-        """Non-blocking availability test."""
-        return self._match(conn, request) is not None
 
     def commit_get(
         self,

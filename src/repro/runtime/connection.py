@@ -9,12 +9,15 @@ mechanisms need:
 * both kinds are the slots of the ARU ``backwardSTP`` vectors;
 * consumer connections count their gets and skips, which telemetry
   reads (and the buffer keeps once the connection is unregistered).
+
+Both kinds are slotted and compare by identity: a fleet holds one per
+edge of every tenant, and a buffer finds a connection in its lists by
+``is``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 _next_conn_id = itertools.count(1)
 
@@ -25,32 +28,39 @@ def reset_conn_ids() -> None:
     _next_conn_id = itertools.count(1)
 
 
-@dataclass
 class OutputConnection:
     """thread -> buffer (producer side)."""
 
-    thread: str
-    buffer: str
-    conn_id: int = field(default_factory=lambda: next(_next_conn_id))
+    __slots__ = ("thread", "buffer", "conn_id")
+
+    def __init__(self, thread: str, buffer: str) -> None:
+        self.thread = thread
+        self.buffer = buffer
+        self.conn_id = next(_next_conn_id)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Out#{self.conn_id} {self.thread}->{self.buffer}>"
 
 
-@dataclass
 class InputConnection:
-    """buffer -> thread (consumer side)."""
+    """buffer -> thread (consumer side).
 
-    buffer: str
-    thread: str
-    conn_id: int = field(default_factory=lambda: next(_next_conn_id))
-    #: Highest timestamp this consumer has gotten (-1 before the first get).
-    #: get-latest returns only items with ``ts > last_got``, which is what
-    #: makes every timestamp at or below it provably dead for this consumer.
-    last_got: int = -1
-    #: Items gotten / skipped through this connection.
-    gets: int = 0
-    skips: int = 0
+    ``last_got`` is the highest timestamp this consumer has gotten (-1
+    before the first get): get-latest returns only items with ``ts >
+    last_got``, which is what makes every timestamp at or below it
+    provably dead for this consumer. ``gets`` and ``skips`` count the
+    items gotten and skipped through it.
+    """
+
+    __slots__ = ("buffer", "thread", "conn_id", "last_got", "gets", "skips")
+
+    def __init__(self, buffer: str, thread: str) -> None:
+        self.buffer = buffer
+        self.thread = thread
+        self.conn_id = next(_next_conn_id)
+        self.last_got = -1
+        self.gets = 0
+        self.skips = 0
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<In#{self.conn_id} {self.buffer}->{self.thread} last_got={self.last_got}>"

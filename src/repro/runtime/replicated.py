@@ -42,7 +42,6 @@ from repro.runtime.channel import Channel
 from repro.runtime.connection import InputConnection, OutputConnection
 from repro.runtime.item import Item
 from repro.runtime.squeue import SQueue
-from repro.sim.events import Event
 from repro.vt.timestamp import EARLIEST, LATEST
 
 PARTITION_KINDS = ("round-robin", "hash")
@@ -143,7 +142,7 @@ class PartitionQueue(SQueue):
             orphans, self._orphans = self._orphans, deque()
             for item in orphans:
                 self._assign(item)
-            self._getters.notify_all()
+            self._notify_getters()
         return conn
 
     def unregister_consumer(self, conn: InputConnection) -> None:
@@ -160,7 +159,7 @@ class PartitionQueue(SQueue):
             if self.in_conns:
                 for item in pending:
                     self._assign(item)
-                self._getters.notify_all()
+                self._notify_getters()
             else:
                 self._orphans.extend(pending)
 
@@ -199,18 +198,14 @@ class PartitionQueue(SQueue):
         self._account_put(item, t)
         if self._merge is not None:
             self._merge.expect(item.ts)
-        self._getters.notify_all()
+        self._notify_getters()
         return self.feedback.advertise() if self.feedback is not None else None
 
     # -- get side ----------------------------------------------------------
-    def request_get(self, conn: InputConnection, request: object = None) -> Event:
-        if conn not in self.in_conns:
-            raise SimulationError(f"unregistered consumer on {self.name!r}")
-        slot = conn.conn_id
-        return self._getters.wait(lambda: bool(self._pending.get(slot)) or None)
-
-    def try_match(self, conn: InputConnection, request: object = None) -> bool:
-        return bool(self._pending.get(conn.conn_id))
+    def _match(self, conn: InputConnection, request: object) -> Optional[Item]:
+        """The head of ``conn``'s own slot."""
+        pending = self._pending.get(conn.conn_id)
+        return pending[0] if pending else None
 
     def _pop(self, conn: InputConnection) -> Item:
         """Pop the head of this slot's FIFO and mark its ts in flight."""
@@ -264,7 +259,7 @@ class MergeChannel(Channel):
         if ts in self._outstanding:
             self._outstanding.discard(ts)
             # Items above the old frontier may have just become visible.
-            self._getters.notify_all()
+            self._notify_getters()
 
     @property
     def frontier(self) -> Optional[int]:
@@ -286,7 +281,7 @@ class MergeChannel(Channel):
                 self._partition.on_merged(ts)
             # The frontier moved: re-check waiters, items at or above
             # the put ts may now be visible.
-            self._getters.notify_all()
+            self._notify_getters()
         return feedback
 
     # -- get side ----------------------------------------------------------

@@ -10,8 +10,9 @@ policy — then runs the event engine for a simulated horizon. After
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, NamedTuple, Optional, Union
+from typing import Any, Callable, Dict, NamedTuple, Optional, Union
 
 from repro.aru.config import AruConfig, aru_disabled
 from repro.cluster.load import LoadSpec, spawn_load
@@ -78,19 +79,60 @@ class Scope(NamedTuple):
     bus: FeedbackBus
 
 
-def buffer_stats(buffers) -> Dict[str, dict]:
-    """The ``"buffers"`` block of every executor's ``stats()``."""
+class StatsView(Mapping):
+    """A read-only ``name -> entry`` block of ``stats()``: each entry is
+    ``read(objects[name])``, made from the runtime's own object when it
+    is looked up, so the block copies nothing. It pickles as a plain
+    dict, a snapshot (what a ``proc`` worker sends); a caller that reads
+    it while the run goes on and wants the values of that moment copies
+    it with ``dict()``."""
+
+    __slots__ = ("_objects", "_read")
+
+    def __init__(self, objects: Mapping, read: Callable[[Any], dict]) -> None:
+        self._objects = objects
+        self._read = read
+
+    def __getitem__(self, name: str) -> dict:
+        return self._read(self._objects[name])
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._objects
+
+    def __iter__(self):
+        return iter(self._objects)
+
+    def __len__(self) -> int:
+        return len(self._objects)
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return repr(dict(self))
+
+
+def buffer_entry(buf) -> dict:
+    """One buffer's entry in the ``"buffers"`` block of ``stats()``."""
     return {
-        name: {
-            "kind": buf.kind,
-            "depth": len(buf),
-            "bytes_held": buf.bytes_held,
-            "puts": buf.total_puts,
-            "gets": buf.total_gets,
-            "skips": buf.total_skips,
-            "frees": buf.total_frees,
-        }
-        for name, buf in buffers.items()
+        "kind": buf.kind,
+        "depth": len(buf),
+        "bytes_held": buf.bytes_held,
+        "puts": buf.total_puts,
+        "gets": buf.total_gets,
+        "skips": buf.total_skips,
+        "frees": buf.total_frees,
+    }
+
+
+def _thread_entry(driver: ThreadDriver) -> dict:
+    """One driver's entry in the ``"threads"`` block of ``stats()``."""
+    meter = driver.meter
+    return {
+        "iterations": meter.iterations,
+        "virtual_time": driver.virtual_time,
+        "blocked": meter.total_blocked,
+        "slept": meter.total_slept,
     }
 
 
@@ -104,10 +146,15 @@ class Runtime:
 
         self.engine = Engine()
         self.clock = SimClock(self.engine)
+        #: Bound once and shared by every driver, meter and feedback
+        #: plane this runtime wires: the clock read and the engine's
+        #: timeout (what Sleep, stall and the source throttle yield).
+        self.now = self.clock.now
+        self.timeout = self.engine.timeout
         self.rngs = RngRegistry(seed=self.config.seed)
         self.recorder = TraceRecorder(trace_rows=self.config.trace_rows)
         self.obs = resolve_hub(self.config.telemetry).bind(
-            time_fn=self.clock.now,
+            time_fn=self.now,
             run={"seed": self.config.seed, "gc": str(self.config.gc),
                  "policy": self.config.aru.policy},
         )
@@ -119,7 +166,7 @@ class Runtime:
             for spec in self.config.cluster.nodes
         }
         self.network = Network(self.engine, self.config.cluster, obs=self.obs)
-        self.feedback_bus = FeedbackBus(self.config.aru, time_fn=self.clock.now)
+        self.feedback_bus = FeedbackBus(self.config.aru, time_fn=self.now)
 
         self.scope = Scope(None, "", self.config.aru, self.config.scale,
                            self.rngs, self.feedback_bus)
@@ -555,8 +602,11 @@ class Runtime:
             if not self._processes[thread].is_alive:
                 self.restart_thread(thread)
 
-    def stats(self) -> Dict[str, dict]:
-        """Snapshot of runtime-object statistics (diagnostics/reports)."""
+    def stats(self) -> Dict[str, Mapping]:
+        """Runtime-object statistics (diagnostics/reports). The engine,
+        node, network and scaling blocks are a snapshot; ``"buffers"``
+        and ``"threads"`` are :class:`StatsView` s read from the live
+        buffers and drivers on lookup."""
         snapshot = {
             "engine": {
                 "now": self.engine.now,
@@ -573,16 +623,8 @@ class Runtime:
                 for name, node in self.nodes.items()
             },
             "network": {"total_bytes": self.network.total_bytes},
-            "buffers": buffer_stats(self.buffers),
-            "threads": {
-                name: {
-                    "iterations": driver.meter.iterations,
-                    "virtual_time": driver.virtual_time,
-                    "blocked": driver.meter.total_blocked,
-                    "slept": driver.meter.total_slept,
-                }
-                for name, driver in self.drivers.items()
-            },
+            "buffers": StatsView(self.buffers, buffer_entry),
+            "threads": StatsView(self.drivers, _thread_entry),
         }
         if self.graph.replicated_stages():
             snapshot["scaling"] = {

@@ -24,7 +24,6 @@ from repro.runtime.buffer import Buffer
 from repro.runtime.connection import InputConnection, OutputConnection
 from repro.runtime.item import Item, ItemView
 from repro.sim.engine import Engine
-from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.node import Node
@@ -74,19 +73,13 @@ class SQueue(Buffer):
         self._fifo.append(item)
         self.put_bytes += item.size
         self._account_put(item, t)
-        self._getters.notify_all()
+        self._notify_getters()
         return self.feedback.advertise() if self.feedback is not None else None
 
     # -- get side ----------------------------------------------------------
-    def request_get(self, conn: InputConnection, request: object = None) -> Event:
-        """Event firing when the queue is non-empty (``request`` ignored —
-        queues are strictly FIFO)."""
-        if conn not in self.in_conns:
-            raise SimulationError(f"unregistered consumer on {self.name!r}")
-        return self._getters.wait(lambda: bool(self._fifo) or None)
-
-    def try_match(self, conn: InputConnection, request: object = None) -> bool:
-        return bool(self._fifo)
+    def _match(self, conn: InputConnection, request: object) -> Optional[Item]:
+        """The head item (``request`` ignored — queues are strictly FIFO)."""
+        return self._fifo[0] if self._fifo else None
 
     def _pop(self, conn: InputConnection) -> Item:
         """Remove and return the item ``conn``'s get delivers."""

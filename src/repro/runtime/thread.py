@@ -106,6 +106,11 @@ class ClosedCounts(NamedTuple):
 class ThreadDriver:
     """Runs one task body as a Stampede thread (simulated, as written)."""
 
+    #: Items gotten with hold=True, keyed by item id; released only via
+    #: an explicit Release syscall (or at task termination). Made at the
+    #: first such get: most threads never hold one.
+    _retained: Optional[Dict[int, Tuple[object, ItemView]]] = None
+
     @classmethod
     def assemble(cls, runtime, name: str, node, scope,
                  buffer_for) -> "ThreadDriver":
@@ -114,7 +119,7 @@ class ThreadDriver:
         meter, control stack and task context for ``scope`` — the one
         assembly every executor uses. Connection keys and the RNG
         stream drop the scope's prefix: the names the task declared."""
-        graph, clock = runtime.graph, runtime.clock
+        graph, clock, now = runtime.graph, runtime.clock, runtime.now
         attrs = graph.attrs(name)
         strip = len(scope.prefix)
         is_source, is_sink = graph.is_source(name), graph.is_sink(name)
@@ -133,13 +138,13 @@ class ThreadDriver:
                 attrs.get("compress_op") or aru.thread_op,
                 resolve_factory(aru.summary_filter),
                 ttl=aru.staleness_ttl,
-                time_fn=clock.now,
+                time_fn=now,
             )
             policy = (PidPolicy if aru.policy == "pid"
                       else SummaryStpPolicy)(backward)
             # Paper behaviour: only sources throttle; everyone else
             # adapts by blocking (§3.3.2's cascading effect).
-            controller = ThreadController(StpSensor(meter, clock.now), policy,
+            controller = ThreadController(StpSensor(meter, now), policy,
                                           throttled=is_source,
                                           headroom=aru.headroom)
         ctx = TaskContext(
@@ -178,12 +183,14 @@ class ThreadDriver:
     ) -> None:
         self.runtime = runtime
         self.engine = runtime.engine
-        self.now = runtime.clock.now  # the clock's own: one frame per read
+        #: The runtime's clock read (the clock's own: one frame per read).
+        self.now = runtime.now
         #: Wait ``d`` seconds — what Sleep, stall and the source throttle
-        #: yield. Bound once: the simulated engine's timeout event here;
-        #: a wall-clock runtime's engine sleeps and returns when ``d``
-        #: has passed, so what is yielded has already happened.
-        self._timeout = self.engine.timeout
+        #: yield: the simulated engine's timeout event here; a wall-clock
+        #: runtime's sleeps and returns when ``d`` has passed, so what is
+        #: yielded has already happened. Both are the runtime's, bound
+        #: once for all its drivers.
+        self._timeout = runtime.timeout
         self.name = name
         self.fn = fn
         self.node = node
@@ -206,9 +213,6 @@ class ThreadDriver:
         self._iter_outputs: List[int] = []
         self._iter_compute = 0.0
         self._held: List[Tuple[object, ItemView]] = []
-        #: Items gotten with hold=True, keyed by item id; released only
-        #: via an explicit Release syscall (or at task termination).
-        self._retained: Dict[int, Tuple[object, ItemView]] = {}
         #: Blocked seconds at the last close (the meter's total then).
         self._prev_blocked = 0.0
         #: Compute seconds of the closed iterations.
@@ -349,7 +353,8 @@ class ThreadDriver:
 
     def _do_release(self, sc: Release) -> None:
         view = sc.view
-        entry = self._retained.pop(getattr(view, "item_id", None), None)
+        entry = (self._retained.pop(getattr(view, "item_id", None), None)
+                 if self._retained else None)
         if entry is None:
             raise SimulationError(
                 f"thread {self.name!r} released {view!r}, which it does "
@@ -482,6 +487,8 @@ class ThreadDriver:
         next sync, or — ``hold=True`` — only by an explicit ``Release``
         (or when the thread ends); either way an input of this iteration."""
         if hold:
+            if self._retained is None:
+                self._retained = {}
             self._retained[view.item_id] = (buffer, view)
         else:
             self._held.append((buffer, view))
@@ -629,6 +636,8 @@ class ThreadDriver:
 
     def _release_retained(self) -> None:
         """Drop every held reference (task termination cleanup)."""
+        if not self._retained:
+            return
         t = self.now()
         for buffer, view in self._retained.values():
             buffer.release(view._item, t)

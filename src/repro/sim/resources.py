@@ -3,8 +3,10 @@
 Two primitives cover everything the runtime needs:
 
 * :class:`Resource` — a counted FIFO resource (CPU pools, network links).
-* :class:`WaitQueue` — a predicate-based condition variable (channel gets
-  blocking until a matching item is put).
+* :class:`WaitQueue` — a predicate-based condition variable (a bounded
+  buffer's putters waiting for room, a transfer waiting for its link's
+  restore). A blocked get needs no predicate: it is a record on its
+  buffer (:class:`~repro.runtime.buffer.Buffer`).
 
 Both hand out plain :class:`~repro.sim.events.Event` objects so they can be
 ``yield``-ed from process bodies.
@@ -150,7 +152,3 @@ class WaitQueue:
                     remaining.append((ev, predicate))
         self._waiters = remaining
         return fired
-
-    def cancel(self, ev: Event) -> None:
-        """Remove a pending waiter."""
-        self._waiters = [(e, p) for (e, p) in self._waiters if e is not ev]

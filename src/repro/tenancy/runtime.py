@@ -149,7 +149,7 @@ class TenantRuntime(Runtime):
         now = self.engine.now
         if tenant.name in self.tenants and tenant.state == RUNNING:
             raise ConfigError(f"tenant {tenant.name!r} is already running")
-        tenant.build(self.config.seed, self.clock.now)
+        tenant.build(self.config.seed, self.now)
         if tenant.prefix == "" and self._blank_tenant not in (None, tenant.name):
             raise ConfigError(
                 f"tenant {tenant.name!r}: only one blank-namespace tenant "

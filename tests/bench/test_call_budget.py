@@ -14,6 +14,8 @@ one that makes it cheaper should lower the budget in the same PR.
 Set-up has the same kind of gate: Python calls per admitted light tenant,
 as the difference of admitting 40 and 20 of them with no engine run, and
 the bytes of heap that tenant holds once admitted, the same difference.
+So has the end of a run: the bytes of heap one more light tenant holds
+when ``Runtime.run`` returns, the difference of running 40 and 20.
 
 What an event leaves behind is gated the same way on the light fleet:
 gc-tracked objects and bytes of trace storage per engine event, and the
@@ -154,14 +156,16 @@ def marginal_calls_per_event(recipe, short: float, long: float) -> float:
 
 
 #: (recipe, short and long horizon in simulated s, budget). Measured
-#: 27.31 and 32.10 when set (a skip calls no telemetry handle: 27.31
-#: and 32.14 before; a thread's policy holds its backwardSTP vector and
+#: 26.43 and 31.48 when set (a blocked get is a record its buffer
+#: re-tests, no closure through a wait queue; connections compare by
+#: identity: 27.31 and 32.10 before; a skip calls no telemetry handle:
+#: 27.31 and 32.14 before that; a thread's policy holds its backwardSTP vector and
 #: plans its own sleep: 27.31 and 33.41 before that; recording appends
 #: to columns, no record ``__init__``: 28.71 and 34.91 before that,
 #: 38.14 and 41.28 before DGC and the controller went event-driven).
 BUDGETS = [
-    pytest.param(light_fleet, 5.0, 20.0, 28.7, id="light-fleet"),
-    pytest.param(tracker_cell, 10.0, 60.0, 33.7, id="tracker-aru-min"),
+    pytest.param(light_fleet, 5.0, 20.0, 27.8, id="light-fleet"),
+    pytest.param(tracker_cell, 10.0, 60.0, 33.1, id="tracker-aru-min"),
 ]
 
 
@@ -279,15 +283,17 @@ def admit_light_fleet(tenants: int) -> TenantRuntime:
 
 
 #: Python calls to admit one light tenant (build and validate its graph,
-#: place it, merge it, assemble its buffers and drivers). Measured 538
-#: when set (a driver resolves no telemetry handle): 544 before that (a
+#: place it, merge it, assemble its buffers and drivers). Measured 516
+#: when set (a buffer builds no wait queue for gets, a connection no
+#: dataclass default, a driver binds no clock read of its own): 538
+#: before that (a driver resolves no telemetry handle), 544 before that (a
 #: buffer resolves no telemetry handles), 562 before that
 #: (a thread with ARU off holds the shared null controller), 622 before
 #: that, 639 before RNG streams built their numpy generator on first
 #: draw and R-Storm scored only neighbor nodes when one fits, 764 before
 #: the wiring took the tenant as an argument, 3 226 while the graph was
 #: networkx.
-SETUP_BUDGET = 565
+SETUP_BUDGET = 542
 
 
 def test_python_calls_per_admitted_tenant():
@@ -310,7 +316,11 @@ def test_python_calls_per_admitted_tenant():
 
 #: Traced heap bytes one admitted light tenant holds before its first
 #: event (``count_calls.setup_bytes_per_tenant``: admit 40, less admit
-#: 20, over 20). Measured 35 533 when set (connections and buffers hold
+#: 20, over 20). Measured 31 510 when set (a buffer holds no wait queue
+#: for gets, and no list of them until one blocks; connections are
+#: slotted; drivers share their runtime's clock read and timeout and
+#: the one identity STP filter); 35 347 before, 35 533 when the budget
+#: was set before that (connections and buffers hold
 #: no telemetry handles), 35 531 with drivers holding none either (their
 #: handle was the shared no-op one: no bytes to save); 35 832 before (a thread with ARU off holds
 #: the shared null controller, not a four-object control stack of its
@@ -318,7 +328,7 @@ def test_python_calls_per_admitted_tenant():
 #: the same process (the tenant keeps no private graph after its first
 #: merge, adjacency is a tuple per node and an unbounded buffer has no
 #: room queue); 55 531 before that.
-SETUP_BYTES_BUDGET = 37_300
+SETUP_BYTES_BUDGET = 33_100
 
 
 def test_heap_bytes_per_admitted_tenant():
@@ -327,3 +337,20 @@ def test_heap_bytes_per_admitted_tenant():
         f"{per_tenant:.0f} B of heap per admitted tenant, budget "
         f"{SETUP_BYTES_BUDGET}: does a tenant keep a second copy of "
         f"its graph again?")
+
+
+#: Traced heap bytes one more light tenant holds when its run ends
+#: (``count_calls.run_end_bytes_per_tenant``: the heap at
+#: ``Runtime.run``'s return of 40 tenants at 1.5 simulated s, less of
+#: 20, over 20). Measured 39 134 when set (a blocked get is one record
+#: on its buffer: no closure, cells or wait queue); 44 238 before.
+RUN_END_BYTES_BUDGET = 41_100
+
+
+def test_heap_bytes_per_tenant_at_the_end_of_a_run():
+    per_tenant = counter.run_end_bytes_per_tenant(
+        lambda tenants: run_tenants(light_fleet_spec(tenants, horizon=1.5)))
+    assert per_tenant <= RUN_END_BYTES_BUDGET, (
+        f"{per_tenant:.0f} B of heap per tenant at the end of its run, "
+        f"budget {RUN_END_BYTES_BUDGET}: does a blocked get or a driver "
+        f"keep an object of its own again?")

@@ -83,6 +83,30 @@ def test_unknown_node_rejected():
         net.link("node0", "ghost")
 
 
+@pytest.mark.parametrize("src, dst", [("ghost", "node0"), ("node0", "ghost"),
+                                      ("ghost", "phantom")])
+def test_unknown_node_rejected_with_links_built(src, dst):
+    _, net = make_net()
+    net.link("node0", "node1")
+    with pytest.raises(ConfigError, match="unknown node"):
+        net.link(src, dst)
+    with pytest.raises(ConfigError, match="unknown node"):
+        net.link(src, dst)  # a refused pair is not cached
+
+
+def test_a_built_link_is_looked_up_without_validation(monkeypatch):
+    from repro.cluster.spec import ClusterSpec
+
+    _, net = make_net()
+    reads = []
+    names = ClusterSpec.node_names
+    monkeypatch.setattr(ClusterSpec, "node_names", property(
+        lambda spec: reads.append(1) or names.fget(spec)))
+    link = net.link("node0", "node1")
+    assert [net.link("node0", "node1") for _ in range(3)] == [link] * 3
+    assert len(reads) == 1
+
+
 def test_byte_accounting():
     eng, net = make_net()
 

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import TraceError
 from repro.experiment import ExperimentSpec, run_experiment
 from repro.metrics.performance import sink_latencies
-from repro.metrics.recorder import TraceRecorder
+from repro.metrics.recorder import _FOLDED, TraceRecorder
 from repro.metrics.trace_io import (
     merge_traces,
     rebase_trace,
@@ -164,6 +164,30 @@ class TestWireState:
         assert trace_to_dict(over_wire) == trace_to_dict(over_dicts)
         assert sink_latencies(over_wire) == sink_latencies(over_dicts)
         assert len(sink_latencies(over_wire)[1]) > 0
+
+    def test_a_received_trace_folds_when_a_folded_field_is_first_read(self):
+        workers = _worker_traces()
+        received = [_wire(w) for w in workers]
+        merged = merge_traces(received)  # reads nothing folded
+        assert len(merged.item_t_alloc) == sum(
+            len(w.item_t_alloc) for w in workers)
+        for sent, got in zip(workers, received):
+            assert not set(_FOLDED) & set(vars(got))
+            with pytest.raises(AttributeError, match="_no_such_column"):
+                got._no_such_column
+            assert got.iteration_count("tracker") == \
+                sent.iteration_count("tracker")  # one read folds them all
+            assert set(_FOLDED) <= set(vars(got))
+            eager = _wire(sent)
+            eager._fold_rows()
+            for name in _FOLDED:
+                assert repr(getattr(got, name)) == repr(getattr(eager, name)) \
+                    == repr(getattr(sent, name))
+        lean = TraceRecorder(trace_rows=False)
+        lean.finalize(1.0)
+        assert set(_FOLDED) - {"_early_uses"} <= set(vars(_wire(lean)))
+        with pytest.raises(AttributeError):
+            _wire(lean)._early_uses
 
     def test_wire_state_round_trips_a_pending_anchor(self):
         rec = TraceRecorder()

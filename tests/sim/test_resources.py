@@ -176,16 +176,6 @@ def test_waitqueue_notify_returns_fired_count():
     assert w1.triggered and w2.triggered and w3.triggered
 
 
-def test_waitqueue_cancel():
-    eng = Engine()
-    wq = WaitQueue(eng)
-    ev = wq.wait(lambda: None)
-    assert len(wq) == 1
-    wq.cancel(ev)
-    assert len(wq) == 0
-    assert wq.notify_all() == 0
-
-
 def test_waitqueue_multiple_waiters_fifo_wake():
     eng = Engine()
     wq = WaitQueue(eng)
