@@ -32,6 +32,12 @@ script runs one repetition of a simulated e2e workload under
   buffer of the ``TraceRecorder``), each as the difference of two
   unprofiled runs at a quarter and a half of the workload's horizon
   over the difference in their engine events;
+* ``blocked_gets`` / ``tracked_objects_per_event_net`` (the light
+  fleets) — the gets still blocked when each of those two runs ends
+  (records in every buffer's ``_getters``), and the tracked-object
+  figure without the objects those records own: their number changes
+  between the horizons (5 000 → 4 392 on ``fleet_1000``), so the raw
+  figure there reads what a blocked get holds, not what an event leaves;
 * ``trace_bytes_by_table`` (the light fleets) — the same bytes per
   event split by the table that holds them: items (with their id
   runs and pending anchors), touches, iterations, sinks, STP samples
@@ -217,6 +223,18 @@ def analysis_peak(recipe: Callable[[float], Any],
     return result, peak - at_return[-1]
 
 
+def blocked_gets(runtime) -> Tuple[int, int]:
+    """``(records, gc-tracked objects)`` of the gets blocked when a run
+    ends: the records in every buffer's ``_getters``. A record owns its
+    tuple, its event and the event's callback list; the connection, the
+    request and the waiting process are shared."""
+    owned = {id(part) for buffer in runtime.buffers.values()
+             for record in buffer._getters
+             for part in (record, record[0], record[0].callbacks)
+             if gc.is_tracked(part)}
+    return sum(len(b._getters) for b in runtime.buffers.values()), len(owned)
+
+
 def growth_per_event(recipe: Callable[[float], Any], short: float,
                      long: float) -> Dict[str, float]:
     """What an engine event leaves behind after the run, per event.
@@ -229,13 +247,14 @@ def growth_per_event(recipe: Callable[[float], Any], short: float,
     (:func:`analysis_peak`).
     """
     recipe(min(short, 0.5))  # lazy imports and first-use caches
-    objects, stored, analysis, events = [], [], [], []
+    objects, blocked, stored, analysis, events = [], [], [], [], []
     for horizon in (short, long):
         gc.collect()
         before = len(gc.get_objects())
         result, peak = analysis_peak(recipe, horizon)
         gc.collect()
         objects.append(len(gc.get_objects()) - before)
+        blocked.append(blocked_gets(result.runtime))
         stored.append(trace_bytes_by_table(result.trace))
         analysis.append(peak)
         events.append(result.stats["engine"]["events_processed"])
@@ -243,8 +262,11 @@ def growth_per_event(recipe: Callable[[float], Any], short: float,
     more = events[1] - events[0]
     by_table = {table: (stored[1][table] - stored[0][table]) / more
                 for table in stored[0]}
+    held = [objects[i] - blocked[i][1] for i in (0, 1)]
     return {
         "tracked_objects_per_event": (objects[1] - objects[0]) / more,
+        "tracked_objects_per_event_net": (held[1] - held[0]) / more,
+        "blocked_gets": [records for records, _ in blocked],
         "trace_bytes_per_event": sum(by_table.values()),
         "trace_bytes_by_table": by_table,
         "analysis_bytes_per_event": (analysis[1] - analysis[0]) / more,
@@ -394,7 +416,8 @@ _SCALARS = ("python_calls", "c_calls", "generator_starts", "events",
             "calls_per_event", "setup_python_calls", "setup_c_calls",
             "setup_modules", "setup_bytes_per_tenant",
             "run_end_bytes_per_tenant", "numpy_loaded",
-            "tracked_objects_per_event", "trace_bytes_per_event",
+            "tracked_objects_per_event", "tracked_objects_per_event_net",
+            "trace_bytes_per_event",
             "trace_bytes_per_event_rows", "analysis_bytes_per_event")
 
 
@@ -415,6 +438,8 @@ def _print_counts(counts: Dict[str, Any], top: int) -> None:
         if key in counts:
             print(f"{name} {key} " + " ".join(
                 f"{table}={value:.2f}" for table, value in counts[key].items()))
+    if "blocked_gets" in counts:
+        print(f"{name} blocked_gets " + " ".join(map(str, counts["blocked_gets"])))
     if "setup_collections" in counts:
         print(f"{name} setup_collections "
               f"{_generations(counts['setup_collections'])}")

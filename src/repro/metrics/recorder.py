@@ -509,6 +509,25 @@ class TraceRecorder:
             raise TraceError("finalize() called twice")
         self.t_end = float(t_end)
 
+    def shift(self, delta: float) -> None:
+        """Add ``delta`` to every time a finalized trace holds: its bounds,
+        its time columns and the iteration ends its early uses keep."""
+        names = ["item_t_alloc", "item_anchor", "sink_t_end"]
+        if self.trace_rows:
+            names += ["item_t_free", "item_igc_end", "touch_t", "iter_t_start",
+                      "iter_t_end", "stp_t"]
+        # Everything is read before anything is shifted: an unpickled
+        # trace folds its anchors and early uses from the rows when first
+        # read.
+        columns = [getattr(self, name) for name in names]
+        early = self._early_uses if self.trace_rows else {}
+        self.t_start += delta
+        self.t_end += delta
+        for column in columns:
+            column[:] = array("d", [t + delta for t in column])
+        for item_id, t in early.items():
+            early[item_id] = t + delta
+
     @property
     def duration(self) -> float:
         if self.t_end is None:

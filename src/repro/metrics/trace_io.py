@@ -15,7 +15,6 @@ precision (``repr`` round-trip), so analysis results match exactly.
 from __future__ import annotations
 
 import json
-from array import array
 from operator import itemgetter
 from pathlib import Path
 from typing import Union
@@ -118,16 +117,7 @@ def rebase_trace(recorder: TraceRecorder, t_start: float = 0.0) -> TraceRecorder
     delta = float(t_start) - recorder.t_start
     if delta == 0.0:
         return recorder
-    recorder.t_start += delta
-    recorder.t_end += delta
-    names = ["item_t_alloc", "item_anchor", "sink_t_end"]
-    if recorder.trace_rows:
-        names += ["item_t_free", "item_igc_end", "touch_t", "iter_t_start",
-                  "iter_t_end", "stp_t"]
-    # Every column is read before any is shifted: an unpickled trace
-    # folds its anchors from the allocation times when first read.
-    for column in [getattr(recorder, name) for name in names]:
-        column[:] = array("d", [t + delta for t in column])
+    recorder.shift(delta)
     return recorder
 
 

@@ -10,7 +10,9 @@ A stream builds its :class:`numpy.random.Generator` on first draw, so
 ``len()`` and ``in`` count *named* streams, drawn from or not. numpy itself
 is imported there too: a run that never draws (no service-time or
 scheduling noise) never loads it, and one that does pays the import once,
-at its first draw.
+at its first draw. Schedules stamped before a run (``tenancy.run.churn``,
+``poisson_arrivals``) draw from :class:`repro.sim.pcg64.PCG64` instead:
+numpy's exponential draws, bit for bit, without numpy.
 """
 
 from __future__ import annotations

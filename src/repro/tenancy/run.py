@@ -287,17 +287,19 @@ def poisson_arrivals(tenants, rate: float, seed: int = 0,
     """Re-stamp arrivals as a Poisson process (``rate`` tenants/sec).
 
     Deterministic for a fixed seed; tenants keep their declared order
-    (inter-arrival gaps are exponential draws).
+    (inter-arrival gaps are exponential draws: those of
+    ``numpy.random.default_rng(seed)``, drawn without numpy by
+    :class:`repro.sim.pcg64.PCG64`).
     """
     if rate <= 0:
         raise ConfigError(f"arrival rate must be positive, got {rate}")
-    import numpy as np
+    from repro.sim.pcg64 import PCG64
 
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     t = start
     out = []
     for spec in tenants:
-        t += float(rng.exponential(1.0 / rate))
+        t += rng.exponential(1.0 / rate)
         out.append(spec.with_(arrival=t, departure=None)
                    if spec.departure is not None and spec.departure <= t
                    else spec.with_(arrival=t))
@@ -310,7 +312,8 @@ def churn(tenants, rate: float, mean_lifetime: float, seed: int = 0,
 
     Each tenant arrives per :func:`poisson_arrivals` and departs after
     an exponential residence of mean ``mean_lifetime`` seconds;
-    ``rate == 0`` makes every tenant arrive at ``start``.
+    ``rate == 0`` makes every tenant arrive at ``start``. Gaps and
+    lifetimes alternate on one :class:`repro.sim.pcg64.PCG64` stream.
     """
     if rate < 0:
         raise ConfigError(f"arrival rate must be positive, got {rate}")
@@ -318,14 +321,14 @@ def churn(tenants, rate: float, mean_lifetime: float, seed: int = 0,
         raise ConfigError(
             f"mean_lifetime must be positive, got {mean_lifetime}"
         )
-    import numpy as np
+    from repro.sim.pcg64 import PCG64
 
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     t = start
     out = []
     for spec in tenants:
-        t += float(rng.exponential(1.0 / rate)) if rate > 0 else 0.0
-        lifetime = float(rng.exponential(mean_lifetime))
+        t += rng.exponential(1.0 / rate) if rate > 0 else 0.0
+        lifetime = rng.exponential(mean_lifetime)
         out.append(spec.with_(arrival=t, departure=t + max(1e-6, lifetime)))
     return tuple(out)
 

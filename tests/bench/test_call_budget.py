@@ -218,6 +218,13 @@ def test_what_an_engine_event_leaves_behind():
         f"keyed by item id back?")
 
 
+def test_blocked_gets_are_records_of_three_tracked_objects():
+    # count_calls nets these out of tracked_objects_per_event: their
+    # number moves between two horizons without any event leaving one.
+    records, owned = counter.blocked_gets(light_fleet(1.0).runtime)
+    assert records > 0 and owned == 3 * records
+
+
 def test_what_an_engine_event_leaves_behind_with_rows():
     growth = counter.growth_per_event(light_fleet_with_rows, 5.0, 20.0)
     assert growth["trace_bytes_per_event"] <= TRACE_ROWS_BYTES_BUDGET, (

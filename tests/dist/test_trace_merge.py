@@ -55,6 +55,24 @@ class TestRebase:
         assert rebase_trace(rec) is rec
         assert rec.t_start == 0.0
 
+    @pytest.mark.parametrize("wire", [False, True], ids=["local", "unpickled"])
+    def test_rebase_shifts_an_early_use_for_a_later_alloc(self, wire):
+        # A sink consumes item 9 before item 9 is allocated: the recorder
+        # keeps the iteration's end for the alloc, which must move with it.
+        rec = TraceRecorder()
+        rec.t_start = 100.0
+        rec.on_iteration("sink", t_start=100.0, t_end=101.0, compute=0.0,
+                         blocked=0.0, slept=0.0, inputs=(9,), outputs=(),
+                         is_sink=True)
+        rec.finalize(102.0)
+        if wire:
+            rec = pickle.loads(pickle.dumps(rec))
+        rebase_trace(rec)
+        rec.on_alloc(9, "c", "n0", ts=0, size=1, producer="src", parents=(),
+                     t=0.5)
+        assert list(rec.iter_t_end) == [1.0]
+        assert list(rec.item_igc_end) == [1.0]
+
     def test_rebase_requires_finalized(self):
         rec = TraceRecorder()
         with pytest.raises(TraceError, match="finalize"):

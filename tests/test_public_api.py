@@ -156,26 +156,46 @@ _LIGHT_FLEET = """
 import sys
 import repro.rt_threads.executor, repro.runtime.runtime, repro.tenancy
 from repro.cluster.spec import uniform_spec
-from repro.tenancy import TenancySpec, TenantSpec, run_tenants, scaled_tracker_config
+from repro.tenancy import (TenancySpec, TenantSpec, churn, poisson_arrivals,
+                           run_tenants, scaled_tracker_config)
 from repro.tenancy.tenant import ResourceDemand
 
 cfg = scaled_tracker_config(0.02, frame_period=0.25, cv={cv})
 demand = ResourceDemand(cpu=0.05, mem_bytes=2**20, bandwidth_bps=1_000_000)
+fleet = tuple(TenantSpec(f"t{{i}}", app_config=cfg, demand=demand) for i in range(10))
 result = run_tenants(TenancySpec(
-    tenants=tuple(TenantSpec(f"t{{i}}", app_config=cfg, demand=demand)
-                  for i in range(10)),
+    tenants={schedule},
     cluster=uniform_spec(32, ncpus=16, bandwidth_bps=10**9), horizon=3.0))
-records = result.records.values()
+assert len(result.records) == 10
+records = [r for r in result.records.values() if r.residence > {min_residence}]
+assert len(records) == {analysed}
 assert all(r.deliveries and r.latency_p95 >= r.latency_p50 > 0 for r in records)
 sys.exit(10 + ("numpy" in sys.modules))
 """
 
 
-@pytest.mark.parametrize("cv, loads_numpy", [(0.0, False), (0.3, True)])
-def test_a_run_that_draws_nothing_never_imports_numpy(cv, loads_numpy):
+@pytest.mark.parametrize("cv, schedule, min_residence, analysed, loads_numpy", [
+    pytest.param(0.0, "fleet", 0.0, 10, False, id="0.0-False"),
+    pytest.param(0.3, "fleet", 0.0, 10, True, id="0.3-True"),
+    pytest.param(0.0, "churn(fleet, rate=8.0, mean_lifetime=3.0, seed=0)", 1.0, 7,
+                 False, id="churn"),
+    pytest.param(0.0, "poisson_arrivals(fleet, rate=8.0, seed=1)", 1.0, 10, False,
+                 id="poisson_arrivals"),
+])
+def test_a_run_that_draws_nothing_never_imports_numpy(cv, schedule, min_residence,
+                                                       analysed, loads_numpy):
     """A ``cv=0`` light fleet runs and analyses its tenants (p50/p95 per
-    tenant) without numpy; a fleet that draws imports it at its first draw."""
-    assert _in_fresh_interpreter(_LIGHT_FLEET.format(cv=cv)) == 10 + loads_numpy
+    tenant) without numpy; a fleet that draws imports it at its first draw.
+
+    An unstamped fleet keeps all ten tenants resident for the whole run,
+    so every one of them must deliver. When ``churn`` or
+    ``poisson_arrivals`` stamps arrivals and departures, the check covers
+    the tenants resident for over a second (their number is pinned: the
+    schedule is deterministic for its seed); the rest may leave before
+    their first delivery."""
+    code = _LIGHT_FLEET.format(cv=cv, schedule=schedule,
+                               min_residence=min_residence, analysed=analysed)
+    assert _in_fresh_interpreter(code) == 10 + loads_numpy
 
 
 _THREADS_SET_UP = """
